@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .quiver import Cell, Instance, TARGET, cell_key
+from .quiver import Cell, Instance, cell_key
 
 
 def max_diagonal_chain(points: Iterable[tuple[int, int]]) -> int:
@@ -109,9 +109,10 @@ def padded_se(raw: int, x: int, y: int, a: int, b: int, u: int) -> int:
 class CellSet:
     """An immutable canonical set of cells of one instance.
 
-    Cells are kept sorted under the lattice order and mirrored into a dense
-    bitmask indexed by cell rank; comparing masks as integers is exactly the
+    The set's identity is its bitmask indexed by cell rank: equality and
+    hashing go through it, and comparing masks as integers is exactly the
     set order (compare the sorted sequences from the largest position down).
+    ``cells`` lists the same cells sorted under the lattice order.
     Chain-statistic tables are computed lazily per block and cached, which is
     safe because the set never changes.
     """
@@ -131,8 +132,19 @@ class CellSet:
 
     @classmethod
     def from_mask(cls, instance: Instance, mask: int) -> "CellSet":
-        cells = [instance.cells[r] for r in range(instance.size) if mask >> r & 1]
-        return cls(instance, cells)
+        """Trusted constructor: the set whose cells are the set bits of ``mask``.
+
+        Only the mask's range is checked; bit r stands for ``instance.cells[r]``,
+        so no cell needs validating and ``cells`` comes out sorted.
+        """
+        if mask < 0 or mask >> instance.size:
+            raise ValidationError(f"mask {mask:#x} has bits outside the {instance.size} cells")
+        self = cls.__new__(cls)
+        self.instance = instance
+        self.cells = tuple([c for r, c in enumerate(instance.cells) if mask >> r & 1])
+        self.mask = mask
+        self._stats = {}
+        return self
 
     @classmethod
     def from_triples(cls, instance: Instance, triples) -> "CellSet":
@@ -184,18 +196,9 @@ class CellSet:
 
     def block_points(self, vid: str) -> list[tuple[int, int]]:
         """The set's image inside the block matrix of ``vid`` (sorted positions)."""
-        inst = self.instance
-        if inst.vertex[vid].side == TARGET:
-            pts = [(c.i, inst.arrow(c.k).col_offset + c.j)
-                   for c in self.cells if inst.arrow(c.k).target == vid]
-        else:
-            pts = [(inst.arrow(c.k).row_offset + c.i, c.j)
-                   for c in self.cells if inst.arrow(c.k).source == vid]
-        pts.sort()
-        return pts
-
-    def page_points(self, k: int) -> list[tuple[int, int]]:
-        return sorted((c.i, c.j) for c in self.cells if c.k == k)
+        mask = self.mask
+        return [(x, y) for x, row in enumerate(self.instance.block_ranks[vid], start=1)
+                for y, r in enumerate(row, start=1) if mask >> r & 1]
 
     def stats(self, vid: str) -> BlockStats:
         st = self._stats.get(vid)
@@ -230,12 +233,12 @@ def can_extend(cs: CellSet, cell) -> bool:
     """
     inst = cs.instance
     cell = inst.check_cell(cell)
-    if cs._contains(cell):
+    r = inst.rank[cell]
+    if cs.mask >> r & 1:
         raise ValidationError(f"cell {tuple(cell)} already in set")
-    tgt, ti, tj = inst.phi_target(cell)
+    tgt, ti, tj, src, si, sj = inst.positions[r]
     if cs.stats(tgt).nw_of(ti, tj) + cs.stats(tgt).se_of(ti, tj) >= inst.vertex[tgt].u:
         return False
-    src, si, sj = inst.phi_source(cell)
     return cs.stats(src).nw_of(si, sj) + cs.stats(src).se_of(si, sj) < inst.vertex[src].u
 
 
@@ -259,9 +262,7 @@ class ChainStats:
 
 def corner_stats(cs: CellSet, cell) -> ChainStats:
     inst = cs.instance
-    cell = inst.check_cell(cell)
-    tgt, ti, tj = inst.phi_target(cell)
-    src, si, sj = inst.phi_source(cell)
+    tgt, ti, tj, src, si, sj = inst.positions[inst.rank[inst.check_cell(cell)]]
     td, sd = inst.vertex[tgt], inst.vertex[src]
     tst, sst = cs.stats(tgt), cs.stats(src)
     nw, se = tst.nw_of(ti, tj), tst.se_of(ti, tj)

@@ -288,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="guard for brute-force operations (default 32)")
     common.add_argument("--facet-cap", type=int, default=DEFAULT_FACET_CAP,
                         help="abort facet enumeration past this many facets")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker hint; the current implementation is serial")
     common.add_argument("--seed", type=int, default=None, help="seed for sampling subcommands")
 
     parser = argparse.ArgumentParser(
@@ -342,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be positive")
     if args.max_cells < 1 or args.facet_cap < 1:
         parser.error("guards must be positive")
     try:

@@ -32,20 +32,8 @@ class _FaceSearch:
 
     def __init__(self, instance: Instance, base=()):
         self.instance = instance
-        vids = list(instance.vertex)
-        vindex = {v: i for i, v in enumerate(vids)}
-        self.blocks = []
-        for v in vids:
-            d = instance.vertex[v]
-            self.blocks.append((d.a, d.b, [[False] * (d.b + 2) for _ in range(d.a + 2)]))
-        self.block_u = [instance.vertex[v].u for v in vids]
-        info = []
-        for cell in instance.cells:
-            tv, ti, tj = instance.phi_target(cell)
-            sv, si, sj = instance.phi_source(cell)
-            info.append((vindex[tv], ti, tj, instance.vertex[tv].u,
-                         vindex[sv], si, sj, instance.vertex[sv].u))
-        self.cell_info = info
+        self.blocks = {vid: (d.a, d.b, d.u, [[False] * (d.b + 2) for _ in range(d.a + 2)])
+                       for vid, d in instance.vertex.items()}
 
         base_mask = 0
         for c in base:
@@ -54,35 +42,41 @@ class _FaceSearch:
         for r in range(instance.size):
             if base_mask >> r & 1:
                 self._occupy(r, True)
-        for (a, b, occ), u in zip(self.blocks, self.block_u):
+        for a, b, u, occ in self.blocks.values():
             if _nw_table(a, b, occ)[a][b] > u:
                 raise ValidationError("base set is not u-compatible")
 
     def _occupy(self, r: int, flag: bool):
-        tv, ti, tj, _, sv, si, sj, _ = self.cell_info[r]
-        self.blocks[tv][2][ti][tj] = flag
-        self.blocks[sv][2][si][sj] = flag
+        tv, ti, tj, sv, si, sj = self.instance.positions[r]
+        self.blocks[tv][3][ti][tj] = flag
+        self.blocks[sv][3][si][sj] = flag
 
-    def _addable(self, occupied_mask: int) -> int:
-        tabs = [(_nw_table(a, b, occ), _se_table(a, b, occ)) for a, b, occ in self.blocks]
+    def _addable(self, candidates: int) -> int:
+        """The candidate cells that the current occupancy still admits."""
+        tabs = {vid: (_nw_table(a, b, occ), _se_table(a, b, occ), u)
+                for vid, (a, b, u, occ) in self.blocks.items()}
+        positions = self.instance.positions
         mask = 0
-        bit = 1
-        for tv, ti, tj, tu, sv, si, sj, su in self.cell_info:
-            if not occupied_mask & bit:
-                tnw, tse = tabs[tv]
-                if tnw[ti - 1][tj - 1] + tse[ti + 1][tj + 1] < tu:
-                    snw, sse = tabs[sv]
-                    if snw[si - 1][sj - 1] + sse[si + 1][sj + 1] < su:
-                        mask |= bit
-            bit <<= 1
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            tv, ti, tj, sv, si, sj = positions[bit.bit_length() - 1]
+            tnw, tse, tu = tabs[tv]
+            if tnw[ti - 1][tj - 1] + tse[ti + 1][tj + 1] < tu:
+                snw, sse, su = tabs[sv]
+                if snw[si - 1][sj - 1] + sse[si + 1][sj + 1] < su:
+                    mask |= bit
         return mask
 
     def run(self, visit, universe_mask: int | None = None):
+        full = (1 << self.instance.size) - 1
         if universe_mask is None:
-            universe_mask = (1 << self.instance.size) - 1 & ~self.base_mask
+            universe_mask = full & ~self.base_mask
 
-        def rec(x_mask: int, min_rank: int):
-            addable = self._addable(self.base_mask | x_mask)
+        # Admissibility is hereditary, so a cell not addable at a node is not
+        # addable below it: each node tests only its parent's addable cells.
+        def rec(x_mask: int, min_rank: int, candidates: int):
+            addable = self._addable(candidates)
             visit(x_mask, addable)
             cand = addable & universe_mask & ~((1 << min_rank) - 1)
             while cand:
@@ -90,10 +84,10 @@ class _FaceSearch:
                 cand ^= low
                 r = low.bit_length() - 1
                 self._occupy(r, True)
-                rec(x_mask | low, r + 1)
+                rec(x_mask | low, r + 1, addable & ~low)
                 self._occupy(r, False)
 
-        rec(0, 0)
+        rec(0, 0, full & ~self.base_mask)
 
 
 def _nw_table(a, b, occ):

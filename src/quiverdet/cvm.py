@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .chains import CellSet, is_u_compatible, max_diagonal_chain, padded_nw, padded_se
 from .errors import CrossCheckError, ValidationError
-from .quiver import Cell, Instance, SOURCE, TARGET, BipartiteQuiver, cell_key
+from .quiver import Cell, Instance, TARGET, BipartiteQuiver, cell_key
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -35,12 +35,18 @@ def is_cvm(cs: CellSet) -> bool:
 def _membership_criterion_holds(cs: CellSet) -> bool:
     """Cell-by-cell check: P in C iff both raw chain-stat sums stay below the ranks."""
     inst = cs.instance
-    for cell in inst.cells:
-        tgt, ti, tj = inst.phi_target(cell)
-        src, si, sj = inst.phi_source(cell)
-        below = (cs.stats(tgt).nw_of(ti, tj) + cs.stats(tgt).se_of(ti, tj) < inst.vertex[tgt].u
-                 and cs.stats(src).nw_of(si, sj) + cs.stats(src).se_of(si, sj) < inst.vertex[src].u)
-        if below != cs._contains(cell):
+    # per block: the NW/SE tables (read as BlockStats.nw_of/se_of do) and the rank
+    tabs = {}
+    for vid, data in inst.vertex.items():
+        st = cs.stats(vid)
+        tabs[vid] = (st.nw, st.se, data.u)
+    mask = cs.mask
+    for r, (tgt, ti, tj, src, si, sj) in enumerate(inst.positions):
+        tnw, tse, tu = tabs[tgt]
+        snw, sse, su = tabs[src]
+        below = (tnw[ti - 1][tj - 1] + tse[ti + 1][tj + 1] < tu
+                 and snw[si - 1][sj - 1] + sse[si + 1][sj + 1] < su)
+        if below != (mask >> r & 1 == 1):
             return False
     return True
 
@@ -50,22 +56,17 @@ def _greedy_close(seed: CellSet, descending: bool) -> CellSet:
     inst = seed.instance
     if not is_u_compatible(seed):
         raise ValidationError("seed set is not u-compatible")
+    positions = inst.positions
     tgt_pts: dict[str, list] = {v: [] for v in inst.vertex}
     src_pts: dict[str, list] = {v: [] for v in inst.vertex}
-    chosen = set(seed.cells)
 
-    def put(cell):
-        tgt, ti, tj = inst.phi_target(cell)
-        src, si, sj = inst.phi_source(cell)
+    def put(r):
+        tgt, ti, tj, src, si, sj = positions[r]
         tgt_pts[tgt].append((ti, tj))
         src_pts[src].append((si, sj))
 
-    for cell in seed.cells:
-        put(cell)
-
-    def fits(cell):
-        tgt, ti, tj = inst.phi_target(cell)
-        src, si, sj = inst.phi_source(cell)
+    def fits(r):
+        tgt, ti, tj, src, si, sj = positions[r]
         pts = tgt_pts[tgt]
         nw = max_diagonal_chain([p for p in pts if p[0] < ti and p[1] < tj])
         se = max_diagonal_chain([p for p in pts if p[0] > ti and p[1] > tj])
@@ -76,14 +77,16 @@ def _greedy_close(seed: CellSet, descending: bool) -> CellSet:
         se = max_diagonal_chain([p for p in pts if p[0] > si and p[1] > sj])
         return nw + se < inst.vertex[src].u
 
-    order = reversed(inst.cells) if descending else inst.cells
-    for cell in order:
-        if cell in chosen:
-            continue
-        if fits(cell):
-            chosen.add(cell)
-            put(cell)
-    return CellSet(inst, chosen)
+    mask = seed.mask
+    for r in range(inst.size):
+        if mask >> r & 1:
+            put(r)
+    order = range(inst.size - 1, -1, -1) if descending else range(inst.size)
+    for r in order:
+        if not mask >> r & 1 and fits(r):
+            mask |= 1 << r
+            put(r)
+    return CellSet.from_mask(inst, mask)
 
 
 def c_max(seed: CellSet) -> CellSet:
@@ -221,8 +224,8 @@ def road_map(cs: CellSet) -> RoadMap:
         else:
             vertical[vid] = paths
 
-    h_cells = _covered_cells(inst, horizontal, TARGET)
-    v_cells = _covered_cells(inst, vertical, SOURCE)
+    h_cells = _covered_cells(inst, horizontal)
+    v_cells = _covered_cells(inst, vertical)
     if h_cells & v_cells != set(cs.cells):
         raise CrossCheckError("path intersection does not reproduce the facet")
     for vid, paths in horizontal.items():
@@ -240,17 +243,17 @@ def road_map(cs: CellSet) -> RoadMap:
     return RoadMap(horizontal, vertical)
 
 
-def _covered_cells(inst: Instance, families, side) -> set[Cell]:
+def _covered_cells(inst: Instance, families) -> set[Cell]:
     cells: set[Cell] = set()
-    inv = inst.phi_target_inv if side == TARGET else inst.phi_source_inv
     for vid, paths in families.items():
+        ranks = inst.block_ranks[vid]
         seen: set[tuple[int, int]] = set()
         for path in paths:
             for pt in path:
                 if pt in seen:
                     raise CrossCheckError(f"paths of block {vid!r} intersect at {pt}")
                 seen.add(pt)
-                cells.add(inv(vid, *pt))
+                cells.add(inst.cells[ranks[pt[0] - 1][pt[1] - 1]])
     return cells
 
 
@@ -309,26 +312,22 @@ def _nw_corner_records(cs: CellSet, rm: RoadMap) -> list[CornerRecord]:
     # Relabeled vertical index of every covered cell, per target block
     v_index: dict[str, dict[tuple[int, int], int]] = {t: {} for t in inst.quiver.targets}
     for beta, paths in rm.vertical.items():
+        ranks = inst.block_ranks[beta]
         for q, path in enumerate(paths, start=1):
-            for pt in path:
-                cell = inst.phi_source_inv(beta, *pt)
-                ar = inst.arrow(cell.k)
-                shift = sum(inst.u[a2.source] for a2 in inst.arrows
-                            if a2.target == ar.target and a2.k < ar.k)
-                tpos = (cell.i, ar.col_offset + cell.j)
-                v_index[ar.target][tpos] = q + shift
+            for x, y in path:
+                r = ranks[x - 1][y - 1]
+                tgt, ti, tj = inst.positions[r][:3]
+                v_index[tgt][(ti, tj)] = q + inst.arrow(inst.cells[r].k).vpath_offset
 
     # Relabeled horizontal index of every covered cell, per source block
     h_index: dict[str, dict[tuple[int, int], int]] = {s: {} for s in inst.quiver.sources}
     for alpha, paths in rm.horizontal.items():
+        ranks = inst.block_ranks[alpha]
         for p, path in enumerate(paths, start=1):
-            for pt in path:
-                cell = inst.phi_target_inv(alpha, *pt)
-                ar = inst.arrow(cell.k)
-                shift = sum(inst.u[a2.target] for a2 in inst.arrows
-                            if a2.source == ar.source and a2.k < ar.k)
-                spos = (ar.row_offset + cell.i, cell.j)
-                h_index[ar.source][spos] = p + shift
+            for x, y in path:
+                r = ranks[x - 1][y - 1]
+                src, si, sj = inst.positions[r][3:]
+                h_index[src][(si, sj)] = p + inst.arrow(inst.cells[r].k).hpath_offset
 
     for alpha, paths in rm.horizontal.items():
         data = inst.vertex[alpha]
@@ -374,7 +373,7 @@ def corners(cs: CellSet) -> CornerReport:
     rm = road_map(cs)
     records = list(_nw_corner_records(cs, rm))
     r_inst, r_cs = reflect(cs)
-    back = _reflect_cell_map(r_inst)
+    back = reflect_instance(r_inst)[1]
     for rec in _nw_corner_records(r_cs, road_map(r_cs)):
         records.append(CornerRecord(back[rec.cell], SE, rec.orientation, rec.essential))
     records.sort(key=lambda r: (cell_key(r.cell), r.kind, r.orientation))
@@ -408,11 +407,6 @@ def reflect_instance(instance: Instance) -> tuple[Instance, dict[Cell, Cell]]:
         ar = instance.arrow(cell.k)
         cmap[cell] = Cell(ar.rows + 1 - cell.i, ar.cols + 1 - cell.j, r + 1 - cell.k)
     return reflected, cmap
-
-
-def _reflect_cell_map(instance: Instance) -> dict[Cell, Cell]:
-    _, cmap = reflect_instance(instance)
-    return cmap
 
 
 def reflect(cs: CellSet) -> tuple[Instance, CellSet]:

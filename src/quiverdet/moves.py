@@ -34,11 +34,11 @@ class ChuteMove:
 
 
 def _grid(cs: CellSet, vid: str):
-    data = cs.instance.vertex[vid]
-    occ = [[False] * (data.b + 2) for _ in range(data.a + 2)]
-    for x, y in cs.block_points(vid):
-        occ[x][y] = True
-    return occ, data
+    """Occupancy of the block of ``vid``, indexed from 1 like block positions."""
+    mask = cs.mask
+    occ = [None] + [[False] + [mask >> r & 1 == 1 for r in row]
+                    for row in cs.instance.block_ranks[vid]]
+    return occ, cs.instance.vertex[vid]
 
 
 def _horizontal_moves(cs: CellSet, vid: str) -> list[ChuteMove]:
@@ -124,16 +124,22 @@ def _rectangle_ok(cs: CellSet, move: ChuteMove) -> bool:
         if data.side == TARGET or y2 != y1 + 1 or x2 - x1 + 1 < 2:
             return False
         expect = {(x1, y2), (x2, y2), (x2, y1)}
-    inside = {(x, y) for x, y in cs.block_points(move.vertex)
-              if x1 <= x <= x2 and y1 <= y <= y2}
+    ranks, mask = inst.block_ranks[move.vertex], cs.mask
+    inside = {(x, y) for x in range(x1, x2 + 1) for y in range(y1, y2 + 1)
+              if mask >> ranks[x - 1][y - 1] & 1}
     return inside == expect
+
+
+def _moved_mask(cs: CellSet, move: ChuteMove) -> int:
+    rank = cs.instance.rank
+    return cs.mask & ~(1 << rank[move.removed]) | 1 << rank[move.added]
 
 
 def apply_move(cs: CellSet, move: ChuteMove) -> CellSet:
     """Apply one chute move; the result is a facet strictly below the input."""
     if not _rectangle_ok(cs, move):
         raise ValidationError(f"move not applicable: {move}")
-    out = CellSet(cs.instance, (*(c for c in cs.cells if c != move.removed), move.added))
+    out = CellSet.from_mask(cs.instance, _moved_mask(cs, move))
     if __debug__:
         assert is_cvm(out)
         assert cmp_T_sets(out, cs) < 0
@@ -152,6 +158,12 @@ def enumerate_facets(instance: Instance, facet_cap: int = DEFAULT_FACET_CAP) -> 
 
     The ascending order is contractual: it is a shelling order of the
     complex, and its length is the multiplicity.
+
+    Facets are identified by their masks.  Each move's successor mask is
+    computed first, and only a mask not seen before becomes a ``CellSet``
+    through ``apply_move``, so its self-checks (the facet predicate and the
+    strict decrease) run once per distinct facet.  A move onto a facet
+    already seen is still checked to be applicable.
     """
     if facet_cap < 1:
         raise ValidationError("facet cap must be positive")
@@ -163,14 +175,18 @@ def enumerate_facets(instance: Instance, facet_cap: int = DEFAULT_FACET_CAP) -> 
         nxt = []
         for cs in frontier:
             for mv in chutable_moves(cs):
+                mask = _moved_mask(cs, mv)
+                if mask in seen:
+                    if not _rectangle_ok(cs, mv):
+                        raise ValidationError(f"move not applicable: {mv}")
+                    continue
+                if len(seen) >= facet_cap:
+                    raise FacetCapExceeded(
+                        f"more than {facet_cap} facets; raise the cap to continue")
                 out = apply_move(cs, mv)
-                if out.mask not in seen:
-                    if len(seen) >= facet_cap:
-                        raise FacetCapExceeded(
-                            f"more than {facet_cap} facets; raise the cap to continue")
-                    seen.add(out.mask)
-                    nxt.append(out)
-                    facets.append(out)
+                seen.add(out.mask)
+                nxt.append(out)
+                facets.append(out)
         frontier = nxt
     facets.sort(key=lambda f: f.mask)
     return facets

@@ -85,6 +85,8 @@ class Arrow:
     cols: int        # m[source]
     col_offset: int  # columns of earlier pages inside the target block
     row_offset: int  # rows of earlier pages inside the source block
+    vpath_offset: int  # source ranks of earlier pages into the target (vertical paths)
+    hpath_offset: int  # target ranks of earlier pages out of the source (horizontal paths)
 
 
 @dataclass(frozen=True)
@@ -168,21 +170,39 @@ class Instance:
         arrows = []
         col_used = {t: 0 for t in quiver.targets}
         row_used = {s: 0 for s in quiver.sources}
+        vpaths = {t: 0 for t in quiver.targets}
+        hpaths = {s: 0 for s in quiver.sources}
         for k, (s, t) in enumerate(quiver.arrows, start=1):
             rows, cols = self.m[t], self.m[s]
-            arrows.append(Arrow(k, s, t, rows, cols, col_used[t], row_used[s]))
+            arrows.append(Arrow(k, s, t, rows, cols, col_used[t], row_used[s],
+                                vpaths[t], hpaths[s]))
             col_used[t] += cols
             row_used[s] += rows
+            vpaths[t] += self.u[s]
+            hpaths[s] += self.u[t]
         self.arrows: tuple[Arrow, ...] = tuple(arrows)
 
+        # Cell geometry, built once: per rank the cell's target-block and
+        # source-block positions, and per block the ranks of its positions in
+        # row-major order (the pages tile every block, so this is the inverse).
         cells = []
+        positions = []
         for ar in self.arrows:
             for i in range(1, ar.rows + 1):
                 for j in range(1, ar.cols + 1):
                     cells.append(Cell(i, j, ar.k))
+                    positions.append((ar.target, i, ar.col_offset + j,
+                                      ar.source, ar.row_offset + i, j))
         self.cells: tuple[Cell, ...] = tuple(cells)  # already in (k, i, j) order
         self.rank: dict[Cell, int] = {c: r for r, c in enumerate(self.cells)}
         self.size: int = len(self.cells)
+        self.positions: tuple[tuple[str, int, int, str, int, int], ...] = tuple(positions)
+        grid = {vid: [[0] * d.b for _ in range(d.a)] for vid, d in self.vertex.items()}
+        for r, (tv, ti, tj, sv, si, sj) in enumerate(positions):
+            grid[tv][ti - 1][tj - 1] = r
+            grid[sv][si - 1][sj - 1] = r
+        self.block_ranks: dict[str, tuple[tuple[int, ...], ...]] = {
+            vid: tuple(map(tuple, rows)) for vid, rows in grid.items()}
 
         self.n_cells: int = (
             sum(self.u[a.source] * self.u[a.target] for a in self.arrows)
@@ -218,37 +238,25 @@ class Instance:
 
     def phi_target(self, cell) -> tuple[str, int, int]:
         """Block-matrix position of a cell on its target side: (vertex, row, col)."""
-        cell = self.check_cell(cell)
-        ar = self.arrow(cell.k)
-        return ar.target, cell.i, ar.col_offset + cell.j
+        return self.positions[self.rank[self.check_cell(cell)]][:3]
 
     def phi_source(self, cell) -> tuple[str, int, int]:
         """Block-matrix position of a cell on its source side: (vertex, row, col)."""
-        cell = self.check_cell(cell)
-        ar = self.arrow(cell.k)
-        return ar.source, ar.row_offset + cell.i, cell.j
+        return self.positions[self.rank[self.check_cell(cell)]][3:]
+
+    def _block_cell(self, vid: str, row: int, col: int, side: str) -> Cell:
+        data = self.vertex[vid]
+        if data.side != side:
+            raise ValidationError(f"{vid!r} is not a {side} vertex")
+        if not (1 <= row <= data.a and 1 <= col <= data.b):
+            raise ValidationError(f"position ({row},{col}) outside block of {vid!r}")
+        return self.cells[self.block_ranks[vid][row - 1][col - 1]]
 
     def phi_target_inv(self, vid: str, row: int, col: int) -> Cell:
-        data = self.vertex[vid]
-        if data.side != TARGET:
-            raise ValidationError(f"{vid!r} is not a target vertex")
-        if not (1 <= row <= data.a and 1 <= col <= data.b):
-            raise ValidationError(f"position ({row},{col}) outside block of {vid!r}")
-        for ar in self.arrows:
-            if ar.target == vid and ar.col_offset < col <= ar.col_offset + ar.cols:
-                return Cell(row, col - ar.col_offset, ar.k)
-        raise ValidationError(f"position ({row},{col}) not covered by any page of {vid!r}")
+        return self._block_cell(vid, row, col, TARGET)
 
     def phi_source_inv(self, vid: str, row: int, col: int) -> Cell:
-        data = self.vertex[vid]
-        if data.side != SOURCE:
-            raise ValidationError(f"{vid!r} is not a source vertex")
-        if not (1 <= row <= data.a and 1 <= col <= data.b):
-            raise ValidationError(f"position ({row},{col}) outside block of {vid!r}")
-        for ar in self.arrows:
-            if ar.source == vid and ar.row_offset < row <= ar.row_offset + ar.rows:
-                return Cell(row - ar.row_offset, col, ar.k)
-        raise ValidationError(f"position ({row},{col}) not covered by any page of {vid!r}")
+        return self._block_cell(vid, row, col, SOURCE)
 
     def phi(self, vid: str, cell) -> tuple[int, int]:
         """Position of a cell inside the block matrix of ``vid`` (either side)."""
@@ -261,14 +269,7 @@ class Instance:
         return r, c
 
     def phi_inv(self, vid: str, row: int, col: int) -> Cell:
-        if self.vertex[vid].side == TARGET:
-            return self.phi_target_inv(vid, row, col)
-        return self.phi_source_inv(vid, row, col)
-
-    def block_vertices_of(self, cell) -> tuple[str, str]:
-        """(target vertex, source vertex) of the page holding this cell."""
-        ar = self.arrow(Cell(*cell).k)
-        return ar.target, ar.source
+        return self._block_cell(vid, row, col, self.vertex[vid].side)
 
     # -- serialization --------------------------------------------------------
 
@@ -290,6 +291,11 @@ def n_cells(instance: Instance) -> int:
     return instance.n_cells
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (JSON ``true`` must not pass as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def build_instance(quiver: BipartiteQuiver, m: Mapping[str, int], u: Mapping[str, int],
                    mode: str = "strict") -> Instance:
     """Validate or normalize (quiver, m, u) and build an Instance.
@@ -308,9 +314,9 @@ def build_instance(quiver: BipartiteQuiver, m: Mapping[str, int], u: Mapping[str
             raise ValidationError(f"m missing for vertex {vid!r}")
         if vid not in u:
             raise ValidationError(f"u missing for vertex {vid!r}")
-        if int(m[vid]) != m[vid] or m[vid] < 1:
+        if not _is_int(m[vid]) or m[vid] < 1:
             raise ValidationError(f"m[{vid!r}] must be a positive integer, got {m[vid]!r}")
-        if int(u[vid]) != u[vid]:
+        if not _is_int(u[vid]):
             raise ValidationError(f"u[{vid!r}] must be an integer, got {u[vid]!r}")
 
     if mode == "strict":
@@ -399,6 +405,10 @@ def load_instance(source, mode: str = "normalize") -> Instance:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"instance document is not valid JSON: {exc}") from exc
     try:
+        for field in ("sources", "targets"):
+            if not isinstance(obj[field], list):
+                raise ValidationError(
+                    f"{field!r} must be a list of vertex ids, got {obj[field]!r}")
         quiver = BipartiteQuiver(
             tuple(obj["sources"]), tuple(obj["targets"]),
             tuple((a["from"], a["to"]) for a in obj["arrows"]))

@@ -189,3 +189,29 @@ def test_cellset_canonical(double_instance):
     assert CellSet.from_mask(double_instance, cs.mask) == cs
     with pytest.raises(ValidationError):
         CellSet(double_instance, [(9, 9, 9)])
+
+
+def test_from_mask_matches_validating_constructor(double_instance, star_instance):
+    rng = random.Random(11)
+    for inst in (double_instance, star_instance):
+        for _ in range(40):
+            mask = rng.getrandbits(inst.size)
+            cells = [c for r, c in enumerate(inst.cells) if mask >> r & 1]
+            rng.shuffle(cells)
+            fast, slow = CellSet.from_mask(inst, mask), CellSet(inst, cells)
+            assert fast.cells == slow.cells and fast.mask == slow.mask == mask
+            for vid in inst.vertex:
+                expected = sorted(
+                    (c.i, ar.col_offset + c.j) if ar.target == vid else (ar.row_offset + c.i, c.j)
+                    for c in cells for ar in [inst.arrows[c.k - 1]] if vid in (ar.target, ar.source))
+                assert fast.block_points(vid) == slow.block_points(vid) == expected
+                assert fast.stats(vid).nw == slow.stats(vid).nw
+                assert fast.stats(vid).se == slow.stats(vid).se
+
+
+def test_from_mask_range_check(double_instance):
+    with pytest.raises(ValidationError):
+        CellSet.from_mask(double_instance, -1)
+    with pytest.raises(ValidationError):
+        CellSet.from_mask(double_instance, 1 << double_instance.size)
+    assert len(CellSet.from_mask(double_instance, (1 << double_instance.size) - 1)) == 12

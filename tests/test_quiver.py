@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from quiverdet import (BipartiteQuiver, Cell, CellSet, ValidationError, build_in
 from quiverdet.cli import parse_preset
 from quiverdet.quiver import cell_key
 from quiverdet.cvm import c_max, c_min
+from quiverdet.verify import random_instance
 
 
 def test_double_preset_geometry(double_instance):
@@ -56,6 +58,26 @@ def test_phi_bijections(double_instance, star_instance):
             seen_t.add((tv, ti, tj))
             seen_s.add((sv, si, sj))
         assert len(seen_t) == len(seen_s) == inst.size
+
+
+def _instances_under_test(fixtures):
+    rng = random.Random(2024)
+    return list(fixtures) + [random_instance(rng) for _ in range(50)]
+
+
+def test_cell_geometry_table(double_instance, star_instance, det33, single_cell):
+    # definition level: page offsets place (i, j, k) in both block matrices
+    for inst in _instances_under_test((double_instance, star_instance, det33, single_cell)):
+        for r, cell in enumerate(inst.cells):
+            ar = inst.arrows[cell.k - 1]
+            assert inst.positions[r] == (ar.target, cell.i, ar.col_offset + cell.j,
+                                         ar.source, ar.row_offset + cell.i, cell.j)
+            assert inst.phi_target_inv(*inst.phi_target(cell)) == cell
+            assert inst.phi_source_inv(*inst.phi_source(cell)) == cell
+        for ar in inst.arrows:
+            earlier = inst.arrows[: ar.k - 1]
+            assert ar.vpath_offset == sum(inst.u[e.source] for e in earlier if e.target == ar.target)
+            assert ar.hpath_offset == sum(inst.u[e.target] for e in earlier if e.source == ar.source)
 
 
 def test_cell_order():
@@ -130,6 +152,37 @@ def test_json_round_trip(star_instance, tmp_path):
 def test_malformed_instance_document():
     with pytest.raises(ValidationError):
         load_instance(json.dumps({"sources": ["s"], "targets": ["t"]}))
+
+
+def _star_document(**changes):
+    doc = {"sources": ["s"], "targets": ["t"], "arrows": [{"from": "s", "to": "t"}],
+           "m": {"s": 2, "t": 2}, "u": {"s": 1, "t": 1}}
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def test_load_instance_rejects_bool_rank():
+    with pytest.raises(ValidationError, match=r"u\['t'\]"):
+        load_instance(_star_document(u={"s": 1, "t": True}))
+    with pytest.raises(ValidationError, match=r"m\['s'\]"):
+        load_instance(_star_document(m={"s": True, "t": 2}))
+
+
+def test_load_instance_rejects_float_rank():
+    with pytest.raises(ValidationError, match=r"u\['s'\]"):
+        load_instance(_star_document(u={"s": 1.0, "t": 1}))
+
+
+def test_load_instance_rejects_float_dimension():
+    with pytest.raises(ValidationError, match=r"m\['s'\] must be a positive integer"):
+        load_instance(_star_document(m={"s": 2.0, "t": 2}))
+
+
+def test_load_instance_rejects_string_vertex_list():
+    with pytest.raises(ValidationError, match="'sources' must be a list"):
+        load_instance(_star_document(sources="s"))
+    with pytest.raises(ValidationError, match="'targets' must be a list"):
+        load_instance(_star_document(targets="t"))
 
 
 def test_presets():

@@ -39,53 +39,85 @@ def max_diagonal_chain(points: Iterable[tuple[int, int]]) -> int:
     return len(tails)
 
 
-class BlockStats:
-    """Chain-length tables for one block matrix and one cell set.
+def _chain_tables(a: int, b: int, occupied) -> tuple[list[list[int]], list[list[int]]]:
+    """NW and SE longest-chain tables of one a x b block.
 
-    ``nw[x][y]`` is the longest chain using only points in rows <= x and
-    columns <= y (0-based sentinels included), ``se[x][y]`` the same for
-    rows >= x and columns >= y.  Both come out of a single dynamic-programming
-    sweep: the longest chain ending at an occupied (x, y) is 1 plus the best
-    chain strictly NW of it, which is exactly nw[x-1][y-1].
+    ``occupied[x][y]`` marks the set's points at 1-based (x, y); row 0 and
+    column 0 are padding and never read.  ``nw[x][y]`` is the longest chain
+    using only points in rows <= x and columns <= y (0-based sentinels
+    included), ``se[x][y]`` the same for rows >= x and columns >= y.  Each
+    comes out of a single dynamic-programming sweep: the longest chain ending
+    at an occupied (x, y) is 1 plus the best chain strictly NW of it, which is
+    exactly nw[x-1][y-1].
+    """
+    nw = [[0] * (b + 1) for _ in range(a + 1)]
+    for x in range(1, a + 1):
+        row, up, occ = nw[x], nw[x - 1], occupied[x]
+        for y in range(1, b + 1):
+            best = up[y]
+            t = row[y - 1]
+            if t > best:
+                best = t
+            if occ[y]:
+                t = up[y - 1] + 1
+                if t > best:
+                    best = t
+            row[y] = best
+
+    se = [[0] * (b + 2) for _ in range(a + 2)]
+    for x in range(a, 0, -1):
+        row, dn, occ = se[x], se[x + 1], occupied[x]
+        for y in range(b, 0, -1):
+            best = dn[y]
+            t = row[y + 1]
+            if t > best:
+                best = t
+            if occ[y]:
+                t = dn[y + 1] + 1
+                if t > best:
+                    best = t
+            row[y] = best
+    return nw, se
+
+
+def _addable(positions, tables, candidates: int) -> int:
+    """The candidate cells whose addition keeps every block's chains within its rank.
+
+    ``positions`` is ``Instance.positions``; ``tables`` maps every block to
+    its (nw, se, rank) triple.  A new over-long chain would have to pass
+    through the added cell, and the longest chain through it is nw + 1 + se
+    in each of its two blocks; so a cell is addable exactly when both sums of
+    its strictly-NW and strictly-SE statistics stay below the ranks.
+    """
+    mask = 0
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
+        tv, ti, tj, sv, si, sj = positions[bit.bit_length() - 1]
+        tnw, tse, tu = tables[tv]
+        if tnw[ti - 1][tj - 1] + tse[ti + 1][tj + 1] < tu:
+            snw, sse, su = tables[sv]
+            if snw[si - 1][sj - 1] + sse[si + 1][sj + 1] < su:
+                mask |= bit
+    return mask
+
+
+class BlockStats:
+    """Chain-length tables of one block matrix and one cell set.
+
+    ``nw`` and ``se`` are the ``_chain_tables`` of the set's occupancy grid in
+    the block; ``nw_of``/``se_of`` read the longest chain strictly NW/SE of a
+    position, and ``max_chain`` the longest chain in the whole block.
     """
 
-    __slots__ = ("a", "b", "nw", "se")
+    __slots__ = ("nw", "se")
 
-    def __init__(self, a: int, b: int, points: Iterable[tuple[int, int]]):
-        self.a = a
-        self.b = b
-        occupied = [[False] * (b + 2) for _ in range(a + 2)]
-        for x, y in points:
-            occupied[x][y] = True
-
-        nw = [[0] * (b + 1) for _ in range(a + 1)]
-        for x in range(1, a + 1):
-            row, above, occ = nw[x], nw[x - 1], occupied[x]
-            for y in range(1, b + 1):
-                best = above[y]
-                if row[y - 1] > best:
-                    best = row[y - 1]
-                if occ[y] and above[y - 1] + 1 > best:
-                    best = above[y - 1] + 1
-                row[y] = best
-
-        se = [[0] * (b + 2) for _ in range(a + 2)]
-        for x in range(a, 0, -1):
-            row, below, occ = se[x], se[x + 1], occupied[x]
-            for y in range(b, 0, -1):
-                best = below[y]
-                if row[y + 1] > best:
-                    best = row[y + 1]
-                if occ[y] and below[y + 1] + 1 > best:
-                    best = below[y + 1] + 1
-                row[y] = best
-
-        self.nw = nw
-        self.se = se
+    def __init__(self, a: int, b: int, occupied):
+        self.nw, self.se = _chain_tables(a, b, occupied)
 
     @property
     def max_chain(self) -> int:
-        return self.nw[self.a][self.b]
+        return self.nw[-1][-1]
 
     def nw_of(self, x: int, y: int) -> int:
         """Longest chain strictly NW of (x, y)."""
@@ -204,7 +236,11 @@ class CellSet:
         st = self._stats.get(vid)
         if st is None:
             data = self.instance.vertex[vid]
-            st = BlockStats(data.a, data.b, self.block_points(vid))
+            mask = self.mask
+            occupied = [()]
+            occupied += [(False, *[mask >> r & 1 == 1 for r in row])
+                         for row in self.instance.block_ranks[vid]]
+            st = BlockStats(data.a, data.b, occupied)
             self._stats[vid] = st
         return st
 
@@ -227,19 +263,20 @@ def is_u_compatible(cs: CellSet) -> bool:
 def can_extend(cs: CellSet, cell) -> bool:
     """True iff adding ``cell`` keeps the set admissible.
 
-    A new over-long chain would have to pass through the added cell, and the
-    longest chain through it is nw + 1 + se in each of its two blocks; so the
-    definition-level check collapses to two table lookups.
+    The definition-level check collapses to two table lookups per block; see
+    ``_addable``.
     """
     inst = cs.instance
     cell = inst.check_cell(cell)
     r = inst.rank[cell]
     if cs.mask >> r & 1:
         raise ValidationError(f"cell {tuple(cell)} already in set")
-    tgt, ti, tj, src, si, sj = inst.positions[r]
-    if cs.stats(tgt).nw_of(ti, tj) + cs.stats(tgt).se_of(ti, tj) >= inst.vertex[tgt].u:
-        return False
-    return cs.stats(src).nw_of(si, sj) + cs.stats(src).se_of(si, sj) < inst.vertex[src].u
+    tgt, _, _, src, _, _ = inst.positions[r]
+    tables = {}
+    for vid in (tgt, src):
+        st = cs.stats(vid)
+        tables[vid] = (st.nw, st.se, inst.vertex[vid].u)
+    return _addable(inst.positions, tables, 1 << r) != 0
 
 
 @dataclass(frozen=True)

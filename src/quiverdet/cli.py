@@ -15,7 +15,8 @@ import sys
 
 from . import __version__
 from .chains import CellSet
-from .complex import check_vertex_decomposition_samples, f_vector, interior_faces, verify_shelling
+from .complex import (DEFAULT_MAX_CELLS, check_vertex_decomposition_samples, f_vector,
+                      interior_faces, verify_shelling)
 from .cvm import corners
 from .errors import QuiverDetError, ValidationError
 from .ideal import export_cas
@@ -284,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--strict", action="store_true",
                         help="reject rank violations instead of normalizing")
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--max-cells", type=int, default=32,
-                        help="guard for brute-force operations (default 32)")
+    common.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS,
+                        help="guard for brute-force operations (default %(default)s)")
     common.add_argument("--facet-cap", type=int, default=DEFAULT_FACET_CAP,
                         help="abort facet enumeration past this many facets")
     common.add_argument("--seed", type=int, default=None, help="seed for sampling subcommands")

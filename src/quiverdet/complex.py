@@ -4,8 +4,9 @@ Admissible sets form a hereditary family, so a depth-first scan that only
 ever extends by cells keeping the set admissible visits every face exactly
 once.  The same engine backs the f-vector, the brute-force facet oracle and
 the bounded purity spot-checks; at every node it rebuilds the per-block
-chain tables (cheap at the guarded sizes) and reads off which cells are
-still addable anywhere.
+chain tables with the kernel in ``chains`` (cheap at the guarded sizes) and
+reads off, with the same addability test ``can_extend`` uses, which cells
+are still addable anywhere.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .chains import CellSet, is_u_compatible
+from .chains import CellSet, _addable, _chain_tables, is_u_compatible
 from .cvm import c_max, c_min, corners
 from .errors import GuardExceeded, ValidationError
 from .quiver import Instance
@@ -43,7 +44,7 @@ class _FaceSearch:
             if base_mask >> r & 1:
                 self._occupy(r, True)
         for a, b, u, occ in self.blocks.values():
-            if _nw_table(a, b, occ)[a][b] > u:
+            if _chain_tables(a, b, occ)[0][a][b] > u:
                 raise ValidationError("base set is not u-compatible")
 
     def _occupy(self, r: int, flag: bool):
@@ -51,32 +52,19 @@ class _FaceSearch:
         self.blocks[tv][3][ti][tj] = flag
         self.blocks[sv][3][si][sj] = flag
 
-    def _addable(self, candidates: int) -> int:
-        """The candidate cells that the current occupancy still admits."""
-        tabs = {vid: (_nw_table(a, b, occ), _se_table(a, b, occ), u)
-                for vid, (a, b, u, occ) in self.blocks.items()}
-        positions = self.instance.positions
-        mask = 0
-        while candidates:
-            bit = candidates & -candidates
-            candidates ^= bit
-            tv, ti, tj, sv, si, sj = positions[bit.bit_length() - 1]
-            tnw, tse, tu = tabs[tv]
-            if tnw[ti - 1][tj - 1] + tse[ti + 1][tj + 1] < tu:
-                snw, sse, su = tabs[sv]
-                if snw[si - 1][sj - 1] + sse[si + 1][sj + 1] < su:
-                    mask |= bit
-        return mask
-
     def run(self, visit, universe_mask: int | None = None):
         full = (1 << self.instance.size) - 1
         if universe_mask is None:
             universe_mask = full & ~self.base_mask
 
+        positions, blocks = self.instance.positions, self.blocks
+
         # Admissibility is hereditary, so a cell not addable at a node is not
         # addable below it: each node tests only its parent's addable cells.
+
         def rec(x_mask: int, min_rank: int, candidates: int):
-            addable = self._addable(candidates)
+            tables = {vid: (*_chain_tables(a, b, occ), u) for vid, (a, b, u, occ) in blocks.items()}
+            addable = _addable(positions, tables, candidates)
             visit(x_mask, addable)
             cand = addable & universe_mask & ~((1 << min_rank) - 1)
             while cand:
@@ -88,40 +76,6 @@ class _FaceSearch:
                 self._occupy(r, False)
 
         rec(0, 0, full & ~self.base_mask)
-
-
-def _nw_table(a, b, occ):
-    nw = [[0] * (b + 1) for _ in range(a + 1)]
-    for x in range(1, a + 1):
-        row, up, o = nw[x], nw[x - 1], occ[x]
-        for y in range(1, b + 1):
-            best = up[y]
-            t = row[y - 1]
-            if t > best:
-                best = t
-            if o[y]:
-                t = up[y - 1] + 1
-                if t > best:
-                    best = t
-            row[y] = best
-    return nw
-
-
-def _se_table(a, b, occ):
-    se = [[0] * (b + 2) for _ in range(a + 2)]
-    for x in range(a, 0, -1):
-        row, dn, o = se[x], se[x + 1], occ[x]
-        for y in range(b, 0, -1):
-            best = dn[y]
-            t = row[y + 1]
-            if t > best:
-                best = t
-            if o[y]:
-                t = dn[y + 1] + 1
-                if t > best:
-                    best = t
-            row[y] = best
-    return se
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import CellSet, is_u_compatible, max_diagonal_chain, padded_nw, padded_se
+from .chains import CellSet, _addable, can_extend, is_u_compatible, padded_nw, padded_se
 from .errors import CrossCheckError, ValidationError
 from .quiver import Cell, Instance, TARGET, BipartiteQuiver, cell_key
 
@@ -35,20 +35,8 @@ def is_cvm(cs: CellSet) -> bool:
 def _membership_criterion_holds(cs: CellSet) -> bool:
     """Cell-by-cell check: P in C iff both raw chain-stat sums stay below the ranks."""
     inst = cs.instance
-    # per block: the NW/SE tables (read as BlockStats.nw_of/se_of do) and the rank
-    tabs = {}
-    for vid, data in inst.vertex.items():
-        st = cs.stats(vid)
-        tabs[vid] = (st.nw, st.se, data.u)
-    mask = cs.mask
-    for r, (tgt, ti, tj, src, si, sj) in enumerate(inst.positions):
-        tnw, tse, tu = tabs[tgt]
-        snw, sse, su = tabs[src]
-        below = (tnw[ti - 1][tj - 1] + tse[ti + 1][tj + 1] < tu
-                 and snw[si - 1][sj - 1] + sse[si + 1][sj + 1] < su)
-        if below != (mask >> r & 1 == 1):
-            return False
-    return True
+    tables = {vid: (cs.stats(vid).nw, cs.stats(vid).se, data.u) for vid, data in inst.vertex.items()}
+    return _addable(inst.positions, tables, (1 << inst.size) - 1) == cs.mask
 
 
 def _greedy_close(seed: CellSet, descending: bool) -> CellSet:
@@ -56,37 +44,11 @@ def _greedy_close(seed: CellSet, descending: bool) -> CellSet:
     inst = seed.instance
     if not is_u_compatible(seed):
         raise ValidationError("seed set is not u-compatible")
-    positions = inst.positions
-    tgt_pts: dict[str, list] = {v: [] for v in inst.vertex}
-    src_pts: dict[str, list] = {v: [] for v in inst.vertex}
-
-    def put(r):
-        tgt, ti, tj, src, si, sj = positions[r]
-        tgt_pts[tgt].append((ti, tj))
-        src_pts[src].append((si, sj))
-
-    def fits(r):
-        tgt, ti, tj, src, si, sj = positions[r]
-        pts = tgt_pts[tgt]
-        nw = max_diagonal_chain([p for p in pts if p[0] < ti and p[1] < tj])
-        se = max_diagonal_chain([p for p in pts if p[0] > ti and p[1] > tj])
-        if nw + se >= inst.vertex[tgt].u:
-            return False
-        pts = src_pts[src]
-        nw = max_diagonal_chain([p for p in pts if p[0] < si and p[1] < sj])
-        se = max_diagonal_chain([p for p in pts if p[0] > si and p[1] > sj])
-        return nw + se < inst.vertex[src].u
-
-    mask = seed.mask
-    for r in range(inst.size):
-        if mask >> r & 1:
-            put(r)
-    order = range(inst.size - 1, -1, -1) if descending else range(inst.size)
-    for r in order:
-        if not mask >> r & 1 and fits(r):
-            mask |= 1 << r
-            put(r)
-    return CellSet.from_mask(inst, mask)
+    closed = seed
+    for r in (range(inst.size - 1, -1, -1) if descending else range(inst.size)):
+        if not closed.mask >> r & 1 and can_extend(closed, inst.cells[r]):
+            closed = CellSet.from_mask(inst, closed.mask | 1 << r)
+    return closed
 
 
 def c_max(seed: CellSet) -> CellSet:

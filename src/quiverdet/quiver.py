@@ -286,11 +286,6 @@ class Instance:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
 
-def n_cells(instance: Instance) -> int:
-    """Cardinality shared by every facet: rank products over arrows plus boundary terms."""
-    return instance.n_cells
-
-
 def _is_int(value) -> bool:
     """True for an int that is not a bool (JSON ``true`` must not pass as 1)."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -404,11 +399,20 @@ def load_instance(source, mode: str = "normalize") -> Instance:
             raise ValidationError(f"cannot read instance file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"instance document is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"instance document must be a JSON object, got {obj!r}")
     try:
-        for field in ("sources", "targets"):
+        for field in ("sources", "targets", "arrows"):
             if not isinstance(obj[field], list):
+                raise ValidationError(f"{field!r} must be a list, got {obj[field]!r}")
+        for arrow in obj["arrows"]:
+            if not (isinstance(arrow, dict) and "from" in arrow and "to" in arrow):
                 raise ValidationError(
-                    f"{field!r} must be a list of vertex ids, got {obj[field]!r}")
+                    f"'arrows' entries must be objects with 'from' and 'to', got {arrow!r}")
+        for field in ("m", "u"):
+            if not isinstance(obj[field], dict):
+                raise ValidationError(
+                    f"{field!r} must be an object keyed by vertex id, got {obj[field]!r}")
         quiver = BipartiteQuiver(
             tuple(obj["sources"]), tuple(obj["targets"]),
             tuple((a["from"], a["to"]) for a in obj["arrows"]))

@@ -1,10 +1,12 @@
-"""Multiplicity, h-polynomial and Z-graded Hilbert series, by independent routes.
+"""The Z-graded Hilbert series h(t) / (1 - t)^N, by independent routes.
 
-All polynomial arithmetic is exact over the integers.  The h-polynomial has
-three routes: counting facets by essential SE corners, by essential NW
-corners, and transforming the f-vector; the series itself has a second,
-interior-face expression.  The routes are mathematically equal, so any
-disagreement is reported as an internal error rather than a result.
+All polynomial arithmetic is exact over the integers.  The numerator, the
+h-polynomial, has four routes: counting facets by essential SE corners, by
+essential NW corners, transforming the f-vector, and the alternating
+interior-face expression.  Multiplicity h(1) and the Gorenstein indicator
+(a palindromic h-vector) are read off the series.  The routes are
+mathematically equal, so any disagreement is reported as an internal error
+rather than a result.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .complex import FaceTable, f_vector, interior_faces
+from .complex import DEFAULT_MAX_CELLS, FaceTable, f_vector, interior_faces
 from .cvm import corners
 from .errors import CrossCheckError, ValidationError
 from .moves import enumerate_facets
@@ -21,6 +23,9 @@ from .quiver import Instance
 SE_CORNERS = "se_corners"
 NW_CORNERS = "nw_corners"
 F_TRANSFORM = "f_transform"
+INTERIOR = "interior"
+CORNER_ROUTES = frozenset({SE_CORNERS, NW_CORNERS})
+ALL_ROUTES = frozenset({SE_CORNERS, NW_CORNERS, F_TRANSFORM, INTERIOR})
 
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
@@ -106,67 +111,45 @@ def _h_from_interior(table: FaceTable, n_top: int) -> tuple[int, ...]:
     return _trim(acc)
 
 
-def h_polynomial(instance: Instance, route: str | None = None, facets=None,
-                 face_table: FaceTable | None = None,
-                 max_cells_guard: int = 32) -> tuple[int, ...]:
-    """h-polynomial coefficients by the requested route (all three, cross-checked, if None)."""
-    if route not in (None, SE_CORNERS, NW_CORNERS, F_TRANSFORM):
-        raise ValidationError(f"unknown route {route!r}")
-    results = {}
-    if route in (None, SE_CORNERS, NW_CORNERS):
-        if facets is None:
-            facets = enumerate_facets(instance)
-        reports = [corners(f) for f in facets]
-        if route in (None, SE_CORNERS):
-            results[SE_CORNERS] = _h_from_reports(reports, SE_CORNERS)
-        if route in (None, NW_CORNERS):
-            results[NW_CORNERS] = _h_from_reports(reports, NW_CORNERS)
-    if route in (None, F_TRANSFORM):
-        if face_table is None:
-            face_table = f_vector(instance, max_cells_guard=max_cells_guard)
-        results[F_TRANSFORM] = _h_from_f(face_table, instance.n_cells)
-    if len(set(results.values())) != 1:
-        raise CrossCheckError(f"h-polynomial routes disagree: {results}")
-    return next(iter(results.values()))
+def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None = None,
+                   routes=CORNER_ROUTES,
+                   max_cells_guard: int = DEFAULT_MAX_CELLS) -> HilbertSeries:
+    """The series h(t) / (1 - t)^N, its numerator computed by every route in ``routes``.
 
-
-def hilbert_series(instance: Instance, facets=None, oracle: bool = False,
-                   max_cells_guard: int = 32) -> HilbertSeries:
-    """The series h(t) / (1 - t)^N from the corner routes.
-
-    Oracle mode additionally derives the numerator from the f-vector and
-    from the alternating interior-face expression and insists all of them
-    agree (this pulls in the brute-force guard).
+    The corner routes count the facets (enumerated unless given) by
+    essential SE or NW corners.  ``f_transform`` and ``interior`` read the
+    face table (computed by the brute-force DFS under ``max_cells_guard``
+    unless given); ``interior`` also marks interior faces against the
+    facets.  All requested routes must agree, and when facets were used, h(1)
+    must equal their number.
     """
-    if facets is None:
+    routes = frozenset(routes)
+    if not routes or not routes <= ALL_ROUTES:
+        raise ValidationError(
+            f"routes must be a nonempty subset of {sorted(ALL_ROUTES)}, got {sorted(routes)}")
+    n_top = instance.n_cells
+    results = {}
+    if routes & {SE_CORNERS, NW_CORNERS, INTERIOR} and facets is None:
         facets = enumerate_facets(instance)
-    reports = [corners(f) for f in facets]
-    h_se = _h_from_reports(reports, SE_CORNERS)
-    h_nw = _h_from_reports(reports, NW_CORNERS)
-    if h_se != h_nw:
-        raise CrossCheckError(f"corner routes disagree: {h_se} vs {h_nw}")
-    if oracle:
-        table = f_vector(instance, max_cells_guard=max_cells_guard, store_faces=True)
-        table = interior_faces(instance, table, facets)
-        h_f = _h_from_f(table, instance.n_cells)
-        h_int = _h_from_interior(table, instance.n_cells)
-        if not (h_se == h_f == h_int):
-            raise CrossCheckError(
-                f"series routes disagree: corners {h_se}, f-transform {h_f}, interior {h_int}")
-    series = HilbertSeries(h_se, instance.n_cells)
-    if series.multiplicity != len(facets):
+    if routes & CORNER_ROUTES:
+        reports = [corners(f) for f in facets]
+        for route in sorted(routes & CORNER_ROUTES):
+            results[route] = _h_from_reports(reports, route)
+    if routes & {F_TRANSFORM, INTERIOR}:
+        table = face_table
+        if table is None:
+            table = f_vector(instance, max_cells_guard=max_cells_guard,
+                             store_faces=INTERIOR in routes)
+        if F_TRANSFORM in routes:
+            results[F_TRANSFORM] = _h_from_f(table, n_top)
+        if INTERIOR in routes:
+            if table.interior_by_size is None:
+                table = interior_faces(instance, table, facets)
+            results[INTERIOR] = _h_from_interior(table, n_top)
+    if len(set(results.values())) != 1:
+        raise CrossCheckError(f"series routes disagree: {results}")
+    series = HilbertSeries(next(iter(results.values())), n_top)
+    if facets is not None and series.multiplicity != len(facets):
         raise CrossCheckError(
             f"h(1) = {series.multiplicity} but {len(facets)} facets enumerated")
     return series
-
-
-def multiplicity(instance: Instance, facets=None) -> int:
-    """Number of facets; checked against the h-polynomial at t = 1."""
-    if facets is None:
-        facets = enumerate_facets(instance)
-    return hilbert_series(instance, facets=facets).multiplicity
-
-
-def gorenstein_hint(instance: Instance, facets=None) -> bool:
-    """Whether the h-vector is palindromic (the Gorenstein indicator)."""
-    return hilbert_series(instance, facets=facets).palindromic

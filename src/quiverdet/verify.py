@@ -12,14 +12,12 @@ import random
 from dataclasses import dataclass
 
 from .chains import CellSet, corner_stats, is_u_compatible
-from .complex import _FaceSearch, verify_shelling
+from .complex import DEFAULT_MAX_CELLS, _FaceSearch, verify_shelling
 from .cvm import c_max, c_min, initial_cvm, reflect, reflect_instance
 from .errors import QuiverDetError
-from .moves import enumerate_facets
+from .moves import DEFAULT_FACET_CAP, enumerate_facets
 from .quiver import BipartiteQuiver, Instance, build_instance
-from .series import hilbert_series
-
-BRUTE_MAX_CELLS = 32
+from .series import ALL_ROUTES, CORNER_ROUTES, hilbert_series
 
 
 def brute_maximal_facet_masks(instance: Instance) -> list[int]:
@@ -125,8 +123,8 @@ class VerificationReport:
 
 
 def verify_instance(instance: Instance, subset_trials: int = 1000,
-                    seed: int | None = None, max_cells: int = BRUTE_MAX_CELLS,
-                    facet_cap: int = 10_000_000) -> VerificationReport:
+                    seed: int | None = None, max_cells: int = DEFAULT_MAX_CELLS,
+                    facet_cap: int = DEFAULT_FACET_CAP) -> VerificationReport:
     """Run the full oracle suite on one instance."""
     rng = random.Random(seed)
     checks: list[CheckResult] = []
@@ -189,7 +187,8 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     record("reflection-duality", ok, "involution and min/max exchange on random seeds")
 
     try:
-        series = hilbert_series(instance, facets=facets, oracle=instance.size <= max_cells)
+        routes = ALL_ROUTES if instance.size <= max_cells else CORNER_ROUTES
+        series = hilbert_series(instance, facets=facets, routes=routes, max_cells_guard=max_cells)
         record("series-routes", True,
                f"h = {list(series.numerator)}, multiplicity {series.multiplicity}")
     except QuiverDetError as exc:

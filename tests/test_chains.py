@@ -4,6 +4,7 @@ import pytest
 
 from quiverdet import (CellSet, ValidationError, can_extend, corner_stats, is_u_compatible,
                        max_diagonal_chain)
+from quiverdet.chains import _chain_tables
 from quiverdet.cvm import c_max
 from quiverdet.verify import random_instance
 
@@ -55,6 +56,27 @@ def test_max_chain_vs_exhaustive():
     for n in (4, 7, 10, 12, 15):
         pts = {(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(n)}
         assert max_diagonal_chain(pts) == exhaustive_max_chain(pts)
+
+
+def test_chain_tables_vs_max_chain():
+    rng = random.Random(17)
+    for a, b in ((1, 1), (1, 6), (6, 1), (3, 4), (5, 5), (4, 7)):
+        for _ in range(6):
+            density = rng.random()
+            pts = [(x, y) for x in range(1, a + 1) for y in range(1, b + 1)
+                   if rng.random() < density]
+            occupied = [[False] * (b + 2) for _ in range(a + 2)]
+            for x, y in pts:
+                occupied[x][y] = True
+            nw, se = _chain_tables(a, b, occupied)
+            for x in range(a + 1):
+                for y in range(b + 1):
+                    assert nw[x][y] == max_diagonal_chain(
+                        [p for p in pts if p[0] <= x and p[1] <= y])
+            for x in range(1, a + 2):
+                for y in range(1, b + 2):
+                    assert se[x][y] == max_diagonal_chain(
+                        [p for p in pts if p[0] >= x and p[1] >= y])
 
 
 def test_u_compatible_examples(double_instance):

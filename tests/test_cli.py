@@ -91,6 +91,15 @@ def test_verify_smallest_classical(capsys):
     assert "all checks passed" in out
 
 
+def test_verify_max_cells_reaches_series_oracle(capsys):
+    # |L| = 33: over the default guard, inside --max-cells, so the series
+    # routes that need the face DFS must run under the raised guard too
+    code, out, _ = run_cli(capsys, "verify", "--preset", "det:3,11,1", "--max-cells", "33",
+                           "--trials", "10", "--seed", "1")
+    assert code == 0, out
+    assert "[ok] series-routes: h = " in out and "all checks passed" in out
+
+
 def test_verify_random(capsys):
     code, out, _ = run_cli(capsys, "verify", "--random", "3", "--seed", "11",
                            "--trials", "100")

@@ -5,7 +5,7 @@ import pytest
 from quiverdet import (CellSet, ValidationError, c_max, c_min, cmp_T_sets, corners,
                        enumerate_facets, initial_cvm, is_cvm, reflect, road_map)
 from quiverdet.cvm import NW, SE
-from quiverdet.verify import random_instance
+from quiverdet.verify import brute_maximal_facet_masks, random_instance
 
 from golden import (DET33_ROADMAP_H, DET33_ROADMAP_V, DOUBLE_FACETS_DESC, DOUBLE_FINAL,
                     DOUBLE_INITIAL, DOUBLE_NW_COUNTS_DESC, DOUBLE_NW_COUNTS_LAYOUT,
@@ -74,6 +74,19 @@ def test_closure_fixed_points_and_monotonicity(double_instance):
         assert c_max(up) == up
         assert cmp_T_sets(up, facet) >= 0
         assert cmp_T_sets(c_min(sub), facet) <= 0
+
+
+def test_closures_are_extreme_brute_facets():
+    # every subset of a facet is an admissible seed
+    rng = random.Random(13)
+    for _ in range(30):
+        inst = random_instance(rng, max_cells=12)
+        facets = brute_maximal_facet_masks(inst)
+        for _ in range(6):
+            seed = CellSet.from_mask(inst, rng.choice(facets) & rng.getrandbits(inst.size))
+            containing = [m for m in facets if m & seed.mask == seed.mask]
+            assert c_max(seed).mask == max(containing)
+            assert c_min(seed).mask == min(containing)
 
 
 def test_closure_requires_admissible_seed(double_instance):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from quiverdet import (BipartiteQuiver, Cell, CellSet, ValidationError, build_instance,
-                       cmp_T, cmp_T_sets, load_instance, n_cells)
+                       cmp_T, cmp_T_sets, load_instance)
 from quiverdet.cli import parse_preset
 from quiverdet.quiver import cell_key
 from quiverdet.cvm import c_max, c_min
@@ -36,7 +36,7 @@ def test_n_cells_classical(det33):
 
     masks = brute_maximal_facet_masks(det33)
     assert {m.bit_count() for m in masks} == {8}
-    assert n_cells(det33) == 8
+    assert det33.n_cells == 8
 
 
 def test_phi_offsets(double_instance):
@@ -183,6 +183,31 @@ def test_load_instance_rejects_string_vertex_list():
         load_instance(_star_document(sources="s"))
     with pytest.raises(ValidationError, match="'targets' must be a list"):
         load_instance(_star_document(targets="t"))
+
+
+def test_load_instance_rejects_non_object_ranks():
+    with pytest.raises(ValidationError, match="'m' must be an object"):
+        load_instance(_star_document(m=[2, 2]))
+    with pytest.raises(ValidationError, match="'u' must be an object"):
+        load_instance(_star_document(u=[1, 1]))
+
+
+def test_load_instance_rejects_malformed_arrows():
+    with pytest.raises(ValidationError, match="'arrows' must be a list"):
+        load_instance(_star_document(arrows="st"))
+    with pytest.raises(ValidationError, match="'arrows' entries must be objects"):
+        load_instance(_star_document(arrows=["s->t"]))
+    with pytest.raises(ValidationError, match="'arrows' entries must be objects"):
+        load_instance(_star_document(arrows=[{"from": "s"}]))
+
+
+def test_load_instance_rejects_non_object_document(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValidationError, match="must be a JSON object"):
+        load_instance(str(path))
+    with pytest.raises(ValidationError, match="must be a JSON object"):
+        load_instance('[{"sources": ["s"]}]')
 
 
 def test_presets():

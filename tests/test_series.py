@@ -2,25 +2,35 @@ import random
 
 import pytest
 
-from quiverdet import (CrossCheckError, enumerate_facets, f_vector, gorenstein_hint,
-                       h_polynomial, hilbert_series, multiplicity)
+from quiverdet import (ALL_ROUTES, CrossCheckError, ValidationError, enumerate_facets, f_vector,
+                       hilbert_series)
 from quiverdet.series import F_TRANSFORM, NW_CORNERS, SE_CORNERS, HilbertSeries
 from quiverdet.verify import random_instance
 
 from golden import DOUBLE_H, DOUBLE_MULTIPLICITY, STAR_H, STAR_MULTIPLICITY
 
+# the three h-polynomial routes that do not need the interior faces
+H_ROUTES = {SE_CORNERS, NW_CORNERS, F_TRANSFORM}
+
 
 def test_h_polynomial_reference(double_instance, star_instance, single_cell):
-    assert h_polynomial(double_instance) == DOUBLE_H
-    assert h_polynomial(star_instance) == STAR_H
-    assert h_polynomial(single_cell) == (1,)
+    assert hilbert_series(double_instance, routes=H_ROUTES).numerator == DOUBLE_H
+    assert hilbert_series(star_instance, routes=H_ROUTES).numerator == STAR_H
+    assert hilbert_series(single_cell, routes=H_ROUTES).numerator == (1,)
 
 
 def test_h_polynomial_routes_agree(double_instance):
     for route in (SE_CORNERS, NW_CORNERS, F_TRANSFORM):
-        assert h_polynomial(double_instance, route=route) == DOUBLE_H
+        assert hilbert_series(double_instance, routes={route}).numerator == DOUBLE_H
     with pytest.raises(Exception):
-        h_polynomial(double_instance, route="nonsense")
+        hilbert_series(double_instance, routes={"nonsense"})
+
+
+def test_hilbert_series_rejects_bad_routes(double_instance):
+    with pytest.raises(ValidationError, match="nonempty subset"):
+        hilbert_series(double_instance, routes={SE_CORNERS, "nonsense"})
+    with pytest.raises(ValidationError, match="nonempty subset"):
+        hilbert_series(double_instance, routes=())
 
 
 def test_triple_agreement_random():
@@ -29,8 +39,8 @@ def test_triple_agreement_random():
         inst = random_instance(rng)
         facets = enumerate_facets(inst)
         table = f_vector(inst)
-        h = h_polynomial(inst, facets=facets, face_table=table)
-        assert h == h_polynomial(inst, route=F_TRANSFORM, face_table=table)
+        h = hilbert_series(inst, facets=facets, face_table=table, routes=H_ROUTES).numerator
+        assert h == hilbert_series(inst, face_table=table, routes={F_TRANSFORM}).numerator
         assert sum(h) == len(facets)
         assert h[0] == 1
         assert all(c >= 0 for c in h)
@@ -38,12 +48,12 @@ def test_triple_agreement_random():
 
 
 def test_hilbert_series_reference(double_instance, star_instance, single_cell):
-    s = hilbert_series(double_instance, oracle=True)
+    s = hilbert_series(double_instance, routes=ALL_ROUTES)
     assert s.render() == "(1+7t+4t^2)/(1-t)^5"
-    s = hilbert_series(star_instance, oracle=True)
+    s = hilbert_series(star_instance, routes=ALL_ROUTES)
     assert s.render() == "(1+7t+19t^2+19t^3+7t^4+t^5)/(1-t)^11"
     assert s.numerator == STAR_H
-    s = hilbert_series(single_cell, oracle=True)
+    s = hilbert_series(single_cell, routes=ALL_ROUTES)
     assert s.render() == "(1)/(1-t)^1"
     assert s.numerator == (1,)
 
@@ -60,15 +70,15 @@ def test_star_factorization(star_instance):
 
 
 def test_multiplicity(double_instance, star_instance, det33):
-    assert multiplicity(double_instance) == DOUBLE_MULTIPLICITY
-    assert multiplicity(star_instance) == STAR_MULTIPLICITY
-    assert multiplicity(det33) == 3
+    assert hilbert_series(double_instance).multiplicity == DOUBLE_MULTIPLICITY
+    assert hilbert_series(star_instance).multiplicity == STAR_MULTIPLICITY
+    assert hilbert_series(det33).multiplicity == 3
 
 
 def test_gorenstein_hint(double_instance, star_instance, single_cell):
-    assert gorenstein_hint(star_instance) is True
-    assert gorenstein_hint(double_instance) is False
-    assert gorenstein_hint(single_cell) is True
+    assert hilbert_series(star_instance).palindromic is True
+    assert hilbert_series(double_instance).palindromic is False
+    assert hilbert_series(single_cell).palindromic is True
 
 
 def test_series_json_and_invariants(double_instance):

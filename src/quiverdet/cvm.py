@@ -5,8 +5,10 @@ admissible set of the full facet cardinality N.  Each one is the intersection
 pattern of a unique straight road map: per target block, rank-many
 nonintersecting staircase paths from the left edge to the top edge, and per
 source block the transposed picture.  ``road_map`` rebuilds those paths from
-the padded chain statistics; ``corners`` classifies their turning points,
-which drive both the chute-move dynamics and the h-polynomial.
+the padded chain statistics; ``corners`` classifies their NW and SE turning
+points on that one road map.  The essential ones drive both the chute-move
+dynamics and the h-polynomial.  ``reflect`` is the 180-degree rotation; it
+swaps NW with SE corners, and the tests check the SE rule through it.
 """
 
 from __future__ import annotations
@@ -115,27 +117,6 @@ class RoadMap:
         }
 
 
-def _padded_tables(cs: CellSet, vid: str):
-    """Tables of padded NW/SE statistics over the whole block of ``vid``."""
-    inst = cs.instance
-    data = inst.vertex[vid]
-    st = cs.stats(vid)
-    a, b, u = data.a, data.b, data.u
-    nw_table = [[0] * (b + 1) for _ in range(a + 1)]
-    se_table = [[0] * (b + 1) for _ in range(a + 1)]
-    for x in range(1, a + 1):
-        for y in range(1, b + 1):
-            raw_nw = st.nw_of(x, y)
-            raw_se = st.se_of(x, y)
-            if data.side == TARGET:
-                nw_table[x][y] = padded_nw(raw_nw, x, y, a, b, u)
-                se_table[x][y] = padded_se(raw_se, x, y, a, b, u)
-            else:
-                nw_table[x][y] = padded_nw(raw_nw, y, x, b, a, u)
-                se_table[x][y] = padded_se(raw_se, y, x, b, a, u)
-    return nw_table, se_table
-
-
 def _order_path(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """SW-to-NE traversal order: rows descending, columns ascending."""
     return sorted(points, key=lambda p: (-p[0], p[1]))
@@ -166,42 +147,37 @@ def road_map(cs: CellSet) -> RoadMap:
     horizontal: dict[str, list[list[tuple[int, int]]]] = {}
     vertical: dict[str, list[list[tuple[int, int]]]] = {}
     for vid, data in inst.vertex.items():
-        nw_table, se_table = _padded_tables(cs, vid)
-        buckets: list[list[tuple[int, int]]] = [[] for _ in range(data.u)]
-        for x in range(1, data.a + 1):
-            for y in range(1, data.b + 1):
-                p = nw_table[x][y] + 1
-                if 1 <= p <= data.u and se_table[x][y] == data.u - p:
+        st, (a, b, u) = cs.stats(vid), (data.a, data.b, data.u)
+        target = data.side == TARGET
+        buckets: list[list[tuple[int, int]]] = [[] for _ in range(u)]
+        for x in range(1, a + 1):
+            for y in range(1, b + 1):
+                # a source block pads its statistics as the transposed target picture
+                shape = (x, y, a, b, u) if target else (y, x, b, a, u)
+                p = padded_nw(st.nw_of(x, y), *shape) + 1
+                if 1 <= p <= u and padded_se(st.se_of(x, y), *shape) == u - p:
                     buckets[p - 1].append((x, y))
         paths = [_order_path(pts) for pts in buckets]
         for p, path in enumerate(paths, start=1):
-            if data.side == TARGET:
-                sw, ne = (data.a - data.u + p, 1), (p, data.b)
+            if target:
+                sw, ne = (a - u + p, 1), (p, b)
             else:
-                sw, ne = (data.a, p), (1, data.b - data.u + p)
+                sw, ne = (a, p), (1, b - u + p)
             if not _check_path(path, sw, ne):
                 raise CrossCheckError(f"path {p} of block {vid!r} failed assembly")
-        if data.side == TARGET:
-            horizontal[vid] = paths
-        else:
-            vertical[vid] = paths
+        (horizontal if target else vertical)[vid] = paths
 
     h_cells = _covered_cells(inst, horizontal)
     v_cells = _covered_cells(inst, vertical)
     if h_cells & v_cells != set(cs.cells):
         raise CrossCheckError("path intersection does not reproduce the facet")
-    for vid, paths in horizontal.items():
-        for path in paths:
-            pset = set(path)
-            for corner in _corners_of(pset, NW) + _corners_of(pset, SE):
-                if inst.phi_target_inv(vid, *corner) not in v_cells:
-                    raise CrossCheckError("horizontal corner off every vertical path")
-    for vid, paths in vertical.items():
-        for path in paths:
-            pset = set(path)
-            for corner in _corners_of(pset, NW) + _corners_of(pset, SE):
-                if inst.phi_source_inv(vid, *corner) not in h_cells:
-                    raise CrossCheckError("vertical corner off every horizontal path")
+    for family, crossing in ((horizontal, v_cells), (vertical, h_cells)):
+        for vid, paths in family.items():
+            for path in paths:
+                pset = set(path)
+                for corner in _corners_of(pset, NW) + _corners_of(pset, SE):
+                    if inst.phi_inv(vid, *corner) not in crossing:
+                        raise CrossCheckError(f"corner of block {vid!r} off every crossing path")
     return RoadMap(horizontal, vertical)
 
 
@@ -259,85 +235,65 @@ class CornerReport:
         }
 
 
-def _nw_corner_records(cs: CellSet, rm: RoadMap) -> list[CornerRecord]:
-    """NW corners of all paths with their essentiality flags.
+def _corner_records(cs: CellSet, rm: RoadMap, kind: str) -> list[CornerRecord]:
+    """Corners of one kind (NW or SE) on all paths, with their essentiality flags.
 
     Inside a target block the vertical paths of the incoming source blocks
-    concatenate (in page order) into one relabeled family of v paths; the
-    single NW corner a path is allowed "for free" is the NE endpoint of its
-    intersection with the relabeled path shifted by v - u.  Everything else
-    is essential.  Source blocks are the transposed picture.
+    concatenate (in page order) into one relabeled family of v paths, and a
+    source block sees the horizontal paths of its outgoing targets the same
+    way.  Path p may turn "for free" once, on the crossing path relabeled m:
+    for NW corners m = p + v - u and the free corner is the NE end of their
+    intersection (the SW end on a vertical path); for SE corners, the NW
+    rule read through the 180-degree reflection, m = p and the two ends swap.
+    Every other corner is essential.
     """
     inst = cs.instance
+    # Relabeled index of the crossing path through every covered position, per block
+    crossing: dict[str, dict[tuple[int, int], int]] = {vid: {} for vid in inst.vertex}
+    for vid, paths in (*rm.horizontal.items(), *rm.vertical.items()):
+        ranks = inst.block_ranks[vid]
+        horizontal = inst.vertex[vid].side == TARGET
+        for p, path in enumerate(paths, start=1):
+            for x, y in path:
+                r = ranks[x - 1][y - 1]
+                ar = inst.arrow(inst.cells[r].k)
+                if horizontal:
+                    other, i, j = inst.positions[r][3:]
+                    crossing[other][(i, j)] = p + ar.hpath_offset
+                else:
+                    other, i, j = inst.positions[r][:3]
+                    crossing[other][(i, j)] = p + ar.vpath_offset
+
     records = []
-
-    # Relabeled vertical index of every covered cell, per target block
-    v_index: dict[str, dict[tuple[int, int], int]] = {t: {} for t in inst.quiver.targets}
-    for beta, paths in rm.vertical.items():
-        ranks = inst.block_ranks[beta]
-        for q, path in enumerate(paths, start=1):
-            for x, y in path:
-                r = ranks[x - 1][y - 1]
-                tgt, ti, tj = inst.positions[r][:3]
-                v_index[tgt][(ti, tj)] = q + inst.arrow(inst.cells[r].k).vpath_offset
-
-    # Relabeled horizontal index of every covered cell, per source block
-    h_index: dict[str, dict[tuple[int, int], int]] = {s: {} for s in inst.quiver.sources}
-    for alpha, paths in rm.horizontal.items():
-        ranks = inst.block_ranks[alpha]
+    for vid, paths in (*rm.horizontal.items(), *rm.vertical.items()):
+        data = inst.vertex[vid]
+        horizontal = data.side == TARGET
+        index, ranks = crossing[vid], inst.block_ranks[vid]
+        shift = data.v - data.u if kind == NW else 0
         for p, path in enumerate(paths, start=1):
-            for x, y in path:
-                r = ranks[x - 1][y - 1]
-                src, si, sj = inst.positions[r][3:]
-                h_index[src][(si, sj)] = p + inst.arrow(inst.cells[r].k).hpath_offset
-
-    for alpha, paths in rm.horizontal.items():
-        data = inst.vertex[alpha]
-        for p, path in enumerate(paths, start=1):
-            pset = set(path)
-            free_index = p + data.v - data.u
-            for pt in _corners_of(pset, NW):
-                m = v_index[alpha].get(pt)
+            for pt in _corners_of(set(path), kind):
+                m = index.get(pt)
                 if m is None:
-                    raise CrossCheckError("NW corner not covered by a vertical path")
+                    raise CrossCheckError(f"{kind} corner not covered by a crossing path")
                 essential = True
-                if m == free_index:
-                    inter = [q for q in pset if v_index[alpha].get(q) == m]
-                    ne_end = min(inter, key=lambda q: (q[0], -q[1]))
-                    essential = pt != ne_end
-                records.append(CornerRecord(inst.phi_target_inv(alpha, *pt), NW, HORIZONTAL, essential))
-
-    for beta, paths in rm.vertical.items():
-        data = inst.vertex[beta]
-        for q, path in enumerate(paths, start=1):
-            pset = set(path)
-            free_index = q + data.v - data.u
-            for pt in _corners_of(pset, NW):
-                pp = h_index[beta].get(pt)
-                if pp is None:
-                    raise CrossCheckError("NW corner not covered by a horizontal path")
-                essential = True
-                if pp == free_index:
-                    inter = [s for s in pset if h_index[beta].get(s) == pp]
-                    sw_end = min(inter, key=lambda s: (-s[0], s[1]))
-                    essential = pt != sw_end
-                records.append(CornerRecord(inst.phi_source_inv(beta, *pt), NW, VERTICAL, essential))
+                if m == p + shift:
+                    inter = [q for q in path if index.get(q) == m]  # SW to NE
+                    essential = pt != (inter[-1] if (kind == NW) == horizontal else inter[0])
+                records.append(CornerRecord(inst.cells[ranks[pt[0] - 1][pt[1] - 1]], kind,
+                                            HORIZONTAL if horizontal else VERTICAL, essential))
     return records
 
 
 def corners(cs: CellSet) -> CornerReport:
-    """Classify all path corners of a facet, NW directly and SE through the reflection.
+    """Classify all path corners of a facet, NW and SE, on its one road map.
 
-    Reflecting the whole picture by 180 degrees is an exact symmetry that
-    swaps NW with SE corners and preserves essentiality, so the SE side is
-    read off the reflected configuration.
+    Both kinds are read off the same paths by ``_corner_records``.
+    Reflecting the whole picture by 180 degrees swaps NW with SE corners and
+    preserves essentiality; the tests use ``reflect`` to check the SE rule
+    against the NW rule independently.
     """
     rm = road_map(cs)
-    records = list(_nw_corner_records(cs, rm))
-    r_inst, r_cs = reflect(cs)
-    back = reflect_instance(r_inst)[1]
-    for rec in _nw_corner_records(r_cs, road_map(r_cs)):
-        records.append(CornerRecord(back[rec.cell], SE, rec.orientation, rec.essential))
+    records = _corner_records(cs, rm, NW) + _corner_records(cs, rm, SE)
     records.sort(key=lambda r: (cell_key(r.cell), r.kind, r.orientation))
     ess_nw = len({r.cell for r in records if r.kind == NW and r.essential})
     ess_se = len({r.cell for r in records if r.kind == SE and r.essential})

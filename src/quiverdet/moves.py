@@ -3,8 +3,9 @@
 A horizontal chutable rectangle is a 2-row strip inside a target block whose
 only occupied positions are its NE, SE and SW corners; the move swaps the SE
 occupant for the (empty) NW corner, producing a strictly smaller facet.
-Vertical moves are the transposed picture inside source blocks.  Every facet
-arises from the initial one by such moves, so a breadth-first closure
+Vertical moves are the transposed picture inside source blocks, and they are
+found and checked as horizontal rectangles of the transposed block.  Every
+facet arises from the initial one by such moves, so a breadth-first closure
 enumerates them all; sorted ascending, the result is a shelling order.
 """
 
@@ -33,60 +34,38 @@ class ChuteMove:
                 f"{tuple(self.removed)} -> {tuple(self.added)} ({self.extent[0]}x{self.extent[1]})")
 
 
-def _grid(cs: CellSet, vid: str):
-    """Occupancy of the block of ``vid``, indexed from 1 like block positions."""
-    mask = cs.mask
-    occ = [None] + [[False] + [mask >> r & 1 == 1 for r in row]
-                    for row in cs.instance.block_ranks[vid]]
-    return occ, cs.instance.vertex[vid]
+def _block_moves(cs: CellSet, vid: str) -> list[ChuteMove]:
+    """All chutable rectangles of one block: 2-row strips of a target block.
 
-
-def _horizontal_moves(cs: CellSet, vid: str) -> list[ChuteMove]:
-    """All 2-row chutable rectangles of one target block.
-
-    For a fixed SE occupant with its NE neighbor occupied, walk west: the
-    first occupied position must sit in the bottom row (the SW corner) with
-    a free top row above the walked span, and nothing wider can qualify.
+    A source block is scanned as its transpose, where its vertical
+    (2-column) rectangles are horizontal ones; the block's side sets the
+    move's direction and the order of its extent.  For a fixed SE occupant
+    with its NE neighbor occupied, walk west: the first occupied position
+    must sit in the bottom row (the SW corner) with a free top row above
+    the walked span, and nothing wider can qualify.
     """
-    inst = cs.instance
-    occ, data = _grid(cs, vid)
+    inst, mask = cs.instance, cs.mask
+    ranks = inst.block_ranks[vid]
+    horizontal = inst.vertex[vid].side == TARGET
+    if not horizontal:
+        ranks = tuple(zip(*ranks))
+    occ = [[mask >> r & 1 for r in row] for row in ranks]
     moves = []
-    for x in range(1, data.a):          # top row of the rectangle
+    for x in range(len(ranks) - 1):     # top row of the rectangle
         top, bottom = occ[x], occ[x + 1]
-        for y2 in range(2, data.b + 1):  # SE column
+        for y2 in range(1, len(top)):   # SE column
             if not (bottom[y2] and top[y2]):
                 continue
-            for y in range(y2 - 1, 0, -1):
+            for y in range(y2 - 1, -1, -1):
                 if top[y]:
                     break
                 if bottom[y]:
+                    width = y2 - y + 1
                     moves.append(ChuteMove(
-                        HORIZONTAL, vid,
-                        removed=inst.phi_target_inv(vid, x + 1, y2),
-                        added=inst.phi_target_inv(vid, x, y),
-                        extent=(2, y2 - y + 1)))
-                    break
-    return moves
-
-
-def _vertical_moves(cs: CellSet, vid: str) -> list[ChuteMove]:
-    """Transposed scan: 2-column chutable rectangles of one source block."""
-    inst = cs.instance
-    occ, data = _grid(cs, vid)
-    moves = []
-    for y in range(1, data.b):          # left column of the rectangle
-        for x2 in range(2, data.a + 1):  # SE row
-            if not (occ[x2][y + 1] and occ[x2][y]):
-                continue
-            for x in range(x2 - 1, 0, -1):
-                if occ[x][y]:
-                    break
-                if occ[x][y + 1]:
-                    moves.append(ChuteMove(
-                        VERTICAL, vid,
-                        removed=inst.phi_source_inv(vid, x2, y + 1),
-                        added=inst.phi_source_inv(vid, x, y),
-                        extent=(x2 - x + 1, 2)))
+                        HORIZONTAL if horizontal else VERTICAL, vid,
+                        removed=inst.cells[ranks[x + 1][y2]],
+                        added=inst.cells[ranks[x][y]],
+                        extent=(2, width) if horizontal else (width, 2)))
                     break
     return moves
 
@@ -101,33 +80,31 @@ def chutable_moves(cs: CellSet) -> list[ChuteMove]:
     if not is_cvm(cs):
         raise ValidationError("chute moves are defined on concurrent vertex maps")
     found: dict[tuple[Cell, Cell], ChuteMove] = {}
-    for vid, data in cs.instance.vertex.items():
-        scan = _horizontal_moves if data.side == TARGET else _vertical_moves
-        for mv in scan(cs, vid):
+    for vid in cs.instance.vertex:
+        for mv in _block_moves(cs, vid):
             found.setdefault((mv.removed, mv.added), mv)
     return sorted(found.values(), key=lambda m: (m.removed, m.added))
 
 
 def _rectangle_ok(cs: CellSet, move: ChuteMove) -> bool:
     inst = cs.instance
-    data = inst.vertex[move.vertex]
+    horizontal = inst.vertex[move.vertex].side == TARGET
     try:
         x1, y1 = inst.phi(move.vertex, move.added)
         x2, y2 = inst.phi(move.vertex, move.removed)
     except ValidationError:
         return False
-    if move.direction == HORIZONTAL:
-        if data.side != TARGET or x2 != x1 + 1 or y2 - y1 + 1 < 2:
-            return False
-        expect = {(x2, y1), (x1, y2), (x2, y2)}
-    else:
-        if data.side == TARGET or y2 != y1 + 1 or x2 - x1 + 1 < 2:
-            return False
-        expect = {(x1, y2), (x2, y2), (x2, y1)}
-    ranks, mask = inst.block_ranks[move.vertex], cs.mask
-    inside = {(x, y) for x in range(x1, x2 + 1) for y in range(y1, y2 + 1)
+    if (move.direction == HORIZONTAL) != horizontal:
+        return False
+    ranks = inst.block_ranks[move.vertex]
+    if not horizontal:  # a vertical rectangle is horizontal in the transposed block
+        x1, y1, x2, y2, ranks = y1, x1, y2, x2, tuple(zip(*ranks))
+    if x2 != x1 + 1 or y2 - y1 + 1 < 2:
+        return False
+    mask = cs.mask
+    inside = {(x, y) for x in (x1, x2) for y in range(y1, y2 + 1)
               if mask >> ranks[x - 1][y - 1] & 1}
-    return inside == expect
+    return inside == {(x2, y1), (x1, y2), (x2, y2)}
 
 
 def _moved_mask(cs: CellSet, move: ChuteMove) -> int:

@@ -384,14 +384,16 @@ def load_instance(source, mode: str = "normalize") -> Instance:
     """Build an Instance from a JSON document (dict, JSON string, or file path).
 
     Schema: {"sources": [...], "targets": [...], "arrows": [{"from":..,"to":..}, ...],
-    "m": {...}, "u": {...}}; the arrow array order defines the page order.
+    "m": {...}, "u": {...}}; the arrow array order defines the page order.  A
+    string is JSON text exactly when its first non-blank character is ``{``
+    or ``[``; any other string is a file path.
     """
     if isinstance(source, dict):
         obj = source
     else:
         text = str(source)
         try:
-            if "{" not in text:
+            if text.lstrip()[:1] not in ("{", "["):
                 with open(text, "r", encoding="utf-8") as fh:
                     text = fh.read()
             obj = json.loads(text)

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import quiverdet
 from quiverdet import CellSet, is_cvm
 from quiverdet.cli import main, parse_preset
 
@@ -140,3 +147,14 @@ def test_strict_flag_vs_normalize(capsys):
 
 def test_parse_preset_det(det33):
     assert parse_preset("det:3,3,2") == det33
+
+
+@pytest.mark.parametrize("argv", [("corners", "--json", "--preset", "star-example"),
+                                  ("shelling", "--json", "--preset", "double:2,3,2,1,1")])
+def test_stdout_same_under_optimize(argv):
+    # the self-check asserts that -O strips must not change what a run prints
+    env = dict(os.environ, PYTHONPATH=str(Path(quiverdet.__file__).resolve().parents[1]))
+    outs = [subprocess.run([sys.executable, *flags, "-m", "quiverdet", *argv], env=env,
+                           capture_output=True, check=True).stdout
+            for flags in ((), ("-O",))]
+    assert outs[0] and outs[0] == outs[1]

@@ -228,11 +228,28 @@ def test_reflect_exchanges_closures(double_instance):
         assert lhs == c_min(CellSet(r_inst))
 
 
-def test_reflect_preserves_corner_counts(double_instance):
-    # essential NW corners of the image are the essential SE corners of the original
-    for facet in enumerate_facets(double_instance):
-        rep = corners(facet)
-        _, image = reflect(facet)
-        rep_image = corners(image)
-        assert rep_image.essential_nw == rep.essential_se
-        assert rep_image.essential_se == rep.essential_nw
+def _corner_set(records, kind, cell_map=None):
+    """(cell, orientation, essential) of every record of one kind, cells mapped if asked."""
+    return sorted((cell_map[r.cell] if cell_map else r.cell, r.orientation, r.essential)
+                  for r in records if r.kind == kind)
+
+
+def test_reflect_preserves_corner_counts(double_instance, star_instance, det33, single_cell):
+    # essential NW corners of the image are the essential SE corners of the original;
+    # record by record, the reflection is the independent oracle of the SE rule
+    from quiverdet.cli import parse_preset
+    from quiverdet.cvm import reflect_instance
+
+    rng = random.Random(43)
+    instances = [double_instance, star_instance, det33, single_cell, parse_preset("det:5,5,2")]
+    instances += [random_instance(rng) for _ in range(30)]
+    for inst in instances:
+        for facet in enumerate_facets(inst):
+            rep = corners(facet)
+            r_inst, image = reflect(facet)
+            rep_image = corners(image)
+            assert rep_image.essential_nw == rep.essential_se
+            assert rep_image.essential_se == rep.essential_nw
+            back = reflect_instance(r_inst)[1]
+            assert _corner_set(rep.corners, SE) == _corner_set(rep_image.corners, NW, back)
+            assert _corner_set(rep.corners, NW) == _corner_set(rep_image.corners, SE, back)

@@ -4,6 +4,8 @@ import pytest
 
 from quiverdet import (CellSet, FacetCapExceeded, ValidationError, apply_inverse, apply_move,
                        c_min, chutable_moves, cmp_T_sets, enumerate_facets, initial_cvm, reflect)
+from quiverdet.cvm import HORIZONTAL, VERTICAL
+from quiverdet.quiver import TARGET
 from quiverdet.verify import brute_maximal_facet_masks, random_instance
 
 from golden import DOUBLE_FACETS_DESC
@@ -54,6 +56,41 @@ def test_unique_source_and_sink(double_instance):
     assert no_moves == [facets[0]]
     no_inverse = [f for f in facets if not chutable_moves(reflect(f)[1])]
     assert no_inverse == [facets[-1]]
+
+
+def _moves_by_definition(facet):
+    """Chutable rectangles straight from the definition, as move tuples.
+
+    A 2-row strip of a target block (2-column strip of a source block) is
+    chutable when its only occupied positions are its NE, SE and SW corners.
+    A 2x2 rectangle inside one page is both; it is reported once, as horizontal.
+    """
+    inst = facet.instance
+    found = {}
+    for vid, d in sorted(inst.vertex.items(), key=lambda item: item[1].side != TARGET):
+        horizontal = d.side == TARGET
+        occupied = {(x, y) for x in range(1, d.a + 1) for y in range(1, d.b + 1)
+                    if inst.phi_inv(vid, x, y) in facet}
+        strips = ([(x, x + 1, y1, y2) for x in range(1, d.a) for y1 in range(1, d.b + 1)
+                   for y2 in range(y1 + 1, d.b + 1)] if horizontal else
+                  [(x1, x2, y, y + 1) for y in range(1, d.b) for x1 in range(1, d.a + 1)
+                   for x2 in range(x1 + 1, d.a + 1)])
+        for x1, x2, y1, y2 in strips:
+            inside = {(x, y) for x, y in occupied if x1 <= x <= x2 and y1 <= y <= y2}
+            if inside == {(x1, y2), (x2, y2), (x2, y1)}:
+                removed, added = inst.phi_inv(vid, x2, y2), inst.phi_inv(vid, x1, y1)
+                found.setdefault((removed, added), (
+                    HORIZONTAL if horizontal else VERTICAL, vid, (x2 - x1 + 1, y2 - y1 + 1)))
+    return {(r, a, *rest) for (r, a), rest in found.items()}
+
+
+def test_moves_match_definition(star_instance):
+    rng = random.Random(61)
+    for inst in [star_instance] + [random_instance(rng, max_cells=24) for _ in range(30)]:
+        for facet in enumerate_facets(inst):
+            got = {(m.removed, m.added, m.direction, m.vertex, m.extent)
+                   for m in chutable_moves(facet)}
+            assert got == _moves_by_definition(facet)
 
 
 def test_inverse_move_symmetry(double_instance):

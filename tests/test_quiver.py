@@ -208,6 +208,16 @@ def test_load_instance_rejects_non_object_document(tmp_path):
         load_instance(str(path))
     with pytest.raises(ValidationError, match="must be a JSON object"):
         load_instance('[{"sources": ["s"]}]')
+    with pytest.raises(ValidationError, match="must be a JSON object"):
+        load_instance("[1, 2]")
+
+
+def test_load_instance_path_with_brace(star_instance, tmp_path):
+    # a file path is read as a path even when it contains a brace
+    path = tmp_path / "inst{1}.json"
+    path.write_text(star_instance.to_json())
+    assert load_instance(str(path), mode="strict") == star_instance
+    assert load_instance(path, mode="strict") == star_instance
 
 
 def test_presets():

@@ -10,6 +10,13 @@ through P into its strictly-NW and strictly-SE parts (``nw``/``se``); the
 padded variants additionally account for the path endpoints pinned to the
 block boundary and are the workhorse behind path reconstruction and the
 membership criterion.
+
+Two kernels compute the statistics.  ``_chain_tables`` builds both full
+tables of a block, and ``_addable`` reads them cell by cell; ``BlockStats``,
+``can_extend`` and the membership check use these.  ``_blocked_ranks``
+answers only "which positions of this block are not addable", from row
+bitmasks and O(u) staircase thresholds per row; the face DFS calls it at
+every node, and the tests hold it to ``_chain_tables``.
 """
 
 from __future__ import annotations
@@ -78,6 +85,76 @@ def _chain_tables(a: int, b: int, occupied) -> tuple[list[list[int]], list[list[
                     best = t
             row[y] = best
     return nw, se
+
+
+def _blocked_ranks(occ, pre, b: int, u: int) -> int:
+    """Ranks of the positions of one a x b block whose addition makes a chain longer than u.
+
+    ``occ[x]`` is the occupancy of row x as a column bitmask (bit y for column
+    y) and ``pre[x][y]`` the rank mask of row x's columns 1..y; index 0 of both
+    is padding, so a = len(occ) - 1.  The result is the set of positions with
+    ``nw[x-1][y-1] + se[x+1][y+1] >= u`` in the ``_chain_tables`` of the block,
+    read off staircase thresholds instead of the tables.  Over the rows above
+    x, t[k] is the smallest last column of a k-chain; over the rows below it,
+    s[k] is the largest first column of one.  So nw[x-1][y-1] >= j iff
+    t[j] < y, se[x+1][y+1] >= k iff s[k] > y, and the blocked columns of row
+    x are the union over j = 0..u of the open intervals (t[j], s[u - j]).
+    Only thresholds up to k = u are kept, and only the existing ones: an
+    interval with no t[j] or no s[u - j] is empty.  The thresholds are the
+    tails of patience sorting, updated one point at a time by bisection; each
+    row's points go in the order that keeps two of them out of one chain.
+    """
+    a = len(occ) - 1
+    top = b + 1
+    # Bottom-up pass: below[x] holds r[k] = top - s[k] over rows x+1..a, which
+    # is increasing in k like t, so the same update serves both directions.
+    below = [None] * (a + 1)
+    r = [0]
+    below[a] = r
+    for x in range(a, 1, -1):
+        row = occ[x]
+        if row:
+            r = r[:]
+            n = len(r)
+            while row:
+                bit = row & -row
+                row ^= bit
+                c = top + 1 - bit.bit_length()
+                k = bisect_left(r, c)
+                if k < n:
+                    r[k] = c
+                elif k <= u:
+                    r.append(c)
+                    n += 1
+        below[x - 1] = r
+
+    # Top-down pass: row x's intervals from t (rows above) and below[x], then
+    # row x's points go into t.
+    blocked = 0
+    t = [0]
+    n = 1
+    for x in range(1, a + 1):
+        p, r = pre[x], below[x]
+        j = u + 1 - len(r)
+        if j < 0:
+            j = 0
+        while j < n:
+            lo, hi = t[j], top - r[u - j]
+            if hi - lo > 1:
+                blocked |= p[hi - 1] ^ p[lo]
+            j += 1
+        row = occ[x]
+        if row and x < a:
+            while row:
+                c = row.bit_length() - 1
+                row ^= 1 << c
+                k = bisect_left(t, c)
+                if k < n:
+                    t[k] = c
+                elif k <= u:
+                    t.append(c)
+                    n += 1
+    return blocked
 
 
 def _addable(positions, tables, candidates: int) -> int:

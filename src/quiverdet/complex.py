@@ -3,10 +3,11 @@
 Admissible sets form a hereditary family, so a depth-first scan that only
 ever extends by cells keeping the set admissible visits every face exactly
 once.  The same engine backs the f-vector, the brute-force facet oracle and
-the bounded purity spot-checks; at every node it rebuilds the per-block
-chain tables with the kernel in ``chains`` (cheap at the guarded sizes) and
-reads off, with the same addability test ``can_extend`` uses, which cells
-are still addable anywhere.
+the bounded purity spot-checks.  It keeps each block's occupancy as one
+column bitmask per row; adding a cell changes only its target and source
+blocks, so a node asks the staircase kernel ``chains._blocked_ranks`` for
+those two blocks' blocked cells and drops them from its parent's addable
+mask.  No node builds chain tables or tests cells one by one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .chains import CellSet, _addable, _chain_tables, is_u_compatible
+from .chains import CellSet, _blocked_ranks, _chain_tables, is_u_compatible
 from .cvm import c_max, c_min, corners
 from .errors import GuardExceeded, ValidationError
 from .quiver import Instance
@@ -28,13 +29,29 @@ class _FaceSearch:
 
     The visitor receives, for every admissible X over the universe cells,
     the X bitmask and the bitmask of all cells of L (not only the universe)
-    that could still be added.
+    that could still be added.  ``blocks`` holds each block's arguments to
+    ``_blocked_ranks``: the row occupancy bitmasks of ``base`` (``run`` sets
+    and clears the bits of X in place), the rank masks of the row prefixes,
+    the block width and the rank.
     """
 
     def __init__(self, instance: Instance, base=()):
         self.instance = instance
-        self.blocks = {vid: (d.a, d.b, d.u, [[False] * (d.b + 2) for _ in range(d.a + 2)])
-                       for vid, d in instance.vertex.items()}
+        blocks = {}
+        for vid, d in instance.vertex.items():
+            pre = [()]
+            for ranks in instance.block_ranks[vid]:
+                acc, line = 0, [0]
+                for r in ranks:
+                    acc |= 1 << r
+                    line.append(acc)
+                pre.append(line)
+            blocks[vid] = ([0] * (d.a + 1), pre, d.b, d.u)
+        self.blocks = tuple(blocks.values())
+        # per cell rank: row, column bit and kernel arguments of its target
+        # block, then the same for its source block
+        self.cells = tuple((ti, 1 << tj, blocks[tv], si, 1 << sj, blocks[sv])
+                           for tv, ti, tj, sv, si, sj in instance.positions)
 
         base_mask = 0
         for c in base:
@@ -42,40 +59,44 @@ class _FaceSearch:
         self.base_mask = base_mask
         for r in range(instance.size):
             if base_mask >> r & 1:
-                self._occupy(r, True)
-        for a, b, u, occ in self.blocks.values():
-            if _chain_tables(a, b, occ)[0][a][b] > u:
+                ti, tbit, tblock, si, sbit, sblock = self.cells[r]
+                tblock[0][ti] |= tbit
+                sblock[0][si] |= sbit
+        for occ, _, b, u in self.blocks:
+            a = len(occ) - 1
+            grid = [()] + [[row >> y & 1 for y in range(b + 1)] for row in occ[1:]]
+            if _chain_tables(a, b, grid)[0][a][b] > u:
                 raise ValidationError("base set is not u-compatible")
-
-    def _occupy(self, r: int, flag: bool):
-        tv, ti, tj, sv, si, sj = self.instance.positions[r]
-        self.blocks[tv][3][ti][tj] = flag
-        self.blocks[sv][3][si][sj] = flag
 
     def run(self, visit, universe_mask: int | None = None):
         full = (1 << self.instance.size) - 1
         if universe_mask is None:
             universe_mask = full & ~self.base_mask
+        cells = self.cells
+        blocked = 0
+        for block in self.blocks:
+            blocked |= _blocked_ranks(*block)
 
-        positions, blocks = self.instance.positions, self.blocks
+        # Admissibility is hereditary and the blocks a cell does not touch
+        # keep their blocked cells, which the parent's addable mask already
+        # excludes: so a child recomputes only the two blocks of its cell.
 
-        # Admissibility is hereditary, so a cell not addable at a node is not
-        # addable below it: each node tests only its parent's addable cells.
-
-        def rec(x_mask: int, min_rank: int, candidates: int):
-            tables = {vid: (*_chain_tables(a, b, occ), u) for vid, (a, b, u, occ) in blocks.items()}
-            addable = _addable(positions, tables, candidates)
+        def rec(x_mask: int, min_rank: int, addable: int):
             visit(x_mask, addable)
             cand = addable & universe_mask & ~((1 << min_rank) - 1)
             while cand:
                 low = cand & -cand
                 cand ^= low
                 r = low.bit_length() - 1
-                self._occupy(r, True)
-                rec(x_mask | low, r + 1, addable & ~low)
-                self._occupy(r, False)
+                ti, tbit, tblock, si, sbit, sblock = cells[r]
+                tblock[0][ti] |= tbit
+                sblock[0][si] |= sbit
+                rec(x_mask | low, r + 1,
+                    addable & ~(low | _blocked_ranks(*tblock) | _blocked_ranks(*sblock)))
+                tblock[0][ti] ^= tbit
+                sblock[0][si] ^= sbit
 
-        rec(0, 0, full & ~self.base_mask)
+        rec(0, 0, full & ~self.base_mask & ~blocked)
 
 
 @dataclass(frozen=True)
@@ -109,26 +130,39 @@ class FaceTable:
         return obj
 
 
+def _face_counter(size: int, store_faces: bool):
+    """A face-DFS visitor that counts faces by cardinality, and the builder of their table.
+
+    ``size`` is |L|; with ``store_faces`` the table also keeps every face mask.
+    """
+    counts = [0] * (size + 1)
+    stored: list[list[int]] | None = [[] for _ in range(size + 1)] if store_faces else None
+
+    def visit(mask, _addable):
+        n = mask.bit_count()
+        counts[n] += 1
+        if stored is not None:
+            stored[n].append(mask)
+
+    def table() -> FaceTable:
+        top = max(s for s, c in enumerate(counts) if c) if any(counts) else 0
+        return FaceTable(
+            counts_by_size=tuple(counts[: top + 1]),
+            faces_by_size=(tuple(tuple(ms) for ms in stored[: top + 1])
+                           if stored is not None else None),
+        )
+
+    return visit, table
+
+
 def f_vector(instance: Instance, max_cells_guard: int = DEFAULT_MAX_CELLS,
              store_faces: bool = False) -> FaceTable:
     """Count admissible sets by cardinality by pruned depth-first backtracking."""
     if instance.size > max_cells_guard:
         raise GuardExceeded(f"|L| = {instance.size} exceeds guard {max_cells_guard}")
-    counts = [0] * (instance.size + 1)
-    stored: list[list[int]] | None = [[] for _ in range(instance.size + 1)] if store_faces else None
-
-    def visit(mask, _addable):
-        size = mask.bit_count()
-        counts[size] += 1
-        if stored is not None:
-            stored[size].append(mask)
-
+    visit, table = _face_counter(instance.size, store_faces)
     _FaceSearch(instance).run(visit)
-    top = max(s for s, c in enumerate(counts) if c) if any(counts) else 0
-    return FaceTable(
-        counts_by_size=tuple(counts[: top + 1]),
-        faces_by_size=tuple(tuple(ms) for ms in stored[: top + 1]) if stored is not None else None,
-    )
+    return table()
 
 
 def codim1_membership(sub: CellSet) -> list[CellSet]:

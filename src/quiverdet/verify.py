@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .chains import CellSet, corner_stats, is_u_compatible
-from .complex import DEFAULT_MAX_CELLS, _FaceSearch, verify_shelling
+from .complex import DEFAULT_MAX_CELLS, FaceTable, _face_counter, _FaceSearch, verify_shelling
 from .cvm import c_max, c_min, initial_cvm, reflect, reflect_instance
 from .errors import QuiverDetError
 from .moves import DEFAULT_FACET_CAP, enumerate_facets
@@ -22,15 +22,26 @@ from .series import ALL_ROUTES, CORNER_ROUTES, hilbert_series
 
 def brute_maximal_facet_masks(instance: Instance) -> list[int]:
     """All maximal admissible sets by exhaustive pruned search (no chute moves)."""
+    return _brute_walk(instance, store_faces=False)[0]
+
+
+def _brute_walk(instance: Instance, store_faces: bool) -> tuple[list[int], FaceTable]:
+    """One walk of the face DFS: the sorted maximal sets and the face table.
+
+    A set is maximal when nothing is addable, not when it is the largest: the
+    purity of the complex is part of what the comparison with the facets checks.
+    """
+    count, table = _face_counter(instance.size, store_faces)
     out = []
 
     def visit(mask, addable):
+        count(mask, addable)
         if addable == 0:
             out.append(mask)
 
     _FaceSearch(instance).run(visit)
     out.sort()
-    return out
+    return out, table()
 
 
 def criteria_agree(instance: Instance, cells) -> tuple[bool, bool, bool, bool]:
@@ -140,8 +151,10 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     record("initial-closed-form", init == c_max(CellSet(instance)),
            "closed form vs greedy closure of the empty set")
 
+    face_table = None
     if instance.size <= max_cells:
-        brute = brute_maximal_facet_masks(instance)
+        # the same walk feeds the series oracle's f-vector and interior routes
+        brute, face_table = _brute_walk(instance, store_faces=True)
         record("facet-closure-vs-brute",
                brute == [f.mask for f in facets],
                f"{len(facets)} facets from moves vs {len(brute)} maximal admissible sets")
@@ -188,7 +201,8 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
 
     try:
         routes = ALL_ROUTES if instance.size <= max_cells else CORNER_ROUTES
-        series = hilbert_series(instance, facets=facets, routes=routes, max_cells_guard=max_cells)
+        series = hilbert_series(instance, facets=facets, face_table=face_table, routes=routes,
+                                max_cells_guard=max_cells)
         record("series-routes", True,
                f"h = {list(series.numerator)}, multiplicity {series.multiplicity}")
     except QuiverDetError as exc:

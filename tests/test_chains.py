@@ -4,7 +4,7 @@ import pytest
 
 from quiverdet import (CellSet, ValidationError, can_extend, corner_stats, is_u_compatible,
                        max_diagonal_chain)
-from quiverdet.chains import _chain_tables
+from quiverdet.chains import _blocked_ranks, _chain_tables
 from quiverdet.cvm import c_max
 from quiverdet.verify import random_instance
 
@@ -77,6 +77,34 @@ def test_chain_tables_vs_max_chain():
                 for y in range(1, b + 2):
                     assert se[x][y] == max_diagonal_chain(
                         [p for p in pts if p[0] >= x and p[1] >= y])
+
+
+def test_blocked_ranks_vs_chain_tables():
+    # the face DFS's staircase kernel against the table definition, on any
+    # occupancy (over-long chains included) and a scrambled rank layout
+    rng = random.Random(23)
+    shapes = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(400)]
+    shapes += [(1, b) for b in range(1, 7)] + [(a, 1) for a in range(1, 7)]
+    for a, b in shapes:
+        for u in range(1, min(a, b) + 2):
+            density = rng.random()
+            ranks = rng.sample(range(a * b), a * b)
+            occupied = [[False] * (b + 2) for _ in range(a + 2)]
+            occ = [0] * (a + 1)
+            pre = [()] + [[0] * (b + 1) for _ in range(a)]
+            for x in range(1, a + 1):
+                for y in range(1, b + 1):
+                    if rng.random() < density:
+                        occupied[x][y] = True
+                        occ[x] |= 1 << y
+                    pre[x][y] = pre[x][y - 1] | 1 << ranks[(x - 1) * b + y - 1]
+            nw, se = _chain_tables(a, b, occupied)
+            expected = 0
+            for x in range(1, a + 1):
+                for y in range(1, b + 1):
+                    if nw[x - 1][y - 1] + se[x + 1][y + 1] >= u:
+                        expected |= 1 << ranks[(x - 1) * b + y - 1]
+            assert _blocked_ranks(occ, pre, b, u) == expected, (a, b, u, occ)
 
 
 def test_u_compatible_examples(double_instance):

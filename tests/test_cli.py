@@ -150,7 +150,9 @@ def test_parse_preset_det(det33):
 
 
 @pytest.mark.parametrize("argv", [("corners", "--json", "--preset", "star-example"),
-                                  ("shelling", "--json", "--preset", "double:2,3,2,1,1")])
+                                  ("shelling", "--json", "--preset", "double:2,3,2,1,1"),
+                                  ("fvector", "--preset", "det:3,4,2"),
+                                  ("interior", "--preset", "star-example")])
 def test_stdout_same_under_optimize(argv):
     # the self-check asserts that -O strips must not change what a run prints
     env = dict(os.environ, PYTHONPATH=str(Path(quiverdet.__file__).resolve().parents[1]))

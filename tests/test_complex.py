@@ -4,7 +4,9 @@ import pytest
 
 from quiverdet import (CellSet, GuardExceeded, ValidationError,
                        check_vertex_decomposition_samples, codim1_membership, corners,
-                       enumerate_facets, f_vector, initial_cvm, interior_faces, verify_shelling)
+                       enumerate_facets, f_vector, initial_cvm, interior_faces, is_u_compatible,
+                       verify_shelling)
+from quiverdet.complex import _FaceSearch
 from quiverdet.cvm import SE
 from quiverdet.series import _h_from_f, _h_from_interior
 from quiverdet.verify import random_instance
@@ -19,6 +21,49 @@ def test_f_vector_reference(double_instance, star_instance, single_cell):
     table = f_vector(star_instance)
     assert table.f_vector == STAR_F_VECTOR and table.total == STAR_F_TOTAL
     assert f_vector(single_cell).f_vector == (1, 1)
+
+
+def _check_face_search(inst, admissible, base_mask=0, universe_mask=None):
+    """One _FaceSearch walk against the set of admissible masks of all 2^|L|."""
+    full = (1 << inst.size) - 1
+    if universe_mask is None:
+        universe_mask = full & ~base_mask
+    seen = []
+
+    def visit(mask, addable):
+        seen.append(mask)
+        both = base_mask | mask
+        assert addable == sum(1 << r for r in range(inst.size)
+                              if not both >> r & 1 and both | 1 << r in admissible)
+
+    _FaceSearch(inst, base=CellSet.from_mask(inst, base_mask).cells).run(visit, universe_mask)
+    assert len(seen) == len(set(seen))
+    assert set(seen) == {m for m in range(full + 1)
+                         if m & ~universe_mask == 0 and base_mask | m in admissible}
+
+
+def test_face_search_vs_definition(single_cell, double_instance):
+    rng = random.Random(71)
+    instances = [single_cell, double_instance]
+    instances += [random_instance(rng, max_cells=12) for _ in range(20)]
+    for inst in instances:
+        full = (1 << inst.size) - 1
+        admissible = {m for m in range(full + 1) if is_u_compatible(CellSet.from_mask(inst, m))}
+        _check_face_search(inst, admissible)
+        # the vdc-sample path: an admissible seed in a prefix, a suffix universe
+        for _ in range(3):
+            ell = rng.randint(0, inst.size)
+            seed = rng.choice(sorted(m for m in admissible if m >> ell == 0))
+            _check_face_search(inst, admissible, seed, full & ~((1 << ell) - 1))
+        bad = [m for m in range(full + 1) if m not in admissible]
+        if bad:
+            with pytest.raises(ValidationError, match="not u-compatible"):
+                _FaceSearch(inst, base=CellSet.from_mask(inst, rng.choice(bad)).cells)
+
+
+def test_face_search_rejects_incompatible_base(det33):
+    with pytest.raises(ValidationError, match="not u-compatible"):
+        _FaceSearch(det33, base=[(1, 1, 1), (2, 2, 1), (3, 3, 1)])
 
 
 def test_f_vector_guard(star_instance):

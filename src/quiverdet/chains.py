@@ -13,20 +13,23 @@ membership criterion.
 
 Two kernels compute the statistics.  ``_chain_tables`` builds both full
 tables of a block, and ``_addable`` reads them cell by cell; ``BlockStats``,
-``can_extend`` and the membership check use these.  ``_blocked_ranks``
-answers only "which positions of this block are not addable", from row
-bitmasks and O(u) staircase thresholds per row; the face DFS calls it at
-every node, and the tests hold it to ``_chain_tables``.
+``can_extend``, the road maps, the membership self-check and ``verify``'s
+criteria check use these.  ``_blocked_ranks`` answers only "which positions
+of this block are not addable", from row bitmasks and O(u) staircase
+thresholds per row; ``_load_blocks`` sets a cell set up for it, and the face
+DFS and the greedy closures call it once per added cell.  The tests hold it
+to ``_chain_tables``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import ValidationError
-from .quiver import Cell, Instance, cell_key
+from .quiver import Cell, Instance
 
 
 def max_diagonal_chain(points: Iterable[tuple[int, int]]) -> int:
@@ -157,6 +160,60 @@ def _blocked_ranks(occ, pre, b: int, u: int) -> int:
     return blocked
 
 
+@lru_cache(maxsize=128)
+def _row_prefix_masks(instance: Instance) -> dict[str, list]:
+    """Per block, the ``pre`` argument of ``_blocked_ranks``.
+
+    ``pre[x][y]`` is the rank mask of row x's columns 1..y; index 0 of both
+    levels is padding.  Cached per instance: callers must treat the result
+    as read-only.
+    """
+    out = {}
+    for vid, rows in instance.block_ranks.items():
+        pre = [()]
+        for ranks in rows:
+            acc, line = 0, [0]
+            for r in ranks:
+                acc |= 1 << r
+                line.append(acc)
+            pre.append(line)
+        out[vid] = pre
+    return out
+
+
+def _load_blocks(instance: Instance, mask: int) -> tuple[dict[str, tuple], int]:
+    """Every block's ``_blocked_ranks`` arguments with ``mask`` loaded, and the blocked cells.
+
+    The arguments are ``(occ, pre, b, u)`` per block; ``occ`` is a fresh list
+    that the caller may update in place as it adds cells.  The blocked mask
+    is the union of ``_blocked_ranks`` over all blocks.  The set is
+    u-compatible exactly when it shares no cell with that mask: a point on an
+    over-long chain sees at least rank-many chain points strictly NW or SE of
+    it, and a point of an admissible set at most rank - 1.
+    """
+    pre = _row_prefix_masks(instance)
+    blocks = {vid: ([0] * (d.a + 1), pre[vid], d.b, d.u) for vid, d in instance.vertex.items()}
+    positions = instance.positions
+    m = mask
+    while m:
+        bit = m & -m
+        m ^= bit
+        tv, ti, tj, sv, si, sj = positions[bit.bit_length() - 1]
+        blocks[tv][0][ti] |= 1 << tj
+        blocks[sv][0][si] |= 1 << sj
+    blocked = 0
+    for block in blocks.values():
+        blocked |= _blocked_ranks(*block)
+    return blocks, blocked
+
+
+def _occupancy(ranks, mask: int) -> list:
+    """The ``occupied`` argument of ``_chain_tables`` for a block with ``block_ranks`` ``ranks``."""
+    occupied = [()]
+    occupied += [(False, *[mask >> r & 1 == 1 for r in row]) for row in ranks]
+    return occupied
+
+
 def _addable(positions, tables, candidates: int) -> int:
     """The candidate cells whose addition keeps every block's chains within its rank.
 
@@ -230,12 +287,9 @@ class CellSet:
 
     def __init__(self, instance: Instance, cells: Iterable = ()):
         self.instance = instance
-        canon = sorted({instance.check_cell(c) for c in cells}, key=cell_key)
-        self.cells: tuple[Cell, ...] = tuple(canon)
-        mask = 0
-        rank = instance.rank
-        for c in canon:
-            mask |= 1 << rank[c]
+        mask = instance.cell_mask(cells)
+        self.cells: tuple[Cell, ...] = tuple([c for r, c in enumerate(instance.cells)
+                                              if mask >> r & 1])
         self.mask = mask
         self._stats: dict[str, BlockStats] = {}
 
@@ -272,13 +326,10 @@ class CellSet:
 
     def __contains__(self, cell):
         try:
-            return self._contains(cell)
-        except (TypeError, ValueError):
+            r = self.instance.rank[self.instance.check_cell(cell)]
+        except ValidationError:
             return False
-
-    def _contains(self, cell):
-        r = self.instance.rank.get(Cell(*cell))
-        return r is not None and self.mask >> r & 1 == 1
+        return self.mask >> r & 1 == 1
 
     def __eq__(self, other):
         return (isinstance(other, CellSet) and self.mask == other.mask
@@ -297,7 +348,7 @@ class CellSet:
 
     def remove(self, cell) -> "CellSet":
         cell = self.instance.check_cell(cell)
-        if not self._contains(cell):
+        if cell not in self:
             raise ValidationError(f"cell {tuple(cell)} not in set")
         return CellSet(self.instance, (c for c in self.cells if c != cell))
 
@@ -313,11 +364,7 @@ class CellSet:
         st = self._stats.get(vid)
         if st is None:
             data = self.instance.vertex[vid]
-            mask = self.mask
-            occupied = [()]
-            occupied += [(False, *[mask >> r & 1 == 1 for r in row])
-                         for row in self.instance.block_ranks[vid]]
-            st = BlockStats(data.a, data.b, occupied)
+            st = BlockStats(data.a, data.b, _occupancy(self.instance.block_ranks[vid], self.mask))
             self._stats[vid] = st
         return st
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .chains import CellSet, _blocked_ranks, _chain_tables, is_u_compatible
+from .chains import CellSet, _blocked_ranks, _load_blocks, is_u_compatible
 from .cvm import c_max, c_min, corners
 from .errors import GuardExceeded, ValidationError
 from .quiver import Instance
@@ -29,53 +29,27 @@ class _FaceSearch:
 
     The visitor receives, for every admissible X over the universe cells,
     the X bitmask and the bitmask of all cells of L (not only the universe)
-    that could still be added.  ``blocks`` holds each block's arguments to
-    ``_blocked_ranks``: the row occupancy bitmasks of ``base`` (``run`` sets
-    and clears the bits of X in place), the rank masks of the row prefixes,
-    the block width and the rank.
+    that could still be added.  The blocks hold ``base`` as loaded by
+    ``chains._load_blocks``; ``run`` sets and clears the bits of X in their
+    row occupancy masks in place, so they hold ``base`` again when it returns.
     """
 
     def __init__(self, instance: Instance, base=()):
         self.instance = instance
-        blocks = {}
-        for vid, d in instance.vertex.items():
-            pre = [()]
-            for ranks in instance.block_ranks[vid]:
-                acc, line = 0, [0]
-                for r in ranks:
-                    acc |= 1 << r
-                    line.append(acc)
-                pre.append(line)
-            blocks[vid] = ([0] * (d.a + 1), pre, d.b, d.u)
-        self.blocks = tuple(blocks.values())
+        self.base_mask = instance.cell_mask(base)
+        blocks, self.blocked = _load_blocks(instance, self.base_mask)
+        if self.blocked & self.base_mask:
+            raise ValidationError("base set is not u-compatible")
         # per cell rank: row, column bit and kernel arguments of its target
         # block, then the same for its source block
         self.cells = tuple((ti, 1 << tj, blocks[tv], si, 1 << sj, blocks[sv])
                            for tv, ti, tj, sv, si, sj in instance.positions)
-
-        base_mask = 0
-        for c in base:
-            base_mask |= 1 << instance.rank[instance.check_cell(c)]
-        self.base_mask = base_mask
-        for r in range(instance.size):
-            if base_mask >> r & 1:
-                ti, tbit, tblock, si, sbit, sblock = self.cells[r]
-                tblock[0][ti] |= tbit
-                sblock[0][si] |= sbit
-        for occ, _, b, u in self.blocks:
-            a = len(occ) - 1
-            grid = [()] + [[row >> y & 1 for y in range(b + 1)] for row in occ[1:]]
-            if _chain_tables(a, b, grid)[0][a][b] > u:
-                raise ValidationError("base set is not u-compatible")
 
     def run(self, visit, universe_mask: int | None = None):
         full = (1 << self.instance.size) - 1
         if universe_mask is None:
             universe_mask = full & ~self.base_mask
         cells = self.cells
-        blocked = 0
-        for block in self.blocks:
-            blocked |= _blocked_ranks(*block)
 
         # Admissibility is hereditary and the blocks a cell does not touch
         # keep their blocked cells, which the parent's addable mask already
@@ -96,7 +70,7 @@ class _FaceSearch:
                 tblock[0][ti] ^= tbit
                 sblock[0][si] ^= sbit
 
-        rec(0, 0, full & ~self.base_mask & ~blocked)
+        rec(0, 0, full & ~self.base_mask & ~self.blocked)
 
 
 @dataclass(frozen=True)
@@ -166,12 +140,13 @@ def f_vector(instance: Instance, max_cells_guard: int = DEFAULT_MAX_CELLS,
 
 
 def codim1_membership(sub: CellSet) -> list[CellSet]:
-    """The one or two facets containing an admissible set of cardinality N - 1."""
+    """The one or two facets containing an admissible set of cardinality N - 1.
+
+    A set that is not u-compatible raises ``ValidationError`` from ``c_min``.
+    """
     inst = sub.instance
     if len(sub) != inst.n_cells - 1:
         raise ValidationError(f"expected cardinality {inst.n_cells - 1}, got {len(sub)}")
-    if not is_u_compatible(sub):
-        raise ValidationError("set is not u-compatible")
     lo, hi = c_min(sub), c_max(sub)
     return [lo] if lo == hi else [lo, hi]
 

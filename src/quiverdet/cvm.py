@@ -7,8 +7,11 @@ nonintersecting staircase paths from the left edge to the top edge, and per
 source block the transposed picture.  ``road_map`` rebuilds those paths from
 the padded chain statistics; ``corners`` classifies their NW and SE turning
 points on that one road map.  The essential ones drive both the chute-move
-dynamics and the h-polynomial.  ``reflect`` is the 180-degree rotation; it
-swaps NW with SE corners, and the tests check the SE rule through it.
+dynamics and the h-polynomial.  The greedy closures ``c_min``/``c_max``
+find the smallest and largest facet containing a face; they run on the
+staircase kernel ``chains._blocked_ranks``, as the face DFS does.
+``reflect`` is the 180-degree rotation; it swaps NW with SE corners, and the
+tests check the SE rule through it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import CellSet, _addable, can_extend, is_u_compatible, padded_nw, padded_se
+from .chains import (CellSet, _addable, _blocked_ranks, _load_blocks, is_u_compatible, padded_nw,
+                     padded_se)
 from .errors import CrossCheckError, ValidationError
 from .quiver import Cell, Instance, TARGET, BipartiteQuiver, cell_key
 
@@ -42,15 +46,31 @@ def _membership_criterion_holds(cs: CellSet) -> bool:
 
 
 def _greedy_close(seed: CellSet, descending: bool) -> CellSet:
-    """Scan all cells in one direction, adding whatever keeps the set admissible."""
+    """Scan all cells in one direction, adding whatever keeps the set admissible.
+
+    The scan runs on the staircase kernel: the seed is loaded into row
+    bitmasks once, and each step adds the highest (``descending``) or lowest
+    addable cell and recomputes only that cell's two blocks.  Admissibility
+    is hereditary, so a cell the scan passes over never becomes addable
+    again, and adding the extreme addable cell each time adds exactly the
+    cells the scan would.
+    """
     inst = seed.instance
-    if not is_u_compatible(seed):
+    mask = seed.mask
+    blocks, blocked = _load_blocks(inst, mask)
+    if blocked & mask:
         raise ValidationError("seed set is not u-compatible")
-    closed = seed
-    for r in (range(inst.size - 1, -1, -1) if descending else range(inst.size)):
-        if not closed.mask >> r & 1 and can_extend(closed, inst.cells[r]):
-            closed = CellSet.from_mask(inst, closed.mask | 1 << r)
-    return closed
+    positions = inst.positions
+    addable = ((1 << inst.size) - 1) & ~mask & ~blocked
+    while addable:
+        bit = 1 << (addable.bit_length() - 1) if descending else addable & -addable
+        mask |= bit
+        tv, ti, tj, sv, si, sj = positions[bit.bit_length() - 1]
+        tblock, sblock = blocks[tv], blocks[sv]
+        tblock[0][ti] |= 1 << tj
+        sblock[0][si] |= 1 << sj
+        addable &= ~(bit | _blocked_ranks(*tblock) | _blocked_ranks(*sblock))
+    return CellSet.from_mask(inst, mask)
 
 
 def c_max(seed: CellSet) -> CellSet:

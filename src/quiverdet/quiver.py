@@ -231,10 +231,29 @@ class Instance:
         return self.arrows[k - 1]
 
     def check_cell(self, cell) -> Cell:
-        cell = Cell(*cell)
+        """The cell named by an (i, j, k) triple of ints; ``ValidationError`` for anything else."""
+        if type(cell) is Cell and all(type(p) is int for p in cell):  # the common case
+            r = self.rank.get(cell)
+            if r is not None:
+                return self.cells[r]
+        try:
+            i, j, k = cell
+        except (TypeError, ValueError):
+            raise ValidationError(f"cell {cell!r} is not an (i, j, k) triple") from None
+        if not (_is_int(i) and _is_int(j) and _is_int(k)):
+            raise ValidationError(f"cell {cell!r} has a part that is not an int")
+        cell = Cell(i, j, k)
         if cell not in self.rank:
             raise ValidationError(f"cell {tuple(cell)} out of range")
         return cell
+
+    def cell_mask(self, cells) -> int:
+        """The rank bitmask of a collection of cells, each validated by ``check_cell``."""
+        rank = self.rank
+        mask = 0
+        for c in cells:
+            mask |= 1 << rank[self.check_cell(c)]
+        return mask
 
     def phi_target(self, cell) -> tuple[str, int, int]:
         """Block-matrix position of a cell on its target side: (vertex, row, col)."""

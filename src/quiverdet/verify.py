@@ -4,14 +4,22 @@ Used by the ``verify`` CLI subcommand and by the acceptance tests.  Each
 check pairs an optimized computation with an independent definition-level
 recomputation; any mismatch is a bug, so the suite reports the first failure
 with enough detail to reproduce it.
+
+The two loops that run thousands of times per instance sit on the package's
+kernels: the criteria check reads every cell's statistics off one
+``chains._chain_tables`` sweep per block, and the closures of the
+reflection and codim-1 checks run on ``chains._blocked_ranks``.  The tests
+hold both to definition-level loops over ``corner_stats`` and
+``can_extend``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .chains import CellSet, corner_stats, is_u_compatible
+from .chains import CellSet, _chain_tables, _occupancy, is_u_compatible, padded_nw, padded_se
 from .complex import DEFAULT_MAX_CELLS, FaceTable, _face_counter, _FaceSearch, verify_shelling
 from .cvm import c_max, c_min, initial_cvm, reflect, reflect_instance
 from .errors import QuiverDetError
@@ -52,26 +60,63 @@ def criteria_agree(instance: Instance, cells) -> tuple[bool, bool, bool, bool]:
     "both raw chain-stat sums below the ranks" at every cell; the padded
     route asks the sums to sit in {rank - 1, rank} with membership exactly
     at the lower value on both sides.
+
+    The cells are validated into a mask once, and each block's
+    ``_chain_tables`` are built once; every route is read off those tables
+    and the instance's ``_criteria_table``.  All three routes are evaluated
+    in full, whatever the first one says.
     """
-    cs = CellSet(instance, cells)
-    by_card = len(cs) == instance.n_cells and is_u_compatible(cs)
+    mask = instance.cell_mask(cells)
+    by_card = mask.bit_count() == instance.n_cells
+    tables = []
+    for vid, d in instance.vertex.items():
+        nw, se = _chain_tables(d.a, d.b, _occupancy(instance.block_ranks[vid], mask))
+        tables.append((nw, se))
+        if nw[d.a][d.b] > d.u:
+            by_card = False
 
     by_raw = True
     by_padded = True
-    for cell in instance.cells:
-        st = corner_stats(cs, cell)
-        member = cell in cs
-        ut = instance.vertex[instance.arrow(cell.k).target].u
-        us = instance.vertex[instance.arrow(cell.k).source].u
-        if member != (st.nw + st.se < ut and st.nw_src + st.se_src < us):
+    for r, (tb, ti, tj, sb, si, sj, ut, us, tnw_pad, tse_pad, snw_pad, sse_pad) in enumerate(
+            _criteria_table(instance)):
+        tnw, tse = tables[tb]
+        snw, sse = tables[sb]
+        nw, se = tnw[ti - 1][tj - 1], tse[ti + 1][tj + 1]
+        nw_s, se_s = snw[si - 1][sj - 1], sse[si + 1][sj + 1]
+        member = mask >> r & 1 == 1
+        if member != (nw + se < ut and nw_s + se_s < us):
             by_raw = False
-        tsum = st.nw_padded + st.se_padded
-        ssum = st.nw_src_padded + st.se_src_padded
+        tsum = (nw if nw > tnw_pad else tnw_pad) + (se if se > tse_pad else tse_pad)
+        ssum = (nw_s if nw_s > snw_pad else snw_pad) + (se_s if se_s > sse_pad else sse_pad)
         if tsum not in (ut - 1, ut) or ssum not in (us - 1, us):
             by_padded = False
         elif member != (tsum == ut - 1 and ssum == us - 1):
             by_padded = False
     return by_card, by_raw, by_padded, by_card == by_raw == by_padded
+
+
+@lru_cache(maxsize=128)
+def _criteria_table(instance: Instance) -> tuple[tuple, ...]:
+    """Per cell rank, what ``criteria_agree`` needs besides the set's chain tables.
+
+    A row holds the index (in ``instance.vertex`` order) and the position of
+    the cell's target block, the same for its source block, the two ranks,
+    and the padding floors of the four padded statistics.  A floor is the
+    padded statistic of a raw value 0; since raw values are never negative,
+    ``padded_nw(raw, ...) == max(raw, padded_nw(0, ...))``, and the same for
+    ``padded_se``.  Cached per instance.
+    """
+    index = {vid: n for n, vid in enumerate(instance.vertex)}
+    rows = []
+    for tv, ti, tj, sv, si, sj in instance.positions:
+        td, sd = instance.vertex[tv], instance.vertex[sv]
+        rows.append((index[tv], ti, tj, index[sv], si, sj, td.u, sd.u,
+                     padded_nw(0, ti, tj, td.a, td.b, td.u),
+                     padded_se(0, ti, tj, td.a, td.b, td.u),
+                     # the source-side block is the transpose situation: swap coordinates
+                     padded_nw(0, sj, si, sd.b, sd.a, sd.u),
+                     padded_se(0, sj, si, sd.b, sd.a, sd.u)))
+    return tuple(rows)
 
 
 def random_instance(rng: random.Random, max_cells: int = 16) -> Instance:

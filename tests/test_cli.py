@@ -113,6 +113,17 @@ def test_verify_random(capsys):
     assert code == 0 and "3 instance(s)" in out
 
 
+@pytest.mark.parametrize("argv", [("verify", "--preset", "det:2,2,1", "--trials", "-5"),
+                                  ("verify", "--random", "-1"),
+                                  ("vdc-sample", "--preset", "det:2,2,1", "--samples", "-2")])
+def test_negative_counts_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert f"{argv[-2]} must not be negative" in err
+
+
 def test_file_input(capsys, tmp_path, star_instance):
     path = tmp_path / "star.json"
     path.write_text(star_instance.to_json())
@@ -152,7 +163,9 @@ def test_parse_preset_det(det33):
 @pytest.mark.parametrize("argv", [("corners", "--json", "--preset", "star-example"),
                                   ("shelling", "--json", "--preset", "double:2,3,2,1,1"),
                                   ("fvector", "--preset", "det:3,4,2"),
-                                  ("interior", "--preset", "star-example")])
+                                  ("interior", "--preset", "star-example"),
+                                  ("verify", "--preset", "star-example", "--seed", "7"),
+                                  ("verify", "--random", "3", "--seed", "11")])
 def test_stdout_same_under_optimize(argv):
     # the self-check asserts that -O strips must not change what a run prints
     env = dict(os.environ, PYTHONPATH=str(Path(quiverdet.__file__).resolve().parents[1]))

@@ -128,7 +128,7 @@ def test_codim1_membership_validation(double_instance):
     with pytest.raises(ValidationError):
         codim1_membership(CellSet(double_instance, [(1, 1, 1)]))
     bad = CellSet(double_instance, [(1, 1, 1), (2, 2, 1), (3, 1, 1), (1, 2, 1)])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="not u-compatible"):
         codim1_membership(bad)
 
 

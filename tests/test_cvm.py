@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from quiverdet import (CellSet, ValidationError, c_max, c_min, cmp_T_sets, corners,
-                       enumerate_facets, initial_cvm, is_cvm, reflect, road_map)
+from quiverdet import (CellSet, ValidationError, c_max, c_min, can_extend, cmp_T_sets, corners,
+                       enumerate_facets, initial_cvm, is_cvm, is_u_compatible, reflect, road_map)
 from quiverdet.cvm import NW, SE
 from quiverdet.verify import brute_maximal_facet_masks, random_instance
 
@@ -89,9 +89,46 @@ def test_closures_are_extreme_brute_facets():
             assert c_min(seed).mask == min(containing)
 
 
+def scan_close(seed, descending):
+    """Definition level: scan every cell once, adding it whenever ``can_extend`` allows."""
+    inst = seed.instance
+    closed = seed
+    for r in (range(inst.size - 1, -1, -1) if descending else range(inst.size)):
+        if not closed.mask >> r & 1 and can_extend(closed, inst.cells[r]):
+            closed = CellSet.from_mask(inst, closed.mask | 1 << r)
+    return closed
+
+
+def test_closures_vs_scan():
+    rng = random.Random(43)
+    for _ in range(30):
+        inst = random_instance(rng, max_cells=16)
+        facets = enumerate_facets(inst)
+        seeds = {0}
+        for facet in facets:
+            seeds.update(facet.mask & ~(1 << r) for r in range(inst.size) if facet.mask >> r & 1)
+        for _ in range(40):
+            sparse = CellSet(inst, [c for c in inst.cells if rng.random() < 0.3])
+            if is_u_compatible(sparse):
+                seeds.add(sparse.mask)
+        for mask in sorted(seeds):
+            seed = CellSet.from_mask(inst, mask)
+            assert c_max(seed) == scan_close(seed, descending=True)
+            assert c_min(seed) == scan_close(seed, descending=False)
+
+
 def test_closure_requires_admissible_seed(double_instance):
-    with pytest.raises(ValidationError):
-        c_max(CellSet(double_instance, [(1, 1, 1), (2, 2, 1)]))
+    bad = CellSet(double_instance, [(1, 1, 1), (2, 2, 1)])
+    for close in (c_max, c_min):
+        with pytest.raises(ValidationError, match="not u-compatible"):
+            close(bad)
+    rng = random.Random(47)
+    for _ in range(20):
+        inst = random_instance(rng, max_cells=16)
+        if inst.n_cells < inst.size:  # then the full set is not admissible
+            for close in (c_max, c_min):
+                with pytest.raises(ValidationError, match="not u-compatible"):
+                    close(CellSet(inst, inst.cells))
 
 
 def test_closure_equality_iff_essential_nw_seed(double_instance):

@@ -80,6 +80,19 @@ def test_cell_geometry_table(double_instance, star_instance, det33, single_cell)
             assert ar.hpath_offset == sum(inst.u[e.target] for e in earlier if e.source == ar.source)
 
 
+def test_check_cell_rejects_malformed_cells(det33):
+    bad_cells = [(1, 1), (1, 1, 1, 1), 5, None, "abc", (1.0, 1, 1), (True, 1, 1), ("1", 1, 1),
+                 ([1], 1, 1), (4, 1, 1), (0, 1, 1)]
+    everything = CellSet(det33, det33.cells)
+    for bad in bad_cells:
+        with pytest.raises(ValidationError):
+            det33.check_cell(bad)
+        with pytest.raises(ValidationError):
+            CellSet(det33, [bad])
+        assert bad not in everything
+    assert det33.check_cell([2, 3, 1]) == Cell(2, 3, 1)
+
+
 def test_cell_order():
     assert cmp_T((1, 2, 1), (1, 1, 2)) == -1  # page dominates
     assert cmp_T((1, 9, 1), (2, 1, 1)) == -1  # row dominates column

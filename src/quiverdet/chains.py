@@ -14,7 +14,8 @@ membership criterion.
 Two kernels compute the statistics.  ``_chain_tables`` builds both full
 tables of a block, and ``_addable`` reads them cell by cell; ``BlockStats``,
 ``can_extend``, the road maps, the membership self-check and ``verify``'s
-criteria check use these.  ``_blocked_ranks`` answers only "which positions
+criteria check use these; the last reads its padding from ``_corner_table``,
+as ``corner_stats`` does.  ``_blocked_ranks`` answers only "which positions
 of this block are not addable", from row bitmasks and O(u) staircase
 thresholds per row; ``_load_blocks`` sets a cell set up for it, and the face
 DFS and the greedy closures call it once per added cell.  The tests hold it
@@ -423,19 +424,45 @@ class ChainStats:
 
 def corner_stats(cs: CellSet, cell) -> ChainStats:
     inst = cs.instance
-    tgt, ti, tj, src, si, sj = inst.positions[inst.rank[inst.check_cell(cell)]]
-    td, sd = inst.vertex[tgt], inst.vertex[src]
+    r = inst.rank[inst.check_cell(cell)]
+    tgt, ti, tj, src, si, sj = inst.positions[r]
+    *_, nw_floor, se_floor, nw_src_floor, se_src_floor = _corner_table(inst)[r]
     tst, sst = cs.stats(tgt), cs.stats(src)
     nw, se = tst.nw_of(ti, tj), tst.se_of(ti, tj)
     nw_s, se_s = sst.nw_of(si, sj), sst.se_of(si, sj)
     return ChainStats(
         nw=nw,
         se=se,
-        nw_padded=padded_nw(nw, ti, tj, td.a, td.b, td.u),
-        se_padded=padded_se(se, ti, tj, td.a, td.b, td.u),
+        nw_padded=max(nw, nw_floor),
+        se_padded=max(se, se_floor),
         nw_src=nw_s,
         se_src=se_s,
-        # the source-side block is the transpose situation: swap coordinates
-        nw_src_padded=padded_nw(nw_s, sj, si, sd.b, sd.a, sd.u),
-        se_src_padded=padded_se(se_s, sj, si, sd.b, sd.a, sd.u),
+        nw_src_padded=max(nw_s, nw_src_floor),
+        se_src_padded=max(se_s, se_src_floor),
     )
+
+
+@lru_cache(maxsize=128)
+def _corner_table(instance: Instance) -> tuple[tuple, ...]:
+    """Per cell rank, everything about the cell's two corners that no cell set changes.
+
+    A row holds the index (in ``instance.vertex`` order) and the position of
+    the cell's target block, the same for its source block, the two blocks'
+    ranks, and the padding floors of the four padded statistics in
+    ``ChainStats`` order.  A floor is the padded statistic of a raw value 0;
+    since raw values are never negative, ``padded_nw(raw, ...) ==
+    max(raw, padded_nw(0, ...))``, and the same for ``padded_se``.
+    ``corner_stats`` and ``verify.criteria_agree`` read their padding here.
+    Cached per instance: callers must treat the result as read-only.
+    """
+    index = {vid: n for n, vid in enumerate(instance.vertex)}
+    rows = []
+    for tv, ti, tj, sv, si, sj in instance.positions:
+        td, sd = instance.vertex[tv], instance.vertex[sv]
+        rows.append((index[tv], ti, tj, index[sv], si, sj, td.u, sd.u,
+                     padded_nw(0, ti, tj, td.a, td.b, td.u),
+                     padded_se(0, ti, tj, td.a, td.b, td.u),
+                     # the source-side block is the transpose situation: swap coordinates
+                     padded_nw(0, sj, si, sd.b, sd.a, sd.u),
+                     padded_se(0, sj, si, sd.b, sd.a, sd.u)))
+    return tuple(rows)

@@ -232,20 +232,16 @@ class Instance:
 
     def check_cell(self, cell) -> Cell:
         """The cell named by an (i, j, k) triple of ints; ``ValidationError`` for anything else."""
-        if type(cell) is Cell and all(type(p) is int for p in cell):  # the common case
-            r = self.rank.get(cell)
-            if r is not None:
-                return self.cells[r]
         try:
             i, j, k = cell
         except (TypeError, ValueError):
             raise ValidationError(f"cell {cell!r} is not an (i, j, k) triple") from None
         if not (_is_int(i) and _is_int(j) and _is_int(k)):
             raise ValidationError(f"cell {cell!r} has a part that is not an int")
-        cell = Cell(i, j, k)
-        if cell not in self.rank:
-            raise ValidationError(f"cell {tuple(cell)} out of range")
-        return cell
+        r = self.rank.get((i, j, k))
+        if r is None:
+            raise ValidationError(f"cell {(i, j, k)} out of range")
+        return self.cells[r]
 
     def cell_mask(self, cells) -> int:
         """The rank bitmask of a collection of cells, each validated by ``check_cell``."""

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .chains import CellSet, _chain_tables, _occupancy, is_u_compatible, padded_nw, padded_se
+from .chains import CellSet, _chain_tables, _corner_table, _occupancy, is_u_compatible
 from .complex import DEFAULT_MAX_CELLS, FaceTable, _face_counter, _FaceSearch, verify_shelling
 from .cvm import c_max, c_min, initial_cvm, reflect, reflect_instance
 from .errors import QuiverDetError
@@ -63,22 +62,20 @@ def criteria_agree(instance: Instance, cells) -> tuple[bool, bool, bool, bool]:
 
     The cells are validated into a mask once, and each block's
     ``_chain_tables`` are built once; every route is read off those tables
-    and the instance's ``_criteria_table``.  All three routes are evaluated
+    and the instance's ``chains._corner_table``.  All three routes are evaluated
     in full, whatever the first one says.
     """
     mask = instance.cell_mask(cells)
-    by_card = mask.bit_count() == instance.n_cells
-    tables = []
-    for vid, d in instance.vertex.items():
-        nw, se = _chain_tables(d.a, d.b, _occupancy(instance.block_ranks[vid], mask))
-        tables.append((nw, se))
-        if nw[d.a][d.b] > d.u:
-            by_card = False
+    tables = [_chain_tables(d.a, d.b, _occupancy(instance.block_ranks[vid], mask))
+              for vid, d in instance.vertex.items()]
+    # u-compatible: no block's longest chain, nw[a][b], is longer than its rank
+    by_card = (mask.bit_count() == instance.n_cells
+               and all(nw[-1][-1] <= d.u for (nw, _), d in zip(tables, instance.vertex.values())))
 
     by_raw = True
     by_padded = True
     for r, (tb, ti, tj, sb, si, sj, ut, us, tnw_pad, tse_pad, snw_pad, sse_pad) in enumerate(
-            _criteria_table(instance)):
+            _corner_table(instance)):
         tnw, tse = tables[tb]
         snw, sse = tables[sb]
         nw, se = tnw[ti - 1][tj - 1], tse[ti + 1][tj + 1]
@@ -93,30 +90,6 @@ def criteria_agree(instance: Instance, cells) -> tuple[bool, bool, bool, bool]:
         elif member != (tsum == ut - 1 and ssum == us - 1):
             by_padded = False
     return by_card, by_raw, by_padded, by_card == by_raw == by_padded
-
-
-@lru_cache(maxsize=128)
-def _criteria_table(instance: Instance) -> tuple[tuple, ...]:
-    """Per cell rank, what ``criteria_agree`` needs besides the set's chain tables.
-
-    A row holds the index (in ``instance.vertex`` order) and the position of
-    the cell's target block, the same for its source block, the two ranks,
-    and the padding floors of the four padded statistics.  A floor is the
-    padded statistic of a raw value 0; since raw values are never negative,
-    ``padded_nw(raw, ...) == max(raw, padded_nw(0, ...))``, and the same for
-    ``padded_se``.  Cached per instance.
-    """
-    index = {vid: n for n, vid in enumerate(instance.vertex)}
-    rows = []
-    for tv, ti, tj, sv, si, sj in instance.positions:
-        td, sd = instance.vertex[tv], instance.vertex[sv]
-        rows.append((index[tv], ti, tj, index[sv], si, sj, td.u, sd.u,
-                     padded_nw(0, ti, tj, td.a, td.b, td.u),
-                     padded_se(0, ti, tj, td.a, td.b, td.u),
-                     # the source-side block is the transpose situation: swap coordinates
-                     padded_nw(0, sj, si, sd.b, sd.a, sd.u),
-                     padded_se(0, sj, si, sd.b, sd.a, sd.u)))
-    return tuple(rows)
 
 
 def random_instance(rng: random.Random, max_cells: int = 16) -> Instance:

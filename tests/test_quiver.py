@@ -81,8 +81,9 @@ def test_cell_geometry_table(double_instance, star_instance, det33, single_cell)
 
 
 def test_check_cell_rejects_malformed_cells(det33):
-    bad_cells = [(1, 1), (1, 1, 1, 1), 5, None, "abc", (1.0, 1, 1), (True, 1, 1), ("1", 1, 1),
-                 ([1], 1, 1), (4, 1, 1), (0, 1, 1)]
+    bad_cells = [(1, 1), (1, 1, 1, 1), 5, None, "abc", (1.0, 1, 1), (1, 1.0, 1), (1, 1, 1.0),
+                 (True, 1, 1), (1, True, 1), (1, 1, True), ("1", 1, 1), ([1], 1, 1), (4, 1, 1),
+                 (0, 1, 1)]
     everything = CellSet(det33, det33.cells)
     for bad in bad_cells:
         with pytest.raises(ValidationError):

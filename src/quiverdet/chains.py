@@ -13,13 +13,13 @@ membership criterion.
 
 Two kernels compute the statistics.  ``_chain_tables`` builds both full
 tables of a block, and ``_addable`` reads them cell by cell; ``BlockStats``,
-``can_extend``, the road maps, the membership self-check and ``verify``'s
-criteria check use these; the last reads its padding from ``_corner_table``,
-as ``corner_stats`` does.  ``_blocked_ranks`` answers only "which positions
-of this block are not addable", from row bitmasks and O(u) staircase
-thresholds per row; ``_load_blocks`` sets a cell set up for it, and the face
-DFS and the greedy closures call it once per added cell.  The tests hold it
-to ``_chain_tables``.
+``can_extend``, the road maps and ``verify``'s criteria check and facet
+membership check use these; the criteria check reads its padding from
+``_corner_table``, as ``corner_stats`` does.  ``_blocked_ranks`` answers only
+"which positions of this block are not addable", from row bitmasks and O(u)
+staircase thresholds per row; ``_load_blocks`` sets a cell set up for it, and
+the face DFS and the greedy closures call it once per added cell.  The tests
+hold it to ``_chain_tables``.
 """
 
 from __future__ import annotations
@@ -163,23 +163,20 @@ def _blocked_ranks(occ, pre, b: int, u: int) -> int:
 
 @lru_cache(maxsize=128)
 def _row_prefix_masks(instance: Instance) -> dict[str, list]:
-    """Per block, the ``pre`` argument of ``_blocked_ranks``.
+    """Per block, the ``pre`` argument of ``_blocked_ranks``; index 0 is padding.
 
-    ``pre[x][y]`` is the rank mask of row x's columns 1..y; index 0 of both
-    levels is padding.  Cached per instance: callers must treat the result
-    as read-only.
+    Cached per instance: callers must treat the result as read-only.
     """
-    out = {}
-    for vid, rows in instance.block_ranks.items():
-        pre = [()]
-        for ranks in rows:
-            acc, line = 0, [0]
-            for r in ranks:
-                acc |= 1 << r
-                line.append(acc)
-            pre.append(line)
-        out[vid] = pre
-    return out
+    return {vid: [(), *map(_prefix_masks, rows)] for vid, rows in instance.block_ranks.items()}
+
+
+def _prefix_masks(ranks) -> list[int]:
+    """Rank masks of a line's first 0, 1, 2, ... positions (block rows here, scan lines in moves)."""
+    acc, line = 0, [0]
+    for r in ranks:
+        acc |= 1 << r
+        line.append(acc)
+    return line
 
 
 def _load_blocks(instance: Instance, mask: int) -> tuple[dict[str, tuple], int]:

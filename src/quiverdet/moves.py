@@ -3,17 +3,19 @@
 A horizontal chutable rectangle is a 2-row strip inside a target block whose
 only occupied positions are its NE, SE and SW corners; the move swaps the SE
 occupant for the (empty) NW corner, producing a strictly smaller facet.
-Vertical moves are the transposed picture inside source blocks, and they are
-found and checked as horizontal rectangles of the transposed block.  Every
-facet arises from the initial one by such moves, so a breadth-first closure
+Vertical moves are the transposed picture inside source blocks.  One scan
+finds both: it reads target blocks by rows and source blocks by columns, so
+every rectangle spans two adjacent lines of bitmasks.  Every facet arises
+from the initial one by such moves, so a breadth-first closure over masks
 enumerates them all; sorted ascending, the result is a shelling order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .chains import CellSet, cmp_T_sets
+from .chains import CellSet, _prefix_masks
 from .cvm import HORIZONTAL, VERTICAL, initial_cvm, is_cvm
 from .errors import FacetCapExceeded, ValidationError
 from .quiver import Cell, Instance, TARGET
@@ -34,93 +36,100 @@ class ChuteMove:
                 f"{tuple(self.removed)} -> {tuple(self.added)} ({self.extent[0]}x{self.extent[1]})")
 
 
-def _block_moves(cs: CellSet, vid: str) -> list[ChuteMove]:
-    """All chutable rectangles of one block: 2-row strips of a target block.
+@lru_cache(maxsize=128)
+def _move_layout(instance: Instance) -> tuple[list, tuple, tuple]:
+    """``(pre, pairs, where)`` over the rows of target blocks and the columns of source blocks.
 
-    A source block is scanned as its transpose, where its vertical
-    (2-column) rectangles are horizontal ones; the block's side sets the
-    move's direction and the order of its extent.  For a fixed SE occupant
-    with its NE neighbor occupied, walk west: the first occupied position
-    must sit in the bottom row (the SW corner) with a free top row above
-    the walked span, and nothing wider can qualify.
+    ``pre[n]`` is line n's ``chains._prefix_masks``.  ``pairs`` holds ``(n,
+    vid)`` for each line n followed by a line of the same block, targets
+    first.  ``where[r]`` is cell r's target line and column bit, then its
+    source line and row bit.  Cached per instance; treat it as read-only.
     """
-    inst, mask = cs.instance, cs.mask
-    ranks = inst.block_ranks[vid]
-    horizontal = inst.vertex[vid].side == TARGET
-    if not horizontal:
-        ranks = tuple(zip(*ranks))
-    occ = [[mask >> r & 1 for r in row] for row in ranks]
-    moves = []
-    for x in range(len(ranks) - 1):     # top row of the rectangle
-        top, bottom = occ[x], occ[x + 1]
-        for y2 in range(1, len(top)):   # SE column
-            if not (bottom[y2] and top[y2]):
-                continue
-            for y in range(y2 - 1, -1, -1):
-                if top[y]:
-                    break
-                if bottom[y]:
-                    width = y2 - y + 1
-                    moves.append(ChuteMove(
-                        HORIZONTAL if horizontal else VERTICAL, vid,
-                        removed=inst.cells[ranks[x + 1][y2]],
-                        added=inst.cells[ranks[x][y]],
-                        extent=(2, width) if horizontal else (width, 2)))
-                    break
-    return moves
+    pre, pairs, first = [], [], {}
+    for vid, d in instance.vertex.items():
+        ranks = instance.block_ranks[vid]
+        first[vid] = len(pre)
+        pre += map(_prefix_masks, ranks if d.side == TARGET else zip(*ranks))
+        pairs += ((n, vid) for n in range(first[vid], len(pre) - 1))
+    where = tuple((first[tv] + ti - 1, 1 << tj, first[sv] + sj - 1, 1 << si)
+                  for tv, ti, tj, sv, si, sj in instance.positions)
+    return pre, tuple(pairs), where
+
+
+def _scan(layout, mask: int) -> list[tuple[str, int, int, int]]:
+    """``(vid, removed bit, added bit, width)`` of each chutable rectangle of a facet's mask.
+
+    A rectangle spans adjacent lines, top and bottom.  For each column y2
+    occupied on both, let y be the last column before y2 occupied on
+    either; columns y..y2 are chutable iff y is occupied on the bottom only.
+    A 2x2 rectangle inside one page is found in both of its blocks.
+    """
+    pre, pairs, where = layout
+    occ = [0] * len(pre)
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        tn, tb, sn, sb = where[bit.bit_length() - 1]
+        occ[tn] |= tb
+        occ[sn] |= sb
+    out = []
+    for n, vid in pairs:
+        top, bottom = occ[n], occ[n + 1]
+        both, either = top & bottom, top | bottom
+        while both:
+            bit = both & -both
+            both ^= bit
+            y = (either & (bit - 1)).bit_length() - 1  # -1: nothing before; bit 0 is padding
+            if y > 0 and not top >> y & 1:
+                y2 = bit.bit_length() - 1
+                p, q = pre[n], pre[n + 1]
+                out.append((vid, q[y2] ^ q[y2 - 1], p[y] ^ p[y - 1], y2 - y + 1))
+    return out
 
 
 def chutable_moves(cs: CellSet) -> list[ChuteMove]:
-    """All chute moves applicable to a facet.
+    """All chute moves applicable to a facet (checked with ``is_cvm``), sorted by (removed, added).
 
-    Horizontal rectangles are searched in target blocks and vertical ones in
-    source blocks; a 2x2 rectangle qualifies as both and the two coinciding
-    moves are emitted once (as the horizontal one).
+    They come from the scan ``enumerate_facets`` runs.  A 2x2 rectangle is
+    both horizontal and vertical; its move is emitted once, as horizontal.
     """
     if not is_cvm(cs):
         raise ValidationError("chute moves are defined on concurrent vertex maps")
+    inst = cs.instance
     found: dict[tuple[Cell, Cell], ChuteMove] = {}
-    for vid in cs.instance.vertex:
-        for mv in _block_moves(cs, vid):
-            found.setdefault((mv.removed, mv.added), mv)
+    for vid, removed, added, width in _scan(_move_layout(inst), cs.mask):
+        key = (inst.cells[removed.bit_length() - 1], inst.cells[added.bit_length() - 1])
+        if key not in found:  # target blocks come first: a 2x2 stays horizontal
+            horizontal = inst.vertex[vid].side == TARGET
+            found[key] = ChuteMove(HORIZONTAL if horizontal else VERTICAL, vid, *key,
+                                   extent=(2, width) if horizontal else (width, 2))
     return sorted(found.values(), key=lambda m: (m.removed, m.added))
 
 
 def _rectangle_ok(cs: CellSet, move: ChuteMove) -> bool:
+    """Whether, of the move's rectangle, exactly the NE, SE and SW corners lie in ``cs``."""
     inst = cs.instance
     horizontal = inst.vertex[move.vertex].side == TARGET
-    try:
-        x1, y1 = inst.phi(move.vertex, move.added)
-        x2, y2 = inst.phi(move.vertex, move.removed)
+    try:  # both ends as (line, position on it): rows of a target block, columns of a source block
+        (x1, y1), (x2, y2) = (inst.phi(move.vertex, c)[::1 if horizontal else -1]
+                              for c in (move.added, move.removed))
     except ValidationError:
         return False
-    if (move.direction == HORIZONTAL) != horizontal:
+    if (move.direction == HORIZONTAL) != horizontal or x2 != x1 + 1 or y2 <= y1:
         return False
-    ranks = inst.block_ranks[move.vertex]
-    if not horizontal:  # a vertical rectangle is horizontal in the transposed block
-        x1, y1, x2, y2, ranks = y1, x1, y2, x2, tuple(zip(*ranks))
-    if x2 != x1 + 1 or y2 - y1 + 1 < 2:
-        return False
-    mask = cs.mask
-    inside = {(x, y) for x in (x1, x2) for y in range(y1, y2 + 1)
-              if mask >> ranks[x - 1][y - 1] & 1}
-    return inside == {(x2, y1), (x1, y2), (x2, y2)}
-
-
-def _moved_mask(cs: CellSet, move: ChuteMove) -> int:
-    rank = cs.instance.rank
-    return cs.mask & ~(1 << rank[move.removed]) | 1 << rank[move.added]
+    pre, _, where = _move_layout(inst)
+    n = where[inst.rank[inst.check_cell(move.added)]][0 if horizontal else 2]
+    top, bottom = pre[n], pre[n + 1]
+    inside = cs.mask & (top[y2] ^ top[y1 - 1] | bottom[y2] ^ bottom[y1 - 1])
+    return inside == top[y2] ^ top[y2 - 1] | bottom[y1] ^ bottom[y1 - 1] | bottom[y2] ^ bottom[y2 - 1]
 
 
 def apply_move(cs: CellSet, move: ChuteMove) -> CellSet:
-    """Apply one chute move; the result is a facet strictly below the input."""
+    """Apply one chute move, checked against ``cs``; the result is a facet strictly below it."""
     if not _rectangle_ok(cs, move):
         raise ValidationError(f"move not applicable: {move}")
-    out = CellSet.from_mask(cs.instance, _moved_mask(cs, move))
-    if __debug__:
-        assert is_cvm(out)
-        assert cmp_T_sets(out, cs) < 0
-    return out
+    rank = cs.instance.rank
+    return CellSet.from_mask(cs.instance, cs.mask ^ 1 << rank[move.removed] | 1 << rank[move.added])
 
 
 def apply_inverse(cs: CellSet, move: ChuteMove) -> CellSet:
@@ -136,34 +145,26 @@ def enumerate_facets(instance: Instance, facet_cap: int = DEFAULT_FACET_CAP) -> 
     The ascending order is contractual: it is a shelling order of the
     complex, and its length is the multiplicity.
 
-    Facets are identified by their masks.  Each move's successor mask is
-    computed first, and only a mask not seen before becomes a ``CellSet``
-    through ``apply_move``, so its self-checks (the facet predicate and the
-    strict decrease) run once per distinct facet.  A move onto a facet
-    already seen is still checked to be applicable.
+    The closure runs breadth first on bare masks and checks no facet; only
+    the sorted result becomes ``CellSet``s.  ``verify`` checks the facets and
+    the list, and the tests hold ``_scan`` to the definition.
     """
     if facet_cap < 1:
         raise ValidationError("facet cap must be positive")
-    start = initial_cvm(instance)
-    seen = {start.mask}
-    frontier = [start]
-    facets = [start]
+    layout = _move_layout(instance)
+    start = initial_cvm(instance).mask
+    seen, frontier = {start}, [start]
     while frontier:
         nxt = []
-        for cs in frontier:
-            for mv in chutable_moves(cs):
-                mask = _moved_mask(cs, mv)
-                if mask in seen:
-                    if not _rectangle_ok(cs, mv):
-                        raise ValidationError(f"move not applicable: {mv}")
+        for mask in frontier:
+            for _, removed, added, _ in _scan(layout, mask):
+                out = mask ^ removed | added
+                if out in seen:
                     continue
                 if len(seen) >= facet_cap:
                     raise FacetCapExceeded(
                         f"more than {facet_cap} facets; raise the cap to continue")
-                out = apply_move(cs, mv)
-                seen.add(out.mask)
+                seen.add(out)
                 nxt.append(out)
-                facets.append(out)
         frontier = nxt
-    facets.sort(key=lambda f: f.mask)
-    return facets
+    return [CellSet.from_mask(instance, mask) for mask in sorted(seen)]

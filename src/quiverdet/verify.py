@@ -5,12 +5,13 @@ check pairs an optimized computation with an independent definition-level
 recomputation; any mismatch is a bug, so the suite reports the first failure
 with enough detail to reproduce it.
 
-The two loops that run thousands of times per instance sit on the package's
-kernels: the criteria check reads every cell's statistics off one
-``chains._chain_tables`` sweep per block, and the closures of the
-reflection and codim-1 checks run on ``chains._blocked_ranks``.  The tests
-hold both to definition-level loops over ``corner_stats`` and
-``can_extend``.
+``enumerate_facets`` checks no facet; ``facet-cardinality`` holds each one to
+the cardinality route and the cell-by-cell membership criterion.  The loops
+that run thousands of times per instance sit on the package's kernels: the
+criteria check reads every cell's statistics off one ``_chain_tables`` sweep
+per block, and the closures of the reflection and codim-1 checks run on
+``_blocked_ranks`` (both in ``chains``).  The tests hold both to
+definition-level loops over ``corner_stats`` and ``can_extend``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .chains import CellSet, _chain_tables, _corner_table, _occupancy, is_u_compatible
-from .complex import DEFAULT_MAX_CELLS, FaceTable, _face_counter, _FaceSearch, verify_shelling
+from .chains import CellSet, _addable, _chain_tables, _corner_table, _occupancy, is_u_compatible
+from .complex import (DEFAULT_MAX_CELLS, FaceTable, _face_counter, _FaceSearch, codim1_membership,
+                      verify_shelling)
 from .cvm import c_max, c_min, initial_cvm, reflect, reflect_instance
 from .errors import QuiverDetError
 from .moves import DEFAULT_FACET_CAP, enumerate_facets
@@ -49,6 +51,13 @@ def _brute_walk(instance: Instance, store_faces: bool) -> tuple[list[int], FaceT
     _FaceSearch(instance).run(visit)
     out.sort()
     return out, table()
+
+
+def _membership_criterion_holds(cs: CellSet) -> bool:
+    """Cell-by-cell check: P in C iff both raw chain-stat sums stay below the ranks."""
+    inst = cs.instance
+    tables = {vid: (cs.stats(vid).nw, cs.stats(vid).se, data.u) for vid, data in inst.vertex.items()}
+    return _addable(inst.positions, tables, (1 << inst.size) - 1) == cs.mask
 
 
 def criteria_agree(instance: Instance, cells) -> tuple[bool, bool, bool, bool]:
@@ -179,7 +188,8 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     else:
         record("facet-closure-vs-brute", True, "skipped: |L| over the brute guard")
 
-    bad_card = [f for f in facets if len(f) != n_top or not is_u_compatible(f)]
+    bad_card = [f for f in facets if len(f) != n_top or not is_u_compatible(f)
+                or not _membership_criterion_holds(f)]
     record("facet-cardinality", not bad_card, f"all facets admissible with {n_top} cells")
 
     ok = True
@@ -217,6 +227,11 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
             break
     record("reflection-duality", ok, "involution and min/max exchange on random seeds")
 
+    if bad_card:  # the checks below read the road maps and ridges of facets
+        for name in ("series-routes", "shelling", "codim1-membership"):
+            record(name, False, "skipped: an enumerated set is not a facet")
+        return VerificationReport(instance, tuple(checks))
+
     try:
         routes = ALL_ROUTES if instance.size <= max_cells else CORNER_ROUTES
         series = hilbert_series(instance, facets=facets, face_table=face_table, routes=routes,
@@ -236,8 +251,6 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
 
 
 def _codim1_check(instance: Instance, facets) -> tuple[bool, str]:
-    from .complex import codim1_membership
-
     masks = [f.mask for f in facets]
     seen: set[int] = set()
     boundary = 0

@@ -160,6 +160,19 @@ def test_parse_preset_det(det33):
     assert parse_preset("det:3,3,2") == det33
 
 
+def test_no_asserts_in_package():
+    # -O strips assert statements and __debug__ blocks; with none in the
+    # package, a default run and a -O run are the same program
+    import ast
+
+    for path in sorted(Path(quiverdet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} asserts"
+            assert not (isinstance(node, ast.Name) and node.id == "__debug__"), \
+                f"{path.name}:{node.lineno} reads __debug__"
+
+
 @pytest.mark.parametrize("argv", [("corners", "--json", "--preset", "star-example"),
                                   ("shelling", "--json", "--preset", "double:2,3,2,1,1"),
                                   ("fvector", "--preset", "det:3,4,2"),

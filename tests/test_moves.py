@@ -152,6 +152,21 @@ def test_facet_cap():
         enumerate_facets(parse_preset("double:2,3,2,1,1"), facet_cap=5)
 
 
+@pytest.mark.parametrize("preset", ["double:2,3,2,1,1", "det:5,5,2"])
+def test_facet_cap_boundary(preset):
+    # the cap counts distinct facets: exactly n of them fit under a cap of n
+    from quiverdet.cli import parse_preset
+
+    inst = parse_preset(preset)
+    facets = enumerate_facets(inst)
+    n = len(facets)
+    assert enumerate_facets(inst, facet_cap=n) == facets
+    with pytest.raises(FacetCapExceeded):
+        enumerate_facets(inst, facet_cap=n - 1)
+    with pytest.raises(ValidationError):
+        enumerate_facets(inst, facet_cap=0)
+
+
 def test_closure_matches_brute_force(double_instance, star_instance, det33):
     rng = random.Random(17)
     instances = [double_instance, star_instance, det33] + \

@@ -54,3 +54,20 @@ def test_criteria_agree_validates_cells(det33):
     for bad in ([(4, 1, 1)], [(1, 1, 2)], [(1, 1)], [(1, 1, 1), (1.0, 2, 1)]):
         with pytest.raises(ValidationError):
             criteria_agree(det33, bad)
+
+
+def test_facet_check_catches_non_facet(monkeypatch, double_instance):
+    # a set of N cells that is not admissible, slipped into the enumeration
+    import quiverdet.verify as verify
+
+    inst = double_instance
+    facets = enumerate_facets(inst)
+    fake = CellSet.from_mask(inst, (1 << inst.n_cells) - 1)
+    assert len(fake) == inst.n_cells and not is_u_compatible(fake)
+    assert not verify._membership_criterion_holds(fake)
+    names = [c.name for c in verify.verify_instance(inst, subset_trials=20, seed=3).checks]
+    monkeypatch.setattr(verify, "enumerate_facets",
+                        lambda instance, facet_cap: [*facets[:-1], fake])
+    report = verify.verify_instance(inst, subset_trials=20, seed=3)
+    assert [c.name for c in report.checks] == names
+    assert not {c.name: c.ok for c in report.checks}["facet-cardinality"]

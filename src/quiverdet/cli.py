@@ -343,9 +343,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.max_cells < 1 or args.facet_cap < 1:
         parser.error("guards must be positive")
-    for name in ("trials", "random", "samples"):
+    for name in ("trials", "random", "samples", "generator_cap"):
         if getattr(args, name, 0) < 0:
-            parser.error(f"--{name} must not be negative")
+            parser.error(f"--{name.replace('_', '-')} must not be negative")
     try:
         return args.func(args)
     except QuiverDetError as exc:

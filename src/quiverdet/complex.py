@@ -8,6 +8,9 @@ column bitmask per row; adding a cell changes only its target and source
 blocks, so a node asks the staircase kernel ``chains._blocked_ranks`` for
 those two blocks' blocked cells and drops them from its parent's addable
 mask.  No node builds chain tables or tests cells one by one.
+
+Each codim-1 face (ridge) F - c lies in one or two facets; the boundary, the
+shelling check and ``verify``'s codim-1 check read the owners off ``_ridge_table``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .chains import CellSet, _blocked_ranks, _load_blocks, is_u_compatible
-from .cvm import c_max, c_min, corners
+from .cvm import corners
 from .errors import GuardExceeded, ValidationError
 from .quiver import Instance
 
@@ -140,30 +143,36 @@ def f_vector(instance: Instance, max_cells_guard: int = DEFAULT_MAX_CELLS,
 
 
 def codim1_membership(sub: CellSet) -> list[CellSet]:
-    """The one or two facets containing an admissible set of cardinality N - 1.
+    """The one or two facets containing an admissible set of cardinality N - 1, ascending.
 
-    A set that is not u-compatible raises ``ValidationError`` from ``c_min``.
+    By purity they are the set plus each of its addable cells, read off one block load.
     """
     inst = sub.instance
     if len(sub) != inst.n_cells - 1:
         raise ValidationError(f"expected cardinality {inst.n_cells - 1}, got {len(sub)}")
-    lo, hi = c_min(sub), c_max(sub)
-    return [lo] if lo == hi else [lo, hi]
+    _, blocked = _load_blocks(inst, sub.mask)
+    if blocked & sub.mask:
+        raise ValidationError("set is not u-compatible")
+    addable = ~sub.mask & ~blocked
+    return [CellSet.from_mask(inst, sub.mask | 1 << r) for r in range(inst.size) if addable >> r & 1]
+
+
+def _ridge_table(facets) -> dict[int, list[int]]:
+    """Each ridge mask F - c of the facets, mapped to its owners' indices in list order.
+
+    A set one cell short of a facet G lies in G iff it is G - c for a cell c of G.
+    """
+    table: dict[int, list[int]] = {}
+    for j, mask in enumerate(f.mask for f in facets):
+        for r in range(mask.bit_length()):
+            if mask >> r & 1:
+                table.setdefault(mask & ~(1 << r), []).append(j)
+    return table
 
 
 def boundary_generator_masks(instance: Instance, facets) -> list[int]:
-    """Codim-1 faces lying in exactly one facet, deduplicated, as bitmasks."""
-    out = []
-    seen: set[int] = set()
-    for facet in facets:
-        for cell in facet.cells:
-            sub_mask = facet.mask & ~(1 << instance.rank[cell])
-            if sub_mask in seen:
-                continue
-            seen.add(sub_mask)
-            if len(codim1_membership(CellSet.from_mask(instance, sub_mask))) == 1:
-                out.append(sub_mask)
-    return out
+    """The codim-1 faces of the facets that lie in exactly one of them, as bitmasks."""
+    return [ridge for ridge, owners in _ridge_table(facets).items() if len(owners) == 1]
 
 
 def interior_faces(instance: Instance, table: FaceTable, facets) -> FaceTable:
@@ -203,12 +212,12 @@ class ShellingReport:
 def verify_shelling(facets_in_order, corner_kind: str = "SE") -> ShellingReport:
     """Check that the given facet order is a shelling and matches the corner counts.
 
-    For every facet past the first, the intersections with earlier facets
-    must be covered by shared codim-1 faces, and the number of those faces
-    must equal the facet's essential corner count (zero, by convention and
-    in fact, for the first facet).  The ascending scan direction pairs with
-    SE corners; the descending direction is the reflected picture and pairs
-    with NW corners.
+    Restriction-face form (Björner–Wachs, Trans. AMS 348, 1996): R_j holds the
+    cells c of F_j whose ridge F_j - c lies in an earlier facet, and the order
+    shells iff no earlier facet contains R_j, as G ∩ F_j ⊆ F_j - c iff c ∉ G.
+    |R_j| must equal the facet's essential corner count (zero for the first
+    facet).  The ascending order pairs with SE corners; the descending order
+    is the reflected picture and pairs with NW corners.
     """
     if corner_kind not in ("SE", "NW"):
         raise ValidationError(f"corner kind must be SE or NW, got {corner_kind!r}")
@@ -218,23 +227,18 @@ def verify_shelling(facets_in_order, corner_kind: str = "SE") -> ShellingReport:
         return ShellingReport(True, ())
     n_top = len(facets[0])
     masks = [f.mask for f in facets]
+    ridges = _ridge_table(facets)
     for j, facet in enumerate(facets):
         if len(facet) != n_top:
             return ShellingReport(False, tuple(r_seq), f"facet {j + 1} has wrong cardinality")
-        shared = set()
-        inters = []
         mj = masks[j]
-        for i in range(j):
-            inter = masks[i] & mj
-            inters.append(inter)
-            if inter.bit_count() == n_top - 1:
-                shared.add(inter)
-        for inter in inters:
-            if not any(inter & s == inter for s in shared):
-                return ShellingReport(
-                    False, tuple(r_seq),
-                    f"facet {j + 1}: an earlier intersection is not inside a shared codim-1 face")
-        rj = len(shared)
+        restriction = sum(1 << r for r in range(mj.bit_length())
+                          if mj >> r & 1 and ridges[mj & ~(1 << r)][0] < j)
+        if any(m & restriction == restriction for m in masks[:j]):
+            return ShellingReport(
+                False, tuple(r_seq),
+                f"facet {j + 1}: an earlier intersection is not inside a shared codim-1 face")
+        rj = restriction.bit_count()
         r_seq.append(rj)
         rep = corners(facet)
         expected = rep.essential_se if corner_kind == "SE" else rep.essential_nw

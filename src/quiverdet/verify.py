@@ -9,9 +9,10 @@ with enough detail to reproduce it.
 the cardinality route and the cell-by-cell membership criterion.  The loops
 that run thousands of times per instance sit on the package's kernels: the
 criteria check reads every cell's statistics off one ``_chain_tables`` sweep
-per block, and the closures of the reflection and codim-1 checks run on
-``_blocked_ranks`` (both in ``chains``).  The tests hold both to
-definition-level loops over ``corner_stats`` and ``can_extend``.
+per block, and the reflection check's closures run on ``_blocked_ranks``
+(both in ``chains``); the tests hold both to definition-level loops over
+``corner_stats`` and ``can_extend``.  The codim-1 check holds the ridge
+owners of ``complex._ridge_table`` to the kernel route ``codim1_membership``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import random
 from dataclasses import dataclass
 
 from .chains import CellSet, _addable, _chain_tables, _corner_table, _occupancy, is_u_compatible
-from .complex import (DEFAULT_MAX_CELLS, FaceTable, _face_counter, _FaceSearch, codim1_membership,
-                      verify_shelling)
+from .complex import (DEFAULT_MAX_CELLS, FaceTable, _face_counter, _FaceSearch, _ridge_table,
+                      codim1_membership, verify_shelling)
 from .cvm import c_max, c_min, initial_cvm, reflect, reflect_instance
 from .errors import QuiverDetError
 from .moves import DEFAULT_FACET_CAP, enumerate_facets
@@ -251,23 +252,17 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
 
 
 def _codim1_check(instance: Instance, facets) -> tuple[bool, str]:
-    masks = [f.mask for f in facets]
-    seen: set[int] = set()
+    """Hold every ridge's owners in the facet list to ``codim1_membership``."""
+    ridges = _ridge_table(facets)
     boundary = 0
-    for facet in facets:
-        for cell in facet.cells:
-            sub = facet.mask & ~(1 << instance.rank[cell])
-            if sub in seen:
-                continue
-            seen.add(sub)
-            direct = {m for m in masks if m & sub == sub}
-            if not 1 <= len(direct) <= 2:
-                return False, f"codim-1 face inside {len(direct)} facets"
-            via_closure = {f.mask for f in codim1_membership(CellSet.from_mask(instance, sub))}
-            if via_closure != direct:
-                return False, "closure route misses a containing facet"
-            if len(direct) == 1:
-                boundary += 1
+    for sub, owners in ridges.items():
+        direct = {facets[i].mask for i in owners}
+        if not 1 <= len(direct) <= 2:
+            return False, f"codim-1 face inside {len(direct)} facets"
+        via_closure = {f.mask for f in codim1_membership(CellSet.from_mask(instance, sub))}
+        if via_closure != direct:
+            return False, "closure route misses a containing facet"
+        boundary += len(direct) == 1
     if boundary == 0:
         return False, "no boundary codim-1 face found"
-    return True, f"{len(seen)} codim-1 faces, {boundary} on the boundary"
+    return True, f"{len(ridges)} codim-1 faces, {boundary} on the boundary"

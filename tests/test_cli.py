@@ -115,7 +115,8 @@ def test_verify_random(capsys):
 
 @pytest.mark.parametrize("argv", [("verify", "--preset", "det:2,2,1", "--trials", "-5"),
                                   ("verify", "--random", "-1"),
-                                  ("vdc-sample", "--preset", "det:2,2,1", "--samples", "-2")])
+                                  ("vdc-sample", "--preset", "det:2,2,1", "--samples", "-2"),
+                                  ("export-cas", "--preset", "det:2,2,1", "--generator-cap", "-1")])
 def test_negative_counts_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

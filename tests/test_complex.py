@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from quiverdet import (CellSet, GuardExceeded, ValidationError,
+from quiverdet import (CellSet, GuardExceeded, ShellingReport, ValidationError,
                        check_vertex_decomposition_samples, codim1_membership, corners,
                        enumerate_facets, f_vector, initial_cvm, interior_faces, is_u_compatible,
                        verify_shelling)
-from quiverdet.complex import _FaceSearch
+from quiverdet.complex import _FaceSearch, _ridge_table, boundary_generator_masks
 from quiverdet.cvm import SE
 from quiverdet.series import _h_from_f, _h_from_interior
 from quiverdet.verify import random_instance
@@ -139,14 +139,21 @@ def test_every_codim1_in_one_or_two_facets():
         facets = enumerate_facets(inst)
         masks = [f.mask for f in facets]
         subs = {f.mask & ~(1 << inst.rank[c]) for f in facets for c in f.cells}
-        boundary = 0
+        owners = _ridge_table(facets)
+        assert set(owners) == subs
+        gens = boundary_generator_masks(inst, facets)
+        assert len(gens) == len(set(gens))
+        boundary = set()
         for sub in subs:
             direct = [m for m in masks if m & sub == sub]
             assert 1 <= len(direct) <= 2
+            assert [masks[i] for i in owners[sub]] == direct
             members = codim1_membership(CellSet.from_mask(inst, sub))
             assert sorted(f.mask for f in members) == direct
-            boundary += len(direct) == 1
-        assert boundary > 0  # the boundary is never empty
+            if len(direct) == 1:
+                boundary.add(sub)
+        assert set(gens) == boundary
+        assert boundary  # the boundary is never empty
 
 
 def test_shelling_reference(double_instance):
@@ -177,6 +184,61 @@ def test_shelling_detects_bad_order(double_instance):
     # an out-of-place first facet trips the corner-count convention instead
     report = verify_shelling([facets[-1]] + facets[:-1])
     assert not report.ok and "facet 1" in report.failure
+
+
+def _pairwise_shelling(facets, corner_kind):
+    """The pairwise form: every earlier intersection lies in a shared codim-1 face."""
+    if not facets:
+        return ShellingReport(True, ())
+    r_seq = []
+    n_top = len(facets[0])
+    masks = [f.mask for f in facets]
+    for j, facet in enumerate(facets):
+        if len(facet) != n_top:
+            return ShellingReport(False, tuple(r_seq), f"facet {j + 1} has wrong cardinality")
+        inters = [m & masks[j] for m in masks[:j]]
+        shared = {inter for inter in inters if inter.bit_count() == n_top - 1}
+        if not all(any(inter & s == inter for s in shared) for inter in inters):
+            return ShellingReport(
+                False, tuple(r_seq),
+                f"facet {j + 1}: an earlier intersection is not inside a shared codim-1 face")
+        r_seq.append(len(shared))
+        rep = corners(facet)
+        expected = rep.essential_se if corner_kind == "SE" else rep.essential_nw
+        if len(shared) != expected:
+            return ShellingReport(
+                False, tuple(r_seq),
+                f"facet {j + 1}: restriction count {len(shared)} != "
+                f"essential {corner_kind} corners {expected}")
+    return ShellingReport(True, tuple(r_seq))
+
+
+def test_shelling_matches_pairwise_oracle(single_cell, det33, double_instance, star_instance):
+    # the restriction-face check against the pairwise definition, on valid
+    # orders and on orders that break it in each of the ways it can break
+    rng = random.Random(83)
+    instances = [single_cell, det33, double_instance, star_instance]
+    instances += [random_instance(rng, max_cells=14) for _ in range(20)]
+    kinds = ("wrong cardinality", "earlier intersection", "restriction count")
+    seen = set()
+    for inst in instances:
+        facets = enumerate_facets(inst)
+        orders = [facets, facets[::-1], rng.sample(facets, len(facets))]
+        for _ in range(3):
+            swapped = list(facets)
+            i, k = rng.randrange(len(facets)), rng.randrange(len(facets))
+            swapped[i], swapped[k] = swapped[k], swapped[i]
+            orders.append(swapped)
+        pick = rng.randrange(len(facets))
+        orders.append(facets[:pick + 1] + [facets[pick]] + facets[pick + 1:])
+        ridge = facets[-1].remove(facets[-1].cells[0])
+        orders.append(facets + [ridge])
+        for order in orders:
+            for kind in ("SE", "NW"):
+                report = verify_shelling(order, corner_kind=kind)
+                assert report == _pairwise_shelling(order, kind)
+                seen.add(report.ok or next(text for text in kinds if text in report.failure))
+    assert seen == {True, *kinds}
 
 
 def test_shelling_decreasing_order_also_valid(double_instance, star_instance):

@@ -15,14 +15,13 @@ import sys
 
 from . import __version__
 from .chains import CellSet
-from .complex import (DEFAULT_MAX_CELLS, check_vertex_decomposition_samples, f_vector,
-                      interior_faces, verify_shelling)
+from .complex import DEFAULT_MAX_CELLS, check_vertex_decomposition_samples, verify_shelling
 from .cvm import corners
 from .errors import QuiverDetError, ValidationError
 from .ideal import export_cas
 from .moves import DEFAULT_FACET_CAP, enumerate_facets
 from .quiver import BipartiteQuiver, Instance, build_instance, load_instance
-from .series import hilbert_series
+from .series import face_counts, hilbert_series
 from .verify import random_instance, verify_instance
 
 
@@ -174,7 +173,7 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_fvector(args) -> int:
     inst = _load(args)
-    table = f_vector(inst, max_cells_guard=args.max_cells)
+    table = face_counts(inst, facet_cap=args.facet_cap, max_cells_guard=args.max_cells)
     _emit(args, table.to_json_obj(),
           [" ".join(map(str, table.f_vector)), f"total {table.total}"])
     return 0
@@ -182,9 +181,8 @@ def _cmd_fvector(args) -> int:
 
 def _cmd_interior(args) -> int:
     inst = _load(args)
-    table = f_vector(inst, max_cells_guard=args.max_cells, store_faces=True)
-    facets = enumerate_facets(inst, facet_cap=args.facet_cap)
-    table = interior_faces(inst, table, facets)
+    table = face_counts(inst, interior=True, facet_cap=args.facet_cap,
+                        max_cells_guard=args.max_cells)
     _emit(args, table.to_json_obj(),
           [" ".join(map(str, table.interior_by_size)),
            f"total {table.interior_total}",

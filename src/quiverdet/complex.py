@@ -11,6 +11,10 @@ mask.  No node builds chain tables or tests cells one by one.
 
 Each codim-1 face (ridge) F - c lies in one or two facets; the boundary, the
 shelling check and ``verify``'s codim-1 check read the owners off ``_ridge_table``.
+
+The CLI reads face counts off the h-vector (``series.face_counts``); the DFS
+routes ``f_vector`` and ``interior_faces`` are their oracle, in ``verify`` and
+in ``hilbert_series``'s face-table routes.
 """
 
 from __future__ import annotations
@@ -132,11 +136,21 @@ def _face_counter(size: int, store_faces: bool):
     return visit, table
 
 
-def f_vector(instance: Instance, max_cells_guard: int = DEFAULT_MAX_CELLS,
-             store_faces: bool = False) -> FaceTable:
-    """Count admissible sets by cardinality by pruned depth-first backtracking."""
+def _check_guard(instance: Instance, max_cells_guard: int) -> None:
     if instance.size > max_cells_guard:
         raise GuardExceeded(f"|L| = {instance.size} exceeds guard {max_cells_guard}")
+
+
+def f_vector(instance: Instance, max_cells_guard: int = DEFAULT_MAX_CELLS,
+             store_faces: bool = False) -> FaceTable:
+    """Count admissible sets by cardinality by pruned depth-first backtracking.
+
+    The oracle route, for ``hilbert_series``'s ``f_transform`` and
+    ``interior`` routes (``verify`` feeds them the same walk through
+    ``_face_counter``); ``series.face_counts`` reads the same counts off
+    the h-vector.
+    """
+    _check_guard(instance, max_cells_guard)
     visit, table = _face_counter(instance.size, store_faces)
     _FaceSearch(instance).run(visit)
     return table()
@@ -170,7 +184,7 @@ def _ridge_table(facets) -> dict[int, list[int]]:
     return table
 
 
-def boundary_generator_masks(instance: Instance, facets) -> list[int]:
+def boundary_generator_masks(facets) -> list[int]:
     """The codim-1 faces of the facets that lie in exactly one of them, as bitmasks."""
     return [ridge for ridge, owners in _ridge_table(facets).items() if len(owners) == 1]
 
@@ -181,10 +195,13 @@ def interior_faces(instance: Instance, table: FaceTable, facets) -> FaceTable:
     The complex is a shellable ball, so its boundary is generated by the
     codim-1 faces contained in exactly one facet; a face is interior exactly
     when it is a subset of none of them (checked by bitmask containment).
+    The oracle route, on ``f_vector``'s stored faces: ``verify`` and
+    ``hilbert_series``'s ``interior`` route use it, while
+    ``series.face_counts`` reads the interior counts off h reversed.
     """
     if table.faces_by_size is None:
         raise ValidationError("interior faces need f_vector(store_faces=True)")
-    gens = boundary_generator_masks(instance, facets)
+    gens = boundary_generator_masks(facets)
     interior = []
     for masks in table.faces_by_size:
         count = 0
@@ -287,8 +304,7 @@ def check_vertex_decomposition_samples(instance: Instance, sample_budget: int = 
     For random prefixes and random admissible seeds inside the prefix, all
     maximal completions by suffix cells must have the same cardinality.
     """
-    if instance.size > size_guard:
-        raise GuardExceeded(f"|L| = {instance.size} exceeds guard {size_guard}")
+    _check_guard(instance, size_guard)
     rng = random.Random(seed)
     samples = []
     for _ in range(sample_budget):

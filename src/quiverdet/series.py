@@ -7,6 +7,12 @@ interior-face expression.  Multiplicity h(1) and the Gorenstein indicator
 (a palindromic h-vector) are read off the series.  The routes are
 mathematically equal, so any disagreement is reported as an internal error
 rather than a result.
+
+Both face transforms are invertible: ``_f_from_h`` undoes ``_h_from_f`` on h
+and ``_h_from_interior`` on h reversed, since the complex is a ball and the
+relative complex (Δ, ∂Δ) has h-vector h reversed (Stanley, *Combinatorics and
+Commutative Algebra*, 2nd ed., II.7).  ``face_counts`` reads the f-vector and
+the interior vector off the corner h-vector that way.
 """
 
 from __future__ import annotations
@@ -14,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .complex import DEFAULT_MAX_CELLS, FaceTable, f_vector, interior_faces
+from .complex import (DEFAULT_MAX_CELLS, FaceTable, _check_guard, boundary_generator_masks,
+                      f_vector, interior_faces)
 from .cvm import corners
 from .errors import CrossCheckError, ValidationError
-from .moves import enumerate_facets
+from .moves import DEFAULT_FACET_CAP, enumerate_facets
 from .quiver import Instance
 
 SE_CORNERS = "se_corners"
@@ -111,6 +118,15 @@ def _h_from_interior(table: FaceTable, n_top: int) -> tuple[int, ...]:
     return _trim(acc)
 
 
+def _f_from_h(h: tuple[int, ...], n_top: int) -> tuple[int, ...]:
+    """Face counts by cardinality k = 0..N, f_{k-1} = sum_i C(N - i, k - i) h_i.
+
+    ``h`` must be padded to length N + 1.
+    """
+    return tuple(sum(comb(n_top - i, k - i) * h[i] for i in range(k + 1))
+                 for k in range(n_top + 1))
+
+
 def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None = None,
                    routes=CORNER_ROUTES,
                    max_cells_guard: int = DEFAULT_MAX_CELLS) -> HilbertSeries:
@@ -153,3 +169,25 @@ def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None
         raise CrossCheckError(
             f"h(1) = {series.multiplicity} but {len(facets)} facets enumerated")
     return series
+
+
+def face_counts(instance: Instance, interior: bool = False,
+                facet_cap: int = DEFAULT_FACET_CAP,
+                max_cells_guard: int = DEFAULT_MAX_CELLS) -> FaceTable:
+    """The f-vector, and with ``interior`` the interior vector, read off the h-vector.
+
+    h comes from the enumerated facets through both corner routes of
+    ``hilbert_series``; the interior vector is the same transform of h
+    reversed, and the boundary generators are read off the ridge table.
+    The DFS routes ``complex.f_vector`` and ``interior_faces`` are the oracle.
+    """
+    _check_guard(instance, max_cells_guard)
+    facets = enumerate_facets(instance, facet_cap=facet_cap)
+    n_top = instance.n_cells
+    h = hilbert_series(instance, facets=facets).numerator
+    h += (0,) * (n_top + 1 - len(h))
+    f = _f_from_h(h, n_top)
+    if not interior:
+        return FaceTable(f)
+    return FaceTable(f, interior_by_size=_f_from_h(h[::-1], n_top),
+                     boundary_generators=len(boundary_generator_masks(facets)))

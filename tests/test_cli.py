@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,18 @@ def test_fvector_and_interior(capsys):
     obj = json.loads(out)
     assert obj["interior_vector"] == [0, 0, 0, 4, 15, 12]
     assert obj["interior_total"] == 31
+
+
+def test_fvector_honours_facet_cap(capsys):
+    # fvector reads its counts off the facets, so the facet cap applies
+    code, _, err = run_cli(capsys, "fvector", "--preset", "det:4,5,2", "--facet-cap", "49")
+    assert code == 1 and "more than 49 facets" in err
+    code, out, _ = run_cli(capsys, "fvector", "--preset", "det:4,5,2", "--facet-cap", "50")
+    counts, total = out.splitlines()
+    assert code == 0 and total == "total 190464"
+    # Gessel-Viennot: det[C(m + n - i - j, m - i)] over 1 <= i, j <= u, for m, n, u = 4, 5, 2
+    paths = [[comb(9 - i - j, 4 - i) for j in (1, 2)] for i in (1, 2)]
+    assert int(counts.split()[-1]) == paths[0][0] * paths[1][1] - paths[0][1] * paths[1][0] == 50
 
 
 def test_shelling_and_corners(capsys):

@@ -141,7 +141,7 @@ def test_every_codim1_in_one_or_two_facets():
         subs = {f.mask & ~(1 << inst.rank[c]) for f in facets for c in f.cells}
         owners = _ridge_table(facets)
         assert set(owners) == subs
-        gens = boundary_generator_masks(inst, facets)
+        gens = boundary_generator_masks(facets)
         assert len(gens) == len(set(gens))
         boundary = set()
         for sub in subs:

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from quiverdet import (ALL_ROUTES, CrossCheckError, ValidationError, enumerate_facets, f_vector,
-                       hilbert_series)
-from quiverdet.series import F_TRANSFORM, NW_CORNERS, SE_CORNERS, HilbertSeries
+                       hilbert_series, interior_faces)
+from quiverdet.cli import parse_preset
+from quiverdet.complex import FaceTable
+from quiverdet.series import F_TRANSFORM, NW_CORNERS, SE_CORNERS, HilbertSeries, face_counts
 from quiverdet.verify import random_instance
 
 from golden import DOUBLE_H, DOUBLE_MULTIPLICITY, STAR_H, STAR_MULTIPLICITY
@@ -88,3 +90,19 @@ def test_series_json_and_invariants(double_instance):
                    "multiplicity": 12, "palindromic": False}
     with pytest.raises(CrossCheckError):
         HilbertSeries((1, -1), 2)
+
+
+def test_face_counts_match_dfs(single_cell, det33, double_instance, star_instance):
+    # the h-vector route against the face DFS; det:2,2,3 has one facet, a full
+    # simplex, and single_cell is det:1,1,1
+    rng = random.Random(9)
+    instances = [single_cell, det33, double_instance, star_instance,
+                 parse_preset("det:2,2,3", mode="normalize")]
+    instances += [random_instance(rng, max_cells=rng.randint(4, 20)) for _ in range(60)]
+    for inst in instances:
+        oracle = interior_faces(inst, f_vector(inst, store_faces=True), enumerate_facets(inst))
+        assert face_counts(inst) == FaceTable(oracle.counts_by_size)
+        fast = face_counts(inst, interior=True)
+        assert fast.f_vector == oracle.f_vector
+        assert fast.interior_by_size == oracle.interior_by_size
+        assert fast.boundary_generators == oracle.boundary_generators

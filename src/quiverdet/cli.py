@@ -121,6 +121,20 @@ def _facet_line(facet: CellSet) -> str:
     return " ".join(",".join(map(str, c)) for c in facet.cells)
 
 
+def _facets_json(instance: Instance, facets: list[CellSet]) -> str:
+    """The text of ``json.dumps([f.to_triples() for f in facets], indent=2, sort_keys=True)``.
+
+    CPython encodes with ``indent`` in pure Python, element by element.  Here
+    each cell's text at nesting depth 2 is formatted once per instance, and a
+    facet is the join of its cells' fragments.  The list and every facet in it
+    must be nonempty, as ``enumerate_facets`` returns them.
+    """
+    cell = {c: "[\n      %d,\n      %d,\n      %d\n    ]" % c for c in instance.cells}
+    body = ",\n  ".join("[\n    " + ",\n    ".join(map(cell.__getitem__, f.cells)) + "\n  ]"
+                        for f in facets)
+    return "[\n  " + body + "\n]"
+
+
 def _cmd_info(args) -> int:
     inst = _load(args)
     lines = [f"|L| = {inst.size} cells on {len(inst.arrows)} pages, facet size N = {inst.n_cells}"]
@@ -145,7 +159,11 @@ def _cmd_info(args) -> int:
 def _cmd_facets(args) -> int:
     inst = _load(args)
     facets = enumerate_facets(inst, facet_cap=args.facet_cap)
-    _emit(args, [f.to_triples() for f in facets], [_facet_line(f) for f in facets])
+    if args.json:
+        print(_facets_json(inst, facets))
+    else:
+        for facet in facets:
+            print(_facet_line(facet))
     return 0
 
 

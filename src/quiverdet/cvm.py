@@ -5,13 +5,15 @@ admissible set of the full facet cardinality N.  Each one is the intersection
 pattern of a unique straight road map: per target block, rank-many
 nonintersecting staircase paths from the left edge to the top edge, and per
 source block the transposed picture.  ``road_map`` rebuilds those paths from
-the padded chain statistics; ``corners`` classifies their NW and SE turning
-points on that one road map.  The essential ones drive both the chute-move
-dynamics and the h-polynomial.  The greedy closures ``c_min``/``c_max``
-find the smallest and largest facet containing a face; they run on the
-staircase kernel ``chains._blocked_ranks``, as the face DFS does.
-``reflect`` is the 180-degree rotation; it swaps NW with SE corners, and the
-tests check the SE rule through it.
+the padded chain statistics, one sweep per block over a cached per-instance
+layout that lists the positions in path order, and checks them on rank
+bitmasks; ``corners`` classifies their NW and SE turning points on that one
+road map.  The essential ones drive both the chute-move dynamics and the
+h-polynomial.  The greedy closures ``c_min``/``c_max`` find the smallest and
+largest facet containing a face; they run on the staircase kernel
+``chains._blocked_ranks``, as the face DFS does.  ``reflect`` is the
+180-degree rotation; it swaps NW with SE corners, and the tests check the SE
+rule through it.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import CellSet, _blocked_ranks, _load_blocks, is_u_compatible, padded_nw, padded_se
+from .chains import CellSet, _blocked_ranks, _corner_table, _load_blocks, is_u_compatible
 from .errors import CrossCheckError, ValidationError
-from .quiver import Cell, Instance, TARGET, BipartiteQuiver, cell_key
+from .quiver import Cell, Instance, TARGET, BipartiteQuiver
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -124,95 +126,103 @@ class RoadMap:
         }
 
 
-def _order_path(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """SW-to-NE traversal order: rows descending, columns ascending."""
-    return sorted(points, key=lambda p: (-p[0], p[1]))
+@lru_cache(maxsize=128)
+def _path_layout(instance: Instance) -> tuple[tuple, ...]:
+    """Per block, in ``instance.vertex`` order, what no facet changes about its paths.
+
+    An entry is ``(vid, target, a, b, u, v, points, where)``.  ``points`` lists
+    the block's positions in SW-to-NE order (rows descending, columns
+    ascending) as ``(x, y, rank, nw_floor, se_floor)``, the floors being the
+    block's padding floors from ``chains._corner_table``; ``where`` maps a
+    position to its rank and the offset that relabels this block's path p as
+    the crossing family sees it (``hpath_offset`` on a target block,
+    ``vpath_offset`` on a source block).  Cached per instance: callers must
+    treat the result as read-only.
+    """
+    table = _corner_table(instance)
+    layout = []
+    for vid, d in instance.vertex.items():
+        target = d.side == TARGET
+        points, where = [], {}
+        for x in range(d.a, 0, -1):
+            for y, r in enumerate(instance.block_ranks[vid][x - 1], start=1):
+                ar = instance.arrow(instance.cells[r].k)
+                points.append((x, y, r, *(table[r][8:10] if target else table[r][10:12])))
+                where[x, y] = (r, ar.hpath_offset if target else ar.vpath_offset)
+        layout.append((vid, target, d.a, d.b, d.u, d.v, tuple(points), where))
+    return tuple(layout)
 
 
 def _check_path(path: list[tuple[int, int]], sw: tuple[int, int], ne: tuple[int, int]) -> bool:
-    if not path or path[0] != sw or path[-1] != ne:
-        return False
-    for (x0, y0), (x1, y1) in zip(path, path[1:]):
-        if (x1 - x0, y1 - y0) not in ((-1, 0), (0, 1)):
-            return False
-    return True
+    """True iff the path runs from ``sw`` to ``ne`` one row up or one column right per step."""
+    return (bool(path) and path[0] == sw and path[-1] == ne
+            and all((x1 - x0, y1 - y0) in ((-1, 0), (0, 1))
+                    for (x0, y0), (x1, y1) in zip(path, path[1:])))
+
+
+def _turns(path: list[tuple[int, int]]) -> list[tuple[int, str]]:
+    """(index, kind) of every corner of a staircase path listed SW to NE.
+
+    A NW corner is entered from the south and left to the east (both its
+    south and east neighbors lie on the path), a SE corner the other way round.
+    """
+    return [(n, NW if y0 == y1 else SE)
+            for n, ((_, y0), (_, y1), (_, y2)) in enumerate(zip(path, path[1:], path[2:]), start=1)
+            if (y0 == y1) != (y1 == y2)]
 
 
 def road_map(cs: CellSet) -> RoadMap:
     """Rebuild the unique straight road map whose concurrency pattern is this facet.
 
     A block point lies on the p-th path exactly when its padded NW statistic
-    is p - 1 and its padded SE statistic is rank - p.  The assembled point
-    sets are verified to be monotone staircases with the prescribed
-    endpoints, pairwise disjoint, straight (every corner of one family lies
-    on a path of the other family), and to intersect back to the facet.
+    is p - 1 and its padded SE statistic is rank - p; one sweep over the
+    block's positions in SW-to-NE order fills the paths in path order.  They
+    are verified to be monotone staircases with the prescribed endpoints,
+    pairwise disjoint, straight (every corner of one family lies on a path of
+    the other family), and to intersect back to the facet; the last three on
+    rank bitmasks.
     """
-    inst = cs.instance
     if not is_cvm(cs):
         raise ValidationError("road maps exist only for concurrent vertex maps")
 
-    horizontal: dict[str, list[list[tuple[int, int]]]] = {}
-    vertical: dict[str, list[list[tuple[int, int]]]] = {}
-    for vid, data in inst.vertex.items():
-        st, (a, b, u) = cs.stats(vid), (data.a, data.b, data.u)
-        target = data.side == TARGET
-        buckets: list[list[tuple[int, int]]] = [[] for _ in range(u)]
-        for x in range(1, a + 1):
-            for y in range(1, b + 1):
-                # a source block pads its statistics as the transposed target picture
-                shape = (x, y, a, b, u) if target else (y, x, b, a, u)
-                p = padded_nw(st.nw_of(x, y), *shape) + 1
-                if 1 <= p <= u and padded_se(st.se_of(x, y), *shape) == u - p:
-                    buckets[p - 1].append((x, y))
-        paths = [_order_path(pts) for pts in buckets]
-        for p, path in enumerate(paths, start=1):
-            if target:
-                sw, ne = (a - u + p, 1), (p, b)
-            else:
-                sw, ne = (a, p), (1, b - u + p)
+    families: tuple[dict, dict] = ({}, {})  # vertical, horizontal: indexed by ``target``
+    covered = [0, 0]
+    turned = []
+    for vid, target, a, b, u, _, points, _ in _path_layout(cs.instance):
+        st = cs.stats(vid)
+        nw, se = st.nw, st.se
+        paths: list[list[tuple[int, int]]] = [[] for _ in range(u)]
+        ranks: list[list[int]] = [[] for _ in range(u)]
+        for x, y, r, nw_floor, se_floor in points:
+            p = nw[x - 1][y - 1]
+            if p < nw_floor:
+                p = nw_floor
+            if p < u:
+                s = se[x + 1][y + 1]
+                if (s if s > se_floor else se_floor) == u - 1 - p:
+                    paths[p].append((x, y))
+                    ranks[p].append(r)
+        seen = corner_mask = 0
+        for p, (path, path_ranks) in enumerate(zip(paths, ranks), start=1):
+            sw, ne = ((a - u + p, 1), (p, b)) if target else ((a, p), (1, b - u + p))
             if not _check_path(path, sw, ne):
                 raise CrossCheckError(f"path {p} of block {vid!r} failed assembly")
-        (horizontal if target else vertical)[vid] = paths
+            for n, r in enumerate(path_ranks):
+                if seen >> r & 1:
+                    raise CrossCheckError(f"paths of block {vid!r} intersect at {path[n]}")
+                seen |= 1 << r
+            for n, _ in _turns(path):
+                corner_mask |= 1 << path_ranks[n]
+        covered[target] |= seen
+        turned.append((vid, target, corner_mask))
+        families[target][vid] = paths
 
-    h_cells = _covered_cells(inst, horizontal)
-    v_cells = _covered_cells(inst, vertical)
-    if h_cells & v_cells != set(cs.cells):
+    if covered[0] & covered[1] != cs.mask:
         raise CrossCheckError("path intersection does not reproduce the facet")
-    for family, crossing in ((horizontal, v_cells), (vertical, h_cells)):
-        for vid, paths in family.items():
-            for path in paths:
-                pset = set(path)
-                for corner in _corners_of(pset, NW) + _corners_of(pset, SE):
-                    if inst.phi_inv(vid, *corner) not in crossing:
-                        raise CrossCheckError(f"corner of block {vid!r} off every crossing path")
-    return RoadMap(horizontal, vertical)
-
-
-def _covered_cells(inst: Instance, families) -> set[Cell]:
-    cells: set[Cell] = set()
-    for vid, paths in families.items():
-        ranks = inst.block_ranks[vid]
-        seen: set[tuple[int, int]] = set()
-        for path in paths:
-            for pt in path:
-                if pt in seen:
-                    raise CrossCheckError(f"paths of block {vid!r} intersect at {pt}")
-                seen.add(pt)
-                cells.add(inst.cells[ranks[pt[0] - 1][pt[1] - 1]])
-    return cells
-
-
-def _corners_of(path_set: set[tuple[int, int]], kind: str) -> list[tuple[int, int]]:
-    """Corners of a staircase path given as a point set.
-
-    NW corners have both their south and east neighbors on the path, SE
-    corners both their north and west neighbors.
-    """
-    if kind == NW:
-        return [(x, y) for x, y in path_set
-                if (x + 1, y) in path_set and (x, y + 1) in path_set]
-    return [(x, y) for x, y in path_set
-            if (x - 1, y) in path_set and (x, y - 1) in path_set]
+    for vid, target, corner_mask in turned:
+        if corner_mask & ~covered[not target]:
+            raise CrossCheckError(f"corner of block {vid!r} off every crossing path")
+    return RoadMap(families[1], families[0])
 
 
 # -- corner classification ---------------------------------------------------------
@@ -242,72 +252,62 @@ class CornerReport:
         }
 
 
-def _corner_records(cs: CellSet, rm: RoadMap, kind: str) -> list[CornerRecord]:
-    """Corners of one kind (NW or SE) on all paths, with their essentiality flags.
+def corners(cs: CellSet) -> CornerReport:
+    """Classify all path corners of a facet, NW and SE, on its one road map.
 
     Inside a target block the vertical paths of the incoming source blocks
     concatenate (in page order) into one relabeled family of v paths, and a
     source block sees the horizontal paths of its outgoing targets the same
-    way.  Path p may turn "for free" once, on the crossing path relabeled m:
-    for NW corners m = p + v - u and the free corner is the NE end of their
-    intersection (the SW end on a vertical path); for SE corners, the NW
-    rule read through the 180-degree reflection, m = p and the two ends swap.
-    Every other corner is essential.
-    """
-    inst = cs.instance
-    # Relabeled index of the crossing path through every covered position, per block
-    crossing: dict[str, dict[tuple[int, int], int]] = {vid: {} for vid in inst.vertex}
-    for vid, paths in (*rm.horizontal.items(), *rm.vertical.items()):
-        ranks = inst.block_ranks[vid]
-        horizontal = inst.vertex[vid].side == TARGET
-        for p, path in enumerate(paths, start=1):
-            for x, y in path:
-                r = ranks[x - 1][y - 1]
-                ar = inst.arrow(inst.cells[r].k)
-                if horizontal:
-                    other, i, j = inst.positions[r][3:]
-                    crossing[other][(i, j)] = p + ar.hpath_offset
-                else:
-                    other, i, j = inst.positions[r][:3]
-                    crossing[other][(i, j)] = p + ar.vpath_offset
-
-    records = []
-    for vid, paths in (*rm.horizontal.items(), *rm.vertical.items()):
-        data = inst.vertex[vid]
-        horizontal = data.side == TARGET
-        index, ranks = crossing[vid], inst.block_ranks[vid]
-        shift = data.v - data.u if kind == NW else 0
-        for p, path in enumerate(paths, start=1):
-            for pt in _corners_of(set(path), kind):
-                m = index.get(pt)
-                if m is None:
-                    raise CrossCheckError(f"{kind} corner not covered by a crossing path")
-                essential = True
-                if m == p + shift:
-                    inter = [q for q in path if index.get(q) == m]  # SW to NE
-                    essential = pt != (inter[-1] if (kind == NW) == horizontal else inter[0])
-                records.append(CornerRecord(inst.cells[ranks[pt[0] - 1][pt[1] - 1]], kind,
-                                            HORIZONTAL if horizontal else VERTICAL, essential))
-    return records
-
-
-def corners(cs: CellSet) -> CornerReport:
-    """Classify all path corners of a facet, NW and SE, on its one road map.
-
-    Both kinds are read off the same paths by ``_corner_records``.
-    Reflecting the whole picture by 180 degrees swaps NW with SE corners and
+    way; ``labels`` holds, per family and cell rank, the relabeled index of
+    the path through the cell.  Path p may turn "for free" once, on the
+    crossing path relabeled m: for NW corners m = p + v - u and the free
+    corner is the NE end of their intersection (the SW end on a vertical
+    path); for SE corners, the NW rule read through the 180-degree
+    reflection, m = p and the two ends swap.  Every other corner is
+    essential.  Reflecting the whole picture swaps NW with SE corners and
     preserves essentiality; the tests use ``reflect`` to check the SE rule
     against the NW rule independently.
     """
+    inst = cs.instance
     rm = road_map(cs)
-    records = _corner_records(cs, rm, NW) + _corner_records(cs, rm, SE)
-    records.sort(key=lambda r: (cell_key(r.cell), r.kind, r.orientation))
-    ess_nw = len({r.cell for r in records if r.kind == NW and r.essential})
-    ess_se = len({r.cell for r in records if r.kind == SE and r.essential})
-    for rec in records:
-        if rec.cell not in cs:
-            raise CrossCheckError("corner cell outside the facet")
-    return CornerReport(tuple(records), ess_nw, ess_se)
+    blocks = []
+    labels = ([None] * inst.size, [None] * inst.size)  # vertical, horizontal: by ``target``
+    for (_, target, _, _, u, v, _, where), paths in zip(
+            _path_layout(inst), (*rm.horizontal.values(), *rm.vertical.values())):
+        own = labels[target]
+        path_ranks = []
+        for p, path in enumerate(paths, start=1):
+            ranks = []
+            for pt in path:
+                r, offset = where[pt]
+                own[r] = p + offset
+                ranks.append(r)
+            path_ranks.append(ranks)
+        blocks.append((target, v - u, paths, path_ranks))
+
+    records = []
+    corner_mask = 0
+    for target, shift, paths, path_ranks in blocks:
+        index = labels[not target]
+        orientation = HORIZONTAL if target else VERTICAL
+        for p, (path, ranks) in enumerate(zip(paths, path_ranks), start=1):
+            crossing = [index[r] for r in ranks]  # SW to NE
+            for n, kind in _turns(path):
+                m = crossing[n]
+                if m is None:
+                    raise CrossCheckError(f"{kind} corner not covered by a crossing path")
+                # the free corner is one end of the path's intersection with crossing path m
+                free = m == p + (shift if kind == NW else 0) and n == (
+                    len(crossing) - 1 - crossing[::-1].index(m) if (kind == NW) == target
+                    else crossing.index(m))
+                records.append((ranks[n], kind, orientation, not free))
+                corner_mask |= 1 << ranks[n]
+    if corner_mask & ~cs.mask:
+        raise CrossCheckError("corner cell outside the facet")
+    records.sort()  # rank order is the cell order; (rank, kind, orientation) is unique
+    return CornerReport(tuple([CornerRecord(inst.cells[r], *rest) for r, *rest in records]),
+                        len({r for r, kind, _, essential in records if kind == NW and essential}),
+                        len({r for r, kind, _, essential in records if kind == SE and essential}))
 
 
 # -- reflection -----------------------------------------------------------------

@@ -244,11 +244,22 @@ class Instance:
         return self.cells[r]
 
     def cell_mask(self, cells) -> int:
-        """The rank bitmask of a collection of cells, each validated by ``check_cell``."""
-        rank = self.rank
+        """The rank bitmask of an iterable of cells, each validated by ``check_cell``.
+
+        An item that is this instance's own ``Cell`` object (the very object
+        in ``self.cells``) is known valid and skips the check.
+        """
+        try:
+            items = iter(cells)
+        except TypeError:
+            raise ValidationError(f"cells {cells!r} is not an iterable of cells") from None
+        rank, own = self.rank, self.cells
         mask = 0
-        for c in cells:
-            mask |= 1 << rank[self.check_cell(c)]
+        for c in items:
+            r = rank.get(c) if type(c) is Cell else None
+            if r is None or own[r] is not c:
+                r = rank[self.check_cell(c)]
+            mask |= 1 << r
         return mask
 
     def phi_target(self, cell) -> tuple[str, int, int]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .chains import CellSet
 from .complex import (DEFAULT_MAX_CELLS, FaceTable, _check_guard, boundary_generator_masks,
                       f_vector, interior_faces)
 from .cvm import corners
@@ -136,13 +137,21 @@ def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None
     essential SE or NW corners.  ``f_transform`` and ``interior`` read the
     face table (computed by the brute-force DFS under ``max_cells_guard``
     unless given); ``interior`` also marks interior faces against the
-    facets.  All requested routes must agree, and when facets were used, h(1)
+    facets.  Given facets must be distinct cell sets of ``instance``, at least
+    one.  All requested routes must agree, and when facets were used, h(1)
     must equal their number.
     """
     routes = frozenset(routes)
     if not routes or not routes <= ALL_ROUTES:
         raise ValidationError(
             f"routes must be a nonempty subset of {sorted(ALL_ROUTES)}, got {sorted(routes)}")
+    if facets is not None:
+        if not facets:
+            raise ValidationError("facets is empty; every instance has at least one facet")
+        if not all(isinstance(f, CellSet) and f.instance == instance for f in facets):
+            raise ValidationError("facets must be cell sets of the instance the series is for")
+        if len({f.mask for f in facets}) != len(facets):
+            raise ValidationError("facets lists a facet more than once")
     n_top = instance.n_cells
     results = {}
     if routes & {SE_CORNERS, NW_CORNERS, INTERIOR} and facets is None:

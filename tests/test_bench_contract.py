@@ -50,3 +50,23 @@ def test_cli_entry_points():
     from quiverdet import cli
 
     assert callable(cli.main) and callable(cli.parse_preset)
+
+
+def test_corners_calls_public_road_map_once_per_facet(monkeypatch):
+    # the traced cvm.road_map count must keep equal to the cvm.corners count
+    from quiverdet import cvm
+    from quiverdet.cli import parse_preset
+    from quiverdet.moves import enumerate_facets
+
+    calls = []
+    real = cvm.road_map
+
+    def counted(cs):
+        calls.append(cs)
+        return real(cs)
+
+    monkeypatch.setattr(cvm, "road_map", counted)
+    facets = enumerate_facets(parse_preset("star-example"))
+    for facet in facets:
+        cvm.corners(facet)
+    assert calls == facets

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import quiverdet
-from quiverdet import CellSet, is_cvm
+from quiverdet import CellSet, enumerate_facets, is_cvm
 from quiverdet.cli import main, parse_preset
 
 from golden import DOUBLE_H, DOUBLE_MULTIPLICITY
@@ -35,6 +35,15 @@ def test_facets_json_round_trip(capsys, double_instance):
         facet = CellSet.from_triples(double_instance, entry)
         assert is_cvm(facet)
         assert entry == facet.to_triples()  # emitted ascending
+
+
+@pytest.mark.parametrize("preset", ["det:1,1,1", "double:2,3,2,1,1", "star-example"])
+def test_facets_json_is_json_dumps(capsys, preset):
+    # the fragment writer must print exactly what the standard encoder would
+    code, out, _ = run_cli(capsys, "facets", "--json", "--preset", preset)
+    facets = enumerate_facets(parse_preset(preset))
+    assert code == 0
+    assert out == json.dumps([f.to_triples() for f in facets], indent=2, sort_keys=True) + "\n"
 
 
 def test_facets_text_order(capsys):

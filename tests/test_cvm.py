@@ -2,9 +2,14 @@ import random
 
 import pytest
 
-from quiverdet import (CellSet, ValidationError, c_max, c_min, can_extend, cmp_T_sets, corners,
-                       enumerate_facets, initial_cvm, is_cvm, is_u_compatible, reflect, road_map)
-from quiverdet.cvm import NW, SE
+from quiverdet import (CellSet, CrossCheckError, ValidationError, c_max, c_min, can_extend,
+                       cmp_T_sets, corners, enumerate_facets, initial_cvm, is_cvm, is_u_compatible,
+                       reflect, road_map)
+from quiverdet.chains import padded_nw, padded_se
+from quiverdet.cli import parse_preset
+from quiverdet.cvm import (HORIZONTAL, NW, SE, VERTICAL, CornerRecord, CornerReport, RoadMap,
+                           _check_path)
+from quiverdet.quiver import TARGET, cell_key
 from quiverdet.verify import brute_maximal_facet_masks, random_instance
 
 from golden import (DET33_ROADMAP_H, DET33_ROADMAP_V, DOUBLE_FACETS_DESC, DOUBLE_FINAL,
@@ -290,3 +295,166 @@ def test_reflect_preserves_corner_counts(double_instance, star_instance, det33, 
             back = reflect_instance(r_inst)[1]
             assert _corner_set(rep.corners, SE) == _corner_set(rep_image.corners, NW, back)
             assert _corner_set(rep.corners, NW) == _corner_set(rep_image.corners, SE, back)
+
+
+# -- definition-level road maps and corners -------------------------------------
+#
+# The per-position route: every block position's padded statistics through
+# ``padded_nw``/``padded_se``, paths sorted into SW-to-NE order, point sets for
+# the disjointness, straightness and corner tests, and position-keyed crossing
+# dicts rebuilt for each corner kind.
+
+
+def _order_path(points):
+    """SW-to-NE traversal order: rows descending, columns ascending."""
+    return sorted(points, key=lambda p: (-p[0], p[1]))
+
+
+def road_map_oracle(cs):
+    inst = cs.instance
+    if not is_cvm(cs):
+        raise ValidationError("road maps exist only for concurrent vertex maps")
+    horizontal, vertical = {}, {}
+    for vid, data in inst.vertex.items():
+        st, (a, b, u) = cs.stats(vid), (data.a, data.b, data.u)
+        target = data.side == TARGET
+        buckets = [[] for _ in range(u)]
+        for x in range(1, a + 1):
+            for y in range(1, b + 1):
+                # a source block pads its statistics as the transposed target picture
+                shape = (x, y, a, b, u) if target else (y, x, b, a, u)
+                p = padded_nw(st.nw_of(x, y), *shape) + 1
+                if 1 <= p <= u and padded_se(st.se_of(x, y), *shape) == u - p:
+                    buckets[p - 1].append((x, y))
+        paths = [_order_path(pts) for pts in buckets]
+        for p, path in enumerate(paths, start=1):
+            if target:
+                sw, ne = (a - u + p, 1), (p, b)
+            else:
+                sw, ne = (a, p), (1, b - u + p)
+            if not _check_path(path, sw, ne):
+                raise CrossCheckError(f"path {p} of block {vid!r} failed assembly")
+        (horizontal if target else vertical)[vid] = paths
+
+    h_cells = _covered_cells(inst, horizontal)
+    v_cells = _covered_cells(inst, vertical)
+    if h_cells & v_cells != set(cs.cells):
+        raise CrossCheckError("path intersection does not reproduce the facet")
+    for family, crossing in ((horizontal, v_cells), (vertical, h_cells)):
+        for vid, paths in family.items():
+            for path in paths:
+                pset = set(path)
+                for corner in _corners_of(pset, NW) + _corners_of(pset, SE):
+                    if inst.phi_inv(vid, *corner) not in crossing:
+                        raise CrossCheckError(f"corner of block {vid!r} off every crossing path")
+    return RoadMap(horizontal, vertical)
+
+
+def _covered_cells(inst, families):
+    cells = set()
+    for vid, paths in families.items():
+        ranks = inst.block_ranks[vid]
+        seen = set()
+        for path in paths:
+            for pt in path:
+                if pt in seen:
+                    raise CrossCheckError(f"paths of block {vid!r} intersect at {pt}")
+                seen.add(pt)
+                cells.add(inst.cells[ranks[pt[0] - 1][pt[1] - 1]])
+    return cells
+
+
+def _corners_of(path_set, kind):
+    """NW corners have both their south and east neighbors on the path, SE corners north and west."""
+    if kind == NW:
+        return [(x, y) for x, y in path_set
+                if (x + 1, y) in path_set and (x, y + 1) in path_set]
+    return [(x, y) for x, y in path_set
+            if (x - 1, y) in path_set and (x, y - 1) in path_set]
+
+
+def _corner_records(cs, rm, kind):
+    inst = cs.instance
+    # relabeled index of the crossing path through every covered position, per block
+    crossing = {vid: {} for vid in inst.vertex}
+    for vid, paths in (*rm.horizontal.items(), *rm.vertical.items()):
+        ranks = inst.block_ranks[vid]
+        horizontal = inst.vertex[vid].side == TARGET
+        for p, path in enumerate(paths, start=1):
+            for x, y in path:
+                r = ranks[x - 1][y - 1]
+                ar = inst.arrow(inst.cells[r].k)
+                if horizontal:
+                    other, i, j = inst.positions[r][3:]
+                    crossing[other][(i, j)] = p + ar.hpath_offset
+                else:
+                    other, i, j = inst.positions[r][:3]
+                    crossing[other][(i, j)] = p + ar.vpath_offset
+
+    records = []
+    for vid, paths in (*rm.horizontal.items(), *rm.vertical.items()):
+        data = inst.vertex[vid]
+        horizontal = data.side == TARGET
+        index, ranks = crossing[vid], inst.block_ranks[vid]
+        shift = data.v - data.u if kind == NW else 0
+        for p, path in enumerate(paths, start=1):
+            for pt in _corners_of(set(path), kind):
+                m = index.get(pt)
+                if m is None:
+                    raise CrossCheckError(f"{kind} corner not covered by a crossing path")
+                essential = True
+                if m == p + shift:
+                    inter = [q for q in path if index.get(q) == m]  # SW to NE
+                    essential = pt != (inter[-1] if (kind == NW) == horizontal else inter[0])
+                records.append(CornerRecord(inst.cells[ranks[pt[0] - 1][pt[1] - 1]], kind,
+                                            HORIZONTAL if horizontal else VERTICAL, essential))
+    return records
+
+
+def corners_oracle(cs):
+    rm = road_map_oracle(cs)
+    records = _corner_records(cs, rm, NW) + _corner_records(cs, rm, SE)
+    records.sort(key=lambda r: (cell_key(r.cell), r.kind, r.orientation))
+    ess_nw = len({r.cell for r in records if r.kind == NW and r.essential})
+    ess_se = len({r.cell for r in records if r.kind == SE and r.essential})
+    for rec in records:
+        if rec.cell not in cs:
+            raise CrossCheckError("corner cell outside the facet")
+    return CornerReport(tuple(records), ess_nw, ess_se)
+
+
+@pytest.mark.parametrize("preset", ["det:3,3,2", "det:5,5,2", "double:2,3,2,1,1", "star-example",
+                                    "secant:4,4,2", "double:3,4,3,2,2"])
+def test_roadmap_and_corners_match_oracle(preset):
+    for facet in enumerate_facets(parse_preset(preset)):
+        assert road_map(facet) == road_map_oracle(facet)
+        assert corners(facet) == corners_oracle(facet)
+
+
+def test_roadmap_and_corners_match_oracle_random():
+    rng = random.Random(101)
+    for _ in range(100):
+        for facet in enumerate_facets(random_instance(rng, max_cells=20)):
+            assert road_map(facet) == road_map_oracle(facet)
+            assert corners(facet) == corners_oracle(facet)
+
+
+def test_roadmap_cross_check_fires_on_tampered_tables(det33):
+    # the road map reads the facet's cached chain tables; a corrupted SE table
+    # moves points off their paths, and the assembly check must notice
+    facet = CellSet.from_mask(det33, enumerate_facets(det33)[1].mask)
+    se = facet.stats("1").se
+    for row in se:
+        row[:] = [0] * len(row)
+    with pytest.raises(CrossCheckError, match="path 2 of block '1' failed assembly") as fast:
+        road_map(facet)
+    with pytest.raises(CrossCheckError) as slow:
+        road_map_oracle(facet)
+    assert str(fast.value) == str(slow.value)
+    # tables of one facet under the mask of another: the paths no longer meet in the set
+    first, second = enumerate_facets(det33)[:2]
+    facet = CellSet.from_mask(det33, first.mask)
+    road_map(facet)  # caches the block tables of ``first``
+    facet.mask = second.mask
+    with pytest.raises(CrossCheckError, match="path intersection does not reproduce the facet"):
+        road_map(facet)

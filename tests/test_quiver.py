@@ -94,6 +94,38 @@ def test_check_cell_rejects_malformed_cells(det33):
     assert det33.check_cell([2, 3, 1]) == Cell(2, 3, 1)
 
 
+def test_cell_mask_skips_check_for_own_cells(monkeypatch, det33):
+    checked = []
+    real = type(det33).check_cell
+
+    def counting(self, cell):
+        checked.append(cell)
+        return real(self, cell)
+
+    monkeypatch.setattr(type(det33), "check_cell", counting)
+    assert det33.cell_mask(det33.cells) == (1 << det33.size) - 1 and checked == []
+    # an equal cell that is not the instance's own object is still validated
+    copies = [Cell(1, 2, 1), (3, 3, 1), [2, 1, 1]]
+    assert det33.cell_mask(copies) == 1 << 1 | 1 << 8 | 1 << 3
+    assert checked == copies
+    for bad in (Cell(True, 1, 1), Cell(1.0, 1, 1)):
+        with pytest.raises(ValidationError):
+            det33.cell_mask([det33.cells[0], bad])
+    assert checked[3:] == [Cell(True, 1, 1), Cell(1.0, 1, 1)]
+
+
+def test_cell_mask_rejects_non_iterables(det33):
+    from quiverdet.verify import criteria_agree
+
+    for bad in (None, 5, 1.5):
+        with pytest.raises(ValidationError, match="not an iterable of cells"):
+            det33.cell_mask(bad)
+        with pytest.raises(ValidationError, match="not an iterable of cells"):
+            CellSet(det33, bad)
+        with pytest.raises(ValidationError, match="not an iterable of cells"):
+            criteria_agree(det33, bad)
+
+
 def test_cell_order():
     assert cmp_T((1, 2, 1), (1, 1, 2)) == -1  # page dominates
     assert cmp_T((1, 9, 1), (2, 1, 1)) == -1  # row dominates column

@@ -35,6 +35,20 @@ def test_hilbert_series_rejects_bad_routes(double_instance):
         hilbert_series(double_instance, routes=())
 
 
+def test_hilbert_series_rejects_bad_facet_lists(double_instance, det33):
+    facets = enumerate_facets(det33)
+    with pytest.raises(ValidationError, match="facets is empty"):
+        hilbert_series(det33, facets=[])
+    # facets of another instance, and an item that is not a cell set
+    with pytest.raises(ValidationError, match="cell sets of the instance"):
+        hilbert_series(det33, facets=enumerate_facets(double_instance))
+    with pytest.raises(ValidationError, match="cell sets of the instance"):
+        hilbert_series(det33, facets=[*facets[:-1], [tuple(c) for c in facets[-1].cells]])
+    with pytest.raises(ValidationError, match="more than once"):
+        hilbert_series(det33, facets=[*facets, facets[0]])
+    assert hilbert_series(det33, facets=facets).numerator == (1, 1, 1)
+
+
 def test_triple_agreement_random():
     rng = random.Random(3)
     for _ in range(12):

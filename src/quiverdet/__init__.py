@@ -19,7 +19,7 @@ from .ideal import (MinorSpec, Monomial, export_cas, in_initial_ideal, initial_m
 from .moves import ChuteMove, apply_inverse, apply_move, chutable_moves, enumerate_facets
 from .quiver import (BipartiteQuiver, Cell, Instance, NormalizationReport, build_instance,
                      cmp_T, load_instance)
-from .series import ALL_ROUTES, CORNER_ROUTES, HilbertSeries, hilbert_series
+from .series import ALL_ROUTES, CORNER_ROUTES, FOLD_ROUTES, HilbertSeries, hilbert_series
 from .verify import brute_maximal_facet_masks, criteria_agree, random_instance, verify_instance
 
 __all__ = [name for name in dir() if not name.startswith("_")]

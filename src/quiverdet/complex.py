@@ -11,6 +11,8 @@ mask.  No node builds chain tables or tests cells one by one.
 
 Each codim-1 face (ridge) F - c lies in one or two facets; the boundary, the
 shelling check and ``verify``'s codim-1 check read the owners off ``_ridge_table``.
+``_ridge_fold`` keeps only the open ridges along a shelling order, and
+``series`` reads the h-vector and the boundary generator count off it.
 
 The CLI reads face counts off the h-vector (``series.face_counts``); the DFS
 routes ``f_vector`` and ``interior_faces`` are their oracle, in ``verify`` and
@@ -182,6 +184,34 @@ def _ridge_table(facets) -> dict[int, list[int]]:
             if mask >> r & 1:
                 table.setdefault(mask & ~(1 << r), []).append(j)
     return table
+
+
+def _ridge_fold(masks) -> tuple[tuple[int, ...], int]:
+    """Facets counted by how many ridges they close, and the number of ridges left open.
+
+    Walking the masks in the order given, F closes each open ridge F - c (a
+    ridge lies in at most two facets) and opens the others.  In a shelling
+    order the closing cells form F's restriction face, so the counts are h
+    (Björner–Wachs, Trans. AMS 348, 1996); the ridges left open are those
+    in exactly one facet, the boundary generators.
+    """
+    open_ridges: set[int] = set()
+    h = [0]
+    for mask in masks:
+        closed = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ridge = mask ^ low
+            if ridge in open_ridges:
+                open_ridges.remove(ridge)
+                closed += 1
+            else:
+                open_ridges.add(ridge)
+        h += [0] * (closed + 1 - len(h))
+        h[closed] += 1
+    return tuple(h), len(open_ridges)
 
 
 def boundary_generator_masks(facets) -> list[int]:

@@ -1,18 +1,22 @@
 """The Z-graded Hilbert series h(t) / (1 - t)^N, by independent routes.
 
 All polynomial arithmetic is exact over the integers.  The numerator, the
-h-polynomial, has four routes: counting facets by essential SE corners, by
-essential NW corners, transforming the f-vector, and the alternating
-interior-face expression.  Multiplicity h(1) and the Gorenstein indicator
-(a palindromic h-vector) are read off the series.  The routes are
-mathematically equal, so any disagreement is reported as an internal error
-rather than a result.
+h-polynomial, has six routes.  The default pair, ``ascending_fold`` and
+``descending_fold``, count the facets by the ridges each one closes in
+``complex._ridge_fold`` over their masks in ascending and in descending
+order, both shellings.  Their oracle is the paper's formula: ``se_corners``
+and ``nw_corners`` count the facets by essential SE or NW corners (the
+ascending and the descending restriction counts).  ``f_transform`` and
+``interior`` transform the f-vector and the interior faces of the face DFS.
+Multiplicity h(1) and the Gorenstein indicator (a palindromic h-vector) are
+read off the series.  The routes are mathematically equal, so any
+disagreement is reported as an internal error rather than a result.
 
 Both face transforms are invertible: ``_f_from_h`` undoes ``_h_from_f`` on h
 and ``_h_from_interior`` on h reversed, since the complex is a ball and the
 relative complex (Δ, ∂Δ) has h-vector h reversed (Stanley, *Combinatorics and
 Commutative Algebra*, 2nd ed., II.7).  ``face_counts`` reads the f-vector and
-the interior vector off the corner h-vector that way.
+the interior vector off the fold h-vector that way.
 """
 
 from __future__ import annotations
@@ -21,19 +25,22 @@ from dataclasses import dataclass
 from math import comb
 
 from .chains import CellSet
-from .complex import (DEFAULT_MAX_CELLS, FaceTable, _check_guard, boundary_generator_masks,
-                      f_vector, interior_faces)
+from .complex import (DEFAULT_MAX_CELLS, FaceTable, _check_guard, _ridge_fold, f_vector,
+                      interior_faces)
 from .cvm import corners
 from .errors import CrossCheckError, ValidationError
 from .moves import DEFAULT_FACET_CAP, enumerate_facets
 from .quiver import Instance
 
+ASCENDING_FOLD = "ascending_fold"
+DESCENDING_FOLD = "descending_fold"
 SE_CORNERS = "se_corners"
 NW_CORNERS = "nw_corners"
 F_TRANSFORM = "f_transform"
 INTERIOR = "interior"
+FOLD_ROUTES = frozenset({ASCENDING_FOLD, DESCENDING_FOLD})
 CORNER_ROUTES = frozenset({SE_CORNERS, NW_CORNERS})
-ALL_ROUTES = frozenset({SE_CORNERS, NW_CORNERS, F_TRANSFORM, INTERIOR})
+ALL_ROUTES = FOLD_ROUTES | CORNER_ROUTES | {F_TRANSFORM, INTERIOR}
 
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
@@ -87,15 +94,6 @@ class HilbertSeries:
                 "palindromic": self.palindromic}
 
 
-def _h_from_reports(reports, kind: str) -> tuple[int, ...]:
-    counts: dict[int, int] = {}
-    for rep in reports:
-        n = rep.essential_se if kind == SE_CORNERS else rep.essential_nw
-        counts[n] = counts.get(n, 0) + 1
-    top = max(counts) if counts else 0
-    return _trim([counts.get(i, 0) for i in range(top + 1)])
-
-
 def _h_from_f(table: FaceTable, n_top: int) -> tuple[int, ...]:
     acc = [0] * (n_top + 1)
     for size, count in enumerate(table.counts_by_size):
@@ -129,17 +127,20 @@ def _f_from_h(h: tuple[int, ...], n_top: int) -> tuple[int, ...]:
 
 
 def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None = None,
-                   routes=CORNER_ROUTES,
+                   routes=FOLD_ROUTES,
                    max_cells_guard: int = DEFAULT_MAX_CELLS) -> HilbertSeries:
     """The series h(t) / (1 - t)^N, its numerator computed by every route in ``routes``.
 
-    The corner routes count the facets (enumerated unless given) by
-    essential SE or NW corners.  ``f_transform`` and ``interior`` read the
-    face table (computed by the brute-force DFS under ``max_cells_guard``
-    unless given); ``interior`` also marks interior faces against the
-    facets.  Given facets must be distinct cell sets of ``instance``, at least
-    one.  All requested routes must agree, and when facets were used, h(1)
-    must equal their number.
+    The default fold routes count the facets by the ridges each one closes
+    over their masks in ascending and in descending order; the corner
+    routes, their oracle, by essential SE or NW corners.  Both read the
+    facets, enumerated unless given, and only the corner routes reject a set
+    that is not a facet.  ``f_transform`` and ``interior`` read the face
+    table (computed by the brute-force DFS under ``max_cells_guard`` unless
+    given); ``interior`` also marks interior faces against the facets.  Given
+    facets must be distinct cell sets of ``instance``, at least one.  All
+    requested routes must agree, and when facets were used, h(1) must equal
+    their number.
     """
     routes = frozenset(routes)
     if not routes or not routes <= ALL_ROUTES:
@@ -154,12 +155,19 @@ def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None
             raise ValidationError("facets lists a facet more than once")
     n_top = instance.n_cells
     results = {}
-    if routes & {SE_CORNERS, NW_CORNERS, INTERIOR} and facets is None:
+    if routes & (FOLD_ROUTES | CORNER_ROUTES | {INTERIOR}) and facets is None:
         facets = enumerate_facets(instance)
+    if routes & FOLD_ROUTES:
+        masks = sorted(f.mask for f in facets)
+        for route in sorted(routes & FOLD_ROUTES):
+            results[route] = _ridge_fold(masks if route == ASCENDING_FOLD else masks[::-1])[0]
     if routes & CORNER_ROUTES:
-        reports = [corners(f) for f in facets]
-        for route in sorted(routes & CORNER_ROUTES):
-            results[route] = _h_from_reports(reports, route)
+        # one pass that keeps no report: h_i counts the facets with i essential corners
+        tally = {SE_CORNERS: [0] * (n_top + 1), NW_CORNERS: [0] * (n_top + 1)}
+        for rep in map(corners, facets):
+            tally[SE_CORNERS][rep.essential_se] += 1
+            tally[NW_CORNERS][rep.essential_nw] += 1
+        results.update((route, _trim(tally[route])) for route in sorted(routes & CORNER_ROUTES))
     if routes & {F_TRANSFORM, INTERIOR}:
         table = face_table
         if table is None:
@@ -185,10 +193,11 @@ def face_counts(instance: Instance, interior: bool = False,
                 max_cells_guard: int = DEFAULT_MAX_CELLS) -> FaceTable:
     """The f-vector, and with ``interior`` the interior vector, read off the h-vector.
 
-    h comes from the enumerated facets through both corner routes of
-    ``hilbert_series``; the interior vector is the same transform of h
-    reversed, and the boundary generators are read off the ridge table.
-    The DFS routes ``complex.f_vector`` and ``interior_faces`` are the oracle.
+    h comes from the enumerated facets through the default routes of
+    ``hilbert_series``, the ridge fold in both scan directions; the interior
+    vector is the same transform of h reversed, and the boundary generators
+    are the ridges the fold leaves open.  The DFS routes ``complex.f_vector``
+    and ``interior_faces`` are the oracle.
     """
     _check_guard(instance, max_cells_guard)
     facets = enumerate_facets(instance, facet_cap=facet_cap)
@@ -199,4 +208,4 @@ def face_counts(instance: Instance, interior: bool = False,
     if not interior:
         return FaceTable(f)
     return FaceTable(f, interior_by_size=_f_from_h(h[::-1], n_top),
-                     boundary_generators=len(boundary_generator_masks(facets)))
+                     boundary_generators=_ridge_fold(facet.mask for facet in facets)[1])

@@ -27,7 +27,7 @@ from .cvm import c_max, c_min, initial_cvm, reflect, reflect_instance
 from .errors import QuiverDetError
 from .moves import DEFAULT_FACET_CAP, enumerate_facets
 from .quiver import BipartiteQuiver, Instance, build_instance
-from .series import ALL_ROUTES, CORNER_ROUTES, hilbert_series
+from .series import ALL_ROUTES, CORNER_ROUTES, FOLD_ROUTES, hilbert_series
 
 
 def brute_maximal_facet_masks(instance: Instance) -> list[int]:
@@ -234,7 +234,8 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
         return VerificationReport(instance, tuple(checks))
 
     try:
-        routes = ALL_ROUTES if instance.size <= max_cells else CORNER_ROUTES
+        # past the brute guard the folds are still held to both corner routes
+        routes = ALL_ROUTES if instance.size <= max_cells else CORNER_ROUTES | FOLD_ROUTES
         series = hilbert_series(instance, facets=facets, face_table=face_table, routes=routes,
                                 max_cells_guard=max_cells)
         record("series-routes", True,

@@ -458,3 +458,23 @@ def test_roadmap_cross_check_fires_on_tampered_tables(det33):
     facet.mask = second.mask
     with pytest.raises(CrossCheckError, match="path intersection does not reproduce the facet"):
         road_map(facet)
+
+
+def test_roadmap_straightness_check_fires_alone(monkeypatch, double_instance):
+    # Among disjoint staircase families, those whose crossing pattern has N
+    # cells are straight, so no chain tables reach this check alone; instead
+    # one genuine path reports a turn at a point that no crossing path covers.
+    import quiverdet.cvm as cvm
+
+    facet = enumerate_facets(double_instance)[0]
+    (path,) = road_map(facet).horizontal["1"]
+    layout = {vid: where for vid, *_, where in cvm._path_layout(double_instance)}
+    n = next(n for n, pt in enumerate(path) if not facet.mask >> layout["1"][pt][0] & 1)
+    real = cvm._turns
+
+    def one_more_turn(p):
+        return real(p) + [(n, NW)] if p == path else real(p)
+
+    monkeypatch.setattr(cvm, "_turns", one_more_turn)
+    with pytest.raises(CrossCheckError, match="corner of block '1' off every crossing path"):
+        road_map(facet)

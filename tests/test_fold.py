@@ -1,0 +1,137 @@
+"""The ridge fold behind the default h-vector routes, held to the corner routes."""
+
+import inspect
+import random
+
+import pytest
+
+import quiverdet
+from quiverdet import CrossCheckError, enumerate_facets, hilbert_series, verify_instance
+from quiverdet.cli import main, parse_preset
+from quiverdet.complex import _ridge_fold, boundary_generator_masks
+from quiverdet.series import CORNER_ROUTES, FOLD_ROUTES
+from quiverdet.verify import random_instance
+
+from golden import (DOUBLE_F_VECTOR, DOUBLE_F_TOTAL, DOUBLE_H, DOUBLE_INTERIOR,
+                    DOUBLE_INTERIOR_TOTAL, STAR_F_TOTAL, STAR_F_VECTOR, STAR_H, STAR_INTERIOR,
+                    STAR_INTERIOR_TOTAL, STAR_MULTIPLICITY)
+
+
+def _corner_h(instance, facets):
+    # both corner routes, which must agree with each other
+    return hilbert_series(instance, facets=facets, routes=CORNER_ROUTES).numerator
+
+
+def _assert_fold_matches_corners(instance):
+    facets = enumerate_facets(instance)
+    masks = [f.mask for f in facets]
+    up, open_up = _ridge_fold(masks)
+    down, open_down = _ridge_fold(masks[::-1])
+    assert up == down == _corner_h(instance, facets)
+    assert open_up == open_down == len(boundary_generator_masks(facets))
+
+
+def test_fold_matches_corners_on_fixtures(single_cell, det33, double_instance, star_instance):
+    for inst in (single_cell, det33, double_instance, star_instance,
+                 parse_preset("det:6,6,3")):
+        _assert_fold_matches_corners(inst)
+
+
+def test_fold_matches_corners_random():
+    rng = random.Random(11)
+    for _ in range(40):
+        _assert_fold_matches_corners(random_instance(rng, max_cells=rng.randint(4, 20)))
+
+
+def test_fold_routes_are_the_default_and_sort_their_input(star_instance):
+    assert inspect.signature(hilbert_series).parameters["routes"].default == FOLD_ROUTES
+    facets = enumerate_facets(star_instance)
+    assert hilbert_series(star_instance, facets=facets[::-1]).numerator == STAR_H
+
+
+def test_fold_routes_catch_a_dropped_facet(star_instance):
+    # the facet list without the first facet is no ball: the two scan
+    # directions count its facets differently
+    facets = enumerate_facets(star_instance)
+    with pytest.raises(CrossCheckError, match="series routes disagree"):
+        hilbert_series(star_instance, facets=facets[1:])
+
+
+def _raise(*_args, **_kwargs):
+    raise AssertionError("cvm.corners called")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("hilbert", "--preset", "star-example"), ["(1+7t+19t^2+19t^3+7t^4+t^5)/(1-t)^11"]),
+    (("hvector", "--preset", "double:2,3,2,1,1"), [" ".join(map(str, DOUBLE_H))]),
+    (("multiplicity", "--preset", "star-example"), [str(STAR_MULTIPLICITY)]),
+    (("fvector", "--preset", "double:2,3,2,1,1"),
+     [" ".join(map(str, DOUBLE_F_VECTOR)), f"total {DOUBLE_F_TOTAL}"]),
+    (("fvector", "--preset", "star-example"),
+     [" ".join(map(str, STAR_F_VECTOR)), f"total {STAR_F_TOTAL}"]),
+    (("interior", "--preset", "double:2,3,2,1,1"),
+     [" ".join(map(str, DOUBLE_INTERIOR)), f"total {DOUBLE_INTERIOR_TOTAL}",
+      "boundary generators 30"]),
+    (("interior", "--preset", "star-example"),
+     [" ".join(map(str, STAR_INTERIOR)), f"total {STAR_INTERIOR_TOTAL}",
+      "boundary generators 324"]),
+])
+def test_counting_commands_never_classify_corners(monkeypatch, capsys, argv, expected):
+    # every module that binds cvm.corners gets the raising stand-in
+    real = quiverdet.cvm.corners
+    for module in (quiverdet, quiverdet.cvm, quiverdet.complex, quiverdet.series,
+                   quiverdet.cli):
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, _raise)
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_verify_holds_fold_to_corners_past_brute_guard(monkeypatch):
+    import quiverdet.series as series
+    import quiverdet.verify as verify
+
+    inst = parse_preset("det:3,11,1")
+    assert inst.size > 32  # over the default brute guard
+    seen = []
+    real_series = verify.hilbert_series
+
+    def spy(*args, **kwargs):
+        seen.append(frozenset(kwargs["routes"]))
+        return real_series(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "hilbert_series", spy)
+    report = verify_instance(inst, subset_trials=20, seed=1)
+    assert seen == [CORNER_ROUTES | FOLD_ROUTES]
+    checks = {c.name: c for c in report.checks}
+    assert report.ok
+    assert checks["series-routes"].detail == "h = [1, 20, 45], multiplicity 66"
+
+    # a fold that miscounts one facet must fail the check
+    real_fold = series._ridge_fold
+
+    def off_by_one(masks):
+        h, boundary = real_fold(masks)
+        return (h[0] + 1, h[1] - 1, *h[2:]), boundary
+
+    monkeypatch.setattr(series, "_ridge_fold", off_by_one)
+    report = verify_instance(inst, subset_trials=20, seed=1)
+    failed = {c.name: c for c in report.checks if not c.ok}
+    assert list(failed) == ["series-routes"]
+    assert "series routes disagree" in failed["series-routes"].detail
+
+
+def test_fold_agrees_with_corners_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), max_cells=st.integers(1, 20))
+    def check(seed, max_cells):
+        inst = random_instance(random.Random(seed), max_cells=max_cells)
+        facets = enumerate_facets(inst)
+        masks = sorted(f.mask for f in facets)
+        assert _ridge_fold(masks)[0] == _ridge_fold(masks[::-1])[0] == _corner_h(inst, facets)
+
+    check()

@@ -27,9 +27,8 @@ to ``_chain_tables``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ValidationError
 from .quiver import Cell, Instance
@@ -403,8 +402,7 @@ def can_extend(cs: CellSet, cell) -> bool:
     return _addable(inst.positions, tables, 1 << r) != 0
 
 
-@dataclass(frozen=True)
-class ChainStats:
+class ChainStats(NamedTuple):
     """All eight chain statistics of one cell against one cell set.
 
     The first four live in the target-side block, the ``src`` four in the

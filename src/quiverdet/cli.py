@@ -4,25 +4,26 @@ Every computation the library offers is exposed as a subcommand over an
 instance loaded from a preset string or a JSON file.  All counts are exact
 Python integers; --json switches every subcommand to machine-readable
 output.
+
+Each handler imports the engines it runs when it runs, so a process loads
+only what its subcommand needs: ``info`` loads ``quiver`` and ``errors``
+alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .chains import CellSet
-from .complex import DEFAULT_MAX_CELLS, check_vertex_decomposition_samples, verify_shelling
-from .cvm import corners
-from .errors import QuiverDetError, ValidationError
-from .ideal import export_cas
-from .moves import DEFAULT_FACET_CAP, enumerate_facets
+from .errors import DEFAULT_FACET_CAP, DEFAULT_MAX_CELLS, QuiverDetError, ValidationError
 from .quiver import BipartiteQuiver, Instance, build_instance, load_instance
-from .series import face_counts, hilbert_series
-from .verify import random_instance, verify_instance
+
+if TYPE_CHECKING:
+    from .chains import CellSet
+    from .series import HilbertSeries
 
 
 def _star_groups(body: str) -> list[str]:
@@ -109,6 +110,21 @@ def _load(args) -> Instance:
     raise ValidationError("an instance is required: pass --preset or --file")
 
 
+def _load_facets(args) -> tuple[Instance, list[CellSet]]:
+    """The instance and its facets in ascending (shelling) order."""
+    from .moves import enumerate_facets
+
+    inst = _load(args)
+    return inst, enumerate_facets(inst, facet_cap=args.facet_cap)
+
+
+def _load_series(args) -> HilbertSeries:
+    from .series import hilbert_series
+
+    inst, facets = _load_facets(args)
+    return hilbert_series(inst, facets=facets)
+
+
 def _emit(args, json_obj, text_lines):
     if args.json:
         print(json.dumps(json_obj, indent=2, sort_keys=True))
@@ -157,8 +173,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_facets(args) -> int:
-    inst = _load(args)
-    facets = enumerate_facets(inst, facet_cap=args.facet_cap)
+    inst, facets = _load_facets(args)
     if args.json:
         print(_facets_json(inst, facets))
     else:
@@ -168,39 +183,37 @@ def _cmd_facets(args) -> int:
 
 
 def _cmd_multiplicity(args) -> int:
-    inst = _load(args)
-    series = hilbert_series(inst, facets=enumerate_facets(inst, facet_cap=args.facet_cap))
+    series = _load_series(args)
     _emit(args, {"multiplicity": series.multiplicity}, [str(series.multiplicity)])
     return 0
 
 
 def _cmd_hvector(args) -> int:
-    inst = _load(args)
-    series = hilbert_series(inst, facets=enumerate_facets(inst, facet_cap=args.facet_cap))
+    series = _load_series(args)
     _emit(args, {"h_vector": list(series.numerator), "palindromic": series.palindromic},
           [" ".join(map(str, series.numerator))])
     return 0
 
 
 def _cmd_hilbert(args) -> int:
-    inst = _load(args)
-    series = hilbert_series(inst, facets=enumerate_facets(inst, facet_cap=args.facet_cap))
+    series = _load_series(args)
     _emit(args, series.to_json_obj(), [series.render()])
     return 0
 
 
 def _cmd_fvector(args) -> int:
-    inst = _load(args)
-    table = face_counts(inst, facet_cap=args.facet_cap, max_cells_guard=args.max_cells)
+    from .series import face_counts
+
+    table = face_counts(_load(args), facet_cap=args.facet_cap)
     _emit(args, table.to_json_obj(),
           [" ".join(map(str, table.f_vector)), f"total {table.total}"])
     return 0
 
 
 def _cmd_interior(args) -> int:
-    inst = _load(args)
-    table = face_counts(inst, interior=True, facet_cap=args.facet_cap,
-                        max_cells_guard=args.max_cells)
+    from .series import face_counts
+
+    table = face_counts(_load(args), interior=True, facet_cap=args.facet_cap)
     _emit(args, table.to_json_obj(),
           [" ".join(map(str, table.interior_by_size)),
            f"total {table.interior_total}",
@@ -209,8 +222,9 @@ def _cmd_interior(args) -> int:
 
 
 def _cmd_shelling(args) -> int:
-    inst = _load(args)
-    facets = enumerate_facets(inst, facet_cap=args.facet_cap)
+    from .complex import verify_shelling
+
+    _, facets = _load_facets(args)
     # both scan directions shell: ascending pairs with SE corner counts,
     # descending (the reflected picture) with NW counts
     up = verify_shelling(facets, corner_kind="SE")
@@ -227,6 +241,8 @@ def _cmd_shelling(args) -> int:
 
 
 def _cmd_vdc(args) -> int:
+    from .complex import check_vertex_decomposition_samples
+
     inst = _load(args)
     report = check_vertex_decomposition_samples(
         inst, sample_budget=args.samples, size_guard=args.max_cells, seed=args.seed)
@@ -239,6 +255,8 @@ def _cmd_vdc(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .ideal import export_cas
+
     inst = _load(args)
     text = export_cas(inst, flavor=args.flavor, generator_cap=args.generator_cap,
                       version=f"quiverdet {__version__}")
@@ -251,8 +269,9 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_corners(args) -> int:
-    inst = _load(args)
-    facets = enumerate_facets(inst, facet_cap=args.facet_cap)
+    from .cvm import corners
+
+    _, facets = _load_facets(args)
     rows = []
     for idx, facet in enumerate(facets, start=1):
         rep = corners(facet)
@@ -265,6 +284,10 @@ def _cmd_corners(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import random
+
+    from .verify import random_instance, verify_instance
+
     reports = []
     if args.preset or args.file:
         reports.append(verify_instance(_load(args), subset_trials=args.trials,

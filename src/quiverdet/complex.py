@@ -21,15 +21,13 @@ in ``hilbert_series``'s face-table routes.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .chains import CellSet, _blocked_ranks, _load_blocks, is_u_compatible
 from .cvm import corners
-from .errors import GuardExceeded, ValidationError
+from .errors import DEFAULT_MAX_CELLS, GuardExceeded, ValidationError
 from .quiver import Instance
 
-DEFAULT_MAX_CELLS = 32
 DEFAULT_VDC_GUARD = 14
 
 
@@ -82,8 +80,7 @@ class _FaceSearch:
         rec(0, 0, full & ~self.base_mask & ~self.blocked)
 
 
-@dataclass(frozen=True)
-class FaceTable:
+class FaceTable(NamedTuple):
     """Face counts by cardinality (index = number of cells = dimension + 1)."""
 
     counts_by_size: tuple[int, ...]
@@ -242,11 +239,10 @@ def interior_faces(instance: Instance, table: FaceTable, facets) -> FaceTable:
             else:
                 count += 1
         interior.append(count)
-    return replace(table, interior_by_size=tuple(interior), boundary_generators=len(gens))
+    return table._replace(interior_by_size=tuple(interior), boundary_generators=len(gens))
 
 
-@dataclass(frozen=True)
-class ShellingReport:
+class ShellingReport(NamedTuple):
     ok: bool
     restriction_counts: tuple[int, ...]
     failure: str | None = None
@@ -297,8 +293,7 @@ def verify_shelling(facets_in_order, corner_kind: str = "SE") -> ShellingReport:
     return ShellingReport(True, tuple(r_seq))
 
 
-@dataclass(frozen=True)
-class VdcSample:
+class VdcSample(NamedTuple):
     prefix_length: int
     seed_cells: tuple
     maximal_count: int
@@ -309,8 +304,7 @@ class VdcSample:
         return len(set(self.sizes)) <= 1
 
 
-@dataclass(frozen=True)
-class VdcReport:
+class VdcReport(NamedTuple):
     samples: tuple[VdcSample, ...]
 
     @property
@@ -334,6 +328,8 @@ def check_vertex_decomposition_samples(instance: Instance, sample_budget: int = 
     For random prefixes and random admissible seeds inside the prefix, all
     maximal completions by suffix cells must have the same cardinality.
     """
+    import random  # only the sampler draws; most commands never load it
+
     _check_guard(instance, size_guard)
     rng = random.Random(seed)
     samples = []

@@ -18,8 +18,8 @@ rule through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .chains import CellSet, _blocked_ranks, _corner_table, _load_blocks, is_u_compatible
 from .errors import CrossCheckError, ValidationError
@@ -106,8 +106,7 @@ def initial_cvm(instance: Instance) -> CellSet:
 # -- road maps ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoadMap:
+class RoadMap(NamedTuple):
     """Reconstructed path families: per target the horizontal paths, per source the vertical ones.
 
     Paths are vertex lists in block-matrix coordinates, ordered from the SW
@@ -228,16 +227,14 @@ def road_map(cs: CellSet) -> RoadMap:
 # -- corner classification ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CornerRecord:
+class CornerRecord(NamedTuple):
     cell: Cell
     kind: str         # NW or SE
     orientation: str  # HORIZONTAL or VERTICAL
     essential: bool
 
 
-@dataclass(frozen=True)
-class CornerReport:
+class CornerReport(NamedTuple):
     corners: tuple[CornerRecord, ...]
     essential_nw: int  # distinct cells carrying an essential NW corner
     essential_se: int

@@ -1,4 +1,11 @@
-"""Exception types shared by all quiverdet modules."""
+"""Exception types and default guards shared by all quiverdet modules.
+
+The guards live here, beside the errors they raise, so the CLI can build its
+parser without importing an engine.
+"""
+
+DEFAULT_MAX_CELLS = 32            # |L| guard of the brute-force face DFS
+DEFAULT_FACET_CAP = 10_000_000    # facet enumeration stops past this many facets
 
 
 class QuiverDetError(Exception):

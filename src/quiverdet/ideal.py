@@ -10,10 +10,9 @@ chain in some block (generator route), or the support is inside no facet
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .chains import CellSet, is_u_compatible
 from .errors import CrossCheckError, GuardExceeded, ValidationError
@@ -25,8 +24,7 @@ SINGULAR = "singular"
 DEFAULT_GENERATOR_CAP = 5000
 
 
-@dataclass(frozen=True)
-class MinorSpec:
+class MinorSpec(NamedTuple):
     """One next-size minor of a block matrix, by row/column index lists."""
 
     vertex: str
@@ -35,8 +33,7 @@ class MinorSpec:
     cells: tuple[tuple[Cell, ...], ...]  # resolved entries, row-major
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """A monomial on the cell variables; exponents are positive integers."""
 
     exponents: tuple[tuple[Cell, int], ...]

@@ -12,19 +12,16 @@ enumerates them all; sorted ascending, the result is a shelling order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .chains import CellSet, _prefix_masks
 from .cvm import HORIZONTAL, VERTICAL, initial_cvm, is_cvm
-from .errors import FacetCapExceeded, ValidationError
+from .errors import DEFAULT_FACET_CAP, FacetCapExceeded, ValidationError
 from .quiver import Cell, Instance, TARGET
 
-DEFAULT_FACET_CAP = 10_000_000
 
-
-@dataclass(frozen=True)
-class ChuteMove:
+class ChuteMove(NamedTuple):
     direction: str       # HORIZONTAL or VERTICAL
     vertex: str          # block the rectangle lives in
     removed: Cell        # the SE occupant

@@ -13,7 +13,7 @@ All downstream combinatorics lives on the cell lattice L of triples
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, NamedTuple
 
 from .errors import ValidationError
@@ -42,29 +42,41 @@ def cmp_T(a, b) -> int:
     return (ka > kb) - (ka < kb)
 
 
-@dataclass(frozen=True)
-class BipartiteQuiver:
-    """A bipartite quiver: arrows run from sources to targets, in a fixed order.
-
-    The arrow order is part of the data; it fixes the page order inside every
-    block matrix.
-    """
-
+class _QuiverFields(NamedTuple):
     sources: tuple[str, ...]
     targets: tuple[str, ...]
     arrows: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
-        src_set, tgt_set = set(self.sources), set(self.targets)
-        if len(src_set) != len(self.sources) or len(tgt_set) != len(self.targets):
+
+class BipartiteQuiver(_QuiverFields):
+    """A bipartite quiver: arrows run from sources to targets, in a fixed order.
+
+    The arrow order is part of the data; it fixes the page order inside every
+    block matrix.  Vertex ids are strings, as JSON object keys are.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, sources, targets, arrows):
+        for vid in chain(sources, targets, *arrows):
+            if not isinstance(vid, str):
+                raise ValidationError(f"vertex id {vid!r} is not a string")
+        src_set, tgt_set = set(sources), set(targets)
+        if len(src_set) != len(sources) or len(tgt_set) != len(targets):
             raise ValidationError("duplicate vertex ids")
         if src_set & tgt_set:
             raise ValidationError(f"source and target ids overlap: {sorted(src_set & tgt_set)}")
-        for s, t in self.arrows:
+        for s, t in arrows:
             if s not in src_set:
                 raise ValidationError(f"arrow {s}->{t}: {s!r} is not a source vertex")
             if t not in tgt_set:
                 raise ValidationError(f"arrow {s}->{t}: {t!r} is not a target vertex")
+        return super().__new__(cls, sources, targets, arrows)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``: validate there too
+        return cls(*iterable)
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -74,8 +86,7 @@ class BipartiteQuiver:
         return sum(1 for s, t in self.arrows if vid in (s, t))
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     """One arrow with its page geometry and offsets into both block matrices."""
 
     k: int
@@ -89,8 +100,7 @@ class Arrow:
     hpath_offset: int  # target ranks of earlier pages out of the source (horizontal paths)
 
 
-@dataclass(frozen=True)
-class VertexData:
+class VertexData(NamedTuple):
     """Derived block geometry of one vertex."""
 
     vid: str
@@ -102,8 +112,7 @@ class VertexData:
     v: int     # rank sum over the opposite endpoints of incident arrows
 
 
-@dataclass(frozen=True)
-class NormalizationReport:
+class NormalizationReport(NamedTuple):
     """What build_instance(mode="normalize") changed to reach the normal form."""
 
     clamped: tuple[tuple[str, int, int], ...] = ()      # (vertex, old u, new u)

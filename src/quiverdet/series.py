@@ -21,12 +21,11 @@ the interior vector off the fold h-vector that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .chains import CellSet
-from .complex import (DEFAULT_MAX_CELLS, FaceTable, _check_guard, _ridge_fold, f_vector,
-                      interior_faces)
+from .complex import DEFAULT_MAX_CELLS, FaceTable, _ridge_fold, f_vector, interior_faces
 from .cvm import corners
 from .errors import CrossCheckError, ValidationError
 from .moves import DEFAULT_FACET_CAP, enumerate_facets
@@ -54,16 +53,25 @@ def _one_minus_t_power(n: int) -> list[int]:
     return [(-1) ** i * comb(n, i) for i in range(n + 1)]
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
-    """A rational series numerator / (1 - t)^N with nonnegative integer numerator."""
-
+class _SeriesFields(NamedTuple):
     numerator: tuple[int, ...]
     denominator_exponent: int
 
-    def __post_init__(self):
-        if any(h < 0 for h in self.numerator):
-            raise CrossCheckError(f"negative h-vector entry in {self.numerator}")
+
+class HilbertSeries(_SeriesFields):
+    """A rational series numerator / (1 - t)^N with nonnegative integer numerator."""
+
+    __slots__ = ()
+
+    def __new__(cls, numerator, denominator_exponent):
+        if any(h < 0 for h in numerator):
+            raise CrossCheckError(f"negative h-vector entry in {numerator}")
+        return super().__new__(cls, numerator, denominator_exponent)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``: validate there too
+        return cls(*iterable)
 
     @property
     def multiplicity(self) -> int:
@@ -189,17 +197,16 @@ def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None
 
 
 def face_counts(instance: Instance, interior: bool = False,
-                facet_cap: int = DEFAULT_FACET_CAP,
-                max_cells_guard: int = DEFAULT_MAX_CELLS) -> FaceTable:
+                facet_cap: int = DEFAULT_FACET_CAP) -> FaceTable:
     """The f-vector, and with ``interior`` the interior vector, read off the h-vector.
 
     h comes from the enumerated facets through the default routes of
     ``hilbert_series``, the ridge fold in both scan directions; the interior
     vector is the same transform of h reversed, and the boundary generators
     are the ridges the fold leaves open.  The DFS routes ``complex.f_vector``
-    and ``interior_faces`` are the oracle.
+    and ``interior_faces`` are the oracle.  No face DFS runs, so ``facet_cap``
+    is the only limit.
     """
-    _check_guard(instance, max_cells_guard)
     facets = enumerate_facets(instance, facet_cap=facet_cap)
     n_top = instance.n_cells
     h = hilbert_series(instance, facets=facets).numerator

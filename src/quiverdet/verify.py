@@ -18,7 +18,7 @@ owners of ``complex._ridge_table`` to the kernel route ``codim1_membership``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chains import CellSet, _addable, _chain_tables, _corner_table, _occupancy, is_u_compatible
 from .complex import (DEFAULT_MAX_CELLS, FaceTable, _face_counter, _FaceSearch, _ridge_table,
@@ -134,15 +134,13 @@ def random_instance(rng: random.Random, max_cells: int = 16) -> Instance:
             return inst
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     instance: Instance
     checks: tuple[CheckResult, ...]
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
 
@@ -88,6 +89,29 @@ def test_fvector_honours_facet_cap(capsys):
     assert int(counts.split()[-1]) == paths[0][0] * paths[1][1] - paths[0][1] * paths[1][0] == 50
 
 
+def _gessel_viennot(m, n, u):
+    """det[C(m + n - i - j, m - i)] over 1 <= i, j <= u, by the Leibniz formula."""
+    total = 0
+    for perm in permutations(range(1, u + 1)):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm, start=1):
+            term *= comb(m + n - i - j, m - i)
+        total += term
+    return total
+
+
+def test_fvector_and_interior_past_the_brute_guard(capsys):
+    # |L| = 36 > the default --max-cells 32: no face DFS runs, so no guard applies
+    code, out, _ = run_cli(capsys, "fvector", "--preset", "det:6,6,3")
+    assert code == 0
+    assert int(out.splitlines()[0].split()[-1]) == _gessel_viennot(6, 6, 3) == 980
+    code, out, _ = run_cli(capsys, "interior", "--preset", "det:6,6,3")
+    assert code == 0
+    # every facet is interior, so the top interior count is the multiplicity too
+    assert int(out.splitlines()[0].split()[-1]) == 980
+
+
 def test_shelling_and_corners(capsys):
     code, out, _ = run_cli(capsys, "shelling", "--preset", "det:3,3,2")
     assert code == 0 and "shelling ok" in out
@@ -161,7 +185,7 @@ def test_error_paths(capsys):
     assert code == 1 and "cannot read" in err
     code, _, err = run_cli(capsys, "info", "--file", __file__)  # not JSON
     assert code == 1 and "error:" in err
-    code, _, err = run_cli(capsys, "fvector", "--preset", "star-example",
+    code, _, err = run_cli(capsys, "vdc-sample", "--preset", "star-example",
                            "--max-cells", "4")
     assert code == 1 and "guard" in err
     code, _, err = run_cli(capsys, "verify")
@@ -170,6 +194,17 @@ def test_error_paths(capsys):
     assert code == 1
     code, out, _ = run_cli(capsys, "info", "--preset", "det:5,5,9")
     assert code == 0  # normalize mode clamps instead
+
+
+@pytest.mark.parametrize("sources, arrow_from, named", [([1], 1, "1"), ([["a"]], "a", "['a']")])
+def test_non_string_vertex_ids_fail_cleanly(capsys, tmp_path, sources, arrow_from, named):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"sources": sources, "targets": ["t"],
+                                "arrows": [{"from": arrow_from, "to": "t"}],
+                                "m": {"1": 2, "a": 2, "t": 2}, "u": {"1": 1, "a": 1, "t": 1}}))
+    code, out, err = run_cli(capsys, "info", "--file", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: vertex id {named} is not a string\n"
 
 
 def test_strict_flag_vs_normalize(capsys):

@@ -1,0 +1,114 @@
+"""The import footprint of a ``quiverdet`` process.
+
+Every CLI run is a fresh process that compiles the package from source when
+no bytecode cache is written, so each module a subcommand does not run is
+startup cost for nothing.  Each probe runs in a fresh ``python -S`` (no
+site-packages imports of its own) with ``PYTHONPATH=src`` and reports the
+modules loaded when it is done.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import quiverdet
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CORE = {"quiverdet", "quiverdet.cli", "quiverdet.errors", "quiverdet.quiver"}
+HEAVY = {"dataclasses", "inspect"}
+
+# the public names of the package, as the eager __init__ bound them
+PUBLIC = [
+    "ALL_ROUTES", "BipartiteQuiver", "CORNER_ROUTES", "Cell", "CellSet", "ChainStats",
+    "ChuteMove", "CornerReport", "CrossCheckError", "FOLD_ROUTES", "FaceTable",
+    "FacetCapExceeded", "GuardExceeded", "HilbertSeries", "Instance", "MinorSpec", "Monomial",
+    "NormalizationReport", "QuiverDetError", "RoadMap", "ShellingReport", "ValidationError",
+    "apply_inverse", "apply_move", "brute_maximal_facet_masks", "build_instance", "c_max",
+    "c_min", "can_extend", "chains", "check_vertex_decomposition_samples", "chutable_moves",
+    "cmp_T", "cmp_T_sets", "codim1_membership", "complex", "corner_stats", "corners",
+    "criteria_agree", "cvm", "enumerate_facets", "errors", "export_cas", "f_vector",
+    "hilbert_series", "ideal", "in_initial_ideal", "initial_cvm", "initial_monomials",
+    "interior_faces", "is_cvm", "is_u_compatible", "load_instance", "max_diagonal_chain",
+    "moves", "natural_generator_count", "natural_generators", "quiver", "random_instance",
+    "reflect", "road_map", "series", "verify", "verify_instance", "verify_shelling",
+]
+
+
+def _probe(body: str) -> set[str]:
+    """The modules loaded after running ``body`` in a fresh ``python -S``; it must succeed."""
+    script = f"import sys\n{body}\nsys.stderr.write('\\n' + ' '.join(sys.modules))\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONOPTIMIZE", None)  # the probes check with assert
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def _package(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "quiverdet" or m.startswith("quiverdet.")}
+
+
+def test_bare_package_import_loads_no_submodule():
+    assert _package(_probe("import quiverdet")) == {"quiverdet"}
+
+
+def test_cli_import_and_info_load_only_the_core():
+    for body in ("import quiverdet.cli",
+                 "from quiverdet.cli import main\n"
+                 "assert main(['info', '--preset', 'det:1,1,1']) == 0"):
+        modules = _probe(body)
+        assert _package(modules) == CORE, body
+        assert not modules & HEAVY, body
+
+
+def test_verify_does_not_load_the_cas_exporter():
+    modules = _probe("from quiverdet.cli import main\n"
+                     "assert main(['verify', '--preset', 'det:2,2,1', '--seed', '1']) == 0")
+    assert "quiverdet.verify" in modules and "quiverdet.ideal" not in modules
+    assert not modules & HEAVY
+
+
+def test_public_names_unchanged():
+    assert sorted(quiverdet.__all__) == sorted(PUBLIC)
+
+
+def test_public_names_resolve_lazily():
+    # a fresh process: every name loads through the module __getattr__
+    _probe("import quiverdet, importlib\n"
+           "for name in quiverdet.__all__:\n"
+           "    value = getattr(quiverdet, name)\n"
+           "    home = quiverdet._HOME.get(name)\n"
+           "    if home is not None:\n"
+           "        module = importlib.import_module('quiverdet.' + home)\n"
+           "        assert value is getattr(module, name), name\n"
+           "    else:\n"
+           "        assert value is importlib.import_module('quiverdet.' + name), name\n"
+           "namespace = {}\n"
+           "exec('from quiverdet import *', namespace)\n"
+           "missing = set(quiverdet.__all__) - set(namespace)\n"
+           "assert not missing, missing\n"
+           "assert set(quiverdet.__all__) <= set(dir(quiverdet))\n"
+           "try:\n"
+           "    quiverdet.no_such_name\n"
+           "except AttributeError:\n"
+           "    pass\n"
+           "else:\n"
+           "    raise SystemExit('no AttributeError')\n")
+
+
+def test_no_dataclasses_in_package():
+    # dataclasses pulls in inspect, ast, dis and tokenize at every process start
+    for path in sorted((SRC / "quiverdet").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "dataclasses" for name in names), \
+                f"{path.name}:{node.lineno} imports dataclasses"

@@ -207,6 +207,22 @@ def _star_document(**changes):
     return json.dumps(doc)
 
 
+NON_STRING_IDS = [
+    ({"sources": [1], "arrows": [{"from": 1, "to": "t"}], "m": {"1": 2, "t": 2},
+      "u": {"1": 1, "t": 1}}, "vertex id 1 is not a string"),
+    ({"sources": [["a"]]}, "vertex id ['a'] is not a string"),
+    ({"arrows": [{"from": ["s"], "to": "t"}]}, "vertex id ['s'] is not a string"),
+]
+
+
+@pytest.mark.parametrize("changes, message", NON_STRING_IDS)
+def test_load_instance_rejects_non_string_ids(changes, message):
+    # not "m missing for vertex 1", nor a leaked "unhashable type: 'list'"
+    with pytest.raises(ValidationError) as exc:
+        load_instance(_star_document(**changes))
+    assert str(exc.value) == message
+
+
 def test_load_instance_rejects_bool_rank():
     with pytest.raises(ValidationError, match=r"u\['t'\]"):
         load_instance(_star_document(u={"s": 1, "t": True}))

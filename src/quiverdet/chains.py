@@ -13,11 +13,12 @@ membership criterion.
 
 Two kernels compute the statistics.  ``_chain_tables`` builds both full
 tables of a block, and ``_addable`` reads them cell by cell; ``BlockStats``,
-``can_extend``, the road maps and ``verify``'s criteria check and facet
-membership check use these.  The padding floors live in ``_corner_table``,
-computed once per cell and instance: ``corner_stats``, the criteria check and
-the road maps (through ``cvm._path_layout``) read them there, so no caller
-pads position by position.  ``_blocked_ranks`` answers only "which positions
+``can_extend``, the road maps and ``verify``'s facet membership check use
+these.  ``verify``'s criteria check reads the tables of one block at a time,
+built on a subset restricted to that block.  The padding floors live in
+``_corner_table``, computed once per cell and instance: ``corner_stats``, the
+road maps and the criteria check (both through ``cvm._path_layout``) read them
+there, so no caller pads position by position.  ``_blocked_ranks`` answers only "which positions
 of this block are not addable", from row bitmasks and O(u) staircase
 thresholds per row; ``_load_blocks`` sets a cell set up for it, and the face
 DFS and the greedy closures call it once per added cell.  The tests hold it
@@ -449,8 +450,8 @@ def _corner_table(instance: Instance) -> tuple[tuple, ...]:
     ``ChainStats`` order.  A floor is the padded statistic of a raw value 0;
     since raw values are never negative, ``padded_nw(raw, ...) ==
     max(raw, padded_nw(0, ...))``, and the same for ``padded_se``.
-    ``corner_stats``, ``verify.criteria_agree`` and ``cvm._path_layout`` read
-    their padding here.
+    ``corner_stats`` and ``cvm._path_layout`` (for the road maps and
+    ``verify``'s criteria check) read their padding here.
     Cached per instance: callers must treat the result as read-only.
     """
     index = {vid: n for n, vid in enumerate(instance.vertex)}

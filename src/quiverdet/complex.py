@@ -221,23 +221,33 @@ def interior_faces(instance: Instance, table: FaceTable, facets) -> FaceTable:
 
     The complex is a shellable ball, so its boundary is generated by the
     codim-1 faces contained in exactly one facet; a face is interior exactly
-    when it is a subset of none of them (checked by bitmask containment).
-    The oracle route, on ``f_vector``'s stored faces: ``verify`` and
+    when it is a subset of none of them.  ``owners[r]`` is the bitset of the
+    generators that contain cell r, so the generators containing a face are
+    the AND of its cells' owners, starting from all of them for the empty
+    face.  The oracle route, on ``f_vector``'s stored faces: ``verify`` and
     ``hilbert_series``'s ``interior`` route use it, while
     ``series.face_counts`` reads the interior counts off h reversed.
     """
     if table.faces_by_size is None:
         raise ValidationError("interior faces need f_vector(store_faces=True)")
     gens = boundary_generator_masks(facets)
+    owners = [0] * instance.size
+    for n, g in enumerate(gens):
+        while g:
+            low = g & -g
+            g ^= low
+            owners[low.bit_length() - 1] |= 1 << n
+    everything = (1 << len(gens)) - 1
     interior = []
     for masks in table.faces_by_size:
         count = 0
         for m in masks:
-            for g in gens:
-                if m & g == m:
-                    break
-            else:
-                count += 1
+            containing = everything
+            while m and containing:
+                low = m & -m
+                m ^= low
+                containing &= owners[low.bit_length() - 1]
+            count += containing == 0
         interior.append(count)
     return table._replace(interior_by_size=tuple(interior), boundary_generators=len(gens))
 

@@ -135,8 +135,9 @@ def _path_layout(instance: Instance) -> tuple[tuple, ...]:
     block's padding floors from ``chains._corner_table``; ``where`` maps a
     position to its rank and the offset that relabels this block's path p as
     the crossing family sees it (``hpath_offset`` on a target block,
-    ``vpath_offset`` on a source block).  Cached per instance: callers must
-    treat the result as read-only.
+    ``vpath_offset`` on a source block).  ``road_map`` and ``verify``'s
+    criteria check read it.  Cached per instance: callers must treat the
+    result as read-only.
     """
     table = _corner_table(instance)
     layout = []

@@ -7,23 +7,28 @@ with enough detail to reproduce it.
 
 ``enumerate_facets`` checks no facet; ``facet-cardinality`` holds each one to
 the cardinality route and the cell-by-cell membership criterion.  The loops
-that run thousands of times per instance sit on the package's kernels: the
-criteria check reads every cell's statistics off one ``_chain_tables`` sweep
-per block, and the reflection check's closures run on ``_blocked_ranks``
-(both in ``chains``); the tests hold both to definition-level loops over
-``corner_stats`` and ``can_extend``.  The codim-1 check holds the ridge
+that run thousands of times per instance sit on the package's kernels.  The
+criteria check evaluates each distinct random subset once, block by block:
+every route is a per-cell condition in the cell's target and source blocks,
+so a block's share depends only on the subset restricted to it and is read
+off one ``_chain_tables`` sweep of that restriction; blocks of at most 16
+positions keep their shares in a memo for the whole check.  The reflection
+check's closures run on ``_blocked_ranks`` (both kernels in ``chains``); the
+tests hold both checks to definition-level loops over ``corner_stats`` and
+``can_extend``.  The codim-1 check holds the ridge
 owners of ``complex._ridge_table`` to the kernel route ``codim1_membership``.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import NamedTuple
 
-from .chains import CellSet, _addable, _chain_tables, _corner_table, _occupancy, is_u_compatible
+from .chains import CellSet, _addable, _chain_tables, _occupancy, is_u_compatible
 from .complex import (DEFAULT_MAX_CELLS, FaceTable, _face_counter, _FaceSearch, _ridge_table,
                       codim1_membership, verify_shelling)
-from .cvm import c_max, c_min, initial_cvm, reflect, reflect_instance
+from .cvm import _path_layout, c_max, c_min, initial_cvm, reflect, reflect_instance
 from .errors import QuiverDetError
 from .moves import DEFAULT_FACET_CAP, enumerate_facets
 from .quiver import BipartiteQuiver, Instance, build_instance
@@ -61,6 +66,85 @@ def _membership_criterion_holds(cs: CellSet) -> bool:
     return _addable(inst.positions, tables, (1 << inst.size) - 1) == cs.mask
 
 
+# Blocks this small keep their per-submask shares in the criteria memo; a bigger
+# block's submasks almost never repeat, and keeping them costs memory.
+_MEMO_MAX_POSITIONS = 16
+
+
+@lru_cache(maxsize=128)
+def _criteria_layout(instance: Instance) -> tuple[tuple, ...]:
+    """Per block, in ``instance.vertex`` order, what ``_block_criteria`` reads.
+
+    A row holds the block's rank mask, whether it is small enough to memoize,
+    and the arguments ``(a, b, u, ranks, positions)`` of ``_block_criteria``;
+    ``positions`` lists each position's row, column, rank bit and the block's
+    two padding floors there, as ``cvm._path_layout`` reads them off
+    ``chains._corner_table``.
+    Cached per instance: callers must treat the result as read-only.
+    """
+    rows = []
+    for vid, _, a, b, u, _, points, _ in _path_layout(instance):
+        positions = tuple((x, y, 1 << r, nw_floor, se_floor)
+                          for x, y, r, nw_floor, se_floor in points)
+        rows.append((sum(p[2] for p in positions), len(positions) <= _MEMO_MAX_POSITIONS,
+                     (a, b, u, instance.block_ranks[vid], positions)))
+    return tuple(rows)
+
+
+def _block_criteria(a: int, b: int, u: int, ranks, positions,
+                    sub: int) -> tuple[bool, int, int, int]:
+    """One block's share of the three criteria, for the set ``sub`` restricted to the block.
+
+    Returns whether the block is u-compatible (its longest chain, nw[a][b], is
+    at most u) and three rank masks of its positions: raw sum nw + se at least
+    u; padded sum outside {u - 1, u}; padded sum other than u - 1.
+    """
+    nw, se = _chain_tables(a, b, _occupancy(ranks, sub))
+    raw_bad = invalid = not_low = 0
+    low = u - 1
+    for x, y, bit, nw_floor, se_floor in positions:
+        n, s = nw[x - 1][y - 1], se[x + 1][y + 1]
+        if n + s >= u:
+            raw_bad |= bit
+        padded = (n if n > nw_floor else nw_floor) + (s if s > se_floor else se_floor)
+        if padded != low:
+            not_low |= bit
+            if padded != u:
+                invalid |= bit
+    return nw[a][b] <= u, raw_bad, invalid, not_low
+
+
+def _criteria_kernel(instance: Instance, mask: int, memo: dict) -> tuple[bool, bool, bool, bool]:
+    """``criteria_agree`` on a validated rank mask, block by block.
+
+    Each route is a condition on every cell in its target block and in its
+    source block, so each block's share depends only on ``mask`` restricted
+    to the block.  ``memo`` keeps the shares of small blocks, keyed by block
+    index and submask; it must belong to this instance.
+    """
+    compatible = True
+    raw_bad = invalid = not_low = 0
+    for n, (block_mask, small, args) in enumerate(_criteria_layout(instance)):
+        sub = mask & block_mask
+        if small:
+            share = memo.get((n, sub))
+            if share is None:
+                share = memo[n, sub] = _block_criteria(*args, sub)
+        else:
+            share = _block_criteria(*args, sub)
+        compatible &= share[0]
+        raw_bad |= share[1]
+        invalid |= share[2]
+        not_low |= share[3]
+    full = (1 << instance.size) - 1
+    by_card = mask.bit_count() == instance.n_cells and compatible
+    # membership must be "both raw sums below the ranks" at every cell ...
+    by_raw = mask == full & ~raw_bad
+    # ... and, padded, both sums in {rank - 1, rank} with membership exactly at the lower value
+    by_padded = invalid == 0 and mask == full & ~not_low
+    return by_card, by_raw, by_padded, by_card == by_raw == by_padded
+
+
 def criteria_agree(instance: Instance, cells) -> tuple[bool, bool, bool, bool]:
     """Evaluate the three facet criteria on an arbitrary cell set.
 
@@ -70,36 +154,14 @@ def criteria_agree(instance: Instance, cells) -> tuple[bool, bool, bool, bool]:
     route asks the sums to sit in {rank - 1, rank} with membership exactly
     at the lower value on both sides.
 
-    The cells are validated into a mask once, and each block's
-    ``_chain_tables`` are built once; every route is read off those tables
-    and the instance's ``chains._corner_table``.  All three routes are evaluated
-    in full, whatever the first one says.
+    The cells are validated into a mask once.  Each block's ``_chain_tables``
+    are built once, on the set restricted to the block, and every route's
+    share of the block is read off them and the block's padding floors;
+    ``verify_instance`` runs the same kernel with
+    one memo of small blocks' shares for all its trials.  All three routes
+    are evaluated in full, whatever the first one says.
     """
-    mask = instance.cell_mask(cells)
-    tables = [_chain_tables(d.a, d.b, _occupancy(instance.block_ranks[vid], mask))
-              for vid, d in instance.vertex.items()]
-    # u-compatible: no block's longest chain, nw[a][b], is longer than its rank
-    by_card = (mask.bit_count() == instance.n_cells
-               and all(nw[-1][-1] <= d.u for (nw, _), d in zip(tables, instance.vertex.values())))
-
-    by_raw = True
-    by_padded = True
-    for r, (tb, ti, tj, sb, si, sj, ut, us, tnw_pad, tse_pad, snw_pad, sse_pad) in enumerate(
-            _corner_table(instance)):
-        tnw, tse = tables[tb]
-        snw, sse = tables[sb]
-        nw, se = tnw[ti - 1][tj - 1], tse[ti + 1][tj + 1]
-        nw_s, se_s = snw[si - 1][sj - 1], sse[si + 1][sj + 1]
-        member = mask >> r & 1 == 1
-        if member != (nw + se < ut and nw_s + se_s < us):
-            by_raw = False
-        tsum = (nw if nw > tnw_pad else tnw_pad) + (se if se > tse_pad else tse_pad)
-        ssum = (nw_s if nw_s > snw_pad else snw_pad) + (se_s if se_s > sse_pad else sse_pad)
-        if tsum not in (ut - 1, ut) or ssum not in (us - 1, us):
-            by_padded = False
-        elif member != (tsum == ut - 1 and ssum == us - 1):
-            by_padded = False
-    return by_card, by_raw, by_padded, by_card == by_raw == by_padded
+    return _criteria_kernel(instance, instance.cell_mask(cells), {})
 
 
 def random_instance(rng: random.Random, max_cells: int = 16) -> Instance:
@@ -191,14 +253,7 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
                 or not _membership_criterion_holds(f)]
     record("facet-cardinality", not bad_card, f"all facets admissible with {n_top} cells")
 
-    ok = True
-    for _ in range(subset_trials):
-        density = rng.random()
-        cells = [c for c in instance.cells if rng.random() < density]
-        if not criteria_agree(instance, cells)[3]:
-            ok = False
-            break
-    record("criteria-equivalence", ok, f"{subset_trials} random subsets")
+    record("criteria-equivalence", *_criteria_check(instance, rng, subset_trials))
 
     refl_inst, refl_map = reflect_instance(instance)
     ok = True
@@ -248,6 +303,34 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     record("codim1-membership", ok, detail)
 
     return VerificationReport(instance, tuple(checks))
+
+
+def _criteria_check(instance: Instance, rng: random.Random, trials: int) -> tuple[bool, str]:
+    """Hold the three facet criteria to each other on random subsets.
+
+    Each trial draws a density, then each cell in rank order with that
+    probability.  A subset drawn before is not evaluated again, and small
+    blocks share one memo across the trials.
+    """
+    bits = [1 << r for r in range(instance.size)]
+    seen: set[int] = set()
+    memo: dict = {}
+    draw = rng.random
+    for trial in range(1, trials + 1):
+        density = draw()
+        mask = 0
+        for bit in bits:
+            if draw() < density:
+                mask |= bit
+        if mask in seen:
+            continue
+        seen.add(mask)
+        routes = _criteria_kernel(instance, mask, memo)
+        if not routes[3]:
+            cells = [list(c) for c, bit in zip(instance.cells, bits) if mask & bit]
+            return False, (f"subset {trial} of {trials}, cells {cells}: routes "
+                           f"(cardinality, raw, padded, agree) = {routes}")
+    return True, f"{trials} random subsets"
 
 
 def _codim1_check(instance: Instance, facets) -> tuple[bool, str]:

@@ -89,6 +89,26 @@ def test_interior_reference(double_instance, star_instance):
         assert table.interior_total == total
 
 
+def _interior_by_generator_scan(table, facets):
+    """The definition: a face is interior iff no boundary generator contains it."""
+    gens = boundary_generator_masks(facets)
+    return tuple(sum(1 for m in masks if not any(m & g == m for g in gens))
+                 for masks in table.faces_by_size)
+
+
+def test_interior_faces_vs_generator_scan(single_cell, det33, double_instance, star_instance):
+    rng = random.Random(17)
+    instances = [single_cell, det33, double_instance, star_instance]
+    instances += [random_instance(rng, max_cells=rng.randint(1, 16)) for _ in range(30)]
+    for inst in instances:
+        facets = enumerate_facets(inst)
+        table = f_vector(inst, store_faces=True)
+        got = interior_faces(inst, table, facets)
+        assert got.interior_by_size == _interior_by_generator_scan(table, facets), inst
+        assert got.boundary_generators == len(boundary_generator_masks(facets))
+        assert got._replace(interior_by_size=None, boundary_generators=None) == table
+
+
 def test_interior_single_cell(single_cell):
     # the empty face is the boundary; only the facet itself is interior, which
     # forces the alternating interior expression to reproduce 1/(1-t)

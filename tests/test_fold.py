@@ -6,10 +6,11 @@ import random
 import pytest
 
 import quiverdet
-from quiverdet import CrossCheckError, enumerate_facets, hilbert_series, verify_instance
+from quiverdet import (CrossCheckError, enumerate_facets, f_vector, hilbert_series, interior_faces,
+                       verify_instance)
 from quiverdet.cli import main, parse_preset
 from quiverdet.complex import _ridge_fold, boundary_generator_masks
-from quiverdet.series import CORNER_ROUTES, FOLD_ROUTES
+from quiverdet.series import CORNER_ROUTES, FOLD_ROUTES, face_counts
 from quiverdet.verify import random_instance
 
 from golden import (DOUBLE_F_VECTOR, DOUBLE_F_TOTAL, DOUBLE_H, DOUBLE_INTERIOR,
@@ -122,16 +123,39 @@ def test_verify_holds_fold_to_corners_past_brute_guard(monkeypatch):
     assert "series routes disagree" in failed["series-routes"].detail
 
 
-def test_fold_agrees_with_corners_property():
+def _for_random_instances(check, max_examples=40):
+    """Run ``check`` on ``random_instance``s drawn by hypothesis, which shrinks seed and size."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.settings(max_examples=max_examples, deadline=None, database=None)
     @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), max_cells=st.integers(1, 20))
-    def check(seed, max_cells):
-        inst = random_instance(random.Random(seed), max_cells=max_cells)
+    def run(seed, max_cells):
+        check(random_instance(random.Random(seed), max_cells=max_cells))
+
+    run()
+
+
+def test_fold_agrees_with_corners_property():
+    def check(inst):
         facets = enumerate_facets(inst)
         masks = sorted(f.mask for f in facets)
         assert _ridge_fold(masks)[0] == _ridge_fold(masks[::-1])[0] == _corner_h(inst, facets)
 
-    check()
+    _for_random_instances(check)
+
+
+def test_face_counts_agree_with_the_face_dfs_property():
+    # f and the interior vector read off h against the face DFS, and h(1)
+    # against the facet count
+    def check(inst):
+        facets = enumerate_facets(inst)
+        counted = face_counts(inst, interior=True)
+        walked = interior_faces(inst, f_vector(inst, store_faces=True), facets)
+        assert counted.f_vector == walked.f_vector
+        assert counted.interior_by_size == walked.interior_by_size
+        assert counted.boundary_generators == walked.boundary_generators
+        series = hilbert_series(inst, facets=facets)
+        assert sum(series.numerator) == series.multiplicity == len(facets)
+
+    _for_random_instances(check)

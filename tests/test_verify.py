@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -71,3 +72,138 @@ def test_facet_check_catches_non_facet(monkeypatch, double_instance):
     report = verify.verify_instance(inst, subset_trials=20, seed=3)
     assert [c.name for c in report.checks] == names
     assert not {c.name: c.ok for c in report.checks}["facet-cardinality"]
+
+
+def _drawn_masks(rng, instance, trials):
+    # the criteria check's draw, as a list of cells per trial
+    masks = []
+    for _ in range(trials):
+        density = rng.random()
+        masks.append(instance.cell_mask([c for c in instance.cells if rng.random() < density]))
+    return masks
+
+
+def test_criteria_check_draws_each_subset_once(monkeypatch, double_instance, star_instance,
+                                               det33, single_cell):
+    import quiverdet.verify as verify
+
+    seen = []
+    real = verify._criteria_kernel
+
+    def spy(instance, mask, memo):
+        seen.append(mask)
+        return real(instance, mask, memo)
+
+    monkeypatch.setattr(verify, "_criteria_kernel", spy)
+    cases = [(double_instance, 1000, 7), (star_instance, 1000, 7), (det33, 1000, 3),
+             (single_cell, 50, 1)]
+    rng = random.Random(29)
+    cases += [(random_instance(rng), 200, n) for n in range(5)]
+    for inst, trials, seed in cases:
+        seen.clear()
+        report = verify.verify_instance(inst, subset_trials=trials, seed=seed)
+        assert {c.name: c.detail for c in report.checks}["criteria-equivalence"] == (
+            f"{trials} random subsets")
+        # the check is the seeded rng's first user
+        drawn = _drawn_masks(random.Random(seed), inst, trials)
+        assert seen == list(dict.fromkeys(drawn))
+        assert len(seen) < trials  # some subsets repeat, and they are not evaluated again
+
+
+def test_criteria_memo_is_safe(double_instance, star_instance, det33, single_cell):
+    # a memo shared by all trials gives what a fresh one gives, and both what
+    # the definition gives: the key must name the block, since a target and a
+    # source block can hold the same submask
+    from quiverdet.cli import parse_preset
+    from quiverdet.verify import _criteria_kernel
+
+    rng = random.Random(43)
+    big = parse_preset("det:6,6,1")
+    instances = [double_instance, star_instance, det33, single_cell, big]
+    instances += [random_instance(rng) for _ in range(50)]
+    for inst in instances:
+        shared = {}
+        for n, mask in enumerate(_drawn_masks(rng, inst, 300)):
+            got = _criteria_kernel(inst, mask, shared)
+            assert got == _criteria_kernel(inst, mask, {}), (inst, mask)
+            if n % 10 == 0:
+                cells = [c for r, c in enumerate(inst.cells) if mask >> r & 1]
+                assert got == criteria_oracle(inst, cells), (inst, mask)
+        assert (not shared) == (inst is big)  # det:6,6,1's 36-position blocks are not kept
+
+
+def _corrupt_floor(monkeypatch, block, position, delta):
+    """Shift one padding floor of the criteria layout by ``delta``."""
+    import quiverdet.verify as verify
+
+    real = verify._criteria_layout
+
+    def layout(instance):
+        rows = list(real(instance))
+        block_mask, small, (a, b, u, ranks, positions) = rows[block]
+        x, y, bit, nw_floor, se_floor = positions[position]
+        positions = (*positions[:position], (x, y, bit, nw_floor + delta, se_floor),
+                     *positions[position + 1:])
+        rows[block] = (block_mask, small, (a, b, u, ranks, positions))
+        return tuple(rows)
+
+    monkeypatch.setattr(verify, "_criteria_layout", layout)
+
+
+def test_criteria_check_reports_a_bad_route_on_memoized_blocks(monkeypatch, det33):
+    # det:3,3,2's two 9-position blocks go through the memo, and 1000 trials
+    # draw some of its facets; the detail replays to the same four routes
+    import quiverdet.verify as verify
+
+    _corrupt_floor(monkeypatch, 1, 4, 1)
+    failed = [c for c in verify.verify_instance(det33, seed=3).checks if not c.ok]
+    assert [c.name for c in failed] == ["criteria-equivalence"]
+    head, routes = failed[0].detail.split(": routes (cardinality, raw, padded, agree) = ")
+    trial, cells = head.split(", cells ")
+    cells = [tuple(c) for c in json.loads(cells)]
+    assert trial.startswith("subset ") and trial.endswith(" of 1000")
+    drawn = _drawn_masks(random.Random(3), det33, 1000)
+    assert drawn[int(trial.split()[1]) - 1] == det33.cell_mask(cells)
+    assert str(verify.criteria_agree(det33, cells)) == routes
+    assert routes.endswith("False)")
+
+
+def test_criteria_check_reports_a_bad_route(monkeypatch, single_cell):
+    import quiverdet.verify as verify
+
+    names = [c.name for c in verify.verify_instance(single_cell, seed=5).checks]
+    # the cell's target-side padded sum lands on u, not u - 1
+    _corrupt_floor(monkeypatch, 0, 0, 1)
+    report = verify.verify_instance(single_cell, seed=5)
+    assert [c.name for c in report.checks] == names  # no check is skipped
+    failed = [c for c in report.checks if not c.ok]
+    assert [c.name for c in failed] == ["criteria-equivalence"]
+    # the detail names the trial, the cells and the four routes, enough to replay it
+    drawn = _drawn_masks(random.Random(5), single_cell, 1000)
+    assert drawn[0] == 0  # both the empty set and the facet now fail: the empty set first
+    assert failed[0].detail == ("subset 1 of 1000, cells []: routes "
+                                "(cardinality, raw, padded, agree) = (False, False, True, False)")
+    assert verify.criteria_agree(single_cell, []) == (False, False, True, False)
+    assert verify.criteria_agree(single_cell, [(1, 1, 1)]) == (True, True, False, False)
+
+
+def test_criteria_memo_keeps_a_bad_share(monkeypatch, star_instance):
+    # the wrong share of a memoized block, computed on a subset where the
+    # routes still agree, must still fail a facet that repeats its submask
+    import quiverdet.verify as verify
+
+    inst = star_instance
+    facet = enumerate_facets(inst)[0].mask
+    block_mask, small, (*_, positions) = verify._criteria_layout(inst)[1]
+    assert small and facet & block_mask
+    # the first position of block 1 that the facet holds
+    position = next(n for n, p in enumerate(positions) if facet & p[2])
+    _corrupt_floor(monkeypatch, 1, position, 1)
+    # a cell outside block 1 leaves its submask as it is
+    other = next(bit for bit in (1 << r for r in range(inst.size))
+                 if not bit & block_mask and not bit & facet)
+    memo = {}
+    assert verify._criteria_kernel(inst, facet | other, memo) == (False, False, False, True)
+    assert (1, facet & block_mask) in memo
+    assert verify._criteria_kernel(inst, facet, memo) == (True, True, False, False)
+    assert verify._criteria_kernel(inst, facet, {}) == (True, True, False, False)

@@ -7,7 +7,9 @@ output.
 
 Each handler imports the engines it runs when it runs, so a process loads
 only what its subcommand needs: ``info`` loads ``quiver`` and ``errors``
-alone.
+alone.  ``facets`` streams: it takes the sorted facet masks from
+``moves._facet_masks``, builds no ``CellSet``, and writes each facet as soon
+as it is formatted, so the whole output is never held in memory.
 """
 
 from __future__ import annotations
@@ -133,22 +135,33 @@ def _emit(args, json_obj, text_lines):
             print(line)
 
 
-def _facet_line(facet: CellSet) -> str:
-    return " ".join(",".join(map(str, c)) for c in facet.cells)
+def _write_facets(instance: Instance, masks: list[int], as_json: bool) -> None:
+    """Write each facet to stdout as soon as it is formatted: a text line or a JSON element.
 
-
-def _facets_json(instance: Instance, facets: list[CellSet]) -> str:
-    """The text of ``json.dumps([f.to_triples() for f in facets], indent=2, sort_keys=True)``.
-
-    CPython encodes with ``indent`` in pure Python, element by element.  Here
-    each cell's text at nesting depth 2 is formatted once per instance, and a
-    facet is the join of its cells' fragments.  The list and every facet in it
-    must be nonempty, as ``enumerate_facets`` returns them.
+    Each cell's text is formatted once per instance, by rank, and a facet is
+    the join of its cells' fragments in rank order.  The JSON text is that of
+    ``json.dumps([f.to_triples() for f in facets], indent=2, sort_keys=True)``,
+    which CPython would build whole, in pure Python, before printing.  The
+    list and every facet in it must be nonempty, as ``_facet_masks`` returns
+    them.  ``sys.stdout`` is looked up here, so a swapped stream gets the text.
     """
-    cell = {c: "[\n      %d,\n      %d,\n      %d\n    ]" % c for c in instance.cells}
-    body = ",\n  ".join("[\n    " + ",\n    ".join(map(cell.__getitem__, f.cells)) + "\n  ]"
-                        for f in facets)
-    return "[\n  " + body + "\n]"
+    if as_json:
+        cell = "[\n      %d,\n      %d,\n      %d\n    ]"
+        lead, rest, sep, tail, end = "[\n  [\n    ", ",\n  [\n    ", ",\n    ", "\n  ]", "\n]\n"
+    else:
+        cell = "%d,%d,%d"
+        lead, rest, sep, tail, end = "", "", " ", "\n", ""
+    frag = [cell % c for c in instance.cells]
+    write = sys.stdout.write
+    for mask in masks:
+        parts = []
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            parts.append(frag[bit.bit_length() - 1])
+        write(lead + sep.join(parts) + tail)
+        lead = rest
+    write(end)
 
 
 def _cmd_info(args) -> int:
@@ -173,12 +186,10 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_facets(args) -> int:
-    inst, facets = _load_facets(args)
-    if args.json:
-        print(_facets_json(inst, facets))
-    else:
-        for facet in facets:
-            print(_facet_line(facet))
+    from .moves import _facet_masks
+
+    inst = _load(args)
+    _write_facets(inst, _facet_masks(inst, args.facet_cap), args.json)
     return 0
 
 

@@ -7,7 +7,10 @@ Vertical moves are the transposed picture inside source blocks.  One scan
 finds both: it reads target blocks by rows and source blocks by columns, so
 every rectangle spans two adjacent lines of bitmasks.  Every facet arises
 from the initial one by such moves, so a breadth-first closure over masks
-enumerates them all; sorted ascending, the result is a shelling order.
+enumerates them all; sorted ascending, the result is a shelling order.  Each
+frontier entry carries its line occupancy: a move changes two cells, so a
+child's lines are its parent's with those two cells' bits flipped, and only
+the initial facet's lines are built from its mask.
 """
 
 from __future__ import annotations
@@ -53,22 +56,29 @@ def _move_layout(instance: Instance) -> tuple[list, tuple, tuple]:
     return pre, tuple(pairs), where
 
 
-def _scan(layout, mask: int) -> list[tuple[str, int, int, int]]:
-    """``(vid, removed bit, added bit, width)`` of each chutable rectangle of a facet's mask.
-
-    A rectangle spans adjacent lines, top and bottom.  For each column y2
-    occupied on both, let y be the last column before y2 occupied on
-    either; columns y..y2 are chutable iff y is occupied on the bottom only.
-    A 2x2 rectangle inside one page is found in both of its blocks.
-    """
-    pre, pairs, where = layout
-    occ = [0] * len(pre)
+def _lines(layout, mask: int) -> list[int]:
+    """The line occupancy of ``mask``: bit y of entry n is set iff position y of line n is in it."""
+    where = layout[2]
+    occ = [0] * len(layout[0])
     while mask:
         bit = mask & -mask
         mask ^= bit
         tn, tb, sn, sb = where[bit.bit_length() - 1]
         occ[tn] |= tb
         occ[sn] |= sb
+    return occ
+
+
+def _scan(layout, occ: list[int]) -> list[tuple[str, int, int, int]]:
+    """``(vid, removed bit, added bit, width)`` of each chutable rectangle of a facet's lines.
+
+    ``occ`` is the facet's ``_lines``; it is only read.  A rectangle spans
+    adjacent lines, top and bottom.  For each column y2 occupied on both,
+    let y be the last column before y2 occupied on either; columns y..y2 are
+    chutable iff y is occupied on the bottom only.  A 2x2 rectangle inside
+    one page is found in both of its blocks.
+    """
+    pre, pairs, _ = layout
     out = []
     for n, vid in pairs:
         top, bottom = occ[n], occ[n + 1]
@@ -94,7 +104,8 @@ def chutable_moves(cs: CellSet) -> list[ChuteMove]:
         raise ValidationError("chute moves are defined on concurrent vertex maps")
     inst = cs.instance
     found: dict[tuple[Cell, Cell], ChuteMove] = {}
-    for vid, removed, added, width in _scan(_move_layout(inst), cs.mask):
+    layout = _move_layout(inst)
+    for vid, removed, added, width in _scan(layout, _lines(layout, cs.mask)):
         key = (inst.cells[removed.bit_length() - 1], inst.cells[added.bit_length() - 1])
         if key not in found:  # target blocks come first: a 2x2 stays horizontal
             horizontal = inst.vertex[vid].side == TARGET
@@ -136,32 +147,55 @@ def apply_inverse(cs: CellSet, move: ChuteMove) -> CellSet:
     return CellSet(cs.instance, (*(c for c in cs.cells if c != move.added), move.removed))
 
 
+def _facet_masks(instance: Instance, facet_cap: int) -> list[int]:
+    """The masks of all facets, sorted ascending: the closure ``enumerate_facets`` runs.
+
+    Breadth first from the initial facet.  Each frontier entry is a mask and
+    its ``_lines``: a child's lines are its parent's with the removed and
+    the added cell flipped.  ``FacetCapExceeded`` fires before anything is
+    returned and says how far the closure got: the facets found, and the
+    layers complete, which hold every facet within ``depth`` moves of the
+    initial one.
+    """
+    if facet_cap < 1:
+        raise ValidationError("facet cap must be positive")
+    layout = _move_layout(instance)
+    where = layout[2]
+    start = initial_cvm(instance).mask
+    seen, frontier, depth = {start}, [(start, _lines(layout, start))], 0
+    while frontier:
+        nxt = []
+        for mask, occ in frontier:
+            for _, removed, added, _ in _scan(layout, occ):
+                out = mask ^ removed | added
+                if out in seen:
+                    continue
+                if len(seen) >= facet_cap:
+                    raise FacetCapExceeded(
+                        f"more than {facet_cap} facets; stopped with {len(seen)} found and "
+                        f"{depth + 1} breadth-first layers complete (all facets within {depth} "
+                        f"moves of the initial one); raise the cap to continue")
+                seen.add(out)
+                lines = occ.copy()
+                for bit in (removed, added):
+                    tn, tb, sn, sb = where[bit.bit_length() - 1]
+                    lines[tn] ^= tb
+                    lines[sn] ^= sb
+                nxt.append((out, lines))
+        frontier = nxt
+        depth += 1
+    return sorted(seen)
+
+
 def enumerate_facets(instance: Instance, facet_cap: int = DEFAULT_FACET_CAP) -> list[CellSet]:
     """All facets, as the chute-move closure of the initial one, sorted ascending.
 
     The ascending order is contractual: it is a shelling order of the
     complex, and its length is the multiplicity.
 
-    The closure runs breadth first on bare masks and checks no facet; only
-    the sorted result becomes ``CellSet``s.  ``verify`` checks the facets and
-    the list, and the tests hold ``_scan`` to the definition.
+    The closure, ``_facet_masks``, runs breadth first on bare masks and
+    checks no facet; only the sorted result becomes ``CellSet``s.  ``verify``
+    checks the facets and the list, and the tests hold ``_scan`` to the
+    definition and the carried lines to lines rebuilt from each mask.
     """
-    if facet_cap < 1:
-        raise ValidationError("facet cap must be positive")
-    layout = _move_layout(instance)
-    start = initial_cvm(instance).mask
-    seen, frontier = {start}, [start]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            for _, removed, added, _ in _scan(layout, mask):
-                out = mask ^ removed | added
-                if out in seen:
-                    continue
-                if len(seen) >= facet_cap:
-                    raise FacetCapExceeded(
-                        f"more than {facet_cap} facets; raise the cap to continue")
-                seen.add(out)
-                nxt.append(out)
-        frontier = nxt
-    return [CellSet.from_mask(instance, mask) for mask in sorted(seen)]
+    return [CellSet.from_mask(instance, mask) for mask in _facet_masks(instance, facet_cap)]

@@ -47,6 +47,44 @@ def test_facets_json_is_json_dumps(capsys, preset):
     assert out == json.dumps([f.to_triples() for f in facets], indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("preset", ["det:1,1,1", "double:2,3,2,1,1", "star-example", "det:3,3,2"])
+def test_facets_text_is_cell_lines(capsys, preset):
+    # one line per facet: its cells as i,j,k in lattice order, separated by spaces
+    code, out, _ = run_cli(capsys, "facets", "--preset", preset)
+    facets = enumerate_facets(parse_preset(preset))
+    assert code == 0
+    assert out == "".join(" ".join(",".join(map(str, c)) for c in f.cells) + "\n"
+                          for f in facets)
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_facets_over_the_cap_prints_nothing(capsys, flags):
+    # the cap fires before the first facet is written: no partial list
+    code, out, err = run_cli(capsys, "facets", *flags, "--preset", "double:2,3,2,1,1",
+                             "--facet-cap", "11")
+    assert code == 1 and out == ""
+    assert err.startswith("error: more than 11 facets; stopped with 11 found")
+
+
+def test_facets_streams_its_output(tmp_path, monkeypatch):
+    # facets writes each facet as it is formatted, so the traced peak is a
+    # fraction of the output; holding the whole text would exceed it
+    import tracemalloc
+
+    path = tmp_path / "facets.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        monkeypatch.setattr(sys, "stdout", fh)
+        tracemalloc.start()
+        try:
+            code = main(["facets", "--json", "--preset", "det:6,6,3"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    written = path.stat().st_size
+    assert code == 0 and len(json.loads(path.read_text(encoding="utf-8"))) == 980
+    assert peak < written / 2, (peak, written)
+
+
 def test_facets_text_order(capsys):
     code, out, _ = run_cli(capsys, "facets", "--preset", "double:2,3,2,1,1")
     lines = out.strip().splitlines()

@@ -4,7 +4,9 @@ import pytest
 
 from quiverdet import (CellSet, FacetCapExceeded, ValidationError, apply_inverse, apply_move,
                        c_min, chutable_moves, cmp_T_sets, enumerate_facets, initial_cvm, reflect)
+from quiverdet import moves
 from quiverdet.cvm import HORIZONTAL, VERTICAL
+from quiverdet.errors import DEFAULT_FACET_CAP
 from quiverdet.quiver import TARGET
 from quiverdet.verify import brute_maximal_facet_masks, random_instance
 
@@ -199,3 +201,81 @@ def test_classical_multiplicity_matches_path_determinant(m, n, u):
     matrix = [[comb((m - u + i - j) + (n - 1), n - 1) if m - u + i - j >= 0 else 0
                for j in range(1, u + 1)] for i in range(1, u + 1)]
     assert len(enumerate_facets(inst)) == _lgv_determinant(matrix)
+
+
+def _lines_from_mask(layout, mask):
+    """A facet's line occupancy rebuilt from its mask, bit by bit."""
+    _, _, where = layout
+    occ = [0] * len(layout[0])
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        tn, tb, sn, sb = where[bit.bit_length() - 1]
+        occ[tn] |= tb
+        occ[sn] |= sb
+    return occ
+
+
+def _closure_from_scratch(inst):
+    """Breadth-first chute-move closure; every facet's lines are rebuilt from its mask.
+
+    Returns the sorted masks and each facet's distance from the initial one.
+    """
+    layout = moves._move_layout(inst)
+    start = initial_cvm(inst).mask
+    distance, frontier = {start: 0}, [start]
+    while frontier:
+        nxt = []
+        for mask in frontier:
+            for _, removed, added, _ in moves._scan(layout, _lines_from_mask(layout, mask)):
+                out = mask ^ removed | added
+                if out not in distance:
+                    distance[out] = distance[mask] + 1
+                    nxt.append(out)
+        frontier = nxt
+    return sorted(distance), distance
+
+
+@pytest.fixture(scope="module")
+def closure_instances(double_instance, star_instance, det33, single_cell):
+    from quiverdet.cli import parse_preset
+
+    rng = random.Random(23)
+    return [double_instance, star_instance, det33, single_cell, parse_preset("det:6,6,3")] + \
+        [random_instance(rng) for _ in range(40)]
+
+
+def test_carried_lines_match_closure_from_scratch(closure_instances):
+    # the closure flips a child's lines from its parent's; rebuilding each
+    # facet's lines from its mask must reach the same facets
+    for inst in closure_instances:
+        masks = moves._facet_masks(inst, DEFAULT_FACET_CAP)
+        assert masks == _closure_from_scratch(inst)[0], inst
+        assert [f.mask for f in enumerate_facets(inst)] == masks
+
+
+def test_chutable_moves_on_every_facet_match_definition(closure_instances):
+    for inst in closure_instances:
+        for facet in enumerate_facets(inst):
+            got = {(m.removed, m.added, m.direction, m.vertex, m.extent)
+                   for m in chutable_moves(facet)}
+            assert got == _moves_by_definition(facet), (inst, facet)
+
+
+@pytest.mark.parametrize("preset", ["double:2,3,2,1,1", "det:5,5,2", "star-example"])
+def test_facet_cap_reports_progress(preset):
+    # the message names the facets found and the breadth-first layers completed:
+    # layer d holds the facets d moves from the initial one
+    from quiverdet.cli import parse_preset
+
+    inst = parse_preset(preset)
+    distance = _closure_from_scratch(inst)[1]
+    for cap in range(1, len(distance)):
+        complete = max(d for d in range(len(distance))
+                       if sum(v <= d for v in distance.values()) <= cap)
+        with pytest.raises(FacetCapExceeded) as exc:
+            moves._facet_masks(inst, cap)
+        assert str(exc.value) == (
+            f"more than {cap} facets; stopped with {cap} found and {complete + 1} "
+            f"breadth-first layers complete (all facets within {complete} moves of the "
+            f"initial one); raise the cap to continue")

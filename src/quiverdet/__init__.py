@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "chains": ("CellSet", "ChainStats", "can_extend", "cmp_T_sets", "corner_stats",
                "is_u_compatible", "max_diagonal_chain"),
-    "complex": ("FaceTable", "ShellingReport", "check_vertex_decomposition_samples",
-                "codim1_membership", "f_vector", "interior_faces", "verify_shelling"),
+    "complex": ("ShellingReport", "check_vertex_decomposition_samples", "codim1_membership",
+                "f_vector", "interior_faces", "verify_shelling"),
     "cvm": ("CornerReport", "RoadMap", "c_max", "c_min", "corners", "initial_cvm", "is_cvm",
             "reflect", "road_map"),
     "errors": ("CrossCheckError", "FacetCapExceeded", "GuardExceeded", "QuiverDetError",
@@ -28,7 +28,8 @@ _EXPORTS = {
     "moves": ("ChuteMove", "apply_inverse", "apply_move", "chutable_moves", "enumerate_facets"),
     "quiver": ("BipartiteQuiver", "Cell", "Instance", "NormalizationReport", "build_instance",
                "cmp_T", "load_instance"),
-    "series": ("ALL_ROUTES", "CORNER_ROUTES", "FOLD_ROUTES", "HilbertSeries", "hilbert_series"),
+    "series": ("ALL_ROUTES", "CORNER_ROUTES", "FOLD_ROUTES", "FaceTable", "HilbertSeries",
+               "hilbert_series"),
     "verify": ("brute_maximal_facet_masks", "criteria_agree", "random_instance",
                "verify_instance"),
 }

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import ValidationError
-from .quiver import Cell, Instance
+from .quiver import Cell, Instance, _prefix_masks
 
 
 def max_diagonal_chain(points: Iterable[tuple[int, int]]) -> int:
@@ -170,15 +170,6 @@ def _row_prefix_masks(instance: Instance) -> dict[str, list]:
     Cached per instance: callers must treat the result as read-only.
     """
     return {vid: [(), *map(_prefix_masks, rows)] for vid, rows in instance.block_ranks.items()}
-
-
-def _prefix_masks(ranks) -> list[int]:
-    """Rank masks of a line's first 0, 1, 2, ... positions (block rows here, scan lines in moves)."""
-    acc, line = 0, [0]
-    for r in ranks:
-        acc |= 1 << r
-        line.append(acc)
-    return line
 
 
 def _load_blocks(instance: Instance, mask: int) -> tuple[dict[str, tuple], int]:

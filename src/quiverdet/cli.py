@@ -7,15 +7,16 @@ output.
 
 Each handler imports the engines it runs when it runs, so a process loads
 only what its subcommand needs: ``info`` loads ``quiver`` and ``errors``
-alone.  ``facets`` streams: it takes the sorted facet masks from
-``moves._facet_masks``, builds no ``CellSet``, and writes each facet as soon
-as it is formatted, so the whole output is never held in memory.
+alone, the counting commands only the mask path ``moves`` and ``series``;
+oracle routes import theirs when they run.  Only the subcommand run gets
+options, and only ``--json`` loads ``json``.  ``facets`` streams the sorted
+masks of ``moves._facet_masks``, builds no ``CellSet``, and writes each
+facet as soon as it is formatted, never holding the whole output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING
 
@@ -123,12 +124,13 @@ def _load_facets(args) -> tuple[Instance, list[CellSet]]:
 def _load_series(args) -> HilbertSeries:
     from .series import hilbert_series
 
-    inst, facets = _load_facets(args)
-    return hilbert_series(inst, facets=facets)
+    return hilbert_series(_load(args), facet_cap=args.facet_cap)
 
 
 def _emit(args, json_obj, text_lines):
     if args.json:
+        import json
+
         print(json.dumps(json_obj, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -327,69 +329,64 @@ def _cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    src = common.add_argument_group("instance")
-    src.add_argument("--preset", help="preset shorthand, e.g. double:2,3,2,1,1 or det:3,3,2")
-    src.add_argument("--file", help="path to an instance JSON document")
-    common.add_argument("--strict", action="store_true",
-                        help="reject rank violations instead of normalizing")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS,
-                        help="guard for brute-force operations (default %(default)s)")
-    common.add_argument("--facet-cap", type=int, default=DEFAULT_FACET_CAP,
-                        help="abort facet enumeration past this many facets")
-    common.add_argument("--seed", type=int, default=None, help="seed for sampling subcommands")
+_COMMANDS = {  # name: (handler, help)
+    "info": (_cmd_info, "geometry, N, normalization report"),
+    "facets": (_cmd_facets, "all facets in shelling order"),
+    "multiplicity": (_cmd_multiplicity, "number of facets"),
+    "hvector": (_cmd_hvector, "h-polynomial coefficients"),
+    "hilbert": (_cmd_hilbert, "Hilbert series"),
+    "fvector": (_cmd_fvector, "face counts by dimension"),
+    "interior": (_cmd_interior, "interior face counts"),
+    "shelling": (_cmd_shelling, "verify the shelling order"),
+    "corners": (_cmd_corners, "essential corner counts per facet"),
+    "vdc-sample": (_cmd_vdc, "bounded purity spot-check of deletion/link towers"),
+    "export-cas": (_cmd_export, "emit a Macaulay2 or Singular check script"),
+    "verify": (_cmd_verify, "run the full oracle suite"),
+}
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser; with ``command``, the other subcommands, listed but never run, get no options."""
     parser = argparse.ArgumentParser(
         prog="quiverdet",
         description="Combinatorics of bipartite determinantal ideals: facets, "
                     "f/h-vectors, Hilbert series, and cross-checking oracles.")
     parser.add_argument("--version", action="version", version=f"quiverdet {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    subs.add_parser("info", parents=[common], help="geometry, N, normalization report") \
-        .set_defaults(func=_cmd_info)
-    subs.add_parser("facets", parents=[common], help="all facets in shelling order") \
-        .set_defaults(func=_cmd_facets)
-    subs.add_parser("multiplicity", parents=[common], help="number of facets") \
-        .set_defaults(func=_cmd_multiplicity)
-    subs.add_parser("hvector", parents=[common], help="h-polynomial coefficients") \
-        .set_defaults(func=_cmd_hvector)
-    subs.add_parser("hilbert", parents=[common], help="Hilbert series") \
-        .set_defaults(func=_cmd_hilbert)
-    subs.add_parser("fvector", parents=[common], help="face counts by dimension") \
-        .set_defaults(func=_cmd_fvector)
-    subs.add_parser("interior", parents=[common], help="interior face counts") \
-        .set_defaults(func=_cmd_interior)
-    subs.add_parser("shelling", parents=[common], help="verify the shelling order") \
-        .set_defaults(func=_cmd_shelling)
-    subs.add_parser("corners", parents=[common], help="essential corner counts per facet") \
-        .set_defaults(func=_cmd_corners)
-
-    vdc = subs.add_parser("vdc-sample", parents=[common],
-                          help="bounded purity spot-check of deletion/link towers")
-    vdc.add_argument("--samples", type=int, default=30)
-    vdc.set_defaults(func=_cmd_vdc)
-
-    exp = subs.add_parser("export-cas", parents=[common],
-                          help="emit a Macaulay2 or Singular check script")
-    exp.add_argument("--flavor", choices=("m2", "singular"), default="m2")
-    exp.add_argument("--out", help="write the script here instead of stdout")
-    exp.add_argument("--generator-cap", type=int, default=5000)
-    exp.set_defaults(func=_cmd_export)
-
-    ver = subs.add_parser("verify", parents=[common], help="run the full oracle suite")
-    ver.add_argument("--random", type=int, default=0,
-                     help="additionally verify this many random small instances")
-    ver.add_argument("--trials", type=int, default=1000,
-                     help="random subsets per instance for the criteria check")
-    ver.set_defaults(func=_cmd_verify)
+    for name, (func, text) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=text)
+        if command not in (None, name):
+            continue
+        sub.set_defaults(func=func)
+        src = sub.add_argument_group("instance")
+        src.add_argument("--preset", help="preset shorthand, e.g. double:2,3,2,1,1 or det:3,3,2")
+        src.add_argument("--file", help="path to an instance JSON document")
+        sub.add_argument("--strict", action="store_true",
+                         help="reject rank violations instead of normalizing")
+        sub.add_argument("--json", action="store_true", help="machine-readable output")
+        sub.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS,
+                         help="guard for brute-force operations (default %(default)s)")
+        sub.add_argument("--facet-cap", type=int, default=DEFAULT_FACET_CAP,
+                         help="abort facet enumeration past this many facets")
+        sub.add_argument("--seed", type=int, default=None, help="seed for sampling subcommands")
+        if name == "vdc-sample":
+            sub.add_argument("--samples", type=int, default=30)
+        elif name == "export-cas":
+            sub.add_argument("--flavor", choices=("m2", "singular"), default="m2")
+            sub.add_argument("--out", help="write the script here instead of stdout")
+            sub.add_argument("--generator-cap", type=int, default=5000)
+        elif name == "verify":
+            sub.add_argument("--random", type=int, default=0,
+                             help="additionally verify this many random small instances")
+            sub.add_argument("--trials", type=int, default=1000,
+                             help="random subsets per instance for the criteria check")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option values, so the first other word names the subcommand
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     args = parser.parse_args(argv)
     if args.max_cells < 1 or args.facet_cap < 1:
         parser.error("guards must be positive")

@@ -11,8 +11,8 @@ mask.  No node builds chain tables or tests cells one by one.
 
 Each codim-1 face (ridge) F - c lies in one or two facets; the boundary, the
 shelling check and ``verify``'s codim-1 check read the owners off ``_ridge_table``.
-``_ridge_fold`` keeps only the open ridges along a shelling order, and
-``series`` reads the h-vector and the boundary generator count off it.
+``series._ridge_fold`` keeps only the open ridges along a shelling order,
+and ``series`` reads the h-vector off it.
 
 The CLI reads face counts off the h-vector (``series.face_counts``); the DFS
 routes ``f_vector`` and ``interior_faces`` are their oracle, in ``verify`` and
@@ -27,6 +27,7 @@ from .chains import CellSet, _blocked_ranks, _load_blocks, is_u_compatible
 from .cvm import corners
 from .errors import DEFAULT_MAX_CELLS, GuardExceeded, ValidationError
 from .quiver import Instance
+from .series import FaceTable
 
 DEFAULT_VDC_GUARD = 14
 
@@ -78,36 +79,6 @@ class _FaceSearch:
                 sblock[0][si] ^= sbit
 
         rec(0, 0, full & ~self.base_mask & ~self.blocked)
-
-
-class FaceTable(NamedTuple):
-    """Face counts by cardinality (index = number of cells = dimension + 1)."""
-
-    counts_by_size: tuple[int, ...]
-    faces_by_size: tuple[tuple[int, ...], ...] | None = None
-    interior_by_size: tuple[int, ...] | None = None
-    boundary_generators: int | None = None
-
-    @property
-    def f_vector(self) -> tuple[int, ...]:
-        """(f_-1, f_0, ..., f_{N-1})."""
-        return self.counts_by_size
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts_by_size)
-
-    @property
-    def interior_total(self) -> int:
-        return sum(self.interior_by_size or ())
-
-    def to_json_obj(self) -> dict:
-        obj = {"f_vector": list(self.counts_by_size), "total": self.total}
-        if self.interior_by_size is not None:
-            obj["interior_vector"] = list(self.interior_by_size)
-            obj["interior_total"] = self.interior_total
-            obj["boundary_generators"] = self.boundary_generators
-        return obj
 
 
 def _face_counter(size: int, store_faces: bool):
@@ -181,34 +152,6 @@ def _ridge_table(facets) -> dict[int, list[int]]:
             if mask >> r & 1:
                 table.setdefault(mask & ~(1 << r), []).append(j)
     return table
-
-
-def _ridge_fold(masks) -> tuple[tuple[int, ...], int]:
-    """Facets counted by how many ridges they close, and the number of ridges left open.
-
-    Walking the masks in the order given, F closes each open ridge F - c (a
-    ridge lies in at most two facets) and opens the others.  In a shelling
-    order the closing cells form F's restriction face, so the counts are h
-    (Björner–Wachs, Trans. AMS 348, 1996); the ridges left open are those
-    in exactly one facet, the boundary generators.
-    """
-    open_ridges: set[int] = set()
-    h = [0]
-    for mask in masks:
-        closed = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            ridge = mask ^ low
-            if ridge in open_ridges:
-                open_ridges.remove(ridge)
-                closed += 1
-            else:
-                open_ridges.add(ridge)
-        h += [0] * (closed + 1 - len(h))
-        h[closed] += 1
-    return tuple(h), len(open_ridges)
 
 
 def boundary_generator_masks(facets) -> list[int]:

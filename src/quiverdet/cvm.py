@@ -23,10 +23,8 @@ from typing import NamedTuple
 
 from .chains import CellSet, _blocked_ranks, _corner_table, _load_blocks, is_u_compatible
 from .errors import CrossCheckError, ValidationError
-from .quiver import Cell, Instance, TARGET, BipartiteQuiver
-
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
+from .moves import _initial_mask
+from .quiver import HORIZONTAL, TARGET, VERTICAL, BipartiteQuiver, Cell, Instance
 NW = "NW"
 SE = "SE"
 
@@ -75,32 +73,8 @@ def c_min(seed: CellSet) -> CellSet:
 
 
 def initial_cvm(instance: Instance) -> CellSet:
-    """Closed-form construction of the largest facet c_max(empty).
-
-    Page by page: intersect "bottom u_target rows or rightmost leftover
-    target-rank columns" with the transposed source-side picture, where the
-    leftover rank discounts the ranks already served by later pages.
-    ``verify``'s ``initial-closed-form`` check holds it to the closure.
-    """
-    cells = []
-    for ar in instance.arrows:
-        ua = instance.vertex[ar.target].u
-        ub = instance.vertex[ar.source].u
-        s_alpha = sum(instance.u[a2.source] for a2 in instance.arrows
-                      if a2.target == ar.target and a2.k > ar.k)
-        s_beta = sum(instance.u[a2.target] for a2 in instance.arrows
-                     if a2.source == ar.source and a2.k > ar.k)
-        rows_t = ua                      # bottom rows claimed by the target side
-        cols_t = max(ua - s_alpha, 0)    # rightmost columns claimed by the target side
-        rows_s = max(ub - s_beta, 0)
-        cols_s = ub
-        for i in range(1, ar.rows + 1):
-            for j in range(1, ar.cols + 1):
-                in_t = (i > ar.rows - rows_t) or (j > ar.cols - cols_t)
-                in_s = (i > ar.rows - rows_s) or (j > ar.cols - cols_s)
-                if in_t and in_s:
-                    cells.append(Cell(i, j, ar.k))
-    return CellSet(instance, cells)
+    """The largest facet c_max(empty), from the closed form ``moves._initial_mask``."""
+    return CellSet.from_mask(instance, _initial_mask(instance))
 
 
 # -- road maps ------------------------------------------------------------------

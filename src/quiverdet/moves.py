@@ -11,17 +11,22 @@ enumerates them all; sorted ascending, the result is a shelling order.  Each
 frontier entry carries its line occupancy: a move changes two cells, so a
 child's lines are its parent's with those two cells' bits flipped, and only
 the initial facet's lines are built from its mask.
+
+This is the mask path: it imports no oracle module when it loads.  The
+functions that take or return a ``CellSet`` import ``chains`` or ``cvm``
+when they run, outside every loop.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .chains import CellSet, _prefix_masks
-from .cvm import HORIZONTAL, VERTICAL, initial_cvm, is_cvm
 from .errors import DEFAULT_FACET_CAP, FacetCapExceeded, ValidationError
-from .quiver import Cell, Instance, TARGET
+from .quiver import HORIZONTAL, TARGET, VERTICAL, Cell, Instance, _prefix_masks
+
+if TYPE_CHECKING:
+    from .chains import CellSet
 
 
 class ChuteMove(NamedTuple):
@@ -36,11 +41,36 @@ class ChuteMove(NamedTuple):
                 f"{tuple(self.removed)} -> {tuple(self.added)} ({self.extent[0]}x{self.extent[1]})")
 
 
+def _initial_mask(instance: Instance) -> int:
+    """Closed-form construction of the largest facet c_max(empty), as a rank mask.
+
+    Page by page: intersect "bottom u_target rows or rightmost leftover
+    target-rank columns" with the transposed source-side picture, where the
+    leftover rank discounts the ranks already served by later pages.
+    ``verify``'s ``initial-closed-form`` check holds it to the closure.
+    """
+    mask = 0
+    for ar in instance.arrows:
+        ua, ub = instance.u[ar.target], instance.u[ar.source]
+        # the target side claims the bottom ua rows and the rightmost cols_t
+        # columns, the source side the bottom rows_s rows and rightmost ub columns
+        cols_t = max(ua - sum(instance.u[a2.source] for a2 in instance.arrows
+                              if a2.target == ar.target and a2.k > ar.k), 0)
+        rows_s = max(ub - sum(instance.u[a2.target] for a2 in instance.arrows
+                              if a2.source == ar.source and a2.k > ar.k), 0)
+        for i in range(1, ar.rows + 1):
+            for j in range(1, ar.cols + 1):
+                if ((i > ar.rows - ua or j > ar.cols - cols_t)
+                        and (i > ar.rows - rows_s or j > ar.cols - ub)):
+                    mask |= 1 << instance.rank[i, j, ar.k]
+    return mask
+
+
 @lru_cache(maxsize=128)
 def _move_layout(instance: Instance) -> tuple[list, tuple, tuple]:
     """``(pre, pairs, where)`` over the rows of target blocks and the columns of source blocks.
 
-    ``pre[n]`` is line n's ``chains._prefix_masks``.  ``pairs`` holds ``(n,
+    ``pre[n]`` is line n's ``quiver._prefix_masks``.  ``pairs`` holds ``(n,
     vid)`` for each line n followed by a line of the same block, targets
     first.  ``where[r]`` is cell r's target line and column bit, then its
     source line and row bit.  Cached per instance; treat it as read-only.
@@ -100,6 +130,8 @@ def chutable_moves(cs: CellSet) -> list[ChuteMove]:
     They come from the scan ``enumerate_facets`` runs.  A 2x2 rectangle is
     both horizontal and vertical; its move is emitted once, as horizontal.
     """
+    from .cvm import is_cvm
+
     if not is_cvm(cs):
         raise ValidationError("chute moves are defined on concurrent vertex maps")
     inst = cs.instance
@@ -134,6 +166,8 @@ def _rectangle_ok(cs: CellSet, move: ChuteMove) -> bool:
 
 def apply_move(cs: CellSet, move: ChuteMove) -> CellSet:
     """Apply one chute move, checked against ``cs``; the result is a facet strictly below it."""
+    from .chains import CellSet
+
     if not _rectangle_ok(cs, move):
         raise ValidationError(f"move not applicable: {move}")
     rank = cs.instance.rank
@@ -142,6 +176,8 @@ def apply_move(cs: CellSet, move: ChuteMove) -> CellSet:
 
 def apply_inverse(cs: CellSet, move: ChuteMove) -> CellSet:
     """Undo a chute move previously applied to reach ``cs``."""
+    from .chains import CellSet
+
     if move.added not in cs or move.removed in cs:
         raise ValidationError(f"inverse move not applicable: {move}")
     return CellSet(cs.instance, (*(c for c in cs.cells if c != move.added), move.removed))
@@ -161,7 +197,7 @@ def _facet_masks(instance: Instance, facet_cap: int) -> list[int]:
         raise ValidationError("facet cap must be positive")
     layout = _move_layout(instance)
     where = layout[2]
-    start = initial_cvm(instance).mask
+    start = _initial_mask(instance)
     seen, frontier, depth = {start}, [(start, _lines(layout, start))], 0
     while frontier:
         nxt = []
@@ -198,4 +234,6 @@ def enumerate_facets(instance: Instance, facet_cap: int = DEFAULT_FACET_CAP) -> 
     checks the facets and the list, and the tests hold ``_scan`` to the
     definition and the carried lines to lines rebuilt from each mask.
     """
+    from .chains import CellSet
+
     return [CellSet.from_mask(instance, mask) for mask in _facet_masks(instance, facet_cap)]

@@ -12,7 +12,6 @@ All downstream combinatorics lives on the cell lattice L of triples
 
 from __future__ import annotations
 
-import json
 from itertools import chain
 from typing import Mapping, NamedTuple
 
@@ -20,6 +19,7 @@ from .errors import ValidationError
 
 TARGET = "target"
 SOURCE = "source"
+HORIZONTAL, VERTICAL = "horizontal", "vertical"  # paths and chute moves: target, source blocks
 
 
 class Cell(NamedTuple):
@@ -318,7 +318,18 @@ class Instance:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
+
+
+def _prefix_masks(ranks) -> list[int]:
+    """Rank masks of a line's first 0, 1, 2, ... positions (block rows, or scan lines in moves)."""
+    acc, line = 0, [0]
+    for r in ranks:
+        acc |= 1 << r
+        line.append(acc)
+    return line
 
 
 def _is_int(value) -> bool:
@@ -426,6 +437,8 @@ def load_instance(source, mode: str = "normalize") -> Instance:
     if isinstance(source, dict):
         obj = source
     else:
+        import json
+
         text = str(source)
         try:
             if text.lstrip()[:1] not in ("{", "["):

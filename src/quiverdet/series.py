@@ -3,20 +3,24 @@
 All polynomial arithmetic is exact over the integers.  The numerator, the
 h-polynomial, has six routes.  The default pair, ``ascending_fold`` and
 ``descending_fold``, count the facets by the ridges each one closes in
-``complex._ridge_fold`` over their masks in ascending and in descending
-order, both shellings.  Their oracle is the paper's formula: ``se_corners``
-and ``nw_corners`` count the facets by essential SE or NW corners (the
-ascending and the descending restriction counts).  ``f_transform`` and
-``interior`` transform the f-vector and the interior faces of the face DFS.
-Multiplicity h(1) and the Gorenstein indicator (a palindromic h-vector) are
-read off the series.  The routes are mathematically equal, so any
-disagreement is reported as an internal error rather than a result.
+``_ridge_fold`` over their masks in ascending and in descending order, both
+shellings.  Their oracle is the paper's formula: ``se_corners`` and
+``nw_corners`` count the facets by essential SE or NW corners (the ascending
+and the descending restriction counts).  ``f_transform`` and ``interior``
+transform the f-vector and the interior faces of the face DFS.  Multiplicity
+h(1) and the Gorenstein indicator (a palindromic h-vector) are read off the
+series.  The routes are mathematically equal, so any disagreement is
+reported as an internal error rather than a result.
 
 Both face transforms are invertible: ``_f_from_h`` undoes ``_h_from_f`` on h
 and ``_h_from_interior`` on h reversed, since the complex is a ball and the
 relative complex (Δ, ∂Δ) has h-vector h reversed (Stanley, *Combinatorics and
 Commutative Algebra*, 2nd ed., II.7).  ``face_counts`` reads the f-vector and
 the interior vector off the fold h-vector that way.
+
+The folds are on the mask path: this module loads only ``errors``,
+``quiver`` and ``moves``, and folds bare masks when no other route reads
+facets; the oracle routes and given facets' check import theirs when run.
 """
 
 from __future__ import annotations
@@ -24,11 +28,8 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .chains import CellSet
-from .complex import DEFAULT_MAX_CELLS, FaceTable, _ridge_fold, f_vector, interior_faces
-from .cvm import corners
-from .errors import CrossCheckError, ValidationError
-from .moves import DEFAULT_FACET_CAP, enumerate_facets
+from .errors import DEFAULT_FACET_CAP, DEFAULT_MAX_CELLS, CrossCheckError, ValidationError
+from .moves import _facet_masks, enumerate_facets
 from .quiver import Instance
 
 ASCENDING_FOLD = "ascending_fold"
@@ -102,6 +103,64 @@ class HilbertSeries(_SeriesFields):
                 "palindromic": self.palindromic}
 
 
+class FaceTable(NamedTuple):
+    """Face counts by cardinality (index = number of cells = dimension + 1)."""
+
+    counts_by_size: tuple[int, ...]
+    faces_by_size: tuple[tuple[int, ...], ...] | None = None
+    interior_by_size: tuple[int, ...] | None = None
+    boundary_generators: int | None = None
+
+    @property
+    def f_vector(self) -> tuple[int, ...]:
+        """(f_-1, f_0, ..., f_{N-1})."""
+        return self.counts_by_size
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts_by_size)
+
+    @property
+    def interior_total(self) -> int:
+        return sum(self.interior_by_size or ())
+
+    def to_json_obj(self) -> dict:
+        obj = {"f_vector": list(self.counts_by_size), "total": self.total}
+        if self.interior_by_size is not None:
+            obj["interior_vector"] = list(self.interior_by_size)
+            obj["interior_total"] = self.interior_total
+            obj["boundary_generators"] = self.boundary_generators
+        return obj
+
+
+def _ridge_fold(masks) -> tuple[tuple[int, ...], int]:
+    """Facets counted by how many ridges they close, and the number of ridges left open.
+
+    Walking the masks in the order given, F closes each open ridge F - c (a
+    ridge lies in at most two facets) and opens the others.  In a shelling
+    order the closing cells form F's restriction face, so the counts are h
+    (Björner–Wachs, Trans. AMS 348, 1996); the ridges left open are those
+    in exactly one facet, the boundary generators.
+    """
+    open_ridges: set[int] = set()
+    h = [0]
+    for mask in masks:
+        closed = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ridge = mask ^ low
+            if ridge in open_ridges:
+                open_ridges.remove(ridge)
+                closed += 1
+            else:
+                open_ridges.add(ridge)
+        h += [0] * (closed + 1 - len(h))
+        h[closed] += 1
+    return tuple(h), len(open_ridges)
+
+
 def _h_from_f(table: FaceTable, n_top: int) -> tuple[int, ...]:
     acc = [0] * (n_top + 1)
     for size, count in enumerate(table.counts_by_size):
@@ -135,41 +194,47 @@ def _f_from_h(h: tuple[int, ...], n_top: int) -> tuple[int, ...]:
 
 
 def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None = None,
-                   routes=FOLD_ROUTES,
-                   max_cells_guard: int = DEFAULT_MAX_CELLS) -> HilbertSeries:
+                   routes=FOLD_ROUTES, max_cells_guard: int = DEFAULT_MAX_CELLS,
+                   facet_cap: int = DEFAULT_FACET_CAP) -> HilbertSeries:
     """The series h(t) / (1 - t)^N, its numerator computed by every route in ``routes``.
 
     The default fold routes count the facets by the ridges each one closes
     over their masks in ascending and in descending order; the corner
     routes, their oracle, by essential SE or NW corners.  Both read the
-    facets, enumerated unless given, and only the corner routes reject a set
-    that is not a facet.  ``f_transform`` and ``interior`` read the face
-    table (computed by the brute-force DFS under ``max_cells_guard`` unless
-    given); ``interior`` also marks interior faces against the facets.  Given
-    facets must be distinct cell sets of ``instance``, at least one.  All
-    requested routes must agree, and when facets were used, h(1) must equal
-    their number.
+    facets, enumerated under ``facet_cap`` unless given (as bare masks if
+    only folds read them); only the corner routes reject a non-facet.
+    ``f_transform`` and ``interior`` read the face table (computed by the
+    brute-force DFS under ``max_cells_guard`` unless given); ``interior``
+    also marks interior faces against the facets.  Given facets must be
+    distinct cell sets of ``instance``, at least one.  All requested routes
+    must agree, and when facets were used, h(1) must equal their number.
     """
     routes = frozenset(routes)
     if not routes or not routes <= ALL_ROUTES:
         raise ValidationError(
             f"routes must be a nonempty subset of {sorted(ALL_ROUTES)}, got {sorted(routes)}")
     if facets is not None:
+        from .chains import CellSet
+
         if not facets:
             raise ValidationError("facets is empty; every instance has at least one facet")
         if not all(isinstance(f, CellSet) and f.instance == instance for f in facets):
             raise ValidationError("facets must be cell sets of the instance the series is for")
         if len({f.mask for f in facets}) != len(facets):
             raise ValidationError("facets lists a facet more than once")
+    elif routes & (CORNER_ROUTES | {INTERIOR}):
+        facets = enumerate_facets(instance, facet_cap=facet_cap)
+    if facets is not None:
+        masks = sorted(f.mask for f in facets)
+    else:  # no route reads more than masks: build no CellSet
+        masks = _facet_masks(instance, facet_cap) if routes & FOLD_ROUTES else None
     n_top = instance.n_cells
     results = {}
-    if routes & (FOLD_ROUTES | CORNER_ROUTES | {INTERIOR}) and facets is None:
-        facets = enumerate_facets(instance)
-    if routes & FOLD_ROUTES:
-        masks = sorted(f.mask for f in facets)
-        for route in sorted(routes & FOLD_ROUTES):
-            results[route] = _ridge_fold(masks if route == ASCENDING_FOLD else masks[::-1])[0]
+    for route in sorted(routes & FOLD_ROUTES):
+        results[route] = _ridge_fold(masks if route == ASCENDING_FOLD else masks[::-1])[0]
     if routes & CORNER_ROUTES:
+        from .cvm import corners
+
         # one pass that keeps no report: h_i counts the facets with i essential corners
         tally = {SE_CORNERS: [0] * (n_top + 1), NW_CORNERS: [0] * (n_top + 1)}
         for rep in map(corners, facets):
@@ -177,6 +242,8 @@ def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None
             tally[NW_CORNERS][rep.essential_nw] += 1
         results.update((route, _trim(tally[route])) for route in sorted(routes & CORNER_ROUTES))
     if routes & {F_TRANSFORM, INTERIOR}:
+        from .complex import f_vector, interior_faces
+
         table = face_table
         if table is None:
             table = f_vector(instance, max_cells_guard=max_cells_guard,
@@ -190,9 +257,9 @@ def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None
     if len(set(results.values())) != 1:
         raise CrossCheckError(f"series routes disagree: {results}")
     series = HilbertSeries(next(iter(results.values())), n_top)
-    if facets is not None and series.multiplicity != len(facets):
+    if masks is not None and series.multiplicity != len(masks):
         raise CrossCheckError(
-            f"h(1) = {series.multiplicity} but {len(facets)} facets enumerated")
+            f"h(1) = {series.multiplicity} but {len(masks)} facets enumerated")
     return series
 
 
@@ -200,19 +267,17 @@ def face_counts(instance: Instance, interior: bool = False,
                 facet_cap: int = DEFAULT_FACET_CAP) -> FaceTable:
     """The f-vector, and with ``interior`` the interior vector, read off the h-vector.
 
-    h comes from the enumerated facets through the default routes of
-    ``hilbert_series``, the ridge fold in both scan directions; the interior
-    vector is the same transform of h reversed, and the boundary generators
-    are the ridges the fold leaves open.  The DFS routes ``complex.f_vector``
-    and ``interior_faces`` are the oracle.  No face DFS runs, so ``facet_cap``
-    is the only limit.
+    h comes from the ridge folds of ``hilbert_series``; the interior vector is
+    the same transform of h reversed, and the boundary generators are the
+    ridges that are not interior.  The DFS routes ``complex.f_vector`` and
+    ``interior_faces`` are the oracle; with no DFS, ``facet_cap`` is the limit.
     """
-    facets = enumerate_facets(instance, facet_cap=facet_cap)
     n_top = instance.n_cells
-    h = hilbert_series(instance, facets=facets).numerator
+    h = hilbert_series(instance, facet_cap=facet_cap).numerator
     h += (0,) * (n_top + 1 - len(h))
     f = _f_from_h(h, n_top)
     if not interior:
         return FaceTable(f)
-    return FaceTable(f, interior_by_size=_f_from_h(h[::-1], n_top),
-                     boundary_generators=_ridge_fold(facet.mask for facet in facets)[1])
+    inside = _f_from_h(h[::-1], n_top)
+    return FaceTable(f, interior_by_size=inside,
+                     boundary_generators=f[n_top - 1] - inside[n_top - 1])

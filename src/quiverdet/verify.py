@@ -26,13 +26,13 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .chains import CellSet, _addable, _chain_tables, _occupancy, is_u_compatible
-from .complex import (DEFAULT_MAX_CELLS, FaceTable, _face_counter, _FaceSearch, _ridge_table,
+from .complex import (DEFAULT_MAX_CELLS, _face_counter, _FaceSearch, _ridge_table,
                       codim1_membership, verify_shelling)
 from .cvm import _path_layout, c_max, c_min, initial_cvm, reflect, reflect_instance
 from .errors import QuiverDetError
 from .moves import DEFAULT_FACET_CAP, enumerate_facets
 from .quiver import BipartiteQuiver, Instance, build_instance
-from .series import ALL_ROUTES, CORNER_ROUTES, FOLD_ROUTES, hilbert_series
+from .series import ALL_ROUTES, CORNER_ROUTES, FOLD_ROUTES, FaceTable, hilbert_series
 
 
 def brute_maximal_facet_masks(instance: Instance) -> list[int]:
@@ -253,7 +253,7 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
                 or not _membership_criterion_holds(f)]
     record("facet-cardinality", not bad_card, f"all facets admissible with {n_top} cells")
 
-    record("criteria-equivalence", *_criteria_check(instance, rng, subset_trials))
+    record("criteria-equivalence", *_criteria_check(instance, rng, subset_trials, facets))
 
     refl_inst, refl_map = reflect_instance(instance)
     ok = True
@@ -305,32 +305,40 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     return VerificationReport(instance, tuple(checks))
 
 
-def _criteria_check(instance: Instance, rng: random.Random, trials: int) -> tuple[bool, str]:
-    """Hold the three facet criteria to each other on random subsets.
+def _criteria_check(instance: Instance, rng: random.Random, trials: int,
+                    facets) -> tuple[bool, str]:
+    """Hold the three facet criteria to each other on random subsets, then on every facet.
 
     Each trial draws a density, then each cell in rank order with that
-    probability.  A subset drawn before is not evaluated again, and small
-    blocks share one memo across the trials.
+    probability; such draws almost never hit a facet of a larger instance.
+    A subset met before is not evaluated again, and small blocks share one
+    memo across the check.
     """
     bits = [1 << r for r in range(instance.size)]
-    seen: set[int] = set()
-    memo: dict = {}
-    draw = rng.random
-    for trial in range(1, trials + 1):
-        density = draw()
-        mask = 0
-        for bit in bits:
-            if draw() < density:
-                mask |= bit
+    seen, memo = set(), {}
+
+    def subsets():
+        draw = rng.random
+        for trial in range(1, trials + 1):
+            density = draw()
+            mask = 0
+            for bit in bits:
+                if draw() < density:
+                    mask |= bit
+            yield f"subset {trial} of {trials}", mask
+        for n, facet in enumerate(facets, start=1):
+            yield f"facet {n} of {len(facets)}", facet.mask
+
+    for name, mask in subsets():
         if mask in seen:
             continue
         seen.add(mask)
         routes = _criteria_kernel(instance, mask, memo)
         if not routes[3]:
             cells = [list(c) for c, bit in zip(instance.cells, bits) if mask & bit]
-            return False, (f"subset {trial} of {trials}, cells {cells}: routes "
+            return False, (f"{name}, cells {cells}: routes "
                            f"(cardinality, raw, padded, agree) = {routes}")
-    return True, f"{trials} random subsets"
+    return True, f"{trials} random subsets, then all facets ({len(facets)})"
 
 
 def _codim1_check(instance: Instance, facets) -> tuple[bool, str]:

@@ -127,6 +127,43 @@ def test_fvector_honours_facet_cap(capsys):
     assert int(counts.split()[-1]) == paths[0][0] * paths[1][1] - paths[0][1] * paths[1][0] == 50
 
 
+@pytest.mark.parametrize("command", ["hilbert", "hvector", "multiplicity"])
+def test_series_commands_honour_facet_cap(capsys, command):
+    # the series commands fold the capped facet masks: the error is that of facets
+    argv = ("--preset", "det:4,5,2", "--facet-cap", "49")
+    _, _, expected = run_cli(capsys, "facets", *argv)
+    assert expected.startswith("error: more than 49 facets; stopped with 49 found")
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, out, err) == (1, "", expected)
+
+
+COMMANDS = ("info", "facets", "multiplicity", "hvector", "hilbert", "fvector", "interior",
+            "shelling", "corners", "vdc-sample", "export-cas", "verify")
+
+
+def _parse(capsys, parse, argv):
+    try:
+        parse(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bogus"], ["facets", "--bogus"],
+                                  ["verify", "--samples", "3"], ["hilbert", "--max-cells", "x"],
+                                  *([command, "--help"] for command in COMMANDS)])
+def test_one_subcommand_parser_reads_as_the_full_one(capsys, monkeypatch, argv):
+    # main builds only the named subcommand's options; help, usage and errors must not change
+    from quiverdet.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "100")
+    full = _parse(capsys, build_parser().parse_args, argv)
+    assert full[0] == (0 if "--help" in argv else 2)
+    assert _parse(capsys, main, argv) == full
+
+
 def _gessel_viennot(m, n, u):
     """det[C(m + n - i - j, m - i)] over 1 <= i, j <= u, by the Leibniz formula."""
     total = 0

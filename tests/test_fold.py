@@ -9,8 +9,8 @@ import quiverdet
 from quiverdet import (CrossCheckError, enumerate_facets, f_vector, hilbert_series, interior_faces,
                        verify_instance)
 from quiverdet.cli import main, parse_preset
-from quiverdet.complex import _ridge_fold, boundary_generator_masks
-from quiverdet.series import CORNER_ROUTES, FOLD_ROUTES, face_counts
+from quiverdet.complex import boundary_generator_masks
+from quiverdet.series import CORNER_ROUTES, FOLD_ROUTES, _ridge_fold, face_counts
 from quiverdet.verify import random_instance
 
 from golden import (DOUBLE_F_VECTOR, DOUBLE_F_TOTAL, DOUBLE_H, DOUBLE_INTERIOR,

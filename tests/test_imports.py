@@ -13,10 +13,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import quiverdet
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CORE = {"quiverdet", "quiverdet.cli", "quiverdet.errors", "quiverdet.quiver"}
+ORACLES = {"quiverdet.chains", "quiverdet.cvm", "quiverdet.complex", "quiverdet.verify",
+           "quiverdet.ideal"}
 HEAVY = {"dataclasses", "inspect"}
 
 # the public names of the package, as the eager __init__ bound them
@@ -62,6 +66,19 @@ def test_cli_import_and_info_load_only_the_core():
         modules = _probe(body)
         assert _package(modules) == CORE, body
         assert not modules & HEAVY, body
+
+
+@pytest.mark.parametrize("command, path", [
+    ("facets", {"quiverdet.moves"}),
+    *((command, {"quiverdet.moves", "quiverdet.series"})
+      for command in ("hilbert", "hvector", "multiplicity", "fvector", "interior")),
+])
+def test_counting_commands_load_only_the_mask_path(command, path):
+    # no oracle module is compiled, and json only under --json
+    modules = _probe("from quiverdet.cli import main\n"
+                     f"assert main([{command!r}, '--preset', 'double:2,3,2,1,1']) == 0")
+    assert _package(modules) == CORE | path
+    assert not modules & ORACLES and "json" not in modules
 
 
 def test_verify_does_not_load_the_cas_exporter():

@@ -7,6 +7,8 @@ from quiverdet import (CellSet, ValidationError, corner_stats, criteria_agree, e
                        is_u_compatible)
 from quiverdet.verify import random_instance
 
+from golden import STAR_MULTIPLICITY
+
 
 def criteria_oracle(instance, cells):
     """Definition level: the three facet criteria from one ``corner_stats`` call per cell."""
@@ -102,12 +104,13 @@ def test_criteria_check_draws_each_subset_once(monkeypatch, double_instance, sta
     for inst, trials, seed in cases:
         seen.clear()
         report = verify.verify_instance(inst, subset_trials=trials, seed=seed)
+        facets = [f.mask for f in enumerate_facets(inst)]
         assert {c.name: c.detail for c in report.checks}["criteria-equivalence"] == (
-            f"{trials} random subsets")
-        # the check is the seeded rng's first user
+            f"{trials} random subsets, then all facets ({len(facets)})")
+        # the check is the seeded rng's first user; the facets follow the draws
         drawn = _drawn_masks(random.Random(seed), inst, trials)
-        assert seen == list(dict.fromkeys(drawn))
-        assert len(seen) < trials  # some subsets repeat, and they are not evaluated again
+        assert seen == list(dict.fromkeys(drawn + facets))
+        assert len(set(drawn)) < trials  # some subsets repeat, and they are not evaluated again
 
 
 def test_criteria_memo_is_safe(double_instance, star_instance, det33, single_cell):
@@ -185,6 +188,28 @@ def test_criteria_check_reports_a_bad_route(monkeypatch, single_cell):
                                 "(cardinality, raw, padded, agree) = (False, False, True, False)")
     assert verify.criteria_agree(single_cell, []) == (False, False, True, False)
     assert verify.criteria_agree(single_cell, [(1, 1, 1)]) == (True, True, False, False)
+
+
+def test_criteria_check_reaches_the_facet_side(monkeypatch, capsys, star_instance):
+    # a floor off by one that only a facet notices: no random draw of star-example
+    # is a facet, so the enumerated facets must catch it
+    import quiverdet.verify as verify
+    from quiverdet.cli import main
+
+    inst = star_instance
+    facet = enumerate_facets(inst)[0].mask
+    *_, positions = verify._criteria_layout(inst)[1][2]
+    _corrupt_floor(monkeypatch, 1, next(n for n, p in enumerate(positions) if facet & p[2]), 1)
+    failed = [c for c in verify.verify_instance(inst, seed=7).checks if not c.ok]
+    assert [c.name for c in failed] == ["criteria-equivalence"]
+    head, routes = failed[0].detail.split(": routes (cardinality, raw, padded, agree) = ")
+    label, cells = head.split(", cells ")
+    assert label.startswith("facet ") and label.endswith(f" of {STAR_MULTIPLICITY}")
+    assert str(verify.criteria_agree(inst, [tuple(c) for c in json.loads(cells)])) == routes
+    assert routes == "(True, True, False, False)"
+    assert main(["verify", "--preset", "star-example", "--seed", "7"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "FAILED: criteria-equivalence on Instance(")
 
 
 def test_criteria_memo_keeps_a_bad_share(monkeypatch, star_instance):

@@ -2,16 +2,17 @@
 
 Every computation the library offers is exposed as a subcommand over an
 instance loaded from a preset string or a JSON file.  All counts are exact
-Python integers; --json switches every subcommand to machine-readable
-output.
+Python integers; --json switches every subcommand but ``export-cas`` (which
+writes a script) to machine-readable output.
 
 Each handler imports the engines it runs when it runs, so a process loads
 only what its subcommand needs: ``info`` loads ``quiver`` and ``errors``
 alone, the counting commands only the mask path ``moves`` and ``series``;
 oracle routes import theirs when they run.  Only the subcommand run gets
-options, and only ``--json`` loads ``json``.  ``facets`` streams the sorted
-masks of ``moves._facet_masks``, builds no ``CellSet``, and writes each
-facet as soon as it is formatted, never holding the whole output.
+options, each only those its handler reads, and only ``--json`` loads
+``json``.  ``facets`` streams the sorted masks of ``moves._facet_masks``,
+builds no ``CellSet``, and writes each facet as soon as it is formatted,
+never holding the whole output.
 """
 
 from __future__ import annotations
@@ -363,12 +364,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         src.add_argument("--file", help="path to an instance JSON document")
         sub.add_argument("--strict", action="store_true",
                          help="reject rank violations instead of normalizing")
-        sub.add_argument("--json", action="store_true", help="machine-readable output")
-        sub.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS,
-                         help="guard for brute-force operations (default %(default)s)")
-        sub.add_argument("--facet-cap", type=int, default=DEFAULT_FACET_CAP,
-                         help="abort facet enumeration past this many facets")
-        sub.add_argument("--seed", type=int, default=None, help="seed for sampling subcommands")
+        # each subcommand gets only the options its handler reads
+        if name != "export-cas":
+            sub.add_argument("--json", action="store_true", help="machine-readable output")
+        if name in ("vdc-sample", "verify"):
+            sub.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS,
+                             help="guard for brute-force operations (default %(default)s)")
+            sub.add_argument("--seed", type=int, default=None, help="seed for sampling")
+        if name not in ("info", "vdc-sample", "export-cas"):
+            sub.add_argument("--facet-cap", type=int, default=DEFAULT_FACET_CAP,
+                             help="abort facet enumeration past this many facets")
         if name == "vdc-sample":
             sub.add_argument("--samples", type=int, default=30)
         elif name == "export-cas":
@@ -388,7 +393,7 @@ def main(argv=None) -> int:
     # the top level takes no option values, so the first other word names the subcommand
     parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     args = parser.parse_args(argv)
-    if args.max_cells < 1 or args.facet_cap < 1:
+    if getattr(args, "max_cells", 1) < 1 or getattr(args, "facet_cap", 1) < 1:
         parser.error("guards must be positive")
     for name in ("trials", "random", "samples", "generator_cap"):
         if getattr(args, name, 0) < 0:

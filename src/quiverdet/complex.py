@@ -9,10 +9,11 @@ blocks, so a node asks the staircase kernel ``chains._blocked_ranks`` for
 those two blocks' blocked cells and drops them from its parent's addable
 mask.  No node builds chain tables or tests cells one by one.
 
-Each codim-1 face (ridge) F - c lies in one or two facets; the boundary, the
-shelling check and ``verify``'s codim-1 check read the owners off ``_ridge_table``.
-``series._ridge_fold`` keeps only the open ridges along a shelling order,
-and ``series`` reads the h-vector off it.
+Each codim-1 face (ridge) F - c lies in one or two facets;
+``series._ridge_walk`` pairs them, and the boundary, the shelling check,
+``verify``'s codim-1 check and the h-vector folds read it.
+``interior_faces`` and the shelling check read the facets containing a set
+off per-cell owner bitsets (``_containing``).
 
 The CLI reads face counts off the h-vector (``series.face_counts``); the DFS
 routes ``f_vector`` and ``interior_faces`` are their oracle, in ``verify`` and
@@ -27,7 +28,7 @@ from .chains import CellSet, _blocked_ranks, _load_blocks, is_u_compatible
 from .cvm import corners
 from .errors import DEFAULT_MAX_CELLS, GuardExceeded, ValidationError
 from .quiver import Instance
-from .series import FaceTable
+from .series import FaceTable, _ridge_walk
 
 DEFAULT_VDC_GUARD = 14
 
@@ -141,22 +142,30 @@ def codim1_membership(sub: CellSet) -> list[CellSet]:
     return [CellSet.from_mask(inst, sub.mask | 1 << r) for r in range(inst.size) if addable >> r & 1]
 
 
-def _ridge_table(facets) -> dict[int, list[int]]:
-    """Each ridge mask F - c of the facets, mapped to its owners' indices in list order.
+def _owner_bits(masks, size: int) -> list[int]:
+    """Per cell rank below ``size``, the bitset of the indices of the masks holding the cell."""
+    owners = [0] * size
+    for n, mask in enumerate(masks):
+        bit = 1 << n
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            owners[low.bit_length() - 1] |= bit
+    return owners
 
-    A set one cell short of a facet G lies in G iff it is G - c for a cell c of G.
-    """
-    table: dict[int, list[int]] = {}
-    for j, mask in enumerate(f.mask for f in facets):
-        for r in range(mask.bit_length()):
-            if mask >> r & 1:
-                table.setdefault(mask & ~(1 << r), []).append(j)
-    return table
+
+def _containing(owners: list[int], mask: int, among: int) -> int:
+    """The bitset of the masks in ``among`` that contain ``mask``: the AND of its cells' owners."""
+    while mask and among:
+        low = mask & -mask
+        mask ^= low
+        among &= owners[low.bit_length() - 1]
+    return among
 
 
 def boundary_generator_masks(facets) -> list[int]:
-    """The codim-1 faces of the facets that lie in exactly one of them, as bitmasks."""
-    return [ridge for ridge, owners in _ridge_table(facets).items() if len(owners) == 1]
+    """The codim-1 faces of the facets that lie in exactly one of them, as ascending bitmasks."""
+    return sorted(_ridge_walk([f.mask for f in facets])[1])
 
 
 def interior_faces(instance: Instance, table: FaceTable, facets) -> FaceTable:
@@ -164,34 +173,18 @@ def interior_faces(instance: Instance, table: FaceTable, facets) -> FaceTable:
 
     The complex is a shellable ball, so its boundary is generated by the
     codim-1 faces contained in exactly one facet; a face is interior exactly
-    when it is a subset of none of them.  ``owners[r]`` is the bitset of the
-    generators that contain cell r, so the generators containing a face are
-    the AND of its cells' owners, starting from all of them for the empty
-    face.  The oracle route, on ``f_vector``'s stored faces: ``verify`` and
-    ``hilbert_series``'s ``interior`` route use it, while
-    ``series.face_counts`` reads the interior counts off h reversed.
+    when it is a subset of none of them, as ``_containing`` reads off the
+    generators' owner bitsets.  The oracle route, on ``f_vector``'s stored
+    faces: ``verify`` and ``hilbert_series``'s ``interior`` route use it,
+    while ``series.face_counts`` reads the interior counts off h reversed.
     """
     if table.faces_by_size is None:
         raise ValidationError("interior faces need f_vector(store_faces=True)")
     gens = boundary_generator_masks(facets)
-    owners = [0] * instance.size
-    for n, g in enumerate(gens):
-        while g:
-            low = g & -g
-            g ^= low
-            owners[low.bit_length() - 1] |= 1 << n
+    owners = _owner_bits(gens, instance.size)
     everything = (1 << len(gens)) - 1
-    interior = []
-    for masks in table.faces_by_size:
-        count = 0
-        for m in masks:
-            containing = everything
-            while m and containing:
-                low = m & -m
-                m ^= low
-                containing &= owners[low.bit_length() - 1]
-            count += containing == 0
-        interior.append(count)
+    interior = [sum(not _containing(owners, m, everything) for m in masks)
+                for masks in table.faces_by_size]
     return table._replace(interior_by_size=tuple(interior), boundary_generators=len(gens))
 
 
@@ -209,11 +202,13 @@ def verify_shelling(facets_in_order, corner_kind: str = "SE") -> ShellingReport:
     """Check that the given facet order is a shelling and matches the corner counts.
 
     Restriction-face form (Björner–Wachs, Trans. AMS 348, 1996): R_j holds the
-    cells c of F_j whose ridge F_j - c lies in an earlier facet, and the order
-    shells iff no earlier facet contains R_j, as G ∩ F_j ⊆ F_j - c iff c ∉ G.
-    |R_j| must equal the facet's essential corner count (zero for the first
-    facet).  The ascending order pairs with SE corners; the descending order
-    is the reflected picture and pairs with NW corners.
+    cells c of F_j whose ridge F_j - c lies in an earlier facet, read off
+    ``series._ridge_walk``, and the order shells iff no earlier facet
+    contains R_j, as G ∩ F_j ⊆ F_j - c iff c ∉ G.  |R_j| must equal the
+    facet's essential corner count (zero for the first facet).  The
+    ascending order pairs with SE corners; the descending order is the
+    reflected picture and pairs with NW corners.  The facets must be cell
+    sets of one instance.
     """
     if corner_kind not in ("SE", "NW"):
         raise ValidationError(f"corner kind must be SE or NW, got {corner_kind!r}")
@@ -221,16 +216,17 @@ def verify_shelling(facets_in_order, corner_kind: str = "SE") -> ShellingReport:
     r_seq: list[int] = []
     if not facets:
         return ShellingReport(True, ())
+    instance = facets[0].instance
+    if any(f.instance != instance for f in facets):
+        raise ValidationError("facets must be cell sets of one instance")
     n_top = len(facets[0])
     masks = [f.mask for f in facets]
-    ridges = _ridge_table(facets)
-    for j, facet in enumerate(facets):
+    restrictions = _ridge_walk(masks)[0]
+    owners = _owner_bits(masks, instance.size)
+    for j, (facet, restriction) in enumerate(zip(facets, restrictions)):
         if len(facet) != n_top:
             return ShellingReport(False, tuple(r_seq), f"facet {j + 1} has wrong cardinality")
-        mj = masks[j]
-        restriction = sum(1 << r for r in range(mj.bit_length())
-                          if mj >> r & 1 and ridges[mj & ~(1 << r)][0] < j)
-        if any(m & restriction == restriction for m in masks[:j]):
+        if _containing(owners, restriction, (1 << j) - 1):
             return ShellingReport(
                 False, tuple(r_seq),
                 f"facet {j + 1}: an earlier intersection is not inside a shared codim-1 face")

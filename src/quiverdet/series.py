@@ -3,11 +3,13 @@
 All polynomial arithmetic is exact over the integers.  The numerator, the
 h-polynomial, has six routes.  The default pair, ``ascending_fold`` and
 ``descending_fold``, count the facets by the ridges each one closes in
-``_ridge_fold`` over their masks in ascending and in descending order, both
-shellings.  Their oracle is the paper's formula: ``se_corners`` and
-``nw_corners`` count the facets by essential SE or NW corners (the ascending
-and the descending restriction counts).  ``f_transform`` and ``interior``
-transform the f-vector and the interior faces of the face DFS.  Multiplicity
+``_ridge_walk`` over their masks in ascending and in descending order, both
+shellings; ``complex`` and ``verify`` read their restriction faces and
+boundary generators off the same walk.  The folds' oracle is the paper's
+formula: ``se_corners`` and ``nw_corners`` count the facets by essential SE
+or NW corners (the ascending and the descending restriction counts).
+``f_transform`` and ``interior`` transform the f-vector and the interior
+faces of the face DFS.  Multiplicity
 h(1) and the Gorenstein indicator (a palindromic h-vector) are read off the
 series.  The routes are mathematically equal, so any disagreement is
 reported as an internal error rather than a result.
@@ -133,19 +135,19 @@ class FaceTable(NamedTuple):
         return obj
 
 
-def _ridge_fold(masks) -> tuple[tuple[int, ...], int]:
-    """Facets counted by how many ridges they close, and the number of ridges left open.
+def _ridge_walk(masks) -> tuple[list[int], set[int]]:
+    """Each mask's restriction mask in the order given, and the ridges left open.
 
-    Walking the masks in the order given, F closes each open ridge F - c (a
-    ridge lies in at most two facets) and opens the others.  In a shelling
-    order the closing cells form F's restriction face, so the counts are h
+    Walking the masks, F closes each open ridge F - c (a ridge lies in at
+    most two facets) and opens the others.  The closing cells form F's
+    restriction face R(F), the cells whose ridge lies in an earlier facet
     (Björner–Wachs, Trans. AMS 348, 1996); the ridges left open are those
     in exactly one facet, the boundary generators.
     """
     open_ridges: set[int] = set()
-    h = [0]
+    restrictions = []
     for mask in masks:
-        closed = 0
+        restriction = 0
         rest = mask
         while rest:
             low = rest & -rest
@@ -153,12 +155,18 @@ def _ridge_fold(masks) -> tuple[tuple[int, ...], int]:
             ridge = mask ^ low
             if ridge in open_ridges:
                 open_ridges.remove(ridge)
-                closed += 1
+                restriction |= low
             else:
                 open_ridges.add(ridge)
-        h += [0] * (closed + 1 - len(h))
-        h[closed] += 1
-    return tuple(h), len(open_ridges)
+        restrictions.append(restriction)
+    return restrictions, open_ridges
+
+
+def _ridge_fold(masks) -> tuple[tuple[int, ...], int]:
+    """Facets counted by their restriction faces' sizes, h along a shelling, and the open ridges."""
+    restrictions, open_ridges = _ridge_walk(masks)
+    sizes = [r.bit_count() for r in restrictions]
+    return tuple(map(sizes.count, range(max(sizes, default=0) + 1))), len(open_ridges)
 
 
 def _h_from_f(table: FaceTable, n_top: int) -> tuple[int, ...]:

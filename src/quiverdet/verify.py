@@ -15,8 +15,9 @@ off one ``_chain_tables`` sweep of that restriction; blocks of at most 16
 positions keep their shares in a memo for the whole check.  The reflection
 check's closures run on ``_blocked_ranks`` (both kernels in ``chains``); the
 tests hold both checks to definition-level loops over ``corner_stats`` and
-``can_extend``.  The codim-1 check holds the ridge
-owners of ``complex._ridge_table`` to the kernel route ``codim1_membership``.
+``can_extend``.  The codim-1 check walks the ridges with
+``series._ridge_walk``, the walk behind the h-vector folds and the shelling
+check, and holds each ridge's owners to the kernel route ``codim1_membership``.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .chains import CellSet, _addable, _chain_tables, _occupancy, is_u_compatible
-from .complex import (DEFAULT_MAX_CELLS, _face_counter, _FaceSearch, _ridge_table,
-                      codim1_membership, verify_shelling)
+from .complex import (DEFAULT_MAX_CELLS, _face_counter, _FaceSearch, codim1_membership,
+                      verify_shelling)
 from .cvm import _path_layout, c_max, c_min, initial_cvm, reflect, reflect_instance
 from .errors import QuiverDetError
 from .moves import DEFAULT_FACET_CAP, enumerate_facets
 from .quiver import BipartiteQuiver, Instance, build_instance
-from .series import ALL_ROUTES, CORNER_ROUTES, FOLD_ROUTES, FaceTable, hilbert_series
+from .series import (ALL_ROUTES, CORNER_ROUTES, FOLD_ROUTES, FaceTable, _ridge_walk,
+                     hilbert_series)
 
 
 def brute_maximal_facet_masks(instance: Instance) -> list[int]:
@@ -342,17 +344,30 @@ def _criteria_check(instance: Instance, rng: random.Random, trials: int,
 
 
 def _codim1_check(instance: Instance, facets) -> tuple[bool, str]:
-    """Hold every ridge's owners in the facet list to ``codim1_membership``."""
-    ridges = _ridge_table(facets)
-    boundary = 0
-    for sub, owners in ridges.items():
-        direct = {facets[i].mask for i in owners}
-        if not 1 <= len(direct) <= 2:
-            return False, f"codim-1 face inside {len(direct)} facets"
-        via_closure = {f.mask for f in codim1_membership(CellSet.from_mask(instance, sub))}
-        if via_closure != direct:
-            return False, "closure route misses a containing facet"
-        boundary += len(direct) == 1
-    if boundary == 0:
+    """Hold every ridge's owners in the facet list to ``codim1_membership``.
+
+    Each ridge F - c is evaluated once, at its first owner F, where c lies
+    outside F's restriction face.  Its owners by the closure route must be
+    one or two, F among them and all of them listed, and one iff the walk
+    leaves the ridge open: on facets, the owner sets of list and closure agree.
+    """
+    masks = [f.mask for f in facets]
+    listed = set(masks)
+    restrictions, open_ridges = _ridge_walk(masks)
+    ridges = 0
+    for mask, restriction in zip(masks, restrictions):
+        rest = mask & ~restriction
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ridge = mask ^ low
+            owners = [f.mask for f in codim1_membership(CellSet.from_mask(instance, ridge))]
+            if not 1 <= len(owners) <= 2:
+                return False, f"codim-1 face inside {len(owners)} facets"
+            if (mask not in owners or not listed.issuperset(owners)
+                    or (len(owners) == 1) != (ridge in open_ridges)):
+                return False, "closure route misses a containing facet"
+            ridges += 1
+    if not open_ridges:
         return False, "no boundary codim-1 face found"
-    return True, f"{len(ridges)} codim-1 faces, {boundary} on the boundary"
+    return True, f"{ridges} codim-1 faces, {len(open_ridges)} on the boundary"

@@ -164,6 +164,35 @@ def test_one_subcommand_parser_reads_as_the_full_one(capsys, monkeypatch, argv):
     assert _parse(capsys, main, argv) == full
 
 
+# Per subcommand, the options its handler reads besides --preset, --file and --strict.
+HANDLER_OPTIONS = {
+    "info": {"--json"},
+    **{command: {"--json", "--facet-cap"}
+       for command in ("facets", "multiplicity", "hvector", "hilbert", "fvector", "interior",
+                       "shelling", "corners")},
+    "vdc-sample": {"--json", "--max-cells", "--seed", "--samples"},
+    "export-cas": {"--flavor", "--out", "--generator-cap"},
+    "verify": {"--json", "--max-cells", "--facet-cap", "--seed", "--random", "--trials"},
+}
+
+
+@pytest.mark.parametrize("argv", [["hilbert", "--seed", "1"], ["facets", "--max-cells", "5"],
+                                  ["info", "--facet-cap", "3"], ["export-cas", "--json"]])
+def test_subcommands_reject_options_their_handlers_ignore(capsys, argv):
+    code, out, err = _parse(capsys, main, [*argv, "--preset", "det:2,2,1"])
+    assert (code, out) == (2, "") and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_subcommands_take_the_options_their_handlers_read(capsys, command):
+    import re
+
+    code, usage, _ = _parse(capsys, main, [command, "--help"])
+    assert code == 0
+    listed = set(re.findall(r"--[a-z-]+", usage.split("options:")[0]))
+    assert listed == {"--preset", "--file", "--strict"} | HANDLER_OPTIONS[command]
+
+
 def _gessel_viennot(m, n, u):
     """det[C(m + n - i - j, m - i)] over 1 <= i, j <= u, by the Leibniz formula."""
     total = 0

@@ -6,7 +6,7 @@ from quiverdet import (CellSet, GuardExceeded, ShellingReport, ValidationError,
                        check_vertex_decomposition_samples, codim1_membership, corners,
                        enumerate_facets, f_vector, initial_cvm, interior_faces, is_u_compatible,
                        verify_shelling)
-from quiverdet.complex import _FaceSearch, _ridge_table, boundary_generator_masks
+from quiverdet.complex import _FaceSearch, boundary_generator_masks
 from quiverdet.cvm import SE
 from quiverdet.series import _h_from_f, _h_from_interior
 from quiverdet.verify import random_instance
@@ -152,6 +152,19 @@ def test_codim1_membership_validation(double_instance):
         codim1_membership(bad)
 
 
+def _ridge_owners(masks):
+    """Each ridge mask F - c of the masks, mapped to its owners' indices in list order.
+
+    A set one cell short of a facet G lies in G iff it is G - c for a cell c of G.
+    """
+    table = {}
+    for j, mask in enumerate(masks):
+        for r in range(mask.bit_length()):
+            if mask >> r & 1:
+                table.setdefault(mask & ~(1 << r), []).append(j)
+    return table
+
+
 def test_every_codim1_in_one_or_two_facets():
     rng = random.Random(41)
     for _ in range(10):
@@ -159,7 +172,7 @@ def test_every_codim1_in_one_or_two_facets():
         facets = enumerate_facets(inst)
         masks = [f.mask for f in facets]
         subs = {f.mask & ~(1 << inst.rank[c]) for f in facets for c in f.cells}
-        owners = _ridge_table(facets)
+        owners = _ridge_owners(masks)
         assert set(owners) == subs
         gens = boundary_generator_masks(facets)
         assert len(gens) == len(set(gens))
@@ -259,6 +272,66 @@ def test_shelling_matches_pairwise_oracle(single_cell, det33, double_instance, s
                 assert report == _pairwise_shelling(order, kind)
                 seen.add(report.ok or next(text for text in kinds if text in report.failure))
     assert seen == {True, *kinds}
+
+
+def _restriction_scan_shelling(facets, corner_kind):
+    """The restriction-face form: R_j by ridge owners, then a scan of the earlier facets."""
+    if not facets:
+        return ShellingReport(True, ())
+    r_seq = []
+    n_top = len(facets[0])
+    masks = [f.mask for f in facets]
+    ridges = _ridge_owners(masks)
+    for j, facet in enumerate(facets):
+        if len(facet) != n_top:
+            return ShellingReport(False, tuple(r_seq), f"facet {j + 1} has wrong cardinality")
+        mj = masks[j]
+        restriction = sum(1 << r for r in range(mj.bit_length())
+                          if mj >> r & 1 and ridges[mj & ~(1 << r)][0] < j)
+        if any(m & restriction == restriction for m in masks[:j]):
+            return ShellingReport(
+                False, tuple(r_seq),
+                f"facet {j + 1}: an earlier intersection is not inside a shared codim-1 face")
+        rj = restriction.bit_count()
+        r_seq.append(rj)
+        rep = corners(facet)
+        expected = rep.essential_se if corner_kind == "SE" else rep.essential_nw
+        if rj != expected:
+            return ShellingReport(
+                False, tuple(r_seq),
+                f"facet {j + 1}: restriction count {rj} != "
+                f"essential {corner_kind} corners {expected}")
+    return ShellingReport(True, tuple(r_seq))
+
+
+def test_shelling_matches_restriction_scan(single_cell, det33, double_instance, star_instance):
+    # the walk's restriction faces and the owner-bitset containment against
+    # the definition: ridge owners and a scan of every earlier facet
+    rng = random.Random(89)
+    instances = [single_cell, det33, double_instance, star_instance]
+    instances += [random_instance(rng, max_cells=14) for _ in range(20)]
+    for inst in instances:
+        facets = enumerate_facets(inst)
+        orders = [facets, facets[::-1], rng.sample(facets, len(facets))]
+        swapped = list(facets)
+        i, k = rng.randrange(len(facets)), rng.randrange(len(facets))
+        swapped[i], swapped[k] = swapped[k], swapped[i]
+        pick = rng.randrange(len(facets))
+        orders += [swapped, facets[:pick + 1] + [facets[pick]] + facets[pick + 1:],
+                   facets + [facets[-1].remove(facets[-1].cells[0])]]
+        for order in orders:
+            for kind in ("SE", "NW"):
+                assert verify_shelling(order, corner_kind=kind) == \
+                    _restriction_scan_shelling(order, kind)
+
+
+def test_shelling_rejects_mixed_instances(det33, double_instance):
+    # the owner bitsets are indexed by one instance's cell ranks
+    mixed = enumerate_facets(det33)[:2] + enumerate_facets(double_instance)[:1]
+    with pytest.raises(ValidationError, match="one instance"):
+        verify_shelling(mixed)
+    with pytest.raises(ValidationError, match="one instance"):
+        verify_shelling(mixed[::-1])
 
 
 def test_shelling_decreasing_order_also_valid(double_instance, star_instance):

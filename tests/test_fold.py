@@ -145,6 +145,26 @@ def test_fold_agrees_with_corners_property():
     _for_random_instances(check)
 
 
+def test_ridge_walk_matches_the_definition_property():
+    # on a shuffled order: R(F_j) is the cells c of F_j whose ridge F_j - c
+    # lies in an earlier facet, and the open ridges lie in exactly one facet
+    from quiverdet.series import _ridge_walk
+
+    def check(inst):
+        masks = [f.mask for f in enumerate_facets(inst)]
+        random.Random(sum(masks)).shuffle(masks)
+        restrictions, open_ridges = _ridge_walk(masks)
+        cells = [[1 << r for r in range(m.bit_length()) if m >> r & 1] for m in masks]
+        assert restrictions == [
+            sum(c for c in cells[j] if any(g & (m ^ c) == m ^ c for g in masks[:j]))
+            for j, m in enumerate(masks)]
+        ridges = {m ^ c for m, cs in zip(masks, cells) for c in cs}
+        assert open_ridges == {ridge for ridge in ridges
+                               if sum(g & ridge == ridge for g in masks) == 1}
+
+    _for_random_instances(check)
+
+
 def test_face_counts_agree_with_the_face_dfs_property():
     # f and the interior vector read off h against the face DFS, and h(1)
     # against the facet count

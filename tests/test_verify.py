@@ -232,3 +232,33 @@ def test_criteria_memo_keeps_a_bad_share(monkeypatch, star_instance):
     assert (1, facet & block_mask) in memo
     assert verify._criteria_kernel(inst, facet, memo) == (True, True, False, False)
     assert verify._criteria_kernel(inst, facet, {}) == (True, True, False, False)
+
+
+def _codim1_counts(facets):
+    """Definition level: the ridges F - c of the facets, and those inside exactly one facet."""
+    masks = [f.mask for f in facets]
+    ridges = {m & ~(1 << r) for m in masks for r in range(m.bit_length()) if m >> r & 1}
+    boundary = sum(sum(m & ridge == ridge for m in masks) == 1 for ridge in ridges)
+    return len(ridges), boundary
+
+
+def test_codim1_check_counts_and_catches_a_dropped_facet(star_instance, det33):
+    from quiverdet.verify import _codim1_check
+
+    rng = random.Random(23)
+    instances = [star_instance, det33]
+    while len(instances) < 8:
+        inst = random_instance(rng, max_cells=14)
+        if len(enumerate_facets(inst)) >= 2:
+            instances.append(inst)
+    for inst in instances:
+        facets = enumerate_facets(inst)
+        ridges, boundary = _codim1_counts(facets)
+        assert _codim1_check(inst, facets) == (
+            True, f"{ridges} codim-1 faces, {boundary} on the boundary"), inst
+        # a ball with two or more facets: every facet shares a ridge with another,
+        # and the closure route names the dropped one as that ridge's other owner
+        for drop in {0, len(facets) // 2, len(facets) - 1}:
+            kept = facets[:drop] + facets[drop + 1:]
+            assert _codim1_check(inst, kept) == (
+                False, "closure route misses a containing facet"), (inst, drop)

@@ -20,9 +20,15 @@ built on a subset restricted to that block.  The padding floors live in
 road maps and the criteria check (both through ``cvm._path_layout``) read them
 there, so no caller pads position by position.  ``_blocked_ranks`` answers only "which positions
 of this block are not addable", from row bitmasks and O(u) staircase
-thresholds per row; ``_load_blocks`` sets a cell set up for it, and the face
-DFS and the greedy closures call it once per added cell.  The tests hold it
-to ``_chain_tables``.
+thresholds per row.  ``_rank_ladder`` spares it the blocks that need no
+staircase: a block of rank at least min(a, b) never blocks a cell, a rank-1
+block blocks the positions strictly NW or SE of its points, kept per cell as
+one quadrant mask, and twin blocks (the same positions and rank) run it once.
+``_load_blocks`` loads a cell set on the ladder; the face DFS and the greedy
+closures read one rung per added cell, so a cell outside every staircase
+block costs one AND-NOT and no kernel call, and neither does a cell too few
+of whose comparable positions are occupied to block anything new.  The
+tests hold the kernel and the ladder to ``_chain_tables``.
 """
 
 from __future__ import annotations
@@ -163,37 +169,96 @@ def _blocked_ranks(occ, pre, b: int, u: int) -> int:
     return blocked
 
 
+def _comparable(ranks, pre, b: int) -> dict[int, int]:
+    """Per position of a block, by rank: the positions strictly NW or strictly SE of it.
+
+    ``ranks`` is the block's ``block_ranks`` and ``pre`` its ``_blocked_ranks``
+    argument.  Running ORs of the rows' prefix masks, two per position and
+    sweep, build them in O(a·b) mask operations.
+    """
+    near = {}
+    # acc[y]: the rows above x, columns 1..y, so (x, y) sees acc[y - 1] NW
+    acc = [0] * (b + 1)
+    for x in range(1, len(pre)):
+        for y, r in enumerate(ranks[x - 1]):
+            near[r] = acc[y]
+        acc = [left | new for left, new in zip(acc, pre[x])]
+    # acc[y]: the rows below x, columns y + 1..b, so (x, y) sees acc[y] SE
+    acc = [0] * (b + 1)
+    for x in range(len(pre) - 1, 0, -1):
+        for y, r in enumerate(ranks[x - 1], start=1):
+            near[r] |= acc[y]
+        whole = pre[x][b]
+        acc = [right | whole ^ new for right, new in zip(acc, pre[x])]
+    return near
+
+
 @lru_cache(maxsize=128)
-def _row_prefix_masks(instance: Instance) -> dict[str, list]:
-    """Per block, the ``pre`` argument of ``_blocked_ranks``; index 0 is padding.
+def _rank_ladder(instance: Instance) -> tuple[tuple, tuple]:
+    """What adding each cell blocks, split by how much of the staircase kernel it needs.
 
-    Cached per instance: callers must treat the result as read-only.
+    Returns ``(kernels, rungs)``.  A block whose rank u is at least min(a, b)
+    never blocks a cell: the longest chain through a position has at most
+    min(a, b) points, so nw + se <= min(a, b) - 1 < u.  A rank-1 block blocks
+    exactly the positions with a point strictly NW or strictly SE of them,
+    the union of the ``_comparable`` masks of its points.  Every other block
+    needs ``_blocked_ranks``; ``kernels`` lists their ``(pre, b, u)``, once
+    per set of twins, blocks with identical ``block_ranks`` and rank, whose
+    blocked positions always agree.  ``rungs[r]`` is ``(quadrants, steps)``
+    for cell rank r: the positions comparable to the cell in its rank-1
+    blocks, and ``(kernel index, row, column bit, comparable, u - 1)`` for
+    each kernel block it lies in.  Adding the cell to an admissible set
+    newly blocks a position of a kernel block only if the cell then lies on a
+    chain of u points there, so only if at least u - 1 points of the set are
+    comparable to it.  Cached per instance: callers must treat the result as
+    read-only.
     """
-    return {vid: [(), *map(_prefix_masks, rows)] for vid, rows in instance.block_ranks.items()}
+    quadrants = [0] * instance.size
+    steps: list[list] = [[] for _ in range(instance.size)]
+    kernels, seen = [], set()
+    for vid, d in instance.vertex.items():
+        ranks = instance.block_ranks[vid]
+        if d.u >= min(d.a, d.b) or (ranks, d.u) in seen:
+            continue
+        seen.add((ranks, d.u))
+        pre = [(), *map(_prefix_masks, ranks)]  # the ``pre`` of ``_blocked_ranks``
+        near = _comparable(ranks, pre, d.b)
+        if d.u == 1:
+            for r, q in near.items():
+                quadrants[r] |= q
+        else:
+            k = len(kernels)
+            kernels.append((pre, d.b, d.u))
+            for x, row in enumerate(ranks, start=1):
+                for y, r in enumerate(row, start=1):
+                    steps[r].append((k, x, 1 << y, near[r], d.u - 1))
+    return tuple(kernels), tuple(zip(quadrants, map(tuple, steps)))
 
 
-def _load_blocks(instance: Instance, mask: int) -> tuple[dict[str, tuple], int]:
-    """Every block's ``_blocked_ranks`` arguments with ``mask`` loaded, and the blocked cells.
+def _load_blocks(instance: Instance, mask: int) -> tuple[list[tuple], int]:
+    """Each kernel block's ``_blocked_ranks`` arguments with ``mask`` loaded; the blocked cells.
 
-    The arguments are ``(occ, pre, b, u)`` per block; ``occ`` is a fresh list
-    that the caller may update in place as it adds cells.  The blocked mask
-    is the union of ``_blocked_ranks`` over all blocks.  The set is
-    u-compatible exactly when it shares no cell with that mask: a point on an
-    over-long chain sees at least rank-many chain points strictly NW or SE of
-    it, and a point of an admissible set at most rank - 1.
+    The arguments are ``(occ, pre, b, u)`` per entry of ``_rank_ladder``'s
+    kernels, in that order; ``occ`` is a fresh list that the caller may
+    update in place as it adds cells.  The blocked mask is the union of the
+    kernels' ``_blocked_ranks`` and of the cells' rank-1 quadrants, which is
+    the union of ``_blocked_ranks`` over all blocks.  The set is u-compatible
+    exactly when it shares no cell with that mask: a point on an over-long
+    chain sees at least rank-many chain points strictly NW or SE of it, and a
+    point of an admissible set at most rank - 1.
     """
-    pre = _row_prefix_masks(instance)
-    blocks = {vid: ([0] * (d.a + 1), pre[vid], d.b, d.u) for vid, d in instance.vertex.items()}
-    positions = instance.positions
+    kernels, rungs = _rank_ladder(instance)
+    blocks = [([0] * len(pre), pre, b, u) for pre, b, u in kernels]
+    blocked = 0
     m = mask
     while m:
         bit = m & -m
         m ^= bit
-        tv, ti, tj, sv, si, sj = positions[bit.bit_length() - 1]
-        blocks[tv][0][ti] |= 1 << tj
-        blocks[sv][0][si] |= 1 << sj
-    blocked = 0
-    for block in blocks.values():
+        quadrants, steps = rungs[bit.bit_length() - 1]
+        blocked |= quadrants
+        for k, x, col, _, _ in steps:
+            blocks[k][0][x] |= col
+    for block in blocks:
         blocked |= _blocked_ranks(*block)
     return blocks, blocked
 

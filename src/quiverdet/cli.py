@@ -359,7 +359,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if command not in (None, name):
             continue
         sub.set_defaults(func=func)
-        src = sub.add_argument_group("instance")
+        # one instance source: argparse exits 2 when both are given
+        src = sub.add_argument_group("instance").add_mutually_exclusive_group()
         src.add_argument("--preset", help="preset shorthand, e.g. double:2,3,2,1,1 or det:3,3,2")
         src.add_argument("--file", help="path to an instance JSON document")
         sub.add_argument("--strict", action="store_true",

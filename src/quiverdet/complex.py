@@ -3,11 +3,15 @@
 Admissible sets form a hereditary family, so a depth-first scan that only
 ever extends by cells keeping the set admissible visits every face exactly
 once.  The same engine backs the f-vector, the brute-force facet oracle and
-the bounded purity spot-checks.  It keeps each block's occupancy as one
-column bitmask per row; adding a cell changes only its target and source
-blocks, so a node asks the staircase kernel ``chains._blocked_ranks`` for
-those two blocks' blocked cells and drops them from its parent's addable
-mask.  No node builds chain tables or tests cells one by one.
+the bounded purity spot-checks.  It keeps each staircase block's occupancy
+as one column bitmask per row.  Adding a cell changes only its target and
+source blocks, so a node reads the cell's rung of ``chains._rank_ladder``:
+it drops the cell's rank-1 quadrants from its parent's addable mask, and the
+blocked cells of the staircase blocks the cell lies in, from the kernel
+``chains._blocked_ranks``, once per pair of twin blocks.  The kernel is
+skipped where fewer than u - 1 of the set's points are comparable to the
+cell, since the cell then blocks nothing new; blocks that can never block
+cost nothing.  No node builds chain tables or tests cells one by one.
 
 Each codim-1 face (ridge) F - c lies in one or two facets;
 ``series._ridge_walk`` pairs them, and the boundary, the shelling check,
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chains import CellSet, _blocked_ranks, _load_blocks, is_u_compatible
+from .chains import CellSet, _blocked_ranks, _load_blocks, _rank_ladder, is_u_compatible
 from .cvm import corners
 from .errors import DEFAULT_MAX_CELLS, GuardExceeded, ValidationError
 from .quiver import Instance
@@ -38,7 +42,7 @@ class _FaceSearch:
 
     The visitor receives, for every admissible X over the universe cells,
     the X bitmask and the bitmask of all cells of L (not only the universe)
-    that could still be added.  The blocks hold ``base`` as loaded by
+    that could still be added.  The kernel blocks hold ``base`` as loaded by
     ``chains._load_blocks``; ``run`` sets and clears the bits of X in their
     row occupancy masks in place, so they hold ``base`` again when it returns.
     """
@@ -46,40 +50,42 @@ class _FaceSearch:
     def __init__(self, instance: Instance, base=()):
         self.instance = instance
         self.base_mask = instance.cell_mask(base)
-        blocks, self.blocked = _load_blocks(instance, self.base_mask)
+        self.blocks, self.blocked = _load_blocks(instance, self.base_mask)
         if self.blocked & self.base_mask:
             raise ValidationError("base set is not u-compatible")
-        # per cell rank: row, column bit and kernel arguments of its target
-        # block, then the same for its source block
-        self.cells = tuple((ti, 1 << tj, blocks[tv], si, 1 << sj, blocks[sv])
-                           for tv, ti, tj, sv, si, sj in instance.positions)
 
     def run(self, visit, universe_mask: int | None = None):
         full = (1 << self.instance.size) - 1
         if universe_mask is None:
             universe_mask = full & ~self.base_mask
-        cells = self.cells
+        blocks, base_mask = self.blocks, self.base_mask
+        rungs = _rank_ladder(self.instance)[1]
 
         # Admissibility is hereditary and the blocks a cell does not touch
         # keep their blocked cells, which the parent's addable mask already
-        # excludes: so a child recomputes only the two blocks of its cell.
+        # excludes: so a child drops its cell's rank-1 quadrants and
+        # recomputes only the kernel blocks where its cell can block more.
 
         def rec(x_mask: int, min_rank: int, addable: int):
             visit(x_mask, addable)
             cand = addable & universe_mask & ~((1 << min_rank) - 1)
+            held = x_mask | base_mask
             while cand:
                 low = cand & -cand
                 cand ^= low
                 r = low.bit_length() - 1
-                ti, tbit, tblock, si, sbit, sblock = cells[r]
-                tblock[0][ti] |= tbit
-                sblock[0][si] |= sbit
-                rec(x_mask | low, r + 1,
-                    addable & ~(low | _blocked_ranks(*tblock) | _blocked_ranks(*sblock)))
-                tblock[0][ti] ^= tbit
-                sblock[0][si] ^= sbit
+                blocked, steps = rungs[r]
+                blocked |= low
+                for k, x, col, near, need in steps:
+                    block = blocks[k]
+                    block[0][x] |= col
+                    if (near & held).bit_count() >= need:
+                        blocked |= _blocked_ranks(*block)
+                rec(x_mask | low, r + 1, addable & ~blocked)
+                for k, x, col, _, _ in steps:
+                    blocks[k][0][x] ^= col
 
-        rec(0, 0, full & ~self.base_mask & ~self.blocked)
+        rec(0, 0, full & ~base_mask & ~self.blocked)
 
 
 def _face_counter(size: int, store_faces: bool):
@@ -210,9 +216,17 @@ def verify_shelling(facets_in_order, corner_kind: str = "SE") -> ShellingReport:
     reflected picture and pairs with NW corners.  The facets must be cell
     sets of one instance.
     """
+    return _shelling_report(list(facets_in_order), corner_kind)
+
+
+def _shelling_report(facets: list, corner_kind: str, walk=None) -> ShellingReport:
+    """``verify_shelling`` on a list, reading R_j off ``walk`` when given.
+
+    ``walk`` is ``series._ridge_walk`` of the facets' masks in this order, so a
+    caller that walks them for another check walks them once.
+    """
     if corner_kind not in ("SE", "NW"):
         raise ValidationError(f"corner kind must be SE or NW, got {corner_kind!r}")
-    facets = list(facets_in_order)
     r_seq: list[int] = []
     if not facets:
         return ShellingReport(True, ())
@@ -221,7 +235,7 @@ def verify_shelling(facets_in_order, corner_kind: str = "SE") -> ShellingReport:
         raise ValidationError("facets must be cell sets of one instance")
     n_top = len(facets[0])
     masks = [f.mask for f in facets]
-    restrictions = _ridge_walk(masks)[0]
+    restrictions = (_ridge_walk(masks) if walk is None else walk)[0]
     owners = _owner_bits(masks, instance.size)
     for j, (facet, restriction) in enumerate(zip(facets, restrictions)):
         if len(facet) != n_top:

@@ -11,13 +11,16 @@ that run thousands of times per instance sit on the package's kernels.  The
 criteria check evaluates each distinct random subset once, block by block:
 every route is a per-cell condition in the cell's target and source blocks,
 so a block's share depends only on the subset restricted to it and is read
-off one ``_chain_tables`` sweep of that restriction; blocks of at most 16
-positions keep their shares in a memo for the whole check.  The reflection
-check's closures run on ``_blocked_ranks`` (both kernels in ``chains``); the
-tests hold both checks to definition-level loops over ``corner_stats`` and
-``can_extend``.  The codim-1 check walks the ridges with
-``series._ridge_walk``, the walk behind the h-vector folds and the shelling
-check, and holds each ridge's owners to the kernel route ``codim1_membership``.
+off one ``_chain_tables`` sweep of that restriction, one per pair of twin
+blocks; blocks of at most 16 positions keep their shares in a memo for the
+whole check.  The brute face
+DFS, the reflection check's closures and ``codim1_membership`` run on the
+kernel ladder ``_rank_ladder``, which calls ``_blocked_ranks`` only on
+staircase blocks (all in ``chains``, as ``_chain_tables`` is); the tests
+hold the criteria and the closures to definition-level loops over
+``corner_stats`` and ``can_extend``.  The shelling check and the codim-1 check read one
+``series._ridge_walk`` of the ascending facets, the walk behind the h-vector
+folds; the codim-1 check holds each ridge's owners to ``codim1_membership``.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .chains import CellSet, _addable, _chain_tables, _occupancy, is_u_compatible
-from .complex import (DEFAULT_MAX_CELLS, _face_counter, _FaceSearch, codim1_membership,
-                      verify_shelling)
+from .complex import (DEFAULT_MAX_CELLS, _face_counter, _FaceSearch, _shelling_report,
+                      codim1_membership)
 from .cvm import _path_layout, c_max, c_min, initial_cvm, reflect, reflect_instance
 from .errors import QuiverDetError
 from .moves import DEFAULT_FACET_CAP, enumerate_facets
@@ -94,14 +97,19 @@ def _criteria_layout(instance: Instance) -> tuple[tuple, ...]:
 
 
 def _block_criteria(a: int, b: int, u: int, ranks, positions,
-                    sub: int) -> tuple[bool, int, int, int]:
+                    sub: int, tables: dict) -> tuple[bool, int, int, int]:
     """One block's share of the three criteria, for the set ``sub`` restricted to the block.
 
     Returns whether the block is u-compatible (its longest chain, nw[a][b], is
     at most u) and three rank masks of its positions: raw sum nw + se at least
-    u; padded sum outside {u - 1, u}; padded sum other than u - 1.
+    u; padded sum outside {u - 1, u}; padded sum other than u - 1.  ``tables``
+    keeps the chain tables built for ``sub``, keyed by ``ranks``: twin blocks
+    (the same ``block_ranks``) share them, and only their floors differ.
     """
-    nw, se = _chain_tables(a, b, _occupancy(ranks, sub))
+    nw_se = tables.get(ranks)
+    if nw_se is None:
+        nw_se = tables[ranks] = _chain_tables(a, b, _occupancy(ranks, sub))
+    nw, se = nw_se
     raw_bad = invalid = not_low = 0
     low = u - 1
     for x, y, bit, nw_floor, se_floor in positions:
@@ -126,14 +134,15 @@ def _criteria_kernel(instance: Instance, mask: int, memo: dict) -> tuple[bool, b
     """
     compatible = True
     raw_bad = invalid = not_low = 0
+    tables: dict = {}
     for n, (block_mask, small, args) in enumerate(_criteria_layout(instance)):
         sub = mask & block_mask
         if small:
             share = memo.get((n, sub))
             if share is None:
-                share = memo[n, sub] = _block_criteria(*args, sub)
+                share = memo[n, sub] = _block_criteria(*args, sub, tables)
         else:
-            share = _block_criteria(*args, sub)
+            share = _block_criteria(*args, sub, tables)
         compatible &= share[0]
         raw_bad |= share[1]
         invalid |= share[2]
@@ -298,11 +307,14 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     except QuiverDetError as exc:
         record("series-routes", False, str(exc))
 
-    shelling = verify_shelling(facets)
+    # One walk for both checks.  The codim-1 check runs first: run after the
+    # shelling check, it raised the peak RSS of `verify` on star-example by
+    # about 0.1 MB.
+    walk = _ridge_walk([f.mask for f in facets])
+    codim1 = _codim1_check(instance, facets, walk)
+    shelling = _shelling_report(facets, "SE", walk)
     record("shelling", shelling.ok, shelling.failure or "increasing order shells")
-
-    ok, detail = _codim1_check(instance, facets)
-    record("codim1-membership", ok, detail)
+    record("codim1-membership", *codim1)
 
     return VerificationReport(instance, tuple(checks))
 
@@ -343,17 +355,18 @@ def _criteria_check(instance: Instance, rng: random.Random, trials: int,
     return True, f"{trials} random subsets, then all facets ({len(facets)})"
 
 
-def _codim1_check(instance: Instance, facets) -> tuple[bool, str]:
+def _codim1_check(instance: Instance, facets, walk) -> tuple[bool, str]:
     """Hold every ridge's owners in the facet list to ``codim1_membership``.
 
     Each ridge F - c is evaluated once, at its first owner F, where c lies
     outside F's restriction face.  Its owners by the closure route must be
     one or two, F among them and all of them listed, and one iff the walk
     leaves the ridge open: on facets, the owner sets of list and closure agree.
+    ``walk`` is ``series._ridge_walk`` of the facets' masks.
     """
     masks = [f.mask for f in facets]
     listed = set(masks)
-    restrictions, open_ridges = _ridge_walk(masks)
+    restrictions, open_ridges = walk
     ridges = 0
     for mask, restriction in zip(masks, restrictions):
         rest = mask & ~restriction

@@ -4,8 +4,10 @@ import pytest
 
 from quiverdet import (CellSet, ValidationError, can_extend, corner_stats, is_u_compatible,
                        max_diagonal_chain)
-from quiverdet.chains import _blocked_ranks, _chain_tables
+from quiverdet.chains import _blocked_ranks, _chain_tables, _load_blocks, _occupancy, _rank_ladder
+from quiverdet.cli import parse_preset
 from quiverdet.cvm import c_max
+from quiverdet.quiver import BipartiteQuiver, Instance, _prefix_masks
 from quiverdet.verify import random_instance
 
 from golden import DOUBLE_INITIAL
@@ -105,6 +107,176 @@ def test_blocked_ranks_vs_chain_tables():
                     if nw[x - 1][y - 1] + se[x + 1][y + 1] >= u:
                         expected |= 1 << ranks[(x - 1) * b + y - 1]
             assert _blocked_ranks(occ, pre, b, u) == expected, (a, b, u, occ)
+
+
+def _blocked_by_definition(inst, mask, vid):
+    """A block's positions with nw + se >= u in its ``_chain_tables``, and if it is u-compatible."""
+    d = inst.vertex[vid]
+    ranks = inst.block_ranks[vid]
+    nw, se = _chain_tables(d.a, d.b, _occupancy(ranks, mask))
+    blocked = sum(1 << r for x, row in enumerate(ranks, start=1) for y, r in enumerate(row, start=1)
+                  if nw[x - 1][y - 1] + se[x + 1][y + 1] >= d.u)
+    return blocked, nw[d.a][d.b] <= d.u
+
+
+def _block_class(inst, vid):
+    """never-blocking, rank-1 or staircase, and whether another block is its twin."""
+    d = inst.vertex[vid]
+    twin = any(w != vid and e.u == d.u and inst.block_ranks[w] == inst.block_ranks[vid]
+               for w, e in inst.vertex.items())
+    if d.u >= min(d.a, d.b):
+        return "never-blocking", twin
+    return ("rank-1" if d.u == 1 else "staircase"), twin
+
+
+def _check_ladder(inst, mask):
+    """``_load_blocks`` and each part of ``_rank_ladder`` against every block's chain tables."""
+    blocks, blocked = _load_blocks(inst, mask)
+    kernels, rungs = _rank_ladder(inst)
+    pre = {vid: [(), *map(_prefix_masks, rows)] for vid, rows in inst.block_ranks.items()}
+    quadrants = 0
+    for r, (quad, _) in enumerate(rungs):
+        if mask >> r & 1:
+            quadrants |= quad
+    expected = rank1 = 0
+    compatible = True
+    classes = set()
+    for vid, d in inst.vertex.items():
+        want, ok = _blocked_by_definition(inst, mask, vid)
+        expected |= want
+        compatible &= ok
+        kind, twin = _block_class(inst, vid)
+        classes.add((kind, twin))
+        if kind == "never-blocking":
+            assert want == 0 and ok
+        elif kind == "rank-1":
+            rank1 |= want
+        else:  # one kernel block per set of twins, holding exactly this block's share
+            [block] = [blk for blk in blocks if blk[1] == pre[vid] and blk[3] == d.u]
+            assert _blocked_ranks(*block) == want
+    assert quadrants == rank1
+    assert blocked == expected
+    assert (blocked & mask == 0) == compatible
+    assert len(blocks) == len(kernels) == len({
+        (inst.block_ranks[vid], d.u) for vid, d in inst.vertex.items() if 1 < d.u < min(d.a, d.b)})
+    return classes
+
+
+def _ladder_masks(inst, rng):
+    """Arbitrary masks: empty, full, random densities (mostly not admissible) and facets."""
+    from quiverdet import enumerate_facets
+
+    full = (1 << inst.size) - 1
+    masks = [0, full]
+    for _ in range(12):
+        density = rng.random()
+        masks.append(sum(1 << r for r in range(inst.size) if rng.random() < density))
+    masks += [f.mask for f in enumerate_facets(inst)][:8]
+    return masks
+
+
+def _check_rungs(inst):
+    """Each rung's kernel steps against the cell's position in every staircase block."""
+    kernels, rungs = _rank_ladder(inst)
+    classes = [0] * inst.size  # per cell, its staircase blocks up to twins
+    for vid, d in inst.vertex.items():
+        kind, twin = _block_class(inst, vid)
+        ranks = inst.block_ranks[vid]
+        pre = [(), *map(_prefix_masks, ranks)]
+        first = next(w for w in inst.vertex if inst.vertex[w].u == d.u
+                     and inst.block_ranks[w] == ranks) == vid
+        for x, row in enumerate(ranks, start=1):
+            for y, r in enumerate(row, start=1):
+                near = sum(1 << ranks[i - 1][j - 1]
+                           for i in range(1, d.a + 1) for j in range(1, d.b + 1)
+                           if (i < x and j < y) or (i > x and j > y))
+                found = [step for step in rungs[r][1] if kernels[step[0]] == (pre, d.b, d.u)]
+                if kind == "staircase":
+                    assert found == [(found[0][0], x, 1 << y, near, d.u - 1)], (vid, x, y)
+                    classes[r] += first
+                else:
+                    assert found == []
+    assert [len(steps) for _, steps in rungs] == classes
+
+
+def test_kernel_steps_skip_only_cells_that_block_nothing_new():
+    # the rung steps against the cell positions; and the skip rule: adding p to
+    # an admissible set leaves a block's blocked positions as they were when
+    # fewer than u - 1 of the set's points there are comparable to p
+    rng = random.Random(37)
+    instances = [parse_preset(p) for p in LADDER_PRESETS]
+    instances += [random_instance(rng, max_cells=16) for _ in range(40)]
+    skipped = 0
+    for inst in instances:
+        _check_rungs(inst)
+        for _ in range(10):
+            mask = c_max(CellSet(inst)).mask & rng.getrandbits(inst.size)
+            _, blocked = _load_blocks(inst, mask)
+            for r in range(inst.size):
+                if (mask | blocked) >> r & 1:
+                    continue
+                for vid, d in inst.vertex.items():
+                    if _block_class(inst, vid)[0] != "staircase" or not any(
+                            r in row for row in inst.block_ranks[vid]):
+                        continue
+                    x, y = inst.phi(vid, inst.cells[r])
+                    near = sum(1 << inst.block_ranks[vid][i - 1][j - 1]
+                               for i in range(1, d.a + 1) for j in range(1, d.b + 1)
+                               if (i < x and j < y) or (i > x and j > y))
+                    if (near & mask).bit_count() < d.u - 1:
+                        skipped += 1
+                        before = _blocked_by_definition(inst, mask, vid)[0]
+                        after = _blocked_by_definition(inst, mask | 1 << r, vid)[0]
+                        assert after == before, (inst, mask, r, vid)
+    assert skipped
+
+
+LADDER_PRESETS = ("det:3,3,1", "det:3,4,2", "det:4,5,2", "star-example")
+
+
+def test_rank_ladder_vs_chain_tables():
+    rng = random.Random(29)
+    instances = [parse_preset(p) for p in LADDER_PRESETS]
+    instances += [random_instance(rng, max_cells=16) for _ in range(60)]
+    # same positions, different ranks, as no normalized instance has: not twins
+    one_arrow = BipartiteQuiver(("2",), ("1",), (("2", "1"),))
+    instances += [Instance(one_arrow, {"1": 4, "2": 5}, {"1": 2, "2": u}) for u in (1, 3)]
+    classes = set()
+    for inst in instances:
+        for mask in _ladder_masks(inst, rng):
+            classes |= _check_ladder(inst, mask)
+    kinds = {kind for kind, _ in classes}
+    assert kinds == {"never-blocking", "rank-1", "staircase"}
+    assert {("rank-1", True), ("staircase", True)} <= classes
+
+
+def test_rank_ladder_vs_chain_tables_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), max_cells=st.integers(1, 20),
+                      bits=st.integers(0, 2 ** 20 - 1))
+    def run(seed, max_cells, bits):
+        inst = random_instance(random.Random(seed), max_cells=max_cells)
+        _check_ladder(inst, bits & (1 << inst.size) - 1)
+
+    run()
+
+
+def test_rank_ladder_on_a_large_rank_one_instance():
+    # 1600 cells, twin rank-1 blocks: no kernel block, and each cell's
+    # quadrants are the positions strictly NW or strictly SE of it
+    inst = parse_preset("det:40,40,1")
+    kernels, rungs = _rank_ladder(inst)
+    assert kernels == () and len(rungs) == inst.size == 1600
+    ranks = inst.block_ranks["1"]
+    rng = random.Random(40)
+    corners = [(1, 1), (1, 40), (40, 1), (40, 40)]
+    for x, y in corners + [(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(40)]:
+        want = sum(1 << ranks[i - 1][j - 1] for i in range(1, 41) for j in range(1, 41)
+                   if (i < x and j < y) or (i > x and j > y))
+        assert rungs[ranks[x - 1][y - 1]] == (want, ()), (x, y)
 
 
 def test_u_compatible_examples(double_instance):

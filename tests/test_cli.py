@@ -184,6 +184,18 @@ def test_subcommands_reject_options_their_handlers_ignore(capsys, argv):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
+def test_preset_and_file_together_are_a_usage_error(capsys, tmp_path, command):
+    # neither source silently wins, whether or not the file exists
+    path = tmp_path / "det.json"
+    path.write_text(parse_preset("det:2,2,1").to_json())
+    for file in (str(path), str(tmp_path / "missing.json")):
+        for argv in ([command, "--preset", "det:2,2,1", "--file", file],
+                     [command, "--file", file, "--preset", "det:2,2,1"]):
+            code, out, err = _parse(capsys, main, argv)
+            assert (code, out) == (2, "") and "not allowed with argument" in err, argv
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_subcommands_take_the_options_their_handlers_read(capsys, command):
     import re
 

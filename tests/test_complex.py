@@ -6,6 +6,7 @@ from quiverdet import (CellSet, GuardExceeded, ShellingReport, ValidationError,
                        check_vertex_decomposition_samples, codim1_membership, corners,
                        enumerate_facets, f_vector, initial_cvm, interior_faces, is_u_compatible,
                        verify_shelling)
+from quiverdet.cli import parse_preset
 from quiverdet.complex import _FaceSearch, boundary_generator_masks
 from quiverdet.cvm import SE
 from quiverdet.series import _h_from_f, _h_from_interior
@@ -42,10 +43,12 @@ def _check_face_search(inst, admissible, base_mask=0, universe_mask=None):
                          if m & ~universe_mask == 0 and base_mask | m in admissible}
 
 
-def test_face_search_vs_definition(single_cell, double_instance):
+def test_face_search_vs_definition(single_cell, double_instance, det33):
     rng = random.Random(71)
     instances = [single_cell, double_instance]
     instances += [random_instance(rng, max_cells=12) for _ in range(20)]
+    # det presets have twin blocks: rank 1, and ranks that need the staircase kernel
+    instances += [det33, parse_preset("det:3,3,1"), parse_preset("det:3,4,2")]
     for inst in instances:
         full = (1 << inst.size) - 1
         admissible = {m for m in range(full + 1) if is_u_compatible(CellSet.from_mask(inst, m))}

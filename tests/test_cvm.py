@@ -104,22 +104,28 @@ def scan_close(seed, descending):
     return closed
 
 
+def _check_closures_vs_scan(inst, rng):
+    facets = enumerate_facets(inst)
+    seeds = {0}
+    for facet in facets:
+        seeds.update(facet.mask & ~(1 << r) for r in range(inst.size) if facet.mask >> r & 1)
+    for _ in range(40):
+        sparse = CellSet(inst, [c for c in inst.cells if rng.random() < 0.3])
+        if is_u_compatible(sparse):
+            seeds.add(sparse.mask)
+    for mask in sorted(seeds):
+        seed = CellSet.from_mask(inst, mask)
+        assert c_max(seed) == scan_close(seed, descending=True)
+        assert c_min(seed) == scan_close(seed, descending=False)
+
+
 def test_closures_vs_scan():
     rng = random.Random(43)
     for _ in range(30):
-        inst = random_instance(rng, max_cells=16)
-        facets = enumerate_facets(inst)
-        seeds = {0}
-        for facet in facets:
-            seeds.update(facet.mask & ~(1 << r) for r in range(inst.size) if facet.mask >> r & 1)
-        for _ in range(40):
-            sparse = CellSet(inst, [c for c in inst.cells if rng.random() < 0.3])
-            if is_u_compatible(sparse):
-                seeds.add(sparse.mask)
-        for mask in sorted(seeds):
-            seed = CellSet.from_mask(inst, mask)
-            assert c_max(seed) == scan_close(seed, descending=True)
-            assert c_min(seed) == scan_close(seed, descending=False)
+        _check_closures_vs_scan(random_instance(rng, max_cells=16), rng)
+    # det presets have twin blocks: rank 1, and ranks that need the staircase kernel
+    for spec in ("det:3,3,1", "det:3,4,2", "det:4,5,2"):
+        _check_closures_vs_scan(parse_preset(spec), rng)
 
 
 def test_closure_requires_admissible_seed(double_instance):

@@ -113,6 +113,29 @@ def test_criteria_check_draws_each_subset_once(monkeypatch, double_instance, sta
         assert len(set(drawn)) < trials  # some subsets repeat, and they are not evaluated again
 
 
+def test_twin_blocks_share_chain_tables_and_nothing_else(star_instance, det33):
+    # each block's share with the tables of one subset kept across its blocks
+    # equals its share from fresh tables: twins (det presets) share tables,
+    # while star-example's three 3x2 source blocks must not
+    from quiverdet.cli import parse_preset
+    from quiverdet.verify import _block_criteria, _criteria_layout
+
+    rng = random.Random(47)
+    instances = [star_instance, det33, parse_preset("det:6,6,1"), parse_preset("det:3,4,2")]
+    instances += [random_instance(rng) for _ in range(30)]
+    shared_any = False
+    for inst in instances:
+        layout = _criteria_layout(inst)
+        for mask in _drawn_masks(rng, inst, 40) + [f.mask for f in enumerate_facets(inst)][:10]:
+            tables = {}
+            for _, _, args in layout:
+                sub = mask & sum(bit for _, _, bit, _, _ in args[4])
+                kept = len(tables)
+                assert _block_criteria(*args, sub, tables) == _block_criteria(*args, sub, {})
+                shared_any |= len(tables) == kept
+    assert shared_any
+
+
 def test_criteria_memo_is_safe(double_instance, star_instance, det33, single_cell):
     # a memo shared by all trials gives what a fresh one gives, and both what
     # the definition gives: the key must name the block, since a target and a
@@ -242,6 +265,12 @@ def _codim1_counts(facets):
     return len(ridges), boundary
 
 
+def _walk(facets):
+    from quiverdet.series import _ridge_walk
+
+    return _ridge_walk([f.mask for f in facets])
+
+
 def test_codim1_check_counts_and_catches_a_dropped_facet(star_instance, det33):
     from quiverdet.verify import _codim1_check
 
@@ -254,11 +283,40 @@ def test_codim1_check_counts_and_catches_a_dropped_facet(star_instance, det33):
     for inst in instances:
         facets = enumerate_facets(inst)
         ridges, boundary = _codim1_counts(facets)
-        assert _codim1_check(inst, facets) == (
+        assert _codim1_check(inst, facets, _walk(facets)) == (
             True, f"{ridges} codim-1 faces, {boundary} on the boundary"), inst
         # a ball with two or more facets: every facet shares a ridge with another,
         # and the closure route names the dropped one as that ridge's other owner
         for drop in {0, len(facets) // 2, len(facets) - 1}:
             kept = facets[:drop] + facets[drop + 1:]
-            assert _codim1_check(inst, kept) == (
+            assert _codim1_check(inst, kept, _walk(kept)) == (
                 False, "closure route misses a containing facet"), (inst, drop)
+
+
+def test_shelling_and_codim1_checks_share_one_walk(monkeypatch, star_instance, det33):
+    # verify walks the ascending facets once for both checks, and each check
+    # reports what it reports when it walks them itself
+    from quiverdet import complex as cx, verify
+    from quiverdet.complex import verify_shelling
+    from quiverdet.verify import _codim1_check, verify_instance
+
+    rng = random.Random(31)
+    instances = [star_instance, det33] + [random_instance(rng, max_cells=14) for _ in range(6)]
+    for inst in instances:
+        facets = enumerate_facets(inst)
+        shelling = verify_shelling(facets)
+        codim1 = _codim1_check(inst, facets, _walk(facets))
+        walks = {"verify": [], "complex": []}
+        for name, module in (("verify", verify), ("complex", cx)):
+            def spy(masks, _real=module._ridge_walk, _calls=walks[name]):
+                _calls.append(list(masks))
+                return _real(masks)
+            monkeypatch.setattr(module, "_ridge_walk", spy)
+        # under the brute guard no interior route walks the facets in complex
+        report = verify_instance(inst, subset_trials=20, seed=1, max_cells=inst.size - 1)
+        monkeypatch.undo()
+        assert walks == {"verify": [[f.mask for f in facets]], "complex": []}, inst
+        checks = {c.name: (c.ok, c.detail) for c in report.checks}
+        assert checks["shelling"] == (shelling.ok, shelling.failure or "increasing order shells")
+        assert checks["codim1-membership"] == codim1
+        assert report.ok, inst

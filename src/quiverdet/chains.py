@@ -14,8 +14,9 @@ membership criterion.
 Two kernels compute the statistics.  ``_chain_tables`` builds both full
 tables of a block, and ``_addable`` reads them cell by cell; ``BlockStats``,
 ``can_extend``, the road maps and ``verify``'s facet membership check use
-these.  ``verify``'s criteria check reads the tables of one block at a time,
-built on a subset restricted to that block.  The padding floors live in
+these.  ``verify``'s criteria check does not: it runs its own bit-sliced
+DP over many subsets at once, and the tests hold it to ``corner_stats``,
+which reads ``_chain_tables``.  The padding floors live in
 ``_corner_table``, computed once per cell and instance: ``corner_stats``, the
 road maps and the criteria check (both through ``cvm._path_layout``) read them
 there, so no caller pads position by position.  ``_blocked_ranks`` answers only "which positions

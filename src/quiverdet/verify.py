@@ -6,19 +6,17 @@ recomputation; any mismatch is a bug, so the suite reports the first failure
 with enough detail to reproduce it.
 
 ``enumerate_facets`` checks no facet; ``facet-cardinality`` holds each one to
-the cardinality route and the cell-by-cell membership criterion.  The loops
-that run thousands of times per instance sit on the package's kernels.  The
-criteria check evaluates each distinct random subset once, block by block:
-every route is a per-cell condition in the cell's target and source blocks,
-so a block's share depends only on the subset restricted to it and is read
-off one ``_chain_tables`` sweep of that restriction, one per pair of twin
-blocks; blocks of at most 16 positions keep their shares in a memo for the
-whole check.  The brute face
-DFS, the reflection check's closures and ``codim1_membership`` run on the
-kernel ladder ``_rank_ladder``, which calls ``_blocked_ranks`` only on
-staircase blocks (all in ``chains``, as ``_chain_tables`` is); the tests
-hold the criteria and the closures to definition-level loops over
-``corner_stats`` and ``can_extend``.  The shelling check and the codim-1 check read one
+the cardinality route and the cell-by-cell membership criterion.  The brute
+face DFS, the reflection check's closures and ``codim1_membership`` run on
+the kernel ladder ``chains._rank_ladder``, which calls ``_blocked_ranks``
+only on staircase blocks.  The criteria check evaluates all its random
+subsets and every facet in one bit-sliced batch: each cell holds one int
+whose bit i says whether subset i contains it, each route is a per-cell
+condition in the cell's target and source blocks, and each class of twin
+blocks runs one level-by-level chain DP on those ints (``_chain_levels``).
+The tests hold the criteria to ``corner_stats``, which reads the
+independent DP ``chains._chain_tables``, and the closures to ``can_extend``.
+The shelling check and the codim-1 check read one
 ``series._ridge_walk`` of the ascending facets, the walk behind the h-vector
 folds; the codim-1 check holds each ridge's owners to ``codim1_membership``.
 """
@@ -26,16 +24,17 @@ folds; the codim-1 check holds each ridge's owners to ``codim1_membership``.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 from typing import NamedTuple
 
-from .chains import CellSet, _addable, _chain_tables, _occupancy, is_u_compatible
+from .chains import CellSet, _addable, is_u_compatible
 from .complex import (DEFAULT_MAX_CELLS, _face_counter, _FaceSearch, _shelling_report,
                       codim1_membership)
 from .cvm import _path_layout, c_max, c_min, initial_cvm, reflect, reflect_instance
-from .errors import QuiverDetError
+from .errors import QuiverDetError, ValidationError
 from .moves import DEFAULT_FACET_CAP, enumerate_facets
-from .quiver import BipartiteQuiver, Instance, build_instance
+from .quiver import BipartiteQuiver, Instance, _is_int, build_instance
 from .series import (ALL_ROUTES, CORNER_ROUTES, FOLD_ROUTES, FaceTable, _ridge_walk,
                      hilbert_series)
 
@@ -71,89 +70,139 @@ def _membership_criterion_holds(cs: CellSet) -> bool:
     return _addable(inst.positions, tables, (1 << inst.size) - 1) == cs.mask
 
 
-# Blocks this small keep their per-submask shares in the criteria memo; a bigger
-# block's submasks almost never repeat, and keeping them costs memory.
-_MEMO_MAX_POSITIONS = 16
-
-
 @lru_cache(maxsize=128)
 def _criteria_layout(instance: Instance) -> tuple[tuple, ...]:
-    """Per block, in ``instance.vertex`` order, what ``_block_criteria`` reads.
+    """Per class of twin blocks, what ``_criteria_kernel`` reads.
 
-    A row holds the block's rank mask, whether it is small enough to memoize,
-    and the arguments ``(a, b, u, ranks, positions)`` of ``_block_criteria``;
-    ``positions`` lists each position's row, column, rank bit and the block's
-    two padding floors there, as ``cvm._path_layout`` reads them off
-    ``chains._corner_table``.
+    Twin blocks have the same ``block_ranks`` and the same rank, so the same
+    level tables on every subset; only their padding floors differ.  A row
+    is ``(a, b, u, ranks, blocks)``, one per class, in the order of the
+    class's first block in ``instance.vertex``.  ``blocks`` lists the class's
+    blocks, each as its positions ``(x, y, rank, nw_floor, se_floor)``, as
+    ``cvm._path_layout`` reads them off ``chains._corner_table``.
     Cached per instance: callers must treat the result as read-only.
     """
-    rows = []
+    classes: dict = {}
     for vid, _, a, b, u, _, points, _ in _path_layout(instance):
-        positions = tuple((x, y, 1 << r, nw_floor, se_floor)
-                          for x, y, r, nw_floor, se_floor in points)
-        rows.append((sum(p[2] for p in positions), len(positions) <= _MEMO_MAX_POSITIONS,
-                     (a, b, u, instance.block_ranks[vid], positions)))
-    return tuple(rows)
+        ranks = instance.block_ranks[vid]
+        classes.setdefault((ranks, u), (a, b, u, ranks, []))[4].append(points)
+    return tuple((a, b, u, ranks, tuple(blocks)) for a, b, u, ranks, blocks in classes.values())
 
 
-def _block_criteria(a: int, b: int, u: int, ranks, positions,
-                    sub: int, tables: dict) -> tuple[bool, int, int, int]:
-    """One block's share of the three criteria, for the set ``sub`` restricted to the block.
+def _chain_levels(a: int, b: int, u: int, occ, every: int) -> tuple[list, list]:
+    """Bit-sliced NW and SE chain tables of one a x b block, levels 1 to u + 1.
 
-    Returns whether the block is u-compatible (its longest chain, nw[a][b], is
-    at most u) and three rank masks of its positions: raw sum nw + se at least
-    u; padded sum outside {u - 1, u}; padded sum other than u - 1.  ``tables``
-    keeps the chain tables built for ``sub``, keyed by ``ranks``: twin blocks
-    (the same ``block_ranks``) share them, and only their floors differ.
+    ``occ[x][y]`` has bit i set when subset i holds the block's position
+    (x, y); rows 0 and a + 1 and columns 0 and b + 1 are zero padding, and
+    ``every`` has a bit for each subset.  Bit i of ``nw[j - 1][x][y]`` is
+    set when subset i has a chain of j points in rows <= x and columns <= y,
+    and of ``se[j - 1][x][y]`` when it has one in rows >= x and columns >= y.
+    A j-chain ends at an occupied (x, y) exactly when a (j - 1)-chain lies
+    strictly NW of it, so each level is one sweep over the one below.
     """
-    nw_se = tables.get(ranks)
-    if nw_se is None:
-        nw_se = tables[ranks] = _chain_tables(a, b, _occupancy(ranks, sub))
-    nw, se = nw_se
-    raw_bad = invalid = not_low = 0
-    low = u - 1
-    for x, y, bit, nw_floor, se_floor in positions:
-        n, s = nw[x - 1][y - 1], se[x + 1][y + 1]
-        if n + s >= u:
-            raw_bad |= bit
-        padded = (n if n > nw_floor else nw_floor) + (s if s > se_floor else se_floor)
-        if padded != low:
-            not_low |= bit
-            if padded != u:
-                invalid |= bit
-    return nw[a][b] <= u, raw_bad, invalid, not_low
+    nw, se = [], []
+    lower_nw = lower_se = [[every] * (b + 2)] * (a + 2)
+    for _ in range(u + 1):
+        level = [[0] * (b + 2) for _ in range(a + 2)]
+        for x in range(1, a + 1):
+            row, up, diag, held = level[x], level[x - 1], lower_nw[x - 1], occ[x]
+            for y in range(1, b + 1):
+                row[y] = up[y] | row[y - 1] | held[y] & diag[y - 1]
+        nw.append(level)
+        lower_nw = level
+        level = [[0] * (b + 2) for _ in range(a + 2)]
+        for x in range(a, 0, -1):
+            row, down, diag, held = level[x], level[x + 1], lower_se[x + 1], occ[x]
+            for y in range(b, 0, -1):
+                row[y] = down[y] | row[y + 1] | held[y] & diag[y + 1]
+        se.append(level)
+        lower_se = level
+    return nw, se
 
 
-def _criteria_kernel(instance: Instance, mask: int, memo: dict) -> tuple[bool, bool, bool, bool]:
-    """``criteria_agree`` on a validated rank mask, block by block.
+def _at_least(nw: list, se: list, k: int) -> int:
+    """The subsets in which the two statistics sum to at least k, from their level lists."""
+    return reduce(or_, map(and_, nw[:k + 1], se[k::-1]))
 
+
+# Masks transposed at once by ``_columns``; the text of a chunk takes about
+# size times this many bytes.
+_CHUNK = 256
+
+
+def _columns(masks: list[int], size: int) -> list[int]:
+    """Per cell rank r, the int whose bit i is bit r of ``masks[i]``.
+
+    Each chunk of masks is written out in binary, last mask first, so that
+    every size-th digit of the text is one cell's column of the chunk.
+    """
+    columns = [0] * size
+    digits = f"0{size}b"
+    for start in range(0, len(masks), _CHUNK):
+        text = "".join([format(m, digits) for m in reversed(masks[start:start + _CHUNK])])
+        for r in range(size):
+            columns[r] |= int(text[size - 1 - r::size], 2) << start
+    return columns
+
+
+def _exactly(columns: list[int], n: int, every: int) -> int:
+    """The subsets of exactly n cells, counted by a bit-sliced binary counter."""
+    digits: list[int] = []
+    for carry in columns:
+        k = 0
+        while carry:
+            if k == len(digits):
+                digits.append(carry)
+                break
+            digits[k], carry = digits[k] ^ carry, digits[k] & carry
+            k += 1
+    if n >> len(digits):
+        return 0
+    for k, digit in enumerate(digits):
+        every &= digit if n >> k & 1 else ~digit
+    return every
+
+
+def _criteria_kernel(instance: Instance, columns: list[int], every: int) -> tuple[int, int, int]:
+    """The three facet criteria on a batch of subsets at once.
+
+    ``columns[r]`` has bit i set when subset i holds the cell of rank r, and
+    ``every`` has a bit for each subset.  Returns the cardinality, raw and
+    padded routes as ints whose bit i is the route's verdict on subset i.
     Each route is a condition on every cell in its target block and in its
-    source block, so each block's share depends only on ``mask`` restricted
-    to the block.  ``memo`` keeps the shares of small blocks, keyed by block
-    index and submask; it must belong to this instance.
+    source block, and a condition on a cell's statistics is one on the
+    levels they reach: with level 0 meaning every subset, nw + se >= k holds
+    exactly in the OR over j <= k of (nw >= j) & (se >= k - j), and a padded
+    statistic is at least every level up to its padding floor.
     """
-    compatible = True
-    raw_bad = invalid = not_low = 0
-    tables: dict = {}
-    for n, (block_mask, small, args) in enumerate(_criteria_layout(instance)):
-        sub = mask & block_mask
-        if small:
-            share = memo.get((n, sub))
-            if share is None:
-                share = memo[n, sub] = _block_criteria(*args, sub, tables)
-        else:
-            share = _block_criteria(*args, sub, tables)
-        compatible &= share[0]
-        raw_bad |= share[1]
-        invalid |= share[2]
-        not_low |= share[3]
-    full = (1 << instance.size) - 1
-    by_card = mask.bit_count() == instance.n_cells and compatible
+    incompatible = invalid = 0
+    raw_bad = [0] * instance.size
+    not_low = [0] * instance.size
+    for a, b, u, ranks, blocks in _criteria_layout(instance):
+        pad = [0] * (b + 2)
+        occ = [pad, *([0, *(columns[r] for r in row), 0] for row in ranks), pad]
+        nw, se = _chain_levels(a, b, u, occ, every)
+        incompatible |= nw[u][a][b]  # a chain of u + 1 points
+        for points in blocks:
+            for x, y, r, nw_floor, se_floor in points:
+                n = [every, *(level[x - 1][y - 1] for level in nw)]
+                s = [every, *(level[x + 1][y + 1] for level in se)]
+                raw_bad[r] |= _at_least(n, s, u)
+                n[1:nw_floor + 1] = [every] * nw_floor
+                s[1:se_floor + 1] = [every] * se_floor
+                outside_low = every ^ _at_least(n, s, u - 1)
+                not_low[r] |= outside_low | _at_least(n, s, u)
+                invalid |= outside_low | _at_least(n, s, u + 1)
+        del nw, se  # before the next class's tables are built
+    by_card = _exactly(columns, instance.n_cells, every) & ~incompatible
     # membership must be "both raw sums below the ranks" at every cell ...
-    by_raw = mask == full & ~raw_bad
+    by_raw = every
     # ... and, padded, both sums in {rank - 1, rank} with membership exactly at the lower value
-    by_padded = invalid == 0 and mask == full & ~not_low
-    return by_card, by_raw, by_padded, by_card == by_raw == by_padded
+    by_padded = every & ~invalid
+    for held, bad, off in zip(columns, raw_bad, not_low):
+        by_raw &= held ^ bad
+        by_padded &= held ^ off
+    return by_card, by_raw, by_padded
 
 
 def criteria_agree(instance: Instance, cells) -> tuple[bool, bool, bool, bool]:
@@ -165,14 +214,14 @@ def criteria_agree(instance: Instance, cells) -> tuple[bool, bool, bool, bool]:
     route asks the sums to sit in {rank - 1, rank} with membership exactly
     at the lower value on both sides.
 
-    The cells are validated into a mask once.  Each block's ``_chain_tables``
-    are built once, on the set restricted to the block, and every route's
-    share of the block is read off them and the block's padding floors;
-    ``verify_instance`` runs the same kernel with
-    one memo of small blocks' shares for all its trials.  All three routes
-    are evaluated in full, whatever the first one says.
+    The cells are validated into a mask, and ``_criteria_kernel`` evaluates
+    it as a batch of one: ``verify_instance`` runs the same kernel on all
+    its subsets at once.  All three routes are evaluated in full, whatever
+    the first one says.
     """
-    return _criteria_kernel(instance, instance.cell_mask(cells), {})
+    columns = _columns([instance.cell_mask(cells)], instance.size)
+    by_card, by_raw, by_padded = _criteria_kernel(instance, columns, 1)
+    return by_card == 1, by_raw == 1, by_padded == 1, by_card == by_raw == by_padded
 
 
 def random_instance(rng: random.Random, max_cells: int = 16) -> Instance:
@@ -236,6 +285,10 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
                     seed: int | None = None, max_cells: int = DEFAULT_MAX_CELLS,
                     facet_cap: int = DEFAULT_FACET_CAP) -> VerificationReport:
     """Run the full oracle suite on one instance."""
+    if not _is_int(subset_trials) or subset_trials < 0:
+        raise ValidationError(f"subset_trials must be an int >= 0, not {subset_trials!r}")
+    if not _is_int(max_cells) or max_cells < 0:  # 0: the brute face DFS never runs
+        raise ValidationError(f"max_cells must be an int >= 0, not {max_cells!r}")
     rng = random.Random(seed)
     checks: list[CheckResult] = []
 
@@ -325,33 +378,31 @@ def _criteria_check(instance: Instance, rng: random.Random, trials: int,
 
     Each trial draws a density, then each cell in rank order with that
     probability; such draws almost never hit a facet of a larger instance.
-    A subset met before is not evaluated again, and small blocks share one
-    memo across the check.
+    One ``_criteria_kernel`` call evaluates the draws and the facets
+    together, so each class of twin blocks runs its level tables once; the
+    first subset on which the routes disagree is reported, and its routes
+    are replayed through ``criteria_agree``.
     """
-    bits = [1 << r for r in range(instance.size)]
-    seen, memo = set(), {}
-
-    def subsets():
-        draw = rng.random
-        for trial in range(1, trials + 1):
-            density = draw()
-            mask = 0
-            for bit in bits:
-                if draw() < density:
-                    mask |= bit
-            yield f"subset {trial} of {trials}", mask
-        for n, facet in enumerate(facets, start=1):
-            yield f"facet {n} of {len(facets)}", facet.mask
-
-    for name, mask in subsets():
-        if mask in seen:
-            continue
-        seen.add(mask)
-        routes = _criteria_kernel(instance, mask, memo)
-        if not routes[3]:
-            cells = [list(c) for c, bit in zip(instance.cells, bits) if mask & bit]
-            return False, (f"{name}, cells {cells}: routes "
-                           f"(cardinality, raw, padded, agree) = {routes}")
+    columns = [0] * instance.size
+    draw = rng.random
+    for trial in range(trials):
+        density = draw()
+        bit = 1 << trial
+        for r in range(instance.size):
+            if draw() < density:
+                columns[r] |= bit
+    for r, column in enumerate(_columns([f.mask for f in facets], instance.size)):
+        columns[r] |= column << trials
+    by_card, by_raw, by_padded = _criteria_kernel(
+        instance, columns, (1 << (trials + len(facets))) - 1)
+    wrong = (by_card ^ by_raw) | (by_raw ^ by_padded)
+    if wrong:
+        n = (wrong & -wrong).bit_length() - 1
+        name = (f"subset {n + 1} of {trials}" if n < trials
+                else f"facet {n - trials + 1} of {len(facets)}")
+        held = [c for c, column in zip(instance.cells, columns) if column >> n & 1]
+        return False, (f"{name}, cells {[list(c) for c in held]}: routes "
+                       f"(cardinality, raw, padded, agree) = {criteria_agree(instance, held)}")
     return True, f"{trials} random subsets, then all facets ({len(facets)})"
 
 

@@ -85,20 +85,76 @@ def _drawn_masks(rng, instance, trials):
     return masks
 
 
+def _batch_routes(instance, masks):
+    """Per mask, the 4-tuple of routes from one ``_criteria_kernel`` batch of all the masks."""
+    from quiverdet.verify import _columns, _criteria_kernel
+
+    routes = _criteria_kernel(instance, _columns(masks, instance.size), (1 << len(masks)) - 1)
+    out = []
+    for n in range(len(masks)):
+        card, raw, padded = (route >> n & 1 == 1 for route in routes)
+        out.append((card, raw, padded, card == raw == padded))
+    return out
+
+
+def _check_kernel_against_definition(inst, rng):
+    # the empty set, the full set, every facet, draws of every density, and
+    # repeats of all of them, in one batch: each subset's routes are its own
+    masks = [0, (1 << inst.size) - 1, *(f.mask for f in enumerate_facets(inst))]
+    masks += _drawn_masks(rng, inst, 20)
+    masks += rng.choices(masks, k=10)
+    for mask, got in zip(masks, _batch_routes(inst, masks)):
+        cells = [c for r, c in enumerate(inst.cells) if mask >> r & 1]
+        assert got == criteria_oracle(inst, cells), (inst, mask)
+
+
+def test_criteria_kernel_vs_definition(double_instance, star_instance, det33, single_cell):
+    # the kernel's level tables against the oracle's ``_chain_tables``: two
+    # independent dynamic programs
+    from quiverdet.cli import parse_preset
+
+    rng = random.Random(53)
+    instances = [double_instance, star_instance, det33, single_cell, parse_preset("det:6,6,1")]
+    instances += [random_instance(rng) for _ in range(30)]
+    for inst in instances:
+        _check_kernel_against_definition(inst, rng)
+
+
+def test_criteria_kernel_vs_definition_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), max_cells=st.integers(1, 20))
+    def run(seed, max_cells):
+        rng = random.Random(seed)
+        _check_kernel_against_definition(random_instance(rng, max_cells=max_cells), rng)
+
+    run()
+
+
+def _masks_of(columns, count):
+    # the bit-sliced subsets back as rank masks
+    return [sum(1 << r for r, column in enumerate(columns) if column >> n & 1)
+            for n in range(count)]
+
+
 def test_criteria_check_draws_each_subset_once(monkeypatch, double_instance, star_instance,
                                                det33, single_cell):
+    # one kernel batch per check: every draw from the seeded stream, repeats
+    # included, in draw order, then every facet
     import quiverdet.verify as verify
 
     seen = []
     real = verify._criteria_kernel
 
-    def spy(instance, mask, memo):
-        seen.append(mask)
-        return real(instance, mask, memo)
+    def spy(instance, columns, every):
+        seen.append((columns, every))
+        return real(instance, columns, every)
 
     monkeypatch.setattr(verify, "_criteria_kernel", spy)
     cases = [(double_instance, 1000, 7), (star_instance, 1000, 7), (det33, 1000, 3),
-             (single_cell, 50, 1)]
+             (single_cell, 50, 1), (det33, 0, 3)]
     rng = random.Random(29)
     cases += [(random_instance(rng), 200, n) for n in range(5)]
     for inst, trials, seed in cases:
@@ -109,89 +165,133 @@ def test_criteria_check_draws_each_subset_once(monkeypatch, double_instance, sta
             f"{trials} random subsets, then all facets ({len(facets)})")
         # the check is the seeded rng's first user; the facets follow the draws
         drawn = _drawn_masks(random.Random(seed), inst, trials)
-        assert seen == list(dict.fromkeys(drawn + facets))
-        assert len(set(drawn)) < trials  # some subsets repeat, and they are not evaluated again
+        [(columns, every)] = seen
+        assert every == (1 << (trials + len(facets))) - 1
+        assert _masks_of(columns, trials + len(facets)) == drawn + facets
+        assert all(column <= every for column in columns)
+        assert trials == 0 or len(set(drawn)) < trials  # repeats are evaluated with the rest
+
+
+def test_criteria_check_runs_the_level_tables_once_per_twin_class(
+        monkeypatch, double_instance, star_instance, det33, single_cell):
+    # the batch is what makes the check fast: however many subsets it holds,
+    # each class of twin blocks (the same block_ranks and rank) runs one DP
+    import quiverdet.verify as verify
+    from quiverdet.cli import parse_preset
+
+    calls = []
+    real = verify._chain_levels
+
+    def spy(a, b, u, occ, every):
+        calls.append((a, b, u))
+        return real(a, b, u, occ, every)
+
+    monkeypatch.setattr(verify, "_chain_levels", spy)
+    rng = random.Random(59)
+    instances = [double_instance, star_instance, det33, single_cell, parse_preset("det:6,6,1")]
+    instances += [random_instance(rng) for _ in range(5)]
+    for inst in instances:
+        classes = {(inst.block_ranks[vid], d.u) for vid, d in inst.vertex.items()}
+        assert len(verify._criteria_layout(inst)) == len(classes)
+        for trials in (0, 1, 1000):
+            calls.clear()
+            assert verify.verify_instance(inst, subset_trials=trials, seed=trials).ok
+            assert len(calls) == len(classes), (inst, trials)
+    assert [len(verify._criteria_layout(inst)) for inst in instances[:4]] == [2, 4, 1, 1]
 
 
 def test_twin_blocks_share_chain_tables_and_nothing_else(star_instance, det33):
-    # each block's share with the tables of one subset kept across its blocks
-    # equals its share from fresh tables: twins (det presets) share tables,
-    # while star-example's three 3x2 source blocks must not
+    # twins (det presets) share one class's level tables, while each block
+    # keeps its own padding floors; star-example's three 3x2 source blocks
+    # must not share, and neither must blocks with the same positions and
+    # different ranks (built here without normalization, both ways round)
     from quiverdet.cli import parse_preset
-    from quiverdet.verify import _block_criteria, _criteria_layout
+    from quiverdet.quiver import BipartiteQuiver, Instance
+    from quiverdet.verify import _criteria_layout
 
+    [(*_, twins)] = _criteria_layout(det33)
+    assert len(twins) == 2 and [p[:3] for p in twins[0]] == [p[:3] for p in twins[1]]
+    assert [p[3:] for p in twins[0]] != [p[3:] for p in twins[1]]
+    assert [len(blocks) for *_, blocks in _criteria_layout(star_instance)] == [1, 1, 1, 1]
+    one_arrow = BipartiteQuiver(("s",), ("t",), (("s", "t"),))
+    uneven = [Instance(one_arrow, {"s": 3, "t": 3}, {"s": us, "t": ut})
+              for us, ut in ((1, 2), (2, 1), (3, 1))]
     rng = random.Random(47)
-    instances = [star_instance, det33, parse_preset("det:6,6,1"), parse_preset("det:3,4,2")]
-    instances += [random_instance(rng) for _ in range(30)]
-    shared_any = False
-    for inst in instances:
-        layout = _criteria_layout(inst)
-        for mask in _drawn_masks(rng, inst, 40) + [f.mask for f in enumerate_facets(inst)][:10]:
-            tables = {}
-            for _, _, args in layout:
-                sub = mask & sum(bit for _, _, bit, _, _ in args[4])
-                kept = len(tables)
-                assert _block_criteria(*args, sub, tables) == _block_criteria(*args, sub, {})
-                shared_any |= len(tables) == kept
-    assert shared_any
+    for inst in uneven:
+        assert len(_criteria_layout(inst)) == 2
+    for inst in [star_instance, det33, parse_preset("det:3,4,2"), *uneven]:
+        masks = _drawn_masks(rng, inst, 40) + [f.mask for f in enumerate_facets(inst)][:10]
+        for mask, got in zip(masks, _batch_routes(inst, masks)):
+            cells = [c for r, c in enumerate(inst.cells) if mask >> r & 1]
+            assert got == criteria_oracle(inst, cells), (inst, mask)
 
 
-def test_criteria_memo_is_safe(double_instance, star_instance, det33, single_cell):
-    # a memo shared by all trials gives what a fresh one gives, and both what
-    # the definition gives: the key must name the block, since a target and a
-    # source block can hold the same submask
+def test_criteria_batch_matches_each_subset_alone(double_instance, star_instance, det33,
+                                                  single_cell):
+    # a batch gives each subset what a batch of one (``criteria_agree``)
+    # gives, and both what the definition gives: no subset's bits reach
+    # another's, and a target and a source block holding the same positions
+    # of a subset still count apart
     from quiverdet.cli import parse_preset
-    from quiverdet.verify import _criteria_kernel
 
     rng = random.Random(43)
-    big = parse_preset("det:6,6,1")
-    instances = [double_instance, star_instance, det33, single_cell, big]
+    instances = [double_instance, star_instance, det33, single_cell, parse_preset("det:6,6,1")]
     instances += [random_instance(rng) for _ in range(50)]
     for inst in instances:
-        shared = {}
-        for n, mask in enumerate(_drawn_masks(rng, inst, 300)):
-            got = _criteria_kernel(inst, mask, shared)
-            assert got == _criteria_kernel(inst, mask, {}), (inst, mask)
+        masks = _drawn_masks(rng, inst, 300)
+        for n, (mask, got) in enumerate(zip(masks, _batch_routes(inst, masks))):
+            cells = [c for r, c in enumerate(inst.cells) if mask >> r & 1]
+            assert got == criteria_agree(inst, cells), (inst, mask)
             if n % 10 == 0:
-                cells = [c for r, c in enumerate(inst.cells) if mask >> r & 1]
                 assert got == criteria_oracle(inst, cells), (inst, mask)
-        assert (not shared) == (inst is big)  # det:6,6,1's 36-position blocks are not kept
 
 
-def _corrupt_floor(monkeypatch, block, position, delta):
-    """Shift one padding floor of the criteria layout by ``delta``."""
+def _corrupt_floor(monkeypatch, cls, block, position, delta):
+    """Shift one NW padding floor of the criteria layout by ``delta``.
+
+    The floor is at ``position`` of the ``block``-th block of twin class ``cls``.
+    """
     import quiverdet.verify as verify
 
     real = verify._criteria_layout
 
     def layout(instance):
         rows = list(real(instance))
-        block_mask, small, (a, b, u, ranks, positions) = rows[block]
-        x, y, bit, nw_floor, se_floor = positions[position]
-        positions = (*positions[:position], (x, y, bit, nw_floor + delta, se_floor),
-                     *positions[position + 1:])
-        rows[block] = (block_mask, small, (a, b, u, ranks, positions))
+        a, b, u, ranks, blocks = rows[cls]
+        points = blocks[block]
+        x, y, r, nw_floor, se_floor = points[position]
+        points = (*points[:position], (x, y, r, nw_floor + delta, se_floor),
+                  *points[position + 1:])
+        rows[cls] = (a, b, u, ranks, (*blocks[:block], points, *blocks[block + 1:]))
         return tuple(rows)
 
     monkeypatch.setattr(verify, "_criteria_layout", layout)
 
 
-def test_criteria_check_reports_a_bad_route_on_memoized_blocks(monkeypatch, det33):
-    # det:3,3,2's two 9-position blocks go through the memo, and 1000 trials
-    # draw some of its facets; the detail replays to the same four routes
+def _failed_subset(detail):
+    # the label, the cells and the routes of a criteria-equivalence failure
+    head, routes = detail.split(": routes (cardinality, raw, padded, agree) = ")
+    label, cells = head.split(", cells ")
+    return label, [tuple(c) for c in json.loads(cells)], routes
+
+
+def test_criteria_check_reports_a_bad_route_on_a_twin_block(monkeypatch, det33):
+    # a floor of det:3,3,2's second twin block, which shares its level tables
+    # with the first; 1000 trials draw some of its facets, the first failing
+    # draw is reported, and the detail replays to the same four routes
     import quiverdet.verify as verify
 
-    _corrupt_floor(monkeypatch, 1, 4, 1)
+    _corrupt_floor(monkeypatch, 0, 1, 4, 1)
     failed = [c for c in verify.verify_instance(det33, seed=3).checks if not c.ok]
     assert [c.name for c in failed] == ["criteria-equivalence"]
-    head, routes = failed[0].detail.split(": routes (cardinality, raw, padded, agree) = ")
-    trial, cells = head.split(", cells ")
-    cells = [tuple(c) for c in json.loads(cells)]
+    trial, cells, routes = _failed_subset(failed[0].detail)
     assert trial.startswith("subset ") and trial.endswith(" of 1000")
     drawn = _drawn_masks(random.Random(3), det33, 1000)
-    assert drawn[int(trial.split()[1]) - 1] == det33.cell_mask(cells)
+    n = int(trial.split()[1])
+    assert drawn[n - 1] == det33.cell_mask(cells)
     assert str(verify.criteria_agree(det33, cells)) == routes
     assert routes.endswith("False)")
+    assert all(got[3] for got in _batch_routes(det33, drawn[:n - 1]))
 
 
 def test_criteria_check_reports_a_bad_route(monkeypatch, single_cell):
@@ -199,7 +299,7 @@ def test_criteria_check_reports_a_bad_route(monkeypatch, single_cell):
 
     names = [c.name for c in verify.verify_instance(single_cell, seed=5).checks]
     # the cell's target-side padded sum lands on u, not u - 1
-    _corrupt_floor(monkeypatch, 0, 0, 1)
+    _corrupt_floor(monkeypatch, 0, 0, 0, 1)
     report = verify.verify_instance(single_cell, seed=5)
     assert [c.name for c in report.checks] == names  # no check is skipped
     failed = [c for c in report.checks if not c.ok]
@@ -215,46 +315,67 @@ def test_criteria_check_reports_a_bad_route(monkeypatch, single_cell):
 
 def test_criteria_check_reaches_the_facet_side(monkeypatch, capsys, star_instance):
     # a floor off by one that only a facet notices: no random draw of star-example
-    # is a facet, so the enumerated facets must catch it
+    # is a facet, so the enumerated facets must catch it, at the first one it breaks
     import quiverdet.verify as verify
     from quiverdet.cli import main
 
     inst = star_instance
-    facet = enumerate_facets(inst)[0].mask
-    *_, positions = verify._criteria_layout(inst)[1][2]
-    _corrupt_floor(monkeypatch, 1, next(n for n, p in enumerate(positions) if facet & p[2]), 1)
+    facets = [f.mask for f in enumerate_facets(inst)]
+    [points] = verify._criteria_layout(inst)[1][4]
+    _corrupt_floor(monkeypatch, 1, 0, next(n for n, p in enumerate(points)
+                                           if facets[0] >> p[2] & 1), 1)
     failed = [c for c in verify.verify_instance(inst, seed=7).checks if not c.ok]
     assert [c.name for c in failed] == ["criteria-equivalence"]
-    head, routes = failed[0].detail.split(": routes (cardinality, raw, padded, agree) = ")
-    label, cells = head.split(", cells ")
-    assert label.startswith("facet ") and label.endswith(f" of {STAR_MULTIPLICITY}")
-    assert str(verify.criteria_agree(inst, [tuple(c) for c in json.loads(cells)])) == routes
+    label, cells, routes = _failed_subset(failed[0].detail)
+    assert label == f"facet 1 of {STAR_MULTIPLICITY}"
+    assert inst.cell_mask(cells) == facets[0]
+    assert str(verify.criteria_agree(inst, cells)) == routes
     assert routes == "(True, True, False, False)"
     assert main(["verify", "--preset", "star-example", "--seed", "7"]) == 1
     assert capsys.readouterr().out.splitlines()[-1].startswith(
         "FAILED: criteria-equivalence on Instance(")
 
 
-def test_criteria_memo_keeps_a_bad_share(monkeypatch, star_instance):
-    # the wrong share of a memoized block, computed on a subset where the
-    # routes still agree, must still fail a facet that repeats its submask
+def test_criteria_check_repeats_keep_a_bad_route(monkeypatch, star_instance):
+    # a facet whose block share is bad fails wherever it stands in the batch:
+    # after a subset holding the same cells of the block on which the routes
+    # still agree, and again when it repeats
     import quiverdet.verify as verify
 
     inst = star_instance
-    facet = enumerate_facets(inst)[0].mask
-    block_mask, small, (*_, positions) = verify._criteria_layout(inst)[1]
-    assert small and facet & block_mask
-    # the first position of block 1 that the facet holds
-    position = next(n for n, p in enumerate(positions) if facet & p[2])
-    _corrupt_floor(monkeypatch, 1, position, 1)
-    # a cell outside block 1 leaves its submask as it is
+    facets = enumerate_facets(inst)
+    facet = facets[-1].mask
+    [points] = verify._criteria_layout(inst)[1][4]
+    block_mask = sum(1 << p[2] for p in points)
+    # the first position of the class-1 block that the facet holds
+    position = next(n for n, p in enumerate(points) if facet >> p[2] & 1)
+    _corrupt_floor(monkeypatch, 1, 0, position, 1)
+    # a cell outside that block leaves the facet's share of the block as it is
     other = next(bit for bit in (1 << r for r in range(inst.size))
                  if not bit & block_mask and not bit & facet)
-    memo = {}
-    assert verify._criteria_kernel(inst, facet | other, memo) == (False, False, False, True)
-    assert (1, facet & block_mask) in memo
-    assert verify._criteria_kernel(inst, facet, memo) == (True, True, False, False)
-    assert verify._criteria_kernel(inst, facet, {}) == (True, True, False, False)
+    bad = (True, True, False, False)
+    assert _batch_routes(inst, [facet | other, facet, facet]) == [
+        (False, False, False, True), bad, bad]
+    for trials in (0, 100):
+        ok, detail = verify._criteria_check(inst, random.Random(7), trials, [facets[-1]] * 2)
+        assert not ok and _failed_subset(detail)[0] == "facet 1 of 2"
+
+
+def test_verify_instance_validates_its_arguments(single_cell):
+    # malformed counts fail as ValidationError before any check runs; a guard
+    # of 0 is allowed and means the brute face DFS never runs
+    import quiverdet.verify as verify
+
+    for trials in (2.5, None, "10", -3, True):
+        with pytest.raises(ValidationError, match="subset_trials"):
+            verify.verify_instance(single_cell, subset_trials=trials)
+    for max_cells in (None, -1, False, 2.0, "5"):
+        with pytest.raises(ValidationError, match="max_cells"):
+            verify.verify_instance(single_cell, max_cells=max_cells)
+    report = verify.verify_instance(single_cell, subset_trials=0, max_cells=0)
+    assert report.ok
+    assert {c.name: c.detail for c in report.checks}["facet-closure-vs-brute"] == (
+        "skipped: |L| over the brute guard")
 
 
 def _codim1_counts(facets):

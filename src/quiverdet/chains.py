@@ -19,17 +19,23 @@ DP over many subsets at once, and the tests hold it to ``corner_stats``,
 which reads ``_chain_tables``.  The padding floors live in
 ``_corner_table``, computed once per cell and instance: ``corner_stats``, the
 road maps and the criteria check (both through ``cvm._path_layout``) read them
-there, so no caller pads position by position.  ``_blocked_ranks`` answers only "which positions
-of this block are not addable", from row bitmasks and O(u) staircase
-thresholds per row.  ``_rank_ladder`` spares it the blocks that need no
-staircase: a block of rank at least min(a, b) never blocks a cell, a rank-1
-block blocks the positions strictly NW or SE of its points, kept per cell as
-one quadrant mask, and twin blocks (the same positions and rank) run it once.
-``_load_blocks`` loads a cell set on the ladder; the face DFS and the greedy
-closures read one rung per added cell, so a cell outside every staircase
-block costs one AND-NOT and no kernel call, and neither does a cell too few
-of whose comparable positions are occupied to block anything new.  The
-tests hold the kernel and the ladder to ``_chain_tables``.
+there, so no caller pads position by position.
+
+The face predicate, "which positions of this block are not addable", runs
+on chain levels instead: N_j holds the positions with a j-chain of the set
+strictly NW of them, S_j those with one strictly SE, each one cell-rank
+mask, and a position is blocked when it lies in N_j and S_(u-j) for some j.
+``_levels`` loads them from scratch, and ``_grow`` adds one cell in place,
+growing each level only by the quadrants of the points that newly reach the
+level below.  ``_rank_ladder`` spares the kernel the blocks that need no
+levels: a block of rank at least min(a, b) never blocks a cell, a rank-1
+block blocks the positions strictly NW or SE of its points, kept per cell
+as one quadrant mask, and twin blocks (the same positions and rank) share
+one set of levels.  ``_load_blocks`` loads a cell set on the ladder; the
+face DFS, the greedy closures and ``verify``'s codim-1 check grow or reload
+only the blocks of the cell they add or remove, so a cell outside every
+staircase block costs one AND-NOT.  The tests hold the levels and the ladder
+to ``_chain_tables``.
 """
 
 from __future__ import annotations
@@ -100,168 +106,164 @@ def _chain_tables(a: int, b: int, occupied) -> tuple[list[list[int]], list[list[
     return nw, se
 
 
-def _blocked_ranks(occ, pre, b: int, u: int) -> int:
-    """Ranks of the positions of one a x b block whose addition makes a chain longer than u.
-
-    ``occ[x]`` is the occupancy of row x as a column bitmask (bit y for column
-    y) and ``pre[x][y]`` the rank mask of row x's columns 1..y; index 0 of both
-    is padding, so a = len(occ) - 1.  The result is the set of positions with
-    ``nw[x-1][y-1] + se[x+1][y+1] >= u`` in the ``_chain_tables`` of the block,
-    read off staircase thresholds instead of the tables.  Over the rows above
-    x, t[k] is the smallest last column of a k-chain; over the rows below it,
-    s[k] is the largest first column of one.  So nw[x-1][y-1] >= j iff
-    t[j] < y, se[x+1][y+1] >= k iff s[k] > y, and the blocked columns of row
-    x are the union over j = 0..u of the open intervals (t[j], s[u - j]).
-    Only thresholds up to k = u are kept, and only the existing ones: an
-    interval with no t[j] or no s[u - j] is empty.  The thresholds are the
-    tails of patience sorting, updated one point at a time by bisection; each
-    row's points go in the order that keeps two of them out of one chain.
-    """
-    a = len(occ) - 1
-    top = b + 1
-    # Bottom-up pass: below[x] holds r[k] = top - s[k] over rows x+1..a, which
-    # is increasing in k like t, so the same update serves both directions.
-    below = [None] * (a + 1)
-    r = [0]
-    below[a] = r
-    for x in range(a, 1, -1):
-        row = occ[x]
-        if row:
-            r = r[:]
-            n = len(r)
-            while row:
-                bit = row & -row
-                row ^= bit
-                c = top + 1 - bit.bit_length()
-                k = bisect_left(r, c)
-                if k < n:
-                    r[k] = c
-                elif k <= u:
-                    r.append(c)
-                    n += 1
-        below[x - 1] = r
-
-    # Top-down pass: row x's intervals from t (rows above) and below[x], then
-    # row x's points go into t.
-    blocked = 0
-    t = [0]
-    n = 1
-    for x in range(1, a + 1):
-        p, r = pre[x], below[x]
-        j = u + 1 - len(r)
-        if j < 0:
-            j = 0
-        while j < n:
-            lo, hi = t[j], top - r[u - j]
-            if hi - lo > 1:
-                blocked |= p[hi - 1] ^ p[lo]
-            j += 1
-        row = occ[x]
-        if row and x < a:
-            while row:
-                c = row.bit_length() - 1
-                row ^= 1 << c
-                k = bisect_left(t, c)
-                if k < n:
-                    t[k] = c
-                elif k <= u:
-                    t.append(c)
-                    n += 1
-    return blocked
-
-
-def _comparable(ranks, pre, b: int) -> dict[int, int]:
-    """Per position of a block, by rank: the positions strictly NW or strictly SE of it.
-
-    ``ranks`` is the block's ``block_ranks`` and ``pre`` its ``_blocked_ranks``
-    argument.  Running ORs of the rows' prefix masks, two per position and
-    sweep, build them in O(a·b) mask operations.
-    """
-    near = {}
-    # acc[y]: the rows above x, columns 1..y, so (x, y) sees acc[y - 1] NW
-    acc = [0] * (b + 1)
-    for x in range(1, len(pre)):
-        for y, r in enumerate(ranks[x - 1]):
-            near[r] = acc[y]
-        acc = [left | new for left, new in zip(acc, pre[x])]
-    # acc[y]: the rows below x, columns y + 1..b, so (x, y) sees acc[y] SE
-    acc = [0] * (b + 1)
-    for x in range(len(pre) - 1, 0, -1):
-        for y, r in enumerate(ranks[x - 1], start=1):
-            near[r] |= acc[y]
-        whole = pre[x][b]
-        acc = [right | whole ^ new for right, new in zip(acc, pre[x])]
-    return near
-
-
 @lru_cache(maxsize=128)
 def _rank_ladder(instance: Instance) -> tuple[tuple, tuple]:
-    """What adding each cell blocks, split by how much of the staircase kernel it needs.
+    """What adding each cell blocks, split by how much of the level kernel it needs.
 
     Returns ``(kernels, rungs)``.  A block whose rank u is at least min(a, b)
     never blocks a cell: the longest chain through a position has at most
     min(a, b) points, so nw + se <= min(a, b) - 1 < u.  A rank-1 block blocks
-    exactly the positions with a point strictly NW or strictly SE of them,
-    the union of the ``_comparable`` masks of its points.  Every other block
-    needs ``_blocked_ranks``; ``kernels`` lists their ``(pre, b, u)``, once
-    per set of twins, blocks with identical ``block_ranks`` and rank, whose
-    blocked positions always agree.  ``rungs[r]`` is ``(quadrants, steps)``
-    for cell rank r: the positions comparable to the cell in its rank-1
-    blocks, and ``(kernel index, row, column bit, comparable, u - 1)`` for
-    each kernel block it lies in.  Adding the cell to an admissible set
-    newly blocks a position of a kernel block only if the cell then lies on a
-    chain of u points there, so only if at least u - 1 points of the set are
-    comparable to it.  Cached per instance: callers must treat the result as
-    read-only.
+    exactly the positions with a point strictly NW or strictly SE of them, so
+    its share is one quadrant mask per point.  Every other block is a
+    staircase block, held as chain levels (see ``_levels``); twin blocks, with
+    identical ``block_ranks`` and rank, always hold the same levels and share
+    one kernel.  A kernel is ``(u, start, se, nw, cells)``: its 2u levels sit
+    at ``start`` in the levels list, ``se[r]`` and ``nw[r]`` are the block's
+    positions strictly SE and strictly NW of cell r (0 off the block), and
+    ``cells`` is the block's mask.  ``rungs[r]`` is ``(quadrants, kernels)``
+    for cell rank r: its quadrants in its rank-1 blocks and the kernels of
+    its staircase blocks.  Cached per instance: callers must treat the
+    result as read-only.
     """
     quadrants = [0] * instance.size
     steps: list[list] = [[] for _ in range(instance.size)]
-    kernels, seen = [], set()
+    kernels, seen, start = [], set(), 0
     for vid, d in instance.vertex.items():
         ranks = instance.block_ranks[vid]
         if d.u >= min(d.a, d.b) or (ranks, d.u) in seen:
             continue
         seen.add((ranks, d.u))
-        pre = [(), *map(_prefix_masks, ranks)]  # the ``pre`` of ``_blocked_ranks``
-        near = _comparable(ranks, pre, d.b)
+        nw, se = [0] * instance.size, [0] * instance.size
+        # running ORs of the rows' prefix masks: acc[y] holds columns 1..y of
+        # the rows above, then columns y + 1..b of the rows below
+        acc = [0] * (d.b + 1)
+        for row in ranks:
+            line = _prefix_masks(row)
+            for y, r in enumerate(row):
+                nw[r] = acc[y]
+            acc = [left | new for left, new in zip(acc, line)]
+        acc = [0] * (d.b + 1)
+        for row in reversed(ranks):
+            line = _prefix_masks(row)
+            for y, r in enumerate(row, start=1):
+                se[r] = acc[y]
+            acc = [right | line[-1] ^ new for right, new in zip(acc, line)]
+        cells = [r for row in ranks for r in row]
         if d.u == 1:
-            for r, q in near.items():
-                quadrants[r] |= q
+            for r in cells:
+                quadrants[r] |= nw[r] | se[r]
         else:
-            k = len(kernels)
-            kernels.append((pre, d.b, d.u))
-            for x, row in enumerate(ranks, start=1):
-                for y, r in enumerate(row, start=1):
-                    steps[r].append((k, x, 1 << y, near[r], d.u - 1))
+            kernel = (d.u, start, se, nw, sum(1 << r for r in cells))
+            start += 2 * d.u
+            kernels.append(kernel)
+            for r in cells:
+                steps[r].append(kernel)
     return tuple(kernels), tuple(zip(quadrants, map(tuple, steps)))
 
 
-def _load_blocks(instance: Instance, mask: int) -> tuple[list[tuple], int]:
-    """Each kernel block's ``_blocked_ranks`` arguments with ``mask`` loaded; the blocked cells.
+def _levels(kernel, mask: int) -> list[int]:
+    """The chain levels of one staircase kernel with ``mask`` loaded, from scratch.
 
-    The arguments are ``(occ, pre, b, u)`` per entry of ``_rank_ladder``'s
-    kernels, in that order; ``occ`` is a fresh list that the caller may
-    update in place as it adds cells.  The blocked mask is the union of the
-    kernels' ``_blocked_ranks`` and of the cells' rank-1 quadrants, which is
-    the union of ``_blocked_ranks`` over all blocks.  The set is u-compatible
-    exactly when it shares no cell with that mask: a point on an over-long
-    chain sees at least rank-many chain points strictly NW or SE of it, and a
-    point of an admissible set at most rank - 1.
+    N_j is the set of the block's positions with a chain of j points of the
+    set strictly NW of them, S_j the same strictly SE; the result is N_1..N_u
+    then S_1..S_u.  N_1 is the union of the points' SE quadrants, and N_j
+    the union of the SE quadrants of the points in N_(j-1): a point ends a
+    j-chain exactly when a (j - 1)-chain lies strictly NW of it.  S_j is the
+    mirror image.  So nw >= j at a position iff it lies in N_j, which is
+    ``nw[x-1][y-1] >= j`` in ``_chain_tables``, and se >= j iff it lies in S_j.
+    """
+    u, _, se, nw, cells = kernel
+    occ = mask & cells
+    out = []
+    for quads in (se, nw):
+        points = occ
+        for _ in range(u):
+            level = 0
+            while points:
+                low = points & -points
+                points ^= low
+                level |= quads[low.bit_length() - 1]
+            out.append(level)
+            points = occ & level
+    return out
+
+
+def _class_blocked(levels: list[int], kernel) -> int:
+    """The positions of a staircase kernel whose addition makes a chain longer than u.
+
+    Those with nw + se >= u: the union over j = 0..u of N_j & S_(u-j), where
+    N_0 = S_0 hold every position.
+    """
+    u, start = kernel[0], kernel[1]
+    blocked = levels[start + u - 1] | levels[start + 2 * u - 1]
+    for j in range(1, u):
+        blocked |= levels[start + j - 1] & levels[start + 2 * u - j - 1]
+    return blocked
+
+
+def _grow(levels: list[int], kernel, held: int, r: int) -> int:
+    """Add cell r to a staircase kernel's levels in place; its blocked positions if they grew.
+
+    ``held`` is the set with r in it.  N_1 grows by the SE quadrant of r.
+    A point newly reaches level j when N_j grows over it, or when it is r
+    and lies in N_j; N_(j+1) grows only by the SE quadrants of those points,
+    so the cascade stops at the first level that no point newly reaches.
+    The S side is the mirror image.  Returns 0 when no level changed, so the
+    blocked positions stay as they were.
+    """
+    u, start, se, nw, _ = kernel
+    bit = 1 << r
+    changed = False
+    first = start
+    for quads in (se, nw):
+        grow = quads[r]
+        last = first + u - 1
+        i = first
+        while True:
+            level = levels[i]
+            new = grow & ~level
+            if new:
+                levels[i] = level | new
+                changed = True
+            if i == last:
+                break
+            points = held & new | level & bit
+            if not points:
+                break
+            grow = 0
+            while points:
+                low = points & -points
+                points ^= low
+                grow |= quads[low.bit_length() - 1]
+            i += 1
+        first = last + 1
+    return _class_blocked(levels, kernel) if changed else 0
+
+
+def _load_blocks(instance: Instance, mask: int) -> tuple[list[int], int]:
+    """The chain levels of every staircase kernel with ``mask`` loaded; the blocked cells.
+
+    The levels list holds each kernel of ``_rank_ladder`` at its ``start``;
+    the caller may grow it in place with ``_grow`` as it adds cells.  The
+    blocked mask is the union of the kernels' ``_class_blocked`` and of the
+    cells' rank-1 quadrants, which is the union over all blocks of the
+    positions with nw + se >= rank.  The set is u-compatible exactly when it
+    shares no cell with that mask: a point on an over-long chain sees at
+    least rank-many chain points strictly NW or SE of it, and a point of an
+    admissible set at most rank - 1.
     """
     kernels, rungs = _rank_ladder(instance)
-    blocks = [([0] * len(pre), pre, b, u) for pre, b, u in kernels]
     blocked = 0
     m = mask
     while m:
         bit = m & -m
         m ^= bit
-        quadrants, steps = rungs[bit.bit_length() - 1]
-        blocked |= quadrants
-        for k, x, col, _, _ in steps:
-            blocks[k][0][x] |= col
-    for block in blocks:
-        blocked |= _blocked_ranks(*block)
-    return blocks, blocked
+        blocked |= rungs[bit.bit_length() - 1][0]
+    levels: list[int] = []
+    for kernel in kernels:
+        levels += _levels(kernel, mask)
+        blocked |= _class_blocked(levels, kernel)
+    return levels, blocked
 
 
 def _occupancy(ranks, mask: int) -> list:

@@ -3,21 +3,20 @@
 Admissible sets form a hereditary family, so a depth-first scan that only
 ever extends by cells keeping the set admissible visits every face exactly
 once.  The same engine backs the f-vector, the brute-force facet oracle and
-the bounded purity spot-checks.  It keeps each staircase block's occupancy
-as one column bitmask per row.  Adding a cell changes only its target and
+the bounded purity spot-checks.  Adding a cell changes only its target and
 source blocks, so a node reads the cell's rung of ``chains._rank_ladder``:
-it drops the cell's rank-1 quadrants from its parent's addable mask, and the
-blocked cells of the staircase blocks the cell lies in, from the kernel
-``chains._blocked_ranks``, once per pair of twin blocks.  The kernel is
-skipped where fewer than u - 1 of the set's points are comparable to the
-cell, since the cell then blocks nothing new; blocks that can never block
-cost nothing.  No node builds chain tables or tests cells one by one.
+it drops the cell's rank-1 quadrants from its parent's addable mask, and
+grows the chain levels of the cell's staircase blocks (``chains._grow``) on
+a copy of its parent's levels, which it passes down; blocks that can never
+block cost nothing.  No node builds chain tables, tests cells one by one or
+undoes anything.
 
 Each codim-1 face (ridge) F - c lies in one or two facets;
 ``series._ridge_walk`` pairs them, and the boundary, the shelling check,
 ``verify``'s codim-1 check and the h-vector folds read it.
 ``interior_faces`` and the shelling check read the facets containing a set
-off per-cell owner bitsets (``_containing``).
+off per-cell owner bitsets (``_containing``); ``verify``'s walk ANDs the same
+bitsets along the DFS, so it counts interior faces without storing any.
 
 The CLI reads face counts off the h-vector (``series.face_counts``); the DFS
 routes ``f_vector`` and ``interior_faces`` are their oracle, in ``verify`` and
@@ -28,10 +27,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chains import CellSet, _blocked_ranks, _load_blocks, _rank_ladder, is_u_compatible
+from .chains import CellSet, _grow, _load_blocks, _rank_ladder, is_u_compatible
 from .cvm import corners
 from .errors import DEFAULT_MAX_CELLS, GuardExceeded, ValidationError
-from .quiver import Instance
+from .quiver import Instance, _is_int
 from .series import FaceTable, _ridge_walk
 
 DEFAULT_VDC_GUARD = 14
@@ -42,15 +41,15 @@ class _FaceSearch:
 
     The visitor receives, for every admissible X over the universe cells,
     the X bitmask and the bitmask of all cells of L (not only the universe)
-    that could still be added.  The kernel blocks hold ``base`` as loaded by
-    ``chains._load_blocks``; ``run`` sets and clears the bits of X in their
-    row occupancy masks in place, so they hold ``base`` again when it returns.
+    that could still be added.  ``levels`` holds ``base``'s chain levels as
+    loaded by ``chains._load_blocks``; each node passes its own levels down
+    and never changes them after that, so ``run`` leaves them as they were.
     """
 
     def __init__(self, instance: Instance, base=()):
         self.instance = instance
         self.base_mask = instance.cell_mask(base)
-        self.blocks, self.blocked = _load_blocks(instance, self.base_mask)
+        self.levels, self.blocked = _load_blocks(instance, self.base_mask)
         if self.blocked & self.base_mask:
             raise ValidationError("base set is not u-compatible")
 
@@ -58,15 +57,14 @@ class _FaceSearch:
         full = (1 << self.instance.size) - 1
         if universe_mask is None:
             universe_mask = full & ~self.base_mask
-        blocks, base_mask = self.blocks, self.base_mask
+        base_mask = self.base_mask
         rungs = _rank_ladder(self.instance)[1]
 
-        # Admissibility is hereditary and the blocks a cell does not touch
-        # keep their blocked cells, which the parent's addable mask already
-        # excludes: so a child drops its cell's rank-1 quadrants and
-        # recomputes only the kernel blocks where its cell can block more.
+        # Admissibility is hereditary and blocked sets only grow: so a child
+        # drops its cell's rank-1 quadrants and grows the levels of its
+        # cell's staircase kernels, on a copy of its parent's levels.
 
-        def rec(x_mask: int, min_rank: int, addable: int):
+        def rec(x_mask: int, min_rank: int, addable: int, levels: list[int]):
             visit(x_mask, addable)
             cand = addable & universe_mask & ~((1 << min_rank) - 1)
             held = x_mask | base_mask
@@ -74,46 +72,21 @@ class _FaceSearch:
                 low = cand & -cand
                 cand ^= low
                 r = low.bit_length() - 1
-                blocked, steps = rungs[r]
+                blocked, kernels = rungs[r]
                 blocked |= low
-                for k, x, col, near, need in steps:
-                    block = blocks[k]
-                    block[0][x] |= col
-                    if (near & held).bit_count() >= need:
-                        blocked |= _blocked_ranks(*block)
-                rec(x_mask | low, r + 1, addable & ~blocked)
-                for k, x, col, _, _ in steps:
-                    blocks[k][0][x] ^= col
+                child = levels
+                if kernels:
+                    child = levels.copy()
+                    for kernel in kernels:
+                        blocked |= _grow(child, kernel, held | low, r)
+                rec(x_mask | low, r + 1, addable & ~blocked, child)
 
-        rec(0, 0, full & ~base_mask & ~self.blocked)
-
-
-def _face_counter(size: int, store_faces: bool):
-    """A face-DFS visitor that counts faces by cardinality, and the builder of their table.
-
-    ``size`` is |L|; with ``store_faces`` the table also keeps every face mask.
-    """
-    counts = [0] * (size + 1)
-    stored: list[list[int]] | None = [[] for _ in range(size + 1)] if store_faces else None
-
-    def visit(mask, _addable):
-        n = mask.bit_count()
-        counts[n] += 1
-        if stored is not None:
-            stored[n].append(mask)
-
-    def table() -> FaceTable:
-        top = max(s for s, c in enumerate(counts) if c) if any(counts) else 0
-        return FaceTable(
-            counts_by_size=tuple(counts[: top + 1]),
-            faces_by_size=(tuple(tuple(ms) for ms in stored[: top + 1])
-                           if stored is not None else None),
-        )
-
-    return visit, table
+        rec(0, 0, full & ~base_mask & ~self.blocked, self.levels)
 
 
 def _check_guard(instance: Instance, max_cells_guard: int) -> None:
+    if not _is_int(max_cells_guard) or max_cells_guard < 0:
+        raise ValidationError(f"cell guard must be an int >= 0, not {max_cells_guard!r}")
     if instance.size > max_cells_guard:
         raise GuardExceeded(f"|L| = {instance.size} exceeds guard {max_cells_guard}")
 
@@ -123,14 +96,24 @@ def f_vector(instance: Instance, max_cells_guard: int = DEFAULT_MAX_CELLS,
     """Count admissible sets by cardinality by pruned depth-first backtracking.
 
     The oracle route, for ``hilbert_series``'s ``f_transform`` and
-    ``interior`` routes (``verify`` feeds them the same walk through
-    ``_face_counter``); ``series.face_counts`` reads the same counts off
-    the h-vector.
+    ``interior`` routes (``verify`` feeds them its own walk, interior
+    counts included); ``series.face_counts`` reads the same counts off the
+    h-vector.
     """
     _check_guard(instance, max_cells_guard)
-    visit, table = _face_counter(instance.size, store_faces)
+    counts = [0] * (instance.size + 1)
+    stored: list[list[int]] | None = [[] for _ in counts] if store_faces else None
+
+    def visit(mask, _addable):
+        n = mask.bit_count()
+        counts[n] += 1
+        if stored is not None:
+            stored[n].append(mask)
+
     _FaceSearch(instance).run(visit)
-    return table()
+    top = max(n for n, c in enumerate(counts) if c)
+    faces = tuple(tuple(ms) for ms in stored[:top + 1]) if stored is not None else None
+    return FaceTable(tuple(counts[:top + 1]), faces)
 
 
 def codim1_membership(sub: CellSet) -> list[CellSet]:
@@ -181,8 +164,10 @@ def interior_faces(instance: Instance, table: FaceTable, facets) -> FaceTable:
     codim-1 faces contained in exactly one facet; a face is interior exactly
     when it is a subset of none of them, as ``_containing`` reads off the
     generators' owner bitsets.  The oracle route, on ``f_vector``'s stored
-    faces: ``verify`` and ``hilbert_series``'s ``interior`` route use it,
-    while ``series.face_counts`` reads the interior counts off h reversed.
+    faces: ``hilbert_series``'s ``interior`` route uses it when given no
+    interior counts, ``verify``'s walk counts them as it goes and the tests
+    hold the two to each other, while ``series.face_counts`` reads the
+    interior counts off h reversed.
     """
     if table.faces_by_size is None:
         raise ValidationError("interior faces need f_vector(store_faces=True)")
@@ -219,11 +204,13 @@ def verify_shelling(facets_in_order, corner_kind: str = "SE") -> ShellingReport:
     return _shelling_report(list(facets_in_order), corner_kind)
 
 
-def _shelling_report(facets: list, corner_kind: str, walk=None) -> ShellingReport:
-    """``verify_shelling`` on a list, reading R_j off ``walk`` when given.
+def _shelling_report(facets: list, corner_kind: str, walk=None, counts=None) -> ShellingReport:
+    """``verify_shelling`` on a list, reading R_j off ``walk`` and the corners off ``counts`` when given.
 
-    ``walk`` is ``series._ridge_walk`` of the facets' masks in this order, so a
-    caller that walks them for another check walks them once.
+    ``walk`` is ``series._ridge_walk`` of the facets' masks in this order and
+    ``counts`` the facets' essential ``corner_kind`` corner counts, so a
+    caller that walks them or classifies their corners for another check
+    does so once.
     """
     if corner_kind not in ("SE", "NW"):
         raise ValidationError(f"corner kind must be SE or NW, got {corner_kind!r}")
@@ -246,8 +233,11 @@ def _shelling_report(facets: list, corner_kind: str, walk=None) -> ShellingRepor
                 f"facet {j + 1}: an earlier intersection is not inside a shared codim-1 face")
         rj = restriction.bit_count()
         r_seq.append(rj)
-        rep = corners(facet)
-        expected = rep.essential_se if corner_kind == "SE" else rep.essential_nw
+        if counts is not None:
+            expected = counts[j]
+        else:
+            rep = corners(facet)
+            expected = rep.essential_se if corner_kind == "SE" else rep.essential_nw
         if rj != expected:
             return ShellingReport(
                 False, tuple(r_seq),
@@ -293,6 +283,8 @@ def check_vertex_decomposition_samples(instance: Instance, sample_budget: int = 
     """
     import random  # only the sampler draws; most commands never load it
 
+    if not _is_int(sample_budget) or sample_budget < 0:
+        raise ValidationError(f"sample_budget must be an int >= 0, not {sample_budget!r}")
     _check_guard(instance, size_guard)
     rng = random.Random(seed)
     samples = []

@@ -11,8 +11,8 @@ bitmasks; ``corners`` classifies their NW and SE turning points on that one
 road map.  The essential ones drive both the chute-move dynamics and the
 h-polynomial.  The greedy closures ``c_min``/``c_max`` find the smallest and
 largest facet containing a face; like the face DFS, they read one rung of
-``chains._rank_ladder`` per added cell and call the staircase kernel
-``chains._blocked_ranks`` only on its staircase blocks.  ``reflect`` is the
+``chains._rank_ladder`` per added cell and grow the chain levels of its
+staircase blocks in place (``chains._grow``).  ``reflect`` is the
 180-degree rotation; it swaps NW with SE corners, and the tests check the SE
 rule through it.
 """
@@ -22,8 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .chains import (CellSet, _blocked_ranks, _corner_table, _load_blocks, _rank_ladder,
-                     is_u_compatible)
+from .chains import CellSet, _corner_table, _grow, _load_blocks, _rank_ladder, is_u_compatible
 from .errors import CrossCheckError, ValidationError
 from .moves import _initial_mask
 from .quiver import HORIZONTAL, TARGET, VERTICAL, BipartiteQuiver, Cell, Instance
@@ -41,28 +40,26 @@ def _greedy_close(seed: CellSet, descending: bool) -> CellSet:
 
     The scan runs on the kernel ladder: the seed is loaded once, and each
     step adds the highest (``descending``) or lowest addable cell, drops its
-    rank-1 quadrants and recomputes only the staircase blocks where it can
-    block more (see ``chains._rank_ladder``).
+    rank-1 quadrants and grows the levels of its staircase blocks (see
+    ``chains._rank_ladder``).
     Admissibility is hereditary, so a cell the scan passes over never becomes
     addable again, and adding the extreme addable cell each time adds exactly
     the cells the scan would.
     """
     inst = seed.instance
     mask = seed.mask
-    blocks, blocked = _load_blocks(inst, mask)
+    levels, blocked = _load_blocks(inst, mask)
     if blocked & mask:
         raise ValidationError("seed set is not u-compatible")
     rungs = _rank_ladder(inst)[1]
     addable = ((1 << inst.size) - 1) & ~mask & ~blocked
     while addable:
         bit = 1 << (addable.bit_length() - 1) if descending else addable & -addable
-        blocked, steps = rungs[bit.bit_length() - 1]
-        for k, x, col, near, need in steps:
-            block = blocks[k]
-            block[0][x] |= col
-            if (near & mask).bit_count() >= need:
-                blocked |= _blocked_ranks(*block)
+        r = bit.bit_length() - 1
+        blocked, kernels = rungs[r]
         mask |= bit
+        for kernel in kernels:
+            blocked |= _grow(levels, kernel, mask, r)
         addable &= ~(bit | blocked)
     return CellSet.from_mask(inst, mask)
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DEFAULT_FACET_CAP, FacetCapExceeded, ValidationError
-from .quiver import HORIZONTAL, TARGET, VERTICAL, Cell, Instance, _prefix_masks
+from .quiver import HORIZONTAL, TARGET, VERTICAL, Cell, Instance, _is_int, _prefix_masks
 
 if TYPE_CHECKING:
     from .chains import CellSet
@@ -193,8 +193,8 @@ def _facet_masks(instance: Instance, facet_cap: int) -> list[int]:
     layers complete, which hold every facet within ``depth`` moves of the
     initial one.
     """
-    if facet_cap < 1:
-        raise ValidationError("facet cap must be positive")
+    if not _is_int(facet_cap) or facet_cap < 1:
+        raise ValidationError(f"facet cap must be an int >= 1, not {facet_cap!r}")
     layout = _move_layout(instance)
     where = layout[2]
     start = _initial_mask(instance)

@@ -201,6 +201,23 @@ def _f_from_h(h: tuple[int, ...], n_top: int) -> tuple[int, ...]:
                  for k in range(n_top + 1))
 
 
+def _corner_routes(facets, n_top: int) -> tuple[dict[str, tuple[int, ...]], list[int]]:
+    """The corner routes' numerators, and each facet's essential SE count, from one ``corners`` pass.
+
+    h_i counts the facets with i essential corners.  The pass keeps counts,
+    no report; ``verify`` holds the SE counts to its shelling check.
+    """
+    from .cvm import corners
+
+    tally = {SE_CORNERS: [0] * (n_top + 1), NW_CORNERS: [0] * (n_top + 1)}
+    se_counts = []
+    for rep in map(corners, facets):
+        se_counts.append(rep.essential_se)
+        tally[SE_CORNERS][rep.essential_se] += 1
+        tally[NW_CORNERS][rep.essential_nw] += 1
+    return {route: _trim(tally[route]) for route in sorted(tally)}, se_counts
+
+
 def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None = None,
                    routes=FOLD_ROUTES, max_cells_guard: int = DEFAULT_MAX_CELLS,
                    facet_cap: int = DEFAULT_FACET_CAP) -> HilbertSeries:
@@ -241,14 +258,8 @@ def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None
     for route in sorted(routes & FOLD_ROUTES):
         results[route] = _ridge_fold(masks if route == ASCENDING_FOLD else masks[::-1])[0]
     if routes & CORNER_ROUTES:
-        from .cvm import corners
-
-        # one pass that keeps no report: h_i counts the facets with i essential corners
-        tally = {SE_CORNERS: [0] * (n_top + 1), NW_CORNERS: [0] * (n_top + 1)}
-        for rep in map(corners, facets):
-            tally[SE_CORNERS][rep.essential_se] += 1
-            tally[NW_CORNERS][rep.essential_nw] += 1
-        results.update((route, _trim(tally[route])) for route in sorted(routes & CORNER_ROUTES))
+        corner_h = _corner_routes(facets, n_top)[0]
+        results.update((route, corner_h[route]) for route in sorted(routes & CORNER_ROUTES))
     if routes & {F_TRANSFORM, INTERIOR}:
         from .complex import f_vector, interior_faces
 

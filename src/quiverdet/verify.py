@@ -7,18 +7,18 @@ with enough detail to reproduce it.
 
 ``enumerate_facets`` checks no facet; ``facet-cardinality`` holds each one to
 the cardinality route and the cell-by-cell membership criterion.  The brute
-face DFS, the reflection check's closures and ``codim1_membership`` run on
-the kernel ladder ``chains._rank_ladder``, which calls ``_blocked_ranks``
-only on staircase blocks.  The criteria check evaluates all its random
-subsets and every facet in one bit-sliced batch: each cell holds one int
-whose bit i says whether subset i contains it, each route is a per-cell
-condition in the cell's target and source blocks, and each class of twin
-blocks runs one level-by-level chain DP on those ints (``_chain_levels``).
-The tests hold the criteria to ``corner_stats``, which reads the
-independent DP ``chains._chain_tables``, and the closures to ``can_extend``.
-The shelling check and the codim-1 check read one
-``series._ridge_walk`` of the ascending facets, the walk behind the h-vector
-folds; the codim-1 check holds each ridge's owners to ``codim1_membership``.
+face DFS, the reflection probes and closures and the codim-1 check run on
+the chain levels of ``chains._rank_ladder``; the brute walk also counts the
+interior faces, storing none.  The criteria check evaluates all its random
+subsets and every facet in one bit-sliced batch: bit i of a cell's int says
+whether subset i holds it, and each class of twin blocks runs one chain DP
+on those ints (``_chain_levels``).  The tests hold the criteria to
+``corner_stats``, which reads the independent DP ``chains._chain_tables``.
+One corner pass per facet, counts only, feeds the corner routes and the
+shelling check.  The shelling and codim-1 checks share one
+``series._ridge_walk`` of the ascending facets; the codim-1 check loads each
+facet once and reloads only the blocks of the cell it removes
+(``_ridge_addables``), which the tests hold to ``complex.codim1_membership``.
 """
 
 from __future__ import annotations
@@ -28,39 +28,53 @@ from functools import lru_cache, reduce
 from operator import and_, or_
 from typing import NamedTuple
 
-from .chains import CellSet, _addable, is_u_compatible
-from .complex import (DEFAULT_MAX_CELLS, _face_counter, _FaceSearch, _shelling_report,
-                      codim1_membership)
+from .chains import (CellSet, _addable, _class_blocked, _levels, _load_blocks, _rank_ladder,
+                     is_u_compatible)
+from .complex import (DEFAULT_MAX_CELLS, _FaceSearch, _owner_bits, _shelling_report,
+                      boundary_generator_masks)
 from .cvm import _path_layout, c_max, c_min, initial_cvm, reflect, reflect_instance
-from .errors import QuiverDetError, ValidationError
+from .errors import CrossCheckError, QuiverDetError, ValidationError
 from .moves import DEFAULT_FACET_CAP, enumerate_facets
 from .quiver import BipartiteQuiver, Instance, _is_int, build_instance
-from .series import (ALL_ROUTES, CORNER_ROUTES, FOLD_ROUTES, FaceTable, _ridge_walk,
-                     hilbert_series)
+from .series import (ALL_ROUTES, CORNER_ROUTES, FOLD_ROUTES, FaceTable, _corner_routes,
+                     _ridge_walk, hilbert_series)
 
 
 def brute_maximal_facet_masks(instance: Instance) -> list[int]:
     """All maximal admissible sets by exhaustive pruned search (no chute moves)."""
-    return _brute_walk(instance, store_faces=False)[0]
+    return _brute_walk(instance, [])[0]
 
 
-def _brute_walk(instance: Instance, store_faces: bool) -> tuple[list[int], FaceTable]:
+def _brute_walk(instance: Instance, gens: list[int]) -> tuple[list[int], FaceTable]:
     """One walk of the face DFS: the sorted maximal sets and the face table.
 
-    A set is maximal when nothing is addable, not when it is the largest: the
-    purity of the complex is part of what the comparison with the facets checks.
+    The table counts the faces and the interior ones, inside none of the
+    boundary generator masks ``gens``, and stores no face: the DFS visits
+    a face after the face without its highest cell, so ``inside[n]``, the
+    generators containing the current face of n cells, is ``inside[n - 1]``
+    ANDed with that cell's owners (see ``complex._containing``).  A set is
+    maximal when nothing is addable, not when it is the largest: the purity
+    of the complex is part of what the comparison with the facets checks.
     """
-    count, table = _face_counter(instance.size, store_faces)
+    owners = _owner_bits(gens, instance.size)
+    counts, interior = [0] * (instance.size + 1), [0] * (instance.size + 1)
+    inside = [(1 << len(gens)) - 1] * (instance.size + 1)
     out = []
 
     def visit(mask, addable):
-        count(mask, addable)
+        n = mask.bit_count()
+        counts[n] += 1
+        if n:
+            inside[n] = inside[n - 1] & owners[mask.bit_length() - 1]
+        interior[n] += not inside[n]
         if addable == 0:
             out.append(mask)
 
     _FaceSearch(instance).run(visit)
     out.sort()
-    return out, table()
+    top = max(n for n, c in enumerate(counts) if c)
+    return out, FaceTable(tuple(counts[:top + 1]), interior_by_size=tuple(interior[:top + 1]),
+                          boundary_generators=len(gens))
 
 
 def _membership_criterion_holds(cs: CellSet) -> bool:
@@ -306,7 +320,7 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     face_table = None
     if instance.size <= max_cells:
         # the same walk feeds the series oracle's f-vector and interior routes
-        brute, face_table = _brute_walk(instance, store_faces=True)
+        brute, face_table = _brute_walk(instance, boundary_generator_masks(facets))
         record("facet-closure-vs-brute",
                brute == [f.mask for f in facets],
                f"{len(facets)} facets from moves vs {len(brute)} maximal admissible sets")
@@ -322,15 +336,12 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     refl_inst, refl_map = reflect_instance(instance)
     ok = True
     for _ in range(8):
-        probe = None
+        probe = CellSet(instance)
         for _attempt in range(32):
-            pick = [c for c in instance.cells if rng.random() < 0.4]
-            cand = CellSet(instance, pick)
-            if is_u_compatible(cand):
-                probe = cand
+            mask = sum(1 << r for r in range(instance.size) if rng.random() < 0.4)
+            if not _load_blocks(instance, mask)[1] & mask:
+                probe = CellSet.from_mask(instance, mask)
                 break
-        if probe is None:
-            probe = CellSet(instance)
         double_inst, double_set = reflect(reflect(probe)[1])
         if double_inst != instance or tuple(double_set.cells) != tuple(probe.cells):
             ok = False
@@ -350,11 +361,18 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
             record(name, False, "skipped: an enumerated set is not a facet")
         return VerificationReport(instance, tuple(checks))
 
+    # One corner pass, counts only, feeds the corner routes and the shelling
+    # check; if it fails, the shelling check classifies the corners itself.
+    se_counts = None
     try:
-        # past the brute guard the folds are still held to both corner routes
-        routes = ALL_ROUTES if instance.size <= max_cells else CORNER_ROUTES | FOLD_ROUTES
+        corner_h, se_counts = _corner_routes(facets, n_top)
+        routes = ALL_ROUTES - CORNER_ROUTES if instance.size <= max_cells else FOLD_ROUTES
         series = hilbert_series(instance, facets=facets, face_table=face_table, routes=routes,
                                 max_cells_guard=max_cells)
+        # past the brute guard the folds are still held to both corner routes
+        if set(corner_h.values()) != {series.numerator}:
+            raise CrossCheckError("series routes disagree: "
+                                  f"{dict.fromkeys(sorted(routes), series.numerator) | corner_h}")
         record("series-routes", True,
                f"h = {list(series.numerator)}, multiplicity {series.multiplicity}")
     except QuiverDetError as exc:
@@ -365,7 +383,7 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     # about 0.1 MB.
     walk = _ridge_walk([f.mask for f in facets])
     codim1 = _codim1_check(instance, facets, walk)
-    shelling = _shelling_report(facets, "SE", walk)
+    shelling = _shelling_report(facets, "SE", walk, se_counts)
     record("shelling", shelling.ok, shelling.failure or "increasing order shells")
     record("codim1-membership", *codim1)
 
@@ -377,22 +395,25 @@ def _criteria_check(instance: Instance, rng: random.Random, trials: int,
     """Hold the three facet criteria to each other on random subsets, then on every facet.
 
     Each trial draws a density, then each cell in rank order with that
-    probability; such draws almost never hit a facet of a larger instance.
-    One ``_criteria_kernel`` call evaluates the draws and the facets
-    together, so each class of twin blocks runs its level tables once; the
-    first subset on which the routes disagree is reported, and its routes
-    are replayed through ``criteria_agree``.
+    probability, into one mask; such draws almost never hit a facet of a
+    larger instance.  ``_columns`` transposes the draws and the facets'
+    masks, and one ``_criteria_kernel`` call evaluates them together, so
+    each class of twin blocks runs its level tables once; the first subset
+    on which the routes disagree is reported, and its routes are replayed
+    through ``criteria_agree``.
     """
-    columns = [0] * instance.size
     draw = rng.random
-    for trial in range(trials):
+    bits = [1 << r for r in range(instance.size)]
+    masks = []
+    for _ in range(trials):
         density = draw()
-        bit = 1 << trial
-        for r in range(instance.size):
+        mask = 0
+        for bit in bits:
             if draw() < density:
-                columns[r] |= bit
-    for r, column in enumerate(_columns([f.mask for f in facets], instance.size)):
-        columns[r] |= column << trials
+                mask |= bit
+        masks.append(mask)
+    masks += [f.mask for f in facets]
+    columns = _columns(masks, instance.size)
     by_card, by_raw, by_padded = _criteria_kernel(
         instance, columns, (1 << (trials + len(facets))) - 1)
     wrong = (by_card ^ by_raw) | (by_raw ^ by_padded)
@@ -400,36 +421,69 @@ def _criteria_check(instance: Instance, rng: random.Random, trials: int,
         n = (wrong & -wrong).bit_length() - 1
         name = (f"subset {n + 1} of {trials}" if n < trials
                 else f"facet {n - trials + 1} of {len(facets)}")
-        held = [c for c, column in zip(instance.cells, columns) if column >> n & 1]
+        held = CellSet.from_mask(instance, masks[n]).cells
         return False, (f"{name}, cells {[list(c) for c in held]}: routes "
                        f"(cardinality, raw, padded, agree) = {criteria_agree(instance, held)}")
     return True, f"{trials} random subsets, then all facets ({len(facets)})"
 
 
+def _ridge_addables(instance: Instance, mask: int, removed: int):
+    """For each cell c of ``removed``, a submask of ``mask``: its bit and the addable cells of mask - c.
+
+    ``mask`` must be admissible, and it is loaded once.  Removing c changes
+    only c's blocks: its rank-1 quadrants leave the union of the other
+    cells' quadrants, and its staircase kernels are loaded afresh, while the
+    other kernels keep their blocked positions.
+    """
+    kernels, rungs = _rank_ladder(instance)
+    full = (1 << instance.size) - 1
+    levels = _load_blocks(instance, mask)[0]
+    own = [_class_blocked(levels, kernel) for kernel in kernels]
+    cells = [r for r in range(mask.bit_length()) if mask >> r & 1]
+    # before[i] | after[i + 1]: the rank-1 quadrants of every cell but cells[i]
+    before, after = [0], [0]
+    for r in cells:
+        before.append(before[-1] | rungs[r][0])
+    for r in reversed(cells):
+        after.append(after[-1] | rungs[r][0])
+    after.reverse()
+    for i, r in enumerate(cells):
+        low = 1 << r
+        if not removed & low:
+            continue
+        ridge = mask ^ low
+        blocked = before[i] | after[i + 1]
+        steps = rungs[r][1]
+        for kernel, kept in zip(kernels, own):
+            if kernel in steps:  # the loaded levels are scratch now: ``own`` keeps their share
+                levels[kernel[1]:kernel[1] + 2 * kernel[0]] = _levels(kernel, ridge)
+                blocked |= _class_blocked(levels, kernel)
+            else:
+                blocked |= kept
+        yield low, full & ~ridge & ~blocked
+
+
 def _codim1_check(instance: Instance, facets, walk) -> tuple[bool, str]:
-    """Hold every ridge's owners in the facet list to ``codim1_membership``.
+    """Hold every ridge's owners in the facet list to the ridge's addable cells.
 
     Each ridge F - c is evaluated once, at its first owner F, where c lies
-    outside F's restriction face.  Its owners by the closure route must be
-    one or two, F among them and all of them listed, and one iff the walk
-    leaves the ridge open: on facets, the owner sets of list and closure agree.
-    ``walk`` is ``series._ridge_walk`` of the facets' masks.
+    outside F's restriction face.  By purity its owners are F - c plus each
+    addable cell: one or two, F among them and all listed, and one iff the
+    walk, ``series._ridge_walk`` of the facets' masks, leaves it open.
     """
     masks = [f.mask for f in facets]
     listed = set(masks)
     restrictions, open_ridges = walk
     ridges = 0
     for mask, restriction in zip(masks, restrictions):
-        rest = mask & ~restriction
-        while rest:
-            low = rest & -rest
-            rest ^= low
+        for low, addable in _ridge_addables(instance, mask, mask & ~restriction):
             ridge = mask ^ low
-            owners = [f.mask for f in codim1_membership(CellSet.from_mask(instance, ridge))]
-            if not 1 <= len(owners) <= 2:
-                return False, f"codim-1 face inside {len(owners)} facets"
-            if (mask not in owners or not listed.issuperset(owners)
-                    or (len(owners) == 1) != (ridge in open_ridges)):
+            owners = addable.bit_count()
+            if not 1 <= owners <= 2:
+                return False, f"codim-1 face inside {owners} facets"
+            # F is an owner, and the other owner, if any, is listed
+            if (not addable & low or (owners == 2 and ridge | addable ^ low not in listed)
+                    or (owners == 1) != (ridge in open_ridges)):
                 return False, "closure route misses a containing facet"
             ridges += 1
     if not open_ridges:

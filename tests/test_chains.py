@@ -4,10 +4,11 @@ import pytest
 
 from quiverdet import (CellSet, ValidationError, can_extend, corner_stats, is_u_compatible,
                        max_diagonal_chain)
-from quiverdet.chains import _blocked_ranks, _chain_tables, _load_blocks, _occupancy, _rank_ladder
+from quiverdet.chains import (_chain_tables, _class_blocked, _grow, _levels, _load_blocks,
+                              _occupancy, _rank_ladder)
 from quiverdet.cli import parse_preset
 from quiverdet.cvm import c_max
-from quiverdet.quiver import BipartiteQuiver, Instance, _prefix_masks
+from quiverdet.quiver import BipartiteQuiver, Instance
 from quiverdet.verify import random_instance
 
 from golden import DOUBLE_INITIAL
@@ -81,32 +82,69 @@ def test_chain_tables_vs_max_chain():
                         [p for p in pts if p[0] >= x and p[1] >= y])
 
 
-def test_blocked_ranks_vs_chain_tables():
-    # the face DFS's staircase kernel against the table definition, on any
-    # occupancy (over-long chains included) and a scrambled rank layout
+def _quadrant_tables(ranks, size):
+    """Definition level: per cell rank, the positions strictly SE and strictly NW of it."""
+    cells = [(x, y, r) for x, row in enumerate(ranks, start=1) for y, r in enumerate(row, start=1)]
+    se, nw = [0] * size, [0] * size
+    for x, y, r in cells:
+        se[r] = sum(1 << q for i, j, q in cells if i > x and j > y)
+        nw[r] = sum(1 << q for i, j, q in cells if i < x and j < y)
+    return se, nw
+
+
+def _levels_by_definition(a, b, u, ranks, mask):
+    """N_1..N_u and S_1..S_u of a block: the positions with nw >= j, then with se >= j."""
+    nw, se = _chain_tables(a, b, _occupancy(ranks, mask))
+    cells = [(x, y, r) for x, row in enumerate(ranks, start=1) for y, r in enumerate(row, start=1)]
+    return ([sum(1 << r for x, y, r in cells if nw[x - 1][y - 1] >= j) for j in range(1, u + 1)]
+            + [sum(1 << r for x, y, r in cells if se[x + 1][y + 1] >= j) for j in range(1, u + 1)])
+
+
+def _grow_in_order(kernels, rungs, order):
+    """Grow empty levels by the cells of ``order`` one at a time, checking each step from scratch.
+
+    Returns the union of what ``_grow`` reported blocked.
+    """
+    levels = [0] * sum(2 * kernel[0] for kernel in kernels)
+    held = reported = 0
+    for r in order:
+        held |= 1 << r
+        for kernel in rungs[r][1]:
+            blocked = _grow(levels, kernel, held, r)
+            u, start = kernel[0], kernel[1]
+            assert levels[start:start + 2 * u] == _levels(kernel, held), (held, r)
+            assert blocked in (0, _class_blocked(levels, kernel))
+            reported |= blocked
+    assert levels == [level for kernel in kernels for level in _levels(kernel, held)]
+    return reported
+
+
+def test_chain_levels_vs_chain_tables():
+    # the level kernel against the table definition, on any occupancy
+    # (over-long chains included), any rank u and a scrambled rank layout:
+    # the levels from scratch and grown in a random order, and the blocked
+    # positions read off them
     rng = random.Random(23)
     shapes = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(400)]
     shapes += [(1, b) for b in range(1, 7)] + [(a, 1) for a in range(1, 7)]
     for a, b in shapes:
+        size = a * b
         for u in range(1, min(a, b) + 2):
+            flat = rng.sample(range(size), size)
+            ranks = [flat[x * b:(x + 1) * b] for x in range(a)]
+            kernel = (u, 0, *_quadrant_tables(ranks, size), (1 << size) - 1)
             density = rng.random()
-            ranks = rng.sample(range(a * b), a * b)
-            occupied = [[False] * (b + 2) for _ in range(a + 2)]
-            occ = [0] * (a + 1)
-            pre = [()] + [[0] * (b + 1) for _ in range(a)]
-            for x in range(1, a + 1):
-                for y in range(1, b + 1):
-                    if rng.random() < density:
-                        occupied[x][y] = True
-                        occ[x] |= 1 << y
-                    pre[x][y] = pre[x][y - 1] | 1 << ranks[(x - 1) * b + y - 1]
-            nw, se = _chain_tables(a, b, occupied)
-            expected = 0
-            for x in range(1, a + 1):
-                for y in range(1, b + 1):
-                    if nw[x - 1][y - 1] + se[x + 1][y + 1] >= u:
-                        expected |= 1 << ranks[(x - 1) * b + y - 1]
-            assert _blocked_ranks(occ, pre, b, u) == expected, (a, b, u, occ)
+            mask = sum(1 << r for r in range(size) if rng.random() < density)
+            levels = _levels(kernel, mask)
+            assert levels == _levels_by_definition(a, b, u, ranks, mask), (a, b, u, ranks, mask)
+            nw_t, se_t = _chain_tables(a, b, _occupancy(ranks, mask))
+            expected = sum(1 << r for x, row in enumerate(ranks, start=1)
+                           for y, r in enumerate(row, start=1)
+                           if nw_t[x - 1][y - 1] + se_t[x + 1][y + 1] >= u)
+            assert _class_blocked(levels, kernel) == expected, (a, b, u, ranks, mask)
+            order = [r for r in range(size) if mask >> r & 1]
+            rng.shuffle(order)
+            assert _grow_in_order((kernel,), [(0, (kernel,))] * size, order) == expected
 
 
 def _blocked_by_definition(inst, mask, vid):
@@ -129,11 +167,18 @@ def _block_class(inst, vid):
     return ("rank-1" if d.u == 1 else "staircase"), twin
 
 
+def _kernel_of(inst, vid):
+    """The ``_rank_ladder`` kernel that holds staircase block ``vid``."""
+    tables = list(_quadrant_tables(inst.block_ranks[vid], inst.size))
+    [kernel] = [k for k in _rank_ladder(inst)[0]
+                if k[0] == inst.vertex[vid].u and [k[2], k[3]] == tables]
+    return kernel
+
+
 def _check_ladder(inst, mask):
     """``_load_blocks`` and each part of ``_rank_ladder`` against every block's chain tables."""
-    blocks, blocked = _load_blocks(inst, mask)
+    levels, blocked = _load_blocks(inst, mask)
     kernels, rungs = _rank_ladder(inst)
-    pre = {vid: [(), *map(_prefix_masks, rows)] for vid, rows in inst.block_ranks.items()}
     quadrants = 0
     for r, (quad, _) in enumerate(rungs):
         if mask >> r & 1:
@@ -151,13 +196,17 @@ def _check_ladder(inst, mask):
             assert want == 0 and ok
         elif kind == "rank-1":
             rank1 |= want
-        else:  # one kernel block per set of twins, holding exactly this block's share
-            [block] = [blk for blk in blocks if blk[1] == pre[vid] and blk[3] == d.u]
-            assert _blocked_ranks(*block) == want
+        else:  # one kernel per set of twins, holding exactly this block's levels
+            kernel = _kernel_of(inst, vid)
+            start = kernel[1]
+            assert levels[start:start + 2 * d.u] == _levels_by_definition(
+                d.a, d.b, d.u, inst.block_ranks[vid], mask)
+            assert _class_blocked(levels, kernel) == want
     assert quadrants == rank1
     assert blocked == expected
     assert (blocked & mask == 0) == compatible
-    assert len(blocks) == len(kernels) == len({
+    assert len(levels) == sum(2 * kernel[0] for kernel in kernels)
+    assert len(kernels) == len({
         (inst.block_ranks[vid], d.u) for vid, d in inst.vertex.items() if 1 < d.u < min(d.a, d.b)})
     return classes
 
@@ -176,62 +225,65 @@ def _ladder_masks(inst, rng):
 
 
 def _check_rungs(inst):
-    """Each rung's kernel steps against the cell's position in every staircase block."""
+    """Each rung's kernels and each kernel's quadrants against the cell's staircase blocks."""
     kernels, rungs = _rank_ladder(inst)
     classes = [0] * inst.size  # per cell, its staircase blocks up to twins
     for vid, d in inst.vertex.items():
-        kind, twin = _block_class(inst, vid)
+        kind, _ = _block_class(inst, vid)
         ranks = inst.block_ranks[vid]
-        pre = [(), *map(_prefix_masks, ranks)]
         first = next(w for w in inst.vertex if inst.vertex[w].u == d.u
                      and inst.block_ranks[w] == ranks) == vid
-        for x, row in enumerate(ranks, start=1):
-            for y, r in enumerate(row, start=1):
-                near = sum(1 << ranks[i - 1][j - 1]
-                           for i in range(1, d.a + 1) for j in range(1, d.b + 1)
-                           if (i < x and j < y) or (i > x and j > y))
-                found = [step for step in rungs[r][1] if kernels[step[0]] == (pre, d.b, d.u)]
+        se, nw = _quadrant_tables(ranks, inst.size)
+        for row in ranks:
+            for r in row:
                 if kind == "staircase":
-                    assert found == [(found[0][0], x, 1 << y, near, d.u - 1)], (vid, x, y)
+                    kernel = _kernel_of(inst, vid)
+                    assert kernel in rungs[r][1]
+                    assert (kernel[2][r], kernel[3][r]) == (se[r], nw[r]), (vid, r)
                     classes[r] += first
-                else:
-                    assert found == []
     assert [len(steps) for _, steps in rungs] == classes
 
 
-def test_kernel_steps_skip_only_cells_that_block_nothing_new():
-    # the rung steps against the cell positions; and the skip rule: adding p to
-    # an admissible set leaves a block's blocked positions as they were when
-    # fewer than u - 1 of the set's points there are comparable to p
+def test_levels_grow_like_a_fresh_load():
+    # the levels grown one cell at a time, in random orders and from random
+    # bases, equal the levels loaded from scratch after every step, and what
+    # ``_grow`` reports blocked is the union of the blocked sets it passed
     rng = random.Random(37)
     instances = [parse_preset(p) for p in LADDER_PRESETS]
     instances += [random_instance(rng, max_cells=16) for _ in range(40)]
-    skipped = 0
+    grown = 0
     for inst in instances:
         _check_rungs(inst)
-        for _ in range(10):
-            mask = c_max(CellSet(inst)).mask & rng.getrandbits(inst.size)
-            _, blocked = _load_blocks(inst, mask)
-            for r in range(inst.size):
-                if (mask | blocked) >> r & 1:
-                    continue
-                for vid, d in inst.vertex.items():
-                    if _block_class(inst, vid)[0] != "staircase" or not any(
-                            r in row for row in inst.block_ranks[vid]):
-                        continue
-                    x, y = inst.phi(vid, inst.cells[r])
-                    near = sum(1 << inst.block_ranks[vid][i - 1][j - 1]
-                               for i in range(1, d.a + 1) for j in range(1, d.b + 1)
-                               if (i < x and j < y) or (i > x and j > y))
-                    if (near & mask).bit_count() < d.u - 1:
-                        skipped += 1
-                        before = _blocked_by_definition(inst, mask, vid)[0]
-                        after = _blocked_by_definition(inst, mask | 1 << r, vid)[0]
-                        assert after == before, (inst, mask, r, vid)
-    assert skipped
+        kernels, rungs = _rank_ladder(inst)
+        for mask in _ladder_masks(inst, rng):
+            order = [r for r in range(inst.size) if mask >> r & 1]
+            rng.shuffle(order)
+            levels, want = _load_blocks(inst, mask)[0], 0
+            for kernel in kernels:
+                want |= _class_blocked(levels, kernel)
+            assert _grow_in_order(kernels, rungs, order) == want
+            grown += len(order) * bool(kernels)
+    assert grown
 
 
-LADDER_PRESETS = ("det:3,3,1", "det:3,4,2", "det:4,5,2", "star-example")
+def test_levels_grow_like_a_fresh_load_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), max_cells=st.integers(1, 20),
+                      bits=st.integers(0, 2 ** 20 - 1), order_seed=st.integers(0, 2 ** 16))
+    def run(seed, max_cells, bits, order_seed):
+        inst = random_instance(random.Random(seed), max_cells=max_cells)
+        kernels, rungs = _rank_ladder(inst)
+        order = [r for r in range(inst.size) if bits >> r & 1]
+        random.Random(order_seed).shuffle(order)
+        _grow_in_order(kernels, rungs, order)
+
+    run()
+
+
+LADDER_PRESETS = ("det:3,3,1", "det:3,4,2", "det:4,5,2", "star-example", "det:5,5,3")
 
 
 def test_rank_ladder_vs_chain_tables():

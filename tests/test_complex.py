@@ -72,6 +72,9 @@ def test_face_search_rejects_incompatible_base(det33):
 def test_f_vector_guard(star_instance):
     with pytest.raises(GuardExceeded):
         f_vector(star_instance, max_cells_guard=10)
+    for guard in (None, "9", 2.5, True, -1):
+        with pytest.raises(ValidationError, match="cell guard"):
+            f_vector(star_instance, max_cells_guard=guard)
 
 
 def test_top_count_is_multiplicity():
@@ -393,9 +396,16 @@ def test_vdc_extremes(double_instance):
     assert out == [0]
 
 
-def test_vdc_guard(star_instance):
+def test_vdc_guard(star_instance, double_instance):
     with pytest.raises(GuardExceeded):
         check_vertex_decomposition_samples(star_instance, size_guard=14)
+    for budget in (None, 2.5, "3", False, -1):
+        with pytest.raises(ValidationError, match="sample_budget"):
+            check_vertex_decomposition_samples(double_instance, sample_budget=budget)
+    for guard in (None, "14", 14.0):
+        with pytest.raises(ValidationError, match="cell guard"):
+            check_vertex_decomposition_samples(double_instance, size_guard=guard)
+    assert check_vertex_decomposition_samples(double_instance, sample_budget=0).samples == ()
 
 
 def test_vdc_random_instances():

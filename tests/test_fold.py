@@ -95,16 +95,24 @@ def test_verify_holds_fold_to_corners_past_brute_guard(monkeypatch):
 
     inst = parse_preset("det:3,11,1")
     assert inst.size > 32  # over the default brute guard
-    seen = []
+    seen, classified = [], []
     real_series = verify.hilbert_series
 
     def spy(*args, **kwargs):
         seen.append(frozenset(kwargs["routes"]))
         return real_series(*args, **kwargs)
 
+    def counted(cs, _real=quiverdet.cvm.corners):
+        classified.append(cs.mask)
+        return _real(cs)
+
     monkeypatch.setattr(verify, "hilbert_series", spy)
+    for module in (quiverdet.cvm, quiverdet.complex):
+        monkeypatch.setattr(module, "corners", counted)
     report = verify_instance(inst, subset_trials=20, seed=1)
-    assert seen == [CORNER_ROUTES | FOLD_ROUTES]
+    # one corner pass per facet feeds the corner routes and the shelling check
+    assert seen == [FOLD_ROUTES]
+    assert classified == [f.mask for f in enumerate_facets(inst)]
     checks = {c.name: c for c in report.checks}
     assert report.ok
     assert checks["series-routes"].detail == "h = [1, 20, 45], multiplicity 66"

@@ -165,8 +165,9 @@ def test_facet_cap_boundary(preset):
     assert enumerate_facets(inst, facet_cap=n) == facets
     with pytest.raises(FacetCapExceeded):
         enumerate_facets(inst, facet_cap=n - 1)
-    with pytest.raises(ValidationError):
-        enumerate_facets(inst, facet_cap=0)
+    for cap in (0, None, 2.5, "9", True):
+        with pytest.raises(ValidationError, match="facet cap"):
+            enumerate_facets(inst, facet_cap=cap)
 
 
 def test_closure_matches_brute_force(double_instance, star_instance, det33):

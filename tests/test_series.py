@@ -35,6 +35,17 @@ def test_hilbert_series_rejects_bad_routes(double_instance):
         hilbert_series(double_instance, routes=())
 
 
+def test_hilbert_series_and_face_counts_reject_malformed_limits(double_instance):
+    # a malformed cap or guard fails as ValidationError, never as a stray TypeError
+    for bad in (None, 2.5, "9", True):
+        with pytest.raises(ValidationError, match="cell guard"):
+            hilbert_series(double_instance, routes={F_TRANSFORM}, max_cells_guard=bad)
+        with pytest.raises(ValidationError, match="facet cap"):
+            hilbert_series(double_instance, facet_cap=bad)
+        with pytest.raises(ValidationError, match="facet cap"):
+            face_counts(double_instance, facet_cap=bad)
+
+
 def test_hilbert_series_rejects_bad_facet_lists(double_instance, det33):
     facets = enumerate_facets(det33)
     with pytest.raises(ValidationError, match="facets is empty"):

@@ -372,6 +372,9 @@ def test_verify_instance_validates_its_arguments(single_cell):
     for max_cells in (None, -1, False, 2.0, "5"):
         with pytest.raises(ValidationError, match="max_cells"):
             verify.verify_instance(single_cell, max_cells=max_cells)
+    for cap in (None, 2.5, "9", True, 0):
+        with pytest.raises(ValidationError, match="facet cap"):
+            verify.verify_instance(single_cell, facet_cap=cap)
     report = verify.verify_instance(single_cell, subset_trials=0, max_cells=0)
     assert report.ok
     assert {c.name: c.detail for c in report.checks}["facet-closure-vs-brute"] == (
@@ -441,3 +444,96 @@ def test_shelling_and_codim1_checks_share_one_walk(monkeypatch, star_instance, d
         assert checks["shelling"] == (shelling.ok, shelling.failure or "increasing order shells")
         assert checks["codim1-membership"] == codim1
         assert report.ok, inst
+
+
+def _check_ridge_addables(inst):
+    # every ridge of every facet: the addable cells from F's levels with c's
+    # blocks reloaded are those of the closure route's owners
+    from quiverdet.complex import codim1_membership
+    from quiverdet.verify import _ridge_addables
+
+    for facet in enumerate_facets(inst):
+        mask = facet.mask
+        got = dict(_ridge_addables(inst, mask, mask))
+        assert list(got) == [1 << r for r in range(inst.size) if mask >> r & 1]
+        for low, addable in got.items():
+            owners = codim1_membership(CellSet.from_mask(inst, mask ^ low))
+            want = 0
+            for owner in owners:
+                want |= owner.mask ^ mask ^ low
+            assert addable == want, (inst, mask, low)
+
+
+def test_ridge_addables_match_codim1_membership(double_instance, star_instance, det33):
+    from quiverdet.cli import parse_preset
+
+    rng = random.Random(41)
+    instances = [double_instance, star_instance, det33, parse_preset("det:5,5,3"),
+                 parse_preset("det:4,6,2"), parse_preset("double:3,4,3,2,2")]
+    instances += [random_instance(rng, max_cells=16) for _ in range(30)]
+    for inst in instances:
+        _check_ridge_addables(inst)
+
+
+def test_ridge_addables_match_codim1_membership_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), max_cells=st.integers(1, 20))
+    def run(seed, max_cells):
+        _check_ridge_addables(random_instance(random.Random(seed), max_cells=max_cells))
+
+    run()
+
+
+def test_brute_walk_counts_interior_faces_like_the_stored_faces(
+        single_cell, det33, double_instance, star_instance):
+    # the walk's per-depth generator bitsets against ``interior_faces`` on the
+    # stored faces, and the maximal sets against the facets
+    from quiverdet import f_vector, interior_faces
+    from quiverdet.complex import boundary_generator_masks
+    from quiverdet.verify import _brute_walk
+
+    rng = random.Random(43)
+    instances = [single_cell, det33, double_instance, star_instance]
+    instances += [random_instance(rng, max_cells=14) for _ in range(30)]
+    for inst in instances:
+        facets = enumerate_facets(inst)
+        brute, table = _brute_walk(inst, boundary_generator_masks(facets))
+        oracle = interior_faces(inst, f_vector(inst, store_faces=True), facets)
+        assert table == oracle._replace(faces_by_size=None), inst
+        assert brute == [f.mask for f in facets]
+
+
+def test_verify_reads_interior_faces_off_the_walk(monkeypatch, star_instance):
+    # under the brute guard the interior route gets its counts from the walk:
+    # no face is stored and ``interior_faces`` never runs
+    import quiverdet.complex as cx
+    from quiverdet.verify import verify_instance
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("interior_faces called")
+
+    monkeypatch.setattr(cx, "interior_faces", refuse)
+    report = verify_instance(star_instance, subset_trials=20, seed=7)
+    assert report.ok
+    assert {c.name: c.detail for c in report.checks}["series-routes"] == (
+        "h = [1, 7, 19, 19, 7, 1], multiplicity 54")
+
+
+def test_verify_memory_peak(star_instance):
+    # the walk stores no face: 24768 stored face masks took the traced peak
+    # of this run to 1.3 MB
+    import tracemalloc
+
+    from quiverdet.verify import verify_instance
+
+    verify_instance(star_instance, subset_trials=20, seed=7)  # fill the per-instance caches
+    tracemalloc.start()
+    try:
+        assert verify_instance(star_instance, seed=7).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 600_000, peak

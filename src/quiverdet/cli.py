@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -142,7 +143,8 @@ def _write_facets(instance: Instance, masks: list[int], as_json: bool) -> None:
     """Write each facet to stdout as soon as it is formatted: a text line or a JSON element.
 
     Each cell's text is formatted once per instance, by rank, and a facet is
-    the join of its cells' fragments in rank order.  The JSON text is that of
+    the join of its cells' fragments in rank order, which ``compress`` picks
+    by the mask's binary digits.  The JSON text is that of
     ``json.dumps([f.to_triples() for f in facets], indent=2, sort_keys=True)``,
     which CPython would build whole, in pure Python, before printing.  The
     list and every facet in it must be nonempty, as ``_facet_masks`` returns
@@ -155,14 +157,9 @@ def _write_facets(instance: Instance, masks: list[int], as_json: bool) -> None:
         cell = "%d,%d,%d"
         lead, rest, sep, tail, end = "", "", " ", "\n", ""
     frag = [cell % c for c in instance.cells]
-    write = sys.stdout.write
+    write, bits = sys.stdout.write, bytes.maketrans(b"01", b"\0\1")
     for mask in masks:
-        parts = []
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            parts.append(frag[bit.bit_length() - 1])
-        write(lead + sep.join(parts) + tail)
+        write(lead + sep.join(compress(frag, f"{mask:b}"[::-1].encode().translate(bits))) + tail)
         lead = rest
     write(end)
 

@@ -5,12 +5,13 @@ only occupied positions are its NE, SE and SW corners; the move swaps the SE
 occupant for the (empty) NW corner, producing a strictly smaller facet.
 Vertical moves are the transposed picture inside source blocks.  One scan
 finds both: it reads target blocks by rows and source blocks by columns, so
-every rectangle spans two adjacent lines of bitmasks.  Every facet arises
-from the initial one by such moves, so a breadth-first closure over masks
-enumerates them all; sorted ascending, the result is a shelling order.  Each
-frontier entry carries its line occupancy: a move changes two cells, so a
-child's lines are its parent's with those two cells' bits flipped, and only
-the initial facet's lines are built from its mask.
+every rectangle spans two adjacent lines of bitmasks, and it lists each move
+once (a 2x2 rectangle inside one page, of both kinds, as horizontal).  Every
+facet arises from the initial one by such moves, so a breadth-first closure
+over masks enumerates them all; sorted ascending, the result is a shelling
+order.  Each frontier entry carries its line occupancy: a move changes two
+cells, so a child's lines are its parent's with those two cells' bits
+flipped, and only the initial facet's lines are built from its mask.
 
 This is the mask path: it imports no oracle module when it loads.  The
 functions that take or return a ``CellSet`` import ``chains`` or ``cvm``
@@ -71,16 +72,21 @@ def _move_layout(instance: Instance) -> tuple[list, tuple, tuple]:
     """``(pre, pairs, where)`` over the rows of target blocks and the columns of source blocks.
 
     ``pre[n]`` is line n's ``quiver._prefix_masks``.  ``pairs`` holds ``(n,
-    vid)`` for each line n followed by a line of the same block, targets
-    first.  ``where[r]`` is cell r's target line and column bit, then its
-    source line and row bit.  Cached per instance; treat it as read-only.
+    vid, twins)`` for each line n followed by a line of the same block,
+    targets first; ``twins`` marks the positions of a source block whose
+    predecessor lies on their page, where a width-2 rectangle is a target
+    block's too.  ``where[r]`` is cell r's target line and column bit, then
+    its source line and row bit.  Cached per instance; treat it as read-only.
     """
     pre, pairs, first = [], [], {}
     for vid, d in instance.vertex.items():
         ranks = instance.block_ranks[vid]
         first[vid] = len(pre)
+        # pages tile a source block by rows: read each row's page off its first cell
+        page = [instance.cells[row[0]].k for row in ranks] if d.side != TARGET else []
+        twins = sum(2 << y for y in range(1, len(page)) if page[y] == page[y - 1])
         pre += map(_prefix_masks, ranks if d.side == TARGET else zip(*ranks))
-        pairs += ((n, vid) for n in range(first[vid], len(pre) - 1))
+        pairs += ((n, vid, twins) for n in range(first[vid], len(pre) - 1))
     where = tuple((first[tv] + ti - 1, 1 << tj, first[sv] + sj - 1, 1 << si)
                   for tv, ti, tj, sv, si, sj in instance.positions)
     return pre, tuple(pairs), where
@@ -100,27 +106,29 @@ def _lines(layout, mask: int) -> list[int]:
 
 
 def _scan(layout, occ: list[int]) -> list[tuple[str, int, int, int]]:
-    """``(vid, removed bit, added bit, width)`` of each chutable rectangle of a facet's lines.
+    """``(vid, removed bit, added bit, width)`` of each chute move of a facet's lines, once each.
 
     ``occ`` is the facet's ``_lines``; it is only read.  A rectangle spans
-    adjacent lines, top and bottom.  For each column y2 occupied on both,
-    let y be the last column before y2 occupied on either; columns y..y2 are
-    chutable iff y is occupied on the bottom only.  A 2x2 rectangle inside
-    one page is found in both of its blocks.
+    adjacent lines, top and bottom, from column y, occupied on the bottom
+    only, through empty columns to y2, occupied on both.  A carry from each
+    bottom-only column runs through the empty ones and lands on the next
+    occupied column: the landings on both lines are the y2s.  A 2x2
+    rectangle inside one page is listed from its target block only.
     """
     pre, pairs, _ = layout
     out = []
-    for n, vid in pairs:
+    for n, vid, twins in pairs:
         top, bottom = occ[n], occ[n + 1]
-        both, either = top & bottom, top | bottom
-        while both:
-            bit = both & -both
-            both ^= bit
-            y = (either & (bit - 1)).bit_length() - 1  # -1: nothing before; bit 0 is padding
-            if y > 0 and not top >> y & 1:
-                y2 = bit.bit_length() - 1
-                p, q = pre[n], pre[n + 1]
-                out.append((vid, q[y2] ^ q[y2 - 1], p[y] ^ p[y - 1], y2 - y + 1))
+        either = top | bottom
+        step = (bottom & ~top) << 1
+        hits = (~either + step) & top & bottom & ~(step & twins)
+        while hits:
+            bit = hits & -hits
+            hits ^= bit
+            y = (either & (bit - 1)).bit_length() - 1
+            y2 = bit.bit_length() - 1
+            p, q = pre[n], pre[n + 1]
+            out.append((vid, q[y2] ^ q[y2 - 1], p[y] ^ p[y - 1], y2 - y + 1))
     return out
 
 
@@ -128,22 +136,22 @@ def chutable_moves(cs: CellSet) -> list[ChuteMove]:
     """All chute moves applicable to a facet (checked with ``is_cvm``), sorted by (removed, added).
 
     They come from the scan ``enumerate_facets`` runs.  A 2x2 rectangle is
-    both horizontal and vertical; its move is emitted once, as horizontal.
+    both horizontal and vertical; the scan lists its move once, as horizontal.
     """
     from .cvm import is_cvm
 
     if not is_cvm(cs):
         raise ValidationError("chute moves are defined on concurrent vertex maps")
     inst = cs.instance
-    found: dict[tuple[Cell, Cell], ChuteMove] = {}
     layout = _move_layout(inst)
+    moves = []
     for vid, removed, added, width in _scan(layout, _lines(layout, cs.mask)):
-        key = (inst.cells[removed.bit_length() - 1], inst.cells[added.bit_length() - 1])
-        if key not in found:  # target blocks come first: a 2x2 stays horizontal
-            horizontal = inst.vertex[vid].side == TARGET
-            found[key] = ChuteMove(HORIZONTAL if horizontal else VERTICAL, vid, *key,
-                                   extent=(2, width) if horizontal else (width, 2))
-    return sorted(found.values(), key=lambda m: (m.removed, m.added))
+        horizontal = inst.vertex[vid].side == TARGET
+        moves.append(ChuteMove(HORIZONTAL if horizontal else VERTICAL, vid,
+                               inst.cells[removed.bit_length() - 1],
+                               inst.cells[added.bit_length() - 1],
+                               extent=(2, width) if horizontal else (width, 2)))
+    return sorted(moves, key=lambda m: (m.removed, m.added))
 
 
 def _rectangle_ok(cs: CellSet, move: ChuteMove) -> bool:

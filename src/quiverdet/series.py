@@ -2,10 +2,10 @@
 
 All polynomial arithmetic is exact over the integers.  The numerator, the
 h-polynomial, has six routes.  The default pair, ``ascending_fold`` and
-``descending_fold``, count the facets by the ridges each one closes in
-``_ridge_walk`` over their masks in ascending and in descending order, both
-shellings; ``complex`` and ``verify`` read their restriction faces and
-boundary generators off the same walk.  The folds' oracle is the paper's
+``descending_fold``, count the facets by the ridges each one shares with
+earlier and with later facets in ascending order, both shellings, off one
+``_ridge_walk`` of their masks; ``complex`` and ``verify`` read restriction
+faces and boundary generators off that walk.  The folds' oracle is the paper's
 formula: ``se_corners`` and ``nw_corners`` count the facets by essential SE
 or NW corners (the ascending and the descending restriction counts).
 ``f_transform`` and ``interior`` transform the f-vector and the interior
@@ -135,38 +135,50 @@ class FaceTable(NamedTuple):
         return obj
 
 
-def _ridge_walk(masks) -> tuple[list[int], set[int]]:
-    """Each mask's restriction mask in the order given, and the ridges left open.
+def _ridge_walk(masks) -> tuple[list[int], dict[int, int], list[int]]:
+    """Each mask's restriction mask in the order given, the open ridges, and its later closes.
 
     Walking the masks, F closes each open ridge F - c (a ridge lies in at
     most two facets) and opens the others.  The closing cells form F's
     restriction face R(F), the cells whose ridge lies in an earlier facet
     (Björner–Wachs, Trans. AMS 348, 1996); the ridges left open are those
-    in exactly one facet, the boundary generators.
+    in exactly one facet, the boundary generators, keyed to their facet's
+    index.  A close also credits the facet that opened the ridge: ``later[j]``
+    counts mask j's ridges in a later mask, its restriction size along the
+    reversed order, unless a ridge lies in three or more masks (the walk
+    pairs them in list order); ``verify``'s codim-1 check holds every ridge
+    of a facet list to one or two owners.
     """
-    open_ridges: set[int] = set()
-    restrictions = []
-    for mask in masks:
+    opener: dict[int, int] = {}
+    restrictions, later = [], []
+    for j, mask in enumerate(masks):
         restriction = 0
         rest = mask
+        later.append(0)
         while rest:
             low = rest & -rest
             rest ^= low
             ridge = mask ^ low
-            if ridge in open_ridges:
-                open_ridges.remove(ridge)
-                restriction |= low
+            i = opener.pop(ridge, None)
+            if i is None:
+                opener[ridge] = j
             else:
-                open_ridges.add(ridge)
+                restriction |= low
+                later[i] += 1
         restrictions.append(restriction)
-    return restrictions, open_ridges
+    return restrictions, opener, later
 
 
-def _ridge_fold(masks) -> tuple[tuple[int, ...], int]:
-    """Facets counted by their restriction faces' sizes, h along a shelling, and the open ridges."""
-    restrictions, open_ridges = _ridge_walk(masks)
-    sizes = [r.bit_count() for r in restrictions]
-    return tuple(map(sizes.count, range(max(sizes, default=0) + 1))), len(open_ridges)
+def _ridge_fold(masks) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """h along the order and along its reverse, and the number of open ridges.
+
+    h counts the facets by their restriction sizes.  One ``_ridge_walk``
+    gives both orders: a facet's restriction along the reversed order is
+    its ridges that lie in a later facet.
+    """
+    restrictions, open_ridges, later = _ridge_walk(masks)
+    sizes = [r.bit_count() for r in restrictions], later
+    return *(tuple(map(s.count, range(max(s, default=0) + 1))) for s in sizes), len(open_ridges)
 
 
 def _h_from_f(table: FaceTable, n_top: int) -> tuple[int, ...]:
@@ -224,7 +236,8 @@ def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None
     """The series h(t) / (1 - t)^N, its numerator computed by every route in ``routes``.
 
     The default fold routes count the facets by the ridges each one closes
-    over their masks in ascending and in descending order; the corner
+    over their masks in ascending and in descending order, both off one
+    walk over the ascending masks (see ``_ridge_walk``); the corner
     routes, their oracle, by essential SE or NW corners.  Both read the
     facets, enumerated under ``facet_cap`` unless given (as bare masks if
     only folds read them); only the corner routes reject a non-facet.
@@ -255,8 +268,10 @@ def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None
         masks = _facet_masks(instance, facet_cap) if routes & FOLD_ROUTES else None
     n_top = instance.n_cells
     results = {}
-    for route in sorted(routes & FOLD_ROUTES):
-        results[route] = _ridge_fold(masks if route == ASCENDING_FOLD else masks[::-1])[0]
+    if routes & FOLD_ROUTES:  # one walk: the descending order is the ascending one reversed
+        up, down, _ = _ridge_fold(masks)
+        folds = {ASCENDING_FOLD: up, DESCENDING_FOLD: down}
+        results.update((route, folds[route]) for route in sorted(routes & FOLD_ROUTES))
     if routes & CORNER_ROUTES:
         corner_h = _corner_routes(facets, n_top)[0]
         results.update((route, corner_h[route]) for route in sorted(routes & CORNER_ROUTES))

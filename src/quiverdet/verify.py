@@ -473,7 +473,7 @@ def _codim1_check(instance: Instance, facets, walk) -> tuple[bool, str]:
     """
     masks = [f.mask for f in facets]
     listed = set(masks)
-    restrictions, open_ridges = walk
+    restrictions, open_ridges, _ = walk
     ridges = 0
     for mask, restriction in zip(masks, restrictions):
         for low, addable in _ridge_addables(instance, mask, mask & ~restriction):

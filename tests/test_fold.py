@@ -26,9 +26,9 @@ def _corner_h(instance, facets):
 def _assert_fold_matches_corners(instance):
     facets = enumerate_facets(instance)
     masks = [f.mask for f in facets]
-    up, open_up = _ridge_fold(masks)
-    down, open_down = _ridge_fold(masks[::-1])
-    assert up == down == _corner_h(instance, facets)
+    up, down, open_up = _ridge_fold(masks)
+    rev_up, rev_down, open_down = _ridge_fold(masks[::-1])
+    assert up == down == rev_up == rev_down == _corner_h(instance, facets)
     assert open_up == open_down == len(boundary_generator_masks(facets))
 
 
@@ -117,15 +117,19 @@ def test_verify_holds_fold_to_corners_past_brute_guard(monkeypatch):
     assert report.ok
     assert checks["series-routes"].detail == "h = [1, 20, 45], multiplicity 66"
 
-    # a fold that miscounts one facet must fail the check
+    # a fold that miscounts one facet must fail the check: one walk gives
+    # both routes, so both miscount it alike and only the corner routes differ
     real_fold = series._ridge_fold
+    folded = []
 
     def off_by_one(masks):
-        h, boundary = real_fold(masks)
-        return (h[0] + 1, h[1] - 1, *h[2:]), boundary
+        folded.append(len(masks))
+        *folds, boundary = real_fold(masks)
+        return (*((h[0] + 1, h[1] - 1, *h[2:]) for h in folds), boundary)
 
     monkeypatch.setattr(series, "_ridge_fold", off_by_one)
     report = verify_instance(inst, subset_trials=20, seed=1)
+    assert folded == [66]
     failed = {c.name: c for c in report.checks if not c.ok}
     assert list(failed) == ["series-routes"]
     assert "series routes disagree" in failed["series-routes"].detail
@@ -148,7 +152,8 @@ def test_fold_agrees_with_corners_property():
     def check(inst):
         facets = enumerate_facets(inst)
         masks = sorted(f.mask for f in facets)
-        assert _ridge_fold(masks)[0] == _ridge_fold(masks[::-1])[0] == _corner_h(inst, facets)
+        up, down, _ = _ridge_fold(masks)
+        assert up == down == _ridge_fold(masks[::-1])[0] == _corner_h(inst, facets)
 
     _for_random_instances(check)
 
@@ -161,14 +166,42 @@ def test_ridge_walk_matches_the_definition_property():
     def check(inst):
         masks = [f.mask for f in enumerate_facets(inst)]
         random.Random(sum(masks)).shuffle(masks)
-        restrictions, open_ridges = _ridge_walk(masks)
+        restrictions, open_ridges, later = _ridge_walk(masks)
         cells = [[1 << r for r in range(m.bit_length()) if m >> r & 1] for m in masks]
         assert restrictions == [
             sum(c for c in cells[j] if any(g & (m ^ c) == m ^ c for g in masks[:j]))
             for j, m in enumerate(masks)]
+        assert later == [sum(any(g & (m ^ c) == m ^ c for g in masks[j + 1:]) for c in cells[j])
+                         for j, m in enumerate(masks)]
         ridges = {m ^ c for m, cs in zip(masks, cells) for c in cs}
-        assert open_ridges == {ridge for ridge in ridges
-                               if sum(g & ridge == ridge for g in masks) == 1}
+        assert open_ridges.keys() == {ridge for ridge in ridges
+                                      if sum(g & ridge == ridge for g in masks) == 1}
+        assert all(masks[j] & ridge == ridge for ridge, j in open_ridges.items())
+
+    _for_random_instances(check)
+
+
+def _set_walk_restriction_sizes(masks):
+    """Restriction sizes along ``masks`` from a walk with a set of open ridges, one per order."""
+    open_ridges, sizes = set(), []
+    for mask in masks:
+        cells = [1 << r for r in range(mask.bit_length()) if mask >> r & 1]
+        closed = [mask ^ c in open_ridges for c in cells]
+        open_ridges ^= {mask ^ c for c in cells}
+        sizes.append(sum(closed))
+    return sizes
+
+
+def test_one_walk_reversed_h_matches_a_reversed_walk_property():
+    # h along the reversed order, read off one forward walk, equals a second
+    # walk over the reversed masks, on shuffled facet orders
+    def check(inst):
+        masks = [f.mask for f in enumerate_facets(inst)]
+        random.Random(sum(masks)).shuffle(masks)
+        up, down, _ = _ridge_fold(masks)
+        sizes = _set_walk_restriction_sizes(masks[::-1])
+        assert down == tuple(map(sizes.count, range(max(sizes) + 1)))
+        assert up == _ridge_fold(masks[::-1])[1]
 
     _for_random_instances(check)
 

@@ -263,6 +263,26 @@ def test_chutable_moves_on_every_facet_match_definition(closure_instances):
             assert got == _moves_by_definition(facet), (inst, facet)
 
 
+def test_scan_lists_each_move_once_property():
+    # every chute move of every facet comes out of the scan exactly once,
+    # a 2x2 inside one page from its target block only
+    from test_fold import _for_random_instances
+
+    def check(inst):
+        layout = moves._move_layout(inst)
+        cell = inst.cells
+        for facet in enumerate_facets(inst):
+            occ = moves._lines(layout, facet.mask)
+            scanned = [(cell[removed.bit_length() - 1], cell[added.bit_length() - 1], vid)
+                       for vid, removed, added, _ in moves._scan(layout, occ)]
+            assert len({m[:2] for m in scanned}) == len(scanned), (inst, facet)
+            expected = {(removed, added, vid)
+                        for removed, added, _, vid, _ in _moves_by_definition(facet)}
+            assert set(scanned) == expected, (inst, facet)
+
+    _for_random_instances(check)
+
+
 @pytest.mark.parametrize("preset", ["double:2,3,2,1,1", "det:5,5,2", "star-example"])
 def test_facet_cap_reports_progress(preset):
     # the message names the facets found and the breadth-first layers completed:

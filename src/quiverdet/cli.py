@@ -280,14 +280,13 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_corners(args) -> int:
-    from .cvm import corners
+    from .cvm import _essential_counts
 
     _, facets = _load_facets(args)
     rows = []
     for idx, facet in enumerate(facets, start=1):
-        rep = corners(facet)
-        rows.append({"facet": idx, "essential_nw": rep.essential_nw,
-                     "essential_se": rep.essential_se})
+        nw, se = _essential_counts(facet)
+        rows.append({"facet": idx, "essential_nw": nw, "essential_se": se})
     _emit(args, rows,
           [f"facet {r['facet']}: essential NW {r['essential_nw']}, essential SE {r['essential_se']}"
            for r in rows])

@@ -8,13 +8,14 @@ source block the transposed picture.  ``road_map`` rebuilds those paths from
 the padded chain statistics, one sweep per block over a cached per-instance
 layout that lists the positions in path order, and checks them on rank
 bitmasks; ``corners`` classifies their NW and SE turning points on that one
-road map.  The essential ones drive both the chute-move dynamics and the
-h-polynomial.  The greedy closures ``c_min``/``c_max`` find the smallest and
-largest facet containing a face; like the face DFS, they read one rung of
-``chains._rank_ladder`` per added cell and grow the chain levels of its
-staircase blocks in place (``chains._grow``).  ``reflect`` is the
-180-degree rotation; it swaps NW with SE corners, and the tests check the SE
-rule through it.
+road map, and ``_essential_counts`` counts the essential ones with the same
+classifier, on a copy of the facet.  The essential ones drive both the
+chute-move dynamics and the h-polynomial.  The greedy closures
+``c_min``/``c_max`` find the smallest and largest facet containing a face;
+like the face DFS, they read one rung of ``chains._rank_ladder`` per added
+cell and grow the chain levels of its staircase blocks in place
+(``chains._grow``).  ``reflect`` is the 180-degree rotation; it swaps NW
+with SE corners, and the tests check the SE rule through it.
 """
 
 from __future__ import annotations
@@ -158,12 +159,19 @@ def road_map(cs: CellSet) -> RoadMap:
     the other family), and to intersect back to the facet; the last three on
     rank bitmasks.
     """
+    families: tuple[dict, dict] = ({}, {})  # vertical, horizontal: indexed by ``target``
+    for paths, _, vid, target, _ in _road_blocks(cs):
+        families[target][vid] = paths
+    return RoadMap(families[1], families[0])
+
+
+def _road_blocks(cs: CellSet) -> list[tuple]:
+    """``road_map``'s checked ``(paths, turns, vid, target, corner_mask)`` per layout block."""
     if not is_cvm(cs):
         raise ValidationError("road maps exist only for concurrent vertex maps")
 
-    families: tuple[dict, dict] = ({}, {})  # vertical, horizontal: indexed by ``target``
     covered = [0, 0]
-    turned = []
+    blocks = []
     for vid, target, a, b, u, _, points, _ in _path_layout(cs.instance):
         st = cs.stats(vid)
         nw, se = st.nw, st.se
@@ -179,6 +187,7 @@ def road_map(cs: CellSet) -> RoadMap:
                     paths[p].append((x, y))
                     ranks[p].append(r)
         seen = corner_mask = 0
+        turns = []
         for p, (path, path_ranks) in enumerate(zip(paths, ranks), start=1):
             sw, ne = ((a - u + p, 1), (p, b)) if target else ((a, p), (1, b - u + p))
             if not _check_path(path, sw, ne):
@@ -187,18 +196,18 @@ def road_map(cs: CellSet) -> RoadMap:
                 if seen >> r & 1:
                     raise CrossCheckError(f"paths of block {vid!r} intersect at {path[n]}")
                 seen |= 1 << r
-            for n, _ in _turns(path):
+            turns.append(_turns(path))
+            for n, _ in turns[-1]:
                 corner_mask |= 1 << path_ranks[n]
         covered[target] |= seen
-        turned.append((vid, target, corner_mask))
-        families[target][vid] = paths
+        blocks.append((paths, turns, vid, target, corner_mask))
 
     if covered[0] & covered[1] != cs.mask:
         raise CrossCheckError("path intersection does not reproduce the facet")
-    for vid, target, corner_mask in turned:
+    for *_, vid, target, corner_mask in blocks:
         if corner_mask & ~covered[not target]:
             raise CrossCheckError(f"corner of block {vid!r} off every crossing path")
-    return RoadMap(families[1], families[0])
+    return blocks
 
 
 # -- corner classification ---------------------------------------------------------
@@ -240,48 +249,65 @@ def corners(cs: CellSet) -> CornerReport:
     reflection, m = p and the two ends swap.  Every other corner is
     essential.  Reflecting the whole picture swaps NW with SE corners and
     preserves essentiality; the tests use ``reflect`` to check the SE rule
-    against the NW rule independently.
+    against the NW rule independently.  Via the public ``road_map``, it finds
+    the turns twice; ``_essential_counts`` finds them once.
     """
     inst = cs.instance
     rm = road_map(cs)
-    blocks = []
-    labels = ([None] * inst.size, [None] * inst.size)  # vertical, horizontal: by ``target``
-    for (_, target, _, _, u, v, _, where), paths in zip(
-            _path_layout(inst), (*rm.horizontal.values(), *rm.vertical.values())):
-        own = labels[target]
-        path_ranks = []
-        for p, path in enumerate(paths, start=1):
-            ranks = []
-            for pt in path:
-                r, offset = where[pt]
-                own[r] = p + offset
-                ranks.append(r)
-            path_ranks.append(ranks)
-        blocks.append((target, v - u, paths, path_ranks))
+    families = (rm.vertical, rm.horizontal)
+    paths = [families[target][vid] for vid, target, *_ in _path_layout(inst)]
+    records, essential_nw, essential_se = _classify(cs, [(p, list(map(_turns, p))) for p in paths])
+    records.sort()  # rank order is the cell order; (rank, kind, orientation) is unique
+    return CornerReport(tuple([CornerRecord(inst.cells[r], *rest) for r, *rest in records]),
+                        essential_nw, essential_se)
+
+
+def _essential_counts(facet: CellSet) -> tuple[int, int]:
+    """``corners``'s two counts, off a copy of the facet so that it caches no chain table.
+
+    There is no report, and each path's turns are found once.
+    """
+    cs = CellSet.from_mask(facet.instance, facet.mask)
+    return _classify(cs, _road_blocks(cs))[1:]
+
+
+def _classify(cs: CellSet, blocks) -> tuple[list, int, int]:
+    """Each corner's ``(rank, kind, orientation, essential)``, and the two essential counts.
+
+    ``blocks`` holds each block's paths and turns, as ``_road_blocks`` gives them.
+    """
+    layout = _path_layout(cs.instance)
+    labels = ([None] * cs.instance.size, [None] * cs.instance.size)  # by ``target``
+    points = []  # per block and path, the (rank, offset) of each point
+    for (_, target, *_, where), (paths, *_) in zip(layout, blocks):
+        points.append([[where[pt] for pt in path] for path in paths])
+        for p, path in enumerate(points[-1], start=1):
+            for r, offset in path:
+                labels[target][r] = p + offset
 
     records = []
     corner_mask = 0
-    for target, shift, paths, path_ranks in blocks:
+    essential = {NW: 0, SE: 0}
+    for (_, target, _, _, u, v, *_), (_, turns, *_), block in zip(layout, blocks, points):
         index = labels[not target]
         orientation = HORIZONTAL if target else VERTICAL
-        for p, (path, ranks) in enumerate(zip(paths, path_ranks), start=1):
-            crossing = [index[r] for r in ranks]  # SW to NE
-            for n, kind in _turns(path):
+        for p, (path, bends) in enumerate(zip(block, turns), start=1):
+            crossing = [index[r] for r, _ in path]  # SW to NE
+            for n, kind in bends:
                 m = crossing[n]
                 if m is None:
                     raise CrossCheckError(f"{kind} corner not covered by a crossing path")
                 # the free corner is one end of the path's intersection with crossing path m
-                free = m == p + (shift if kind == NW else 0) and n == (
+                free = m == p + (v - u if kind == NW else 0) and n == (
                     len(crossing) - 1 - crossing[::-1].index(m) if (kind == NW) == target
                     else crossing.index(m))
-                records.append((ranks[n], kind, orientation, not free))
-                corner_mask |= 1 << ranks[n]
+                r = path[n][0]
+                records.append((r, kind, orientation, not free))
+                corner_mask |= 1 << r
+                essential[kind] |= (not free) << r
     if corner_mask & ~cs.mask:
         raise CrossCheckError("corner cell outside the facet")
-    records.sort()  # rank order is the cell order; (rank, kind, orientation) is unique
-    return CornerReport(tuple([CornerRecord(inst.cells[r], *rest) for r, *rest in records]),
-                        len({r for r, kind, _, essential in records if kind == NW and essential}),
-                        len({r for r, kind, _, essential in records if kind == SE and essential}))
+    return records, essential[NW].bit_count(), essential[SE].bit_count()
 
 
 # -- reflection -----------------------------------------------------------------

@@ -214,19 +214,19 @@ def _f_from_h(h: tuple[int, ...], n_top: int) -> tuple[int, ...]:
 
 
 def _corner_routes(facets, n_top: int) -> tuple[dict[str, tuple[int, ...]], list[int]]:
-    """The corner routes' numerators, and each facet's essential SE count, from one ``corners`` pass.
+    """The corner routes' numerators, and each facet's essential SE count, from one corner pass.
 
     h_i counts the facets with i essential corners.  The pass keeps counts,
-    no report; ``verify`` holds the SE counts to its shelling check.
+    no report or chain table; ``verify`` holds the SE counts to its shelling check.
     """
-    from .cvm import corners
+    from .cvm import _essential_counts
 
     tally = {SE_CORNERS: [0] * (n_top + 1), NW_CORNERS: [0] * (n_top + 1)}
     se_counts = []
-    for rep in map(corners, facets):
-        se_counts.append(rep.essential_se)
-        tally[SE_CORNERS][rep.essential_se] += 1
-        tally[NW_CORNERS][rep.essential_nw] += 1
+    for nw, se in map(_essential_counts, facets):
+        se_counts.append(se)
+        tally[SE_CORNERS][se] += 1
+        tally[NW_CORNERS][nw] += 1
     return {route: _trim(tally[route]) for route in sorted(tally)}, se_counts
 
 
@@ -247,10 +247,14 @@ def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None
     distinct cell sets of ``instance``, at least one.  All requested routes
     must agree, and when facets were used, h(1) must equal their number.
     """
-    routes = frozenset(routes)
-    if not routes or not routes <= ALL_ROUTES:
+    try:
+        names = frozenset(routes)
+    except TypeError:  # not an iterable of hashable names
+        names = frozenset()
+    if not names or not names <= ALL_ROUTES:
         raise ValidationError(
-            f"routes must be a nonempty subset of {sorted(ALL_ROUTES)}, got {sorted(routes)}")
+            f"routes must be a nonempty subset of {sorted(ALL_ROUTES)}, got {routes!r}")
+    routes = names
     if facets is not None:
         from .chains import CellSet
 

@@ -5,31 +5,31 @@ check pairs an optimized computation with an independent definition-level
 recomputation; any mismatch is a bug, so the suite reports the first failure
 with enough detail to reproduce it.
 
-``enumerate_facets`` checks no facet; ``facet-cardinality`` holds each one to
-the cardinality route and the cell-by-cell membership criterion.  The brute
-face DFS, the reflection probes and closures and the codim-1 check run on
-the chain levels of ``chains._rank_ladder``; the brute walk also counts the
-interior faces, storing none.  The criteria check evaluates all its random
-subsets and every facet in one bit-sliced batch: bit i of a cell's int says
-whether subset i holds it, and each class of twin blocks runs one chain DP
-on those ints (``_chain_levels``).  The tests hold the criteria to
-``corner_stats``, which reads the independent DP ``chains._chain_tables``.
-One corner pass per facet, counts only, feeds the corner routes and the
-shelling check.  The shelling and codim-1 checks share one
-``series._ridge_walk`` of the ascending facets; the codim-1 check loads each
-facet once and reloads only the blocks of the cell it removes
-(``_ridge_addables``), which the tests hold to ``complex.codim1_membership``.
+``enumerate_facets`` checks no facet, and ``verify`` builds no chain
+table on one.  The criteria check evaluates all its random subsets and every
+facet in one bit-sliced batch: bit i of a cell's int says whether subset i
+holds it, and each class of twin blocks runs one chain DP on those ints
+(``_chain_levels``); its facet bits are ``facet-cardinality``.  The tests
+hold the criteria to ``corner_stats``, which reads the independent DP
+``chains._chain_tables``.  The brute face DFS, the reflection probes and
+closures run on the chain levels of ``chains._rank_ladder``; the brute walk
+also counts the interior faces, storing none.  One count-only corner pass,
+on a fresh copy of each facet, feeds the corner routes and the shelling
+check.  The shelling and codim-1 checks share one ``series._ridge_walk`` of
+the ascending facets; the codim-1 check runs its ridges through the same DP
+in batches (``_addable_columns``), which the tests hold to
+``complex.codim1_membership``.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache, reduce
-from operator import and_, or_
+from itertools import islice
+from operator import and_, or_, xor
 from typing import NamedTuple
 
-from .chains import (CellSet, _addable, _class_blocked, _levels, _load_blocks, _rank_ladder,
-                     is_u_compatible)
+from .chains import CellSet, _addable, _load_blocks
 from .complex import (DEFAULT_MAX_CELLS, _FaceSearch, _owner_bits, _shelling_report,
                       boundary_generator_masks)
 from .cvm import _path_layout, c_max, c_min, initial_cvm, reflect, reflect_instance
@@ -86,7 +86,7 @@ def _membership_criterion_holds(cs: CellSet) -> bool:
 
 @lru_cache(maxsize=128)
 def _criteria_layout(instance: Instance) -> tuple[tuple, ...]:
-    """Per class of twin blocks, what ``_criteria_kernel`` reads.
+    """Per class of twin blocks, what ``_point_levels`` reads.
 
     Twin blocks have the same ``block_ranks`` and the same rank, so the same
     level tables on every subset; only their padding floors differ.  A row
@@ -103,8 +103,8 @@ def _criteria_layout(instance: Instance) -> tuple[tuple, ...]:
     return tuple((a, b, u, ranks, tuple(blocks)) for a, b, u, ranks, blocks in classes.values())
 
 
-def _chain_levels(a: int, b: int, u: int, occ, every: int) -> tuple[list, list]:
-    """Bit-sliced NW and SE chain tables of one a x b block, levels 1 to u + 1.
+def _chain_levels(a: int, b: int, top: int, occ, every: int) -> tuple[list, list]:
+    """Bit-sliced NW and SE chain tables of one a x b block, levels 1 to ``top``.
 
     ``occ[x][y]`` has bit i set when subset i holds the block's position
     (x, y); rows 0 and a + 1 and columns 0 and b + 1 are zero padding, and
@@ -116,7 +116,7 @@ def _chain_levels(a: int, b: int, u: int, occ, every: int) -> tuple[list, list]:
     """
     nw, se = [], []
     lower_nw = lower_se = [[every] * (b + 2)] * (a + 2)
-    for _ in range(u + 1):
+    for _ in range(top):
         level = [[0] * (b + 2) for _ in range(a + 2)]
         for x in range(1, a + 1):
             row, up, diag, held = level[x], level[x - 1], lower_nw[x - 1], occ[x]
@@ -177,6 +177,30 @@ def _exactly(columns: list[int], n: int, every: int) -> int:
     return every
 
 
+def _point_levels(instance: Instance, columns: list[int], every: int, padded: bool):
+    """``(r, u, n, s, nw_floor, se_floor, blocked)`` per position of every block, on a batch.
+
+    Each class of twin blocks runs one ``_chain_levels`` up to its rank u,
+    or u + 1 when ``padded``; unpadded, a class whose rank is at least a side
+    is skipped.  Bit i of ``n[j]`` says that subset i has nw >= j at the
+    position, of ``s[j]`` that it has se >= j (level 0: every subset);
+    ``blocked`` holds the subsets with nw + se >= u, to which the cell cannot
+    be added: the longest chain through it would exceed u points.
+    """
+    for a, b, u, ranks, blocks in _criteria_layout(instance):
+        if u >= min(a, b) and not padded:  # blocks nothing (see ``chains._rank_ladder``)
+            continue
+        pad = [0] * (b + 2)
+        occ = [pad, *([0, *(columns[r] for r in row), 0] for row in ranks), pad]
+        nw, se = _chain_levels(a, b, u + padded, occ, every)
+        for points in blocks:
+            for x, y, r, nw_floor, se_floor in points:
+                n = [every] + [level[x - 1][y - 1] for level in nw]
+                s = [every] + [level[x + 1][y + 1] for level in se]
+                yield r, u, n, s, nw_floor, se_floor, _at_least(n, s, u)
+        del nw, se  # before the next class's tables are built
+
+
 def _criteria_kernel(instance: Instance, columns: list[int], every: int) -> tuple[int, int, int]:
     """The three facet criteria on a batch of subsets at once.
 
@@ -187,27 +211,20 @@ def _criteria_kernel(instance: Instance, columns: list[int], every: int) -> tupl
     source block, and a condition on a cell's statistics is one on the
     levels they reach: with level 0 meaning every subset, nw + se >= k holds
     exactly in the OR over j <= k of (nw >= j) & (se >= k - j), and a padded
-    statistic is at least every level up to its padding floor.
+    statistic is at least every level up to its padding floor.  A subset has
+    a chain of u + 1 points exactly when one of its cells is blocked.
     """
-    incompatible = invalid = 0
+    invalid = 0
     raw_bad = [0] * instance.size
     not_low = [0] * instance.size
-    for a, b, u, ranks, blocks in _criteria_layout(instance):
-        pad = [0] * (b + 2)
-        occ = [pad, *([0, *(columns[r] for r in row), 0] for row in ranks), pad]
-        nw, se = _chain_levels(a, b, u, occ, every)
-        incompatible |= nw[u][a][b]  # a chain of u + 1 points
-        for points in blocks:
-            for x, y, r, nw_floor, se_floor in points:
-                n = [every, *(level[x - 1][y - 1] for level in nw)]
-                s = [every, *(level[x + 1][y + 1] for level in se)]
-                raw_bad[r] |= _at_least(n, s, u)
-                n[1:nw_floor + 1] = [every] * nw_floor
-                s[1:se_floor + 1] = [every] * se_floor
-                outside_low = every ^ _at_least(n, s, u - 1)
-                not_low[r] |= outside_low | _at_least(n, s, u)
-                invalid |= outside_low | _at_least(n, s, u + 1)
-        del nw, se  # before the next class's tables are built
+    for r, u, n, s, nw_floor, se_floor, blocked in _point_levels(instance, columns, every, True):
+        raw_bad[r] |= blocked
+        n[1:nw_floor + 1] = [every] * nw_floor
+        s[1:se_floor + 1] = [every] * se_floor
+        outside_low = every ^ _at_least(n, s, u - 1)
+        not_low[r] |= outside_low | _at_least(n, s, u)
+        invalid |= outside_low | _at_least(n, s, u + 1)
+    incompatible = reduce(or_, map(and_, columns, raw_bad), 0)
     by_card = _exactly(columns, instance.n_cells, every) & ~incompatible
     # membership must be "both raw sums below the ranks" at every cell ...
     by_raw = every
@@ -217,6 +234,14 @@ def _criteria_kernel(instance: Instance, columns: list[int], every: int) -> tupl
         by_raw &= held ^ bad
         by_padded &= held ^ off
     return by_card, by_raw, by_padded
+
+
+def _addable_columns(instance: Instance, columns: list[int], every: int) -> list[int]:
+    """Per cell rank, the subsets of the batch that do not hold the cell and do not block it."""
+    blocked = [0] * instance.size
+    for r, *_, bad in _point_levels(instance, columns, every, False):
+        blocked[r] |= bad
+    return [every & ~held & ~bad for held, bad in zip(columns, blocked)]
 
 
 def criteria_agree(instance: Instance, cells) -> tuple[bool, bool, bool, bool]:
@@ -303,7 +328,10 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
         raise ValidationError(f"subset_trials must be an int >= 0, not {subset_trials!r}")
     if not _is_int(max_cells) or max_cells < 0:  # 0: the brute face DFS never runs
         raise ValidationError(f"max_cells must be an int >= 0, not {max_cells!r}")
-    rng = random.Random(seed)
+    try:
+        rng = random.Random(seed)
+    except TypeError as exc:  # random rejects the seed's type
+        raise ValidationError(f"seed must be None, a number, a str or bytes, not {seed!r}") from exc
     checks: list[CheckResult] = []
 
     def record(name, ok, detail=""):
@@ -327,11 +355,11 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     else:
         record("facet-closure-vs-brute", True, "skipped: |L| over the brute guard")
 
-    bad_card = [f for f in facets if len(f) != n_top or not is_u_compatible(f)
-                or not _membership_criterion_holds(f)]
-    record("facet-cardinality", not bad_card, f"all facets admissible with {n_top} cells")
-
-    record("criteria-equivalence", *_criteria_check(instance, rng, subset_trials, facets))
+    # one criteria batch: its facet bits are the facet-cardinality check
+    criteria, admitted = _criteria_batch(instance, rng, subset_trials, facets)
+    all_admitted = admitted == (1 << len(facets)) - 1
+    record("facet-cardinality", all_admitted, f"all facets admissible with {n_top} cells")
+    record("criteria-equivalence", *criteria)
 
     refl_inst, refl_map = reflect_instance(instance)
     ok = True
@@ -356,7 +384,7 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
             break
     record("reflection-duality", ok, "involution and min/max exchange on random seeds")
 
-    if bad_card:  # the checks below read the road maps and ridges of facets
+    if not all_admitted:  # the checks below read the road maps and ridges of facets
         for name in ("series-routes", "shelling", "codim1-membership"):
             record(name, False, "skipped: an enumerated set is not a facet")
         return VerificationReport(instance, tuple(checks))
@@ -392,6 +420,12 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
 
 def _criteria_check(instance: Instance, rng: random.Random, trials: int,
                     facets) -> tuple[bool, str]:
+    """The ``(ok, detail)`` of ``_criteria_batch``, without its facet bits."""
+    return _criteria_batch(instance, rng, trials, facets)[0]
+
+
+def _criteria_batch(instance: Instance, rng: random.Random, trials: int,
+                    facets) -> tuple[tuple[bool, str], int]:
     """Hold the three facet criteria to each other on random subsets, then on every facet.
 
     Each trial draws a density, then each cell in rank order with that
@@ -400,7 +434,9 @@ def _criteria_check(instance: Instance, rng: random.Random, trials: int,
     masks, and one ``_criteria_kernel`` call evaluates them together, so
     each class of twin blocks runs its level tables once; the first subset
     on which the routes disagree is reported, and its routes are replayed
-    through ``criteria_agree``.
+    through ``criteria_agree``.  Returns the check's ``(ok, detail)`` and,
+    bit j for ``facets[j]``, the facets that the cardinality route and the
+    membership criterion (the raw route) both admit.
     """
     draw = rng.random
     bits = [1 << r for r in range(instance.size)]
@@ -416,76 +452,69 @@ def _criteria_check(instance: Instance, rng: random.Random, trials: int,
     columns = _columns(masks, instance.size)
     by_card, by_raw, by_padded = _criteria_kernel(
         instance, columns, (1 << (trials + len(facets))) - 1)
+    admitted = (by_card & by_raw) >> trials
     wrong = (by_card ^ by_raw) | (by_raw ^ by_padded)
-    if wrong:
-        n = (wrong & -wrong).bit_length() - 1
-        name = (f"subset {n + 1} of {trials}" if n < trials
-                else f"facet {n - trials + 1} of {len(facets)}")
-        held = CellSet.from_mask(instance, masks[n]).cells
-        return False, (f"{name}, cells {[list(c) for c in held]}: routes "
-                       f"(cardinality, raw, padded, agree) = {criteria_agree(instance, held)}")
-    return True, f"{trials} random subsets, then all facets ({len(facets)})"
+    if not wrong:
+        return (True, f"{trials} random subsets, then all facets ({len(facets)})"), admitted
+    n = (wrong & -wrong).bit_length() - 1
+    name = (f"subset {n + 1} of {trials}" if n < trials
+            else f"facet {n - trials + 1} of {len(facets)}")
+    held = CellSet.from_mask(instance, masks[n]).cells
+    routes = criteria_agree(instance, held)
+    return (False, f"{name}, cells {[list(c) for c in held]}: routes "
+                   f"(cardinality, raw, padded, agree) = {routes}"), admitted
 
 
-def _ridge_addables(instance: Instance, mask: int, removed: int):
-    """For each cell c of ``removed``, a submask of ``mask``: its bit and the addable cells of mask - c.
-
-    ``mask`` must be admissible, and it is loaded once.  Removing c changes
-    only c's blocks: its rank-1 quadrants leave the union of the other
-    cells' quadrants, and its staircase kernels are loaded afresh, while the
-    other kernels keep their blocked positions.
-    """
-    kernels, rungs = _rank_ladder(instance)
-    full = (1 << instance.size) - 1
-    levels = _load_blocks(instance, mask)[0]
-    own = [_class_blocked(levels, kernel) for kernel in kernels]
-    cells = [r for r in range(mask.bit_length()) if mask >> r & 1]
-    # before[i] | after[i + 1]: the rank-1 quadrants of every cell but cells[i]
-    before, after = [0], [0]
-    for r in cells:
-        before.append(before[-1] | rungs[r][0])
-    for r in reversed(cells):
-        after.append(after[-1] | rungs[r][0])
-    after.reverse()
-    for i, r in enumerate(cells):
-        low = 1 << r
-        if not removed & low:
-            continue
-        ridge = mask ^ low
-        blocked = before[i] | after[i + 1]
-        steps = rungs[r][1]
-        for kernel, kept in zip(kernels, own):
-            if kernel in steps:  # the loaded levels are scratch now: ``own`` keeps their share
-                levels[kernel[1]:kernel[1] + 2 * kernel[0]] = _levels(kernel, ridge)
-                blocked |= _class_blocked(levels, kernel)
-            else:
-                blocked |= kept
-        yield low, full & ~ridge & ~blocked
+# Ridges per batch of the codim-1 check; a class's level tables for a batch
+# take about 2u (a + 2)(b + 2) ints of this many bits.
+_RIDGES = 16384
 
 
 def _codim1_check(instance: Instance, facets, walk) -> tuple[bool, str]:
     """Hold every ridge's owners in the facet list to the ridge's addable cells.
 
     Each ridge F - c is evaluated once, at its first owner F, where c lies
-    outside F's restriction face.  By purity its owners are F - c plus each
-    addable cell: one or two, F among them and all listed, and one iff the
-    walk, ``series._ridge_walk`` of the facets' masks, leaves it open.
+    outside F's restriction face, in ``_addable_columns`` batches of
+    ``_RIDGES`` built as needed.  By purity its owners are F - c plus each
+    addable cell: one or two, c among them, and one iff the walk
+    (``series._ridge_walk``) leaves the ridge open; the other owner of a
+    closed ridge is then the listed facet that closed it.  The first failing
+    ridge in (facet, cell) order is reported.
     """
-    masks = [f.mask for f in facets]
-    listed = set(masks)
     restrictions, open_ridges, _ = walk
-    ridges = 0
-    for mask, restriction in zip(masks, restrictions):
-        for low, addable in _ridge_addables(instance, mask, mask & ~restriction):
-            ridge = mask ^ low
-            owners = addable.bit_count()
-            if not 1 <= owners <= 2:
-                return False, f"codim-1 face inside {owners} facets"
-            # F is an owner, and the other owner, if any, is listed
-            if (not addable & low or (owners == 2 and ridge | addable ^ low not in listed)
-                    or (owners == 1) != (ridge in open_ridges)):
-                return False, "closure route misses a containing facet"
-            ridges += 1
+    bits = [1 << r for r in range(instance.size)]
+
+    def ridges():  # F's mask and c's bit, both ints that exist already
+        for f, restriction in zip(facets, restrictions):
+            rest = f.mask & ~restriction
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                yield f.mask, bits[low.bit_length() - 1]
+
+    pending, count = ridges(), 0
+    while True:
+        owners, lows = [], []
+        for mask, low in islice(pending, _RIDGES):
+            owners.append(mask)
+            lows.append(low)
+        if not lows:
+            break
+        every = (1 << len(lows)) - 1
+        addable = _addable_columns(
+            instance, _columns(list(map(xor, owners, lows)), instance.size), every)
+        back = reduce(or_, map(and_, addable, _columns(lows, instance.size)))
+        is_open = int("".join(["01"[ridge in open_ridges]
+                               for ridge in map(xor, reversed(owners), reversed(lows))]), 2)
+        bad = every & ~(back & (_exactly(addable, 1, every) & is_open
+                                | _exactly(addable, 2, every) & ~is_open))
+        if bad:
+            n = (bad & -bad).bit_length() - 1
+            owned = sum(column >> n & 1 for column in addable)
+            if not 1 <= owned <= 2:
+                return False, f"codim-1 face inside {owned} facets"
+            return False, "closure route misses a containing facet"
+        count += len(lows)
     if not open_ridges:
         return False, "no boundary codim-1 face found"
-    return True, f"{ridges} codim-1 faces, {len(open_ridges)} on the boundary"
+    return True, f"{count} codim-1 faces, {len(open_ridges)} on the boundary"

@@ -102,15 +102,18 @@ def test_verify_holds_fold_to_corners_past_brute_guard(monkeypatch):
         seen.append(frozenset(kwargs["routes"]))
         return real_series(*args, **kwargs)
 
-    def counted(cs, _real=quiverdet.cvm.corners):
+    def counted(cs, _real=quiverdet.cvm._essential_counts):
         classified.append(cs.mask)
         return _real(cs)
 
+    def refuse(cs):
+        raise AssertionError("the shelling check classified a facet itself")
+
     monkeypatch.setattr(verify, "hilbert_series", spy)
-    for module in (quiverdet.cvm, quiverdet.complex):
-        monkeypatch.setattr(module, "corners", counted)
+    monkeypatch.setattr(quiverdet.cvm, "_essential_counts", counted)
+    monkeypatch.setattr(quiverdet.complex, "corners", refuse)
     report = verify_instance(inst, subset_trials=20, seed=1)
-    # one corner pass per facet feeds the corner routes and the shelling check
+    # one count-only corner pass per facet feeds the corner routes and the shelling check
     assert seen == [FOLD_ROUTES]
     assert classified == [f.mask for f in enumerate_facets(inst)]
     checks = {c.name: c for c in report.checks}

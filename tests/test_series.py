@@ -33,6 +33,9 @@ def test_hilbert_series_rejects_bad_routes(double_instance):
         hilbert_series(double_instance, routes={SE_CORNERS, "nonsense"})
     with pytest.raises(ValidationError, match="nonempty subset"):
         hilbert_series(double_instance, routes=())
+    for bad in (3, [["se_corners"]]):  # not an iterable of names, and unhashable names
+        with pytest.raises(ValidationError, match="nonempty subset"):
+            hilbert_series(double_instance, routes=bad)
 
 
 def test_hilbert_series_and_face_counts_reject_malformed_limits(double_instance):

@@ -76,6 +76,35 @@ def test_facet_check_catches_non_facet(monkeypatch, double_instance):
     assert not {c.name: c.ok for c in report.checks}["facet-cardinality"]
 
 
+def test_criteria_batch_admits_exactly_the_facets(double_instance, star_instance, det33,
+                                                single_cell):
+    # the batch's facet bits (the facet-cardinality check) against the CellSet
+    # routes it replaces: the facets, the full set, and facets with one cell
+    # swapped for another, most of them N-cell non-facets
+    from quiverdet.cli import parse_preset
+    from quiverdet.verify import _criteria_batch, _membership_criterion_holds
+
+    rng = random.Random(67)
+    instances = [double_instance, star_instance, det33, single_cell,
+                 *map(parse_preset, ("det:6,6,1", "det:5,5,3", "det:4,6,2", "double:3,4,3,2,2"))]
+    instances += [random_instance(rng) for _ in range(40)]
+    for inst in instances:
+        facets = enumerate_facets(inst)
+        sets = [*facets, CellSet.from_mask(inst, (1 << inst.size) - 1)]
+        for facet in rng.sample(facets, min(len(facets), 20)):
+            inside = [r for r in range(inst.size) if facet.mask >> r & 1]
+            outside = [r for r in range(inst.size) if not facet.mask >> r & 1]
+            if outside:
+                swap = 1 << rng.choice(inside) | 1 << rng.choice(outside)
+                sets.append(CellSet.from_mask(inst, facet.mask ^ swap))
+        _, admitted = _criteria_batch(inst, random.Random(1), 10, sets)
+        for j, cs in enumerate(sets):
+            want = (len(cs) == inst.n_cells and is_u_compatible(cs)
+                    and _membership_criterion_holds(cs))
+            assert (admitted >> j & 1 == 1) == want, (inst, cs)
+        assert admitted & (1 << len(facets)) - 1 == (1 << len(facets)) - 1
+
+
 def _drawn_masks(rng, instance, trials):
     # the criteria check's draw, as a list of cells per trial
     masks = []
@@ -182,9 +211,9 @@ def test_criteria_check_runs_the_level_tables_once_per_twin_class(
     calls = []
     real = verify._chain_levels
 
-    def spy(a, b, u, occ, every):
-        calls.append((a, b, u))
-        return real(a, b, u, occ, every)
+    def spy(a, b, top, occ, every):
+        calls.append(top)
+        return real(a, b, top, occ, every)
 
     monkeypatch.setattr(verify, "_chain_levels", spy)
     rng = random.Random(59)
@@ -193,10 +222,16 @@ def test_criteria_check_runs_the_level_tables_once_per_twin_class(
     for inst in instances:
         classes = {(inst.block_ranks[vid], d.u) for vid, d in inst.vertex.items()}
         assert len(verify._criteria_layout(inst)) == len(classes)
+        # the criteria batch reads the padded route, one level past the rank;
+        # the codim-1 check's one ridge batch stops at the rank and skips the
+        # classes that block nothing
+        layout = verify._criteria_layout(inst)
+        tops = sorted([u + 1 for _, _, u, *_ in layout]
+                      + [u for a, b, u, *_ in layout if u < min(a, b)])
         for trials in (0, 1, 1000):
             calls.clear()
             assert verify.verify_instance(inst, subset_trials=trials, seed=trials).ok
-            assert len(calls) == len(classes), (inst, trials)
+            assert sorted(calls) == tops, (inst, trials)
     assert [len(verify._criteria_layout(inst)) for inst in instances[:4]] == [2, 4, 1, 1]
 
 
@@ -375,6 +410,9 @@ def test_verify_instance_validates_its_arguments(single_cell):
     for cap in (None, 2.5, "9", True, 0):
         with pytest.raises(ValidationError, match="facet cap"):
             verify.verify_instance(single_cell, facet_cap=cap)
+    for seed in ([1], {}, (1, 2), object()):  # types random.Random rejects
+        with pytest.raises(ValidationError, match="seed"):
+            verify.verify_instance(single_cell, seed=seed)
     report = verify.verify_instance(single_cell, subset_trials=0, max_cells=0)
     assert report.ok
     assert {c.name: c.detail for c in report.checks}["facet-closure-vs-brute"] == (
@@ -447,21 +485,20 @@ def test_shelling_and_codim1_checks_share_one_walk(monkeypatch, star_instance, d
 
 
 def _check_ridge_addables(inst):
-    # every ridge of every facet: the addable cells from F's levels with c's
-    # blocks reloaded are those of the closure route's owners
+    # every ridge of every facet in one batch: the addable cells the batch
+    # gives each ridge F - c are those of the closure route's owners
     from quiverdet.complex import codim1_membership
-    from quiverdet.verify import _ridge_addables
+    from quiverdet.verify import _addable_columns, _columns
 
-    for facet in enumerate_facets(inst):
-        mask = facet.mask
-        got = dict(_ridge_addables(inst, mask, mask))
-        assert list(got) == [1 << r for r in range(inst.size) if mask >> r & 1]
-        for low, addable in got.items():
-            owners = codim1_membership(CellSet.from_mask(inst, mask ^ low))
-            want = 0
-            for owner in owners:
-                want |= owner.mask ^ mask ^ low
-            assert addable == want, (inst, mask, low)
+    ridges = [(f.mask, 1 << r) for f in enumerate_facets(inst)
+              for r in range(inst.size) if f.mask >> r & 1]
+    faces = [mask ^ low for mask, low in ridges]
+    addable = _addable_columns(inst, _columns(faces, inst.size), (1 << len(faces)) - 1)
+    for (mask, low), face, got in zip(ridges, faces, _masks_of(addable, len(faces))):
+        want = 0
+        for owner in codim1_membership(CellSet.from_mask(inst, face)):
+            want |= owner.mask ^ face
+        assert got == want and got & low, (inst, mask, low)
 
 
 def test_ridge_addables_match_codim1_membership(double_instance, star_instance, det33):
@@ -485,6 +522,43 @@ def test_ridge_addables_match_codim1_membership_property():
         _check_ridge_addables(random_instance(random.Random(seed), max_cells=max_cells))
 
     run()
+
+
+def test_codim1_batches_do_not_change_the_verdicts(monkeypatch, star_instance, det33):
+    # batches of 7 ridges split every facet's ridges across batch boundaries;
+    # the verdicts and details, passing and failing, are those of one batch
+    import quiverdet.verify as verify
+
+    rng = random.Random(61)
+    instances = [star_instance, det33] + [random_instance(rng, max_cells=14) for _ in range(8)]
+    cases = []
+    for inst in instances:
+        facets = enumerate_facets(inst)
+        cases.append((inst, facets))
+        if len(facets) > 1:
+            cases.append((inst, facets[:len(facets) // 2] + facets[len(facets) // 2 + 1:]))
+    real = verify._addable_columns
+
+    def one_more(instance, columns, every):
+        # cell 0 wrongly addable to every ridge without it: some ridges get
+        # three owners, some a second one the walk never saw
+        addable = real(instance, columns, every)
+        addable[0] = every & ~columns[0]
+        return addable
+
+    def verdicts():
+        return [verify._codim1_check(inst, facets, _walk(facets)) for inst, facets in cases]
+
+    whole = verdicts()
+    monkeypatch.setattr(verify, "_addable_columns", one_more)
+    tampered = verdicts()
+    monkeypatch.setattr(verify, "_RIDGES", 7)
+    assert verdicts() == tampered
+    monkeypatch.setattr(verify, "_addable_columns", real)
+    assert verdicts() == whole
+    assert {ok for ok, _ in whole} == {True, False}
+    assert {detail.split(" inside ")[0] for ok, detail in tampered if not ok} == {
+        "codim-1 face", "closure route misses a containing facet"}
 
 
 def test_brute_walk_counts_interior_faces_like_the_stored_faces(
@@ -537,3 +611,33 @@ def test_verify_memory_peak(star_instance):
     finally:
         tracemalloc.stop()
     assert peak <= 600_000, peak
+
+
+def test_verify_keeps_no_chain_tables(monkeypatch):
+    # no facet that verify enumerates keeps chain tables: the criteria batch
+    # and the ridge batches read masks, and the corner pass classifies copies;
+    # the cached tables of det:6,6,1's facets took the traced peak to 1.25 MB
+    import tracemalloc
+
+    import quiverdet.verify as verify
+    from quiverdet.cli import parse_preset
+
+    inst = parse_preset("det:6,6,1")
+    returned = []
+
+    def spy(instance, facet_cap):
+        returned.append(enumerate_facets(instance, facet_cap=facet_cap))
+        return returned[-1]
+
+    monkeypatch.setattr(verify, "enumerate_facets", spy)
+    verify.verify_instance(inst, subset_trials=20, seed=7)  # fill the per-instance caches
+    returned.clear()
+    tracemalloc.start()
+    try:
+        assert verify.verify_instance(inst, seed=7).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [facets] = returned
+    assert facets and all(not f._stats for f in facets)
+    assert peak <= 400_000, peak

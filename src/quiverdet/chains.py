@@ -2,46 +2,41 @@
 
 A diagonal chain is a point set strictly increasing in both coordinates.
 A cell set is admissible ("u-compatible") when no block matrix sees a chain
-longer than that block's rank; these sets are exactly the faces of the
-complex the rest of the package works with.
+longer than that block's rank; these sets are the faces of the complex.  The
+chain statistics of a cell P against a set C split the longest chain through
+P into its strictly-NW and strictly-SE parts (``nw``/``se``); the padded
+variants also count the path endpoints pinned to the block boundary, from
+floors that ``_corner_table`` computes once per cell and instance.
 
-The chain statistics of a cell P against a set C split the longest chain
-through P into its strictly-NW and strictly-SE parts (``nw``/``se``); the
-padded variants additionally account for the path endpoints pinned to the
-block boundary and are the workhorse behind path reconstruction and the
-membership criterion.
+Three kernels compute them, each for its own callers:
 
-Two kernels compute the statistics.  ``_chain_tables`` builds both full
-tables of a block, and ``_addable`` reads them cell by cell; ``BlockStats``,
-``can_extend``, the road maps and ``verify``'s facet membership check use
-these.  ``verify``'s criteria check does not: it runs its own bit-sliced
-DP over many subsets at once, and the tests hold it to ``corner_stats``,
-which reads ``_chain_tables``.  The padding floors live in
-``_corner_table``, computed once per cell and instance: ``corner_stats``, the
-road maps and the criteria check (both through ``cvm._path_layout``) read them
-there, so no caller pads position by position.
+- ``_chain_tables``: both full tables of one block and one set, read cell by
+  cell by ``_addable``.  ``BlockStats``, ``corner_stats``, ``can_extend``, the
+  road maps behind ``cvm.corners`` and ``verify``'s membership oracle use it.
+- ``_chain_levels``: the same tables bit-sliced over a batch of subsets, bit
+  i for subset i, which ``_columns`` transposes from masks and ``_at_least``
+  and ``_exactly`` read.  ``cvm._point_levels`` runs it once per class of twin
+  blocks for ``verify``'s criteria check and codim-1 ridge batches, and for
+  the corner batch (``cvm._corner_bits``) of ``verify``, the corner routes,
+  the shelling check and the ``corners`` command.
+- Chain levels for the face predicate: N_j holds the positions with a
+  j-chain of the set strictly NW of them, S_j those with one strictly SE,
+  each a cell-rank mask; a position is blocked when it lies in N_j and
+  S_(u-j) for some j.  ``_levels`` loads them, ``_grow`` adds one cell in
+  place, and ``_rank_ladder`` spares blocks that never block (rank at least
+  min(a, b)), keeps rank-1 blocks as one quadrant mask per cell and lets twin
+  blocks share levels.  ``_load_blocks`` loads a set on the ladder for the
+  face DFS, the greedy closures, ``codim1_membership`` and ``verify``'s
+  reflection probes; the first two then grow the levels cell by cell.
 
-The face predicate, "which positions of this block are not addable", runs
-on chain levels instead: N_j holds the positions with a j-chain of the set
-strictly NW of them, S_j those with one strictly SE, each one cell-rank
-mask, and a position is blocked when it lies in N_j and S_(u-j) for some j.
-``_levels`` loads them from scratch, and ``_grow`` adds one cell in place,
-growing each level only by the quadrants of the points that newly reach the
-level below.  ``_rank_ladder`` spares the kernel the blocks that need no
-levels: a block of rank at least min(a, b) never blocks a cell, a rank-1
-block blocks the positions strictly NW or SE of its points, kept per cell
-as one quadrant mask, and twin blocks (the same positions and rank) share
-one set of levels.  ``_load_blocks`` loads a cell set on the ladder; the
-face DFS, the greedy closures and ``verify``'s codim-1 check grow or reload
-only the blocks of the cell they add or remove, so a cell outside every
-staircase block costs one AND-NOT.  The tests hold the levels and the ladder
-to ``_chain_tables``.
+The tests hold the batch and the levels to ``_chain_tables``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 from typing import Iterable, NamedTuple
 
 from .errors import ValidationError
@@ -293,6 +288,85 @@ def _addable(positions, tables, candidates: int) -> int:
             if snw[si - 1][sj - 1] + sse[si + 1][sj + 1] < su:
                 mask |= bit
     return mask
+
+
+def _chain_levels(a: int, b: int, top: int, occ, every: int) -> tuple[list, list]:
+    """Bit-sliced NW and SE chain tables of one a x b block, levels 1 to ``top``.
+
+    ``occ[x][y]`` has bit i set when subset i holds the block's position
+    (x, y); rows 0 and a + 1 and columns 0 and b + 1 are zero padding, and
+    ``every`` has a bit for each subset.  Bit i of ``nw[j - 1][x][y]`` is
+    set when subset i has a chain of j points in rows <= x and columns <= y,
+    and of ``se[j - 1][x][y]`` when it has one in rows >= x and columns >= y.
+    A j-chain ends at an occupied (x, y) exactly when a (j - 1)-chain lies
+    strictly NW of it, so each level is one sweep over the one below.
+    """
+    nw, se = [], []
+    lower_nw = lower_se = [[every] * (b + 2)] * (a + 2)
+    for _ in range(top):
+        level = [[0] * (b + 2) for _ in range(a + 2)]
+        for x in range(1, a + 1):
+            row, up, diag, held = level[x], level[x - 1], lower_nw[x - 1], occ[x]
+            for y in range(1, b + 1):
+                row[y] = up[y] | row[y - 1] | held[y] & diag[y - 1]
+        nw.append(level)
+        lower_nw = level
+        level = [[0] * (b + 2) for _ in range(a + 2)]
+        for x in range(a, 0, -1):
+            row, down, diag, held = level[x], level[x + 1], lower_se[x + 1], occ[x]
+            for y in range(b, 0, -1):
+                row[y] = down[y] | row[y + 1] | held[y] & diag[y + 1]
+        se.append(level)
+        lower_se = level
+    return nw, se
+
+
+def _at_least(nw: list, se: list, k: int) -> int:
+    """The subsets in which the two statistics sum to at least k, from their level lists."""
+    return reduce(or_, map(and_, nw[:k + 1], se[k::-1]))
+
+
+# Masks transposed at once by ``_columns``; the text of a chunk takes about
+# size times this many bytes.
+_CHUNK = 256
+
+
+def _columns(masks: list[int], size: int) -> list[int]:
+    """Per cell rank r, the int whose bit i is bit r of ``masks[i]``.
+
+    Each chunk of masks is written out in binary, last mask first, so that
+    every size-th digit of the text is one cell's column of the chunk.
+    """
+    columns = [0] * size
+    digits = f"0{size}b"
+    for start in range(0, len(masks), _CHUNK):
+        text = "".join([format(m, digits) for m in reversed(masks[start:start + _CHUNK])])
+        for r in range(size):
+            columns[r] |= int(text[size - 1 - r::size], 2) << start
+    return columns
+
+
+def _exactly(columns: list[int], n: int, every: int) -> int:
+    """The subsets of exactly n cells, counted by a bit-sliced binary counter."""
+    digits: list[int] = []
+    for carry in columns:
+        k = 0
+        while carry:
+            if k == len(digits):
+                digits.append(carry)
+                break
+            digits[k], carry = digits[k] ^ carry, digits[k] & carry
+            k += 1
+    if n >> len(digits):
+        return 0
+    for k, digit in enumerate(digits):
+        every &= digit if n >> k & 1 else ~digit
+    return every
+
+
+# Ridges per batch of the codim-1 check; a class's level tables for a batch
+# take about 2u (a + 2)(b + 2) ints of this many bits.
+_RIDGES = 16384
 
 
 class BlockStats:

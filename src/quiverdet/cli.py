@@ -27,7 +27,6 @@ from .errors import DEFAULT_FACET_CAP, DEFAULT_MAX_CELLS, QuiverDetError, Valida
 from .quiver import BipartiteQuiver, Instance, build_instance, load_instance
 
 if TYPE_CHECKING:
-    from .chains import CellSet
     from .series import HilbertSeries
 
 
@@ -113,14 +112,6 @@ def _load(args) -> Instance:
     if args.file:
         return load_instance(args.file, mode=mode)
     raise ValidationError("an instance is required: pass --preset or --file")
-
-
-def _load_facets(args) -> tuple[Instance, list[CellSet]]:
-    """The instance and its facets in ascending (shelling) order."""
-    from .moves import enumerate_facets
-
-    inst = _load(args)
-    return inst, enumerate_facets(inst, facet_cap=args.facet_cap)
 
 
 def _load_series(args) -> HilbertSeries:
@@ -234,8 +225,9 @@ def _cmd_interior(args) -> int:
 
 def _cmd_shelling(args) -> int:
     from .complex import verify_shelling
+    from .moves import enumerate_facets
 
-    _, facets = _load_facets(args)
+    facets = enumerate_facets(_load(args), facet_cap=args.facet_cap)
     # both scan directions shell: ascending pairs with SE corner counts,
     # descending (the reflected picture) with NW counts
     up = verify_shelling(facets, corner_kind="SE")
@@ -280,13 +272,12 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_corners(args) -> int:
-    from .cvm import _essential_counts
+    from .cvm import _corner_counts
+    from .moves import _facet_masks
 
-    _, facets = _load_facets(args)
-    rows = []
-    for idx, facet in enumerate(facets, start=1):
-        nw, se = _essential_counts(facet)
-        rows.append({"facet": idx, "essential_nw": nw, "essential_se": se})
+    inst = _load(args)
+    rows = [{"facet": idx, "essential_nw": nw, "essential_se": se} for idx, (nw, se)
+            in enumerate(_corner_counts(inst, _facet_masks(inst, args.facet_cap)), start=1)]
     _emit(args, rows,
           [f"facet {r['facet']}: essential NW {r['essential_nw']}, essential SE {r['essential_se']}"
            for r in rows])
@@ -343,14 +334,18 @@ _COMMANDS = {  # name: (handler, help)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser; with ``command``, the other subcommands, listed but never run, get no options."""
+    """The parser: a known ``command``'s subparser alone, else all, with options if None."""
     parser = argparse.ArgumentParser(
         prog="quiverdet",
         description="Combinatorics of bipartite determinantal ideals: facets, "
                     "f/h-vectors, Hilbert series, and cross-checking oracles.")
     parser.add_argument("--version", action="version", version=f"quiverdet {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    one = command in _COMMANDS  # the usage lists every name; unknown names fail as "command"
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar="{%s}" % ",".join(_COMMANDS) if one else None)
     for name, (func, text) in _COMMANDS.items():
+        if one and name != command:
+            continue
         sub = subs.add_parser(name, help=text)
         if command not in (None, name):
             continue

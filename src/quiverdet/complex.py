@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .chains import CellSet, _grow, _load_blocks, _rank_ladder, is_u_compatible
-from .cvm import corners
+from .cvm import _corner_counts
 from .errors import DEFAULT_MAX_CELLS, GuardExceeded, ValidationError
 from .quiver import Instance, _is_int
 from .series import FaceTable, _ridge_walk
@@ -208,9 +208,9 @@ def _shelling_report(facets: list, corner_kind: str, walk=None, counts=None) -> 
     """``verify_shelling`` on a list, reading R_j off ``walk`` and the corners off ``counts`` when given.
 
     ``walk`` is ``series._ridge_walk`` of the facets' masks in this order and
-    ``counts`` the facets' essential ``corner_kind`` corner counts, so a
-    caller that walks them or classifies their corners for another check
-    does so once.
+    ``counts`` the facets' essential ``corner_kind`` corner counts, else read
+    off the masks by ``cvm._corner_counts`` as the check reaches them, so
+    that a caller that walks them or counts their corners does so once.
     """
     if corner_kind not in ("SE", "NW"):
         raise ValidationError(f"corner kind must be SE or NW, got {corner_kind!r}")
@@ -224,6 +224,8 @@ def _shelling_report(facets: list, corner_kind: str, walk=None, counts=None) -> 
     masks = [f.mask for f in facets]
     restrictions = (_ridge_walk(masks) if walk is None else walk)[0]
     owners = _owner_bits(masks, instance.size)
+    counts = iter(counts if counts is not None else
+                  (pair[corner_kind == "SE"] for pair in _corner_counts(instance, masks)))
     for j, (facet, restriction) in enumerate(zip(facets, restrictions)):
         if len(facet) != n_top:
             return ShellingReport(False, tuple(r_seq), f"facet {j + 1} has wrong cardinality")
@@ -233,11 +235,7 @@ def _shelling_report(facets: list, corner_kind: str, walk=None, counts=None) -> 
                 f"facet {j + 1}: an earlier intersection is not inside a shared codim-1 face")
         rj = restriction.bit_count()
         r_seq.append(rj)
-        if counts is not None:
-            expected = counts[j]
-        else:
-            rep = corners(facet)
-            expected = rep.essential_se if corner_kind == "SE" else rep.essential_nw
+        expected = next(counts)
         if rj != expected:
             return ShellingReport(
                 False, tuple(r_seq),

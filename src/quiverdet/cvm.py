@@ -8,9 +8,10 @@ source block the transposed picture.  ``road_map`` rebuilds those paths from
 the padded chain statistics, one sweep per block over a cached per-instance
 layout that lists the positions in path order, and checks them on rank
 bitmasks; ``corners`` classifies their NW and SE turning points on that one
-road map, and ``_essential_counts`` counts the essential ones with the same
-classifier, on a copy of the facet.  The essential ones drive both the
-chute-move dynamics and the h-polynomial.  The greedy closures
+road map.  The essential ones drive both the chute-move dynamics and the
+h-polynomial.  ``_corner_counts`` counts them on a batch of facets, one bit
+each, off the bit-sliced levels of ``_point_levels`` (``_corner_bits``),
+with ``corners`` as its oracle.  The greedy closures
 ``c_min``/``c_max`` find the smallest and largest facet containing a face;
 like the face DFS, they read one rung of ``chains._rank_ladder`` per added
 cell and grow the chain levels of its staircase blocks in place
@@ -21,9 +22,11 @@ with SE corners, and the tests check the SE rule through it.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
-from .chains import CellSet, _corner_table, _grow, _load_blocks, _rank_ladder, is_u_compatible
+from .chains import (_RIDGES, CellSet, _at_least, _chain_levels, _columns, _corner_table, _exactly,
+                     _grow, _load_blocks, _rank_ladder, is_u_compatible)
 from .errors import CrossCheckError, ValidationError
 from .moves import _initial_mask
 from .quiver import HORIZONTAL, TARGET, VERTICAL, BipartiteQuiver, Cell, Instance
@@ -112,9 +115,9 @@ def _path_layout(instance: Instance) -> tuple[tuple, ...]:
     block's padding floors from ``chains._corner_table``; ``where`` maps a
     position to its rank and the offset that relabels this block's path p as
     the crossing family sees it (``hpath_offset`` on a target block,
-    ``vpath_offset`` on a source block).  ``road_map`` and ``verify``'s
-    criteria check read it.  Cached per instance: callers must treat the
-    result as read-only.
+    ``vpath_offset`` on a source block).  The road maps, the corner batch and
+    ``_criteria_layout`` read it.  Cached per instance: callers must treat
+    the result as read-only.
     """
     table = _corner_table(instance)
     layout = []
@@ -128,6 +131,53 @@ def _path_layout(instance: Instance) -> tuple[tuple, ...]:
                 where[x, y] = (r, ar.hpath_offset if target else ar.vpath_offset)
         layout.append((vid, target, d.a, d.b, d.u, d.v, tuple(points), where))
     return tuple(layout)
+
+
+@lru_cache(maxsize=128)
+def _criteria_layout(instance: Instance) -> tuple[tuple, ...]:
+    """Per class of twin blocks, what ``_point_levels`` reads.
+
+    Twin blocks have the same ``block_ranks`` and the same rank, so the same
+    level tables on every subset; only their padding floors differ.  A row
+    is ``(a, b, u, ranks, blocks)``, one per class, in the order of the
+    class's first block in ``instance.vertex``.  ``blocks`` lists the class's
+    blocks, each as its positions ``(x, y, rank, nw_floor, se_floor)``, as
+    ``_path_layout`` reads them off ``chains._corner_table``.
+    Cached per instance: callers must treat the result as read-only.
+    """
+    classes: dict = {}
+    for vid, _, a, b, u, _, points, _ in _path_layout(instance):
+        ranks = instance.block_ranks[vid]
+        classes.setdefault((ranks, u), (a, b, u, ranks, []))[4].append(points)
+    return tuple((a, b, u, ranks, tuple(blocks)) for a, b, u, ranks, blocks in classes.values())
+
+
+def _point_levels(instance: Instance, columns: list[int], every: int, padded: bool,
+                  tables: dict | None = None):
+    """``(r, u, n, s, nw_floor, se_floor, blocked)`` per position of every block, on a batch.
+
+    Each class of twin blocks runs one ``_chain_levels`` up to its rank u,
+    or u + 1 when ``padded``; unpadded, a class whose rank is at least a side
+    is skipped.  Bit i of ``n[j]`` says that subset i has nw >= j at the
+    position, of ``s[j]`` that it has se >= j (level 0: every subset);
+    ``blocked`` holds the subsets with nw + se >= u, to which the cell cannot
+    be added: the longest chain through it would exceed u points.  A dict
+    ``tables`` keeps each class's level tables under ``(ranks, u)``.
+    """
+    for a, b, u, ranks, blocks in _criteria_layout(instance):
+        if u >= min(a, b) and not padded:  # blocks nothing (see ``chains._rank_ladder``)
+            continue
+        pad = [0] * (b + 2)
+        occ = [pad, *([0, *(columns[r] for r in row), 0] for row in ranks), pad]
+        nw, se = _chain_levels(a, b, u + padded, occ, every)
+        if tables is not None:
+            tables[ranks, u] = nw, se
+        for points in blocks:
+            for x, y, r, nw_floor, se_floor in points:
+                n = [every] + [level[x - 1][y - 1] for level in nw]
+                s = [every] + [level[x + 1][y + 1] for level in se]
+                yield r, u, n, s, nw_floor, se_floor, _at_least(n, s, u)
+        del nw, se  # before the next class's tables are built
 
 
 def _check_path(path: list[tuple[int, int]], sw: tuple[int, int], ne: tuple[int, int]) -> bool:
@@ -249,8 +299,7 @@ def corners(cs: CellSet) -> CornerReport:
     reflection, m = p and the two ends swap.  Every other corner is
     essential.  Reflecting the whole picture swaps NW with SE corners and
     preserves essentiality; the tests use ``reflect`` to check the SE rule
-    against the NW rule independently.  Via the public ``road_map``, it finds
-    the turns twice; ``_essential_counts`` finds them once.
+    against the NW rule independently.
     """
     inst = cs.instance
     rm = road_map(cs)
@@ -260,15 +309,6 @@ def corners(cs: CellSet) -> CornerReport:
     records.sort()  # rank order is the cell order; (rank, kind, orientation) is unique
     return CornerReport(tuple([CornerRecord(inst.cells[r], *rest) for r, *rest in records]),
                         essential_nw, essential_se)
-
-
-def _essential_counts(facet: CellSet) -> tuple[int, int]:
-    """``corners``'s two counts, off a copy of the facet so that it caches no chain table.
-
-    There is no report, and each path's turns are found once.
-    """
-    cs = CellSet.from_mask(facet.instance, facet.mask)
-    return _classify(cs, _road_blocks(cs))[1:]
 
 
 def _classify(cs: CellSet, blocks) -> tuple[list, int, int]:
@@ -308,6 +348,84 @@ def _classify(cs: CellSet, blocks) -> tuple[list, int, int]:
     if corner_mask & ~cs.mask:
         raise CrossCheckError("corner cell outside the facet")
     return records, essential[NW].bit_count(), essential[SE].bit_count()
+
+
+def _corner_bits(instance: Instance, columns: list[int], every: int, tables: dict, cvm: int,
+                 shift: int = 0) -> tuple[list[int], list[int], int]:
+    """Per cell, the subsets with an essential NW and an essential SE corner there; the bad ones.
+
+    Bit i is subset i + ``shift`` of ``columns`` and of the ``_point_levels``
+    ``tables``; ``cvm`` holds the concurrent vertex maps.  Path p holds the
+    positions with padded nw = p - 1 and se = u - p; a bad subset fails a
+    check of ``_road_blocks``.  A corner is free when its crossing path has
+    ``_classify``'s label m and no point of the path beyond it is on that path.
+    """
+    layout, size, grids, bad = _path_layout(instance), instance.size, [], every & ~cvm
+    labels = ([{}] * size, [{}] * size)  # by ``target``: per cell, its path's bits by label
+    for vid, target, a, b, u, _, points, where in layout:
+        nw, se = tables[instance.block_ranks[vid], u]
+        grid = [[[0] * (b + 2) for _ in range(a + 2)] for _ in range(u)]
+        for x, y, r, nw_floor, se_floor in points:
+            n = [every] * (nw_floor + 1) + [level[x - 1][y - 1] >> shift for level in nw[nw_floor:u]]
+            s = [every] * (se_floor + 1) + [level[x + 1][y + 1] >> shift for level in se[se_floor:u]]
+            paths = [n[p] & ~n[p + 1] & s[u - 1 - p] & ~s[u - p] for p in range(u)]
+            labels[target][r] = dict(enumerate(paths, start=1 + where[x, y][1]))
+            for g, on in zip(grid, paths):
+                g[x][y] = on
+        grids.append(grid)
+    covered = [[sum(label.values()) for label in family] for family in labels]  # disjoint paths
+    for held, vertical, horizontal in zip(columns, *covered):
+        bad |= vertical & horizontal ^ held >> shift
+    essential = {NW: [0] * size, SE: [0] * size}
+    for (_, target, a, b, u, v, points, _), grid in zip(layout, grids):
+        crossing, crossed = labels[not target], covered[not target]
+        for p, g in enumerate(grid, start=1):
+            sw, ne = ((a - u + p, 1), (p, b)) if target else ((a, p), (1, b - u + p))
+            bad |= every & ~(g[sw[0]][sw[1]] & g[ne[0]][ne[1]])
+            # ``points`` order is path order, so each sweep meets the points beyond a corner first
+            path = [point for point in points if g[point[0]][point[1]]]
+            for step, kind in ((1, SE if target else NW), (-1, NW if target else SE)):
+                m = p + v - u if kind == NW else p
+                behind = 0  # the points swept so far on crossing path m
+                for x, y, r, *_ in path[::step]:
+                    here, north, east, south, west = (
+                        g[x][y], g[x - 1][y], g[x][y + 1], g[x + 1][y], g[x][y - 1])
+                    if step == 1:  # one successor and one predecessor, but at the ends
+                        bad |= here & ~((every if (x, y) == ne else north ^ east)
+                                        & (every if (x, y) == sw else south ^ west))
+                    turn = here & (south & east if kind == NW else west & north)
+                    hit = here & crossing[r].get(m, 0)
+                    bad |= turn & ~crossed[r]
+                    essential[kind][r] |= turn & ~(hit & ~behind)
+                    behind |= hit
+    return essential[NW], essential[SE], bad
+
+
+def _corner_counts(instance: Instance, masks: list[int], bits=None):
+    """Yield ``corners``'s two counts, (essential NW, essential SE), of each mask in turn.
+
+    ``bits`` are the masks' ``_corner_bits`` off ``verify``'s criteria batch; else
+    batches of ``_RIDGES`` masks run their own pass as they are reached.  The first
+    bad mask is replayed on a copy through ``_road_blocks`` and ``_classify``.
+    """
+    batches = [(0, masks, bits)] if bits else (
+        (start, masks[start:start + _RIDGES], None) for start in range(0, len(masks), _RIDGES))
+    for start, batch, found in batches:
+        every = (1 << len(batch)) - 1
+        if found is None:
+            columns, tables, blocked = _columns(batch, instance.size), {}, 0
+            for r, *_, bad in _point_levels(instance, columns, every, True, tables):
+                blocked |= columns[r] & bad
+            cvm = _exactly(columns, instance.n_cells, every) & ~blocked
+            found = _corner_bits(instance, columns, every, tables, cvm)
+        *essential, bad = found
+        counts = [[cells.bit_count() for cells in _columns(e, len(batch))] for e in essential]
+        yield from islice(zip(*counts), (bad & -bad).bit_length() - 1 if bad else None)
+        if bad:
+            n = start + (bad & -bad).bit_length() - 1
+            cs = CellSet.from_mask(instance, masks[n])
+            _classify(cs, _road_blocks(cs))
+            raise CrossCheckError(f"the corner batch rejects facet {n + 1}, whose road map passes")
 
 
 # -- reflection -----------------------------------------------------------------

@@ -7,7 +7,8 @@ earlier and with later facets in ascending order, both shellings, off one
 ``_ridge_walk`` of their masks; ``complex`` and ``verify`` read restriction
 faces and boundary generators off that walk.  The folds' oracle is the paper's
 formula: ``se_corners`` and ``nw_corners`` count the facets by essential SE
-or NW corners (the ascending and the descending restriction counts).
+or NW corners (the ascending and the descending restriction counts), which
+one bit-sliced corner batch, ``cvm._corner_counts``, reads off their masks.
 ``f_transform`` and ``interior`` transform the f-vector and the interior
 faces of the face DFS.  Multiplicity
 h(1) and the Gorenstein indicator (a palindromic h-vector) are read off the
@@ -213,21 +214,17 @@ def _f_from_h(h: tuple[int, ...], n_top: int) -> tuple[int, ...]:
                  for k in range(n_top + 1))
 
 
-def _corner_routes(facets, n_top: int) -> tuple[dict[str, tuple[int, ...]], list[int]]:
-    """The corner routes' numerators, and each facet's essential SE count, from one corner pass.
+def _corner_routes(facets, n_top: int, bits=None) -> tuple[dict[str, tuple[int, ...]], list[int]]:
+    """The corner routes' numerators, and each facet's essential SE count, from one corner batch.
 
-    h_i counts the facets with i essential corners.  The pass keeps counts,
-    no report or chain table; ``verify`` holds the SE counts to its shelling check.
+    h_i counts the facets with i essential corners, off their masks or the
+    ``bits`` of ``verify``'s criteria batch, whose shelling check reads the SE counts.
     """
-    from .cvm import _essential_counts
+    from .cvm import _corner_counts
 
-    tally = {SE_CORNERS: [0] * (n_top + 1), NW_CORNERS: [0] * (n_top + 1)}
-    se_counts = []
-    for nw, se in map(_essential_counts, facets):
-        se_counts.append(se)
-        tally[SE_CORNERS][se] += 1
-        tally[NW_CORNERS][nw] += 1
-    return {route: _trim(tally[route]) for route in sorted(tally)}, se_counts
+    nw, se = zip(*_corner_counts(facets[0].instance, [f.mask for f in facets], bits))
+    return {route: _trim(list(map(counts.count, range(n_top + 1))))
+            for route, counts in ((NW_CORNERS, nw), (SE_CORNERS, se))}, list(se)
 
 
 def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None = None,

@@ -9,30 +9,31 @@ with enough detail to reproduce it.
 table on one.  The criteria check evaluates all its random subsets and every
 facet in one bit-sliced batch: bit i of a cell's int says whether subset i
 holds it, and each class of twin blocks runs one chain DP on those ints
-(``_chain_levels``); its facet bits are ``facet-cardinality``.  The tests
-hold the criteria to ``corner_stats``, which reads the independent DP
-``chains._chain_tables``.  The brute face DFS, the reflection probes and
+(``chains._chain_levels``); its facet bits are ``facet-cardinality``, and
+the same level tables give the facets' essential corners
+(``cvm._corner_bits``), which feed the corner routes and the shelling check.
+The tests hold the criteria to ``corner_stats``, which reads the independent
+DP ``chains._chain_tables``.  The brute face DFS, the reflection probes and
 closures run on the chain levels of ``chains._rank_ladder``; the brute walk
-also counts the interior faces, storing none.  One count-only corner pass,
-on a fresh copy of each facet, feeds the corner routes and the shelling
-check.  The shelling and codim-1 checks share one ``series._ridge_walk`` of
-the ascending facets; the codim-1 check runs its ridges through the same DP
-in batches (``_addable_columns``), which the tests hold to
-``complex.codim1_membership``.
+also counts the interior faces, storing none.  The shelling and codim-1
+checks share one ``series._ridge_walk`` of the ascending facets; the codim-1
+check runs its ridges through the same DP in batches (``_addable_columns``),
+which the tests hold to ``complex.codim1_membership``.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import islice
 from operator import and_, or_, xor
 from typing import NamedTuple
 
-from .chains import CellSet, _addable, _load_blocks
+from .chains import _RIDGES, CellSet, _addable, _at_least, _columns, _exactly, _load_blocks
 from .complex import (DEFAULT_MAX_CELLS, _FaceSearch, _owner_bits, _shelling_report,
                       boundary_generator_masks)
-from .cvm import _path_layout, c_max, c_min, initial_cvm, reflect, reflect_instance
+from .cvm import (_corner_bits, _point_levels, c_max, c_min, initial_cvm, reflect,
+                  reflect_instance)
 from .errors import CrossCheckError, QuiverDetError, ValidationError
 from .moves import DEFAULT_FACET_CAP, enumerate_facets
 from .quiver import BipartiteQuiver, Instance, _is_int, build_instance
@@ -84,124 +85,8 @@ def _membership_criterion_holds(cs: CellSet) -> bool:
     return _addable(inst.positions, tables, (1 << inst.size) - 1) == cs.mask
 
 
-@lru_cache(maxsize=128)
-def _criteria_layout(instance: Instance) -> tuple[tuple, ...]:
-    """Per class of twin blocks, what ``_point_levels`` reads.
-
-    Twin blocks have the same ``block_ranks`` and the same rank, so the same
-    level tables on every subset; only their padding floors differ.  A row
-    is ``(a, b, u, ranks, blocks)``, one per class, in the order of the
-    class's first block in ``instance.vertex``.  ``blocks`` lists the class's
-    blocks, each as its positions ``(x, y, rank, nw_floor, se_floor)``, as
-    ``cvm._path_layout`` reads them off ``chains._corner_table``.
-    Cached per instance: callers must treat the result as read-only.
-    """
-    classes: dict = {}
-    for vid, _, a, b, u, _, points, _ in _path_layout(instance):
-        ranks = instance.block_ranks[vid]
-        classes.setdefault((ranks, u), (a, b, u, ranks, []))[4].append(points)
-    return tuple((a, b, u, ranks, tuple(blocks)) for a, b, u, ranks, blocks in classes.values())
-
-
-def _chain_levels(a: int, b: int, top: int, occ, every: int) -> tuple[list, list]:
-    """Bit-sliced NW and SE chain tables of one a x b block, levels 1 to ``top``.
-
-    ``occ[x][y]`` has bit i set when subset i holds the block's position
-    (x, y); rows 0 and a + 1 and columns 0 and b + 1 are zero padding, and
-    ``every`` has a bit for each subset.  Bit i of ``nw[j - 1][x][y]`` is
-    set when subset i has a chain of j points in rows <= x and columns <= y,
-    and of ``se[j - 1][x][y]`` when it has one in rows >= x and columns >= y.
-    A j-chain ends at an occupied (x, y) exactly when a (j - 1)-chain lies
-    strictly NW of it, so each level is one sweep over the one below.
-    """
-    nw, se = [], []
-    lower_nw = lower_se = [[every] * (b + 2)] * (a + 2)
-    for _ in range(top):
-        level = [[0] * (b + 2) for _ in range(a + 2)]
-        for x in range(1, a + 1):
-            row, up, diag, held = level[x], level[x - 1], lower_nw[x - 1], occ[x]
-            for y in range(1, b + 1):
-                row[y] = up[y] | row[y - 1] | held[y] & diag[y - 1]
-        nw.append(level)
-        lower_nw = level
-        level = [[0] * (b + 2) for _ in range(a + 2)]
-        for x in range(a, 0, -1):
-            row, down, diag, held = level[x], level[x + 1], lower_se[x + 1], occ[x]
-            for y in range(b, 0, -1):
-                row[y] = down[y] | row[y + 1] | held[y] & diag[y + 1]
-        se.append(level)
-        lower_se = level
-    return nw, se
-
-
-def _at_least(nw: list, se: list, k: int) -> int:
-    """The subsets in which the two statistics sum to at least k, from their level lists."""
-    return reduce(or_, map(and_, nw[:k + 1], se[k::-1]))
-
-
-# Masks transposed at once by ``_columns``; the text of a chunk takes about
-# size times this many bytes.
-_CHUNK = 256
-
-
-def _columns(masks: list[int], size: int) -> list[int]:
-    """Per cell rank r, the int whose bit i is bit r of ``masks[i]``.
-
-    Each chunk of masks is written out in binary, last mask first, so that
-    every size-th digit of the text is one cell's column of the chunk.
-    """
-    columns = [0] * size
-    digits = f"0{size}b"
-    for start in range(0, len(masks), _CHUNK):
-        text = "".join([format(m, digits) for m in reversed(masks[start:start + _CHUNK])])
-        for r in range(size):
-            columns[r] |= int(text[size - 1 - r::size], 2) << start
-    return columns
-
-
-def _exactly(columns: list[int], n: int, every: int) -> int:
-    """The subsets of exactly n cells, counted by a bit-sliced binary counter."""
-    digits: list[int] = []
-    for carry in columns:
-        k = 0
-        while carry:
-            if k == len(digits):
-                digits.append(carry)
-                break
-            digits[k], carry = digits[k] ^ carry, digits[k] & carry
-            k += 1
-    if n >> len(digits):
-        return 0
-    for k, digit in enumerate(digits):
-        every &= digit if n >> k & 1 else ~digit
-    return every
-
-
-def _point_levels(instance: Instance, columns: list[int], every: int, padded: bool):
-    """``(r, u, n, s, nw_floor, se_floor, blocked)`` per position of every block, on a batch.
-
-    Each class of twin blocks runs one ``_chain_levels`` up to its rank u,
-    or u + 1 when ``padded``; unpadded, a class whose rank is at least a side
-    is skipped.  Bit i of ``n[j]`` says that subset i has nw >= j at the
-    position, of ``s[j]`` that it has se >= j (level 0: every subset);
-    ``blocked`` holds the subsets with nw + se >= u, to which the cell cannot
-    be added: the longest chain through it would exceed u points.
-    """
-    for a, b, u, ranks, blocks in _criteria_layout(instance):
-        if u >= min(a, b) and not padded:  # blocks nothing (see ``chains._rank_ladder``)
-            continue
-        pad = [0] * (b + 2)
-        occ = [pad, *([0, *(columns[r] for r in row), 0] for row in ranks), pad]
-        nw, se = _chain_levels(a, b, u + padded, occ, every)
-        for points in blocks:
-            for x, y, r, nw_floor, se_floor in points:
-                n = [every] + [level[x - 1][y - 1] for level in nw]
-                s = [every] + [level[x + 1][y + 1] for level in se]
-                yield r, u, n, s, nw_floor, se_floor, _at_least(n, s, u)
-        del nw, se  # before the next class's tables are built
-
-
-def _criteria_kernel(instance: Instance, columns: list[int], every: int) -> tuple[int, int, int]:
+def _criteria_kernel(instance: Instance, columns: list[int], every: int,
+                     tables: dict | None = None) -> tuple[int, int, int]:
     """The three facet criteria on a batch of subsets at once.
 
     ``columns[r]`` has bit i set when subset i holds the cell of rank r, and
@@ -217,7 +102,8 @@ def _criteria_kernel(instance: Instance, columns: list[int], every: int) -> tupl
     invalid = 0
     raw_bad = [0] * instance.size
     not_low = [0] * instance.size
-    for r, u, n, s, nw_floor, se_floor, blocked in _point_levels(instance, columns, every, True):
+    levels = _point_levels(instance, columns, every, True, tables)
+    for r, u, n, s, nw_floor, se_floor, blocked in levels:
         raw_bad[r] |= blocked
         n[1:nw_floor + 1] = [every] * nw_floor
         s[1:se_floor + 1] = [every] * se_floor
@@ -356,7 +242,7 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
         record("facet-closure-vs-brute", True, "skipped: |L| over the brute guard")
 
     # one criteria batch: its facet bits are the facet-cardinality check
-    criteria, admitted = _criteria_batch(instance, rng, subset_trials, facets)
+    criteria, admitted, corner_bits = _criteria_batch(instance, rng, subset_trials, facets)
     all_admitted = admitted == (1 << len(facets)) - 1
     record("facet-cardinality", all_admitted, f"all facets admissible with {n_top} cells")
     record("criteria-equivalence", *criteria)
@@ -389,11 +275,11 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
             record(name, False, "skipped: an enumerated set is not a facet")
         return VerificationReport(instance, tuple(checks))
 
-    # One corner pass, counts only, feeds the corner routes and the shelling
-    # check; if it fails, the shelling check classifies the corners itself.
+    # The criteria batch's corner bits feed the corner routes and the shelling
+    # check; if they fail, the shelling check runs its own corner batch.
     se_counts = None
     try:
-        corner_h, se_counts = _corner_routes(facets, n_top)
+        corner_h, se_counts = _corner_routes(facets, n_top, corner_bits)
         routes = ALL_ROUTES - CORNER_ROUTES if instance.size <= max_cells else FOLD_ROUTES
         series = hilbert_series(instance, facets=facets, face_table=face_table, routes=routes,
                                 max_cells_guard=max_cells)
@@ -418,14 +304,8 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     return VerificationReport(instance, tuple(checks))
 
 
-def _criteria_check(instance: Instance, rng: random.Random, trials: int,
-                    facets) -> tuple[bool, str]:
-    """The ``(ok, detail)`` of ``_criteria_batch``, without its facet bits."""
-    return _criteria_batch(instance, rng, trials, facets)[0]
-
-
 def _criteria_batch(instance: Instance, rng: random.Random, trials: int,
-                    facets) -> tuple[tuple[bool, str], int]:
+                    facets) -> tuple[tuple[bool, str], int, tuple | None]:
     """Hold the three facet criteria to each other on random subsets, then on every facet.
 
     Each trial draws a density, then each cell in rank order with that
@@ -434,9 +314,9 @@ def _criteria_batch(instance: Instance, rng: random.Random, trials: int,
     masks, and one ``_criteria_kernel`` call evaluates them together, so
     each class of twin blocks runs its level tables once; the first subset
     on which the routes disagree is reported, and its routes are replayed
-    through ``criteria_agree``.  Returns the check's ``(ok, detail)`` and,
-    bit j for ``facets[j]``, the facets that the cardinality route and the
-    membership criterion (the raw route) both admit.
+    through ``criteria_agree``.  Returns the check's ``(ok, detail)``, bit j
+    for ``facets[j]``, the facets that the cardinality route and the raw
+    route both admit, and, if all, the facets' ``cvm._corner_bits``.
     """
     draw = rng.random
     bits = [1 << r for r in range(instance.size)]
@@ -449,25 +329,23 @@ def _criteria_batch(instance: Instance, rng: random.Random, trials: int,
                 mask |= bit
         masks.append(mask)
     masks += [f.mask for f in facets]
-    columns = _columns(masks, instance.size)
+    columns, tables, every = _columns(masks, instance.size), {}, (1 << len(facets)) - 1
     by_card, by_raw, by_padded = _criteria_kernel(
-        instance, columns, (1 << (trials + len(facets))) - 1)
+        instance, columns, (1 << (trials + len(facets))) - 1, tables)
     admitted = (by_card & by_raw) >> trials
+    corner_bits = (_corner_bits(instance, columns, every, tables, by_card >> trials, trials)
+                   if admitted == every else None)
     wrong = (by_card ^ by_raw) | (by_raw ^ by_padded)
     if not wrong:
-        return (True, f"{trials} random subsets, then all facets ({len(facets)})"), admitted
+        return ((True, f"{trials} random subsets, then all facets ({len(facets)})"), admitted,
+                corner_bits)
     n = (wrong & -wrong).bit_length() - 1
     name = (f"subset {n + 1} of {trials}" if n < trials
             else f"facet {n - trials + 1} of {len(facets)}")
     held = CellSet.from_mask(instance, masks[n]).cells
     routes = criteria_agree(instance, held)
     return (False, f"{name}, cells {[list(c) for c in held]}: routes "
-                   f"(cardinality, raw, padded, agree) = {routes}"), admitted
-
-
-# Ridges per batch of the codim-1 check; a class's level tables for a batch
-# take about 2u (a + 2)(b + 2) ints of this many bits.
-_RIDGES = 16384
+                   f"(cardinality, raw, padded, agree) = {routes}"), admitted, corner_bits
 
 
 def _codim1_check(instance: Instance, facets, walk) -> tuple[bool, str]:

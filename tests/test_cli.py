@@ -159,7 +159,8 @@ def _parse(capsys, parse, argv):
 
 @pytest.mark.parametrize("argv", [["--help"], ["bogus"], ["facets", "--bogus"],
                                   ["verify", "--samples", "3"], ["hilbert", "--max-cells", "x"],
-                                  *([command, "--help"] for command in COMMANDS)])
+                                  *([command, "--help"] for command in COMMANDS),
+                                  ["--bogus", "info"]])
 def test_one_subcommand_parser_reads_as_the_full_one(capsys, monkeypatch, argv):
     # main builds only the named subcommand's options; help, usage and errors must not change
     from quiverdet.cli import build_parser
@@ -168,6 +169,8 @@ def test_one_subcommand_parser_reads_as_the_full_one(capsys, monkeypatch, argv):
     full = _parse(capsys, build_parser().parse_args, argv)
     assert full[0] == (0 if "--help" in argv else 2)
     assert _parse(capsys, main, argv) == full
+    if argv == ["bogus"]:  # the full parser names the argument, not a metavar
+        assert "argument command" in full[2]
 
 
 # Per subcommand, the options its handler reads besides --preset, --file and --strict.

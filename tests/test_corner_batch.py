@@ -1,0 +1,168 @@
+"""The bit-sliced corner batch (``cvm._corner_counts``) held to ``cvm.corners``, facet by facet."""
+
+import json
+import random
+
+import pytest
+
+import quiverdet.cvm as cvm
+from quiverdet import (CellSet, CrossCheckError, QuiverDetError, corners, enumerate_facets,
+                       verify_shelling)
+from quiverdet.cli import main, parse_preset
+from quiverdet.verify import _criteria_batch, random_instance
+
+from test_fold import _for_random_instances
+
+PRESETS = ("star-example", "det:6,6,1", "det:6,6,3", "double:3,4,3,2,2", "secant:4,4,2")
+
+
+def _oracle(facets):
+    # corners() on copies, so that the listed facets keep no chain tables
+    reports = [corners(CellSet.from_mask(f.instance, f.mask)) for f in facets]
+    return [(rep.essential_nw, rep.essential_se) for rep in reports]
+
+
+def _fused(inst, facets, trials=20):
+    # the entry verify uses: the corner bits off the criteria batch's level tables
+    _, admitted, bits = _criteria_batch(inst, random.Random(3), trials, facets)
+    assert admitted == (1 << len(facets)) - 1 and bits is not None
+    return list(cvm._corner_counts(inst, [f.mask for f in facets], bits))
+
+
+def _check_both_entries(inst):
+    facets = enumerate_facets(inst)
+    want = _oracle(facets)
+    assert list(cvm._corner_counts(inst, [f.mask for f in facets])) == want, inst
+    for trials in (0, 20):
+        assert _fused(inst, facets, trials) == want, (inst, trials)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_batch_counts_equal_corners_on_presets(preset):
+    _check_both_entries(parse_preset(preset))
+
+
+def test_batch_counts_equal_corners_on_fixtures(single_cell, det33, double_instance):
+    for inst in (single_cell, det33, double_instance):
+        _check_both_entries(inst)
+
+
+def test_batch_counts_equal_corners_property():
+    _for_random_instances(_check_both_entries)
+
+
+def test_batches_split_across_chunks(monkeypatch, star_instance):
+    # 7 masks per batch: star-example's 54 facets run in 8 batches, the
+    # reversed list too, with the same counts as one batch
+    facets = enumerate_facets(star_instance)
+    masks = [f.mask for f in facets]
+    whole = list(cvm._corner_counts(star_instance, masks))
+    monkeypatch.setattr(cvm, "_RIDGES", 7)
+    assert list(cvm._corner_counts(star_instance, masks)) == whole == _oracle(facets)
+    assert list(cvm._corner_counts(star_instance, masks[::-1])) == whole[::-1]
+
+
+def _first_error(inst, masks):
+    # the per-facet pass: the counts it gives before its first exception, and that exception
+    got = []
+    for mask in masks:
+        try:
+            rep = corners(CellSet.from_mask(inst, mask))
+        except QuiverDetError as exc:
+            return got, type(exc), str(exc)
+        got.append((rep.essential_nw, rep.essential_se))
+    return got, None, None
+
+
+def _batch_error(inst, masks):
+    got = []
+    try:
+        for pair in cvm._corner_counts(inst, masks):
+            got.append(pair)
+    except QuiverDetError as exc:
+        return got, type(exc), str(exc)
+    return got, None, None
+
+
+@pytest.mark.parametrize("ridges", [16384, 7])
+def test_a_non_facet_raises_what_the_per_facet_pass_raises(monkeypatch, ridges, star_instance,
+                                                           det33):
+    # a ridge, the full set, an N-cell set that is not admissible, and a set
+    # from a facet with one cell moved, at several places in the list
+    monkeypatch.setattr(cvm, "_RIDGES", ridges)
+    rng = random.Random(71)
+    seen = set()
+    for inst in (star_instance, det33, parse_preset("det:4,4,2"), random_instance(rng, 14)):
+        masks = [f.mask for f in enumerate_facets(inst)]
+        facet = masks[len(masks) // 2]
+        low = facet & -facet
+        outside = [1 << r for r in range(inst.size) if not facet >> r & 1]
+        strangers = [facet ^ low, (1 << inst.size) - 1]
+        strangers += [facet ^ low | bit for bit in outside]
+        for stranger in strangers:
+            for at in {0, len(masks) // 3, len(masks)}:
+                order = masks[:at] + [stranger] + masks[at:]
+                want = _first_error(inst, order)
+                assert _batch_error(inst, order) == want, (inst, stranger, at)
+                seen.add(want[2])
+    assert "road maps exist only for concurrent vertex maps" in seen
+
+
+def test_a_tampered_on_mask_is_replayed_and_named(monkeypatch, star_instance):
+    # one facet's level-1 NW bits flipped in every table: its paths break, the
+    # replay through the road map passes, and the batch names the facet
+    real = cvm._corner_bits
+    facets = enumerate_facets(star_instance)
+    target = 5
+
+    def tampered(instance, columns, every, tables, ok, shift=0):
+        flip = 1 << (target + shift)
+        for nw, _ in tables.values():
+            nw[0] = [[cell ^ flip for cell in row] for row in nw[0]]
+        return real(instance, columns, every, tables, ok, shift)
+
+    monkeypatch.setattr(cvm, "_corner_bits", tampered)
+    masks = [f.mask for f in facets]
+    counts = cvm._corner_counts(star_instance, masks)
+    assert [next(counts) for _ in range(target)] == _oracle(facets[:target])
+    with pytest.raises(CrossCheckError, match=f"corner batch rejects facet {target + 1},"):
+        next(counts)
+
+
+def test_verify_reports_a_tampered_corner_batch(monkeypatch, star_instance):
+    # the fused route: series-routes fails with the batch's message, and the
+    # shelling check, without counts, runs its own batch
+    import quiverdet.verify as verify
+
+    real = verify._corner_bits
+
+    def tampered(instance, columns, every, tables, ok, shift=0):
+        nw, se, bad = real(instance, columns, every, tables, ok, shift)
+        return nw, se, bad | 1 << 2
+
+    monkeypatch.setattr(verify, "_corner_bits", tampered)
+    report = verify.verify_instance(star_instance, subset_trials=20, seed=7)
+    failed = {c.name: c.detail for c in report.checks if not c.ok}
+    assert failed == {"series-routes": "the corner batch rejects facet 3, whose road map passes"}
+
+
+@pytest.mark.parametrize("preset", ["star-example", "det:4,4,2", "double:3,4,3,2,2"])
+def test_corners_command_prints_the_corners_counts(capsys, preset):
+    inst = parse_preset(preset)
+    rows = [{"facet": n, "essential_nw": nw, "essential_se": se}
+            for n, (nw, se) in enumerate(_oracle(enumerate_facets(inst)), start=1)]
+    assert main(["corners", "--preset", preset]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"facet {r['facet']}: essential NW {r['essential_nw']}, essential SE {r['essential_se']}"
+        for r in rows]
+    assert main(["corners", "--preset", preset, "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
+def test_verify_shelling_leaves_the_facets_bare():
+    # the shelling check reads the corners off the masks: no listed facet
+    # caches chain tables, in either order
+    facets = enumerate_facets(parse_preset("det:4,4,2"))
+    assert verify_shelling(facets).ok
+    assert verify_shelling(facets[::-1], corner_kind="NW").ok
+    assert facets and all(not f._stats for f in facets)

@@ -102,20 +102,23 @@ def test_verify_holds_fold_to_corners_past_brute_guard(monkeypatch):
         seen.append(frozenset(kwargs["routes"]))
         return real_series(*args, **kwargs)
 
-    def counted(cs, _real=quiverdet.cvm._essential_counts):
-        classified.append(cs.mask)
-        return _real(cs)
+    def counted(instance, masks, bits=None, _real=quiverdet.cvm._corner_counts):
+        classified.append((masks, bits is not None))
+        return _real(instance, masks, bits)
 
-    def refuse(cs):
+    def refuse(*_args):
         raise AssertionError("the shelling check classified a facet itself")
 
     monkeypatch.setattr(verify, "hilbert_series", spy)
-    monkeypatch.setattr(quiverdet.cvm, "_essential_counts", counted)
-    monkeypatch.setattr(quiverdet.complex, "corners", refuse)
+    monkeypatch.setattr(quiverdet.cvm, "_corner_counts", counted)
+    monkeypatch.setattr(quiverdet.cvm, "corners", refuse)
+    monkeypatch.setattr(quiverdet.complex, "_corner_counts", refuse)
     report = verify_instance(inst, subset_trials=20, seed=1)
-    # one count-only corner pass per facet feeds the corner routes and the shelling check
+    # one corner batch of all 66 facets, off the criteria batch's level tables,
+    # feeds the corner routes and the shelling check
     assert seen == [FOLD_ROUTES]
-    assert classified == [f.mask for f in enumerate_facets(inst)]
+    assert classified == [([f.mask for f in enumerate_facets(inst)], True)]
+    assert len(classified[0][0]) == 66
     checks = {c.name: c for c in report.checks}
     assert report.ok
     assert checks["series-routes"].detail == "h = [1, 20, 45], multiplicity 66"

@@ -81,6 +81,19 @@ def test_counting_commands_load_only_the_mask_path(command, path):
     assert not modules & ORACLES and "json" not in modules
 
 
+def test_corners_loads_the_core_and_the_corner_batch():
+    modules = _probe("from quiverdet.cli import main\n"
+                     "assert main(['corners', '--preset', 'double:2,3,2,1,1']) == 0")
+    assert _package(modules) == CORE | {"quiverdet.moves", "quiverdet.chains", "quiverdet.cvm"}
+    assert "json" not in modules
+
+
+def test_shelling_does_not_load_verify():
+    modules = _probe("from quiverdet.cli import main\n"
+                     "assert main(['shelling', '--preset', 'double:2,3,2,1,1']) == 0")
+    assert "quiverdet.complex" in modules and "quiverdet.verify" not in modules
+
+
 def test_verify_does_not_load_the_cas_exporter():
     modules = _probe("from quiverdet.cli import main\n"
                      "assert main(['verify', '--preset', 'det:2,2,1', '--seed', '1']) == 0")

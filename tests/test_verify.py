@@ -97,7 +97,7 @@ def test_criteria_batch_admits_exactly_the_facets(double_instance, star_instance
             if outside:
                 swap = 1 << rng.choice(inside) | 1 << rng.choice(outside)
                 sets.append(CellSet.from_mask(inst, facet.mask ^ swap))
-        _, admitted = _criteria_batch(inst, random.Random(1), 10, sets)
+        _, admitted, _ = _criteria_batch(inst, random.Random(1), 10, sets)
         for j, cs in enumerate(sets):
             want = (len(cs) == inst.n_cells and is_u_compatible(cs)
                     and _membership_criterion_holds(cs))
@@ -177,9 +177,9 @@ def test_criteria_check_draws_each_subset_once(monkeypatch, double_instance, sta
     seen = []
     real = verify._criteria_kernel
 
-    def spy(instance, columns, every):
+    def spy(instance, columns, every, *tables):
         seen.append((columns, every))
-        return real(instance, columns, every)
+        return real(instance, columns, every, *tables)
 
     monkeypatch.setattr(verify, "_criteria_kernel", spy)
     cases = [(double_instance, 1000, 7), (star_instance, 1000, 7), (det33, 1000, 3),
@@ -205,34 +205,35 @@ def test_criteria_check_runs_the_level_tables_once_per_twin_class(
         monkeypatch, double_instance, star_instance, det33, single_cell):
     # the batch is what makes the check fast: however many subsets it holds,
     # each class of twin blocks (the same block_ranks and rank) runs one DP
+    import quiverdet.cvm as cvm
     import quiverdet.verify as verify
     from quiverdet.cli import parse_preset
 
     calls = []
-    real = verify._chain_levels
+    real = cvm._chain_levels
 
     def spy(a, b, top, occ, every):
         calls.append(top)
         return real(a, b, top, occ, every)
 
-    monkeypatch.setattr(verify, "_chain_levels", spy)
+    monkeypatch.setattr(cvm, "_chain_levels", spy)
     rng = random.Random(59)
     instances = [double_instance, star_instance, det33, single_cell, parse_preset("det:6,6,1")]
     instances += [random_instance(rng) for _ in range(5)]
     for inst in instances:
         classes = {(inst.block_ranks[vid], d.u) for vid, d in inst.vertex.items()}
-        assert len(verify._criteria_layout(inst)) == len(classes)
+        assert len(cvm._criteria_layout(inst)) == len(classes)
         # the criteria batch reads the padded route, one level past the rank;
         # the codim-1 check's one ridge batch stops at the rank and skips the
         # classes that block nothing
-        layout = verify._criteria_layout(inst)
+        layout = cvm._criteria_layout(inst)
         tops = sorted([u + 1 for _, _, u, *_ in layout]
                       + [u for a, b, u, *_ in layout if u < min(a, b)])
         for trials in (0, 1, 1000):
             calls.clear()
             assert verify.verify_instance(inst, subset_trials=trials, seed=trials).ok
             assert sorted(calls) == tops, (inst, trials)
-    assert [len(verify._criteria_layout(inst)) for inst in instances[:4]] == [2, 4, 1, 1]
+    assert [len(cvm._criteria_layout(inst)) for inst in instances[:4]] == [2, 4, 1, 1]
 
 
 def test_twin_blocks_share_chain_tables_and_nothing_else(star_instance, det33):
@@ -242,7 +243,7 @@ def test_twin_blocks_share_chain_tables_and_nothing_else(star_instance, det33):
     # different ranks (built here without normalization, both ways round)
     from quiverdet.cli import parse_preset
     from quiverdet.quiver import BipartiteQuiver, Instance
-    from quiverdet.verify import _criteria_layout
+    from quiverdet.cvm import _criteria_layout
 
     [(*_, twins)] = _criteria_layout(det33)
     assert len(twins) == 2 and [p[:3] for p in twins[0]] == [p[:3] for p in twins[1]]
@@ -286,9 +287,9 @@ def _corrupt_floor(monkeypatch, cls, block, position, delta):
 
     The floor is at ``position`` of the ``block``-th block of twin class ``cls``.
     """
-    import quiverdet.verify as verify
+    import quiverdet.cvm as cvm
 
-    real = verify._criteria_layout
+    real = cvm._criteria_layout
 
     def layout(instance):
         rows = list(real(instance))
@@ -300,7 +301,7 @@ def _corrupt_floor(monkeypatch, cls, block, position, delta):
         rows[cls] = (a, b, u, ranks, (*blocks[:block], points, *blocks[block + 1:]))
         return tuple(rows)
 
-    monkeypatch.setattr(verify, "_criteria_layout", layout)
+    monkeypatch.setattr(cvm, "_criteria_layout", layout)
 
 
 def _failed_subset(detail):
@@ -351,12 +352,13 @@ def test_criteria_check_reports_a_bad_route(monkeypatch, single_cell):
 def test_criteria_check_reaches_the_facet_side(monkeypatch, capsys, star_instance):
     # a floor off by one that only a facet notices: no random draw of star-example
     # is a facet, so the enumerated facets must catch it, at the first one it breaks
+    import quiverdet.cvm as cvm
     import quiverdet.verify as verify
     from quiverdet.cli import main
 
     inst = star_instance
     facets = [f.mask for f in enumerate_facets(inst)]
-    [points] = verify._criteria_layout(inst)[1][4]
+    [points] = cvm._criteria_layout(inst)[1][4]
     _corrupt_floor(monkeypatch, 1, 0, next(n for n, p in enumerate(points)
                                            if facets[0] >> p[2] & 1), 1)
     failed = [c for c in verify.verify_instance(inst, seed=7).checks if not c.ok]
@@ -375,12 +377,13 @@ def test_criteria_check_repeats_keep_a_bad_route(monkeypatch, star_instance):
     # a facet whose block share is bad fails wherever it stands in the batch:
     # after a subset holding the same cells of the block on which the routes
     # still agree, and again when it repeats
+    import quiverdet.cvm as cvm
     import quiverdet.verify as verify
 
     inst = star_instance
     facets = enumerate_facets(inst)
     facet = facets[-1].mask
-    [points] = verify._criteria_layout(inst)[1][4]
+    [points] = cvm._criteria_layout(inst)[1][4]
     block_mask = sum(1 << p[2] for p in points)
     # the first position of the class-1 block that the facet holds
     position = next(n for n, p in enumerate(points) if facet >> p[2] & 1)
@@ -392,7 +395,7 @@ def test_criteria_check_repeats_keep_a_bad_route(monkeypatch, star_instance):
     assert _batch_routes(inst, [facet | other, facet, facet]) == [
         (False, False, False, True), bad, bad]
     for trials in (0, 100):
-        ok, detail = verify._criteria_check(inst, random.Random(7), trials, [facets[-1]] * 2)
+        ok, detail = verify._criteria_batch(inst, random.Random(7), trials, [facets[-1]] * 2)[0]
         assert not ok and _failed_subset(detail)[0] == "facet 1 of 2"
 
 
@@ -614,8 +617,8 @@ def test_verify_memory_peak(star_instance):
 
 
 def test_verify_keeps_no_chain_tables(monkeypatch):
-    # no facet that verify enumerates keeps chain tables: the criteria batch
-    # and the ridge batches read masks, and the corner pass classifies copies;
+    # no facet that verify enumerates keeps chain tables: the criteria batch,
+    # its corner bits and the ridge batches read masks;
     # the cached tables of det:6,6,1's facets took the traced peak to 1.25 MB
     import tracemalloc
 

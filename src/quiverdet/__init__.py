@@ -15,17 +15,18 @@ __version__ = "0.1.0"
 
 # public name -> home submodule; each submodule is public under its own name too
 _EXPORTS = {
-    "chains": ("CellSet", "ChainStats", "can_extend", "cmp_T_sets", "corner_stats",
-               "is_u_compatible", "max_diagonal_chain"),
-    "complex": ("ShellingReport", "check_vertex_decomposition_samples", "codim1_membership",
-                "f_vector", "interior_faces", "verify_shelling"),
-    "cvm": ("CornerReport", "RoadMap", "c_max", "c_min", "corners", "initial_cvm", "is_cvm",
-            "reflect", "road_map"),
+    "chains": ("CellSet", "is_u_compatible"),
+    "complex": ("ShellingReport", "codim1_membership", "f_vector", "interior_faces",
+                "verify_shelling"),
+    "cvm": ("c_max", "c_min", "corners", "initial_cvm", "is_cvm", "reflect", "road_map"),
+    "definitions": ("ChainStats", "ChuteMove", "CornerReport", "RoadMap", "apply_inverse",
+                    "can_extend", "check_vertex_decomposition_samples", "cmp_T_sets",
+                    "corner_stats", "max_diagonal_chain"),
     "errors": ("CrossCheckError", "FacetCapExceeded", "GuardExceeded", "QuiverDetError",
                "ValidationError"),
     "ideal": ("MinorSpec", "Monomial", "export_cas", "in_initial_ideal", "initial_monomials",
               "natural_generator_count", "natural_generators"),
-    "moves": ("ChuteMove", "apply_inverse", "apply_move", "chutable_moves", "enumerate_facets"),
+    "moves": ("apply_move", "chutable_moves", "enumerate_facets"),
     "quiver": ("BipartiteQuiver", "Cell", "Instance", "NormalizationReport", "build_instance",
                "cmp_T", "load_instance"),
     "series": ("ALL_ROUTES", "CORNER_ROUTES", "FOLD_ROUTES", "FaceTable", "HilbertSeries",

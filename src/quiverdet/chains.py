@@ -10,9 +10,9 @@ floors that ``_corner_table`` computes once per cell and instance.
 
 Three kernels compute them, each for its own callers:
 
-- ``_chain_tables``: both full tables of one block and one set, read cell by
-  cell by ``_addable``.  ``BlockStats``, ``corner_stats``, ``can_extend``, the
-  road maps behind ``cvm.corners`` and ``verify``'s membership oracle use it.
+- ``definitions._chain_tables``: both full tables of one block and one set,
+  read cell by cell by ``_addable``.  ``BlockStats`` runs it for ``can_extend``,
+  ``corner_stats``, the road maps and ``verify``'s membership oracle.
 - ``_chain_levels``: the same tables bit-sliced over a batch of subsets, bit
   i for subset i, which ``_columns`` transposes from masks and ``_at_least``
   and ``_exactly`` read.  ``cvm._point_levels`` runs it once per class of twin
@@ -29,76 +29,17 @@ Three kernels compute them, each for its own callers:
   face DFS, the greedy closures, ``codim1_membership`` and ``verify``'s
   reflection probes; the first two then grow the levels cell by cell.
 
-The tests hold the batch and the levels to ``_chain_tables``.
+The tests hold the batch and the levels to ``definitions._chain_tables``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache, reduce
 from operator import and_, or_
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import ValidationError
 from .quiver import Cell, Instance, _prefix_masks
-
-
-def max_diagonal_chain(points: Iterable[tuple[int, int]]) -> int:
-    """Length of the longest subset strictly increasing in both coordinates.
-
-    Sort by row with columns tie-broken descending, then take the longest
-    strictly increasing subsequence of columns (patience sorting, O(n log n)).
-    """
-    pts = sorted(points, key=lambda p: (p[0], -p[1]))
-    tails: list[int] = []
-    for _, y in pts:
-        pos = bisect_left(tails, y)
-        if pos == len(tails):
-            tails.append(y)
-        else:
-            tails[pos] = y
-    return len(tails)
-
-
-def _chain_tables(a: int, b: int, occupied) -> tuple[list[list[int]], list[list[int]]]:
-    """NW and SE longest-chain tables of one a x b block.
-
-    ``occupied[x][y]`` marks the set's points at 1-based (x, y); row 0 and
-    column 0 are padding and never read.  ``nw[x][y]`` is the longest chain
-    using only points in rows <= x and columns <= y (0-based sentinels
-    included), ``se[x][y]`` the same for rows >= x and columns >= y.  Each
-    comes out of a single dynamic-programming sweep: the longest chain ending
-    at an occupied (x, y) is 1 plus the best chain strictly NW of it, which is
-    exactly nw[x-1][y-1].
-    """
-    nw = [[0] * (b + 1) for _ in range(a + 1)]
-    for x in range(1, a + 1):
-        row, up, occ = nw[x], nw[x - 1], occupied[x]
-        for y in range(1, b + 1):
-            best = up[y]
-            t = row[y - 1]
-            if t > best:
-                best = t
-            if occ[y]:
-                t = up[y - 1] + 1
-                if t > best:
-                    best = t
-            row[y] = best
-
-    se = [[0] * (b + 2) for _ in range(a + 2)]
-    for x in range(a, 0, -1):
-        row, dn, occ = se[x], se[x + 1], occupied[x]
-        for y in range(b, 0, -1):
-            best = dn[y]
-            t = row[y + 1]
-            if t > best:
-                best = t
-            if occ[y]:
-                t = dn[y + 1] + 1
-                if t > best:
-                    best = t
-            row[y] = best
-    return nw, se
 
 
 @lru_cache(maxsize=128)
@@ -380,6 +321,8 @@ class BlockStats:
     __slots__ = ("nw", "se")
 
     def __init__(self, a: int, b: int, occupied):
+        from .definitions import _chain_tables
+
         self.nw, self.se = _chain_tables(a, b, occupied)
 
     @property
@@ -502,75 +445,10 @@ class CellSet:
         return st
 
 
-def cmp_T_sets(left: CellSet, right: CellSet) -> int:
-    """Compare equal-size cell sets: sorted sequences from the largest cell down."""
-    if left.instance != right.instance:
-        raise ValidationError("cell sets belong to different instances")
-    if len(left) != len(right):
-        raise ValidationError(f"set comparison on unequal cardinalities {len(left)} != {len(right)}")
-    return (left.mask > right.mask) - (left.mask < right.mask)
-
-
 def is_u_compatible(cs: CellSet) -> bool:
     """True iff no block matrix contains a chain longer than its rank."""
     inst = cs.instance
     return all(cs.stats(vid).max_chain <= data.u for vid, data in inst.vertex.items())
-
-
-def can_extend(cs: CellSet, cell) -> bool:
-    """True iff adding ``cell`` keeps the set admissible.
-
-    The definition-level check collapses to two table lookups per block; see
-    ``_addable``.
-    """
-    inst = cs.instance
-    cell = inst.check_cell(cell)
-    r = inst.rank[cell]
-    if cs.mask >> r & 1:
-        raise ValidationError(f"cell {tuple(cell)} already in set")
-    tgt, _, _, src, _, _ = inst.positions[r]
-    tables = {}
-    for vid in (tgt, src):
-        st = cs.stats(vid)
-        tables[vid] = (st.nw, st.se, inst.vertex[vid].u)
-    return _addable(inst.positions, tables, 1 << r) != 0
-
-
-class ChainStats(NamedTuple):
-    """All eight chain statistics of one cell against one cell set.
-
-    The first four live in the target-side block, the ``src`` four in the
-    source-side block; ``*_padded`` adds the boundary padding terms.
-    """
-
-    nw: int
-    se: int
-    nw_padded: int
-    se_padded: int
-    nw_src: int
-    se_src: int
-    nw_src_padded: int
-    se_src_padded: int
-
-
-def corner_stats(cs: CellSet, cell) -> ChainStats:
-    inst = cs.instance
-    r = inst.rank[inst.check_cell(cell)]
-    tgt, ti, tj, src, si, sj = inst.positions[r]
-    *_, nw_floor, se_floor, nw_src_floor, se_src_floor = _corner_table(inst)[r]
-    tst, sst = cs.stats(tgt), cs.stats(src)
-    nw, se = tst.nw_of(ti, tj), tst.se_of(ti, tj)
-    nw_s, se_s = sst.nw_of(si, sj), sst.se_of(si, sj)
-    return ChainStats(
-        nw=nw,
-        se=se,
-        nw_padded=max(nw, nw_floor),
-        se_padded=max(se, se_floor),
-        nw_src=nw_s,
-        se_src=se_s,
-        nw_src_padded=max(nw_s, nw_src_floor),
-        se_src_padded=max(se_s, se_src_floor),
-    )
 
 
 @lru_cache(maxsize=128)
@@ -580,11 +458,11 @@ def _corner_table(instance: Instance) -> tuple[tuple, ...]:
     A row holds the index (in ``instance.vertex`` order) and the position of
     the cell's target block, the same for its source block, the two blocks'
     ranks, and the padding floors of the four padded statistics in
-    ``ChainStats`` order.  A floor is the padded statistic of a raw value 0;
-    since raw values are never negative, ``padded_nw(raw, ...) ==
-    max(raw, padded_nw(0, ...))``, and the same for ``padded_se``.
-    ``corner_stats`` and ``cvm._path_layout`` (for the road maps and
-    ``verify``'s criteria check) read their padding here.
+    ``definitions.ChainStats`` order.  A floor is the padded statistic of a
+    raw value 0; since raw values are never negative, ``padded_nw(raw, ...)
+    == max(raw, padded_nw(0, ...))``, and the same for ``padded_se``.
+    ``definitions.corner_stats`` and ``cvm._path_layout`` (for the road maps
+    and ``verify``'s criteria check) read their padding here.
     Cached per instance: callers must treat the result as read-only.
     """
     index = {vid: n for n, vid in enumerate(instance.vertex)}

@@ -244,7 +244,7 @@ def _cmd_shelling(args) -> int:
 
 
 def _cmd_vdc(args) -> int:
-    from .complex import check_vertex_decomposition_samples
+    from .definitions import check_vertex_decomposition_samples
 
     inst = _load(args)
     report = check_vertex_decomposition_samples(

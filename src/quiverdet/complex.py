@@ -27,14 +27,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chains import CellSet, _grow, _load_blocks, _rank_ladder, is_u_compatible
+from .chains import CellSet, _grow, _load_blocks, _rank_ladder
 from .cvm import _corner_counts
 from .errors import DEFAULT_MAX_CELLS, GuardExceeded, ValidationError
 from .quiver import Instance, _is_int
 from .series import FaceTable, _ridge_walk
-
-DEFAULT_VDC_GUARD = 14
-
 
 class _FaceSearch:
     """Depth-first enumeration of admissible sets ``base ∪ X``.
@@ -242,66 +239,3 @@ def _shelling_report(facets: list, corner_kind: str, walk=None, counts=None) -> 
                 f"facet {j + 1}: restriction count {rj} != "
                 f"essential {corner_kind} corners {expected}")
     return ShellingReport(True, tuple(r_seq))
-
-
-class VdcSample(NamedTuple):
-    prefix_length: int
-    seed_cells: tuple
-    maximal_count: int
-    sizes: tuple[int, ...]
-
-    @property
-    def pure(self) -> bool:
-        return len(set(self.sizes)) <= 1
-
-
-class VdcReport(NamedTuple):
-    samples: tuple[VdcSample, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(s.pure for s in self.samples)
-
-    def to_json_obj(self) -> dict:
-        return {"ok": self.ok,
-                "samples": [{"prefix_length": s.prefix_length,
-                             "seed": [list(c) for c in s.seed_cells],
-                             "maximal_count": s.maximal_count,
-                             "sizes": sorted(set(s.sizes)),
-                             "pure": s.pure} for s in self.samples]}
-
-
-def check_vertex_decomposition_samples(instance: Instance, sample_budget: int = 30,
-                                       size_guard: int = DEFAULT_VDC_GUARD,
-                                       seed: int | None = None) -> VdcReport:
-    """Bounded purity spot-check of the deletion/link towers.
-
-    For random prefixes and random admissible seeds inside the prefix, all
-    maximal completions by suffix cells must have the same cardinality.
-    """
-    import random  # only the sampler draws; most commands never load it
-
-    if not _is_int(sample_budget) or sample_budget < 0:
-        raise ValidationError(f"sample_budget must be an int >= 0, not {sample_budget!r}")
-    _check_guard(instance, size_guard)
-    rng = random.Random(seed)
-    samples = []
-    for _ in range(sample_budget):
-        ell = rng.randint(0, instance.size)
-        prefix = instance.cells[:ell]
-        seed_cells: tuple = ()
-        for _attempt in range(32):
-            pick = tuple(c for c in prefix if rng.random() < 0.5)
-            if is_u_compatible(CellSet(instance, pick)):
-                seed_cells = pick
-                break
-        suffix_mask = ((1 << instance.size) - 1) & ~((1 << ell) - 1)
-        sizes: list[int] = []
-
-        def visit(mask, addable, _suffix=suffix_mask, _sizes=sizes):
-            if addable & _suffix == 0:
-                _sizes.append(mask.bit_count())
-
-        _FaceSearch(instance, base=seed_cells).run(visit, universe_mask=suffix_mask)
-        samples.append(VdcSample(ell, seed_cells, len(sizes), tuple(sizes)))
-    return VdcReport(tuple(samples))

@@ -8,10 +8,11 @@ source block the transposed picture.  ``road_map`` rebuilds those paths from
 the padded chain statistics, one sweep per block over a cached per-instance
 layout that lists the positions in path order, and checks them on rank
 bitmasks; ``corners`` classifies their NW and SE turning points on that one
-road map.  The essential ones drive both the chute-move dynamics and the
-h-polynomial.  ``_corner_counts`` counts them on a batch of facets, one bit
-each, off the bit-sliced levels of ``_point_levels`` (``_corner_bits``),
-with ``corners`` as its oracle.  The greedy closures
+road map; both run the helpers of ``definitions``.  The essential corners
+drive both the chute-move dynamics and the h-polynomial.  ``_corner_counts``
+counts them on a batch of facets, one bit each, off the bit-sliced levels of
+``_point_levels`` (``_corner_bits``), with ``corners`` as its oracle; it loads
+the road map only to replay a facet its batch rejects.  The greedy closures
 ``c_min``/``c_max`` find the smallest and largest facet containing a face;
 like the face DFS, they read one rung of ``chains._rank_ladder`` per added
 cell and grow the chain levels of its staircase blocks in place
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice
-from typing import NamedTuple
 
 from .chains import (_RIDGES, CellSet, _at_least, _chain_levels, _columns, _corner_table, _exactly,
                      _grow, _load_blocks, _rank_ladder, is_u_compatible)
@@ -35,7 +35,7 @@ SE = "SE"
 
 
 def is_cvm(cs: CellSet) -> bool:
-    """True iff the set is admissible and has N cells; ``verify`` cross-checks it on every facet."""
+    """True iff the set is admissible and has N cells; ``verify`` reads it off a criteria batch."""
     return len(cs) == cs.instance.n_cells and is_u_compatible(cs)
 
 
@@ -84,25 +84,6 @@ def initial_cvm(instance: Instance) -> CellSet:
 
 
 # -- road maps ------------------------------------------------------------------
-
-
-class RoadMap(NamedTuple):
-    """Reconstructed path families: per target the horizontal paths, per source the vertical ones.
-
-    Paths are vertex lists in block-matrix coordinates, ordered from the SW
-    endpoint to the NE endpoint.
-    """
-
-    horizontal: dict[str, list[list[tuple[int, int]]]]
-    vertical: dict[str, list[list[tuple[int, int]]]]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "horizontal": {v: [[list(p) for p in path] for path in paths]
-                           for v, paths in self.horizontal.items()},
-            "vertical": {v: [[list(p) for p in path] for path in paths]
-                         for v, paths in self.vertical.items()},
-        }
 
 
 @lru_cache(maxsize=128)
@@ -180,24 +161,6 @@ def _point_levels(instance: Instance, columns: list[int], every: int, padded: bo
         del nw, se  # before the next class's tables are built
 
 
-def _check_path(path: list[tuple[int, int]], sw: tuple[int, int], ne: tuple[int, int]) -> bool:
-    """True iff the path runs from ``sw`` to ``ne`` one row up or one column right per step."""
-    return (bool(path) and path[0] == sw and path[-1] == ne
-            and all((x1 - x0, y1 - y0) in ((-1, 0), (0, 1))
-                    for (x0, y0), (x1, y1) in zip(path, path[1:])))
-
-
-def _turns(path: list[tuple[int, int]]) -> list[tuple[int, str]]:
-    """(index, kind) of every corner of a staircase path listed SW to NE.
-
-    A NW corner is entered from the south and left to the east (both its
-    south and east neighbors lie on the path), a SE corner the other way round.
-    """
-    return [(n, NW if y0 == y1 else SE)
-            for n, ((_, y0), (_, y1), (_, y2)) in enumerate(zip(path, path[1:], path[2:]), start=1)
-            if (y0 == y1) != (y1 == y2)]
-
-
 def road_map(cs: CellSet) -> RoadMap:
     """Rebuild the unique straight road map whose concurrency pattern is this facet.
 
@@ -209,80 +172,15 @@ def road_map(cs: CellSet) -> RoadMap:
     the other family), and to intersect back to the facet; the last three on
     rank bitmasks.
     """
+    from .definitions import RoadMap, _road_blocks
+
     families: tuple[dict, dict] = ({}, {})  # vertical, horizontal: indexed by ``target``
     for paths, _, vid, target, _ in _road_blocks(cs):
         families[target][vid] = paths
     return RoadMap(families[1], families[0])
 
 
-def _road_blocks(cs: CellSet) -> list[tuple]:
-    """``road_map``'s checked ``(paths, turns, vid, target, corner_mask)`` per layout block."""
-    if not is_cvm(cs):
-        raise ValidationError("road maps exist only for concurrent vertex maps")
-
-    covered = [0, 0]
-    blocks = []
-    for vid, target, a, b, u, _, points, _ in _path_layout(cs.instance):
-        st = cs.stats(vid)
-        nw, se = st.nw, st.se
-        paths: list[list[tuple[int, int]]] = [[] for _ in range(u)]
-        ranks: list[list[int]] = [[] for _ in range(u)]
-        for x, y, r, nw_floor, se_floor in points:
-            p = nw[x - 1][y - 1]
-            if p < nw_floor:
-                p = nw_floor
-            if p < u:
-                s = se[x + 1][y + 1]
-                if (s if s > se_floor else se_floor) == u - 1 - p:
-                    paths[p].append((x, y))
-                    ranks[p].append(r)
-        seen = corner_mask = 0
-        turns = []
-        for p, (path, path_ranks) in enumerate(zip(paths, ranks), start=1):
-            sw, ne = ((a - u + p, 1), (p, b)) if target else ((a, p), (1, b - u + p))
-            if not _check_path(path, sw, ne):
-                raise CrossCheckError(f"path {p} of block {vid!r} failed assembly")
-            for n, r in enumerate(path_ranks):
-                if seen >> r & 1:
-                    raise CrossCheckError(f"paths of block {vid!r} intersect at {path[n]}")
-                seen |= 1 << r
-            turns.append(_turns(path))
-            for n, _ in turns[-1]:
-                corner_mask |= 1 << path_ranks[n]
-        covered[target] |= seen
-        blocks.append((paths, turns, vid, target, corner_mask))
-
-    if covered[0] & covered[1] != cs.mask:
-        raise CrossCheckError("path intersection does not reproduce the facet")
-    for *_, vid, target, corner_mask in blocks:
-        if corner_mask & ~covered[not target]:
-            raise CrossCheckError(f"corner of block {vid!r} off every crossing path")
-    return blocks
-
-
 # -- corner classification ---------------------------------------------------------
-
-
-class CornerRecord(NamedTuple):
-    cell: Cell
-    kind: str         # NW or SE
-    orientation: str  # HORIZONTAL or VERTICAL
-    essential: bool
-
-
-class CornerReport(NamedTuple):
-    corners: tuple[CornerRecord, ...]
-    essential_nw: int  # distinct cells carrying an essential NW corner
-    essential_se: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "corners": [{"cell": list(r.cell), "kind": r.kind,
-                         "orientation": r.orientation, "essential": r.essential}
-                        for r in self.corners],
-            "essential_nw": self.essential_nw,
-            "essential_se": self.essential_se,
-        }
 
 
 def corners(cs: CellSet) -> CornerReport:
@@ -301,6 +199,8 @@ def corners(cs: CellSet) -> CornerReport:
     preserves essentiality; the tests use ``reflect`` to check the SE rule
     against the NW rule independently.
     """
+    from .definitions import CornerRecord, CornerReport, _classify, _turns
+
     inst = cs.instance
     rm = road_map(cs)
     families = (rm.vertical, rm.horizontal)
@@ -311,45 +211,6 @@ def corners(cs: CellSet) -> CornerReport:
                         essential_nw, essential_se)
 
 
-def _classify(cs: CellSet, blocks) -> tuple[list, int, int]:
-    """Each corner's ``(rank, kind, orientation, essential)``, and the two essential counts.
-
-    ``blocks`` holds each block's paths and turns, as ``_road_blocks`` gives them.
-    """
-    layout = _path_layout(cs.instance)
-    labels = ([None] * cs.instance.size, [None] * cs.instance.size)  # by ``target``
-    points = []  # per block and path, the (rank, offset) of each point
-    for (_, target, *_, where), (paths, *_) in zip(layout, blocks):
-        points.append([[where[pt] for pt in path] for path in paths])
-        for p, path in enumerate(points[-1], start=1):
-            for r, offset in path:
-                labels[target][r] = p + offset
-
-    records = []
-    corner_mask = 0
-    essential = {NW: 0, SE: 0}
-    for (_, target, _, _, u, v, *_), (_, turns, *_), block in zip(layout, blocks, points):
-        index = labels[not target]
-        orientation = HORIZONTAL if target else VERTICAL
-        for p, (path, bends) in enumerate(zip(block, turns), start=1):
-            crossing = [index[r] for r, _ in path]  # SW to NE
-            for n, kind in bends:
-                m = crossing[n]
-                if m is None:
-                    raise CrossCheckError(f"{kind} corner not covered by a crossing path")
-                # the free corner is one end of the path's intersection with crossing path m
-                free = m == p + (v - u if kind == NW else 0) and n == (
-                    len(crossing) - 1 - crossing[::-1].index(m) if (kind == NW) == target
-                    else crossing.index(m))
-                r = path[n][0]
-                records.append((r, kind, orientation, not free))
-                corner_mask |= 1 << r
-                essential[kind] |= (not free) << r
-    if corner_mask & ~cs.mask:
-        raise CrossCheckError("corner cell outside the facet")
-    return records, essential[NW].bit_count(), essential[SE].bit_count()
-
-
 def _corner_bits(instance: Instance, columns: list[int], every: int, tables: dict, cvm: int,
                  shift: int = 0) -> tuple[list[int], list[int], int]:
     """Per cell, the subsets with an essential NW and an essential SE corner there; the bad ones.
@@ -357,8 +218,9 @@ def _corner_bits(instance: Instance, columns: list[int], every: int, tables: dic
     Bit i is subset i + ``shift`` of ``columns`` and of the ``_point_levels``
     ``tables``; ``cvm`` holds the concurrent vertex maps.  Path p holds the
     positions with padded nw = p - 1 and se = u - p; a bad subset fails a
-    check of ``_road_blocks``.  A corner is free when its crossing path has
-    ``_classify``'s label m and no point of the path beyond it is on that path.
+    check of ``definitions._road_blocks``.  A corner is free when its crossing
+    path has ``definitions._classify``'s label m and no point of the path
+    beyond it is on that path.
     """
     layout, size, grids, bad = _path_layout(instance), instance.size, [], every & ~cvm
     labels = ([{}] * size, [{}] * size)  # by ``target``: per cell, its path's bits by label
@@ -406,7 +268,7 @@ def _corner_counts(instance: Instance, masks: list[int], bits=None):
 
     ``bits`` are the masks' ``_corner_bits`` off ``verify``'s criteria batch; else
     batches of ``_RIDGES`` masks run their own pass as they are reached.  The first
-    bad mask is replayed on a copy through ``_road_blocks`` and ``_classify``.
+    bad mask is replayed on a copy through ``definitions._road_blocks`` and ``_classify``.
     """
     batches = [(0, masks, bits)] if bits else (
         (start, masks[start:start + _RIDGES], None) for start in range(0, len(masks), _RIDGES))
@@ -422,6 +284,8 @@ def _corner_counts(instance: Instance, masks: list[int], bits=None):
         counts = [[cells.bit_count() for cells in _columns(e, len(batch))] for e in essential]
         yield from islice(zip(*counts), (bad & -bad).bit_length() - 1 if bad else None)
         if bad:
+            from .definitions import _classify, _road_blocks
+
             n = start + (bad & -bad).bit_length() - 1
             cs = CellSet.from_mask(instance, masks[n])
             _classify(cs, _road_blocks(cs))

@@ -14,32 +14,20 @@ cells, so a child's lines are its parent's with those two cells' bits
 flipped, and only the initial facet's lines are built from its mask.
 
 This is the mask path: it imports no oracle module when it loads.  The
-functions that take or return a ``CellSet`` import ``chains`` or ``cvm``
-when they run, outside every loop.
+functions that take or return a ``CellSet`` or a ``ChuteMove`` import
+``chains``, ``cvm`` or ``definitions`` when they run, outside every loop.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_FACET_CAP, FacetCapExceeded, ValidationError
-from .quiver import HORIZONTAL, TARGET, VERTICAL, Cell, Instance, _is_int, _prefix_masks
+from .quiver import HORIZONTAL, TARGET, VERTICAL, Instance, _is_int, _prefix_masks
 
 if TYPE_CHECKING:
     from .chains import CellSet
-
-
-class ChuteMove(NamedTuple):
-    direction: str       # HORIZONTAL or VERTICAL
-    vertex: str          # block the rectangle lives in
-    removed: Cell        # the SE occupant
-    added: Cell          # the NW corner
-    extent: tuple[int, int]  # rectangle shape (rows, cols)
-
-    def __str__(self):
-        return (f"{self.direction} move in {self.vertex}: "
-                f"{tuple(self.removed)} -> {tuple(self.added)} ({self.extent[0]}x{self.extent[1]})")
 
 
 def _initial_mask(instance: Instance) -> int:
@@ -139,6 +127,7 @@ def chutable_moves(cs: CellSet) -> list[ChuteMove]:
     both horizontal and vertical; the scan lists its move once, as horizontal.
     """
     from .cvm import is_cvm
+    from .definitions import ChuteMove
 
     if not is_cvm(cs):
         raise ValidationError("chute moves are defined on concurrent vertex maps")
@@ -154,41 +143,15 @@ def chutable_moves(cs: CellSet) -> list[ChuteMove]:
     return sorted(moves, key=lambda m: (m.removed, m.added))
 
 
-def _rectangle_ok(cs: CellSet, move: ChuteMove) -> bool:
-    """Whether, of the move's rectangle, exactly the NE, SE and SW corners lie in ``cs``."""
-    inst = cs.instance
-    horizontal = inst.vertex[move.vertex].side == TARGET
-    try:  # both ends as (line, position on it): rows of a target block, columns of a source block
-        (x1, y1), (x2, y2) = (inst.phi(move.vertex, c)[::1 if horizontal else -1]
-                              for c in (move.added, move.removed))
-    except ValidationError:
-        return False
-    if (move.direction == HORIZONTAL) != horizontal or x2 != x1 + 1 or y2 <= y1:
-        return False
-    pre, _, where = _move_layout(inst)
-    n = where[inst.rank[inst.check_cell(move.added)]][0 if horizontal else 2]
-    top, bottom = pre[n], pre[n + 1]
-    inside = cs.mask & (top[y2] ^ top[y1 - 1] | bottom[y2] ^ bottom[y1 - 1])
-    return inside == top[y2] ^ top[y2 - 1] | bottom[y1] ^ bottom[y1 - 1] | bottom[y2] ^ bottom[y2 - 1]
-
-
 def apply_move(cs: CellSet, move: ChuteMove) -> CellSet:
     """Apply one chute move, checked against ``cs``; the result is a facet strictly below it."""
     from .chains import CellSet
+    from .definitions import _rectangle_ok
 
     if not _rectangle_ok(cs, move):
         raise ValidationError(f"move not applicable: {move}")
     rank = cs.instance.rank
     return CellSet.from_mask(cs.instance, cs.mask ^ 1 << rank[move.removed] | 1 << rank[move.added])
-
-
-def apply_inverse(cs: CellSet, move: ChuteMove) -> CellSet:
-    """Undo a chute move previously applied to reach ``cs``."""
-    from .chains import CellSet
-
-    if move.added not in cs or move.removed in cs:
-        raise ValidationError(f"inverse move not applicable: {move}")
-    return CellSet(cs.instance, (*(c for c in cs.cells if c != move.added), move.removed))
 
 
 def _facet_masks(instance: Instance, facet_cap: int) -> list[int]:

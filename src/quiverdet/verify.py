@@ -12,13 +12,14 @@ holds it, and each class of twin blocks runs one chain DP on those ints
 (``chains._chain_levels``); its facet bits are ``facet-cardinality``, and
 the same level tables give the facets' essential corners
 (``cvm._corner_bits``), which feed the corner routes and the shelling check.
-The tests hold the criteria to ``corner_stats``, which reads the independent
-DP ``chains._chain_tables``.  The brute face DFS, the reflection probes and
-closures run on the chain levels of ``chains._rank_ladder``; the brute walk
-also counts the interior faces, storing none.  The shelling and codim-1
-checks share one ``series._ridge_walk`` of the ascending facets; the codim-1
-check runs its ridges through the same DP in batches (``_addable_columns``),
-which the tests hold to ``complex.codim1_membership``.
+The tests hold the criteria to ``definitions.corner_stats``, which reads the
+independent DP ``definitions._chain_tables``.  The brute face DFS, the
+reflection probes and closures run on the chain levels of
+``chains._rank_ladder``; the brute walk also counts the interior faces,
+storing none.  The shelling and codim-1 checks share one
+``series._ridge_walk`` of the ascending facets; the codim-1 check runs its
+ridges through the same DP in batches (``_addable_columns``), which the tests
+hold to ``complex.codim1_membership``.
 """
 
 from __future__ import annotations

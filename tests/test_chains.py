@@ -4,10 +4,10 @@ import pytest
 
 from quiverdet import (CellSet, ValidationError, can_extend, corner_stats, is_u_compatible,
                        max_diagonal_chain)
-from quiverdet.chains import (_chain_tables, _class_blocked, _grow, _levels, _load_blocks,
-                              _occupancy, _rank_ladder)
+from quiverdet.chains import _class_blocked, _grow, _levels, _load_blocks, _occupancy, _rank_ladder
 from quiverdet.cli import parse_preset
 from quiverdet.cvm import c_max
+from quiverdet.definitions import _chain_tables
 from quiverdet.quiver import BipartiteQuiver, Instance
 from quiverdet.verify import random_instance
 

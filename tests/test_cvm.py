@@ -7,8 +7,8 @@ from quiverdet import (CellSet, CrossCheckError, ValidationError, c_max, c_min, 
                        reflect, road_map)
 from quiverdet.chains import padded_nw, padded_se
 from quiverdet.cli import parse_preset
-from quiverdet.cvm import (HORIZONTAL, NW, SE, VERTICAL, CornerRecord, CornerReport, RoadMap,
-                           _check_path)
+from quiverdet.cvm import HORIZONTAL, NW, SE, VERTICAL
+from quiverdet.definitions import CornerRecord, CornerReport, RoadMap, _check_path
 from quiverdet.quiver import TARGET, cell_key
 from quiverdet.verify import brute_maximal_facet_masks, random_instance
 
@@ -471,16 +471,17 @@ def test_roadmap_straightness_check_fires_alone(monkeypatch, double_instance):
     # cells are straight, so no chain tables reach this check alone; instead
     # one genuine path reports a turn at a point that no crossing path covers.
     import quiverdet.cvm as cvm
+    import quiverdet.definitions as definitions
 
     facet = enumerate_facets(double_instance)[0]
     (path,) = road_map(facet).horizontal["1"]
     layout = {vid: where for vid, *_, where in cvm._path_layout(double_instance)}
     n = next(n for n, pt in enumerate(path) if not facet.mask >> layout["1"][pt][0] & 1)
-    real = cvm._turns
+    real = definitions._turns
 
     def one_more_turn(p):
         return real(p) + [(n, NW)] if p == path else real(p)
 
-    monkeypatch.setattr(cvm, "_turns", one_more_turn)
+    monkeypatch.setattr(definitions, "_turns", one_more_turn)
     with pytest.raises(CrossCheckError, match="corner of block '1' off every crossing path"):
         road_map(facet)

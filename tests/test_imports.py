@@ -9,6 +9,7 @@ modules loaded when it is done.
 
 import ast
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,8 +20,9 @@ import quiverdet
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CORE = {"quiverdet", "quiverdet.cli", "quiverdet.errors", "quiverdet.quiver"}
+DEFINITIONS = "quiverdet.definitions"
 ORACLES = {"quiverdet.chains", "quiverdet.cvm", "quiverdet.complex", "quiverdet.verify",
-           "quiverdet.ideal"}
+           "quiverdet.ideal", DEFINITIONS}
 HEAVY = {"dataclasses", "inspect"}
 
 # the public names of the package, as the eager __init__ bound them
@@ -32,7 +34,7 @@ PUBLIC = [
     "apply_inverse", "apply_move", "brute_maximal_facet_masks", "build_instance", "c_max",
     "c_min", "can_extend", "chains", "check_vertex_decomposition_samples", "chutable_moves",
     "cmp_T", "cmp_T_sets", "codim1_membership", "complex", "corner_stats", "corners",
-    "criteria_agree", "cvm", "enumerate_facets", "errors", "export_cas", "f_vector",
+    "criteria_agree", "cvm", "definitions", "enumerate_facets", "errors", "export_cas", "f_vector",
     "hilbert_series", "ideal", "in_initial_ideal", "initial_cvm", "initial_monomials",
     "interior_faces", "is_cvm", "is_u_compatible", "load_instance", "max_diagonal_chain",
     "moves", "natural_generator_count", "natural_generators", "quiver", "random_instance",
@@ -92,13 +94,77 @@ def test_shelling_does_not_load_verify():
     modules = _probe("from quiverdet.cli import main\n"
                      "assert main(['shelling', '--preset', 'double:2,3,2,1,1']) == 0")
     assert "quiverdet.complex" in modules and "quiverdet.verify" not in modules
+    assert DEFINITIONS not in modules
 
 
 def test_verify_does_not_load_the_cas_exporter():
     modules = _probe("from quiverdet.cli import main\n"
                      "assert main(['verify', '--preset', 'det:2,2,1', '--seed', '1']) == 0")
     assert "quiverdet.verify" in modules and "quiverdet.ideal" not in modules
+    assert DEFINITIONS not in modules
     assert not modules & HEAVY
+
+
+def test_verify_on_instance_files_does_not_load_the_definitions(tmp_path):
+    # random instances like the benchmark's `verify --file` jobs; their checks all pass
+    from quiverdet.verify import random_instance
+
+    rng = random.Random(5)
+    paths = []
+    for n in range(6):
+        paths.append(tmp_path / f"instance{n}.json")
+        paths[-1].write_text(random_instance(rng, 12).to_json(), encoding="utf-8")
+    modules = _probe("from quiverdet.cli import main\n"
+                     f"for path in {list(map(str, paths))!r}:\n"
+                     "    assert main(['verify', '--file', path, '--seed', '1']) == 0, path")
+    assert "quiverdet.verify" in modules and DEFINITIONS not in modules
+
+
+def test_vdc_sample_loads_the_definitions():
+    modules = _probe("from quiverdet.cli import main\n"
+                     "assert main(['vdc-sample', '--preset', 'det:2,2,1', '--samples', '3',\n"
+                     "             '--seed', '1']) == 0")
+    assert DEFINITIONS in modules
+
+
+def test_export_cas_loads_the_minors_path_alone():
+    modules = _probe("from quiverdet.cli import main\n"
+                     "assert main(['export-cas', '--preset', 'det:2,2,1']) == 0")
+    assert _package(modules) == CORE | {"quiverdet.chains", "quiverdet.moves", "quiverdet.ideal"}
+
+
+# a tampered corner batch, as in test_corner_batch.py: facet 6 of star-example
+# fails it, and its replay through the road map passes
+REPLAY = """\
+import quiverdet.cvm as cvm
+from quiverdet.cli import parse_preset
+from quiverdet.errors import DEFAULT_FACET_CAP, CrossCheckError
+from quiverdet.moves import _facet_masks
+
+inst = parse_preset('star-example')
+real = cvm._corner_bits
+
+def tampered(instance, columns, every, tables, ok, shift=0):
+    for nw, _ in tables.values():
+        nw[0] = [[cell ^ 1 << 5 + shift for cell in row] for row in nw[0]]
+    return real(instance, columns, every, tables, ok, shift)
+
+cvm._corner_bits = tampered
+counts = cvm._corner_counts(inst, _facet_masks(inst, DEFAULT_FACET_CAP))
+for _ in range(5):
+    next(counts)
+assert 'quiverdet.definitions' not in sys.modules
+try:
+    next(counts)
+except CrossCheckError as exc:
+    assert str(exc) == 'the corner batch rejects facet 6, whose road map passes', exc
+else:
+    raise SystemExit('no CrossCheckError')
+"""
+
+
+def test_corner_batch_loads_the_road_map_only_to_replay():
+    assert DEFINITIONS in _probe(REPLAY)
 
 
 def test_public_names_unchanged():
@@ -142,3 +208,23 @@ def test_no_dataclasses_in_package():
                 continue
             assert not any(name.split(".")[0] == "dataclasses" for name in names), \
                 f"{path.name}:{node.lineno} imports dataclasses"
+
+
+def test_definitions_is_imported_only_inside_functions():
+    # a module-level import would compile the oracles in every process that loads the importer
+    for path in sorted((SRC / "quiverdet").glob("*.py")):
+        if path.stem == "definitions":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any("definitions" in name.split(".") for name in names):
+                assert id(node) in inside, f"{path.name}:{node.lineno} imports definitions"

@@ -12,8 +12,7 @@ from quiverdet import (BipartiteQuiver, Cell, ChainStats, ChuteMove, CornerRepor
                        NormalizationReport, RoadMap, ShellingReport, ValidationError,
                        enumerate_facets, f_vector, interior_faces)
 from quiverdet.cli import parse_preset
-from quiverdet.complex import VdcReport, VdcSample
-from quiverdet.cvm import CornerRecord
+from quiverdet.definitions import CornerRecord, VdcReport, VdcSample
 from quiverdet.quiver import Arrow, VertexData
 from quiverdet.verify import CheckResult, VerificationReport
 

@@ -11,13 +11,15 @@ alone, the counting commands only the mask path ``moves`` and ``series``;
 oracle routes import theirs when they run.  Only the subcommand run gets
 options, each only those its handler reads, and only ``--json`` loads
 ``json``.  ``facets`` streams the sorted masks of ``moves._facet_masks``,
-builds no ``CellSet``, and writes each facet as soon as it is formatted,
-never holding the whole output.
+builds no ``CellSet``, and writes its facets in chunks of 64 as they are
+formatted, never holding the whole output.  A command whose reader closes
+stdout early (``| head``) exits 1 with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import compress
 from typing import TYPE_CHECKING
@@ -130,8 +132,11 @@ def _emit(args, json_obj, text_lines):
             print(line)
 
 
+_CHUNK = 64  # facets per write
+
+
 def _write_facets(instance: Instance, masks: list[int], as_json: bool) -> None:
-    """Write each facet to stdout as soon as it is formatted: a text line or a JSON element.
+    """Write the facets to stdout, text lines or JSON elements, ``_CHUNK`` facets to a write.
 
     Each cell's text is formatted once per instance, by rank, and a facet is
     the join of its cells' fragments in rank order, which ``compress`` picks
@@ -148,9 +153,11 @@ def _write_facets(instance: Instance, masks: list[int], as_json: bool) -> None:
         cell = "%d,%d,%d"
         lead, rest, sep, tail, end = "", "", " ", "\n", ""
     frag = [cell % c for c in instance.cells]
-    write, bits = sys.stdout.write, bytes.maketrans(b"01", b"\0\1")
-    for mask in masks:
-        write(lead + sep.join(compress(frag, f"{mask:b}"[::-1].encode().translate(bits))) + tail)
+    write, bits, glue = sys.stdout.write, bytes.maketrans(b"01", b"\0\1"), tail + rest
+    for i in range(0, len(masks), _CHUNK):
+        chunk = [sep.join(compress(frag, f"{mask:b}"[::-1].encode().translate(bits)))
+                 for mask in masks[i:i + _CHUNK]]
+        write(lead + glue.join(chunk) + tail)
         lead = rest
     write(end)
 
@@ -394,6 +401,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except QuiverDetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): drop what is left unwritten, so
+        # that the flush at exit does not fail again (Python docs, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -1,10 +1,11 @@
 """Definition-level oracles, compiled only by the processes that call them.
 
 Longest diagonal chains and the chain statistics of a cell, straight road
-maps and the NW/SE classification of their corners, chute moves as records
-and the purity spot-check of the deletion/link towers, each from the
-definition, one cell set at a time.  The fast routes read the same facts off
-masks and bit-sliced batches, and the tests hold them to this module.  It
+maps and the NW/SE classification of their corners, the chute-move scan of
+one facet and chute moves as records, and the purity spot-check of the
+deletion/link towers, each from the definition, one cell set at a time.  The
+fast routes read the same facts off masks, bit-sliced batches and the
+closure's inline carry, and the tests hold them to this module.  It
 imports ``quiver``, ``errors`` and ``chains`` when it loads and any other
 module inside the function that uses it; the other modules, ``cvm.road_map``
 and ``chains.BlockStats`` among them, import from it only inside functions.
@@ -290,6 +291,36 @@ def _classify(cs: CellSet, blocks) -> tuple[list, int, int]:
     if corner_mask & ~cs.mask:
         raise CrossCheckError("corner cell outside the facet")
     return records, essential[NW].bit_count(), essential[SE].bit_count()
+
+
+def _scan(layout, occ: list[int]) -> list[tuple[str, int, int, int]]:
+    """``(vid, removed bit, added bit, width)`` of each chute move of a facet's lines, once each.
+
+    ``layout`` is the instance's ``moves._move_layout`` and ``occ`` the
+    facet's ``moves._lines``; it is only read.  A rectangle spans adjacent
+    lines, top and bottom, from column y, occupied on the bottom only,
+    through empty columns to y2, occupied on both.  A carry from each
+    bottom-only column runs through the empty ones and lands on the next
+    occupied column: the landings on both lines are the y2s.  A 2x2
+    rectangle inside one page is listed from its target block only.  The
+    closure ``moves._facet_masks`` runs the same carry inline; this is its
+    per-facet reference, and ``moves.chutable_moves`` lists its moves.
+    """
+    pre, pairs, _ = layout
+    out = []
+    for n, vid, twins in pairs:
+        top, bottom = occ[n], occ[n + 1]
+        either = top | bottom
+        step = (bottom & ~top) << 1
+        hits = (~either + step) & top & bottom & ~(step & twins)
+        while hits:
+            bit = hits & -hits
+            hits ^= bit
+            y = (either & (bit - 1)).bit_length() - 1
+            y2 = bit.bit_length() - 1
+            p, q = pre[n], pre[n + 1]
+            out.append((vid, q[y2] ^ q[y2 - 1], p[y] ^ p[y - 1], y2 - y + 1))
+    return out
 
 
 class ChuteMove(NamedTuple):

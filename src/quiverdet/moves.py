@@ -3,15 +3,18 @@
 A horizontal chutable rectangle is a 2-row strip inside a target block whose
 only occupied positions are its NE, SE and SW corners; the move swaps the SE
 occupant for the (empty) NW corner, producing a strictly smaller facet.
-Vertical moves are the transposed picture inside source blocks.  One scan
+Vertical moves are the transposed picture inside source blocks.  One carry
 finds both: it reads target blocks by rows and source blocks by columns, so
-every rectangle spans two adjacent lines of bitmasks, and it lists each move
+every rectangle spans two adjacent lines of bitmasks, and it finds each move
 once (a 2x2 rectangle inside one page, of both kinds, as horizontal).  Every
 facet arises from the initial one by such moves, so a breadth-first closure
 over masks enumerates them all; sorted ascending, the result is a shelling
-order.  Each frontier entry carries its line occupancy: a move changes two
-cells, so a child's lines are its parent's with those two cells' bits
-flipped, and only the initial facet's lines are built from its mask.
+order.  The closure runs the carry of each line pair itself and applies
+each move as it is found; ``definitions._scan``, which lists one facet's
+moves, is its reference.  Each frontier entry carries its line occupancy: a
+move changes two cells, so a child's lines are its parent's with those two
+cells' bits flipped, and only the initial facet's lines are built from its
+mask.
 
 This is the mask path: it imports no oracle module when it loads.  The
 functions that take or return a ``CellSet`` or a ``ChuteMove`` import
@@ -93,41 +96,15 @@ def _lines(layout, mask: int) -> list[int]:
     return occ
 
 
-def _scan(layout, occ: list[int]) -> list[tuple[str, int, int, int]]:
-    """``(vid, removed bit, added bit, width)`` of each chute move of a facet's lines, once each.
-
-    ``occ`` is the facet's ``_lines``; it is only read.  A rectangle spans
-    adjacent lines, top and bottom, from column y, occupied on the bottom
-    only, through empty columns to y2, occupied on both.  A carry from each
-    bottom-only column runs through the empty ones and lands on the next
-    occupied column: the landings on both lines are the y2s.  A 2x2
-    rectangle inside one page is listed from its target block only.
-    """
-    pre, pairs, _ = layout
-    out = []
-    for n, vid, twins in pairs:
-        top, bottom = occ[n], occ[n + 1]
-        either = top | bottom
-        step = (bottom & ~top) << 1
-        hits = (~either + step) & top & bottom & ~(step & twins)
-        while hits:
-            bit = hits & -hits
-            hits ^= bit
-            y = (either & (bit - 1)).bit_length() - 1
-            y2 = bit.bit_length() - 1
-            p, q = pre[n], pre[n + 1]
-            out.append((vid, q[y2] ^ q[y2 - 1], p[y] ^ p[y - 1], y2 - y + 1))
-    return out
-
-
 def chutable_moves(cs: CellSet) -> list[ChuteMove]:
     """All chute moves applicable to a facet (checked with ``is_cvm``), sorted by (removed, added).
 
-    They come from the scan ``enumerate_facets`` runs.  A 2x2 rectangle is
-    both horizontal and vertical; the scan lists its move once, as horizontal.
+    They come from ``definitions._scan``, the reference of the carry the
+    closure runs.  A 2x2 rectangle is both horizontal and vertical; the scan
+    lists its move once, as horizontal.
     """
     from .cvm import is_cvm
-    from .definitions import ChuteMove
+    from .definitions import ChuteMove, _scan
 
     if not is_cvm(cs):
         raise ValidationError("chute moves are defined on concurrent vertex maps")
@@ -158,37 +135,50 @@ def _facet_masks(instance: Instance, facet_cap: int) -> list[int]:
     """The masks of all facets, sorted ascending: the closure ``enumerate_facets`` runs.
 
     Breadth first from the initial facet.  Each frontier entry is a mask and
-    its ``_lines``: a child's lines are its parent's with the removed and
-    the added cell flipped.  ``FacetCapExceeded`` fires before anything is
-    returned and says how far the closure got: the facets found, and the
-    layers complete, which hold every facet within ``depth`` moves of the
-    initial one.
+    its ``_lines``; the carry of each line pair finds the facet's chute moves
+    as ``definitions._scan`` does, and each is applied at once.  A move's two
+    cells come from the lines' cell bits, by position, and a child's lines
+    are its parent's with both cells' line bits flipped, looked up by cell
+    bit.  ``FacetCapExceeded`` fires before anything is returned and says
+    how far the closure got: the facets found, and the layers complete,
+    which hold every facet within ``depth`` moves of the initial one.
     """
     if not _is_int(facet_cap) or facet_cap < 1:
         raise ValidationError(f"facet cap must be an int >= 1, not {facet_cap!r}")
-    layout = _move_layout(instance)
-    where = layout[2]
+    layout = pre, _, where = _move_layout(instance)
+    # cell[n][y + 1] is the bit of line n's position y: index by the position bit's length
+    cell = [[0, 0, *(b ^ a for a, b in zip(p, p[1:]))] for p in pre]
+    pairs = [(n, twins, cell[n], cell[n + 1]) for n, _, twins in layout[1]]
+    flip = {1 << r: w for r, w in enumerate(where)}
     start = _initial_mask(instance)
     seen, frontier, depth = {start}, [(start, _lines(layout, start))], 0
     while frontier:
         nxt = []
         for mask, occ in frontier:
-            for _, removed, added, _ in _scan(layout, occ):
-                out = mask ^ removed | added
-                if out in seen:
-                    continue
-                if len(seen) >= facet_cap:
-                    raise FacetCapExceeded(
-                        f"more than {facet_cap} facets; stopped with {len(seen)} found and "
-                        f"{depth + 1} breadth-first layers complete (all facets within {depth} "
-                        f"moves of the initial one); raise the cap to continue")
-                seen.add(out)
-                lines = occ.copy()
-                for bit in (removed, added):
-                    tn, tb, sn, sb = where[bit.bit_length() - 1]
-                    lines[tn] ^= tb
-                    lines[sn] ^= sb
-                nxt.append((out, lines))
+            for n, twins, top_cell, bottom_cell in pairs:
+                top, bottom = occ[n], occ[n + 1]
+                either = top | bottom
+                step = (bottom & ~top) << 1
+                hits = (~either + step) & top & bottom & ~(step & twins)
+                while hits:
+                    bit = hits & -hits
+                    hits ^= bit
+                    removed = bottom_cell[bit.bit_length()]
+                    added = top_cell[(either & (bit - 1)).bit_length()]
+                    out = mask ^ removed | added
+                    if out in seen:
+                        continue
+                    if len(seen) >= facet_cap:
+                        raise FacetCapExceeded(
+                            f"more than {facet_cap} facets; stopped with {len(seen)} found and "
+                            f"{depth + 1} breadth-first layers complete (all facets within "
+                            f"{depth} moves of the initial one); raise the cap to continue")
+                    seen.add(out)
+                    lines = occ.copy()
+                    for tn, tb, sn, sb in (flip[removed], flip[added]):
+                        lines[tn] ^= tb
+                        lines[sn] ^= sb
+                    nxt.append((out, lines))
         frontier = nxt
         depth += 1
     return sorted(seen)
@@ -202,8 +192,9 @@ def enumerate_facets(instance: Instance, facet_cap: int = DEFAULT_FACET_CAP) -> 
 
     The closure, ``_facet_masks``, runs breadth first on bare masks and
     checks no facet; only the sorted result becomes ``CellSet``s.  ``verify``
-    checks the facets and the list, and the tests hold ``_scan`` to the
-    definition and the carried lines to lines rebuilt from each mask.
+    checks the facets and the list.  The tests hold the closure to one that
+    runs ``definitions._scan`` on lines rebuilt from each mask, and ``_scan``
+    to the definition.
     """
     from .chains import CellSet
 

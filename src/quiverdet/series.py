@@ -28,6 +28,7 @@ facets; the oracle routes and given facets' check import theirs when run.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import comb
 from typing import NamedTuple
 
@@ -148,17 +149,18 @@ def _ridge_walk(masks) -> tuple[list[int], dict[int, int], list[int]]:
     counts mask j's ridges in a later mask, its restriction size along the
     reversed order, unless a ridge lies in three or more masks (the walk
     pairs them in list order); ``verify``'s codim-1 check holds every ridge
-    of a facet list to one or two owners.
+    of a facet list to one or two owners.  A facet's cells are the cell bits
+    that ``compress`` picks by its mask's binary digits, lowest first, so
+    ``masks`` must be a sequence of nonnegative ints.
     """
     opener: dict[int, int] = {}
     restrictions, later = [], []
+    cells = [1 << r for r in range(max(masks, default=0).bit_length())]
+    digits = bytes.maketrans(b"01", b"\0\1")
     for j, mask in enumerate(masks):
         restriction = 0
-        rest = mask
         later.append(0)
-        while rest:
-            low = rest & -rest
-            rest ^= low
+        for low in compress(cells, f"{mask:b}"[::-1].encode().translate(digits)):
             ridge = mask ^ low
             i = opener.pop(ridge, None)
             if i is None:

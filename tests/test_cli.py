@@ -91,6 +91,52 @@ def test_facets_streams_its_output(tmp_path, monkeypatch):
     assert peak < written / 2, (peak, written)
 
 
+class _Writes(list):
+    """A stdout that keeps each write."""
+
+    def write(self, text):
+        self.append(text)
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+@pytest.mark.parametrize("preset, chunk, writes", [
+    ("double:2,3,2,1,1", 1, 13), ("double:2,3,2,1,1", 12, 2),  # 12 facets: every chunk full
+    ("det:6,6,3", None, 17),  # 980 = 15 * 64 + 20: a partial last chunk
+])
+def test_facets_writes_in_chunks(monkeypatch, flags, preset, chunk, writes):
+    # each write holds a chunk of facets, the last one the closing text;
+    # the output is the same as that of the whole-list tests above
+    import quiverdet.cli as cli
+
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["facets", *flags, "--preset", preset]) == 0
+    facets = enumerate_facets(parse_preset(preset))
+    if flags:
+        expected = json.dumps([f.to_triples() for f in facets], indent=2, sort_keys=True) + "\n"
+    else:
+        expected = "".join(" ".join(",".join(map(str, c)) for c in f.cells) + "\n" for f in facets)
+    assert len(out) == writes and "".join(out) == expected
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_facets_exits_quietly_on_a_closed_pipe(unbuffered):
+    # the reader takes one line and closes the pipe, as `| head -1` does; the
+    # rest of det:7,7,3's 24696 facets (about 1.3 MB) cannot fit in a pipe buffer
+    env = dict(os.environ, PYTHONPATH=str(Path(quiverdet.__file__).resolve().parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen([sys.executable, "-m", "quiverdet", "facets", "--preset", "det:7,7,3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1 and err == b""
+    assert first.startswith(b"1,1,1 1,2,1 ") and first.endswith(b" 7,3,1\n")
+
+
 def test_facets_text_order(capsys):
     code, out, _ = run_cli(capsys, "facets", "--preset", "double:2,3,2,1,1")
     lines = out.strip().splitlines()

@@ -83,6 +83,14 @@ def test_counting_commands_load_only_the_mask_path(command, path):
     assert not modules & ORACLES and "json" not in modules
 
 
+def test_facets_json_loads_only_moves():
+    # facets formats its JSON itself: the json module stays unloaded too
+    modules = _probe("from quiverdet.cli import main\n"
+                     "assert main(['facets', '--json', '--preset', 'double:2,3,2,1,1']) == 0")
+    assert _package(modules) == CORE | {"quiverdet.moves"}
+    assert not modules & ORACLES and "json" not in modules
+
+
 def test_corners_loads_the_core_and_the_corner_batch():
     modules = _probe("from quiverdet.cli import main\n"
                      "assert main(['corners', '--preset', 'double:2,3,2,1,1']) == 0")

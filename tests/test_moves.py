@@ -6,6 +6,7 @@ from quiverdet import (CellSet, FacetCapExceeded, ValidationError, apply_inverse
                        c_min, chutable_moves, cmp_T_sets, enumerate_facets, initial_cvm, reflect)
 from quiverdet import moves
 from quiverdet.cvm import HORIZONTAL, VERTICAL
+from quiverdet.definitions import _scan
 from quiverdet.errors import DEFAULT_FACET_CAP
 from quiverdet.quiver import TARGET
 from quiverdet.verify import brute_maximal_facet_masks, random_instance
@@ -228,7 +229,7 @@ def _closure_from_scratch(inst):
     while frontier:
         nxt = []
         for mask in frontier:
-            for _, removed, added, _ in moves._scan(layout, _lines_from_mask(layout, mask)):
+            for _, removed, added, _ in _scan(layout, _lines_from_mask(layout, mask)):
                 out = mask ^ removed | added
                 if out not in distance:
                     distance[out] = distance[mask] + 1
@@ -255,6 +256,17 @@ def test_carried_lines_match_closure_from_scratch(closure_instances):
         assert [f.mask for f in enumerate_facets(inst)] == masks
 
 
+def test_carried_lines_match_closure_from_scratch_property():
+    # the closure runs the carry inline and flips a child's lines from its
+    # parent's; the reference scan on lines rebuilt from each mask agrees
+    from test_fold import _for_random_instances
+
+    def check(inst):
+        assert moves._facet_masks(inst, DEFAULT_FACET_CAP) == _closure_from_scratch(inst)[0], inst
+
+    _for_random_instances(check)
+
+
 def test_chutable_moves_on_every_facet_match_definition(closure_instances):
     for inst in closure_instances:
         for facet in enumerate_facets(inst):
@@ -274,7 +286,7 @@ def test_scan_lists_each_move_once_property():
         for facet in enumerate_facets(inst):
             occ = moves._lines(layout, facet.mask)
             scanned = [(cell[removed.bit_length() - 1], cell[added.bit_length() - 1], vid)
-                       for vid, removed, added, _ in moves._scan(layout, occ)]
+                       for vid, removed, added, _ in _scan(layout, occ)]
             assert len({m[:2] for m in scanned}) == len(scanned), (inst, facet)
             expected = {(removed, added, vid)
                         for removed, added, _, vid, _ in _moves_by_definition(facet)}

@@ -5,8 +5,9 @@ A cell set is admissible ("u-compatible") when no block matrix sees a chain
 longer than that block's rank; these sets are the faces of the complex.  The
 chain statistics of a cell P against a set C split the longest chain through
 P into its strictly-NW and strictly-SE parts (``nw``/``se``); the padded
-variants also count the path endpoints pinned to the block boundary, from
-floors that ``_corner_table`` computes once per cell and instance.
+variants (``padded_nw``/``padded_se``) also count the path endpoints pinned
+to the block boundary; ``cvm._path_layout`` keeps each position's padding
+floors, the padded statistics of a raw value 0.
 
 Three kernels compute them, each for its own callers:
 
@@ -450,29 +451,3 @@ def is_u_compatible(cs: CellSet) -> bool:
     inst = cs.instance
     return all(cs.stats(vid).max_chain <= data.u for vid, data in inst.vertex.items())
 
-
-@lru_cache(maxsize=128)
-def _corner_table(instance: Instance) -> tuple[tuple, ...]:
-    """Per cell rank, everything about the cell's two corners that no cell set changes.
-
-    A row holds the index (in ``instance.vertex`` order) and the position of
-    the cell's target block, the same for its source block, the two blocks'
-    ranks, and the padding floors of the four padded statistics in
-    ``definitions.ChainStats`` order.  A floor is the padded statistic of a
-    raw value 0; since raw values are never negative, ``padded_nw(raw, ...)
-    == max(raw, padded_nw(0, ...))``, and the same for ``padded_se``.
-    ``definitions.corner_stats`` and ``cvm._path_layout`` (for the road maps
-    and ``verify``'s criteria check) read their padding here.
-    Cached per instance: callers must treat the result as read-only.
-    """
-    index = {vid: n for n, vid in enumerate(instance.vertex)}
-    rows = []
-    for tv, ti, tj, sv, si, sj in instance.positions:
-        td, sd = instance.vertex[tv], instance.vertex[sv]
-        rows.append((index[tv], ti, tj, index[sv], si, sj, td.u, sd.u,
-                     padded_nw(0, ti, tj, td.a, td.b, td.u),
-                     padded_se(0, ti, tj, td.a, td.b, td.u),
-                     # the source-side block is the transpose situation: swap coordinates
-                     padded_nw(0, sj, si, sd.b, sd.a, sd.u),
-                     padded_se(0, sj, si, sd.b, sd.a, sd.u)))
-    return tuple(rows)

@@ -231,14 +231,15 @@ def _cmd_interior(args) -> int:
 
 
 def _cmd_shelling(args) -> int:
-    from .complex import verify_shelling
-    from .moves import enumerate_facets
+    from .complex import _shelling_report
+    from .moves import _facet_masks
 
-    facets = enumerate_facets(_load(args), facet_cap=args.facet_cap)
+    inst = _load(args)
+    masks = _facet_masks(inst, args.facet_cap)
     # both scan directions shell: ascending pairs with SE corner counts,
     # descending (the reflected picture) with NW counts
-    up = verify_shelling(facets, corner_kind="SE")
-    down = verify_shelling(list(reversed(facets)), corner_kind="NW")
+    up = _shelling_report(inst, masks, "SE")
+    down = _shelling_report(inst, masks[::-1], "NW")
     ok = up.ok and down.ok
     lines = [f"ascending shelling {'ok' if up.ok else 'FAILED'}",
              "restriction counts " + " ".join(map(str, up.restriction_counts)),

@@ -13,21 +13,24 @@ undoes anything.
 
 Each codim-1 face (ridge) F - c lies in one or two facets;
 ``series._ridge_walk`` pairs them, and the boundary, the shelling check,
-``verify``'s codim-1 check and the h-vector folds read it.
-``interior_faces`` and the shelling check read the facets containing a set
-off per-cell owner bitsets (``_containing``); ``verify``'s walk ANDs the same
-bitsets along the DFS, so it counts interior faces without storing any.
+``verify``'s codim-1 check and the h-vector folds read it.  The shelling
+check runs on facet masks (``_shelling_report``); ``verify_shelling`` turns
+its cell sets into masks once.  ``interior_faces`` and the shelling check
+read the facets containing a set off per-cell owner bitsets, the masks'
+transposed columns (``chains._columns``, read by ``_containing``);
+``verify``'s brute walk ANDs the same bitsets along the DFS, so it counts
+interior faces without storing any.
 
 The CLI reads face counts off the h-vector (``series.face_counts``); the DFS
-routes ``f_vector`` and ``interior_faces`` are their oracle, in ``verify`` and
-in ``hilbert_series``'s face-table routes.
+routes ``f_vector`` and ``interior_faces`` are their oracle, in ``verify``
+(its brute walk) and in ``hilbert_series``'s face-table routes.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chains import CellSet, _grow, _load_blocks, _rank_ladder
+from .chains import CellSet, _columns, _grow, _load_blocks, _rank_ladder
 from .cvm import _corner_counts
 from .errors import DEFAULT_MAX_CELLS, GuardExceeded, ValidationError
 from .quiver import Instance, _is_int
@@ -93,9 +96,9 @@ def f_vector(instance: Instance, max_cells_guard: int = DEFAULT_MAX_CELLS,
     """Count admissible sets by cardinality by pruned depth-first backtracking.
 
     The oracle route, for ``hilbert_series``'s ``f_transform`` and
-    ``interior`` routes (``verify`` feeds them its own walk, interior
-    counts included); ``series.face_counts`` reads the same counts off the
-    h-vector.
+    ``interior`` routes (``verify`` transforms its own brute walk's counts,
+    interior counts included); ``series.face_counts`` reads the same counts
+    off the h-vector.
     """
     _check_guard(instance, max_cells_guard)
     counts = [0] * (instance.size + 1)
@@ -128,18 +131,6 @@ def codim1_membership(sub: CellSet) -> list[CellSet]:
     return [CellSet.from_mask(inst, sub.mask | 1 << r) for r in range(inst.size) if addable >> r & 1]
 
 
-def _owner_bits(masks, size: int) -> list[int]:
-    """Per cell rank below ``size``, the bitset of the indices of the masks holding the cell."""
-    owners = [0] * size
-    for n, mask in enumerate(masks):
-        bit = 1 << n
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            owners[low.bit_length() - 1] |= bit
-    return owners
-
-
 def _containing(owners: list[int], mask: int, among: int) -> int:
     """The bitset of the masks in ``among`` that contain ``mask``: the AND of its cells' owners."""
     while mask and among:
@@ -161,15 +152,15 @@ def interior_faces(instance: Instance, table: FaceTable, facets) -> FaceTable:
     codim-1 faces contained in exactly one facet; a face is interior exactly
     when it is a subset of none of them, as ``_containing`` reads off the
     generators' owner bitsets.  The oracle route, on ``f_vector``'s stored
-    faces: ``hilbert_series``'s ``interior`` route uses it when given no
-    interior counts, ``verify``'s walk counts them as it goes and the tests
+    faces: ``hilbert_series``'s ``interior`` route uses it, ``verify``'s
+    brute walk counts them as it goes and the tests
     hold the two to each other, while ``series.face_counts`` reads the
     interior counts off h reversed.
     """
     if table.faces_by_size is None:
         raise ValidationError("interior faces need f_vector(store_faces=True)")
     gens = boundary_generator_masks(facets)
-    owners = _owner_bits(gens, instance.size)
+    owners = _columns(gens, instance.size)
     everything = (1 << len(gens)) - 1
     interior = [sum(not _containing(owners, m, everything) for m in masks)
                 for masks in table.faces_by_size]
@@ -198,33 +189,34 @@ def verify_shelling(facets_in_order, corner_kind: str = "SE") -> ShellingReport:
     reflected picture and pairs with NW corners.  The facets must be cell
     sets of one instance.
     """
-    return _shelling_report(list(facets_in_order), corner_kind)
-
-
-def _shelling_report(facets: list, corner_kind: str, walk=None, counts=None) -> ShellingReport:
-    """``verify_shelling`` on a list, reading R_j off ``walk`` and the corners off ``counts`` when given.
-
-    ``walk`` is ``series._ridge_walk`` of the facets' masks in this order and
-    ``counts`` the facets' essential ``corner_kind`` corner counts, else read
-    off the masks by ``cvm._corner_counts`` as the check reaches them, so
-    that a caller that walks them or counts their corners does so once.
-    """
     if corner_kind not in ("SE", "NW"):
         raise ValidationError(f"corner kind must be SE or NW, got {corner_kind!r}")
-    r_seq: list[int] = []
+    facets = list(facets_in_order)
     if not facets:
         return ShellingReport(True, ())
     instance = facets[0].instance
     if any(f.instance != instance for f in facets):
         raise ValidationError("facets must be cell sets of one instance")
-    n_top = len(facets[0])
-    masks = [f.mask for f in facets]
+    return _shelling_report(instance, [f.mask for f in facets], corner_kind)
+
+
+def _shelling_report(instance: Instance, masks: list[int], corner_kind: str, walk=None,
+                     counts=None) -> ShellingReport:
+    """``verify_shelling`` on nonempty masks: R_j off ``walk``, corners off ``counts``, if given.
+
+    ``walk`` is ``series._ridge_walk`` of the masks in this order and
+    ``counts`` their essential ``corner_kind`` corner counts, else read off
+    the masks by ``cvm._corner_counts`` as the check reaches them, so that a
+    caller that walks them or counts their corners does so once.
+    """
+    r_seq: list[int] = []
+    n_top = masks[0].bit_count()
     restrictions = (_ridge_walk(masks) if walk is None else walk)[0]
-    owners = _owner_bits(masks, instance.size)
+    owners = _columns(masks, instance.size)
     counts = iter(counts if counts is not None else
                   (pair[corner_kind == "SE"] for pair in _corner_counts(instance, masks)))
-    for j, (facet, restriction) in enumerate(zip(facets, restrictions)):
-        if len(facet) != n_top:
+    for j, (mask, restriction) in enumerate(zip(masks, restrictions)):
+        if mask.bit_count() != n_top:
             return ShellingReport(False, tuple(r_seq), f"facet {j + 1} has wrong cardinality")
         if _containing(owners, restriction, (1 << j) - 1):
             return ShellingReport(

@@ -25,8 +25,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import islice
 
-from .chains import (_RIDGES, CellSet, _at_least, _chain_levels, _columns, _corner_table, _exactly,
-                     _grow, _load_blocks, _rank_ladder, is_u_compatible)
+from .chains import (_RIDGES, CellSet, _at_least, _chain_levels, _columns, _exactly, _grow,
+                     _load_blocks, _rank_ladder, is_u_compatible, padded_nw, padded_se)
 from .errors import CrossCheckError, ValidationError
 from .moves import _initial_mask
 from .quiver import HORIZONTAL, TARGET, VERTICAL, BipartiteQuiver, Cell, Instance
@@ -92,15 +92,16 @@ def _path_layout(instance: Instance) -> tuple[tuple, ...]:
 
     An entry is ``(vid, target, a, b, u, v, points, where)``.  ``points`` lists
     the block's positions in SW-to-NE order (rows descending, columns
-    ascending) as ``(x, y, rank, nw_floor, se_floor)``, the floors being the
-    block's padding floors from ``chains._corner_table``; ``where`` maps a
+    ascending) as ``(x, y, rank, nw_floor, se_floor)``.  A floor is the
+    padded statistic (``chains.padded_nw``/``padded_se``) of a raw value 0;
+    raw values are never negative, so a padded statistic is the larger of
+    the raw value and its floor.  ``where`` maps a
     position to its rank and the offset that relabels this block's path p as
     the crossing family sees it (``hpath_offset`` on a target block,
     ``vpath_offset`` on a source block).  The road maps, the corner batch and
     ``_criteria_layout`` read it.  Cached per instance: callers must treat
     the result as read-only.
     """
-    table = _corner_table(instance)
     layout = []
     for vid, d in instance.vertex.items():
         target = d.side == TARGET
@@ -108,7 +109,9 @@ def _path_layout(instance: Instance) -> tuple[tuple, ...]:
         for x in range(d.a, 0, -1):
             for y, r in enumerate(instance.block_ranks[vid][x - 1], start=1):
                 ar = instance.arrow(instance.cells[r].k)
-                points.append((x, y, r, *(table[r][8:10] if target else table[r][10:12])))
+                # a source block is the transpose situation: swap coordinates
+                shape = (x, y, d.a, d.b, d.u) if target else (y, x, d.b, d.a, d.u)
+                points.append((x, y, r, padded_nw(0, *shape), padded_se(0, *shape)))
                 where[x, y] = (r, ar.hpath_offset if target else ar.vpath_offset)
         layout.append((vid, target, d.a, d.b, d.u, d.v, tuple(points), where))
     return tuple(layout)
@@ -123,7 +126,7 @@ def _criteria_layout(instance: Instance) -> tuple[tuple, ...]:
     is ``(a, b, u, ranks, blocks)``, one per class, in the order of the
     class's first block in ``instance.vertex``.  ``blocks`` lists the class's
     blocks, each as its positions ``(x, y, rank, nw_floor, se_floor)``, as
-    ``_path_layout`` reads them off ``chains._corner_table``.
+    ``_path_layout`` lists them.
     Cached per instance: callers must treat the result as read-only.
     """
     classes: dict = {}

@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
-from .chains import CellSet, _addable, _corner_table, is_u_compatible
+from .chains import CellSet, _addable, is_u_compatible, padded_nw, padded_se
 from .errors import CrossCheckError, ValidationError
 from .quiver import HORIZONTAL, TARGET, VERTICAL, Cell, Instance, _is_int
 
@@ -128,19 +128,20 @@ def corner_stats(cs: CellSet, cell) -> ChainStats:
     inst = cs.instance
     r = inst.rank[inst.check_cell(cell)]
     tgt, ti, tj, src, si, sj = inst.positions[r]
-    *_, nw_floor, se_floor, nw_src_floor, se_src_floor = _corner_table(inst)[r]
+    td, sd = inst.vertex[tgt], inst.vertex[src]
     tst, sst = cs.stats(tgt), cs.stats(src)
     nw, se = tst.nw_of(ti, tj), tst.se_of(ti, tj)
     nw_s, se_s = sst.nw_of(si, sj), sst.se_of(si, sj)
     return ChainStats(
         nw=nw,
         se=se,
-        nw_padded=max(nw, nw_floor),
-        se_padded=max(se, se_floor),
+        nw_padded=padded_nw(nw, ti, tj, td.a, td.b, td.u),
+        se_padded=padded_se(se, ti, tj, td.a, td.b, td.u),
         nw_src=nw_s,
         se_src=se_s,
-        nw_src_padded=max(nw_s, nw_src_floor),
-        se_src_padded=max(se_s, se_src_floor),
+        # the source-side block is the transpose situation: swap coordinates
+        nw_src_padded=padded_nw(nw_s, sj, si, sd.b, sd.a, sd.u),
+        se_src_padded=padded_se(se_s, sj, si, sd.b, sd.a, sd.u),
     )
 
 

@@ -3,14 +3,17 @@
 All polynomial arithmetic is exact over the integers.  The numerator, the
 h-polynomial, has six routes.  The default pair, ``ascending_fold`` and
 ``descending_fold``, count the facets by the ridges each one shares with
-earlier and with later facets in ascending order, both shellings, off one
-``_ridge_walk`` of their masks; ``complex`` and ``verify`` read restriction
-faces and boundary generators off that walk.  The folds' oracle is the paper's
+earlier and with later facets in ascending order, both shellings:
+``_ridge_fold`` reads both off one ``_ridge_walk`` of their masks.
+``complex`` reads restriction faces and boundary generators off that walk,
+and ``verify`` walks its facets once for its folds, boundary generators,
+shelling and codim-1 checks; it compares its routes with ``_agreed``, the
+comparison ``hilbert_series`` ends with.  The folds' oracle is the paper's
 formula: ``se_corners`` and ``nw_corners`` count the facets by essential SE
 or NW corners (the ascending and the descending restriction counts), which
 one bit-sliced corner batch, ``cvm._corner_counts``, reads off their masks.
 ``f_transform`` and ``interior`` transform the f-vector and the interior
-faces of the face DFS.  Multiplicity
+faces of the face DFS, which ``hilbert_series`` runs itself.  Multiplicity
 h(1) and the Gorenstein indicator (a palindromic h-vector) are read off the
 series.  The routes are mathematically equal, so any disagreement is
 reported as an internal error rather than a result.
@@ -172,14 +175,14 @@ def _ridge_walk(masks) -> tuple[list[int], dict[int, int], list[int]]:
     return restrictions, opener, later
 
 
-def _ridge_fold(masks) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """h along the order and along its reverse, and the number of open ridges.
+def _ridge_fold(walk) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """h along the walk's order and along its reverse, and the number of open ridges.
 
     h counts the facets by their restriction sizes.  One ``_ridge_walk``
     gives both orders: a facet's restriction along the reversed order is
     its ridges that lie in a later facet.
     """
-    restrictions, open_ridges, later = _ridge_walk(masks)
+    restrictions, open_ridges, later = walk
     sizes = [r.bit_count() for r in restrictions], later
     return *(tuple(map(s.count, range(max(s, default=0) + 1))) for s in sizes), len(open_ridges)
 
@@ -216,7 +219,8 @@ def _f_from_h(h: tuple[int, ...], n_top: int) -> tuple[int, ...]:
                  for k in range(n_top + 1))
 
 
-def _corner_routes(facets, n_top: int, bits=None) -> tuple[dict[str, tuple[int, ...]], list[int]]:
+def _corner_routes(instance: Instance, masks: list[int],
+                   bits=None) -> tuple[dict[str, tuple[int, ...]], list[int]]:
     """The corner routes' numerators, and each facet's essential SE count, from one corner batch.
 
     h_i counts the facets with i essential corners, off their masks or the
@@ -224,13 +228,24 @@ def _corner_routes(facets, n_top: int, bits=None) -> tuple[dict[str, tuple[int, 
     """
     from .cvm import _corner_counts
 
-    nw, se = zip(*_corner_counts(facets[0].instance, [f.mask for f in facets], bits))
-    return {route: _trim(list(map(counts.count, range(n_top + 1))))
+    nw, se = zip(*_corner_counts(instance, masks, bits))
+    return {route: _trim(list(map(counts.count, range(instance.n_cells + 1))))
             for route, counts in ((NW_CORNERS, nw), (SE_CORNERS, se))}, list(se)
 
 
-def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None = None,
-                   routes=FOLD_ROUTES, max_cells_guard: int = DEFAULT_MAX_CELLS,
+def _agreed(results: dict[str, tuple[int, ...]], n_top: int,
+            n_facets: int | None) -> HilbertSeries:
+    """The series of the routes' one numerator: they must agree, and h(1) equal ``n_facets``."""
+    if len(set(results.values())) != 1:
+        raise CrossCheckError(f"series routes disagree: {results}")
+    series = HilbertSeries(next(iter(results.values())), n_top)
+    if n_facets is not None and series.multiplicity != n_facets:
+        raise CrossCheckError(f"h(1) = {series.multiplicity} but {n_facets} facets enumerated")
+    return series
+
+
+def hilbert_series(instance: Instance, facets=None, routes=FOLD_ROUTES,
+                   max_cells_guard: int = DEFAULT_MAX_CELLS,
                    facet_cap: int = DEFAULT_FACET_CAP) -> HilbertSeries:
     """The series h(t) / (1 - t)^N, its numerator computed by every route in ``routes``.
 
@@ -240,11 +255,11 @@ def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None
     routes, their oracle, by essential SE or NW corners.  Both read the
     facets, enumerated under ``facet_cap`` unless given (as bare masks if
     only folds read them); only the corner routes reject a non-facet.
-    ``f_transform`` and ``interior`` read the face table (computed by the
-    brute-force DFS under ``max_cells_guard`` unless given); ``interior``
-    also marks interior faces against the facets.  Given facets must be
-    distinct cell sets of ``instance``, at least one.  All requested routes
-    must agree, and when facets were used, h(1) must equal their number.
+    ``f_transform`` and ``interior`` read the face table of the brute-force
+    DFS, under ``max_cells_guard``; ``interior`` also marks interior faces
+    against the facets.  Given facets must be distinct cell sets of
+    ``instance``, at least one.  All requested routes must agree, and when
+    facets were used, h(1) must equal their number.
     """
     try:
         names = frozenset(routes)
@@ -272,32 +287,22 @@ def hilbert_series(instance: Instance, facets=None, face_table: FaceTable | None
     n_top = instance.n_cells
     results = {}
     if routes & FOLD_ROUTES:  # one walk: the descending order is the ascending one reversed
-        up, down, _ = _ridge_fold(masks)
+        up, down, _ = _ridge_fold(_ridge_walk(masks))
         folds = {ASCENDING_FOLD: up, DESCENDING_FOLD: down}
         results.update((route, folds[route]) for route in sorted(routes & FOLD_ROUTES))
     if routes & CORNER_ROUTES:
-        corner_h = _corner_routes(facets, n_top)[0]
+        corner_h = _corner_routes(instance, masks)[0]
         results.update((route, corner_h[route]) for route in sorted(routes & CORNER_ROUTES))
     if routes & {F_TRANSFORM, INTERIOR}:
         from .complex import f_vector, interior_faces
 
-        table = face_table
-        if table is None:
-            table = f_vector(instance, max_cells_guard=max_cells_guard,
-                             store_faces=INTERIOR in routes)
+        table = f_vector(instance, max_cells_guard=max_cells_guard,
+                         store_faces=INTERIOR in routes)
         if F_TRANSFORM in routes:
             results[F_TRANSFORM] = _h_from_f(table, n_top)
         if INTERIOR in routes:
-            if table.interior_by_size is None:
-                table = interior_faces(instance, table, facets)
-            results[INTERIOR] = _h_from_interior(table, n_top)
-    if len(set(results.values())) != 1:
-        raise CrossCheckError(f"series routes disagree: {results}")
-    series = HilbertSeries(next(iter(results.values())), n_top)
-    if masks is not None and series.multiplicity != len(masks):
-        raise CrossCheckError(
-            f"h(1) = {series.multiplicity} but {len(masks)} facets enumerated")
-    return series
+            results[INTERIOR] = _h_from_interior(interior_faces(instance, table, facets), n_top)
+    return _agreed(results, n_top, None if masks is None else len(masks))
 
 
 def face_counts(instance: Instance, interior: bool = False,

@@ -5,8 +5,10 @@ check pairs an optimized computation with an independent definition-level
 recomputation; any mismatch is a bug, so the suite reports the first failure
 with enough detail to reproduce it.
 
-``enumerate_facets`` checks no facet, and ``verify`` builds no chain
-table on one.  The criteria check evaluates all its random subsets and every
+``verify`` reads the facets as the masks of ``moves._facet_masks``, which
+checks none of them, and builds no ``CellSet`` for a facet: only the
+reflection probes and the criteria check's failure detail build cell sets.
+The criteria check evaluates all its random subsets and every
 facet in one bit-sliced batch: bit i of a cell's int says whether subset i
 holds it, and each class of twin blocks runs one chain DP on those ints
 (``chains._chain_levels``); its facet bits are ``facet-cardinality``, and
@@ -16,10 +18,15 @@ The tests hold the criteria to ``definitions.corner_stats``, which reads the
 independent DP ``definitions._chain_tables``.  The brute face DFS, the
 reflection probes and closures run on the chain levels of
 ``chains._rank_ladder``; the brute walk also counts the interior faces,
-storing none.  The shelling and codim-1 checks share one
-``series._ridge_walk`` of the ascending facets; the codim-1 check runs its
-ridges through the same DP in batches (``_addable_columns``), which the tests
-hold to ``complex.codim1_membership``.
+storing none.  One ``series._ridge_walk`` of the ascending masks serves
+every check that pairs ridges with facets: its open ridges are the brute
+walk's boundary generators, both fold h-vectors come off it
+(``series._ridge_fold``), and the shelling and codim-1 checks read its
+restriction faces.  The series check holds the folds to the corner routes
+and, within the brute guard, to the transforms of the brute walk's face
+table, with the comparison ``hilbert_series`` ends with (``series._agreed``).
+The codim-1 check runs its ridges through the same DP in batches
+(``_addable_columns``), which the tests hold to ``complex.codim1_membership``.
 """
 
 from __future__ import annotations
@@ -31,15 +38,14 @@ from operator import and_, or_, xor
 from typing import NamedTuple
 
 from .chains import _RIDGES, CellSet, _addable, _at_least, _columns, _exactly, _load_blocks
-from .complex import (DEFAULT_MAX_CELLS, _FaceSearch, _owner_bits, _shelling_report,
-                      boundary_generator_masks)
+from .complex import DEFAULT_MAX_CELLS, _FaceSearch, _shelling_report
 from .cvm import (_corner_bits, _point_levels, c_max, c_min, initial_cvm, reflect,
                   reflect_instance)
-from .errors import CrossCheckError, QuiverDetError, ValidationError
-from .moves import DEFAULT_FACET_CAP, enumerate_facets
+from .errors import QuiverDetError, ValidationError
+from .moves import DEFAULT_FACET_CAP, _facet_masks
 from .quiver import BipartiteQuiver, Instance, _is_int, build_instance
-from .series import (ALL_ROUTES, CORNER_ROUTES, FOLD_ROUTES, FaceTable, _corner_routes,
-                     _ridge_walk, hilbert_series)
+from .series import (ASCENDING_FOLD, DESCENDING_FOLD, F_TRANSFORM, INTERIOR, FaceTable, _agreed,
+                     _corner_routes, _h_from_f, _h_from_interior, _ridge_fold, _ridge_walk)
 
 
 def brute_maximal_facet_masks(instance: Instance) -> list[int]:
@@ -58,7 +64,7 @@ def _brute_walk(instance: Instance, gens: list[int]) -> tuple[list[int], FaceTab
     maximal when nothing is addable, not when it is the largest: the purity
     of the complex is part of what the comparison with the facets checks.
     """
-    owners = _owner_bits(gens, instance.size)
+    owners = _columns(gens, instance.size)
     counts, interior = [0] * (instance.size + 1), [0] * (instance.size + 1)
     inside = [(1 << len(gens)) - 1] * (instance.size + 1)
     out = []
@@ -225,8 +231,11 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
         checks.append(CheckResult(name, bool(ok), detail))
         return ok
 
-    facets = enumerate_facets(instance, facet_cap=facet_cap)
+    masks = _facet_masks(instance, facet_cap)
     n_top = instance.n_cells
+    # the one walk of the ascending facets: the boundary generators, both
+    # folds, the shelling check and the codim-1 check read it
+    walk = _ridge_walk(masks)
 
     init = initial_cvm(instance)
     record("initial-closed-form", init == c_max(CellSet(instance)),
@@ -234,17 +243,16 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
 
     face_table = None
     if instance.size <= max_cells:
-        # the same walk feeds the series oracle's f-vector and interior routes
-        brute, face_table = _brute_walk(instance, boundary_generator_masks(facets))
-        record("facet-closure-vs-brute",
-               brute == [f.mask for f in facets],
-               f"{len(facets)} facets from moves vs {len(brute)} maximal admissible sets")
+        # the brute walk's face table feeds the f-vector and interior routes
+        brute, face_table = _brute_walk(instance, list(walk[1]))
+        record("facet-closure-vs-brute", brute == masks,
+               f"{len(masks)} facets from moves vs {len(brute)} maximal admissible sets")
     else:
         record("facet-closure-vs-brute", True, "skipped: |L| over the brute guard")
 
     # one criteria batch: its facet bits are the facet-cardinality check
-    criteria, admitted, corner_bits = _criteria_batch(instance, rng, subset_trials, facets)
-    all_admitted = admitted == (1 << len(facets)) - 1
+    criteria, admitted, corner_bits = _criteria_batch(instance, rng, subset_trials, masks)
+    all_admitted = admitted == (1 << len(masks)) - 1
     record("facet-cardinality", all_admitted, f"all facets admissible with {n_top} cells")
     record("criteria-equivalence", *criteria)
 
@@ -280,25 +288,22 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     # check; if they fail, the shelling check runs its own corner batch.
     se_counts = None
     try:
-        corner_h, se_counts = _corner_routes(facets, n_top, corner_bits)
-        routes = ALL_ROUTES - CORNER_ROUTES if instance.size <= max_cells else FOLD_ROUTES
-        series = hilbert_series(instance, facets=facets, face_table=face_table, routes=routes,
-                                max_cells_guard=max_cells)
-        # past the brute guard the folds are still held to both corner routes
-        if set(corner_h.values()) != {series.numerator}:
-            raise CrossCheckError("series routes disagree: "
-                                  f"{dict.fromkeys(sorted(routes), series.numerator) | corner_h}")
+        corner_h, se_counts = _corner_routes(instance, masks, corner_bits)
+        up, down, _ = _ridge_fold(walk)
+        results = {ASCENDING_FOLD: up, DESCENDING_FOLD: down, **corner_h}
+        if face_table is not None:
+            results[F_TRANSFORM] = _h_from_f(face_table, n_top)
+            results[INTERIOR] = _h_from_interior(face_table, n_top)
+        series = _agreed(results, n_top, len(masks))
         record("series-routes", True,
                f"h = {list(series.numerator)}, multiplicity {series.multiplicity}")
     except QuiverDetError as exc:
         record("series-routes", False, str(exc))
 
-    # One walk for both checks.  The codim-1 check runs first: run after the
-    # shelling check, it raised the peak RSS of `verify` on star-example by
-    # about 0.1 MB.
-    walk = _ridge_walk([f.mask for f in facets])
-    codim1 = _codim1_check(instance, facets, walk)
-    shelling = _shelling_report(facets, "SE", walk, se_counts)
+    # The codim-1 check runs first: run after the shelling check, it raised
+    # the peak RSS of `verify` on star-example by about 0.1 MB.
+    codim1 = _codim1_check(instance, masks, walk)
+    shelling = _shelling_report(instance, masks, "SE", walk, se_counts)
     record("shelling", shelling.ok, shelling.failure or "increasing order shells")
     record("codim1-membership", *codim1)
 
@@ -306,50 +311,50 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
 
 
 def _criteria_batch(instance: Instance, rng: random.Random, trials: int,
-                    facets) -> tuple[tuple[bool, str], int, tuple | None]:
+                    masks: list[int]) -> tuple[tuple[bool, str], int, tuple | None]:
     """Hold the three facet criteria to each other on random subsets, then on every facet.
 
     Each trial draws a density, then each cell in rank order with that
     probability, into one mask; such draws almost never hit a facet of a
     larger instance.  ``_columns`` transposes the draws and the facets'
-    masks, and one ``_criteria_kernel`` call evaluates them together, so
+    ``masks``, and one ``_criteria_kernel`` call evaluates them together, so
     each class of twin blocks runs its level tables once; the first subset
     on which the routes disagree is reported, and its routes are replayed
     through ``criteria_agree``.  Returns the check's ``(ok, detail)``, bit j
-    for ``facets[j]``, the facets that the cardinality route and the raw
+    for ``masks[j]``, the facets that the cardinality route and the raw
     route both admit, and, if all, the facets' ``cvm._corner_bits``.
     """
     draw = rng.random
     bits = [1 << r for r in range(instance.size)]
-    masks = []
+    subsets = []
     for _ in range(trials):
         density = draw()
         mask = 0
         for bit in bits:
             if draw() < density:
                 mask |= bit
-        masks.append(mask)
-    masks += [f.mask for f in facets]
-    columns, tables, every = _columns(masks, instance.size), {}, (1 << len(facets)) - 1
+        subsets.append(mask)
+    subsets += masks
+    columns, tables, every = _columns(subsets, instance.size), {}, (1 << len(masks)) - 1
     by_card, by_raw, by_padded = _criteria_kernel(
-        instance, columns, (1 << (trials + len(facets))) - 1, tables)
+        instance, columns, (1 << len(subsets)) - 1, tables)
     admitted = (by_card & by_raw) >> trials
     corner_bits = (_corner_bits(instance, columns, every, tables, by_card >> trials, trials)
                    if admitted == every else None)
     wrong = (by_card ^ by_raw) | (by_raw ^ by_padded)
     if not wrong:
-        return ((True, f"{trials} random subsets, then all facets ({len(facets)})"), admitted,
+        return ((True, f"{trials} random subsets, then all facets ({len(masks)})"), admitted,
                 corner_bits)
     n = (wrong & -wrong).bit_length() - 1
     name = (f"subset {n + 1} of {trials}" if n < trials
-            else f"facet {n - trials + 1} of {len(facets)}")
-    held = CellSet.from_mask(instance, masks[n]).cells
+            else f"facet {n - trials + 1} of {len(masks)}")
+    held = CellSet.from_mask(instance, subsets[n]).cells
     routes = criteria_agree(instance, held)
     return (False, f"{name}, cells {[list(c) for c in held]}: routes "
                    f"(cardinality, raw, padded, agree) = {routes}"), admitted, corner_bits
 
 
-def _codim1_check(instance: Instance, facets, walk) -> tuple[bool, str]:
+def _codim1_check(instance: Instance, masks: list[int], walk) -> tuple[bool, str]:
     """Hold every ridge's owners in the facet list to the ridge's addable cells.
 
     Each ridge F - c is evaluated once, at its first owner F, where c lies
@@ -364,12 +369,12 @@ def _codim1_check(instance: Instance, facets, walk) -> tuple[bool, str]:
     bits = [1 << r for r in range(instance.size)]
 
     def ridges():  # F's mask and c's bit, both ints that exist already
-        for f, restriction in zip(facets, restrictions):
-            rest = f.mask & ~restriction
+        for mask, restriction in zip(masks, restrictions):
+            rest = mask & ~restriction
             while rest:
                 low = rest & -rest
                 rest ^= low
-                yield f.mask, bits[low.bit_length() - 1]
+                yield mask, bits[low.bit_length() - 1]
 
     pending, count = ridges(), 0
     while True:

@@ -24,7 +24,7 @@ def _oracle(facets):
 
 def _fused(inst, facets, trials=20):
     # the entry verify uses: the corner bits off the criteria batch's level tables
-    _, admitted, bits = _criteria_batch(inst, random.Random(3), trials, facets)
+    _, admitted, bits = _criteria_batch(inst, random.Random(3), trials, [f.mask for f in facets])
     assert admitted == (1 << len(facets)) - 1 and bits is not None
     return list(cvm._corner_counts(inst, [f.mask for f in facets], bits))
 

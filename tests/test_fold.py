@@ -10,7 +10,7 @@ from quiverdet import (CrossCheckError, enumerate_facets, f_vector, hilbert_seri
                        verify_instance)
 from quiverdet.cli import main, parse_preset
 from quiverdet.complex import boundary_generator_masks
-from quiverdet.series import CORNER_ROUTES, FOLD_ROUTES, _ridge_fold, face_counts
+from quiverdet.series import CORNER_ROUTES, FOLD_ROUTES, _ridge_fold, _ridge_walk, face_counts
 from quiverdet.verify import random_instance
 
 from golden import (DOUBLE_F_VECTOR, DOUBLE_F_TOTAL, DOUBLE_H, DOUBLE_INTERIOR,
@@ -26,8 +26,8 @@ def _corner_h(instance, facets):
 def _assert_fold_matches_corners(instance):
     facets = enumerate_facets(instance)
     masks = [f.mask for f in facets]
-    up, down, open_up = _ridge_fold(masks)
-    rev_up, rev_down, open_down = _ridge_fold(masks[::-1])
+    up, down, open_up = _ridge_fold(_ridge_walk(masks))
+    rev_up, rev_down, open_down = _ridge_fold(_ridge_walk(masks[::-1]))
     assert up == down == rev_up == rev_down == _corner_h(instance, facets)
     assert open_up == open_down == len(boundary_generator_masks(facets))
 
@@ -90,17 +90,16 @@ def test_counting_commands_never_classify_corners(monkeypatch, capsys, argv, exp
 
 
 def test_verify_holds_fold_to_corners_past_brute_guard(monkeypatch):
-    import quiverdet.series as series
     import quiverdet.verify as verify
 
     inst = parse_preset("det:3,11,1")
     assert inst.size > 32  # over the default brute guard
-    seen, classified = [], []
-    real_series = verify.hilbert_series
+    folded, classified = [], []
+    real_fold = verify._ridge_fold
 
-    def spy(*args, **kwargs):
-        seen.append(frozenset(kwargs["routes"]))
-        return real_series(*args, **kwargs)
+    def spy(walk):
+        folded.append(len(walk[0]))
+        return real_fold(walk)
 
     def counted(instance, masks, bits=None, _real=quiverdet.cvm._corner_counts):
         classified.append((masks, bits is not None))
@@ -109,14 +108,15 @@ def test_verify_holds_fold_to_corners_past_brute_guard(monkeypatch):
     def refuse(*_args):
         raise AssertionError("the shelling check classified a facet itself")
 
-    monkeypatch.setattr(verify, "hilbert_series", spy)
+    monkeypatch.setattr(verify, "_ridge_fold", spy)
     monkeypatch.setattr(quiverdet.cvm, "_corner_counts", counted)
     monkeypatch.setattr(quiverdet.cvm, "corners", refuse)
     monkeypatch.setattr(quiverdet.complex, "_corner_counts", refuse)
     report = verify_instance(inst, subset_trials=20, seed=1)
-    # one corner batch of all 66 facets, off the criteria batch's level tables,
-    # feeds the corner routes and the shelling check
-    assert seen == [FOLD_ROUTES]
+    # past the guard the series routes are the two folds of one walk, held
+    # to one corner batch of all 66 facets, off the criteria batch's level
+    # tables, which also feeds the shelling check
+    assert folded == [66]
     assert classified == [([f.mask for f in enumerate_facets(inst)], True)]
     assert len(classified[0][0]) == 66
     checks = {c.name: c for c in report.checks}
@@ -125,15 +125,14 @@ def test_verify_holds_fold_to_corners_past_brute_guard(monkeypatch):
 
     # a fold that miscounts one facet must fail the check: one walk gives
     # both routes, so both miscount it alike and only the corner routes differ
-    real_fold = series._ridge_fold
-    folded = []
+    folded.clear()
 
-    def off_by_one(masks):
-        folded.append(len(masks))
-        *folds, boundary = real_fold(masks)
+    def off_by_one(walk):
+        folded.append(len(walk[0]))
+        *folds, boundary = real_fold(walk)
         return (*((h[0] + 1, h[1] - 1, *h[2:]) for h in folds), boundary)
 
-    monkeypatch.setattr(series, "_ridge_fold", off_by_one)
+    monkeypatch.setattr(verify, "_ridge_fold", off_by_one)
     report = verify_instance(inst, subset_trials=20, seed=1)
     assert folded == [66]
     failed = {c.name: c for c in report.checks if not c.ok}
@@ -158,8 +157,8 @@ def test_fold_agrees_with_corners_property():
     def check(inst):
         facets = enumerate_facets(inst)
         masks = sorted(f.mask for f in facets)
-        up, down, _ = _ridge_fold(masks)
-        assert up == down == _ridge_fold(masks[::-1])[0] == _corner_h(inst, facets)
+        up, down, _ = _ridge_fold(_ridge_walk(masks))
+        assert up == down == _ridge_fold(_ridge_walk(masks[::-1]))[0] == _corner_h(inst, facets)
 
     _for_random_instances(check)
 
@@ -167,8 +166,6 @@ def test_fold_agrees_with_corners_property():
 def test_ridge_walk_matches_the_definition_property():
     # on a shuffled order: R(F_j) is the cells c of F_j whose ridge F_j - c
     # lies in an earlier facet, and the open ridges lie in exactly one facet
-    from quiverdet.series import _ridge_walk
-
     def check(inst):
         masks = [f.mask for f in enumerate_facets(inst)]
         random.Random(sum(masks)).shuffle(masks)
@@ -204,10 +201,10 @@ def test_one_walk_reversed_h_matches_a_reversed_walk_property():
     def check(inst):
         masks = [f.mask for f in enumerate_facets(inst)]
         random.Random(sum(masks)).shuffle(masks)
-        up, down, _ = _ridge_fold(masks)
+        up, down, _ = _ridge_fold(_ridge_walk(masks))
         sizes = _set_walk_restriction_sizes(masks[::-1])
         assert down == tuple(map(sizes.count, range(max(sizes) + 1)))
-        assert up == _ridge_fold(masks[::-1])[1]
+        assert up == _ridge_fold(_ridge_walk(masks[::-1]))[1]
 
     _for_random_instances(check)
 

@@ -69,8 +69,8 @@ def test_facet_check_catches_non_facet(monkeypatch, double_instance):
     assert len(fake) == inst.n_cells and not is_u_compatible(fake)
     assert not verify._membership_criterion_holds(fake)
     names = [c.name for c in verify.verify_instance(inst, subset_trials=20, seed=3).checks]
-    monkeypatch.setattr(verify, "enumerate_facets",
-                        lambda instance, facet_cap: [*facets[:-1], fake])
+    monkeypatch.setattr(verify, "_facet_masks",
+                        lambda instance, facet_cap: [*(f.mask for f in facets[:-1]), fake.mask])
     report = verify.verify_instance(inst, subset_trials=20, seed=3)
     assert [c.name for c in report.checks] == names
     assert not {c.name: c.ok for c in report.checks}["facet-cardinality"]
@@ -97,7 +97,7 @@ def test_criteria_batch_admits_exactly_the_facets(double_instance, star_instance
             if outside:
                 swap = 1 << rng.choice(inside) | 1 << rng.choice(outside)
                 sets.append(CellSet.from_mask(inst, facet.mask ^ swap))
-        _, admitted, _ = _criteria_batch(inst, random.Random(1), 10, sets)
+        _, admitted, _ = _criteria_batch(inst, random.Random(1), 10, [cs.mask for cs in sets])
         for j, cs in enumerate(sets):
             want = (len(cs) == inst.n_cells and is_u_compatible(cs)
                     and _membership_criterion_holds(cs))
@@ -395,7 +395,7 @@ def test_criteria_check_repeats_keep_a_bad_route(monkeypatch, star_instance):
     assert _batch_routes(inst, [facet | other, facet, facet]) == [
         (False, False, False, True), bad, bad]
     for trials in (0, 100):
-        ok, detail = verify._criteria_batch(inst, random.Random(7), trials, [facets[-1]] * 2)[0]
+        ok, detail = verify._criteria_batch(inst, random.Random(7), trials, [facet] * 2)[0]
         assert not ok and _failed_subset(detail)[0] == "facet 1 of 2"
 
 
@@ -430,15 +430,16 @@ def _codim1_counts(facets):
     return len(ridges), boundary
 
 
-def _walk(facets):
+def _codim1(inst, facets):
+    # the codim-1 check on the facets' masks and their walk
+    import quiverdet.verify as verify
     from quiverdet.series import _ridge_walk
 
-    return _ridge_walk([f.mask for f in facets])
+    masks = [f.mask for f in facets]
+    return verify._codim1_check(inst, masks, _ridge_walk(masks))
 
 
 def test_codim1_check_counts_and_catches_a_dropped_facet(star_instance, det33):
-    from quiverdet.verify import _codim1_check
-
     rng = random.Random(23)
     instances = [star_instance, det33]
     while len(instances) < 8:
@@ -448,43 +449,46 @@ def test_codim1_check_counts_and_catches_a_dropped_facet(star_instance, det33):
     for inst in instances:
         facets = enumerate_facets(inst)
         ridges, boundary = _codim1_counts(facets)
-        assert _codim1_check(inst, facets, _walk(facets)) == (
+        assert _codim1(inst, facets) == (
             True, f"{ridges} codim-1 faces, {boundary} on the boundary"), inst
         # a ball with two or more facets: every facet shares a ridge with another,
         # and the closure route names the dropped one as that ridge's other owner
         for drop in {0, len(facets) // 2, len(facets) - 1}:
             kept = facets[:drop] + facets[drop + 1:]
-            assert _codim1_check(inst, kept, _walk(kept)) == (
+            assert _codim1(inst, kept) == (
                 False, "closure route misses a containing facet"), (inst, drop)
 
 
 def test_shelling_and_codim1_checks_share_one_walk(monkeypatch, star_instance, det33):
-    # verify walks the ascending facets once for both checks, and each check
-    # reports what it reports when it walks them itself
-    from quiverdet import complex as cx, verify
+    # verify walks the ascending facets once, under the brute guard and over
+    # it, for the boundary generators, both folds, the shelling check and
+    # the codim-1 check; each check reports what it reports when it walks
+    # the facets itself
+    from quiverdet import complex as cx, series, verify
     from quiverdet.complex import verify_shelling
-    from quiverdet.verify import _codim1_check, verify_instance
+    from quiverdet.verify import verify_instance
 
     rng = random.Random(31)
     instances = [star_instance, det33] + [random_instance(rng, max_cells=14) for _ in range(6)]
     for inst in instances:
         facets = enumerate_facets(inst)
         shelling = verify_shelling(facets)
-        codim1 = _codim1_check(inst, facets, _walk(facets))
-        walks = {"verify": [], "complex": []}
-        for name, module in (("verify", verify), ("complex", cx)):
-            def spy(masks, _real=module._ridge_walk, _calls=walks[name]):
-                _calls.append(list(masks))
-                return _real(masks)
-            monkeypatch.setattr(module, "_ridge_walk", spy)
-        # under the brute guard no interior route walks the facets in complex
-        report = verify_instance(inst, subset_trials=20, seed=1, max_cells=inst.size - 1)
-        monkeypatch.undo()
-        assert walks == {"verify": [[f.mask for f in facets]], "complex": []}, inst
-        checks = {c.name: (c.ok, c.detail) for c in report.checks}
-        assert checks["shelling"] == (shelling.ok, shelling.failure or "increasing order shells")
-        assert checks["codim1-membership"] == codim1
-        assert report.ok, inst
+        codim1 = _codim1(inst, facets)
+        for max_cells in (inst.size, inst.size - 1):
+            walks = []
+            for name, module in (("series", series), ("complex", cx), ("verify", verify)):
+                def spy(masks, _real=module._ridge_walk, _name=name):
+                    walks.append((_name, list(masks)))
+                    return _real(masks)
+                monkeypatch.setattr(module, "_ridge_walk", spy)
+            report = verify_instance(inst, subset_trials=20, seed=1, max_cells=max_cells)
+            monkeypatch.undo()
+            assert walks == [("verify", [f.mask for f in facets])], (inst, max_cells)
+            checks = {c.name: (c.ok, c.detail) for c in report.checks}
+            assert checks["shelling"] == (shelling.ok,
+                                          shelling.failure or "increasing order shells")
+            assert checks["codim1-membership"] == codim1
+            assert report.ok, inst
 
 
 def _check_ridge_addables(inst):
@@ -550,7 +554,7 @@ def test_codim1_batches_do_not_change_the_verdicts(monkeypatch, star_instance, d
         return addable
 
     def verdicts():
-        return [verify._codim1_check(inst, facets, _walk(facets)) for inst, facets in cases]
+        return [_codim1(inst, facets) for inst, facets in cases]
 
     whole = verdicts()
     monkeypatch.setattr(verify, "_addable_columns", one_more)
@@ -616,31 +620,34 @@ def test_verify_memory_peak(star_instance):
     assert peak <= 600_000, peak
 
 
-def test_verify_keeps_no_chain_tables(monkeypatch):
-    # no facet that verify enumerates keeps chain tables: the criteria batch,
-    # its corner bits and the ridge batches read masks;
-    # the cached tables of det:6,6,1's facets took the traced peak to 1.25 MB
+def test_verify_builds_no_cellset_per_facet(monkeypatch):
+    # verify reads the facets' masks alone: it never enumerates them as cell
+    # sets, nor runs hilbert_series or boundary_generator_masks, which walk
+    # them again; the cached tables of det:6,6,1's facets took the traced
+    # peak of this run to 1.25 MB
+    import sys
     import tracemalloc
 
     import quiverdet.verify as verify
     from quiverdet.cli import parse_preset
+    from quiverdet.complex import boundary_generator_masks
+    from quiverdet.series import hilbert_series
 
     inst = parse_preset("det:6,6,1")
-    returned = []
-
-    def spy(instance, facet_cap):
-        returned.append(enumerate_facets(instance, facet_cap=facet_cap))
-        return returned[-1]
-
-    monkeypatch.setattr(verify, "enumerate_facets", spy)
     verify.verify_instance(inst, subset_trials=20, seed=7)  # fill the per-instance caches
-    returned.clear()
+    refused = (enumerate_facets, hilbert_series, boundary_generator_masks)
+    called = []
+    for name, module in list(sys.modules.items()):
+        if name == "quiverdet" or name.startswith("quiverdet."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in refused):
+                    monkeypatch.setattr(module, attr,
+                                        lambda *args, _attr=attr, **kw: called.append(_attr))
     tracemalloc.start()
     try:
         assert verify.verify_instance(inst, seed=7).ok
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    [facets] = returned
-    assert facets and all(not f._stats for f in facets)
+    assert called == []
     assert peak <= 400_000, peak

@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import DEFAULT_FACET_CAP, DEFAULT_MAX_CELLS, QuiverDetError, ValidationError
-from .quiver import BipartiteQuiver, Instance, build_instance, load_instance
+from .quiver import (MAX_LATTICE_CELLS, BipartiteQuiver, Instance, build_instance,
+                     load_instance)
 
 if TYPE_CHECKING:
     from .series import HilbertSeries
@@ -80,6 +81,9 @@ def parse_preset(spec: str, mode: str = "strict") -> Instance:
             r, m, n, u, v = (int(x) for x in body.split(","))
             if r < 1:
                 raise ValidationError("double preset needs at least one arrow")
+            if r > MAX_LATTICE_CELLS:  # each arrow adds a page of cells: refuse before building
+                raise ValidationError(f"double preset has {r} arrows, more than the "
+                                      f"{MAX_LATTICE_CELLS} supported")
             quiver = BipartiteQuiver(("2",), ("1",), (("2", "1"),) * r)
             return build_instance(quiver, {"1": m, "2": n}, {"1": u, "2": v}, mode=mode)
         if head == "secant":

@@ -1,14 +1,15 @@
 """Definition-level oracles, compiled only by the processes that call them.
 
 Longest diagonal chains and the chain statistics of a cell, straight road
-maps and the NW/SE classification of their corners, the chute-move scan of
-one facet and chute moves as records, and the purity spot-check of the
-deletion/link towers, each from the definition, one cell set at a time.  The
-fast routes read the same facts off masks, bit-sliced batches and the
-closure's inline carry, and the tests hold them to this module.  It
-imports ``quiver``, ``errors`` and ``chains`` when it loads and any other
-module inside the function that uses it; the other modules, ``cvm.road_map``
-and ``chains.BlockStats`` among them, import from it only inside functions.
+maps and the NW/SE classification of their corners, the lines and the
+chute-move scan of one facet, chute moves as records, and the purity
+spot-check of the deletion/link towers, each from the definition, one cell
+set at a time.  The fast routes read the same facts off masks, bit-sliced
+batches and the closure's packed carry, and the tests hold them to this
+module.  It imports ``quiver``, ``errors`` and ``chains`` when it loads and
+any other module inside the function that uses it; the other modules,
+``cvm.road_map`` and ``chains.BlockStats`` among them, import from it only
+inside functions.
 """
 
 from __future__ import annotations
@@ -294,11 +295,29 @@ def _classify(cs: CellSet, blocks) -> tuple[list, int, int]:
     return records, essential[NW].bit_count(), essential[SE].bit_count()
 
 
+def _lines(layout, mask: int) -> list[int]:
+    """The line occupancy of ``mask``: bit y of entry n is set iff position y of line n is in it.
+
+    ``layout`` is the instance's ``moves._move_layout``.  The closure carries
+    the same lines packed into one int; the tests cut its words back into
+    lines and hold them to this.
+    """
+    where = layout[2]
+    occ = [0] * len(layout[0])
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        tn, tb, sn, sb = where[bit.bit_length() - 1]
+        occ[tn] |= tb
+        occ[sn] |= sb
+    return occ
+
+
 def _scan(layout, occ: list[int]) -> list[tuple[str, int, int, int]]:
     """``(vid, removed bit, added bit, width)`` of each chute move of a facet's lines, once each.
 
     ``layout`` is the instance's ``moves._move_layout`` and ``occ`` the
-    facet's ``moves._lines``; it is only read.  A rectangle spans adjacent
+    facet's ``_lines``; it is only read.  A rectangle spans adjacent
     lines, top and bottom, from column y, occupied on the bottom only,
     through empty columns to y2, occupied on both.  A carry from each
     bottom-only column runs through the empty ones and lands on the next

@@ -9,12 +9,13 @@ every rectangle spans two adjacent lines of bitmasks, and it finds each move
 once (a 2x2 rectangle inside one page, of both kinds, as horizontal).  Every
 facet arises from the initial one by such moves, so a breadth-first closure
 over masks enumerates them all; sorted ascending, the result is a shelling
-order.  The closure runs the carry of each line pair itself and applies
-each move as it is found; ``definitions._scan``, which lists one facet's
-moves, is its reference.  Each frontier entry carries its line occupancy: a
-move changes two cells, so a child's lines are its parent's with those two
-cells' bits flipped, and only the initial facet's lines are built from its
-mask.
+order.  The closure packs a facet's lines into one int, w bits a line, with
+a guard bit above each line that stops the carry, so one expression runs
+the carry of every line pair at once (broadword arithmetic, Knuth, TAOCP
+4A, 7.1.3); ``definitions._scan``, which lists one facet's moves on lines
+kept apart, is its reference.  A move changes two cells, so a child's word
+is its parent's XOR both cells' packed flip words, read off a table by the
+hit's bit length; only the initial facet's word is built from its mask.
 
 This is the mask path: it imports no oracle module when it loads.  The
 functions that take or return a ``CellSet`` or a ``ChuteMove`` import
@@ -83,17 +84,32 @@ def _move_layout(instance: Instance) -> tuple[list, tuple, tuple]:
     return pre, tuple(pairs), where
 
 
-def _lines(layout, mask: int) -> list[int]:
-    """The line occupancy of ``mask``: bit y of entry n is set iff position y of line n is in it."""
-    where = layout[2]
-    occ = [0] * len(layout[0])
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        tn, tb, sn, sb = where[bit.bit_length() - 1]
-        occ[tn] |= tb
-        occ[sn] |= sb
-    return occ
+@lru_cache(maxsize=128)
+def _packed_layout(instance: Instance) -> tuple:
+    """``(w, tops, guards, twins, cell, flip)``: ``_move_layout`` for one packed line word.
+
+    A facet's packed word holds line n's positions at bits n*w + 1 .. n*w +
+    w - 1, so bit n*w, which no position uses, is the guard above line n - 1.
+    ``tops`` covers the positions of every line n that ``pairs`` pairs with
+    line n + 1, ``guards`` the guard above each such line, ``twins`` is each
+    pair's mask shifted to its line.  ``flip[r]`` is cell r's packed word, and
+    ``cell[n*w + y + 1]``, indexed by a bit's length, is ``(1 << r, flip[r])``
+    for the cell r at position y of line n.  Cached per instance; read-only.
+    """
+    pre, pairs, where = _move_layout(instance)
+    w = max(map(len, pre))
+    flip = [tb << tn * w | sb << sn * w for tn, tb, sn, sb in where]
+    cell = [None] * (len(pre) * w + 1)
+    for n, p in enumerate(pre):
+        for y in range(1, len(p)):
+            r = (p[y] ^ p[y - 1]).bit_length() - 1
+            cell[n * w + y + 1] = (1 << r, flip[r])
+    tops = guards = twins = 0
+    for n, _, t in pairs:
+        tops |= (1 << w) - 2 << n * w
+        guards |= 1 << (n + 1) * w
+        twins |= t << n * w
+    return w, tops, guards, twins, tuple(cell), tuple(flip)
 
 
 def chutable_moves(cs: CellSet) -> list[ChuteMove]:
@@ -104,7 +120,7 @@ def chutable_moves(cs: CellSet) -> list[ChuteMove]:
     lists its move once, as horizontal.
     """
     from .cvm import is_cvm
-    from .definitions import ChuteMove, _scan
+    from .definitions import ChuteMove, _lines, _scan
 
     if not is_cvm(cs):
         raise ValidationError("chute moves are defined on concurrent vertex maps")
@@ -135,50 +151,51 @@ def _facet_masks(instance: Instance, facet_cap: int) -> list[int]:
     """The masks of all facets, sorted ascending: the closure ``enumerate_facets`` runs.
 
     Breadth first from the initial facet.  Each frontier entry is a mask and
-    its ``_lines``; the carry of each line pair finds the facet's chute moves
-    as ``definitions._scan`` does, and each is applied at once.  A move's two
-    cells come from the lines' cell bits, by position, and a child's lines
-    are its parent's with both cells' line bits flipped, looked up by cell
-    bit.  ``FacetCapExceeded`` fires before anything is returned and says
-    how far the closure got: the facets found, and the layers complete,
-    which hold every facet within ``depth`` moves of the initial one.
+    its packed word (``_packed_layout``).  The word and the word shifted
+    down one line, both masked to the pair tops, hold every pair's top and
+    bottom lines, and the carry of ``definitions._scan`` runs on all pairs
+    in one expression, the guard bits counting as occupied.  Hits come
+    lowest first, in ``pairs`` order, and each is applied at once: its
+    removed cell is the bottom line's, w bits above the hit, its added cell
+    the top line's at the highest occupied bit below the hit, and both come
+    off the ``cell`` table with their flip words; a child's word is its
+    parent's XOR both.  ``FacetCapExceeded`` fires before anything is
+    returned and says how far the closure got: the facets found, and the
+    layers complete, which hold every facet within ``depth`` moves of the
+    initial one.
     """
     if not _is_int(facet_cap) or facet_cap < 1:
         raise ValidationError(f"facet cap must be an int >= 1, not {facet_cap!r}")
-    layout = pre, _, where = _move_layout(instance)
-    # cell[n][y + 1] is the bit of line n's position y: index by the position bit's length
-    cell = [[0, 0, *(b ^ a for a, b in zip(p, p[1:]))] for p in pre]
-    pairs = [(n, twins, cell[n], cell[n + 1]) for n, _, twins in layout[1]]
-    flip = {1 << r: w for r, w in enumerate(where)}
+    w, tops, guards, twins, cell, flip = _packed_layout(instance)
     start = _initial_mask(instance)
-    seen, frontier, depth = {start}, [(start, _lines(layout, start))], 0
+    occ = 0
+    for r in range(start.bit_length()):
+        if start >> r & 1:
+            occ |= flip[r]
+    seen, frontier, depth = {start}, [(start, occ)], 0
     while frontier:
         nxt = []
         for mask, occ in frontier:
-            for n, twins, top_cell, bottom_cell in pairs:
-                top, bottom = occ[n], occ[n + 1]
-                either = top | bottom
-                step = (bottom & ~top) << 1
-                hits = (~either + step) & top & bottom & ~(step & twins)
-                while hits:
-                    bit = hits & -hits
-                    hits ^= bit
-                    removed = bottom_cell[bit.bit_length()]
-                    added = top_cell[(either & (bit - 1)).bit_length()]
-                    out = mask ^ removed | added
-                    if out in seen:
-                        continue
-                    if len(seen) >= facet_cap:
-                        raise FacetCapExceeded(
-                            f"more than {facet_cap} facets; stopped with {len(seen)} found and "
-                            f"{depth + 1} breadth-first layers complete (all facets within "
-                            f"{depth} moves of the initial one); raise the cap to continue")
-                    seen.add(out)
-                    lines = occ.copy()
-                    for tn, tb, sn, sb in (flip[removed], flip[added]):
-                        lines[tn] ^= tb
-                        lines[sn] ^= sb
-                    nxt.append((out, lines))
+            top = occ & tops
+            bottom = occ >> w & tops
+            either = top | bottom
+            step = (bottom & ~top) << 1
+            hits = (step - (either | guards) - 1) & top & bottom & ~(step & twins)
+            while hits:
+                bit = hits & -hits
+                hits ^= bit
+                removed, removed_flip = cell[bit.bit_length() + w]
+                added, added_flip = cell[(either & (bit - 1)).bit_length()]
+                out = mask ^ removed | added
+                if out in seen:
+                    continue
+                if len(seen) >= facet_cap:
+                    raise FacetCapExceeded(
+                        f"more than {facet_cap} facets; stopped with {len(seen)} found and "
+                        f"{depth + 1} breadth-first layers complete (all facets within "
+                        f"{depth} moves of the initial one); raise the cap to continue")
+                seen.add(out)
+                nxt.append((out, occ ^ removed_flip ^ added_flip))
         frontier = nxt
         depth += 1
     return sorted(seen)

@@ -20,6 +20,7 @@ from .errors import ValidationError
 TARGET = "target"
 SOURCE = "source"
 HORIZONTAL, VERTICAL = "horizontal", "vertical"  # paths and chute moves: target, source blocks
+MAX_LATTICE_CELLS = 1 << 16  # |L| past which an instance is refused before its cells are built
 
 
 class Cell(NamedTuple):
@@ -166,6 +167,10 @@ class Instance:
         self.m = dict(m)
         self.u = dict(u)
         self.normalization = normalization or NormalizationReport()
+        size = sum(self.m[t] * self.m[s] for s, t in quiver.arrows)
+        if size > MAX_LATTICE_CELLS:
+            raise ValidationError(
+                f"the cell lattice has {size} cells, more than the {MAX_LATTICE_CELLS} supported")
 
         geom = _derive_geometry(quiver, self.m, self.u)
         self.vertex: dict[str, VertexData] = {}

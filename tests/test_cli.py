@@ -378,6 +378,27 @@ def test_non_string_vertex_ids_fail_cleanly(capsys, tmp_path, sources, arrow_fro
     assert err == f"error: vertex id {named} is not a string\n"
 
 
+@pytest.mark.parametrize("argv", [("info", "--preset", "det:99999999999,1,1"),
+                                  ("facets", "--preset", "det:3000,3000,2"),
+                                  ("hilbert", "--preset", "double:99999999999,1,1,1,1"),
+                                  ("info", "--file", "huge.json")])
+def test_oversized_instances_fail_cleanly(tmp_path, argv):
+    # the size guards fire before any cell is built: under a 1 GiB
+    # address-space limit the run ends in one error line, not a MemoryError
+    import resource
+
+    (tmp_path / "huge.json").write_text(json.dumps(
+        {"sources": ["s"], "targets": ["t"], "arrows": [{"from": "s", "to": "t"}],
+         "m": {"s": 10 ** 20, "t": 1}, "u": {"s": 1, "t": 1}}))
+    env = dict(os.environ, PYTHONPATH=str(Path(quiverdet.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quiverdet", *argv], cwd=tmp_path, env=env, capture_output=True,
+        timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert proc.returncode == 1 and proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "supported" in lines[0], lines
+
+
 def test_strict_flag_vs_normalize(capsys):
     code, out, _ = run_cli(capsys, "info", "--preset", "det:5,5,9", "--json")
     obj = json.loads(out)

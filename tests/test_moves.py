@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from quiverdet import (CellSet, FacetCapExceeded, ValidationError, apply_inverse, apply_move,
-                       c_min, chutable_moves, cmp_T_sets, enumerate_facets, initial_cvm, reflect)
+from quiverdet import (BipartiteQuiver, CellSet, FacetCapExceeded, ValidationError, apply_inverse,
+                       apply_move, build_instance, c_min, chutable_moves, cmp_T_sets,
+                       enumerate_facets, initial_cvm, reflect)
 from quiverdet import moves
 from quiverdet.cvm import HORIZONTAL, VERTICAL
-from quiverdet.definitions import _scan
-from quiverdet.errors import DEFAULT_FACET_CAP
+from quiverdet.definitions import _lines, _scan
+from quiverdet.errors import DEFAULT_FACET_CAP, QuiverDetError
 from quiverdet.quiver import TARGET
 from quiverdet.verify import brute_maximal_facet_masks, random_instance
 
@@ -218,13 +219,14 @@ def _lines_from_mask(layout, mask):
     return occ
 
 
-def _closure_from_scratch(inst):
+def _closure_from_scratch(inst, start=None):
     """Breadth-first chute-move closure; every facet's lines are rebuilt from its mask.
 
-    Returns the sorted masks and each facet's distance from the initial one.
+    Returns the sorted masks and each facet's distance from the initial one,
+    or from the cell set ``start`` when it is given.
     """
     layout = moves._move_layout(inst)
-    start = initial_cvm(inst).mask
+    start = initial_cvm(inst).mask if start is None else start
     distance, frontier = {start: 0}, [start]
     while frontier:
         nxt = []
@@ -267,6 +269,98 @@ def test_carried_lines_match_closure_from_scratch_property():
     _for_random_instances(check)
 
 
+def _check_packed_layout(inst):
+    # a facet's packed word, the XOR of its cells' flip words as the closure
+    # carries it, cut into w-bit lines is its list of lines; every move's two
+    # cells sit in the cell table where the closure looks them up
+    layout = pre, pairs, where = moves._move_layout(inst)
+    w, tops, guards, twins, cell, flip = moves._packed_layout(inst)
+    assert w > max(len(p) - 1 for p in pre)  # the top position of a line stays below its guard
+    assert tops == sum((1 << w) - 2 << n * w for n, _, _ in pairs)
+    assert guards == sum(1 << (n + 1) * w for n, _, _ in pairs)
+    assert twins == sum(t << n * w for n, _, t in pairs)
+    line = (1 << w) - 1
+    for mask in moves._facet_masks(inst, DEFAULT_FACET_CAP):
+        word = 0
+        for r in range(inst.size):
+            if mask >> r & 1:
+                word ^= flip[r]
+        occ = _lines(layout, mask)
+        assert [word >> n * w & line for n in range(len(pre))] == occ, (inst, mask)
+        assert word >> len(pre) * w == 0 and word & guards == 0
+        for vid, removed, added, _ in _scan(layout, occ):
+            # (line, position bit) of both cells in the rectangle's block
+            side = slice(0, 2) if inst.vertex[vid].side == TARGET else slice(2, 4)
+            n, y = where[added.bit_length() - 1][side]
+            bottom, y2 = where[removed.bit_length() - 1][side]
+            assert bottom == n + 1
+            assert cell[n * w + y2.bit_length() + w] == (removed, flip[removed.bit_length() - 1])
+            assert cell[n * w + y.bit_length()] == (added, flip[added.bit_length() - 1])
+
+
+def test_packed_layout_cuts_into_the_lines(closure_instances):
+    for inst in closure_instances:
+        _check_packed_layout(inst)
+
+
+def test_packed_layout_cuts_into_the_lines_property():
+    from test_fold import _for_random_instances
+
+    _for_random_instances(_check_packed_layout)
+
+
+def _wide_instance(rng, max_cells=24):
+    """A random normalized instance past ``random_instance``'s envelope.
+
+    Up to 3 targets, 4 sources and 6 arrows, dimensions up to 4 and at most
+    ``max_cells`` cells: lines of unequal width, and source blocks of several
+    pages with rows paired inside a page (``_move_layout``'s twins).
+    """
+    while True:
+        targets = [f"t{i}" for i in range(1, rng.randint(1, 3) + 1)]
+        sources = [f"s{i}" for i in range(1, rng.randint(1, 4) + 1)]
+        arrows = tuple((rng.choice(sources), rng.choice(targets))
+                       for _ in range(rng.randint(1, 6)))
+        quiver = BipartiteQuiver(tuple(s for s in sources if any(a[0] == s for a in arrows)),
+                                 tuple(t for t in targets if any(a[1] == t for a in arrows)),
+                                 arrows)
+        m = {v: rng.randint(1, 4) for v in quiver.vertices}
+        if sum(m[s] * m[t] for s, t in arrows) > max_cells:
+            continue
+        u = {v: rng.randint(1, max(m[v] - 1, 1)) for v in quiver.vertices}
+        try:
+            return build_instance(quiver, m, u, mode="normalize")
+        except QuiverDetError:
+            continue
+
+
+def test_closure_on_a_wider_envelope():
+    rng = random.Random(41)
+    instances = [_wide_instance(rng) for _ in range(150)]
+    layouts = [moves._move_layout(inst) for inst in instances]
+    # the draws reach what the packed word must keep apart
+    assert any(len({len(p) for p in pre}) > 1 for pre, _, _ in layouts)
+    assert any(twins for _, pairs, _ in layouts for _, _, twins in pairs)
+    assert max(len(inst.arrows) for inst in instances) >= 5
+    for inst in instances:
+        assert moves._facet_masks(inst, DEFAULT_FACET_CAP) == _closure_from_scratch(inst)[0], inst
+        _check_packed_layout(inst)
+
+
+def test_closure_from_any_cell_set_matches_the_reference(monkeypatch):
+    # on the facets tested no carry runs past the end of its line; from an
+    # arbitrary cell set it can, and the guard bits must stop it where the
+    # reference scan, on lines kept apart, stops it
+    rng = random.Random(43)
+    for _ in range(200):
+        inst = _wide_instance(rng, max_cells=12) if rng.random() < 0.5 else \
+            random_instance(rng, max_cells=12)
+        start = rng.getrandbits(inst.size)
+        monkeypatch.setattr(moves, "_initial_mask", lambda _inst, _start=start: _start)
+        got = moves._facet_masks(inst, DEFAULT_FACET_CAP)
+        assert got == _closure_from_scratch(inst, start)[0], (inst, start)
+
+
 def test_chutable_moves_on_every_facet_match_definition(closure_instances):
     for inst in closure_instances:
         for facet in enumerate_facets(inst):
@@ -284,7 +378,7 @@ def test_scan_lists_each_move_once_property():
         layout = moves._move_layout(inst)
         cell = inst.cells
         for facet in enumerate_facets(inst):
-            occ = moves._lines(layout, facet.mask)
+            occ = _lines(layout, facet.mask)
             scanned = [(cell[removed.bit_length() - 1], cell[added.bit_length() - 1], vid)
                        for vid, removed, added, _ in _scan(layout, occ)]
             assert len({m[:2] for m in scanned}) == len(scanned), (inst, facet)

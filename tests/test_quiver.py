@@ -301,3 +301,26 @@ def test_presets():
 
 def test_load_instance_from_json_text(double_instance):
     assert load_instance(double_instance.to_json(), mode="strict") == double_instance
+
+
+@pytest.mark.parametrize("spec", ["det:99999999999,1,1", "det:3000,3000,2", "det:256,257,1",
+                                  "double:99999999999,1,1,1,1"])
+def test_oversized_presets_are_refused(spec):
+    with pytest.raises(ValidationError, match="65536 supported"):
+        parse_preset(spec)
+
+
+def test_oversized_documents_are_refused():
+    with pytest.raises(ValidationError, match=f"has {10 ** 20 * 2} cells"):
+        load_instance(_star_document(m={"s": 10 ** 20, "t": 2}))
+
+
+def test_lattice_size_guard_is_inclusive(monkeypatch):
+    # the guard fires before any cell is built: a lattice of exactly the
+    # limit builds, one cell more is refused
+    from quiverdet import quiver
+
+    monkeypatch.setattr(quiver, "MAX_LATTICE_CELLS", 12)
+    assert parse_preset("det:3,4,1").size == 12
+    with pytest.raises(ValidationError, match="13 cells, more than the 12 supported"):
+        parse_preset("det:13,1,1")

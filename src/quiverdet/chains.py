@@ -9,17 +9,19 @@ variants (``padded_nw``/``padded_se``) also count the path endpoints pinned
 to the block boundary; ``cvm._path_layout`` keeps each position's padding
 floors, the padded statistics of a raw value 0.
 
-Three kernels compute them, each for its own callers:
+Three kernels compute them, each for its own callers (the second lives in
+``bitslice``, which the counting commands load without this module):
 
 - ``definitions._chain_tables``: both full tables of one block and one set,
   read cell by cell by ``_addable``.  ``BlockStats`` runs it for ``can_extend``,
   ``corner_stats``, the road maps and ``verify``'s membership oracle.
-- ``_chain_levels``: the same tables bit-sliced over a batch of subsets, bit
-  i for subset i, which ``_columns`` transposes from masks and ``_at_least``
-  and ``_exactly`` read.  ``cvm._point_levels`` runs it once per class of twin
-  blocks for ``verify``'s criteria check and codim-1 ridge batches, and for
-  the corner batch (``cvm._corner_bits``) of ``verify``, the corner routes,
-  the shelling check and the ``corners`` command.
+- ``bitslice._chain_levels``: the same tables bit-sliced over a batch of
+  subsets, bit i for subset i.  ``bitslice._addable_columns`` runs it on
+  the per-cell ridge batches of the local h routes and ``verify``'s codim-1
+  check, and ``cvm._point_levels`` once per class of twin blocks for
+  ``verify``'s criteria check and for the corner batch
+  (``cvm._corner_bits``) of ``verify``, the corner routes, the shelling
+  check and the ``corners`` command.
 - Chain levels for the face predicate: N_j holds the positions with a
   j-chain of the set strictly NW of them, S_j those with one strictly SE,
   each a cell-rank mask; a position is blocked when it lies in N_j and
@@ -35,8 +37,7 @@ The tests hold the batch and the levels to ``definitions._chain_tables``.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import and_, or_
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import ValidationError
@@ -230,85 +231,6 @@ def _addable(positions, tables, candidates: int) -> int:
             if snw[si - 1][sj - 1] + sse[si + 1][sj + 1] < su:
                 mask |= bit
     return mask
-
-
-def _chain_levels(a: int, b: int, top: int, occ, every: int) -> tuple[list, list]:
-    """Bit-sliced NW and SE chain tables of one a x b block, levels 1 to ``top``.
-
-    ``occ[x][y]`` has bit i set when subset i holds the block's position
-    (x, y); rows 0 and a + 1 and columns 0 and b + 1 are zero padding, and
-    ``every`` has a bit for each subset.  Bit i of ``nw[j - 1][x][y]`` is
-    set when subset i has a chain of j points in rows <= x and columns <= y,
-    and of ``se[j - 1][x][y]`` when it has one in rows >= x and columns >= y.
-    A j-chain ends at an occupied (x, y) exactly when a (j - 1)-chain lies
-    strictly NW of it, so each level is one sweep over the one below.
-    """
-    nw, se = [], []
-    lower_nw = lower_se = [[every] * (b + 2)] * (a + 2)
-    for _ in range(top):
-        level = [[0] * (b + 2) for _ in range(a + 2)]
-        for x in range(1, a + 1):
-            row, up, diag, held = level[x], level[x - 1], lower_nw[x - 1], occ[x]
-            for y in range(1, b + 1):
-                row[y] = up[y] | row[y - 1] | held[y] & diag[y - 1]
-        nw.append(level)
-        lower_nw = level
-        level = [[0] * (b + 2) for _ in range(a + 2)]
-        for x in range(a, 0, -1):
-            row, down, diag, held = level[x], level[x + 1], lower_se[x + 1], occ[x]
-            for y in range(b, 0, -1):
-                row[y] = down[y] | row[y + 1] | held[y] & diag[y + 1]
-        se.append(level)
-        lower_se = level
-    return nw, se
-
-
-def _at_least(nw: list, se: list, k: int) -> int:
-    """The subsets in which the two statistics sum to at least k, from their level lists."""
-    return reduce(or_, map(and_, nw[:k + 1], se[k::-1]))
-
-
-# Masks transposed at once by ``_columns``; the text of a chunk takes about
-# size times this many bytes.
-_CHUNK = 256
-
-
-def _columns(masks: list[int], size: int) -> list[int]:
-    """Per cell rank r, the int whose bit i is bit r of ``masks[i]``.
-
-    Each chunk of masks is written out in binary, last mask first, so that
-    every size-th digit of the text is one cell's column of the chunk.
-    """
-    columns = [0] * size
-    digits = f"0{size}b"
-    for start in range(0, len(masks), _CHUNK):
-        text = "".join([format(m, digits) for m in reversed(masks[start:start + _CHUNK])])
-        for r in range(size):
-            columns[r] |= int(text[size - 1 - r::size], 2) << start
-    return columns
-
-
-def _exactly(columns: list[int], n: int, every: int) -> int:
-    """The subsets of exactly n cells, counted by a bit-sliced binary counter."""
-    digits: list[int] = []
-    for carry in columns:
-        k = 0
-        while carry:
-            if k == len(digits):
-                digits.append(carry)
-                break
-            digits[k], carry = digits[k] ^ carry, digits[k] & carry
-            k += 1
-    if n >> len(digits):
-        return 0
-    for k, digit in enumerate(digits):
-        every &= digit if n >> k & 1 else ~digit
-    return every
-
-
-# Ridges per batch of the codim-1 check; a class's level tables for a batch
-# take about 2u (a + 2)(b + 2) ints of this many bits.
-_RIDGES = 16384
 
 
 class BlockStats:

@@ -7,12 +7,13 @@ writes a script) to machine-readable output.
 
 Each handler imports the engines it runs when it runs, so a process loads
 only what its subcommand needs: ``info`` loads ``quiver`` and ``errors``
-alone, the counting commands only the mask path ``moves`` and ``series``;
-oracle routes import theirs when they run.  Only the subcommand run gets
-options, each only those its handler reads, and only ``--json`` loads
-``json``.  ``facets`` streams the sorted masks of ``moves._facet_masks``,
-builds no ``CellSet``, and writes its facets in chunks of 64 as they are
-formatted, never holding the whole output.  A command whose reader closes
+alone, the counting commands only the mask path ``moves``, ``series`` and
+``bitslice``; oracle routes import theirs when they run.  The handlers of
+the check commands live in ``cli_checks``, which loads only to run one.
+Only the subcommand run gets options, each only those its handler reads,
+and only ``--json`` loads ``json``.  ``facets`` streams the sorted masks of
+``moves._facet_masks``, builds no ``CellSet``, and writes its facets in
+chunks of 64 as they are formatted, never holding the whole output.  A command whose reader closes
 stdout early (``| head``) exits 1 with nothing on stderr.
 """
 
@@ -234,102 +235,8 @@ def _cmd_interior(args) -> int:
     return 0
 
 
-def _cmd_shelling(args) -> int:
-    from .complex import _shelling_report
-    from .moves import _facet_masks
-
-    inst = _load(args)
-    masks = _facet_masks(inst, args.facet_cap)
-    # both scan directions shell: ascending pairs with SE corner counts,
-    # descending (the reflected picture) with NW counts
-    up = _shelling_report(inst, masks, "SE")
-    down = _shelling_report(inst, masks[::-1], "NW")
-    ok = up.ok and down.ok
-    lines = [f"ascending shelling {'ok' if up.ok else 'FAILED'}",
-             "restriction counts " + " ".join(map(str, up.restriction_counts)),
-             f"descending shelling {'ok' if down.ok else 'FAILED'}"]
-    for rep in (up, down):
-        if rep.failure:
-            lines.append(rep.failure)
-    _emit(args, {"ascending": up.to_json_obj(), "descending": down.to_json_obj()}, lines)
-    return 0 if ok else 1
-
-
-def _cmd_vdc(args) -> int:
-    from .definitions import check_vertex_decomposition_samples
-
-    inst = _load(args)
-    report = check_vertex_decomposition_samples(
-        inst, sample_budget=args.samples, size_guard=args.max_cells, seed=args.seed)
-    lines = [f"sample ell={s.prefix_length} seed|{len(s.seed_cells)}| "
-             f"maximal={s.maximal_count} {'pure' if s.pure else 'IMPURE'}"
-             for s in report.samples]
-    lines.append("all pure" if report.ok else "IMPURITY FOUND")
-    _emit(args, report.to_json_obj(), lines)
-    return 0 if report.ok else 1
-
-
-def _cmd_export(args) -> int:
-    from .ideal import export_cas
-
-    inst = _load(args)
-    text = export_cas(inst, flavor=args.flavor, generator_cap=args.generator_cap,
-                      version=f"quiverdet {__version__}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def _cmd_corners(args) -> int:
-    from .cvm import _corner_counts
-    from .moves import _facet_masks
-
-    inst = _load(args)
-    rows = [{"facet": idx, "essential_nw": nw, "essential_se": se} for idx, (nw, se)
-            in enumerate(_corner_counts(inst, _facet_masks(inst, args.facet_cap)), start=1)]
-    _emit(args, rows,
-          [f"facet {r['facet']}: essential NW {r['essential_nw']}, essential SE {r['essential_se']}"
-           for r in rows])
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    import random
-
-    from .verify import random_instance, verify_instance
-
-    reports = []
-    if args.preset or args.file:
-        reports.append(verify_instance(_load(args), subset_trials=args.trials,
-                                       seed=args.seed, max_cells=args.max_cells,
-                                       facet_cap=args.facet_cap))
-    rng = random.Random(args.seed)
-    for _ in range(args.random):
-        inst = random_instance(rng)
-        reports.append(verify_instance(inst, subset_trials=args.trials,
-                                       seed=rng.randrange(2 ** 30),
-                                       max_cells=args.max_cells,
-                                       facet_cap=args.facet_cap))
-    if not reports:
-        raise ValidationError("verify needs --preset, --file, or --random N")
-    lines = []
-    for rep in reports:
-        for check in rep.checks:
-            lines.append(f"[{'ok' if check.ok else 'FAIL'}] {check.name}: {check.detail}")
-    failed = [rep for rep in reports if not rep.ok]
-    if failed:
-        first = failed[0].first_failure
-        lines.append(f"FAILED: {first.name} on {failed[0].instance!r}: {first.detail}")
-    else:
-        lines.append(f"all checks passed on {len(reports)} instance(s)")
-    _emit(args, [rep.to_json_obj() for rep in reports], lines)
-    return 0 if not failed else 1
-
-
-_COMMANDS = {  # name: (handler, help)
+# name: (handler, help); a handler named by a str lives in ``cli_checks``, loaded to run it
+_COMMANDS = {
     "info": (_cmd_info, "geometry, N, normalization report"),
     "facets": (_cmd_facets, "all facets in shelling order"),
     "multiplicity": (_cmd_multiplicity, "number of facets"),
@@ -337,11 +244,11 @@ _COMMANDS = {  # name: (handler, help)
     "hilbert": (_cmd_hilbert, "Hilbert series"),
     "fvector": (_cmd_fvector, "face counts by dimension"),
     "interior": (_cmd_interior, "interior face counts"),
-    "shelling": (_cmd_shelling, "verify the shelling order"),
-    "corners": (_cmd_corners, "essential corner counts per facet"),
-    "vdc-sample": (_cmd_vdc, "bounded purity spot-check of deletion/link towers"),
-    "export-cas": (_cmd_export, "emit a Macaulay2 or Singular check script"),
-    "verify": (_cmd_verify, "run the full oracle suite"),
+    "shelling": ("_cmd_shelling", "verify the shelling order"),
+    "corners": ("_cmd_corners", "essential corner counts per facet"),
+    "vdc-sample": ("_cmd_vdc", "bounded purity spot-check of deletion/link towers"),
+    "export-cas": ("_cmd_export", "emit a Macaulay2 or Singular check script"),
+    "verify": ("_cmd_verify", "run the full oracle suite"),
 }
 
 
@@ -403,6 +310,10 @@ def main(argv=None) -> int:
         if getattr(args, name, 0) < 0:
             parser.error(f"--{name.replace('_', '-')} must not be negative")
     try:
+        if isinstance(args.func, str):
+            from . import cli_checks
+
+            args.func = getattr(cli_checks, args.func)
         return args.func(args)
     except QuiverDetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,30 +11,38 @@ a copy of its parent's levels, which it passes down; blocks that can never
 block cost nothing.  No node builds chain tables, tests cells one by one or
 undoes anything.
 
-Each codim-1 face (ridge) F - c lies in one or two facets;
-``series._ridge_walk`` pairs them, and the boundary, the shelling check,
-``verify``'s codim-1 check and the h-vector folds read it.  The shelling
+Each codim-1 face (ridge) F - c lies in one or two facets; ``_ridge_walk``
+pairs them along a facet list, and the boundary, the shelling check,
+``verify``'s codim-1 check and the fold routes read it.  The shelling
 check runs on facet masks (``_shelling_report``); ``verify_shelling`` turns
 its cell sets into masks once.  ``interior_faces`` and the shelling check
 read the facets containing a set off per-cell owner bitsets, the masks'
-transposed columns (``chains._columns``, read by ``_containing``);
+transposed columns (``bitslice._columns``, read by ``_containing``);
 ``verify``'s brute walk ANDs the same bitsets along the DFS, so it counts
 interior faces without storing any.
 
-The CLI reads face counts off the h-vector (``series.face_counts``); the DFS
-routes ``f_vector`` and ``interior_faces`` are their oracle, in ``verify``
-(its brute walk) and in ``hilbert_series``'s face-table routes.
+The CLI reads h off ``series``'s local routes and the face counts off h
+(``series.face_counts``).  This module holds their oracles: the DFS routes
+``f_vector`` and ``interior_faces``, in ``verify`` (its brute walk) and in
+``hilbert_series``'s face-table routes, whose transforms ``_h_from_f`` and
+``_h_from_interior`` are here; the folds of the walk (``_ridge_fold``); and
+the corner routes' tally (``_corner_routes``).  ``oracle_routes`` runs them
+for ``hilbert_series``, which loads both modules only when one of them runs.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from math import comb
 from typing import NamedTuple
 
-from .chains import CellSet, _columns, _grow, _load_blocks, _rank_ladder
+from .bitslice import _columns
+from .chains import CellSet, _grow, _load_blocks, _rank_ladder
 from .cvm import _corner_counts
 from .errors import DEFAULT_MAX_CELLS, GuardExceeded, ValidationError
 from .quiver import Instance, _is_int
-from .series import FaceTable, _ridge_walk
+from .series import NW_CORNERS, SE_CORNERS, FaceTable, _trim
+
 
 class _FaceSearch:
     """Depth-first enumeration of admissible sets ``base ∪ X``.
@@ -140,6 +148,53 @@ def _containing(owners: list[int], mask: int, among: int) -> int:
     return among
 
 
+def _ridge_walk(masks) -> tuple[list[int], dict[int, int], list[int]]:
+    """Each mask's restriction mask in the order given, the open ridges, and its later closes.
+
+    Walking the masks, F closes each open ridge F - c (a ridge lies in at
+    most two facets) and opens the others.  The closing cells form F's
+    restriction face R(F), the cells whose ridge lies in an earlier facet
+    (Björner–Wachs, Trans. AMS 348, 1996); the ridges left open are those
+    in exactly one facet, the boundary generators, keyed to their facet's
+    index.  A close also credits the facet that opened the ridge: ``later[j]``
+    counts mask j's ridges in a later mask, its restriction size along the
+    reversed order, unless a ridge lies in three or more masks (the walk
+    pairs them in list order); ``verify``'s codim-1 check holds every ridge
+    of a facet list to one or two owners.  A facet's cells are the cell bits
+    that ``compress`` picks by its mask's binary digits, lowest first, so
+    ``masks`` must be a sequence of nonnegative ints.
+    """
+    opener: dict[int, int] = {}
+    restrictions, later = [], []
+    cells = [1 << r for r in range(max(masks, default=0).bit_length())]
+    digits = bytes.maketrans(b"01", b"\0\1")
+    for j, mask in enumerate(masks):
+        restriction = 0
+        later.append(0)
+        for low in compress(cells, f"{mask:b}"[::-1].encode().translate(digits)):
+            ridge = mask ^ low
+            i = opener.pop(ridge, None)
+            if i is None:
+                opener[ridge] = j
+            else:
+                restriction |= low
+                later[i] += 1
+        restrictions.append(restriction)
+    return restrictions, opener, later
+
+
+def _ridge_fold(walk) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """h along the walk's order and along its reverse, and the number of open ridges.
+
+    h counts the facets by their restriction sizes.  One ``_ridge_walk``
+    gives both orders: a facet's restriction along the reversed order is
+    its ridges that lie in a later facet.
+    """
+    restrictions, open_ridges, later = walk
+    sizes = [r.bit_count() for r in restrictions], later
+    return *(tuple(map(s.count, range(max(s, default=0) + 1))) for s in sizes), len(open_ridges)
+
+
 def boundary_generator_masks(facets) -> list[int]:
     """The codim-1 faces of the facets that lie in exactly one of them, as ascending bitmasks."""
     return sorted(_ridge_walk([f.mask for f in facets])[1])
@@ -182,7 +237,7 @@ def verify_shelling(facets_in_order, corner_kind: str = "SE") -> ShellingReport:
 
     Restriction-face form (Björner–Wachs, Trans. AMS 348, 1996): R_j holds the
     cells c of F_j whose ridge F_j - c lies in an earlier facet, read off
-    ``series._ridge_walk``, and the order shells iff no earlier facet
+    ``_ridge_walk``, and the order shells iff no earlier facet
     contains R_j, as G ∩ F_j ⊆ F_j - c iff c ∉ G.  |R_j| must equal the
     facet's essential corner count (zero for the first facet).  The
     ascending order pairs with SE corners; the descending order is the
@@ -204,7 +259,7 @@ def _shelling_report(instance: Instance, masks: list[int], corner_kind: str, wal
                      counts=None) -> ShellingReport:
     """``verify_shelling`` on nonempty masks: R_j off ``walk``, corners off ``counts``, if given.
 
-    ``walk`` is ``series._ridge_walk`` of the masks in this order and
+    ``walk`` is ``_ridge_walk`` of the masks in this order and
     ``counts`` their essential ``corner_kind`` corner counts, else read off
     the masks by ``cvm._corner_counts`` as the check reaches them, so that a
     caller that walks them or counts their corners does so once.
@@ -231,3 +286,45 @@ def _shelling_report(instance: Instance, masks: list[int], corner_kind: str, wal
                 f"facet {j + 1}: restriction count {rj} != "
                 f"essential {corner_kind} corners {expected}")
     return ShellingReport(True, tuple(r_seq))
+
+
+# -- h-vectors of the oracle routes ------------------------------------------------
+
+
+def _one_minus_t_power(n: int) -> list[int]:
+    return [(-1) ** i * comb(n, i) for i in range(n + 1)]
+
+
+def _h_from_f(table: FaceTable, n_top: int) -> tuple[int, ...]:
+    acc = [0] * (n_top + 1)
+    for size, count in enumerate(table.counts_by_size):
+        if count == 0:
+            continue
+        for i, c in enumerate(_one_minus_t_power(n_top - size)):
+            acc[size + i] += count * c
+    return _trim(acc)
+
+
+def _h_from_interior(table: FaceTable, n_top: int) -> tuple[int, ...]:
+    if table.interior_by_size is None:
+        raise ValidationError("interior counts not computed")
+    acc = [0] * (n_top + 1)
+    for size, count in enumerate(table.interior_by_size):
+        if count == 0:
+            continue
+        sign = (-1) ** (n_top - size)
+        for i, c in enumerate(_one_minus_t_power(n_top - size)):
+            acc[i] += sign * count * c
+    return _trim(acc)
+
+
+def _corner_routes(instance: Instance, masks: list[int],
+                   bits=None) -> tuple[dict[str, tuple[int, ...]], list[int]]:
+    """The corner routes' numerators, and each facet's essential SE count, from one corner batch.
+
+    h_i counts the facets with i essential corners, off their masks or the
+    ``bits`` of ``verify``'s criteria batch, whose shelling check reads the SE counts.
+    """
+    nw, se = zip(*_corner_counts(instance, masks, bits))
+    return {route: _trim(list(map(counts.count, range(instance.n_cells + 1))))
+            for route, counts in ((NW_CORNERS, nw), (SE_CORNERS, se))}, list(se)

@@ -25,18 +25,31 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import islice
 
-from .chains import (_RIDGES, CellSet, _at_least, _chain_levels, _columns, _exactly, _grow,
-                     _load_blocks, _rank_ladder, is_u_compatible, padded_nw, padded_se)
+from .bitslice import _at_least, _chain_levels, _columns, _exactly
+from .chains import (CellSet, _grow, _load_blocks, _rank_ladder, is_u_compatible, padded_nw,
+                     padded_se)
 from .errors import CrossCheckError, ValidationError
 from .moves import _initial_mask
 from .quiver import HORIZONTAL, TARGET, VERTICAL, BipartiteQuiver, Cell, Instance
+
 NW = "NW"
 SE = "SE"
+
+# Masks per corner batch of ``_corner_counts``; a class's level tables for a
+# batch take about 2(u + 1)(a + 2)(b + 2) ints of this many bits.
+_BATCH = 16384
+
+
+def _cell_set(cs) -> CellSet:
+    """``cs``, if it is the ``CellSet`` the public functions here take; else a ValidationError."""
+    if not isinstance(cs, CellSet):
+        raise ValidationError(f"expected a CellSet, got {type(cs).__name__}")
+    return cs
 
 
 def is_cvm(cs: CellSet) -> bool:
     """True iff the set is admissible and has N cells; ``verify`` reads it off a criteria batch."""
-    return len(cs) == cs.instance.n_cells and is_u_compatible(cs)
+    return len(_cell_set(cs)) == cs.instance.n_cells and is_u_compatible(cs)
 
 
 def _greedy_close(seed: CellSet, descending: bool) -> CellSet:
@@ -70,12 +83,12 @@ def _greedy_close(seed: CellSet, descending: bool) -> CellSet:
 
 def c_max(seed: CellSet) -> CellSet:
     """Greedy completion scanning cells from the largest down: the largest facet containing the seed."""
-    return _greedy_close(seed, descending=True)
+    return _greedy_close(_cell_set(seed), descending=True)
 
 
 def c_min(seed: CellSet) -> CellSet:
     """Greedy completion scanning cells from the smallest up: the smallest facet containing the seed."""
-    return _greedy_close(seed, descending=False)
+    return _greedy_close(_cell_set(seed), descending=False)
 
 
 def initial_cvm(instance: Instance) -> CellSet:
@@ -136,24 +149,21 @@ def _criteria_layout(instance: Instance) -> tuple[tuple, ...]:
     return tuple((a, b, u, ranks, tuple(blocks)) for a, b, u, ranks, blocks in classes.values())
 
 
-def _point_levels(instance: Instance, columns: list[int], every: int, padded: bool,
-                  tables: dict | None = None):
+def _point_levels(instance: Instance, columns: list[int], every: int, tables: dict | None = None):
     """``(r, u, n, s, nw_floor, se_floor, blocked)`` per position of every block, on a batch.
 
-    Each class of twin blocks runs one ``_chain_levels`` up to its rank u,
-    or u + 1 when ``padded``; unpadded, a class whose rank is at least a side
-    is skipped.  Bit i of ``n[j]`` says that subset i has nw >= j at the
+    Each class of twin blocks runs one ``_chain_levels`` up to level u + 1,
+    which the padded statistics reach (``bitslice._addable_columns`` stops
+    at u).  Bit i of ``n[j]`` says that subset i has nw >= j at the
     position, of ``s[j]`` that it has se >= j (level 0: every subset);
     ``blocked`` holds the subsets with nw + se >= u, to which the cell cannot
     be added: the longest chain through it would exceed u points.  A dict
     ``tables`` keeps each class's level tables under ``(ranks, u)``.
     """
     for a, b, u, ranks, blocks in _criteria_layout(instance):
-        if u >= min(a, b) and not padded:  # blocks nothing (see ``chains._rank_ladder``)
-            continue
         pad = [0] * (b + 2)
         occ = [pad, *([0, *(columns[r] for r in row), 0] for row in ranks), pad]
-        nw, se = _chain_levels(a, b, u + padded, occ, every)
+        nw, se = _chain_levels(a, b, u + 1, occ, every)
         if tables is not None:
             tables[ranks, u] = nw, se
         for points in blocks:
@@ -178,7 +188,7 @@ def road_map(cs: CellSet) -> RoadMap:
     from .definitions import RoadMap, _road_blocks
 
     families: tuple[dict, dict] = ({}, {})  # vertical, horizontal: indexed by ``target``
-    for paths, _, vid, target, _ in _road_blocks(cs):
+    for paths, _, vid, target, _ in _road_blocks(_cell_set(cs)):
         families[target][vid] = paths
     return RoadMap(families[1], families[0])
 
@@ -204,7 +214,7 @@ def corners(cs: CellSet) -> CornerReport:
     """
     from .definitions import CornerRecord, CornerReport, _classify, _turns
 
-    inst = cs.instance
+    inst = _cell_set(cs).instance
     rm = road_map(cs)
     families = (rm.vertical, rm.horizontal)
     paths = [families[target][vid] for vid, target, *_ in _path_layout(inst)]
@@ -270,16 +280,16 @@ def _corner_counts(instance: Instance, masks: list[int], bits=None):
     """Yield ``corners``'s two counts, (essential NW, essential SE), of each mask in turn.
 
     ``bits`` are the masks' ``_corner_bits`` off ``verify``'s criteria batch; else
-    batches of ``_RIDGES`` masks run their own pass as they are reached.  The first
+    batches of ``_BATCH`` masks run their own pass as they are reached.  The first
     bad mask is replayed on a copy through ``definitions._road_blocks`` and ``_classify``.
     """
     batches = [(0, masks, bits)] if bits else (
-        (start, masks[start:start + _RIDGES], None) for start in range(0, len(masks), _RIDGES))
+        (start, masks[start:start + _BATCH], None) for start in range(0, len(masks), _BATCH))
     for start, batch, found in batches:
         every = (1 << len(batch)) - 1
         if found is None:
             columns, tables, blocked = _columns(batch, instance.size), {}, 0
-            for r, *_, bad in _point_levels(instance, columns, every, True, tables):
+            for r, *_, bad in _point_levels(instance, columns, every, tables):
                 blocked |= columns[r] & bad
             cvm = _exactly(columns, instance.n_cells, every) & ~blocked
             found = _corner_bits(instance, columns, every, tables, cvm)
@@ -321,5 +331,5 @@ def reflect_instance(instance: Instance) -> tuple[Instance, dict[Cell, Cell]]:
 
 def reflect(cs: CellSet) -> tuple[Instance, CellSet]:
     """Image of a cell set under the 180-degree rotation (new instance, new set)."""
-    reflected, cmap = reflect_instance(cs.instance)
+    reflected, cmap = reflect_instance(_cell_set(cs).instance)
     return reflected, CellSet(reflected, (cmap[c] for c in cs.cells))

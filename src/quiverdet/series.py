@@ -1,53 +1,64 @@
 """The Z-graded Hilbert series h(t) / (1 - t)^N, by independent routes.
 
 All polynomial arithmetic is exact over the integers.  The numerator, the
-h-polynomial, has six routes.  The default pair, ``ascending_fold`` and
-``descending_fold``, count the facets by the ridges each one shares with
-earlier and with later facets in ascending order, both shellings:
-``_ridge_fold`` reads both off one ``_ridge_walk`` of their masks.
-``complex`` reads restriction faces and boundary generators off that walk,
-and ``verify`` walks its facets once for its folds, boundary generators,
-shelling and codim-1 checks; it compares its routes with ``_agreed``, the
-comparison ``hilbert_series`` ends with.  The folds' oracle is the paper's
-formula: ``se_corners`` and ``nw_corners`` count the facets by essential SE
-or NW corners (the ascending and the descending restriction counts), which
-one bit-sliced corner batch, ``cvm._corner_counts``, reads off their masks.
-``f_transform`` and ``interior`` transform the f-vector and the interior
-faces of the face DFS, which ``hilbert_series`` runs itself.  Multiplicity
-h(1) and the Gorenstein indicator (a palindromic h-vector) are read off the
-series.  The routes are mathematically equal, so any disagreement is
-reported as an internal error rather than a result.
+h-polynomial, has eight routes.  The default pair, ``ascending_local`` and
+``descending_local``, count the facets by their restriction faces in
+ascending and in descending mask order, both shellings, each face read
+locally: a cell c lies in R(F) when F - c has an addable cell below c
+(above c, descending).  ``bitslice._restriction_columns`` tests every
+ridge of a chunk of facets in per-cell batches, and ``_local_h`` tallies
+the faces' sizes; no ridge is stored and no facet is compared with another.
 
-Both face transforms are invertible: ``_f_from_h`` undoes ``_h_from_f`` on h
-and ``_h_from_interior`` on h reversed, since the complex is a ball and the
-relative complex (Δ, ∂Δ) has h-vector h reversed (Stanley, *Combinatorics and
-Commutative Algebra*, 2nd ed., II.7).  ``face_counts`` reads the f-vector and
-the interior vector off the fold h-vector that way.
+The oracle routes load their modules when they run.  The two folds,
+``ascending_fold`` and ``descending_fold``, count the ridges each facet
+shares with earlier and with later facets, off one ``complex._ridge_walk``
+of their masks; ``verify`` walks its facets once for its folds, boundary
+generators, shelling and codim-1 checks, and compares its routes with
+``_agreed``, the comparison ``hilbert_series`` ends with.  ``se_corners``
+and ``nw_corners`` count the facets by essential SE or NW corners (the
+paper's formula: the ascending and the descending restriction counts), off
+one bit-sliced corner batch, ``cvm._corner_counts``.  ``f_transform`` and
+``interior`` transform the f-vector and the interior faces of the face DFS,
+which ``oracle_routes`` runs for them.  Multiplicity h(1) and the Gorenstein
+indicator (a palindromic h-vector) are read off the series.  The routes are
+mathematically equal, so any disagreement is reported as an internal error
+rather than a result.
 
-The folds are on the mask path: this module loads only ``errors``,
-``quiver`` and ``moves``, and folds bare masks when no other route reads
-facets; the oracle routes and given facets' check import theirs when run.
+Both face transforms are invertible: ``_f_from_h`` undoes
+``complex._h_from_f`` on h and ``complex._h_from_interior`` on h reversed,
+since the complex is a ball and the relative complex (Δ, ∂Δ) has h-vector h
+reversed (Stanley, *Combinatorics and Commutative Algebra*, 2nd ed., II.7).
+``face_counts`` reads the f-vector and the interior vector off the local
+h-vector that way.
+
+The local routes are on the mask path: this module loads only ``errors``,
+``quiver``, ``moves`` and ``bitslice``, and tallies bare masks when no
+other route reads facets.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import zip_longest
 from math import comb
 from typing import NamedTuple
 
+from .bitslice import _restriction_columns, _tally
 from .errors import DEFAULT_FACET_CAP, DEFAULT_MAX_CELLS, CrossCheckError, ValidationError
-from .moves import _facet_masks, enumerate_facets
+from .moves import _facet_masks
 from .quiver import Instance
 
+ASCENDING_LOCAL = "ascending_local"
+DESCENDING_LOCAL = "descending_local"
 ASCENDING_FOLD = "ascending_fold"
 DESCENDING_FOLD = "descending_fold"
 SE_CORNERS = "se_corners"
 NW_CORNERS = "nw_corners"
 F_TRANSFORM = "f_transform"
 INTERIOR = "interior"
+LOCAL_ROUTES = frozenset({ASCENDING_LOCAL, DESCENDING_LOCAL})
 FOLD_ROUTES = frozenset({ASCENDING_FOLD, DESCENDING_FOLD})
 CORNER_ROUTES = frozenset({SE_CORNERS, NW_CORNERS})
-ALL_ROUTES = FOLD_ROUTES | CORNER_ROUTES | {F_TRANSFORM, INTERIOR}
+ALL_ROUTES = LOCAL_ROUTES | FOLD_ROUTES | CORNER_ROUTES | {F_TRANSFORM, INTERIOR}
 
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
@@ -55,10 +66,6 @@ def _trim(coeffs: list[int]) -> tuple[int, ...]:
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def _one_minus_t_power(n: int) -> list[int]:
-    return [(-1) ** i * comb(n, i) for i in range(n + 1)]
 
 
 class _SeriesFields(NamedTuple):
@@ -140,76 +147,6 @@ class FaceTable(NamedTuple):
         return obj
 
 
-def _ridge_walk(masks) -> tuple[list[int], dict[int, int], list[int]]:
-    """Each mask's restriction mask in the order given, the open ridges, and its later closes.
-
-    Walking the masks, F closes each open ridge F - c (a ridge lies in at
-    most two facets) and opens the others.  The closing cells form F's
-    restriction face R(F), the cells whose ridge lies in an earlier facet
-    (Björner–Wachs, Trans. AMS 348, 1996); the ridges left open are those
-    in exactly one facet, the boundary generators, keyed to their facet's
-    index.  A close also credits the facet that opened the ridge: ``later[j]``
-    counts mask j's ridges in a later mask, its restriction size along the
-    reversed order, unless a ridge lies in three or more masks (the walk
-    pairs them in list order); ``verify``'s codim-1 check holds every ridge
-    of a facet list to one or two owners.  A facet's cells are the cell bits
-    that ``compress`` picks by its mask's binary digits, lowest first, so
-    ``masks`` must be a sequence of nonnegative ints.
-    """
-    opener: dict[int, int] = {}
-    restrictions, later = [], []
-    cells = [1 << r for r in range(max(masks, default=0).bit_length())]
-    digits = bytes.maketrans(b"01", b"\0\1")
-    for j, mask in enumerate(masks):
-        restriction = 0
-        later.append(0)
-        for low in compress(cells, f"{mask:b}"[::-1].encode().translate(digits)):
-            ridge = mask ^ low
-            i = opener.pop(ridge, None)
-            if i is None:
-                opener[ridge] = j
-            else:
-                restriction |= low
-                later[i] += 1
-        restrictions.append(restriction)
-    return restrictions, opener, later
-
-
-def _ridge_fold(walk) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """h along the walk's order and along its reverse, and the number of open ridges.
-
-    h counts the facets by their restriction sizes.  One ``_ridge_walk``
-    gives both orders: a facet's restriction along the reversed order is
-    its ridges that lie in a later facet.
-    """
-    restrictions, open_ridges, later = walk
-    sizes = [r.bit_count() for r in restrictions], later
-    return *(tuple(map(s.count, range(max(s, default=0) + 1))) for s in sizes), len(open_ridges)
-
-
-def _h_from_f(table: FaceTable, n_top: int) -> tuple[int, ...]:
-    acc = [0] * (n_top + 1)
-    for size, count in enumerate(table.counts_by_size):
-        if count == 0:
-            continue
-        for i, c in enumerate(_one_minus_t_power(n_top - size)):
-            acc[size + i] += count * c
-    return _trim(acc)
-
-
-def _h_from_interior(table: FaceTable, n_top: int) -> tuple[int, ...]:
-    if table.interior_by_size is None:
-        raise ValidationError("interior counts not computed")
-    acc = [0] * (n_top + 1)
-    for size, count in enumerate(table.interior_by_size):
-        if count == 0:
-            continue
-        sign = (-1) ** (n_top - size)
-        for i, c in enumerate(_one_minus_t_power(n_top - size)):
-            acc[i] += sign * count * c
-    return _trim(acc)
-
-
 def _f_from_h(h: tuple[int, ...], n_top: int) -> tuple[int, ...]:
     """Face counts by cardinality k = 0..N, f_{k-1} = sum_i C(N - i, k - i) h_i.
 
@@ -219,18 +156,18 @@ def _f_from_h(h: tuple[int, ...], n_top: int) -> tuple[int, ...]:
                  for k in range(n_top + 1))
 
 
-def _corner_routes(instance: Instance, masks: list[int],
-                   bits=None) -> tuple[dict[str, tuple[int, ...]], list[int]]:
-    """The corner routes' numerators, and each facet's essential SE count, from one corner batch.
+def _local_h(chunks) -> dict[str, tuple[int, ...]]:
+    """The local routes' numerators, off the chunks of ``bitslice._restriction_columns``.
 
-    h_i counts the facets with i essential corners, off their masks or the
-    ``bits`` of ``verify``'s criteria batch, whose shelling check reads the SE counts.
+    h_i counts the facets whose restriction face has i cells; ``_tally``
+    counts a chunk's facets by the cells of their ``below`` and their
+    ``above`` columns.
     """
-    from .cvm import _corner_counts
-
-    nw, se = zip(*_corner_counts(instance, masks, bits))
-    return {route: _trim(list(map(counts.count, range(instance.n_cells + 1))))
-            for route, counts in ((NW_CORNERS, nw), (SE_CORNERS, se))}, list(se)
+    h: dict[str, list[int]] = {ASCENDING_LOCAL: [], DESCENDING_LOCAL: []}
+    for _, every, _, below, above, _ in chunks:
+        for route, columns in ((ASCENDING_LOCAL, below), (DESCENDING_LOCAL, above)):
+            h[route] = list(map(sum, zip_longest(h[route], _tally(columns, every), fillvalue=0)))
+    return {route: _trim(total) for route, total in h.items()}
 
 
 def _agreed(results: dict[str, tuple[int, ...]], n_top: int,
@@ -244,22 +181,28 @@ def _agreed(results: dict[str, tuple[int, ...]], n_top: int,
     return series
 
 
-def hilbert_series(instance: Instance, facets=None, routes=FOLD_ROUTES,
+def hilbert_series(instance: Instance, facets=None, routes=LOCAL_ROUTES,
                    max_cells_guard: int = DEFAULT_MAX_CELLS,
                    facet_cap: int = DEFAULT_FACET_CAP) -> HilbertSeries:
     """The series h(t) / (1 - t)^N, its numerator computed by every route in ``routes``.
 
-    The default fold routes count the facets by the ridges each one closes
-    over their masks in ascending and in descending order, both off one
-    walk over the ascending masks (see ``_ridge_walk``); the corner
-    routes, their oracle, by essential SE or NW corners.  Both read the
+    The default local routes count the facets by their restriction faces in
+    ascending and in descending order, each read off per-cell addable
+    batches of the masks (see ``bitslice._restriction_columns``); the fold
+    routes count the ridges each facet closes along one walk of the masks,
+    and the corner routes essential SE or NW corners.  All of them read the
     facets, enumerated under ``facet_cap`` unless given (as bare masks if
-    only folds read them); only the corner routes reject a non-facet.
+    only local routes and folds read them); only the corner routes reject a
+    non-facet.  The local routes read each facet's face off the instance,
+    not off the list, so on given facets the folds run with them and hold
+    the list to them.
     ``f_transform`` and ``interior`` read the face table of the brute-force
     DFS, under ``max_cells_guard``; ``interior`` also marks interior faces
     against the facets.  Given facets must be distinct cell sets of
     ``instance``, at least one.  All requested routes must agree, and when
-    facets were used, h(1) must equal their number.
+    facets were used, h(1) must equal their number.  Only the local routes
+    on enumerated masks run here; any other call loads the oracle routes
+    (``oracle_routes._oracle_series``).
     """
     try:
         names = frozenset(routes)
@@ -268,48 +211,20 @@ def hilbert_series(instance: Instance, facets=None, routes=FOLD_ROUTES,
     if not names or not names <= ALL_ROUTES:
         raise ValidationError(
             f"routes must be a nonempty subset of {sorted(ALL_ROUTES)}, got {routes!r}")
-    routes = names
-    if facets is not None:
-        from .chains import CellSet
+    if facets is None and names <= LOCAL_ROUTES:  # the mask path
+        masks = _facet_masks(instance, facet_cap)
+        h = _local_h(_restriction_columns(instance, masks))
+        return _agreed({route: h[route] for route in sorted(names)}, instance.n_cells, len(masks))
+    from .oracle_routes import _oracle_series
 
-        if not facets:
-            raise ValidationError("facets is empty; every instance has at least one facet")
-        if not all(isinstance(f, CellSet) and f.instance == instance for f in facets):
-            raise ValidationError("facets must be cell sets of the instance the series is for")
-        if len({f.mask for f in facets}) != len(facets):
-            raise ValidationError("facets lists a facet more than once")
-    elif routes & (CORNER_ROUTES | {INTERIOR}):
-        facets = enumerate_facets(instance, facet_cap=facet_cap)
-    if facets is not None:
-        masks = sorted(f.mask for f in facets)
-    else:  # no route reads more than masks: build no CellSet
-        masks = _facet_masks(instance, facet_cap) if routes & FOLD_ROUTES else None
-    n_top = instance.n_cells
-    results = {}
-    if routes & FOLD_ROUTES:  # one walk: the descending order is the ascending one reversed
-        up, down, _ = _ridge_fold(_ridge_walk(masks))
-        folds = {ASCENDING_FOLD: up, DESCENDING_FOLD: down}
-        results.update((route, folds[route]) for route in sorted(routes & FOLD_ROUTES))
-    if routes & CORNER_ROUTES:
-        corner_h = _corner_routes(instance, masks)[0]
-        results.update((route, corner_h[route]) for route in sorted(routes & CORNER_ROUTES))
-    if routes & {F_TRANSFORM, INTERIOR}:
-        from .complex import f_vector, interior_faces
-
-        table = f_vector(instance, max_cells_guard=max_cells_guard,
-                         store_faces=INTERIOR in routes)
-        if F_TRANSFORM in routes:
-            results[F_TRANSFORM] = _h_from_f(table, n_top)
-        if INTERIOR in routes:
-            results[INTERIOR] = _h_from_interior(interior_faces(instance, table, facets), n_top)
-    return _agreed(results, n_top, None if masks is None else len(masks))
+    return _oracle_series(instance, facets, names, max_cells_guard, facet_cap)
 
 
 def face_counts(instance: Instance, interior: bool = False,
                 facet_cap: int = DEFAULT_FACET_CAP) -> FaceTable:
     """The f-vector, and with ``interior`` the interior vector, read off the h-vector.
 
-    h comes from the ridge folds of ``hilbert_series``; the interior vector is
+    h comes from the local routes of ``hilbert_series``; the interior vector is
     the same transform of h reversed, and the boundary generators are the
     ridges that are not interior.  The DFS routes ``complex.f_vector`` and
     ``interior_faces`` are the oracle; with no DFS, ``facet_cap`` is the limit.

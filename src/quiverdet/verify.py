@@ -11,41 +11,45 @@ reflection probes and the criteria check's failure detail build cell sets.
 The criteria check evaluates all its random subsets and every
 facet in one bit-sliced batch: bit i of a cell's int says whether subset i
 holds it, and each class of twin blocks runs one chain DP on those ints
-(``chains._chain_levels``); its facet bits are ``facet-cardinality``, and
+(``bitslice._chain_levels``); its facet bits are ``facet-cardinality``, and
 the same level tables give the facets' essential corners
 (``cvm._corner_bits``), which feed the corner routes and the shelling check.
 The tests hold the criteria to ``definitions.corner_stats``, which reads the
 independent DP ``definitions._chain_tables``.  The brute face DFS, the
 reflection probes and closures run on the chain levels of
 ``chains._rank_ladder``; the brute walk also counts the interior faces,
-storing none.  One ``series._ridge_walk`` of the ascending masks serves
+storing none.  One ``complex._ridge_walk`` of the ascending masks serves
 every check that pairs ridges with facets: its open ridges are the brute
 walk's boundary generators, both fold h-vectors come off it
-(``series._ridge_fold``), and the shelling and codim-1 checks read its
-restriction faces.  The series check holds the folds to the corner routes
-and, within the brute guard, to the transforms of the brute walk's face
-table, with the comparison ``hilbert_series`` ends with (``series._agreed``).
-The codim-1 check runs its ridges through the same DP in batches
-(``_addable_columns``), which the tests hold to ``complex.codim1_membership``.
+(``complex._ridge_fold``), and the shelling and codim-1 checks read its
+restriction faces.  One pass of per-cell addable batches
+(``bitslice._restriction_columns``) gives every facet's restriction faces
+locally, in both orders, and every ridge's addable cells.  The series check
+holds the local routes, which ``hilbert_series`` runs by default, to the
+folds, the corner routes and, within the brute guard, the transforms of the
+brute walk's face table, with the comparison ``hilbert_series`` ends with
+(``series._agreed``).  The codim-1 check holds each ridge's addable cells,
+which the tests hold to ``complex.codim1_membership``, to its owners along
+the walk, and the local restriction faces to the walk's.
 """
 
 from __future__ import annotations
 
 import random
 from functools import reduce
-from itertools import islice
-from operator import and_, or_, xor
+from operator import and_, or_
 from typing import NamedTuple
 
-from .chains import _RIDGES, CellSet, _addable, _at_least, _columns, _exactly, _load_blocks
-from .complex import DEFAULT_MAX_CELLS, _FaceSearch, _shelling_report
-from .cvm import (_corner_bits, _point_levels, c_max, c_min, initial_cvm, reflect,
-                  reflect_instance)
+from .bitslice import _addable_columns, _at_least, _columns, _exactly, _restriction_columns
+from .chains import CellSet, _addable, _load_blocks
+from .complex import (DEFAULT_MAX_CELLS, _FaceSearch, _corner_routes, _h_from_f,
+                      _h_from_interior, _ridge_fold, _ridge_walk, _shelling_report)
+from .cvm import _corner_bits, _point_levels, c_max, c_min, initial_cvm, reflect, reflect_instance
 from .errors import QuiverDetError, ValidationError
 from .moves import DEFAULT_FACET_CAP, _facet_masks
 from .quiver import BipartiteQuiver, Instance, _is_int, build_instance
 from .series import (ASCENDING_FOLD, DESCENDING_FOLD, F_TRANSFORM, INTERIOR, FaceTable, _agreed,
-                     _corner_routes, _h_from_f, _h_from_interior, _ridge_fold, _ridge_walk)
+                     _local_h)
 
 
 def brute_maximal_facet_masks(instance: Instance) -> list[int]:
@@ -109,7 +113,7 @@ def _criteria_kernel(instance: Instance, columns: list[int], every: int,
     invalid = 0
     raw_bad = [0] * instance.size
     not_low = [0] * instance.size
-    levels = _point_levels(instance, columns, every, True, tables)
+    levels = _point_levels(instance, columns, every, tables)
     for r, u, n, s, nw_floor, se_floor, blocked in levels:
         raw_bad[r] |= blocked
         n[1:nw_floor + 1] = [every] * nw_floor
@@ -127,14 +131,6 @@ def _criteria_kernel(instance: Instance, columns: list[int], every: int,
         by_raw &= held ^ bad
         by_padded &= held ^ off
     return by_card, by_raw, by_padded
-
-
-def _addable_columns(instance: Instance, columns: list[int], every: int) -> list[int]:
-    """Per cell rank, the subsets of the batch that do not hold the cell and do not block it."""
-    blocked = [0] * instance.size
-    for r, *_, bad in _point_levels(instance, columns, every, False):
-        blocked[r] |= bad
-    return [every & ~held & ~bad for held, bad in zip(columns, blocked)]
 
 
 def criteria_agree(instance: Instance, cells) -> tuple[bool, bool, bool, bool]:
@@ -284,13 +280,16 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
             record(name, False, "skipped: an enumerated set is not a facet")
         return VerificationReport(instance, tuple(checks))
 
-    # The criteria batch's corner bits feed the corner routes and the shelling
-    # check; if they fail, the shelling check runs its own corner batch.
+    # One pass of per-cell addable batches feeds the local routes and the
+    # codim-1 check.  The criteria batch's corner bits feed the corner routes
+    # and the shelling check; if they fail, the shelling check runs its own
+    # corner batch.
+    chunks = list(_restriction_columns(instance, masks, owners=True))
     se_counts = None
     try:
         corner_h, se_counts = _corner_routes(instance, masks, corner_bits)
         up, down, _ = _ridge_fold(walk)
-        results = {ASCENDING_FOLD: up, DESCENDING_FOLD: down, **corner_h}
+        results = {**_local_h(chunks), ASCENDING_FOLD: up, DESCENDING_FOLD: down, **corner_h}
         if face_table is not None:
             results[F_TRANSFORM] = _h_from_f(face_table, n_top)
             results[INTERIOR] = _h_from_interior(face_table, n_top)
@@ -302,7 +301,8 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
 
     # The codim-1 check runs first: run after the shelling check, it raised
     # the peak RSS of `verify` on star-example by about 0.1 MB.
-    codim1 = _codim1_check(instance, masks, walk)
+    codim1 = _codim1_check(instance, masks, walk, chunks)
+    del chunks
     shelling = _shelling_report(instance, masks, "SE", walk, se_counts)
     record("shelling", shelling.ok, shelling.failure or "increasing order shells")
     record("codim1-membership", *codim1)
@@ -354,51 +354,45 @@ def _criteria_batch(instance: Instance, rng: random.Random, trials: int,
                    f"(cardinality, raw, padded, agree) = {routes}"), admitted, corner_bits
 
 
-def _codim1_check(instance: Instance, masks: list[int], walk) -> tuple[bool, str]:
+def _codim1_check(instance: Instance, masks: list[int], walk, chunks) -> tuple[bool, str]:
     """Hold every ridge's owners in the facet list to the ridge's addable cells.
 
-    Each ridge F - c is evaluated once, at its first owner F, where c lies
-    outside F's restriction face, in ``_addable_columns`` batches of
-    ``_RIDGES`` built as needed.  By purity its owners are F - c plus each
-    addable cell: one or two, c among them, and one iff the walk
-    (``series._ridge_walk``) leaves the ridge open; the other owner of a
-    closed ridge is then the listed facet that closed it.  The first failing
-    ridge in (facet, cell) order is reported.
+    ``chunks`` are the ``bitslice._restriction_columns`` of the masks, with
+    ``owners``.  Each ridge F - c is checked once, at its first owner F,
+    where c lies outside F's restriction face R(F) along the walk
+    (``complex._ridge_walk``).  By purity its owners are F - c plus each
+    addable cell: one or two, c among them, and one iff the walk leaves the
+    ridge open; the other owner of a closed ridge is then the listed facet
+    that closed it.  Every facet's R(F) off the batches must be the walk's
+    too.  The first failure in (facet, cell) order is reported: a chunk's
+    lowest bad facet across all cells, then its lowest bad cell.
     """
     restrictions, open_ridges, _ = walk
-    bits = [1 << r for r in range(instance.size)]
-
-    def ridges():  # F's mask and c's bit, both ints that exist already
-        for mask, restriction in zip(masks, restrictions):
-            rest = mask & ~restriction
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                yield mask, bits[low.bit_length() - 1]
-
-    pending, count = ridges(), 0
-    while True:
-        owners, lows = [], []
-        for mask, low in islice(pending, _RIDGES):
-            owners.append(mask)
-            lows.append(low)
-        if not lows:
-            break
-        every = (1 << len(lows)) - 1
-        addable = _addable_columns(
-            instance, _columns(list(map(xor, owners, lows)), instance.size), every)
-        back = reduce(or_, map(and_, addable, _columns(lows, instance.size)))
-        is_open = int("".join(["01"[ridge in open_ridges]
-                               for ridge in map(xor, reversed(owners), reversed(lows))]), 2)
-        bad = every & ~(back & (_exactly(addable, 1, every) & is_open
-                                | _exactly(addable, 2, every) & ~is_open))
+    size = instance.size
+    opened = [0] * len(masks)  # per facet, the cells whose ridge the walk leaves open
+    for ridge, j in open_ridges.items():
+        opened[j] |= masks[j] ^ ridge
+    count = 0
+    for start, every, columns, below, _, (back, one, two) in chunks:
+        end = start + every.bit_length()
+        walked, is_open = (_columns(rows[start:end], size) for rows in (restrictions, opened))
+        ridge_bad, face_bad = [], []
+        for c in range(size):
+            first = columns[c] & ~walked[c]
+            count += first.bit_count()
+            ridge_bad.append(first & ~(back[c] & (one[c] & is_open[c] | two[c] & ~is_open[c])))
+            face_bad.append(below[c] ^ walked[c])
+        bad = reduce(or_, ridge_bad + face_bad)
         if bad:
-            n = (bad & -bad).bit_length() - 1
-            owned = sum(column >> n & 1 for column in addable)
+            low = bad & -bad
+            c = next(c for c in range(size) if (ridge_bad[c] | face_bad[c]) & low)
+            j = start + low.bit_length() - 1
+            if not ridge_bad[c] & low:
+                return False, f"facet {j + 1}: its restriction face off the batch is not the walk's"
+            owned = sum(_addable_columns(instance, _columns([masks[j] ^ 1 << c], size), 1))
             if not 1 <= owned <= 2:
                 return False, f"codim-1 face inside {owned} facets"
             return False, "closure route misses a containing facet"
-        count += len(lows)
     if not open_ridges:
         return False, "no boundary codim-1 face found"
     return True, f"{count} codim-1 faces, {len(open_ridges)} on the boundary"

@@ -7,9 +7,8 @@ from quiverdet import (CellSet, GuardExceeded, ShellingReport, ValidationError,
                        enumerate_facets, f_vector, initial_cvm, interior_faces, is_u_compatible,
                        verify_shelling)
 from quiverdet.cli import parse_preset
-from quiverdet.complex import _FaceSearch, boundary_generator_masks
+from quiverdet.complex import _FaceSearch, _h_from_f, _h_from_interior, boundary_generator_masks
 from quiverdet.cvm import SE
-from quiverdet.series import _h_from_f, _h_from_interior
 from quiverdet.verify import random_instance
 
 from golden import (DOUBLE_F_TOTAL, DOUBLE_F_VECTOR, DOUBLE_INTERIOR, DOUBLE_INTERIOR_TOTAL,

@@ -57,7 +57,7 @@ def test_batches_split_across_chunks(monkeypatch, star_instance):
     facets = enumerate_facets(star_instance)
     masks = [f.mask for f in facets]
     whole = list(cvm._corner_counts(star_instance, masks))
-    monkeypatch.setattr(cvm, "_RIDGES", 7)
+    monkeypatch.setattr(cvm, "_BATCH", 7)
     assert list(cvm._corner_counts(star_instance, masks)) == whole == _oracle(facets)
     assert list(cvm._corner_counts(star_instance, masks[::-1])) == whole[::-1]
 
@@ -89,7 +89,7 @@ def test_a_non_facet_raises_what_the_per_facet_pass_raises(monkeypatch, ridges, 
                                                            det33):
     # a ridge, the full set, an N-cell set that is not admissible, and a set
     # from a facet with one cell moved, at several places in the list
-    monkeypatch.setattr(cvm, "_RIDGES", ridges)
+    monkeypatch.setattr(cvm, "_BATCH", ridges)
     rng = random.Random(71)
     seen = set()
     for inst in (star_instance, det33, parse_preset("det:4,4,2"), random_instance(rng, 14)):

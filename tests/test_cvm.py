@@ -485,3 +485,11 @@ def test_roadmap_straightness_check_fires_alone(monkeypatch, double_instance):
     monkeypatch.setattr(definitions, "_turns", one_more_turn)
     with pytest.raises(CrossCheckError, match="corner of block '1' off every crossing path"):
         road_map(facet)
+
+
+@pytest.mark.parametrize("function", [is_cvm, c_max, c_min, corners, road_map, reflect])
+@pytest.mark.parametrize("value", [3, None, "x", [(1, 1, 1)], CellSet])
+def test_cell_set_functions_reject_anything_else(function, value):
+    # a ValidationError, never a stray AttributeError or TypeError
+    with pytest.raises(ValidationError, match="expected a CellSet"):
+        function(value)

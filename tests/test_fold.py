@@ -1,4 +1,4 @@
-"""The ridge fold behind the default h-vector routes, held to the corner routes."""
+"""The ridge fold, the oracle of the default local h-vector routes, held to the corner routes."""
 
 import inspect
 import random
@@ -9,8 +9,8 @@ import quiverdet
 from quiverdet import (CrossCheckError, enumerate_facets, f_vector, hilbert_series, interior_faces,
                        verify_instance)
 from quiverdet.cli import main, parse_preset
-from quiverdet.complex import boundary_generator_masks
-from quiverdet.series import CORNER_ROUTES, FOLD_ROUTES, _ridge_fold, _ridge_walk, face_counts
+from quiverdet.complex import _ridge_fold, _ridge_walk, boundary_generator_masks
+from quiverdet.series import CORNER_ROUTES, FOLD_ROUTES, LOCAL_ROUTES, face_counts
 from quiverdet.verify import random_instance
 
 from golden import (DOUBLE_F_VECTOR, DOUBLE_F_TOTAL, DOUBLE_H, DOUBLE_INTERIOR,
@@ -44,18 +44,36 @@ def test_fold_matches_corners_random():
         _assert_fold_matches_corners(random_instance(rng, max_cells=rng.randint(4, 20)))
 
 
-def test_fold_routes_are_the_default_and_sort_their_input(star_instance):
-    assert inspect.signature(hilbert_series).parameters["routes"].default == FOLD_ROUTES
+def test_local_routes_are_the_default_and_sort_their_input(star_instance):
+    assert inspect.signature(hilbert_series).parameters["routes"].default == LOCAL_ROUTES
     facets = enumerate_facets(star_instance)
-    assert hilbert_series(star_instance, facets=facets[::-1]).numerator == STAR_H
+    for routes in (LOCAL_ROUTES, FOLD_ROUTES):
+        assert hilbert_series(star_instance, facets=facets[::-1], routes=routes).numerator == STAR_H
 
 
 def test_fold_routes_catch_a_dropped_facet(star_instance):
     # the facet list without the first facet is no ball: the two scan
-    # directions count its facets differently
+    # directions count its facets differently, and so do the local routes,
+    # which miss the first facet's empty ascending face and its full
+    # descending one
     facets = enumerate_facets(star_instance)
-    with pytest.raises(CrossCheckError, match="series routes disagree"):
-        hilbert_series(star_instance, facets=facets[1:])
+    for routes in (FOLD_ROUTES, LOCAL_ROUTES):
+        with pytest.raises(CrossCheckError, match="series routes disagree"):
+            hilbert_series(star_instance, facets=facets[1:], routes=routes)
+
+
+def test_default_routes_catch_every_dropped_facet(star_instance, det33):
+    # the local routes alone read each facet's face off the instance and miss
+    # some of these lists; the folds of the list, which run with them on given
+    # facets, and the local routes never agree on one
+    rng = random.Random(17)
+    instances = [star_instance, det33, parse_preset("det:4,5,2")]
+    instances += [random_instance(rng, max_cells=14) for _ in range(8)]
+    for inst in instances:
+        facets = enumerate_facets(inst)
+        for drop in range(len(facets) if len(facets) > 1 else 0):
+            with pytest.raises(CrossCheckError, match="series routes disagree"):
+                hilbert_series(inst, facets=facets[:drop] + facets[drop + 1:])
 
 
 def _raise(*_args, **_kwargs):
@@ -106,16 +124,19 @@ def test_verify_holds_fold_to_corners_past_brute_guard(monkeypatch):
         return _real(instance, masks, bits)
 
     def refuse(*_args):
-        raise AssertionError("the shelling check classified a facet itself")
+        raise AssertionError("a facet was classified by its road map")
 
     monkeypatch.setattr(verify, "_ridge_fold", spy)
+    # the corner routes and the shelling check both reach the corner batch
+    # through complex: a batch the shelling check ran itself would be a
+    # second call, one without the criteria batch's bits
     monkeypatch.setattr(quiverdet.cvm, "_corner_counts", counted)
+    monkeypatch.setattr(quiverdet.complex, "_corner_counts", counted)
     monkeypatch.setattr(quiverdet.cvm, "corners", refuse)
-    monkeypatch.setattr(quiverdet.complex, "_corner_counts", refuse)
     report = verify_instance(inst, subset_trials=20, seed=1)
-    # past the guard the series routes are the two folds of one walk, held
-    # to one corner batch of all 66 facets, off the criteria batch's level
-    # tables, which also feeds the shelling check
+    # past the guard the series routes are the local routes and the two
+    # folds of one walk, held to one corner batch of all 66 facets, off the
+    # criteria batch's level tables, which also feeds the shelling check
     assert folded == [66]
     assert classified == [([f.mask for f in enumerate_facets(inst)], True)]
     assert len(classified[0][0]) == 66
@@ -124,7 +145,7 @@ def test_verify_holds_fold_to_corners_past_brute_guard(monkeypatch):
     assert checks["series-routes"].detail == "h = [1, 20, 45], multiplicity 66"
 
     # a fold that miscounts one facet must fail the check: one walk gives
-    # both routes, so both miscount it alike and only the corner routes differ
+    # both folds, so both miscount it alike and only the other routes differ
     folded.clear()
 
     def off_by_one(walk):

@@ -61,6 +61,20 @@ def test_bare_package_import_loads_no_submodule():
     assert _package(_probe("import quiverdet")) == {"quiverdet"}
 
 
+def test_check_command_handlers_load_only_with_their_commands():
+    # the counting commands, info and facets compile no check command's
+    # handler, and no command runs hilbert_series's oracle routes
+    for command in ("info", "facets", "hilbert", "fvector"):
+        modules = _probe("from quiverdet.cli import main\n"
+                         f"assert main([{command!r}, '--preset', 'det:2,2,1']) == 0")
+        assert not modules & {"quiverdet.cli_checks", "quiverdet.oracle_routes"}, command
+    for argv in (["shelling", "--preset", "det:2,2,1"], ["vdc-sample", "--preset", "det:2,2,1"],
+                 ["verify", "--preset", "det:2,2,1", "--seed", "1"]):
+        modules = _probe(f"from quiverdet.cli import main\nassert main({argv!r}) == 0")
+        assert "quiverdet.cli_checks" in modules, argv
+        assert "quiverdet.oracle_routes" not in modules, argv
+
+
 def test_cli_import_and_info_load_only_the_core():
     for body in ("import quiverdet.cli",
                  "from quiverdet.cli import main\n"
@@ -72,11 +86,12 @@ def test_cli_import_and_info_load_only_the_core():
 
 @pytest.mark.parametrize("command, path", [
     ("facets", {"quiverdet.moves"}),
-    *((command, {"quiverdet.moves", "quiverdet.series"})
+    *((command, {"quiverdet.moves", "quiverdet.series", "quiverdet.bitslice"})
       for command in ("hilbert", "hvector", "multiplicity", "fvector", "interior")),
 ])
 def test_counting_commands_load_only_the_mask_path(command, path):
-    # no oracle module is compiled, and json only under --json
+    # no oracle module is compiled, and json only under --json: h comes from
+    # the local routes' addable batches, the face counts off h
     modules = _probe("from quiverdet.cli import main\n"
                      f"assert main([{command!r}, '--preset', 'double:2,3,2,1,1']) == 0")
     assert _package(modules) == CORE | path
@@ -94,7 +109,8 @@ def test_facets_json_loads_only_moves():
 def test_corners_loads_the_core_and_the_corner_batch():
     modules = _probe("from quiverdet.cli import main\n"
                      "assert main(['corners', '--preset', 'double:2,3,2,1,1']) == 0")
-    assert _package(modules) == CORE | {"quiverdet.moves", "quiverdet.chains", "quiverdet.cvm"}
+    assert _package(modules) == CORE | {"quiverdet.cli_checks", "quiverdet.moves",
+                                        "quiverdet.chains", "quiverdet.cvm", "quiverdet.bitslice"}
     assert "json" not in modules
 
 
@@ -138,7 +154,8 @@ def test_vdc_sample_loads_the_definitions():
 def test_export_cas_loads_the_minors_path_alone():
     modules = _probe("from quiverdet.cli import main\n"
                      "assert main(['export-cas', '--preset', 'det:2,2,1']) == 0")
-    assert _package(modules) == CORE | {"quiverdet.chains", "quiverdet.moves", "quiverdet.ideal"}
+    assert _package(modules) == CORE | {"quiverdet.cli_checks", "quiverdet.chains",
+                                        "quiverdet.moves", "quiverdet.ideal"}
 
 
 # a tampered corner batch, as in test_corner_batch.py: facet 6 of star-example

@@ -209,6 +209,8 @@ def test_criteria_check_runs_the_level_tables_once_per_twin_class(
     import quiverdet.verify as verify
     from quiverdet.cli import parse_preset
 
+    from quiverdet import bitslice
+
     calls = []
     real = cvm._chain_levels
 
@@ -216,7 +218,9 @@ def test_criteria_check_runs_the_level_tables_once_per_twin_class(
         calls.append(top)
         return real(a, b, top, occ, every)
 
+    # the criteria batch runs the levels in cvm, the ridge batches in bitslice
     monkeypatch.setattr(cvm, "_chain_levels", spy)
+    monkeypatch.setattr(bitslice, "_chain_levels", spy)
     rng = random.Random(59)
     instances = [double_instance, star_instance, det33, single_cell, parse_preset("det:6,6,1")]
     instances += [random_instance(rng) for _ in range(5)]
@@ -224,8 +228,8 @@ def test_criteria_check_runs_the_level_tables_once_per_twin_class(
         classes = {(inst.block_ranks[vid], d.u) for vid, d in inst.vertex.items()}
         assert len(cvm._criteria_layout(inst)) == len(classes)
         # the criteria batch reads the padded route, one level past the rank;
-        # the codim-1 check's one ridge batch stops at the rank and skips the
-        # classes that block nothing
+        # the one batch of per-cell ridges (all cells fit in one) stops at the
+        # rank and skips the classes that block nothing
         layout = cvm._criteria_layout(inst)
         tops = sorted([u + 1 for _, _, u, *_ in layout]
                       + [u for a, b, u, *_ in layout if u < min(a, b)])
@@ -431,12 +435,14 @@ def _codim1_counts(facets):
 
 
 def _codim1(inst, facets):
-    # the codim-1 check on the facets' masks and their walk
+    # the codim-1 check on the facets' masks, their walk and their ridge batches
     import quiverdet.verify as verify
-    from quiverdet.series import _ridge_walk
+    from quiverdet.bitslice import _restriction_columns
+    from quiverdet.complex import _ridge_walk
 
     masks = [f.mask for f in facets]
-    return verify._codim1_check(inst, masks, _ridge_walk(masks))
+    chunks = list(_restriction_columns(inst, masks, owners=True))
+    return verify._codim1_check(inst, masks, _ridge_walk(masks), chunks)
 
 
 def test_codim1_check_counts_and_catches_a_dropped_facet(star_instance, det33):
@@ -459,12 +465,32 @@ def test_codim1_check_counts_and_catches_a_dropped_facet(star_instance, det33):
                 False, "closure route misses a containing facet"), (inst, drop)
 
 
+def test_codim1_check_holds_the_local_faces_to_the_walk(star_instance, det33):
+    # a walk that leaves one cell out of a facet's restriction face: its ridge
+    # still has two owners, the second an earlier facet, so only the
+    # restriction face off the batch tells the walk is wrong
+    import quiverdet.verify as verify
+    from quiverdet.bitslice import _restriction_columns
+    from quiverdet.complex import _ridge_walk
+
+    for inst in (star_instance, det33):
+        masks = [f.mask for f in enumerate_facets(inst)]
+        chunks = list(_restriction_columns(inst, masks, owners=True))
+        restrictions, open_ridges, later = _ridge_walk(masks)
+        for j in {1, len(masks) // 2, len(masks) - 1}:
+            assert restrictions[j], (inst, j)
+            wrong = restrictions.copy()
+            wrong[j] &= wrong[j] - 1
+            assert verify._codim1_check(inst, masks, (wrong, open_ridges, later), chunks) == (
+                False, f"facet {j + 1}: its restriction face off the batch is not the walk's")
+
+
 def test_shelling_and_codim1_checks_share_one_walk(monkeypatch, star_instance, det33):
     # verify walks the ascending facets once, under the brute guard and over
     # it, for the boundary generators, both folds, the shelling check and
     # the codim-1 check; each check reports what it reports when it walks
     # the facets itself
-    from quiverdet import complex as cx, series, verify
+    from quiverdet import complex as cx, verify
     from quiverdet.complex import verify_shelling
     from quiverdet.verify import verify_instance
 
@@ -476,7 +502,7 @@ def test_shelling_and_codim1_checks_share_one_walk(monkeypatch, star_instance, d
         codim1 = _codim1(inst, facets)
         for max_cells in (inst.size, inst.size - 1):
             walks = []
-            for name, module in (("series", series), ("complex", cx), ("verify", verify)):
+            for name, module in (("complex", cx), ("verify", verify)):
                 def spy(masks, _real=module._ridge_walk, _name=name):
                     walks.append((_name, list(masks)))
                     return _real(masks)
@@ -532,9 +558,12 @@ def test_ridge_addables_match_codim1_membership_property():
 
 
 def test_codim1_batches_do_not_change_the_verdicts(monkeypatch, star_instance, det33):
-    # batches of 7 ridges split every facet's ridges across batch boundaries;
-    # the verdicts and details, passing and failing, are those of one batch
+    # batches 7 and 40 bits wide split the facets across chunks, and the
+    # cells across batches, one or several to a batch; the verdicts and
+    # details, passing and failing, are those of one batch, and so is h
+    import quiverdet.bitslice as bitslice
     import quiverdet.verify as verify
+    from quiverdet.series import LOCAL_ROUTES, hilbert_series
 
     rng = random.Random(61)
     instances = [star_instance, det33] + [random_instance(rng, max_cells=14) for _ in range(8)]
@@ -544,7 +573,7 @@ def test_codim1_batches_do_not_change_the_verdicts(monkeypatch, star_instance, d
         cases.append((inst, facets))
         if len(facets) > 1:
             cases.append((inst, facets[:len(facets) // 2] + facets[len(facets) // 2 + 1:]))
-    real = verify._addable_columns
+    real = bitslice._addable_columns
 
     def one_more(instance, columns, every):
         # cell 0 wrongly addable to every ridge without it: some ridges get
@@ -556,13 +585,23 @@ def test_codim1_batches_do_not_change_the_verdicts(monkeypatch, star_instance, d
     def verdicts():
         return [_codim1(inst, facets) for inst, facets in cases]
 
-    whole = verdicts()
+    def series():
+        return [hilbert_series(inst, routes=LOCAL_ROUTES) for inst in instances]
+
+    whole, h = verdicts(), series()
+    # the batches and the failing ridge's recount both see the tampered cell
+    monkeypatch.setattr(bitslice, "_addable_columns", one_more)
     monkeypatch.setattr(verify, "_addable_columns", one_more)
     tampered = verdicts()
-    monkeypatch.setattr(verify, "_RIDGES", 7)
-    assert verdicts() == tampered
+    for width in (7, 40):
+        monkeypatch.setattr(bitslice, "_WIDTH", width)
+        assert verdicts() == tampered, width
+    monkeypatch.setattr(bitslice, "_addable_columns", real)
     monkeypatch.setattr(verify, "_addable_columns", real)
-    assert verdicts() == whole
+    for width in (7, 40):
+        monkeypatch.setattr(bitslice, "_WIDTH", width)
+        assert verdicts() == whole, width
+        assert series() == h, width
     assert {ok for ok, _ in whole} == {True, False}
     assert {detail.split(" inside ")[0] for ok, detail in tampered if not ok} == {
         "codim-1 face", "closure route misses a containing facet"}

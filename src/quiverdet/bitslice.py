@@ -13,9 +13,11 @@ facets that hold c.  In ascending mask order, c lies in the restriction face
 R(F) (Björner–Wachs, Trans. AMS 348, 1996) exactly when F - c has an
 addable cell below c: F - c + c' is then a facet with a smaller mask, and
 an earlier facet holding F - c has that form.  An addable cell above c
-gives R(F) in descending order.  So h, in both orders, needs no ridge
-table and no facet order; ``series`` tallies it and ``verify`` holds the
-ridges' owners to its walk with the same batches.
+gives R(F) in descending order.  So R(F), in both orders, needs no ridge
+table and no facet order: ``series`` tallies it, the ``shelling`` command
+transposes it back to one mask per facet (``_columns`` is its own inverse),
+and ``verify`` holds the ridges' owners to its walk with the same batches,
+which take the masks in ``_chunks``, as ``cvm._corner_counts`` does.
 
 This module loads only ``quiver``: the counting commands run it.
 """
@@ -32,9 +34,9 @@ from .quiver import Instance
 # size times this many bytes.
 _CHUNK = 256
 
-# Bits per batch of ``_restriction_columns``: at most this many facets to a
-# chunk, and at most this many cells times facets to a batch.  A class's
-# level tables for a batch take about 2u (a + 2)(b + 2) ints of this size.
+# Bits per batch: at most this many masks to a chunk, and cells times facets
+# to a batch of ``_restriction_columns``.  A class's level tables for a batch
+# take about 2(u + 1)(a + 2)(b + 2) ints of this size.
 _WIDTH = 16384
 
 
@@ -51,6 +53,11 @@ def _columns(masks: list[int], size: int) -> list[int]:
         for r in range(size):
             columns[r] |= int(text[size - 1 - r::size], 2) << start
     return columns
+
+
+def _chunks(masks: list[int]):
+    """``(start, masks[start:start + _WIDTH])`` for each chunk that a batch takes."""
+    return ((start, masks[start:start + _WIDTH]) for start in range(0, len(masks), _WIDTH))
 
 
 def _counter(columns: list[int]) -> list[int]:
@@ -171,9 +178,8 @@ def _restriction_columns(instance: Instance, masks: list[int], owners: bool = Fa
     restriction faces to be those of the list.
     """
     size = instance.size
-    for start in range(0, len(masks), _WIDTH):
-        columns = _columns(masks[start:start + _WIDTH], size)
-        n = min(len(masks) - start, _WIDTH)
+    for start, chunk in _chunks(masks):
+        columns, n = _columns(chunk, size), len(chunk)
         every = (1 << n) - 1
         outs = [[0] * size for _ in range(5 if owners else 2)]
         per = max(1, _WIDTH // n)

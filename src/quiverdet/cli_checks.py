@@ -15,24 +15,29 @@ from .errors import ValidationError
 
 
 def _cmd_shelling(args) -> int:
+    from .bitslice import _columns, _restriction_columns
     from .complex import _shelling_report
+    from .cvm import _corner_counts
     from .moves import _facet_masks
 
     inst = _load(args)
     masks = _facet_masks(inst, args.facet_cap)
     # both scan directions shell: ascending pairs with SE corner counts,
-    # descending (the reflected picture) with NW counts
-    up = _shelling_report(inst, masks, "SE")
-    down = _shelling_report(inst, masks[::-1], "NW")
-    ok = up.ok and down.ok
+    # descending (the reflected picture) with NW counts.  One batch pass gives
+    # R(F) in both orders, its columns transposed back to one mask per facet
+    below, above = [], []
+    for _, every, _, low, high, _ in _restriction_columns(inst, masks):
+        below += _columns(low, every.bit_length())
+        above += _columns(high, every.bit_length())
+    nw, se = zip(*_corner_counts(inst, masks))
+    up = _shelling_report(inst, masks, "SE", below, se)
+    down = _shelling_report(inst, masks[::-1], "NW", above[::-1], nw[::-1])
     lines = [f"ascending shelling {'ok' if up.ok else 'FAILED'}",
              "restriction counts " + " ".join(map(str, up.restriction_counts)),
-             f"descending shelling {'ok' if down.ok else 'FAILED'}"]
-    for rep in (up, down):
-        if rep.failure:
-            lines.append(rep.failure)
+             f"descending shelling {'ok' if down.ok else 'FAILED'}",
+             *(rep.failure for rep in (up, down) if rep.failure)]
     _emit(args, {"ascending": up.to_json_obj(), "descending": down.to_json_obj()}, lines)
-    return 0 if ok else 1
+    return 0 if up.ok and down.ok else 1
 
 
 def _cmd_vdc(args) -> int:

@@ -12,14 +12,15 @@ block cost nothing.  No node builds chain tables, tests cells one by one or
 undoes anything.
 
 Each codim-1 face (ridge) F - c lies in one or two facets; ``_ridge_walk``
-pairs them along a facet list, and the boundary, the shelling check,
-``verify``'s codim-1 check and the fold routes read it.  The shelling
-check runs on facet masks (``_shelling_report``); ``verify_shelling`` turns
-its cell sets into masks once.  ``interior_faces`` and the shelling check
-read the facets containing a set off per-cell owner bitsets, the masks'
-transposed columns (``bitslice._columns``, read by ``_containing``);
-``verify``'s brute walk ANDs the same bitsets along the DFS, so it counts
-interior faces without storing any.
+pairs them along any facet list, as an oracle: the boundary generators, the
+folds, ``verify_shelling`` and ``verify``'s checks read it.  The shelling
+check ``_shelling_report`` takes the facet masks with their restriction
+faces and corner counts: ``verify_shelling`` walks its order, and the
+``shelling`` command reads both orders' faces off ``bitslice``'s batches.
+``interior_faces`` and the check read the facets containing a set off
+per-cell owner bitsets, the masks' transposed columns (``bitslice._columns``,
+read by ``_containing``); ``verify``'s brute walk ANDs the same bitsets
+along the DFS, so it counts interior faces without storing any.
 
 The CLI reads h off ``series``'s local routes and the face counts off h
 (``series.face_counts``).  This module holds their oracles: the DFS routes
@@ -252,24 +253,24 @@ def verify_shelling(facets_in_order, corner_kind: str = "SE") -> ShellingReport:
     instance = facets[0].instance
     if any(f.instance != instance for f in facets):
         raise ValidationError("facets must be cell sets of one instance")
-    return _shelling_report(instance, [f.mask for f in facets], corner_kind)
+    masks = [f.mask for f in facets]
+    counts = (pair[corner_kind == "SE"] for pair in _corner_counts(instance, masks))
+    return _shelling_report(instance, masks, corner_kind, _ridge_walk(masks)[0], counts)
 
 
-def _shelling_report(instance: Instance, masks: list[int], corner_kind: str, walk=None,
-                     counts=None) -> ShellingReport:
-    """``verify_shelling`` on nonempty masks: R_j off ``walk``, corners off ``counts``, if given.
+def _shelling_report(instance: Instance, masks: list[int], corner_kind: str,
+                     restrictions: list[int], counts) -> ShellingReport:
+    """``verify_shelling`` on nonempty masks, given each one's R_j and corner count.
 
-    ``walk`` is ``_ridge_walk`` of the masks in this order and
-    ``counts`` their essential ``corner_kind`` corner counts, else read off
-    the masks by ``cvm._corner_counts`` as the check reaches them, so that a
-    caller that walks them or counts their corners does so once.
+    ``restrictions[j]`` is the restriction mask of ``masks[j]`` in this order
+    and ``counts`` yields the essential ``corner_kind`` corner counts, pulled
+    one per facet that reaches the comparison: a set of the wrong cardinality
+    fails before a lazy corner batch can reject it.
     """
     r_seq: list[int] = []
     n_top = masks[0].bit_count()
-    restrictions = (_ridge_walk(masks) if walk is None else walk)[0]
     owners = _columns(masks, instance.size)
-    counts = iter(counts if counts is not None else
-                  (pair[corner_kind == "SE"] for pair in _corner_counts(instance, masks)))
+    counts = iter(counts)
     for j, (mask, restriction) in enumerate(zip(masks, restrictions)):
         if mask.bit_count() != n_top:
             return ShellingReport(False, tuple(r_seq), f"facet {j + 1} has wrong cardinality")
@@ -291,31 +292,21 @@ def _shelling_report(instance: Instance, masks: list[int], corner_kind: str, wal
 # -- h-vectors of the oracle routes ------------------------------------------------
 
 
-def _one_minus_t_power(n: int) -> list[int]:
-    return [(-1) ** i * comb(n, i) for i in range(n + 1)]
-
-
 def _h_from_f(table: FaceTable, n_top: int) -> tuple[int, ...]:
+    """h(t) = sum_k f_{k-1} t^k (1 - t)^(N - k), off the face counts by cardinality k."""
     acc = [0] * (n_top + 1)
     for size, count in enumerate(table.counts_by_size):
-        if count == 0:
-            continue
-        for i, c in enumerate(_one_minus_t_power(n_top - size)):
-            acc[size + i] += count * c
+        for i in range(n_top - size + 1):
+            acc[size + i] += (-1) ** i * comb(n_top - size, i) * count
     return _trim(acc)
 
 
 def _h_from_interior(table: FaceTable, n_top: int) -> tuple[int, ...]:
+    """h off the interior faces: ``_h_from_f`` of their counts, reversed to degree N."""
     if table.interior_by_size is None:
         raise ValidationError("interior counts not computed")
-    acc = [0] * (n_top + 1)
-    for size, count in enumerate(table.interior_by_size):
-        if count == 0:
-            continue
-        sign = (-1) ** (n_top - size)
-        for i, c in enumerate(_one_minus_t_power(n_top - size)):
-            acc[i] += sign * count * c
-    return _trim(acc)
+    h = _h_from_f(FaceTable(table.interior_by_size), n_top)
+    return _trim([*h, *[0] * (n_top + 1 - len(h))][::-1])
 
 
 def _corner_routes(instance: Instance, masks: list[int],

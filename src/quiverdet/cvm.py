@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import islice
 
-from .bitslice import _at_least, _chain_levels, _columns, _exactly
+from .bitslice import _at_least, _chain_levels, _chunks, _columns, _exactly
 from .chains import (CellSet, _grow, _load_blocks, _rank_ladder, is_u_compatible, padded_nw,
                      padded_se)
 from .errors import CrossCheckError, ValidationError
@@ -34,10 +34,6 @@ from .quiver import HORIZONTAL, TARGET, VERTICAL, BipartiteQuiver, Cell, Instanc
 
 NW = "NW"
 SE = "SE"
-
-# Masks per corner batch of ``_corner_counts``; a class's level tables for a
-# batch take about 2(u + 1)(a + 2)(b + 2) ints of this many bits.
-_BATCH = 16384
 
 
 def _cell_set(cs) -> CellSet:
@@ -280,11 +276,10 @@ def _corner_counts(instance: Instance, masks: list[int], bits=None):
     """Yield ``corners``'s two counts, (essential NW, essential SE), of each mask in turn.
 
     ``bits`` are the masks' ``_corner_bits`` off ``verify``'s criteria batch; else
-    batches of ``_BATCH`` masks run their own pass as they are reached.  The first
+    each chunk of ``bitslice._chunks`` runs its own pass as it is reached.  The first
     bad mask is replayed on a copy through ``definitions._road_blocks`` and ``_classify``.
     """
-    batches = [(0, masks, bits)] if bits else (
-        (start, masks[start:start + _BATCH], None) for start in range(0, len(masks), _BATCH))
+    batches = [(0, masks, bits)] if bits else ((*chunk, None) for chunk in _chunks(masks))
     for start, batch, found in batches:
         every = (1 << len(batch)) - 1
         if found is None:

@@ -281,9 +281,8 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
         return VerificationReport(instance, tuple(checks))
 
     # One pass of per-cell addable batches feeds the local routes and the
-    # codim-1 check.  The criteria batch's corner bits feed the corner routes
-    # and the shelling check; if they fail, the shelling check runs its own
-    # corner batch.
+    # codim-1 check; the criteria batch's corner bits feed the corner routes
+    # and the shelling check, which is skipped if that batch rejects a facet.
     chunks = list(_restriction_columns(instance, masks, owners=True))
     se_counts = None
     try:
@@ -303,8 +302,11 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     # the peak RSS of `verify` on star-example by about 0.1 MB.
     codim1 = _codim1_check(instance, masks, walk, chunks)
     del chunks
-    shelling = _shelling_report(instance, masks, "SE", walk, se_counts)
-    record("shelling", shelling.ok, shelling.failure or "increasing order shells")
+    if se_counts is None:
+        record("shelling", False, "skipped: the corner batch rejects a facet")
+    else:
+        shelling = _shelling_report(instance, masks, "SE", walk[0], se_counts)
+        record("shelling", shelling.ok, shelling.failure or "increasing order shells")
     record("codim1-membership", *codim1)
 
     return VerificationReport(instance, tuple(checks))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import quiverdet.bitslice as bitslice
 import quiverdet.cvm as cvm
 from quiverdet import (CellSet, CrossCheckError, QuiverDetError, corners, enumerate_facets,
                        verify_shelling)
@@ -57,9 +58,12 @@ def test_batches_split_across_chunks(monkeypatch, star_instance):
     facets = enumerate_facets(star_instance)
     masks = [f.mask for f in facets]
     whole = list(cvm._corner_counts(star_instance, masks))
-    monkeypatch.setattr(cvm, "_BATCH", 7)
+    real, batches = cvm._corner_bits, []
+    monkeypatch.setattr(cvm, "_corner_bits", lambda *args: batches.append(args[2]) or real(*args))
+    monkeypatch.setattr(bitslice, "_WIDTH", 7)
     assert list(cvm._corner_counts(star_instance, masks)) == whole == _oracle(facets)
     assert list(cvm._corner_counts(star_instance, masks[::-1])) == whole[::-1]
+    assert [every.bit_length() for every in batches] == [7] * 7 + [5] + [7] * 7 + [5]
 
 
 def _first_error(inst, masks):
@@ -84,12 +88,12 @@ def _batch_error(inst, masks):
     return got, None, None
 
 
-@pytest.mark.parametrize("ridges", [16384, 7])
-def test_a_non_facet_raises_what_the_per_facet_pass_raises(monkeypatch, ridges, star_instance,
+@pytest.mark.parametrize("width", [16384, 7])
+def test_a_non_facet_raises_what_the_per_facet_pass_raises(monkeypatch, width, star_instance,
                                                            det33):
     # a ridge, the full set, an N-cell set that is not admissible, and a set
     # from a facet with one cell moved, at several places in the list
-    monkeypatch.setattr(cvm, "_BATCH", ridges)
+    monkeypatch.setattr(bitslice, "_WIDTH", width)
     rng = random.Random(71)
     seen = set()
     for inst in (star_instance, det33, parse_preset("det:4,4,2"), random_instance(rng, 14)):
@@ -129,21 +133,45 @@ def test_a_tampered_on_mask_is_replayed_and_named(monkeypatch, star_instance):
         next(counts)
 
 
-def test_verify_reports_a_tampered_corner_batch(monkeypatch, star_instance):
-    # the fused route: series-routes fails with the batch's message, and the
-    # shelling check, without counts, runs its own batch
-    import quiverdet.verify as verify
-
-    real = verify._corner_bits
-
+def _flag_facet(real, j):
+    # ``_corner_bits`` that also calls facet j bad, whose road map passes
     def tampered(instance, columns, every, tables, ok, shift=0):
         nw, se, bad = real(instance, columns, every, tables, ok, shift)
-        return nw, se, bad | 1 << 2
+        return nw, se, bad | 1 << j
+    return tampered
 
-    monkeypatch.setattr(verify, "_corner_bits", tampered)
+
+def test_verify_reports_a_tampered_corner_batch(monkeypatch, star_instance):
+    # the fused route: series-routes fails with the batch's message, and the
+    # shelling check, without counts, is skipped
+    import quiverdet.verify as verify
+
+    monkeypatch.setattr(verify, "_corner_bits", _flag_facet(verify._corner_bits, 2))
     report = verify.verify_instance(star_instance, subset_trials=20, seed=7)
     failed = {c.name: c.detail for c in report.checks if not c.ok}
-    assert failed == {"series-routes": "the corner batch rejects facet 3, whose road map passes"}
+    assert failed == {"series-routes": "the corner batch rejects facet 3, whose road map passes",
+                      "shelling": "skipped: the corner batch rejects a facet"}
+
+
+def test_verify_reports_a_corner_batch_that_rejects_a_facet_everywhere(monkeypatch, capsys,
+                                                                       star_instance):
+    # every corner batch flags facet 4: verify reports, it does not raise; the
+    # codim-1 check still runs, and the CLI exits 1 with a FAILED line
+    import quiverdet.verify as verify
+
+    for module in (cvm, verify):
+        monkeypatch.setattr(module, "_corner_bits", _flag_facet(module._corner_bits, 3))
+    report = verify.verify_instance(star_instance, subset_trials=20, seed=1)
+    checks = {c.name: (c.ok, c.detail) for c in report.checks}
+    message = "the corner batch rejects facet 4, whose road map passes"
+    assert checks["series-routes"] == (False, message)
+    assert checks["shelling"] == (False, "skipped: the corner batch rejects a facet")
+    assert checks["codim1-membership"][0]
+    assert [name for name, (ok, _) in checks.items() if not ok] == ["series-routes", "shelling"]
+    assert main(["verify", "--preset", "star-example", "--seed", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "[FAIL] shelling: skipped: the corner batch rejects a facet" in out
+    assert out[-1] == f"FAILED: series-routes on {star_instance!r}: {message}"
 
 
 @pytest.mark.parametrize("preset", ["star-example", "det:4,4,2", "double:3,4,3,2,2"])

@@ -5,6 +5,7 @@ walk and its folds, and to the corner routes; and measured in a fresh
 process, where they replace the walk's table of open ridges.
 """
 
+import json
 import os
 import random
 import re
@@ -17,8 +18,9 @@ from pathlib import Path
 import pytest
 
 import quiverdet.bitslice as bitslice
-from quiverdet import enumerate_facets, hilbert_series
-from quiverdet.cli import parse_preset
+import quiverdet.complex as cx
+from quiverdet import enumerate_facets, hilbert_series, verify_shelling
+from quiverdet.cli import main, parse_preset
 from quiverdet.complex import _ridge_fold, _ridge_walk
 from quiverdet.series import CORNER_ROUTES, LOCAL_ROUTES
 from quiverdet.verify import random_instance
@@ -83,13 +85,15 @@ def _numerator(rendered: str) -> tuple[int, ...]:
     return tuple(h.get(i, 0) for i in range(max(h) + 1))
 
 
-def test_hilbert_det773_fresh_process_memory():
-    # the walk's table of 518616 open ridges took this process to 58.5 MB
+@pytest.mark.parametrize("command", ["hilbert", "shelling"])
+def test_det773_fresh_process_memory(command):
+    # the walk's table of 518616 open ridges took hilbert to 58.5 MB, and
+    # shelling, which walked once per order, to 74 MB
     if not os.path.exists("/proc/self/status"):
         pytest.skip("no /proc/self/status to read VmHWM from")
     script = ("import sys\n"
               "from quiverdet.cli import main\n"
-              "code = main(['hilbert', '--preset', 'det:7,7,3'])\n"
+              f"code = main([{command!r}, '--preset', 'det:7,7,3'])\n"
               "with open('/proc/self/status') as status:\n"
               "    sys.stderr.write(''.join(l for l in status if l.startswith('VmHWM:')))\n"
               "sys.exit(code)\n")
@@ -99,7 +103,13 @@ def test_hilbert_det773_fresh_process_memory():
     assert proc.returncode == 0, proc.stderr
     hwm_kb = int(re.search(r"^VmHWM:\s*(\d+) kB", proc.stderr, re.M).group(1))
     assert hwm_kb < 30 * 1024, hwm_kb
-    assert _numerator(proc.stdout) == _closed_form_h(7, 7, 3)
+    if command == "hilbert":
+        assert _numerator(proc.stdout) == _closed_form_h(7, 7, 3)
+    else:
+        up, counts, down = proc.stdout.splitlines()
+        assert (up, down) == ("ascending shelling ok", "descending shelling ok")
+        sizes = list(map(int, counts.split()[2:]))
+        assert tuple(map(sizes.count, range(max(sizes) + 1))) == _closed_form_h(7, 7, 3)
 
 
 def _rows(columns: list[int], count: int) -> list[int]:
@@ -160,3 +170,48 @@ def test_batches_split_across_chunks_and_cell_groups(monkeypatch):
             report = verify_instance(inst, subset_trials=10, seed=1)
             assert (_local_faces(inst, masks), hilbert_series(inst), report) == expected, (
                 inst, width)
+
+
+def _shelling_outputs(capsys, path):
+    # the shelling command's exit code and stdout, text and --json
+    outs = []
+    for flags in ([], ["--json"]):
+        code = main(["shelling", "--file", str(path), *flags])
+        outs.append((code, capsys.readouterr().out))
+    return outs
+
+
+def _reports_as_printed(facets):
+    # verify_shelling on the ascending order with SE corners and on the
+    # descending order with NW corners, as the shelling command prints them
+    up, down = verify_shelling(facets), verify_shelling(facets[::-1], "NW")
+    code = 0 if up.ok and down.ok else 1
+    text = [f"ascending shelling {'ok' if up.ok else 'FAILED'}",
+            "restriction counts " + " ".join(map(str, up.restriction_counts)),
+            f"descending shelling {'ok' if down.ok else 'FAILED'}",
+            *(rep.failure for rep in (up, down) if rep.failure)]
+    obj = {"ascending": up.to_json_obj(), "descending": down.to_json_obj()}
+    return [(code, "\n".join(text) + "\n"),
+            (code, json.dumps(obj, indent=2, sort_keys=True) + "\n")]
+
+
+def test_shelling_command_equals_verify_shelling(capsys, monkeypatch, tmp_path):
+    # the command reads R(F) off one batch pass and never walks; its reports
+    # are verify_shelling's, which walks, at the full width and in narrow
+    # chunks and cell groups
+    rng = random.Random(61)
+    instances = [parse_preset(p) for p in ("star-example", "det:4,5,2", "double:2,3,2,1,1",
+                                           "det:1,1,1", "secant:3,3,1")]
+    instances += [random_instance(rng, max_cells=16) for _ in range(8)]
+    paths, want = [], []
+    for k, inst in enumerate(instances):
+        paths.append(tmp_path / f"{k}.json")
+        paths[-1].write_text(inst.to_json())
+        want.append(_reports_as_printed(enumerate_facets(inst)))
+    walks = []
+    monkeypatch.setattr(cx, "_ridge_walk", lambda masks: walks.append(masks))
+    for width in (bitslice._WIDTH, 7, 40):
+        monkeypatch.setattr(bitslice, "_WIDTH", width)
+        for inst, path, expected in zip(instances, paths, want):
+            assert _shelling_outputs(capsys, path) == expected, (inst, width)
+    assert walks == []

@@ -19,9 +19,9 @@ Three kernels compute them, each for its own callers (the second lives in
   subsets, bit i for subset i.  ``bitslice._addable_columns`` runs it on
   the per-cell ridge batches of the local h routes and ``verify``'s codim-1
   check, and ``cvm._point_levels`` once per class of twin blocks for
-  ``verify``'s criteria check and for the corner batch
-  (``cvm._corner_bits``) of ``verify``, the corner routes, the shelling
-  check and the ``corners`` command.
+  ``verify``'s criteria check and, apart, for the corner pass
+  (``cvm._corner_counts``) of the corner routes, the shelling checks and
+  the ``corners`` command.
 - Chain levels for the face predicate: N_j holds the positions with a
   j-chain of the set strictly NW of them, S_j those with one strictly SE,
   each a cell-rank mask; a position is blocked when it lies in N_j and

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .bitslice import _columns
 from .chains import CellSet, _grow, _load_blocks, _rank_ladder
-from .cvm import _corner_counts
+from .cvm import _cell_set, _corner_counts
 from .errors import DEFAULT_MAX_CELLS, GuardExceeded, ValidationError
 from .quiver import Instance, _is_int
 from .series import NW_CORNERS, SE_CORNERS, FaceTable, _trim
@@ -233,6 +233,15 @@ class ShellingReport(NamedTuple):
                 "failure": self.failure}
 
 
+def _listed(facets) -> list:
+    """The items of ``facets``, if it is an iterable; else a ValidationError."""
+    try:
+        items = iter(facets)
+    except TypeError:
+        raise ValidationError(f"facets must be an iterable, got {type(facets).__name__}") from None
+    return list(items)
+
+
 def verify_shelling(facets_in_order, corner_kind: str = "SE") -> ShellingReport:
     """Check that the given facet order is a shelling and matches the corner counts.
 
@@ -242,16 +251,16 @@ def verify_shelling(facets_in_order, corner_kind: str = "SE") -> ShellingReport:
     contains R_j, as G ∩ F_j ⊆ F_j - c iff c ∉ G.  |R_j| must equal the
     facet's essential corner count (zero for the first facet).  The
     ascending order pairs with SE corners; the descending order is the
-    reflected picture and pairs with NW corners.  The facets must be cell
-    sets of one instance.
+    reflected picture and pairs with NW corners.  The facets, in any
+    iterable, must be cell sets of one instance.
     """
     if corner_kind not in ("SE", "NW"):
         raise ValidationError(f"corner kind must be SE or NW, got {corner_kind!r}")
-    facets = list(facets_in_order)
+    facets = _listed(facets_in_order)
     if not facets:
         return ShellingReport(True, ())
-    instance = facets[0].instance
-    if any(f.instance != instance for f in facets):
+    instance = _cell_set(facets[0]).instance
+    if any(_cell_set(f).instance != instance for f in facets):
         raise ValidationError("facets must be cell sets of one instance")
     masks = [f.mask for f in facets]
     counts = (pair[corner_kind == "SE"] for pair in _corner_counts(instance, masks))
@@ -309,13 +318,13 @@ def _h_from_interior(table: FaceTable, n_top: int) -> tuple[int, ...]:
     return _trim([*h, *[0] * (n_top + 1 - len(h))][::-1])
 
 
-def _corner_routes(instance: Instance, masks: list[int],
-                   bits=None) -> tuple[dict[str, tuple[int, ...]], list[int]]:
-    """The corner routes' numerators, and each facet's essential SE count, from one corner batch.
+def _corner_routes(instance: Instance,
+                   masks: list[int]) -> tuple[dict[str, tuple[int, ...]], list[int]]:
+    """The corner routes' numerators, and each facet's essential SE count, from one corner pass.
 
-    h_i counts the facets with i essential corners, off their masks or the
-    ``bits`` of ``verify``'s criteria batch, whose shelling check reads the SE counts.
+    h_i counts the facets with i essential corners, off their masks; ``verify``'s
+    shelling check reads the SE counts.
     """
-    nw, se = zip(*_corner_counts(instance, masks, bits))
+    nw, se = zip(*_corner_counts(instance, masks))
     return {route: _trim(list(map(counts.count, range(instance.n_cells + 1))))
             for route, counts in ((NW_CORNERS, nw), (SE_CORNERS, se))}, list(se)

@@ -220,12 +220,12 @@ def corners(cs: CellSet) -> CornerReport:
                         essential_nw, essential_se)
 
 
-def _corner_bits(instance: Instance, columns: list[int], every: int, tables: dict, cvm: int,
-                 shift: int = 0) -> tuple[list[int], list[int], int]:
+def _corner_bits(instance: Instance, columns: list[int], every: int, tables: dict,
+                 cvm: int) -> tuple[list[int], list[int], int]:
     """Per cell, the subsets with an essential NW and an essential SE corner there; the bad ones.
 
-    Bit i is subset i + ``shift`` of ``columns`` and of the ``_point_levels``
-    ``tables``; ``cvm`` holds the concurrent vertex maps.  Path p holds the
+    Bit i is subset i of ``columns`` and of the ``_point_levels`` ``tables``;
+    ``cvm`` holds the concurrent vertex maps.  Path p holds the
     positions with padded nw = p - 1 and se = u - p; a bad subset fails a
     check of ``definitions._road_blocks``.  A corner is free when its crossing
     path has ``definitions._classify``'s label m and no point of the path
@@ -237,8 +237,8 @@ def _corner_bits(instance: Instance, columns: list[int], every: int, tables: dic
         nw, se = tables[instance.block_ranks[vid], u]
         grid = [[[0] * (b + 2) for _ in range(a + 2)] for _ in range(u)]
         for x, y, r, nw_floor, se_floor in points:
-            n = [every] * (nw_floor + 1) + [level[x - 1][y - 1] >> shift for level in nw[nw_floor:u]]
-            s = [every] * (se_floor + 1) + [level[x + 1][y + 1] >> shift for level in se[se_floor:u]]
+            n = [every] * (nw_floor + 1) + [level[x - 1][y - 1] for level in nw[nw_floor:u]]
+            s = [every] * (se_floor + 1) + [level[x + 1][y + 1] for level in se[se_floor:u]]
             paths = [n[p] & ~n[p + 1] & s[u - 1 - p] & ~s[u - p] for p in range(u)]
             labels[target][r] = dict(enumerate(paths, start=1 + where[x, y][1]))
             for g, on in zip(grid, paths):
@@ -246,7 +246,7 @@ def _corner_bits(instance: Instance, columns: list[int], every: int, tables: dic
         grids.append(grid)
     covered = [[sum(label.values()) for label in family] for family in labels]  # disjoint paths
     for held, vertical, horizontal in zip(columns, *covered):
-        bad |= vertical & horizontal ^ held >> shift
+        bad |= vertical & horizontal ^ held
     essential = {NW: [0] * size, SE: [0] * size}
     for (_, target, a, b, u, v, points, _), grid in zip(layout, grids):
         crossing, crossed = labels[not target], covered[not target]
@@ -272,23 +272,20 @@ def _corner_bits(instance: Instance, columns: list[int], every: int, tables: dic
     return essential[NW], essential[SE], bad
 
 
-def _corner_counts(instance: Instance, masks: list[int], bits=None):
+def _corner_counts(instance: Instance, masks: list[int]):
     """Yield ``corners``'s two counts, (essential NW, essential SE), of each mask in turn.
 
-    ``bits`` are the masks' ``_corner_bits`` off ``verify``'s criteria batch; else
-    each chunk of ``bitslice._chunks`` runs its own pass as it is reached.  The first
-    bad mask is replayed on a copy through ``definitions._road_blocks`` and ``_classify``.
+    Each chunk of ``bitslice._chunks`` runs its own ``_corner_bits`` pass as it is
+    reached.  The first bad mask is replayed on a copy through
+    ``definitions._road_blocks`` and ``_classify``.
     """
-    batches = [(0, masks, bits)] if bits else ((*chunk, None) for chunk in _chunks(masks))
-    for start, batch, found in batches:
+    for start, batch in _chunks(masks):
         every = (1 << len(batch)) - 1
-        if found is None:
-            columns, tables, blocked = _columns(batch, instance.size), {}, 0
-            for r, *_, bad in _point_levels(instance, columns, every, tables):
-                blocked |= columns[r] & bad
-            cvm = _exactly(columns, instance.n_cells, every) & ~blocked
-            found = _corner_bits(instance, columns, every, tables, cvm)
-        *essential, bad = found
+        columns, tables, blocked = _columns(batch, instance.size), {}, 0
+        for r, *_, bad in _point_levels(instance, columns, every, tables):
+            blocked |= columns[r] & bad
+        cvm = _exactly(columns, instance.n_cells, every) & ~blocked
+        *essential, bad = _corner_bits(instance, columns, every, tables, cvm)
         counts = [[cells.bit_count() for cells in _columns(e, len(batch))] for e in essential]
         yield from islice(zip(*counts), (bad & -bad).bit_length() - 1 if bad else None)
         if bad:

@@ -427,7 +427,10 @@ def check_vertex_decomposition_samples(instance: Instance, sample_budget: int = 
     if not _is_int(sample_budget) or sample_budget < 0:
         raise ValidationError(f"sample_budget must be an int >= 0, not {sample_budget!r}")
     _check_guard(instance, size_guard)
-    rng = random.Random(seed)
+    try:
+        rng = random.Random(seed)
+    except TypeError as exc:  # random rejects the seed's type
+        raise ValidationError(f"seed must be None, a number, a str or bytes, not {seed!r}") from exc
     samples = []
     for _ in range(sample_budget):
         ell = rng.randint(0, instance.size)

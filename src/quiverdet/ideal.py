@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, NamedTuple
 from .chains import CellSet, is_u_compatible
 from .errors import CrossCheckError, GuardExceeded, ValidationError
 from .moves import enumerate_facets
-from .quiver import Cell, Instance, cell_key
+from .quiver import Cell, Instance, _is_int, cell_key
 
 M2 = "m2"
 SINGULAR = "singular"
@@ -158,6 +158,8 @@ def export_cas(instance: Instance, flavor: str = M2,
     """
     if flavor not in (M2, SINGULAR):
         raise ValidationError(f"unknown flavor {flavor!r}")
+    if not _is_int(generator_cap) or generator_cap < 0:
+        raise ValidationError(f"generator_cap must be an int >= 0, not {generator_cap!r}")
     count = natural_generator_count(instance)
     if count > generator_cap:
         raise GuardExceeded(f"{count} generators exceed the cap {generator_cap}")

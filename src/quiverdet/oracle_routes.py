@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from .bitslice import _restriction_columns
 from .chains import CellSet
-from .complex import (_corner_routes, _h_from_f, _h_from_interior, _ridge_fold, _ridge_walk,
-                      f_vector, interior_faces)
+from .complex import (_corner_routes, _h_from_f, _h_from_interior, _listed, _ridge_fold,
+                      _ridge_walk, f_vector, interior_faces)
 from .errors import ValidationError
 from .moves import _facet_masks, enumerate_facets
 from .quiver import Instance
@@ -32,6 +32,7 @@ def _oracle_series(instance: Instance, facets, routes: frozenset, max_cells_guar
     comparison.
     """
     if facets is not None:
+        facets = _listed(facets)
         # the local routes read R(F) off the instance, not off the list: the
         # folds of the list's walk hold the list to them (a facet left out
         # changes the walk's R(F) of its neighbours across a ridge)

@@ -198,9 +198,9 @@ def hilbert_series(instance: Instance, facets=None, routes=LOCAL_ROUTES,
     the list to them.
     ``f_transform`` and ``interior`` read the face table of the brute-force
     DFS, under ``max_cells_guard``; ``interior`` also marks interior faces
-    against the facets.  Given facets must be distinct cell sets of
-    ``instance``, at least one.  All requested routes must agree, and when
-    facets were used, h(1) must equal their number.  Only the local routes
+    against the facets.  Given facets, in any iterable, must be distinct
+    cell sets of ``instance``, at least one.  All requested routes must
+    agree, and when facets were used, h(1) must equal their number.  Only the local routes
     on enumerated masks run here; any other call loads the oracle routes
     (``oracle_routes._oracle_series``).
     """

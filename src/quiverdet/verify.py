@@ -11,9 +11,10 @@ reflection probes and the criteria check's failure detail build cell sets.
 The criteria check evaluates all its random subsets and every
 facet in one bit-sliced batch: bit i of a cell's int says whether subset i
 holds it, and each class of twin blocks runs one chain DP on those ints
-(``bitslice._chain_levels``); its facet bits are ``facet-cardinality``, and
-the same level tables give the facets' essential corners
-(``cvm._corner_bits``), which feed the corner routes and the shelling check.
+(``bitslice._chain_levels``); its facet bits are ``facet-cardinality``.
+The corner routes and the shelling check read the facets' essential corners
+off ``complex._corner_routes``, the one corner pass that ``oracle_routes``
+runs too.
 The tests hold the criteria to ``definitions.corner_stats``, which reads the
 independent DP ``definitions._chain_tables``.  The brute face DFS, the
 reflection probes and closures run on the chain levels of
@@ -44,7 +45,7 @@ from .bitslice import _addable_columns, _at_least, _columns, _exactly, _restrict
 from .chains import CellSet, _addable, _load_blocks
 from .complex import (DEFAULT_MAX_CELLS, _FaceSearch, _corner_routes, _h_from_f,
                       _h_from_interior, _ridge_fold, _ridge_walk, _shelling_report)
-from .cvm import _corner_bits, _point_levels, c_max, c_min, initial_cvm, reflect, reflect_instance
+from .cvm import _point_levels, c_max, c_min, initial_cvm, reflect, reflect_instance
 from .errors import QuiverDetError, ValidationError
 from .moves import DEFAULT_FACET_CAP, _facet_masks
 from .quiver import BipartiteQuiver, Instance, _is_int, build_instance
@@ -96,8 +97,7 @@ def _membership_criterion_holds(cs: CellSet) -> bool:
     return _addable(inst.positions, tables, (1 << inst.size) - 1) == cs.mask
 
 
-def _criteria_kernel(instance: Instance, columns: list[int], every: int,
-                     tables: dict | None = None) -> tuple[int, int, int]:
+def _criteria_kernel(instance: Instance, columns: list[int], every: int) -> tuple[int, int, int]:
     """The three facet criteria on a batch of subsets at once.
 
     ``columns[r]`` has bit i set when subset i holds the cell of rank r, and
@@ -113,8 +113,7 @@ def _criteria_kernel(instance: Instance, columns: list[int], every: int,
     invalid = 0
     raw_bad = [0] * instance.size
     not_low = [0] * instance.size
-    levels = _point_levels(instance, columns, every, tables)
-    for r, u, n, s, nw_floor, se_floor, blocked in levels:
+    for r, u, n, s, nw_floor, se_floor, blocked in _point_levels(instance, columns, every):
         raw_bad[r] |= blocked
         n[1:nw_floor + 1] = [every] * nw_floor
         s[1:se_floor + 1] = [every] * se_floor
@@ -247,7 +246,7 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
         record("facet-closure-vs-brute", True, "skipped: |L| over the brute guard")
 
     # one criteria batch: its facet bits are the facet-cardinality check
-    criteria, admitted, corner_bits = _criteria_batch(instance, rng, subset_trials, masks)
+    criteria, admitted = _criteria_batch(instance, rng, subset_trials, masks)
     all_admitted = admitted == (1 << len(masks)) - 1
     record("facet-cardinality", all_admitted, f"all facets admissible with {n_top} cells")
     record("criteria-equivalence", *criteria)
@@ -281,12 +280,12 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
         return VerificationReport(instance, tuple(checks))
 
     # One pass of per-cell addable batches feeds the local routes and the
-    # codim-1 check; the criteria batch's corner bits feed the corner routes
-    # and the shelling check, which is skipped if that batch rejects a facet.
+    # codim-1 check; one corner pass feeds the corner routes and the
+    # shelling check, which is skipped if that pass rejects a facet.
     chunks = list(_restriction_columns(instance, masks, owners=True))
     se_counts = None
     try:
-        corner_h, se_counts = _corner_routes(instance, masks, corner_bits)
+        corner_h, se_counts = _corner_routes(instance, masks)
         up, down, _ = _ridge_fold(walk)
         results = {**_local_h(chunks), ASCENDING_FOLD: up, DESCENDING_FOLD: down, **corner_h}
         if face_table is not None:
@@ -313,7 +312,7 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
 
 
 def _criteria_batch(instance: Instance, rng: random.Random, trials: int,
-                    masks: list[int]) -> tuple[tuple[bool, str], int, tuple | None]:
+                    masks: list[int]) -> tuple[tuple[bool, str], int]:
     """Hold the three facet criteria to each other on random subsets, then on every facet.
 
     Each trial draws a density, then each cell in rank order with that
@@ -322,9 +321,9 @@ def _criteria_batch(instance: Instance, rng: random.Random, trials: int,
     ``masks``, and one ``_criteria_kernel`` call evaluates them together, so
     each class of twin blocks runs its level tables once; the first subset
     on which the routes disagree is reported, and its routes are replayed
-    through ``criteria_agree``.  Returns the check's ``(ok, detail)``, bit j
-    for ``masks[j]``, the facets that the cardinality route and the raw
-    route both admit, and, if all, the facets' ``cvm._corner_bits``.
+    through ``criteria_agree``.  Returns the check's ``(ok, detail)`` and,
+    bit j for ``masks[j]``, the facets that the cardinality route and the
+    raw route both admit.
     """
     draw = rng.random
     bits = [1 << r for r in range(instance.size)]
@@ -337,23 +336,19 @@ def _criteria_batch(instance: Instance, rng: random.Random, trials: int,
                 mask |= bit
         subsets.append(mask)
     subsets += masks
-    columns, tables, every = _columns(subsets, instance.size), {}, (1 << len(masks)) - 1
-    by_card, by_raw, by_padded = _criteria_kernel(
-        instance, columns, (1 << len(subsets)) - 1, tables)
+    columns = _columns(subsets, instance.size)
+    by_card, by_raw, by_padded = _criteria_kernel(instance, columns, (1 << len(subsets)) - 1)
     admitted = (by_card & by_raw) >> trials
-    corner_bits = (_corner_bits(instance, columns, every, tables, by_card >> trials, trials)
-                   if admitted == every else None)
     wrong = (by_card ^ by_raw) | (by_raw ^ by_padded)
     if not wrong:
-        return ((True, f"{trials} random subsets, then all facets ({len(masks)})"), admitted,
-                corner_bits)
+        return (True, f"{trials} random subsets, then all facets ({len(masks)})"), admitted
     n = (wrong & -wrong).bit_length() - 1
     name = (f"subset {n + 1} of {trials}" if n < trials
             else f"facet {n - trials + 1} of {len(masks)}")
     held = CellSet.from_mask(instance, subsets[n]).cells
     routes = criteria_agree(instance, held)
     return (False, f"{name}, cells {[list(c) for c in held]}: routes "
-                   f"(cardinality, raw, padded, agree) = {routes}"), admitted, corner_bits
+                   f"(cardinality, raw, padded, agree) = {routes}"), admitted
 
 
 def _codim1_check(instance: Instance, masks: list[int], walk, chunks) -> tuple[bool, str]:

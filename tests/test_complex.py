@@ -405,6 +405,10 @@ def test_vdc_guard(star_instance, double_instance):
         with pytest.raises(ValidationError, match="cell guard"):
             check_vertex_decomposition_samples(double_instance, size_guard=guard)
     assert check_vertex_decomposition_samples(double_instance, sample_budget=0).samples == ()
+    # a seed that random rejects, as verify_instance reports it
+    for seed in ([1], {2: 3}):
+        with pytest.raises(ValidationError, match="seed must be None"):
+            check_vertex_decomposition_samples(double_instance, seed=seed)
 
 
 def test_vdc_random_instances():

@@ -10,7 +10,8 @@ import quiverdet.cvm as cvm
 from quiverdet import (CellSet, CrossCheckError, QuiverDetError, corners, enumerate_facets,
                        verify_shelling)
 from quiverdet.cli import main, parse_preset
-from quiverdet.verify import _criteria_batch, random_instance
+from quiverdet.complex import _corner_routes
+from quiverdet.verify import random_instance
 
 from test_fold import _for_random_instances
 
@@ -23,33 +24,28 @@ def _oracle(facets):
     return [(rep.essential_nw, rep.essential_se) for rep in reports]
 
 
-def _fused(inst, facets, trials=20):
-    # the entry verify uses: the corner bits off the criteria batch's level tables
-    _, admitted, bits = _criteria_batch(inst, random.Random(3), trials, [f.mask for f in facets])
-    assert admitted == (1 << len(facets)) - 1 and bits is not None
-    return list(cvm._corner_counts(inst, [f.mask for f in facets], bits))
-
-
-def _check_both_entries(inst):
+def _check_the_entry(inst):
+    # the one corner pass, and the SE counts that verify's shelling check
+    # reads off it through the corner routes
     facets = enumerate_facets(inst)
     want = _oracle(facets)
-    assert list(cvm._corner_counts(inst, [f.mask for f in facets])) == want, inst
-    for trials in (0, 20):
-        assert _fused(inst, facets, trials) == want, (inst, trials)
+    masks = [f.mask for f in facets]
+    assert list(cvm._corner_counts(inst, masks)) == want, inst
+    assert _corner_routes(inst, masks)[1] == [se for _, se in want], inst
 
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_batch_counts_equal_corners_on_presets(preset):
-    _check_both_entries(parse_preset(preset))
+    _check_the_entry(parse_preset(preset))
 
 
 def test_batch_counts_equal_corners_on_fixtures(single_cell, det33, double_instance):
     for inst in (single_cell, det33, double_instance):
-        _check_both_entries(inst)
+        _check_the_entry(inst)
 
 
 def test_batch_counts_equal_corners_property():
-    _for_random_instances(_check_both_entries)
+    _for_random_instances(_check_the_entry)
 
 
 def test_batches_split_across_chunks(monkeypatch, star_instance):
@@ -119,11 +115,10 @@ def test_a_tampered_on_mask_is_replayed_and_named(monkeypatch, star_instance):
     facets = enumerate_facets(star_instance)
     target = 5
 
-    def tampered(instance, columns, every, tables, ok, shift=0):
-        flip = 1 << (target + shift)
+    def tampered(instance, columns, every, tables, ok):
         for nw, _ in tables.values():
-            nw[0] = [[cell ^ flip for cell in row] for row in nw[0]]
-        return real(instance, columns, every, tables, ok, shift)
+            nw[0] = [[cell ^ 1 << target for cell in row] for row in nw[0]]
+        return real(instance, columns, every, tables, ok)
 
     monkeypatch.setattr(cvm, "_corner_bits", tampered)
     masks = [f.mask for f in facets]
@@ -135,18 +130,18 @@ def test_a_tampered_on_mask_is_replayed_and_named(monkeypatch, star_instance):
 
 def _flag_facet(real, j):
     # ``_corner_bits`` that also calls facet j bad, whose road map passes
-    def tampered(instance, columns, every, tables, ok, shift=0):
-        nw, se, bad = real(instance, columns, every, tables, ok, shift)
+    def tampered(instance, columns, every, tables, ok):
+        nw, se, bad = real(instance, columns, every, tables, ok)
         return nw, se, bad | 1 << j
     return tampered
 
 
 def test_verify_reports_a_tampered_corner_batch(monkeypatch, star_instance):
-    # the fused route: series-routes fails with the batch's message, and the
-    # shelling check, without counts, is skipped
+    # verify's corner pass is the commands' one: series-routes fails with the
+    # batch's message, and the shelling check, without counts, is skipped
     import quiverdet.verify as verify
 
-    monkeypatch.setattr(verify, "_corner_bits", _flag_facet(verify._corner_bits, 2))
+    monkeypatch.setattr(cvm, "_corner_bits", _flag_facet(cvm._corner_bits, 2))
     report = verify.verify_instance(star_instance, subset_trials=20, seed=7)
     failed = {c.name: c.detail for c in report.checks if not c.ok}
     assert failed == {"series-routes": "the corner batch rejects facet 3, whose road map passes",
@@ -155,12 +150,11 @@ def test_verify_reports_a_tampered_corner_batch(monkeypatch, star_instance):
 
 def test_verify_reports_a_corner_batch_that_rejects_a_facet_everywhere(monkeypatch, capsys,
                                                                        star_instance):
-    # every corner batch flags facet 4: verify reports, it does not raise; the
+    # the corner batch flags facet 4: verify reports, it does not raise; the
     # codim-1 check still runs, and the CLI exits 1 with a FAILED line
     import quiverdet.verify as verify
 
-    for module in (cvm, verify):
-        monkeypatch.setattr(module, "_corner_bits", _flag_facet(module._corner_bits, 3))
+    monkeypatch.setattr(cvm, "_corner_bits", _flag_facet(cvm._corner_bits, 3))
     report = verify.verify_instance(star_instance, subset_trials=20, seed=1)
     checks = {c.name: (c.ok, c.detail) for c in report.checks}
     message = "the corner batch rejects facet 4, whose road map passes"

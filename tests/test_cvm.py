@@ -4,7 +4,7 @@ import pytest
 
 from quiverdet import (CellSet, CrossCheckError, ValidationError, c_max, c_min, can_extend,
                        cmp_T_sets, corners, enumerate_facets, initial_cvm, is_cvm, is_u_compatible,
-                       reflect, road_map)
+                       reflect, road_map, verify_shelling)
 from quiverdet.chains import padded_nw, padded_se
 from quiverdet.cli import parse_preset
 from quiverdet.cvm import HORIZONTAL, NW, SE, VERTICAL
@@ -493,3 +493,15 @@ def test_cell_set_functions_reject_anything_else(function, value):
     # a ValidationError, never a stray AttributeError or TypeError
     with pytest.raises(ValidationError, match="expected a CellSet"):
         function(value)
+
+
+@pytest.mark.parametrize("value", [3, None, "x", [(1, 1, 1)], CellSet])
+def test_verify_shelling_rejects_anything_else(value, star_instance):
+    # a non-iterable, and an item that is not a cell set, first or after a
+    # facet: a ValidationError, never a stray AttributeError or TypeError
+    facet = initial_cvm(star_instance)
+    with pytest.raises(ValidationError, match="expected a CellSet|facets must be an iterable"):
+        verify_shelling(value)
+    for order in ([facet, value], [value, facet]):
+        with pytest.raises(ValidationError, match="expected a CellSet"):
+            verify_shelling(order)

@@ -119,9 +119,9 @@ def test_verify_holds_fold_to_corners_past_brute_guard(monkeypatch):
         folded.append(len(walk[0]))
         return real_fold(walk)
 
-    def counted(instance, masks, bits=None, _real=quiverdet.cvm._corner_counts):
-        classified.append((masks, bits is not None))
-        return _real(instance, masks, bits)
+    def counted(instance, masks, _real=quiverdet.cvm._corner_counts):
+        classified.append(masks)
+        return _real(instance, masks)
 
     def refuse(*_args):
         raise AssertionError("a facet was classified by its road map")
@@ -129,17 +129,17 @@ def test_verify_holds_fold_to_corners_past_brute_guard(monkeypatch):
     monkeypatch.setattr(verify, "_ridge_fold", spy)
     # the corner routes and the shelling check both reach the corner batch
     # through complex: a batch the shelling check ran itself would be a
-    # second call, one without the criteria batch's bits
+    # second call
     monkeypatch.setattr(quiverdet.cvm, "_corner_counts", counted)
     monkeypatch.setattr(quiverdet.complex, "_corner_counts", counted)
     monkeypatch.setattr(quiverdet.cvm, "corners", refuse)
     report = verify_instance(inst, subset_trials=20, seed=1)
     # past the guard the series routes are the local routes and the two
-    # folds of one walk, held to one corner batch of all 66 facets, off the
-    # criteria batch's level tables, which also feeds the shelling check
+    # folds of one walk, held to one corner batch of all 66 facets, which
+    # also feeds the shelling check
     assert folded == [66]
-    assert classified == [([f.mask for f in enumerate_facets(inst)], True)]
-    assert len(classified[0][0]) == 66
+    assert classified == [[f.mask for f in enumerate_facets(inst)]]
+    assert len(classified[0]) == 66
     checks = {c.name: c for c in report.checks}
     assert report.ok
     assert checks["series-routes"].detail == "h = [1, 20, 45], multiplicity 66"

@@ -141,6 +141,14 @@ def test_export_lead_terms_are_diagonals(cube222):
 def test_export_cap(star_instance):
     with pytest.raises(GuardExceeded):
         export_cas(star_instance, generator_cap=5)
+    # a malformed cap is a ValidationError, never a stray TypeError or a guard
+    for bad in ("x", None, 2.5, True, -1):
+        with pytest.raises(ValidationError, match="generator_cap must be an int >= 0"):
+            export_cas(star_instance, generator_cap=bad)
+    count = natural_generator_count(star_instance)
+    assert export_cas(star_instance, generator_cap=count) == export_cas(star_instance)
+    with pytest.raises(GuardExceeded, match=f"{count} generators exceed the cap {count - 1}"):
+        export_cas(star_instance, generator_cap=count - 1)
 
 
 def test_route_agreement_random_instances():

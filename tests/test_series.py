@@ -60,7 +60,15 @@ def test_hilbert_series_rejects_bad_facet_lists(double_instance, det33):
         hilbert_series(det33, facets=[*facets[:-1], [tuple(c) for c in facets[-1].cells]])
     with pytest.raises(ValidationError, match="more than once"):
         hilbert_series(det33, facets=[*facets, facets[0]])
+    # not an iterable: a ValidationError, never a stray TypeError
+    for bad in (5, 2.5, object()):
+        with pytest.raises(ValidationError, match="facets must be an iterable"):
+            hilbert_series(det33, facets=bad)
     assert hilbert_series(det33, facets=facets).numerator == (1, 1, 1)
+    # any iterable is taken as a list once: a generator is read in full
+    for routes in ({SE_CORNERS}, {F_TRANSFORM, SE_CORNERS}, H_ROUTES):
+        assert hilbert_series(det33, facets=(f for f in facets), routes=routes) == \
+            hilbert_series(det33, facets=facets, routes=routes)
 
 
 def test_triple_agreement_random():

@@ -97,7 +97,7 @@ def test_criteria_batch_admits_exactly_the_facets(double_instance, star_instance
             if outside:
                 swap = 1 << rng.choice(inside) | 1 << rng.choice(outside)
                 sets.append(CellSet.from_mask(inst, facet.mask ^ swap))
-        _, admitted, _ = _criteria_batch(inst, random.Random(1), 10, [cs.mask for cs in sets])
+        _, admitted = _criteria_batch(inst, random.Random(1), 10, [cs.mask for cs in sets])
         for j, cs in enumerate(sets):
             want = (len(cs) == inst.n_cells and is_u_compatible(cs)
                     and _membership_criterion_holds(cs))
@@ -227,11 +227,12 @@ def test_criteria_check_runs_the_level_tables_once_per_twin_class(
     for inst in instances:
         classes = {(inst.block_ranks[vid], d.u) for vid, d in inst.vertex.items()}
         assert len(cvm._criteria_layout(inst)) == len(classes)
-        # the criteria batch reads the padded route, one level past the rank;
-        # the one batch of per-cell ridges (all cells fit in one) stops at the
-        # rank and skips the classes that block nothing
+        # the criteria batch and the one corner pass (all facets fit in one
+        # chunk) read the padded route, one level past the rank; the one
+        # batch of per-cell ridges (all cells fit in one) stops at the rank
+        # and skips the classes that block nothing
         layout = cvm._criteria_layout(inst)
-        tops = sorted([u + 1 for _, _, u, *_ in layout]
+        tops = sorted([u + 1 for _, _, u, *_ in layout] * 2
                       + [u for a, b, u, *_ in layout if u < min(a, b)])
         for trials in (0, 1, 1000):
             calls.clear()

@@ -25,12 +25,13 @@ Three kernels compute them, each for its own callers (the second lives in
 - Chain levels for the face predicate: N_j holds the positions with a
   j-chain of the set strictly NW of them, S_j those with one strictly SE,
   each a cell-rank mask; a position is blocked when it lies in N_j and
-  S_(u-j) for some j.  ``_levels`` loads them, ``_grow`` adds one cell in
-  place, and ``_rank_ladder`` spares blocks that never block (rank at least
-  min(a, b)), keeps rank-1 blocks as one quadrant mask per cell and lets twin
-  blocks share levels.  ``_load_blocks`` loads a set on the ladder for the
-  face DFS, the greedy closures, ``codim1_membership`` and ``verify``'s
-  reflection probes; the first two then grow the levels cell by cell.
+  S_(u-j) for some j.  ``_grow`` adds one cell to them in place, and
+  ``_rank_ladder`` spares blocks that never block (rank at least min(a, b)),
+  keeps rank-1 blocks as one quadrant mask per cell and lets twin blocks
+  share levels.  ``_load_blocks`` loads a set on the ladder by growing
+  empty levels one cell at a time, for the face DFS, the greedy closures,
+  ``codim1_membership`` and ``verify``'s reflection probes; the first two
+  then grow the levels on, cell by cell.
 
 The tests hold the batch and the levels to ``definitions._chain_tables``.
 """
@@ -53,7 +54,7 @@ def _rank_ladder(instance: Instance) -> tuple[tuple, tuple]:
     min(a, b) points, so nw + se <= min(a, b) - 1 < u.  A rank-1 block blocks
     exactly the positions with a point strictly NW or strictly SE of them, so
     its share is one quadrant mask per point.  Every other block is a
-    staircase block, held as chain levels (see ``_levels``); twin blocks, with
+    staircase block, held as chain levels (see ``_grow``); twin blocks, with
     identical ``block_ranks`` and rank, always hold the same levels and share
     one kernel.  A kernel is ``(u, start, se, nw, cells)``: its 2u levels sit
     at ``start`` in the levels list, ``se[r]`` and ``nw[r]`` are the block's
@@ -99,33 +100,6 @@ def _rank_ladder(instance: Instance) -> tuple[tuple, tuple]:
     return tuple(kernels), tuple(zip(quadrants, map(tuple, steps)))
 
 
-def _levels(kernel, mask: int) -> list[int]:
-    """The chain levels of one staircase kernel with ``mask`` loaded, from scratch.
-
-    N_j is the set of the block's positions with a chain of j points of the
-    set strictly NW of them, S_j the same strictly SE; the result is N_1..N_u
-    then S_1..S_u.  N_1 is the union of the points' SE quadrants, and N_j
-    the union of the SE quadrants of the points in N_(j-1): a point ends a
-    j-chain exactly when a (j - 1)-chain lies strictly NW of it.  S_j is the
-    mirror image.  So nw >= j at a position iff it lies in N_j, which is
-    ``nw[x-1][y-1] >= j`` in ``_chain_tables``, and se >= j iff it lies in S_j.
-    """
-    u, _, se, nw, cells = kernel
-    occ = mask & cells
-    out = []
-    for quads in (se, nw):
-        points = occ
-        for _ in range(u):
-            level = 0
-            while points:
-                low = points & -points
-                points ^= low
-                level |= quads[low.bit_length() - 1]
-            out.append(level)
-            points = occ & level
-    return out
-
-
 def _class_blocked(levels: list[int], kernel) -> int:
     """The positions of a staircase kernel whose addition makes a chain longer than u.
 
@@ -141,6 +115,11 @@ def _class_blocked(levels: list[int], kernel) -> int:
 
 def _grow(levels: list[int], kernel, held: int, r: int) -> int:
     """Add cell r to a staircase kernel's levels in place; its blocked positions if they grew.
+
+    The levels are N_1..N_u then S_1..S_u, so nw >= j at a position iff it
+    lies in N_j (``nw[x-1][y-1] >= j`` in ``definitions._chain_tables``).  A
+    point ends a j-chain exactly when a (j - 1)-chain lies strictly NW of
+    it, so N_j is the union of the SE quadrants of the points in N_(j-1).
 
     ``held`` is the set with r in it.  N_1 grows by the SE quadrant of r.
     A point newly reaches level j when N_j grows over it, or when it is r
@@ -182,25 +161,24 @@ def _load_blocks(instance: Instance, mask: int) -> tuple[list[int], int]:
     """The chain levels of every staircase kernel with ``mask`` loaded; the blocked cells.
 
     The levels list holds each kernel of ``_rank_ladder`` at its ``start``;
-    the caller may grow it in place with ``_grow`` as it adds cells.  The
-    blocked mask is the union of the kernels' ``_class_blocked`` and of the
-    cells' rank-1 quadrants, which is the union over all blocks of the
-    positions with nw + se >= rank.  The set is u-compatible exactly when it
-    shares no cell with that mask: a point on an over-long chain sees at
-    least rank-many chain points strictly NW or SE of it, and a point of an
-    admissible set at most rank - 1.
+    it grows from empty by ``_grow``, one cell of the mask at a time, as the
+    caller may grow it on.  Levels only grow, so what ``_grow`` reports adds
+    up to each kernel's final ``_class_blocked``.  The blocked mask is that
+    and the cells' rank-1 quadrants, which is the union over all blocks of
+    the positions with nw + se >= rank.  The set is u-compatible exactly
+    when it shares no cell with that mask: a point on an over-long chain
+    sees at least rank-many chain points strictly NW or SE of it, and a
+    point of an admissible set at most rank - 1.
     """
     kernels, rungs = _rank_ladder(instance)
+    levels = [0] * sum(2 * kernel[0] for kernel in kernels)
     blocked = 0
-    m = mask
-    while m:
-        bit = m & -m
-        m ^= bit
-        blocked |= rungs[bit.bit_length() - 1][0]
-    levels: list[int] = []
-    for kernel in kernels:
-        levels += _levels(kernel, mask)
-        blocked |= _class_blocked(levels, kernel)
+    for r in range(mask.bit_length()):
+        if mask >> r & 1:
+            quadrants, steps = rungs[r]
+            blocked |= quadrants
+            for kernel in steps:
+                blocked |= _grow(levels, kernel, mask & (2 << r) - 1, r)
     return levels, blocked
 
 

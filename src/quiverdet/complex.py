@@ -2,8 +2,12 @@
 
 Admissible sets form a hereditary family, so a depth-first scan that only
 ever extends by cells keeping the set admissible visits every face exactly
-once.  The same engine backs the f-vector, the brute-force facet oracle and
-the bounded purity spot-checks.  Adding a cell changes only its target and
+once.  ``_brute_walk`` is the one face table on that scan: the face counts,
+the interior counts against the boundary generators it is given, the
+maximal sets, and the faces only when asked.  ``f_vector``, ``verify``'s
+brute check and ``hilbert_series``'s ``f_transform`` and ``interior``
+routes read it; only the bounded purity spot-checks of ``definitions``
+run the scan with a visitor of their own.  Adding a cell changes only its target and
 source blocks, so a node reads the cell's rung of ``chains._rank_ladder``:
 it drops the cell's rank-1 quadrants from its parent's addable mask, and
 grows the chain levels of the cell's staircase blocks (``chains._grow``) on
@@ -19,16 +23,16 @@ faces and corner counts: ``verify_shelling`` walks its order, and the
 ``shelling`` command reads both orders' faces off ``bitslice``'s batches.
 ``interior_faces`` and the check read the facets containing a set off
 per-cell owner bitsets, the masks' transposed columns (``bitslice._columns``,
-read by ``_containing``); ``verify``'s brute walk ANDs the same bitsets
-along the DFS, so it counts interior faces without storing any.
+read by ``_containing``); ``_brute_walk`` ANDs the same bitsets along the
+DFS, so it counts interior faces without storing any.
 
 The CLI reads h off ``series``'s local routes and the face counts off h
-(``series.face_counts``).  This module holds their oracles: the DFS routes
-``f_vector`` and ``interior_faces``, in ``verify`` (its brute walk) and in
-``hilbert_series``'s face-table routes, whose transforms ``_h_from_f`` and
-``_h_from_interior`` are here; the folds of the walk (``_ridge_fold``); and
-the corner routes' tally (``_corner_routes``).  ``oracle_routes`` runs them
-for ``hilbert_series``, which loads both modules only when one of them runs.
+(``series.face_counts``).  This module holds their oracles: the face table
+of ``_brute_walk``, whose transforms ``_h_from_f`` and ``_h_from_interior``
+are here, with ``interior_faces`` as its check on stored faces; the folds of
+the walk (``_ridge_fold``); and the corner routes' tally
+(``_corner_routes``).  ``oracle_routes`` runs them for ``hilbert_series``,
+which loads both modules only when one of them runs.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .bitslice import _columns
 from .chains import CellSet, _grow, _load_blocks, _rank_ladder
 from .cvm import _cell_set, _corner_counts
 from .errors import DEFAULT_MAX_CELLS, GuardExceeded, ValidationError
-from .quiver import Instance, _is_int
+from .quiver import Instance, _instance, _is_int
 from .series import NW_CORNERS, SE_CORNERS, FaceTable, _trim
 
 
@@ -94,35 +98,65 @@ class _FaceSearch:
 
 
 def _check_guard(instance: Instance, max_cells_guard: int) -> None:
+    _instance(instance)
     if not _is_int(max_cells_guard) or max_cells_guard < 0:
         raise ValidationError(f"cell guard must be an int >= 0, not {max_cells_guard!r}")
     if instance.size > max_cells_guard:
         raise GuardExceeded(f"|L| = {instance.size} exceeds guard {max_cells_guard}")
 
 
+def _brute_walk(instance: Instance, gens: list[int] | None = None,
+                store_faces: bool = False) -> tuple[list[int], FaceTable]:
+    """One walk of the face DFS: the sorted maximal sets and the face table.
+
+    The table counts the faces by cardinality and, given the boundary
+    generator masks ``gens``, the interior ones, inside none of them; it
+    stores the faces only with ``store_faces``.  The DFS visits a face after
+    the face without its highest cell, so ``inside[n]``, the generators
+    containing the current face of n cells, is ``inside[n - 1]`` ANDed with
+    that cell's owners (see ``_containing``).  A set is maximal when nothing
+    is addable, not when it is the largest: the purity of the complex is
+    part of what ``verify``'s comparison with the facets checks.
+    """
+    _instance(instance)
+    generators = gens or []
+    owners = _columns(generators, instance.size)
+    counts, interior = [0] * (instance.size + 1), [0] * (instance.size + 1)
+    inside = [(1 << len(generators)) - 1] * (instance.size + 1)
+    stored: list[list[int]] | None = [[] for _ in counts] if store_faces else None
+    out = []
+
+    def visit(mask, addable):
+        n = mask.bit_count()
+        counts[n] += 1
+        if n:
+            inside[n] = inside[n - 1] & owners[mask.bit_length() - 1]
+        interior[n] += not inside[n]
+        if stored is not None:
+            stored[n].append(mask)
+        if addable == 0:
+            out.append(mask)
+
+    _FaceSearch(instance).run(visit)
+    out.sort()
+    top = max(n for n, c in enumerate(counts) if c)
+    faces = None if stored is None else tuple(map(tuple, stored[:top + 1]))
+    if gens is None:
+        return out, FaceTable(tuple(counts[:top + 1]), faces)
+    return out, FaceTable(tuple(counts[:top + 1]), faces, tuple(interior[:top + 1]), len(gens))
+
+
 def f_vector(instance: Instance, max_cells_guard: int = DEFAULT_MAX_CELLS,
              store_faces: bool = False) -> FaceTable:
     """Count admissible sets by cardinality by pruned depth-first backtracking.
 
-    The oracle route, for ``hilbert_series``'s ``f_transform`` and
-    ``interior`` routes (``verify`` transforms its own brute walk's counts,
-    interior counts included); ``series.face_counts`` reads the same counts
-    off the h-vector.
+    The oracle route, off ``_brute_walk``, the face table that ``verify``'s
+    brute check and ``hilbert_series``'s ``f_transform`` and ``interior``
+    routes read too; ``series.face_counts`` reads the same counts off the
+    h-vector.
     """
     _check_guard(instance, max_cells_guard)
-    counts = [0] * (instance.size + 1)
-    stored: list[list[int]] | None = [[] for _ in counts] if store_faces else None
-
-    def visit(mask, _addable):
-        n = mask.bit_count()
-        counts[n] += 1
-        if stored is not None:
-            stored[n].append(mask)
-
-    _FaceSearch(instance).run(visit)
-    top = max(n for n, c in enumerate(counts) if c)
-    faces = tuple(tuple(ms) for ms in stored[:top + 1]) if stored is not None else None
-    return FaceTable(tuple(counts[:top + 1]), faces)
+    return _brute_walk(instance, store_faces=store_faces)[1]
 
 
 def codim1_membership(sub: CellSet) -> list[CellSet]:
@@ -130,7 +164,7 @@ def codim1_membership(sub: CellSet) -> list[CellSet]:
 
     By purity they are the set plus each of its addable cells, read off one block load.
     """
-    inst = sub.instance
+    inst = _cell_set(sub).instance
     if len(sub) != inst.n_cells - 1:
         raise ValidationError(f"expected cardinality {inst.n_cells - 1}, got {len(sub)}")
     _, blocked = _load_blocks(inst, sub.mask)
@@ -198,7 +232,7 @@ def _ridge_fold(walk) -> tuple[tuple[int, ...], tuple[int, ...], int]:
 
 def boundary_generator_masks(facets) -> list[int]:
     """The codim-1 faces of the facets that lie in exactly one of them, as ascending bitmasks."""
-    return sorted(_ridge_walk([f.mask for f in facets])[1])
+    return sorted(_ridge_walk([_cell_set(f).mask for f in _listed(facets)])[1])
 
 
 def interior_faces(instance: Instance, table: FaceTable, facets) -> FaceTable:
@@ -207,13 +241,14 @@ def interior_faces(instance: Instance, table: FaceTable, facets) -> FaceTable:
     The complex is a shellable ball, so its boundary is generated by the
     codim-1 faces contained in exactly one facet; a face is interior exactly
     when it is a subset of none of them, as ``_containing`` reads off the
-    generators' owner bitsets.  The oracle route, on ``f_vector``'s stored
-    faces: ``hilbert_series``'s ``interior`` route uses it, ``verify``'s
-    brute walk counts them as it goes and the tests
-    hold the two to each other, while ``series.face_counts`` reads the
-    interior counts off h reversed.
+    generators' owner bitsets.  A check on ``f_vector``'s stored faces:
+    ``_brute_walk`` counts the interior faces as it goes, for ``verify`` and
+    ``hilbert_series``'s ``interior`` route, and the tests hold the two to
+    each other, while ``series.face_counts`` reads the interior counts off
+    h reversed.
     """
-    if table.faces_by_size is None:
+    _instance(instance)
+    if not isinstance(table, FaceTable) or table.faces_by_size is None:
         raise ValidationError("interior faces need f_vector(store_faces=True)")
     gens = boundary_generator_masks(facets)
     owners = _columns(gens, instance.size)

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_FACET_CAP, FacetCapExceeded, ValidationError
-from .quiver import HORIZONTAL, TARGET, VERTICAL, Instance, _is_int, _prefix_masks
+from .quiver import HORIZONTAL, TARGET, VERTICAL, Instance, _instance, _is_int, _prefix_masks
 
 if TYPE_CHECKING:
     from .chains import CellSet
@@ -164,6 +164,7 @@ def _facet_masks(instance: Instance, facet_cap: int) -> list[int]:
     layers complete, which hold every facet within ``depth`` moves of the
     initial one.
     """
+    _instance(instance)
     if not _is_int(facet_cap) or facet_cap < 1:
         raise ValidationError(f"facet cap must be an int >= 1, not {facet_cap!r}")
     w, tops, guards, twins, cell, flip = _packed_layout(instance)

@@ -342,6 +342,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _instance(value) -> Instance:
+    """``value``, if it is the ``Instance`` the public functions take; else a ValidationError."""
+    if not isinstance(value, Instance):
+        raise ValidationError(f"expected an Instance, got {type(value).__name__}")
+    return value
+
+
 def build_instance(quiver: BipartiteQuiver, m: Mapping[str, int], u: Mapping[str, int],
                    mode: str = "strict") -> Instance:
     """Validate or normalize (quiver, m, u) and build an Instance.

@@ -191,14 +191,13 @@ def hilbert_series(instance: Instance, facets=None, routes=LOCAL_ROUTES,
     batches of the masks (see ``bitslice._restriction_columns``); the fold
     routes count the ridges each facet closes along one walk of the masks,
     and the corner routes essential SE or NW corners.  All of them read the
-    facets, enumerated under ``facet_cap`` unless given (as bare masks if
-    only local routes and folds read them); only the corner routes reject a
-    non-facet.  The local routes read each facet's face off the instance,
+    facets, enumerated as bare masks under ``facet_cap`` unless given; only
+    the corner routes reject a non-facet.  The local routes read each facet's face off the instance,
     not off the list, so on given facets the folds run with them and hold
     the list to them.
     ``f_transform`` and ``interior`` read the face table of the brute-force
-    DFS, under ``max_cells_guard``; ``interior`` also marks interior faces
-    against the facets.  Given facets, in any iterable, must be distinct
+    DFS, under ``max_cells_guard``; ``interior`` counts its faces inside no
+    boundary generator of the facets.  Given facets, in any iterable, must be distinct
     cell sets of ``instance``, at least one.  All requested routes must
     agree, and when facets were used, h(1) must equal their number.  Only the local routes
     on enumerated masks run here; any other call loads the oracle routes
@@ -226,11 +225,12 @@ def face_counts(instance: Instance, interior: bool = False,
 
     h comes from the local routes of ``hilbert_series``; the interior vector is
     the same transform of h reversed, and the boundary generators are the
-    ridges that are not interior.  The DFS routes ``complex.f_vector`` and
-    ``interior_faces`` are the oracle; with no DFS, ``facet_cap`` is the limit.
+    ridges that are not interior.  The oracle is the face table of the DFS,
+    ``complex._brute_walk``, which ``complex.f_vector`` and the ``f_transform``
+    and ``interior`` routes read; with no DFS, ``facet_cap`` is the limit.
     """
-    n_top = instance.n_cells
     h = hilbert_series(instance, facet_cap=facet_cap).numerator
+    n_top = instance.n_cells
     h += (0,) * (n_top + 1 - len(h))
     f = _f_from_h(h, n_top)
     if not interior:

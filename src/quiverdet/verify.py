@@ -18,8 +18,10 @@ runs too.
 The tests hold the criteria to ``definitions.corner_stats``, which reads the
 independent DP ``definitions._chain_tables``.  The brute face DFS, the
 reflection probes and closures run on the chain levels of
-``chains._rank_ladder``; the brute walk also counts the interior faces,
-storing none.  One ``complex._ridge_walk`` of the ascending masks serves
+``chains._rank_ladder``; the brute check reads the face table of
+``complex._brute_walk``, as ``f_vector`` and the oracle routes do, with its
+interior counts taken against the boundary generators; it stores no face.
+One ``complex._ridge_walk`` of the ascending masks serves
 every check that pairs ridges with facets: its open ridges are the brute
 walk's boundary generators, both fold h-vectors come off it
 (``complex._ridge_fold``), and the shelling and codim-1 checks read its
@@ -43,51 +45,18 @@ from typing import NamedTuple
 
 from .bitslice import _addable_columns, _at_least, _columns, _exactly, _restriction_columns
 from .chains import CellSet, _addable, _load_blocks
-from .complex import (DEFAULT_MAX_CELLS, _FaceSearch, _corner_routes, _h_from_f,
-                      _h_from_interior, _ridge_fold, _ridge_walk, _shelling_report)
+from .complex import (DEFAULT_MAX_CELLS, _brute_walk, _corner_routes, _h_from_f, _h_from_interior,
+                      _ridge_fold, _ridge_walk, _shelling_report)
 from .cvm import _point_levels, c_max, c_min, initial_cvm, reflect, reflect_instance
 from .errors import QuiverDetError, ValidationError
 from .moves import DEFAULT_FACET_CAP, _facet_masks
 from .quiver import BipartiteQuiver, Instance, _is_int, build_instance
-from .series import (ASCENDING_FOLD, DESCENDING_FOLD, F_TRANSFORM, INTERIOR, FaceTable, _agreed,
-                     _local_h)
+from .series import ASCENDING_FOLD, DESCENDING_FOLD, F_TRANSFORM, INTERIOR, _agreed, _local_h
 
 
 def brute_maximal_facet_masks(instance: Instance) -> list[int]:
     """All maximal admissible sets by exhaustive pruned search (no chute moves)."""
-    return _brute_walk(instance, [])[0]
-
-
-def _brute_walk(instance: Instance, gens: list[int]) -> tuple[list[int], FaceTable]:
-    """One walk of the face DFS: the sorted maximal sets and the face table.
-
-    The table counts the faces and the interior ones, inside none of the
-    boundary generator masks ``gens``, and stores no face: the DFS visits
-    a face after the face without its highest cell, so ``inside[n]``, the
-    generators containing the current face of n cells, is ``inside[n - 1]``
-    ANDed with that cell's owners (see ``complex._containing``).  A set is
-    maximal when nothing is addable, not when it is the largest: the purity
-    of the complex is part of what the comparison with the facets checks.
-    """
-    owners = _columns(gens, instance.size)
-    counts, interior = [0] * (instance.size + 1), [0] * (instance.size + 1)
-    inside = [(1 << len(gens)) - 1] * (instance.size + 1)
-    out = []
-
-    def visit(mask, addable):
-        n = mask.bit_count()
-        counts[n] += 1
-        if n:
-            inside[n] = inside[n - 1] & owners[mask.bit_length() - 1]
-        interior[n] += not inside[n]
-        if addable == 0:
-            out.append(mask)
-
-    _FaceSearch(instance).run(visit)
-    out.sort()
-    top = max(n for n, c in enumerate(counts) if c)
-    return out, FaceTable(tuple(counts[:top + 1]), interior_by_size=tuple(interior[:top + 1]),
-                          boundary_generators=len(gens))
+    return _brute_walk(instance)[0]
 
 
 def _membership_criterion_holds(cs: CellSet) -> bool:

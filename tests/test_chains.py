@@ -4,7 +4,7 @@ import pytest
 
 from quiverdet import (CellSet, ValidationError, can_extend, corner_stats, is_u_compatible,
                        max_diagonal_chain)
-from quiverdet.chains import _class_blocked, _grow, _levels, _load_blocks, _occupancy, _rank_ladder
+from quiverdet.chains import _class_blocked, _grow, _load_blocks, _occupancy, _rank_ladder
 from quiverdet.cli import parse_preset
 from quiverdet.cvm import c_max
 from quiverdet.definitions import _chain_tables
@@ -100,10 +100,12 @@ def _levels_by_definition(a, b, u, ranks, mask):
             + [sum(1 << r for x, y, r in cells if se[x + 1][y + 1] >= j) for j in range(1, u + 1)])
 
 
-def _grow_in_order(kernels, rungs, order):
-    """Grow empty levels by the cells of ``order`` one at a time, checking each step from scratch.
+def _grow_in_order(kernels, rungs, order, blocks):
+    """Grow empty levels by the cells of ``order`` one at a time, checking each step by definition.
 
-    Returns the union of what ``_grow`` reported blocked.
+    ``blocks[start]`` is the ``(a, b, u, ranks)`` of the block that the
+    kernel at ``start`` holds.  Returns the union of what ``_grow`` reported
+    blocked.
     """
     levels = [0] * sum(2 * kernel[0] for kernel in kernels)
     held = reported = 0
@@ -112,17 +114,25 @@ def _grow_in_order(kernels, rungs, order):
         for kernel in rungs[r][1]:
             blocked = _grow(levels, kernel, held, r)
             u, start = kernel[0], kernel[1]
-            assert levels[start:start + 2 * u] == _levels(kernel, held), (held, r)
+            assert levels[start:start + 2 * u] == _levels_by_definition(*blocks[start], held), (
+                held, r)
             assert blocked in (0, _class_blocked(levels, kernel))
             reported |= blocked
-    assert levels == [level for kernel in kernels for level in _levels(kernel, held)]
+    assert levels == [level for kernel in kernels
+                      for level in _levels_by_definition(*blocks[kernel[1]], held)]
     return reported
+
+
+def _kernel_blocks(inst):
+    """Per kernel ``start`` of ``_rank_ladder``, the ``(a, b, u, ranks)`` of a block it holds."""
+    return {_kernel_of(inst, vid)[1]: (d.a, d.b, d.u, inst.block_ranks[vid])
+            for vid, d in inst.vertex.items() if _block_class(inst, vid)[0] == "staircase"}
 
 
 def test_chain_levels_vs_chain_tables():
     # the level kernel against the table definition, on any occupancy
     # (over-long chains included), any rank u and a scrambled rank layout:
-    # the levels from scratch and grown in a random order, and the blocked
+    # the levels grown in a random order, after every step, and the blocked
     # positions read off them
     rng = random.Random(23)
     shapes = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(400)]
@@ -135,8 +145,7 @@ def test_chain_levels_vs_chain_tables():
             kernel = (u, 0, *_quadrant_tables(ranks, size), (1 << size) - 1)
             density = rng.random()
             mask = sum(1 << r for r in range(size) if rng.random() < density)
-            levels = _levels(kernel, mask)
-            assert levels == _levels_by_definition(a, b, u, ranks, mask), (a, b, u, ranks, mask)
+            levels = _levels_by_definition(a, b, u, ranks, mask)
             nw_t, se_t = _chain_tables(a, b, _occupancy(ranks, mask))
             expected = sum(1 << r for x, row in enumerate(ranks, start=1)
                            for y, r in enumerate(row, start=1)
@@ -144,7 +153,8 @@ def test_chain_levels_vs_chain_tables():
             assert _class_blocked(levels, kernel) == expected, (a, b, u, ranks, mask)
             order = [r for r in range(size) if mask >> r & 1]
             rng.shuffle(order)
-            assert _grow_in_order((kernel,), [(0, (kernel,))] * size, order) == expected
+            blocks = {0: (a, b, u, ranks)}
+            assert _grow_in_order((kernel,), [(0, (kernel,))] * size, order, blocks) == expected
 
 
 def _blocked_by_definition(inst, mask, vid):
@@ -245,9 +255,9 @@ def _check_rungs(inst):
 
 
 def test_levels_grow_like_a_fresh_load():
-    # the levels grown one cell at a time, in random orders and from random
-    # bases, equal the levels loaded from scratch after every step, and what
-    # ``_grow`` reports blocked is the union of the blocked sets it passed
+    # the levels grown one cell at a time, in random orders, equal the
+    # chain-table levels after every step, and what ``_grow`` reports
+    # blocked is the union of the blocked sets it passed
     rng = random.Random(37)
     instances = [parse_preset(p) for p in LADDER_PRESETS]
     instances += [random_instance(rng, max_cells=16) for _ in range(40)]
@@ -255,13 +265,15 @@ def test_levels_grow_like_a_fresh_load():
     for inst in instances:
         _check_rungs(inst)
         kernels, rungs = _rank_ladder(inst)
+        blocks = _kernel_blocks(inst)
         for mask in _ladder_masks(inst, rng):
             order = [r for r in range(inst.size) if mask >> r & 1]
             rng.shuffle(order)
-            levels, want = _load_blocks(inst, mask)[0], 0
-            for kernel in kernels:
-                want |= _class_blocked(levels, kernel)
-            assert _grow_in_order(kernels, rungs, order) == want
+            want = 0
+            for vid, d in inst.vertex.items():
+                if _block_class(inst, vid)[0] == "staircase":
+                    want |= _blocked_by_definition(inst, mask, vid)[0]
+            assert _grow_in_order(kernels, rungs, order, blocks) == want
             grown += len(order) * bool(kernels)
     assert grown
 
@@ -278,7 +290,50 @@ def test_levels_grow_like_a_fresh_load_property():
         kernels, rungs = _rank_ladder(inst)
         order = [r for r in range(inst.size) if bits >> r & 1]
         random.Random(order_seed).shuffle(order)
-        _grow_in_order(kernels, rungs, order)
+        _grow_in_order(kernels, rungs, order, _kernel_blocks(inst))
+
+    run()
+
+
+def _load_in_order(inst, order):
+    """``_load_blocks`` with the cells added in ``order`` instead of lowest first."""
+    kernels, rungs = _rank_ladder(inst)
+    levels = [0] * sum(2 * kernel[0] for kernel in kernels)
+    blocked = held = 0
+    for r in order:
+        held |= 1 << r
+        quadrants, steps = rungs[r]
+        blocked |= quadrants
+        for kernel in steps:
+            blocked |= _grow(levels, kernel, held, r)
+    return levels, blocked
+
+
+def test_shuffled_growth_matches_chain_tables_property():
+    # a mask's cells grown in any order give the chain-table levels of every
+    # staircase block and the chain-table blocked mask of every block, as
+    # ``_load_blocks`` (lowest first) does
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), max_cells=st.integers(1, 20),
+                      bits=st.integers(0, 2 ** 20 - 1), order_seed=st.integers(0, 2 ** 16))
+    def run(seed, max_cells, bits, order_seed):
+        inst = random_instance(random.Random(seed), max_cells=max_cells)
+        mask = bits & (1 << inst.size) - 1
+        order = [r for r in range(inst.size) if mask >> r & 1]
+        random.Random(order_seed).shuffle(order)
+        levels, blocked = _load_in_order(inst, order)
+        assert (levels, blocked) == _load_blocks(inst, mask)
+        want = 0
+        for vid, d in inst.vertex.items():
+            want |= _blocked_by_definition(inst, mask, vid)[0]
+            if _block_class(inst, vid)[0] == "staircase":
+                start = _kernel_of(inst, vid)[1]
+                assert levels[start:start + 2 * d.u] == _levels_by_definition(
+                    d.a, d.b, d.u, inst.block_ranks[vid], mask)
+        assert blocked == want
 
     run()
 

@@ -157,6 +157,39 @@ def test_codim1_membership_validation(double_instance):
         codim1_membership(bad)
 
 
+def _stray_error_calls():
+    """Calls on malformed input, each of which let a TypeError or AttributeError out once."""
+    from quiverdet import hilbert_series
+    from quiverdet.series import ALL_ROUTES, face_counts
+    from quiverdet.verify import brute_maximal_facet_masks, verify_instance
+
+    inst = parse_preset("det:3,3,1")
+    table = f_vector(inst, store_faces=True)
+    return {
+        "codim1_membership(5)": lambda: codim1_membership(5),
+        "interior_faces(inst, table, 5)": lambda: interior_faces(inst, table, 5),
+        "interior_faces(inst, 5, [])": lambda: interior_faces(inst, 5, []),
+        "interior_faces(5, table, [])": lambda: interior_faces(5, table, []),
+        "f_vector(5)": lambda: f_vector(5),
+        "brute_maximal_facet_masks(5)": lambda: brute_maximal_facet_masks(5),
+        "boundary_generator_masks(5)": lambda: boundary_generator_masks(5),
+        "boundary_generator_masks([1])": lambda: boundary_generator_masks([1]),
+        "hilbert_series(5)": lambda: hilbert_series(5),
+        "hilbert_series(5, routes=ALL_ROUTES)": lambda: hilbert_series(5, routes=ALL_ROUTES),
+        "hilbert_series(5, routes={f_transform})": lambda: hilbert_series(
+            5, routes={"f_transform"}),
+        "verify_instance(5)": lambda: verify_instance(5),
+        "enumerate_facets(5)": lambda: enumerate_facets(5),
+        "face_counts(5)": lambda: face_counts(5),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_stray_error_calls()))
+def test_malformed_input_raises_validation_error(call):
+    with pytest.raises(ValidationError):
+        _stray_error_calls()[call]()
+
+
 def _ridge_owners(masks):
     """Each ridge mask F - c of the masks, mapped to its owners' indices in list order.
 

@@ -141,3 +141,44 @@ def test_face_counts_match_dfs(single_cell, det33, double_instance, star_instanc
         assert fast.f_vector == oracle.f_vector
         assert fast.interior_by_size == oracle.interior_by_size
         assert fast.boundary_generators == oracle.boundary_generators
+
+
+def test_oracle_routes_read_masks_and_walk_once(monkeypatch, star_instance):
+    # every route of hilbert_series on enumerated facets: no CellSet is built,
+    # the face DFS stores no face (storing them took the traced peak of this
+    # call to 1.24 MB), and one ridge walk feeds both folds and the interior
+    # route's boundary generators
+    import tracemalloc
+
+    import quiverdet.complex as cx
+    import quiverdet.oracle_routes as oracle_routes
+    from quiverdet.chains import CellSet
+
+    inst = star_instance
+    want = HilbertSeries(STAR_H, inst.n_cells)
+    assert hilbert_series(inst, routes=ALL_ROUTES) == want  # fill the per-instance caches
+    built, walks = [], []
+    real_init, real_from_mask, real_walk = CellSet.__init__, CellSet.from_mask, cx._ridge_walk
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def walk(masks):
+        walks.append(len(masks))
+        return real_walk(masks)
+
+    monkeypatch.setattr(CellSet, "__init__", init)
+    monkeypatch.setattr(CellSet, "from_mask",
+                        classmethod(lambda cls, *args: built.append(args) or real_from_mask(*args)))
+    monkeypatch.setattr(cx, "_ridge_walk", walk)
+    monkeypatch.setattr(oracle_routes, "_ridge_walk", walk)
+    tracemalloc.start()
+    try:
+        assert hilbert_series(inst, routes=ALL_ROUTES) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == []
+    assert walks == [STAR_MULTIPLICITY]
+    assert peak <= 400_000, peak

@@ -613,8 +613,7 @@ def test_brute_walk_counts_interior_faces_like_the_stored_faces(
     # the walk's per-depth generator bitsets against ``interior_faces`` on the
     # stored faces, and the maximal sets against the facets
     from quiverdet import f_vector, interior_faces
-    from quiverdet.complex import boundary_generator_masks
-    from quiverdet.verify import _brute_walk
+    from quiverdet.complex import _brute_walk, boundary_generator_masks
 
     rng = random.Random(43)
     instances = [single_cell, det33, double_instance, star_instance]

@@ -29,9 +29,10 @@ Three kernels compute them, each for its own callers (the second lives in
   ``_rank_ladder`` spares blocks that never block (rank at least min(a, b)),
   keeps rank-1 blocks as one quadrant mask per cell and lets twin blocks
   share levels.  ``_load_blocks`` loads a set on the ladder by growing
-  empty levels one cell at a time, for the face DFS, the greedy closures,
-  ``codim1_membership`` and ``verify``'s reflection probes; the first two
-  then grow the levels on, cell by cell.
+  empty levels one cell at a time, for the face DFS, the greedy closures and
+  ``codim1_membership``; the first two then grow the levels on, cell by
+  cell.  ``verify`` grows its reflection probes from empty levels the same
+  way, skipping each drawn cell that the probe already blocks.
 
 The tests hold the batch and the levels to ``definitions._chain_tables``.
 """

@@ -274,7 +274,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         src.add_argument("--preset", help="preset shorthand, e.g. double:2,3,2,1,1 or det:3,3,2")
         src.add_argument("--file", help="path to an instance JSON document")
         sub.add_argument("--strict", action="store_true",
-                         help="reject rank violations instead of normalizing")
+                         help="refuse an instance that normalization would change")
         # each subcommand gets only the options its handler reads
         if name != "export-cas":
             sub.add_argument("--json", action="store_true", help="machine-readable output")

@@ -232,7 +232,7 @@ def _ridge_fold(walk) -> tuple[tuple[int, ...], tuple[int, ...], int]:
 
 def boundary_generator_masks(facets) -> list[int]:
     """The codim-1 faces of the facets that lie in exactly one of them, as ascending bitmasks."""
-    return sorted(_ridge_walk([_cell_set(f).mask for f in _listed(facets)])[1])
+    return sorted(_ridge_walk(_masks_of(facets)[0])[1])
 
 
 def interior_faces(instance: Instance, table: FaceTable, facets) -> FaceTable:
@@ -245,12 +245,12 @@ def interior_faces(instance: Instance, table: FaceTable, facets) -> FaceTable:
     ``_brute_walk`` counts the interior faces as it goes, for ``verify`` and
     ``hilbert_series``'s ``interior`` route, and the tests hold the two to
     each other, while ``series.face_counts`` reads the interior counts off
-    h reversed.
+    h reversed.  The facets must be cell sets of ``instance``.
     """
     _instance(instance)
     if not isinstance(table, FaceTable) or table.faces_by_size is None:
         raise ValidationError("interior faces need f_vector(store_faces=True)")
-    gens = boundary_generator_masks(facets)
+    gens = sorted(_ridge_walk(_masks_of(facets, instance)[0])[1])
     owners = _columns(gens, instance.size)
     everything = (1 << len(gens)) - 1
     interior = [sum(not _containing(owners, m, everything) for m in masks)
@@ -277,6 +277,15 @@ def _listed(facets) -> list:
     return list(items)
 
 
+def _masks_of(facets, instance: Instance | None = None) -> tuple[list[int], Instance | None]:
+    """The masks of the cell sets ``facets``, all of ``instance`` (default: the first set's)."""
+    sets = [_cell_set(f) for f in _listed(facets)]
+    instance = sets[0].instance if instance is None and sets else instance
+    if any(cs.instance != instance for cs in sets):
+        raise ValidationError("facets must be cell sets of one instance, the one given if any")
+    return [cs.mask for cs in sets], instance
+
+
 def verify_shelling(facets_in_order, corner_kind: str = "SE") -> ShellingReport:
     """Check that the given facet order is a shelling and matches the corner counts.
 
@@ -291,13 +300,9 @@ def verify_shelling(facets_in_order, corner_kind: str = "SE") -> ShellingReport:
     """
     if corner_kind not in ("SE", "NW"):
         raise ValidationError(f"corner kind must be SE or NW, got {corner_kind!r}")
-    facets = _listed(facets_in_order)
-    if not facets:
+    masks, instance = _masks_of(facets_in_order)
+    if not masks:
         return ShellingReport(True, ())
-    instance = _cell_set(facets[0]).instance
-    if any(_cell_set(f).instance != instance for f in facets):
-        raise ValidationError("facets must be cell sets of one instance")
-    masks = [f.mask for f in facets]
     counts = (pair[corner_kind == "SE"] for pair in _corner_counts(instance, masks))
     return _shelling_report(instance, masks, corner_kind, _ridge_walk(masks)[0], counts)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import islice
 
-from .bitslice import _at_least, _chain_levels, _chunks, _columns, _exactly
+from .bitslice import _at_least, _chain_levels, _chunks, _columns, _counter, _exactly
 from .chains import (CellSet, _grow, _load_blocks, _rank_ladder, is_u_compatible, padded_nw,
                      padded_se)
 from .errors import CrossCheckError, ValidationError
@@ -276,7 +276,9 @@ def _corner_counts(instance: Instance, masks: list[int]):
     """Yield ``corners``'s two counts, (essential NW, essential SE), of each mask in turn.
 
     Each chunk of ``bitslice._chunks`` runs its own ``_corner_bits`` pass as it is
-    reached.  The first bad mask is replayed on a copy through
+    reached.  A kind's per-facet counts are its cells' binary counter
+    (``bitslice._counter``) transposed by ``_columns``: a few digit ints
+    rather than every cell's column.  The first bad mask is replayed on a copy through
     ``definitions._road_blocks`` and ``_classify``.
     """
     for start, batch in _chunks(masks):
@@ -286,7 +288,7 @@ def _corner_counts(instance: Instance, masks: list[int]):
             blocked |= columns[r] & bad
         cvm = _exactly(columns, instance.n_cells, every) & ~blocked
         *essential, bad = _corner_bits(instance, columns, every, tables, cvm)
-        counts = [[cells.bit_count() for cells in _columns(e, len(batch))] for e in essential]
+        counts = [_columns(_counter(e), len(batch)) for e in essential]
         yield from islice(zip(*counts), (bad & -bad).bit_length() - 1 if bad else None)
         if bad:
             from .definitions import _classify, _road_blocks

@@ -353,12 +353,14 @@ def build_instance(quiver: BipartiteQuiver, m: Mapping[str, int], u: Mapping[str
                    mode: str = "strict") -> Instance:
     """Validate or normalize (quiver, m, u) and build an Instance.
 
-    strict mode rejects any violation of the normalized rank constraints
-    ``0 < u <= min(a, b)`` and ``u <= v``.  normalize mode clamps ranks down
-    to those bounds iteratively until stable, removes rank-0 vertices with
-    their incident arrows (the dropped pages are reported, their variables
-    would turn into degree-one generators), and records everything in the
-    instance's NormalizationReport.
+    The normalized rank constraints are ``0 < u <= min(a, b, v)``.  normalize
+    mode clamps ranks down to those bounds iteratively until stable, removes
+    rank-0 vertices with their incident arrows (the dropped pages are
+    reported, their variables would turn into degree-one generators), and
+    records everything in the instance's NormalizationReport.  strict mode
+    runs the loop's first pass and raises where it would clamp or drop a
+    vertex, naming the vertex, its rank and min(a, b, v): it succeeds exactly
+    when normalization changes nothing, and then returns the same Instance.
     """
     if mode not in ("strict", "normalize"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -371,30 +373,9 @@ def build_instance(quiver: BipartiteQuiver, m: Mapping[str, int], u: Mapping[str
             raise ValidationError(f"m[{vid!r}] must be a positive integer, got {m[vid]!r}")
         if not _is_int(u[vid]):
             raise ValidationError(f"u[{vid!r}] must be an integer, got {u[vid]!r}")
-
-    if mode == "strict":
-        for vid in quiver.vertices:
-            if u[vid] <= 0:
-                raise ValidationError(f"u[{vid!r}] = {u[vid]} is not positive")
-            if quiver.incident_count(vid) == 0:
-                raise ValidationError(f"vertex {vid!r} has no incident arrows")
-        geom = _derive_geometry(quiver, m, u)
-        for vid in quiver.vertices:
-            a, b, v = geom[vid]
-            if u[vid] > min(a, b):
-                raise ValidationError(
-                    f"u[{vid!r}] = {u[vid]} exceeds min(a, b) = {min(a, b)}")
-            if u[vid] > v:
-                raise ValidationError(f"u[{vid!r}] = {u[vid]} exceeds opposite rank sum {v}")
-        return Instance(quiver, m, u)
-
-    # normalize mode
-    for vid in quiver.vertices:
         if u[vid] < 0:
             raise ValidationError(f"u[{vid!r}] = {u[vid]} is negative")
-    sources = list(quiver.sources)
-    targets = list(quiver.targets)
-    arrows = list(quiver.arrows)
+    work = quiver
     mm = {vid: m[vid] for vid in quiver.vertices}
     uu = {vid: u[vid] for vid in quiver.vertices}
     clamped: list[tuple[str, int, int]] = []
@@ -402,40 +383,32 @@ def build_instance(quiver: BipartiteQuiver, m: Mapping[str, int], u: Mapping[str
     removed_pages: list[tuple[str, str, int, int]] = []
 
     while True:
-        if not arrows or not (sources or targets):
+        if not work.arrows:
             raise ValidationError("empty quiver after normalization")
-        work = BipartiteQuiver(tuple(sources), tuple(targets), tuple(arrows))
         geom = _derive_geometry(work, mm, uu)
-        changed = False
+        settled = len(clamped)
         for vid in work.vertices:
-            a, b, v = geom[vid]
-            bound = min(a, b, v)
+            bound = min(geom[vid])  # min(a, b, v)
+            if mode == "strict" and not 0 < uu[vid] <= bound:
+                raise ValidationError(
+                    f"u[{vid!r}] = {uu[vid]} is outside 1..min(a, b, v) = {bound}")
             if uu[vid] > bound:
                 clamped.append((vid, uu[vid], bound))
                 uu[vid] = bound
-                changed = True
         dead = [vid for vid in work.vertices if uu[vid] <= 0]
-        if dead:
-            dead_set = set(dead)
-            for s, t in arrows:
-                if s in dead_set or t in dead_set:
-                    removed_pages.append((s, t, mm[t], mm[s]))
-            arrows = [(s, t) for s, t in arrows if s not in dead_set and t not in dead_set]
-            sources = [v for v in sources if v not in dead_set]
-            targets = [v for v in targets if v not in dead_set]
-            removed_vertices.extend(dead)
-            for vid in dead:
-                del mm[vid], uu[vid]
-            changed = True
-        if not changed:
+        if not dead and len(clamped) == settled:
             break
+        gone = set(dead)
+        removed_pages += [(s, t, mm[t], mm[s]) for s, t in work.arrows if gone & {s, t}]
+        work = BipartiteQuiver(tuple(v for v in work.sources if v not in gone),
+                               tuple(v for v in work.targets if v not in gone),
+                               tuple(a for a in work.arrows if not gone & set(a)))
+        removed_vertices += dead
+        for vid in dead:
+            del mm[vid], uu[vid]
 
-    final = BipartiteQuiver(tuple(sources), tuple(targets), tuple(arrows))
-    if any(final.incident_count(vid) == 0 for vid in final.vertices):
-        # isolated vertices have min(a, b) = 0, so the loop above removed them
-        raise AssertionError("normalization left an isolated vertex")
     report = NormalizationReport(tuple(clamped), tuple(removed_vertices), tuple(removed_pages))
-    return Instance(final, mm, uu, normalization=report)
+    return Instance(work, mm, uu, normalization=report)
 
 
 def load_instance(source, mode: str = "normalize") -> Instance:

@@ -18,7 +18,9 @@ runs too.
 The tests hold the criteria to ``definitions.corner_stats``, which reads the
 independent DP ``definitions._chain_tables``.  The brute face DFS, the
 reflection probes and closures run on the chain levels of
-``chains._rank_ladder``; the brute check reads the face table of
+``chains._rank_ladder``: each probe grows a random draw of cells in rank
+order, skipping every drawn cell that it already blocks, so it is admissible
+in one pass and holds the first drawn cell.  The brute check reads the face table of
 ``complex._brute_walk``, as ``f_vector`` and the oracle routes do, with its
 interior counts taken against the boundary generators; it stores no face.
 One ``complex._ridge_walk`` of the ascending masks serves
@@ -44,7 +46,7 @@ from operator import and_, or_
 from typing import NamedTuple
 
 from .bitslice import _addable_columns, _at_least, _columns, _exactly, _restriction_columns
-from .chains import CellSet, _addable, _load_blocks
+from .chains import CellSet, _addable, _grow, _rank_ladder
 from .complex import (DEFAULT_MAX_CELLS, _brute_walk, _corner_routes, _h_from_f, _h_from_interior,
                       _ridge_fold, _ridge_walk, _shelling_report)
 from .cvm import _point_levels, c_max, c_min, initial_cvm, reflect, reflect_instance
@@ -221,14 +223,20 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     record("criteria-equivalence", *criteria)
 
     refl_inst, refl_map = reflect_instance(instance)
+    kernels, rungs = _rank_ladder(instance)
     ok = True
     for _ in range(8):
-        probe = CellSet(instance)
-        for _attempt in range(32):
-            mask = sum(1 << r for r in range(instance.size) if rng.random() < 0.4)
-            if not _load_blocks(instance, mask)[1] & mask:
-                probe = CellSet.from_mask(instance, mask)
-                break
+        # each drawn cell in rank order joins the probe unless the probe blocks it
+        levels = [0] * sum(2 * kernel[0] for kernel in kernels)
+        mask = blocked = 0
+        for r in range(instance.size):
+            if rng.random() < 0.4 and not blocked >> r & 1:
+                mask |= 1 << r
+                quadrants, steps = rungs[r]
+                blocked |= quadrants
+                for kernel in steps:
+                    blocked |= _grow(levels, kernel, mask, r)
+        probe = CellSet.from_mask(instance, mask)
         double_inst, double_set = reflect(reflect(probe)[1])
         if double_inst != instance or tuple(double_set.cells) != tuple(probe.cells):
             ok = False

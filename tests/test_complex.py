@@ -158,14 +158,20 @@ def test_codim1_membership_validation(double_instance):
 
 
 def _stray_error_calls():
-    """Calls on malformed input, each of which let a TypeError or AttributeError out once."""
+    """Calls on malformed input, each of which once let a TypeError or AttributeError
+    out, or answered for cell sets of another instance."""
     from quiverdet import hilbert_series
     from quiverdet.series import ALL_ROUTES, face_counts
     from quiverdet.verify import brute_maximal_facet_masks, verify_instance
 
     inst = parse_preset("det:3,3,1")
     table = f_vector(inst, store_faces=True)
+    other = enumerate_facets(parse_preset("det:3,3,2"))
     return {
+        "interior_faces(inst, table, facets of det:3,3,2)": lambda: interior_faces(
+            inst, table, other),
+        "boundary_generator_masks(facets of two instances)": lambda: boundary_generator_masks(
+            enumerate_facets(inst) + other),
         "codim1_membership(5)": lambda: codim1_membership(5),
         "interior_faces(inst, table, 5)": lambda: interior_faces(inst, table, 5),
         "interior_faces(inst, 5, [])": lambda: interior_faces(inst, 5, []),

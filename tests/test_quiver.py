@@ -1,12 +1,13 @@
 import json
 import random
+import re
 
 import pytest
 
 from quiverdet import (BipartiteQuiver, Cell, CellSet, ValidationError, build_instance,
                        cmp_T, cmp_T_sets, load_instance)
 from quiverdet.cli import parse_preset
-from quiverdet.quiver import cell_key
+from quiverdet.quiver import _derive_geometry, cell_key
 from quiverdet.cvm import c_max, c_min
 from quiverdet.verify import random_instance
 
@@ -186,6 +187,79 @@ def test_normalization_idempotent(double_instance, star_instance):
                            {"a": 9, "b": 9, "z": 9}, mode="normalize")
     twice = build_instance(messy.quiver, messy.m, messy.u, mode="normalize")
     assert twice == messy and twice.normalization.trivial
+
+
+def _raw_draw(rng):
+    """A random (quiver, m, u) that may need normalizing: ranks from 0 past
+    their bounds, and vertices that no arrow touches."""
+    sources = tuple(f"s{i}" for i in range(1, rng.randint(1, 3) + 1))
+    targets = tuple(f"t{i}" for i in range(1, rng.randint(1, 2) + 1))
+    arrows = tuple((rng.choice(sources), rng.choice(targets)) for _ in range(rng.randint(0, 4)))
+    quiver = BipartiteQuiver(sources, targets, arrows)
+    m = {vid: rng.randint(1, 3) for vid in quiver.vertices}
+    u = {vid: rng.randint(0, 4) for vid in quiver.vertices}
+    return quiver, m, u
+
+
+def _build(quiver, m, u, mode):
+    try:
+        return build_instance(quiver, m, u, mode=mode), None
+    except ValidationError as exc:
+        return None, str(exc)
+
+
+def test_strict_is_normalize_with_every_change_refused():
+    # strict succeeds exactly when normalization changes nothing, and then
+    # both modes build the same instance; a refusal names the vertex, its
+    # rank and min(a, b, v) on the quiver as given
+    rng = random.Random(34)
+    refused = accepted = 0
+    for _ in range(3000):
+        quiver, m, u = _raw_draw(rng)
+        strict, error = _build(quiver, m, u, "strict")
+        normal, _ = _build(quiver, m, u, "normalize")
+        if strict is not None:
+            accepted += 1
+            assert normal is not None and normal.normalization.trivial
+            assert strict == normal and strict.to_json_obj() == normal.to_json_obj()
+            continue
+        refused += 1
+        assert normal is None or not normal.normalization.trivial
+        if not quiver.arrows:
+            assert error == "empty quiver after normalization"
+            continue
+        vid, rank, bound = re.fullmatch(
+            r"u\['(\w+)'\] = (\d+) is outside 1\.\.min\(a, b, v\) = (\d+)", error).groups()
+        a, b, v = _derive_geometry(quiver, m, u)[vid]
+        assert int(rank) == u[vid] and int(bound) == min(a, b, v)
+        assert not 0 < u[vid] <= min(a, b, v)
+    assert accepted > 50 and refused > 1000
+
+
+def test_normalized_instances_have_no_isolated_vertex():
+    # an isolated vertex has min(a, b) = 0, so normalization clamps and drops it
+    rng = random.Random(35)
+    built = 0
+    for _ in range(3000):
+        quiver, m, u = _raw_draw(rng)
+        inst, _ = _build(quiver, m, u, "normalize")
+        if inst is None:
+            continue
+        built += 1
+        assert all(inst.quiver.incident_count(vid) for vid in inst.quiver.vertices)
+        isolated = [vid for vid in quiver.vertices if not quiver.incident_count(vid)]
+        assert set(isolated) <= set(inst.normalization.removed_vertices)
+    assert built > 1000
+
+
+def test_stray_rank_entries_leave_both_modes_alike():
+    # m and u entries for a vertex outside the quiver are ignored by both modes
+    quiver = BipartiteQuiver(("s",), ("t",), (("s", "t"),))
+    m, u = {"s": 2, "t": 2, "x": 5}, {"s": 1, "t": 1, "x": 9}
+    strict = build_instance(quiver, m, u, "strict")
+    normal = build_instance(quiver, m, u, "normalize")
+    assert strict == normal and strict.to_json() == normal.to_json()
+    assert "x" not in strict.m and "x" not in strict.u
 
 
 def test_json_round_trip(star_instance, tmp_path):

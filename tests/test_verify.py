@@ -690,3 +690,22 @@ def test_verify_builds_no_cellset_per_facet(monkeypatch):
         tracemalloc.stop()
     assert called == []
     assert peak <= 400_000, peak
+
+
+def test_reflection_probes_are_admissible_and_nonempty(monkeypatch):
+    # each probe grows its drawn cells in rank order, skipping the blocked
+    # ones, so it is admissible and holds at least the first drawn cell;
+    # det:6,6,1 admits so few sets that redrawn density-0.4 masks never hit one
+    import quiverdet.verify as verify
+    from quiverdet.cli import parse_preset
+
+    probes, real = [], verify.c_min
+
+    def spy(seed):
+        probes.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(verify, "c_min", spy)
+    assert verify.verify_instance(parse_preset("det:6,6,1"), seed=1).ok
+    assert len(probes) == 8
+    assert all(len(probe) and is_u_compatible(probe) for probe in probes)

@@ -25,14 +25,13 @@ Three kernels compute them, each for its own callers (the second lives in
 - Chain levels for the face predicate: N_j holds the positions with a
   j-chain of the set strictly NW of them, S_j those with one strictly SE,
   each a cell-rank mask; a position is blocked when it lies in N_j and
-  S_(u-j) for some j.  ``_grow`` adds one cell to them in place, and
-  ``_rank_ladder`` spares blocks that never block (rank at least min(a, b)),
-  keeps rank-1 blocks as one quadrant mask per cell and lets twin blocks
-  share levels.  ``_load_blocks`` loads a set on the ladder by growing
-  empty levels one cell at a time, for the face DFS, the greedy closures and
-  ``codim1_membership``; the first two then grow the levels on, cell by
-  cell.  ``verify`` grows its reflection probes from empty levels the same
-  way, skipping each drawn cell that the probe already blocks.
+  S_(u-j) for some j.  ``_rank_ladder`` spares blocks that never block
+  (rank at least min(a, b)), keeps rank-1 blocks as one quadrant mask per
+  cell and lets twin blocks share levels.  ``_add``, the one reader of a
+  rung, adds a cell in place (``_grow`` per staircase block) and returns
+  what it blocks.  ``_load_blocks`` adds a set's cells to empty levels for
+  the face DFS, the greedy closures, ``verify``'s reflection probes and
+  ``codim1_membership``; the first three then add cells with ``_add``.
 
 The tests hold the batch and the levels to ``definitions._chain_tables``.
 """
@@ -43,7 +42,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import ValidationError
-from .quiver import Cell, Instance, _prefix_masks
+from .quiver import Cell, Instance, _instance, _is_int, _prefix_masks
 
 
 @lru_cache(maxsize=128)
@@ -158,11 +157,23 @@ def _grow(levels: list[int], kernel, held: int, r: int) -> int:
     return _class_blocked(levels, kernel) if changed else 0
 
 
+def _add(levels: list[int], rung, held: int, r: int) -> int:
+    """Add cell r, whose rung is ``rung``, to the levels in place; what it blocks.
+
+    ``held`` is the set with r in it.  Returns the rung's rank-1 quadrants
+    and what ``_grow`` reports for its staircase kernels.
+    """
+    blocked, kernels = rung
+    for kernel in kernels:
+        blocked |= _grow(levels, kernel, held, r)
+    return blocked
+
+
 def _load_blocks(instance: Instance, mask: int) -> tuple[list[int], int]:
     """The chain levels of every staircase kernel with ``mask`` loaded; the blocked cells.
 
     The levels list holds each kernel of ``_rank_ladder`` at its ``start``;
-    it grows from empty by ``_grow``, one cell of the mask at a time, as the
+    it grows from empty by ``_add``, one cell of the mask at a time, as the
     caller may grow it on.  Levels only grow, so what ``_grow`` reports adds
     up to each kernel's final ``_class_blocked``.  The blocked mask is that
     and the cells' rank-1 quadrants, which is the union over all blocks of
@@ -176,10 +187,7 @@ def _load_blocks(instance: Instance, mask: int) -> tuple[list[int], int]:
     blocked = 0
     for r in range(mask.bit_length()):
         if mask >> r & 1:
-            quadrants, steps = rungs[r]
-            blocked |= quadrants
-            for kernel in steps:
-                blocked |= _grow(levels, kernel, mask & (2 << r) - 1, r)
+            blocked |= _add(levels, rungs[r], mask & (2 << r) - 1, r)
     return levels, blocked
 
 
@@ -264,7 +272,7 @@ class CellSet:
     __slots__ = ("instance", "cells", "mask", "_stats")
 
     def __init__(self, instance: Instance, cells: Iterable = ()):
-        self.instance = instance
+        self.instance = _instance(instance)
         mask = instance.cell_mask(cells)
         self.cells: tuple[Cell, ...] = tuple([c for r, c in enumerate(instance.cells)
                                               if mask >> r & 1])
@@ -275,10 +283,12 @@ class CellSet:
     def from_mask(cls, instance: Instance, mask: int) -> "CellSet":
         """Trusted constructor: the set whose cells are the set bits of ``mask``.
 
-        Only the mask's range is checked; bit r stands for ``instance.cells[r]``,
+        Only the mask is checked; bit r stands for ``instance.cells[r]``,
         so no cell needs validating and ``cells`` comes out sorted.
         """
-        if mask < 0 or mask >> instance.size:
+        if not _is_int(mask):
+            raise ValidationError(f"mask must be an int, not {mask!r}")
+        if mask < 0 or mask >> _instance(instance).size:
             raise ValidationError(f"mask {mask:#x} has bits outside the {instance.size} cells")
         self = cls.__new__(cls)
         self.instance = instance
@@ -347,8 +357,15 @@ class CellSet:
         return st
 
 
+def _cell_set(cs) -> CellSet:
+    """``cs``, if it is the ``CellSet`` the public functions take; else a ValidationError."""
+    if not isinstance(cs, CellSet):
+        raise ValidationError(f"expected a CellSet, got {type(cs).__name__}")
+    return cs
+
+
 def is_u_compatible(cs: CellSet) -> bool:
     """True iff no block matrix contains a chain longer than its rank."""
-    inst = cs.instance
+    inst = _cell_set(cs).instance
     return all(cs.stats(vid).max_chain <= data.u for vid, data in inst.vertex.items())
 

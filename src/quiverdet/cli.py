@@ -26,7 +26,8 @@ from itertools import compress
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import DEFAULT_FACET_CAP, DEFAULT_MAX_CELLS, QuiverDetError, ValidationError
+from .errors import (DEFAULT_FACET_CAP, DEFAULT_MAX_CELLS, DEFAULT_VDC_GUARD, QuiverDetError,
+                     ValidationError)
 from .quiver import (MAX_LATTICE_CELLS, BipartiteQuiver, Instance, build_instance,
                      load_instance)
 
@@ -279,7 +280,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if name != "export-cas":
             sub.add_argument("--json", action="store_true", help="machine-readable output")
         if name in ("vdc-sample", "verify"):
-            sub.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS,
+            guard = DEFAULT_VDC_GUARD if name == "vdc-sample" else DEFAULT_MAX_CELLS
+            sub.add_argument("--max-cells", type=int, default=guard,
                              help="guard for brute-force operations (default %(default)s)")
             sub.add_argument("--seed", type=int, default=None, help="seed for sampling")
         if name not in ("info", "vdc-sample", "export-cas"):

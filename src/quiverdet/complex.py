@@ -7,13 +7,12 @@ the interior counts against the boundary generators it is given, the
 maximal sets, and the faces only when asked.  ``f_vector``, ``verify``'s
 brute check and ``hilbert_series``'s ``f_transform`` and ``interior``
 routes read it; only the bounded purity spot-checks of ``definitions``
-run the scan with a visitor of their own.  Adding a cell changes only its target and
-source blocks, so a node reads the cell's rung of ``chains._rank_ladder``:
-it drops the cell's rank-1 quadrants from its parent's addable mask, and
-grows the chain levels of the cell's staircase blocks (``chains._grow``) on
-a copy of its parent's levels, which it passes down; blocks that can never
-block cost nothing.  No node builds chain tables, tests cells one by one or
-undoes anything.
+run the scan with a visitor of their own.  Adding a cell changes only its
+target and source blocks, so a node adds its cell with ``chains._add``, the
+ladder's one growth step, to a copy of its parent's levels, which it passes
+down, and drops what the cell blocks from its parent's addable mask; blocks
+that can never block cost nothing.  No node builds chain tables, tests cells
+one by one or undoes anything.
 
 Each codim-1 face (ridge) F - c lies in one or two facets; ``_ridge_walk``
 pairs them along any facet list, as an oracle: the boundary generators, the
@@ -42,8 +41,8 @@ from math import comb
 from typing import NamedTuple
 
 from .bitslice import _columns
-from .chains import CellSet, _grow, _load_blocks, _rank_ladder
-from .cvm import _cell_set, _corner_counts
+from .chains import CellSet, _add, _cell_set, _load_blocks, _rank_ladder
+from .cvm import _corner_counts
 from .errors import DEFAULT_MAX_CELLS, GuardExceeded, ValidationError
 from .quiver import Instance, _instance, _is_int
 from .series import NW_CORNERS, SE_CORNERS, FaceTable, _trim
@@ -74,8 +73,8 @@ class _FaceSearch:
         rungs = _rank_ladder(self.instance)[1]
 
         # Admissibility is hereditary and blocked sets only grow: so a child
-        # drops its cell's rank-1 quadrants and grows the levels of its
-        # cell's staircase kernels, on a copy of its parent's levels.
+        # adds its cell to a copy of its parent's levels and drops what the
+        # cell blocks from its parent's addable mask.
 
         def rec(x_mask: int, min_rank: int, addable: int, levels: list[int]):
             visit(x_mask, addable)
@@ -85,13 +84,8 @@ class _FaceSearch:
                 low = cand & -cand
                 cand ^= low
                 r = low.bit_length() - 1
-                blocked, kernels = rungs[r]
-                blocked |= low
-                child = levels
-                if kernels:
-                    child = levels.copy()
-                    for kernel in kernels:
-                        blocked |= _grow(child, kernel, held | low, r)
+                child = levels.copy()
+                blocked = _add(child, rungs[r], held | low, r) | low
                 rec(x_mask | low, r + 1, addable & ~blocked, child)
 
         rec(0, 0, full & ~base_mask & ~self.blocked, self.levels)

@@ -14,10 +14,10 @@ counts them on a batch of facets, one bit each, off the bit-sliced levels of
 ``_point_levels`` (``_corner_bits``), with ``corners`` as its oracle; it loads
 the road map only to replay a facet its batch rejects.  The greedy closures
 ``c_min``/``c_max`` find the smallest and largest facet containing a face;
-like the face DFS, they read one rung of ``chains._rank_ladder`` per added
-cell and grow the chain levels of its staircase blocks in place
-(``chains._grow``).  ``reflect`` is the 180-degree rotation; it swaps NW
-with SE corners, and the tests check the SE rule through it.
+like the face DFS, they add each cell to the chain levels in place with
+``chains._add``, the one growth step of the ladder.  ``reflect`` is the
+180-degree rotation; it swaps NW with SE corners, and the tests check the SE
+rule through it.
 """
 
 from __future__ import annotations
@@ -26,21 +26,14 @@ from functools import lru_cache
 from itertools import islice
 
 from .bitslice import _at_least, _chain_levels, _chunks, _columns, _counter, _exactly
-from .chains import (CellSet, _grow, _load_blocks, _rank_ladder, is_u_compatible, padded_nw,
-                     padded_se)
+from .chains import (CellSet, _add, _cell_set, _load_blocks, _rank_ladder, is_u_compatible,
+                     padded_nw, padded_se)
 from .errors import CrossCheckError, ValidationError
 from .moves import _initial_mask
-from .quiver import HORIZONTAL, TARGET, VERTICAL, BipartiteQuiver, Cell, Instance
+from .quiver import HORIZONTAL, TARGET, VERTICAL, BipartiteQuiver, Cell, Instance, _instance
 
 NW = "NW"
 SE = "SE"
-
-
-def _cell_set(cs) -> CellSet:
-    """``cs``, if it is the ``CellSet`` the public functions here take; else a ValidationError."""
-    if not isinstance(cs, CellSet):
-        raise ValidationError(f"expected a CellSet, got {type(cs).__name__}")
-    return cs
 
 
 def is_cvm(cs: CellSet) -> bool:
@@ -52,9 +45,8 @@ def _greedy_close(seed: CellSet, descending: bool) -> CellSet:
     """Scan all cells in one direction, adding whatever keeps the set admissible.
 
     The scan runs on the kernel ladder: the seed is loaded once, and each
-    step adds the highest (``descending``) or lowest addable cell, drops its
-    rank-1 quadrants and grows the levels of its staircase blocks (see
-    ``chains._rank_ladder``).
+    step adds the highest (``descending``) or lowest addable cell with
+    ``chains._add`` and drops what that cell blocks.
     Admissibility is hereditary, so a cell the scan passes over never becomes
     addable again, and adding the extreme addable cell each time adds exactly
     the cells the scan would.
@@ -69,11 +61,8 @@ def _greedy_close(seed: CellSet, descending: bool) -> CellSet:
     while addable:
         bit = 1 << (addable.bit_length() - 1) if descending else addable & -addable
         r = bit.bit_length() - 1
-        blocked, kernels = rungs[r]
         mask |= bit
-        for kernel in kernels:
-            blocked |= _grow(levels, kernel, mask, r)
-        addable &= ~(bit | blocked)
+        addable &= ~(bit | _add(levels, rungs[r], mask, r))
     return CellSet.from_mask(inst, mask)
 
 
@@ -89,7 +78,7 @@ def c_min(seed: CellSet) -> CellSet:
 
 def initial_cvm(instance: Instance) -> CellSet:
     """The largest facet c_max(empty), from the closed form ``moves._initial_mask``."""
-    return CellSet.from_mask(instance, _initial_mask(instance))
+    return CellSet.from_mask(instance, _initial_mask(_instance(instance)))
 
 
 # -- road maps ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
 from .chains import CellSet, _addable, is_u_compatible, padded_nw, padded_se
-from .errors import CrossCheckError, ValidationError
+from .errors import DEFAULT_VDC_GUARD, CrossCheckError, ValidationError
 from .quiver import HORIZONTAL, TARGET, VERTICAL, Cell, Instance, _is_int
 
 
@@ -380,9 +380,6 @@ def apply_inverse(cs: CellSet, move: ChuteMove) -> CellSet:
     if move.added not in cs or move.removed in cs:
         raise ValidationError(f"inverse move not applicable: {move}")
     return CellSet(cs.instance, (*(c for c in cs.cells if c != move.added), move.removed))
-
-
-DEFAULT_VDC_GUARD = 14
 
 
 class VdcSample(NamedTuple):

@@ -5,6 +5,7 @@ parser without importing an engine.
 """
 
 DEFAULT_MAX_CELLS = 32            # |L| guard of the brute-force face DFS
+DEFAULT_VDC_GUARD = 14            # |L| guard of the purity spot-checks of vdc-sample
 DEFAULT_FACET_CAP = 10_000_000    # facet enumeration stops past this many facets
 
 

@@ -83,9 +83,6 @@ class BipartiteQuiver(_QuiverFields):
     def vertices(self) -> tuple[str, ...]:
         return self.sources + self.targets
 
-    def incident_count(self, vid: str) -> int:
-        return sum(1 for s, t in self.arrows if vid in (s, t))
-
 
 class Arrow(NamedTuple):
     """One arrow with its page geometry and offsets into both block matrices."""
@@ -384,7 +381,8 @@ def build_instance(quiver: BipartiteQuiver, m: Mapping[str, int], u: Mapping[str
 
     while True:
         if not work.arrows:
-            raise ValidationError("empty quiver after normalization")
+            raise ValidationError("quiver has no arrows" if work is quiver
+                                  else "empty quiver after normalization")
         geom = _derive_geometry(work, mm, uu)
         settled = len(clamped)
         for vid in work.vertices:

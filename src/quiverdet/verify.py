@@ -18,9 +18,11 @@ runs too.
 The tests hold the criteria to ``definitions.corner_stats``, which reads the
 independent DP ``definitions._chain_tables``.  The brute face DFS, the
 reflection probes and closures run on the chain levels of
-``chains._rank_ladder``: each probe grows a random draw of cells in rank
-order, skipping every drawn cell that it already blocks, so it is admissible
-in one pass and holds the first drawn cell.  The brute check reads the face table of
+``chains._rank_ladder``: each probe adds a random draw of cells in rank
+order to the empty set's levels with ``chains._add``, skipping every drawn
+cell that it already blocks, so it is admissible in one pass and holds the
+first drawn cell; ``cvm.reflect`` of its image gives it back, and of the
+image's ``c_max`` gives its ``c_min``.  The brute check reads the face table of
 ``complex._brute_walk``, as ``f_vector`` and the oracle routes do, with its
 interior counts taken against the boundary generators; it stores no face.
 One ``complex._ridge_walk`` of the ascending masks serves
@@ -46,13 +48,13 @@ from operator import and_, or_
 from typing import NamedTuple
 
 from .bitslice import _addable_columns, _at_least, _columns, _exactly, _restriction_columns
-from .chains import CellSet, _addable, _grow, _rank_ladder
+from .chains import CellSet, _add, _addable, _load_blocks, _rank_ladder
 from .complex import (DEFAULT_MAX_CELLS, _brute_walk, _corner_routes, _h_from_f, _h_from_interior,
                       _ridge_fold, _ridge_walk, _shelling_report)
-from .cvm import _point_levels, c_max, c_min, initial_cvm, reflect, reflect_instance
+from .cvm import _point_levels, c_max, c_min, initial_cvm, reflect
 from .errors import QuiverDetError, ValidationError
 from .moves import DEFAULT_FACET_CAP, _facet_masks
-from .quiver import BipartiteQuiver, Instance, _is_int, build_instance
+from .quiver import BipartiteQuiver, Instance, _instance, _is_int, build_instance
 from .series import ASCENDING_FOLD, DESCENDING_FOLD, F_TRANSFORM, INTERIOR, _agreed, _local_h
 
 
@@ -117,7 +119,7 @@ def criteria_agree(instance: Instance, cells) -> tuple[bool, bool, bool, bool]:
     its subsets at once.  All three routes are evaluated in full, whatever
     the first one says.
     """
-    columns = _columns([instance.cell_mask(cells)], instance.size)
+    columns = _columns([_instance(instance).cell_mask(cells)], instance.size)
     by_card, by_raw, by_padded = _criteria_kernel(instance, columns, 1)
     return by_card == 1, by_raw == 1, by_padded == 1, by_card == by_raw == by_padded
 
@@ -127,8 +129,12 @@ def random_instance(rng: random.Random, max_cells: int = 16) -> Instance:
 
     At most 2 targets, 3 sources and 4 arrows, dimensions at most 3, ranks
     uniform within the normalized bounds; instances with more than
-    ``max_cells`` cells are rejected and redrawn.
+    ``max_cells`` (at least 1) cells are rejected and redrawn.
     """
+    if not isinstance(rng, random.Random):
+        raise ValidationError(f"rng must be a random.Random, not {type(rng).__name__}")
+    if not _is_int(max_cells) or max_cells < 1:
+        raise ValidationError(f"max_cells must be an int >= 1, not {max_cells!r}")
     while True:
         targets = [f"t{i}" for i in range(1, rng.randint(1, 2) + 1)]
         sources = [f"s{i}" for i in range(1, rng.randint(1, 3) + 1)]
@@ -222,31 +228,20 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     record("facet-cardinality", all_admitted, f"all facets admissible with {n_top} cells")
     record("criteria-equivalence", *criteria)
 
-    refl_inst, refl_map = reflect_instance(instance)
-    kernels, rungs = _rank_ladder(instance)
+    rungs = _rank_ladder(instance)[1]
     ok = True
     for _ in range(8):
         # each drawn cell in rank order joins the probe unless the probe blocks it
-        levels = [0] * sum(2 * kernel[0] for kernel in kernels)
-        mask = blocked = 0
+        levels, blocked = _load_blocks(instance, 0)
+        mask = 0
         for r in range(instance.size):
             if rng.random() < 0.4 and not blocked >> r & 1:
                 mask |= 1 << r
-                quadrants, steps = rungs[r]
-                blocked |= quadrants
-                for kernel in steps:
-                    blocked |= _grow(levels, kernel, mask, r)
+                blocked |= _add(levels, rungs[r], mask, r)
         probe = CellSet.from_mask(instance, mask)
-        double_inst, double_set = reflect(reflect(probe)[1])
-        if double_inst != instance or tuple(double_set.cells) != tuple(probe.cells):
-            ok = False
-            break
-        image = CellSet(refl_inst, (refl_map[c] for c in probe.cells))
-        # the cell map is an involution on coordinates, so reflecting the
-        # closure once more lands back in original coordinates
-        back_map = reflect_instance(refl_inst)[1]
-        back = {tuple(back_map[c]) for c in c_max(image).cells}
-        if {tuple(c) for c in c_min(probe).cells} != back:
+        image = reflect(probe)[1]
+        # reflecting twice is the identity, and it swaps the two closures
+        if reflect(image) != (instance, probe) or reflect(c_max(image))[1] != c_min(probe):
             ok = False
             break
     record("reflection-duality", ok, "involution and min/max exchange on random seeds")

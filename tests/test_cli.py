@@ -298,6 +298,15 @@ def test_vdc_sample(capsys):
     assert code == 0 and "all pure" in out
 
 
+def test_vdc_sample_guard_defaults_to_the_library_guard(capsys):
+    # |L| = 18 is over the spot-check guard 14, not over verify's 32
+    code, _, err = run_cli(capsys, "vdc-sample", "--preset", "star-example")
+    assert code == 1 and "guard" in err
+    code, out, _ = run_cli(capsys, "vdc-sample", "--preset", "star-example",
+                           "--max-cells", "18", "--samples", "3")
+    assert code == 0 and "all pure" in out
+
+
 def test_export_cas(capsys, tmp_path):
     out_path = tmp_path / "check.m2"
     code, _, _ = run_cli(capsys, "export-cas", "--preset", "det:2,2,1",

@@ -160,7 +160,7 @@ def test_codim1_membership_validation(double_instance):
 def _stray_error_calls():
     """Calls on malformed input, each of which once let a TypeError or AttributeError
     out, or answered for cell sets of another instance."""
-    from quiverdet import hilbert_series
+    from quiverdet import criteria_agree, hilbert_series
     from quiverdet.series import ALL_ROUTES, face_counts
     from quiverdet.verify import brute_maximal_facet_masks, verify_instance
 
@@ -187,6 +187,16 @@ def _stray_error_calls():
         "verify_instance(5)": lambda: verify_instance(5),
         "enumerate_facets(5)": lambda: enumerate_facets(5),
         "face_counts(5)": lambda: face_counts(5),
+        "initial_cvm(5)": lambda: initial_cvm(5),
+        "CellSet(5)": lambda: CellSet(5),
+        "CellSet.from_mask(inst, None)": lambda: CellSet.from_mask(inst, None),
+        "is_u_compatible(5)": lambda: is_u_compatible(5),
+        "criteria_agree(5, [])": lambda: criteria_agree(5, []),
+        # every instance has a cell, so a guard below 1 once redrew forever
+        "random_instance(Random(1), 0)": lambda: random_instance(random.Random(1), 0),
+        "random_instance(Random(1), -1)": lambda: random_instance(random.Random(1), -1),
+        "random_instance(None)": lambda: random_instance(None),
+        "random_instance(Random(1), None)": lambda: random_instance(random.Random(1), None),
     }
 
 

@@ -709,3 +709,15 @@ def test_reflection_probes_are_admissible_and_nonempty(monkeypatch):
     assert verify.verify_instance(parse_preset("det:6,6,1"), seed=1).ok
     assert len(probes) == 8
     assert all(len(probe) and is_u_compatible(probe) for probe in probes)
+
+
+@pytest.mark.parametrize("preset", ["det:3,3,2", "star-example", "double:2,3,2,1,1"])
+def test_reflection_duality_fails_when_the_closures_are_swapped(monkeypatch, preset):
+    # with c_min replaced by c_max, reflecting c_max of a probe's image no
+    # longer gives the probe's closure, and only this check reads c_min
+    import quiverdet.verify as verify
+    from quiverdet.cli import parse_preset
+
+    monkeypatch.setattr(verify, "c_min", verify.c_max)
+    report = verify.verify_instance(parse_preset(preset), subset_trials=0, seed=1)
+    assert [c.name for c in report.checks if not c.ok] == ["reflection-duality"]

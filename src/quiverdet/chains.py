@@ -345,13 +345,14 @@ class CellSet:
     def block_points(self, vid: str) -> list[tuple[int, int]]:
         """The set's image inside the block matrix of ``vid`` (sorted positions)."""
         mask = self.mask
+        self.instance._vertex(vid)
         return [(x, y) for x, row in enumerate(self.instance.block_ranks[vid], start=1)
                 for y, r in enumerate(row, start=1) if mask >> r & 1]
 
     def stats(self, vid: str) -> BlockStats:
         st = self._stats.get(vid)
         if st is None:
-            data = self.instance.vertex[vid]
+            data = self.instance._vertex(vid)
             st = BlockStats(data.a, data.b, _occupancy(self.instance.block_ranks[vid], self.mask))
             self._stats[vid] = st
         return st

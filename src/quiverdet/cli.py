@@ -68,6 +68,8 @@ def parse_preset(spec: str, mode: str = "strict") -> Instance:
     value; star:(m0,u0),... sets it) | star-example (the worked three-source
     example with ranks 2,1,1,1).
     """
+    if not isinstance(spec, str):
+        raise ValidationError(f"preset must be a str, not {spec!r}")
     spec = spec.strip()
     if spec == "star-example":
         return parse_preset("star:(3,2),(2,1),(2,1),(2,1)", mode=mode)

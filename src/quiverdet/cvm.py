@@ -16,8 +16,12 @@ the road map only to replay a facet its batch rejects.  The greedy closures
 ``c_min``/``c_max`` find the smallest and largest facet containing a face;
 like the face DFS, they add each cell to the chain levels in place with
 ``chains._add``, the one growth step of the ladder.  ``reflect`` is the
-180-degree rotation; it swaps NW with SE corners, and the tests check the SE
-rule through it.
+180-degree rotation, which sends cell (i, j, k) to (rows + 1 - i,
+cols + 1 - j, r + 1 - k) on the instance with its arrow order reversed.
+L is ordered by page, then row, then column, so the rotation reverses the
+cell ranks, and ``reflect`` reverses the mask; the per-cell formula lives
+in the tests, which hold the reversal to it.  The rotation swaps NW with
+SE corners, and the tests check the SE rule through it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .chains import (CellSet, _add, _cell_set, _load_blocks, _rank_ladder, is_u_
                      padded_nw, padded_se)
 from .errors import CrossCheckError, ValidationError
 from .moves import _initial_mask
-from .quiver import HORIZONTAL, TARGET, VERTICAL, BipartiteQuiver, Cell, Instance, _instance
+from .quiver import HORIZONTAL, TARGET, VERTICAL, Instance, _instance
 
 NW = "NW"
 SE = "SE"
@@ -292,27 +296,14 @@ def _corner_counts(instance: Instance, masks: list[int]):
 
 
 @lru_cache(maxsize=128)
-def reflect_instance(instance: Instance) -> tuple[Instance, dict[Cell, Cell]]:
-    """The 180-degree rotated instance and the cell bijection onto it.
-
-    Arrow order reverses and every page rotates in place; each block matrix
-    of the result is the rotation of the original block, so diagonal chains
-    and admissibility transfer verbatim.  Cached per instance: callers must
-    treat the returned map as read-only.
-    """
-    r = len(instance.arrows)
-    arrows = tuple((ar.source, ar.target) for ar in reversed(instance.arrows))
-    quiver = BipartiteQuiver(instance.quiver.sources, instance.quiver.targets, arrows)
-    reflected = Instance(quiver, instance.m, instance.u,
-                         normalization=instance.normalization)
-    cmap = {}
-    for cell in instance.cells:
-        ar = instance.arrow(cell.k)
-        cmap[cell] = Cell(ar.rows + 1 - cell.i, ar.cols + 1 - cell.j, r + 1 - cell.k)
-    return reflected, cmap
+def reflect_instance(instance: Instance) -> Instance:
+    """The 180-degree rotated instance: the same quiver with its arrow order reversed."""
+    quiver = instance.quiver
+    return Instance(quiver._replace(arrows=quiver.arrows[::-1]), instance.m, instance.u,
+                    normalization=instance.normalization)
 
 
 def reflect(cs: CellSet) -> tuple[Instance, CellSet]:
-    """Image of a cell set under the 180-degree rotation (new instance, new set)."""
-    reflected, cmap = reflect_instance(_cell_set(cs).instance)
-    return reflected, CellSet(reflected, (cmap[c] for c in cs.cells))
+    """Image of a cell set under the 180-degree rotation: its mask with the |L| bits reversed."""
+    reflected = reflect_instance(_cell_set(cs).instance)
+    return reflected, CellSet.from_mask(reflected, int(f"{cs.mask:0{reflected.size}b}"[::-1], 2))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
-from .chains import CellSet, _addable, is_u_compatible, padded_nw, padded_se
+from .chains import CellSet, _addable, _cell_set, is_u_compatible, padded_nw, padded_se
 from .errors import DEFAULT_VDC_GUARD, CrossCheckError, ValidationError
 from .quiver import HORIZONTAL, TARGET, VERTICAL, Cell, Instance, _is_int
 
@@ -28,7 +28,13 @@ def max_diagonal_chain(points: Iterable[tuple[int, int]]) -> int:
     Sort by row with columns tie-broken descending, then take the longest
     strictly increasing subsequence of columns (patience sorting, O(n log n)).
     """
-    pts = sorted(points, key=lambda p: (p[0], -p[1]))
+    try:
+        pts = [(x, y) for x, y in points]
+    except (TypeError, ValueError):
+        pts = None
+    if pts is None or not all(_is_int(x) and _is_int(y) for x, y in pts):
+        raise ValidationError(f"points {points!r} is not an iterable of (x, y) int pairs")
+    pts.sort(key=lambda p: (p[0], -p[1]))
     tails: list[int] = []
     for _, y in pts:
         pos = bisect_left(tails, y)
@@ -82,7 +88,7 @@ def _chain_tables(a: int, b: int, occupied) -> tuple[list[list[int]], list[list[
 
 def cmp_T_sets(left: CellSet, right: CellSet) -> int:
     """Compare equal-size cell sets: sorted sequences from the largest cell down."""
-    if left.instance != right.instance:
+    if _cell_set(left).instance != _cell_set(right).instance:
         raise ValidationError("cell sets belong to different instances")
     if len(left) != len(right):
         raise ValidationError(f"set comparison on unequal cardinalities {len(left)} != {len(right)}")
@@ -95,7 +101,7 @@ def can_extend(cs: CellSet, cell) -> bool:
     The definition-level check collapses to two table lookups per block; see
     ``chains._addable``.
     """
-    inst = cs.instance
+    inst = _cell_set(cs).instance
     cell = inst.check_cell(cell)
     r = inst.rank[cell]
     if cs.mask >> r & 1:
@@ -126,7 +132,7 @@ class ChainStats(NamedTuple):
 
 
 def corner_stats(cs: CellSet, cell) -> ChainStats:
-    inst = cs.instance
+    inst = _cell_set(cs).instance
     r = inst.rank[inst.check_cell(cell)]
     tgt, ti, tj, src, si, sj = inst.positions[r]
     td, sd = inst.vertex[tgt], inst.vertex[src]
@@ -355,12 +361,19 @@ class ChuteMove(NamedTuple):
                 f"{tuple(self.removed)} -> {tuple(self.added)} ({self.extent[0]}x{self.extent[1]})")
 
 
+def _chute_move(move) -> ChuteMove:
+    """``move``, if it is the ``ChuteMove`` the move functions take; else a ValidationError."""
+    if not isinstance(move, ChuteMove):
+        raise ValidationError(f"expected a ChuteMove, got {type(move).__name__}")
+    return move
+
+
 def _rectangle_ok(cs: CellSet, move: ChuteMove) -> bool:
     """Whether, of the move's rectangle, exactly the NE, SE and SW corners lie in ``cs``."""
     from .moves import _move_layout
 
-    inst = cs.instance
-    horizontal = inst.vertex[move.vertex].side == TARGET
+    inst = _cell_set(cs).instance
+    horizontal = inst._vertex(_chute_move(move).vertex).side == TARGET
     try:  # both ends as (line, position on it): rows of a target block, columns of a source block
         (x1, y1), (x2, y2) = (inst.phi(move.vertex, c)[::1 if horizontal else -1]
                               for c in (move.added, move.removed))
@@ -377,7 +390,7 @@ def _rectangle_ok(cs: CellSet, move: ChuteMove) -> bool:
 
 def apply_inverse(cs: CellSet, move: ChuteMove) -> CellSet:
     """Undo a chute move previously applied to reach ``cs``."""
-    if move.added not in cs or move.removed in cs:
+    if _chute_move(move).added not in cs or move.removed in cs:
         raise ValidationError(f"inverse move not applicable: {move}")
     return CellSet(cs.instance, (*(c for c in cs.cells if c != move.added), move.removed))
 

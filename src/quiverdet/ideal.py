@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, NamedTuple
 from .chains import CellSet, is_u_compatible
 from .errors import CrossCheckError, GuardExceeded, ValidationError
 from .moves import enumerate_facets
-from .quiver import Cell, Instance, _is_int, cell_key
+from .quiver import Cell, Instance, _instance, _is_int, cell_key
 
 M2 = "m2"
 SINGULAR = "singular"
@@ -67,11 +67,13 @@ class Monomial(NamedTuple):
 
 
 def natural_generator_count(instance: Instance) -> int:
+    _instance(instance)
     return sum(comb(d.a, d.u + 1) * comb(d.b, d.u + 1) for d in instance.vertex.values())
 
 
 def natural_generators(instance: Instance) -> Iterator[MinorSpec]:
     """Stream all next-size minors of every block matrix, in a fixed order."""
+    _instance(instance)
     for vid in (*instance.quiver.targets, *instance.quiver.sources):
         d = instance.vertex[vid]
         n = d.u + 1
@@ -104,6 +106,8 @@ def in_initial_ideal(instance: Instance, monomial: Monomial, facets=None,
     """
     if route not in ("both", "generators", "decomposition"):
         raise ValidationError(f"unknown route {route!r}")
+    if not isinstance(monomial, Monomial):
+        raise ValidationError(f"expected a Monomial, got {type(monomial).__name__}")
     support = CellSet(instance, monomial.support)
     by_gen = by_dec = None
     if route in ("both", "generators"):

@@ -33,7 +33,12 @@ class Cell(NamedTuple):
 
 def cell_key(cell) -> tuple[int, int, int]:
     """Sort key realizing the total order on cells: page, then row, then column."""
-    i, j, k = cell
+    try:
+        i, j, k = cell
+    except (TypeError, ValueError):
+        raise ValidationError(f"cell {cell!r} is not an (i, j, k) triple") from None
+    if not (_is_int(i) and _is_int(j) and _is_int(k)):
+        raise ValidationError(f"cell {cell!r} has a part that is not an int")
     return (k, i, j)
 
 
@@ -239,16 +244,21 @@ class Instance:
     # -- coordinate maps ------------------------------------------------------
 
     def arrow(self, k: int) -> Arrow:
+        """Arrow ``k``, counted from 1."""
+        if not (_is_int(k) and 1 <= k <= len(self.arrows)):
+            raise ValidationError(f"arrow {k!r} out of range 1..{len(self.arrows)}")
         return self.arrows[k - 1]
+
+    def _vertex(self, vid) -> VertexData:
+        """The data of vertex ``vid``; ``ValidationError`` for anything else."""
+        data = self.vertex.get(vid) if isinstance(vid, str) else None
+        if data is None:
+            raise ValidationError(f"no vertex {vid!r}")
+        return data
 
     def check_cell(self, cell) -> Cell:
         """The cell named by an (i, j, k) triple of ints; ``ValidationError`` for anything else."""
-        try:
-            i, j, k = cell
-        except (TypeError, ValueError):
-            raise ValidationError(f"cell {cell!r} is not an (i, j, k) triple") from None
-        if not (_is_int(i) and _is_int(j) and _is_int(k)):
-            raise ValidationError(f"cell {cell!r} has a part that is not an int")
+        k, i, j = cell_key(cell)
         r = self.rank.get((i, j, k))
         if r is None:
             raise ValidationError(f"cell {(i, j, k)} out of range")
@@ -282,10 +292,10 @@ class Instance:
         return self.positions[self.rank[self.check_cell(cell)]][3:]
 
     def _block_cell(self, vid: str, row: int, col: int, side: str) -> Cell:
-        data = self.vertex[vid]
+        data = self._vertex(vid)
         if data.side != side:
             raise ValidationError(f"{vid!r} is not a {side} vertex")
-        if not (1 <= row <= data.a and 1 <= col <= data.b):
+        if not (_is_int(row) and _is_int(col) and 1 <= row <= data.a and 1 <= col <= data.b):
             raise ValidationError(f"position ({row},{col}) outside block of {vid!r}")
         return self.cells[self.block_ranks[vid][row - 1][col - 1]]
 
@@ -297,7 +307,7 @@ class Instance:
 
     def phi(self, vid: str, cell) -> tuple[int, int]:
         """Position of a cell inside the block matrix of ``vid`` (either side)."""
-        if self.vertex[vid].side == TARGET:
+        if self._vertex(vid).side == TARGET:
             v, r, c = self.phi_target(cell)
         else:
             v, r, c = self.phi_source(cell)
@@ -306,7 +316,7 @@ class Instance:
         return r, c
 
     def phi_inv(self, vid: str, row: int, col: int) -> Cell:
-        return self._block_cell(vid, row, col, self.vertex[vid].side)
+        return self._block_cell(vid, row, col, self._vertex(vid).side)
 
     # -- serialization --------------------------------------------------------
 
@@ -361,6 +371,8 @@ def build_instance(quiver: BipartiteQuiver, m: Mapping[str, int], u: Mapping[str
     """
     if mode not in ("strict", "normalize"):
         raise ValidationError(f"unknown mode {mode!r}")
+    if not isinstance(quiver, BipartiteQuiver):
+        raise ValidationError(f"expected a BipartiteQuiver, got {type(quiver).__name__}")
     for vid in quiver.vertices:
         if vid not in m:
             raise ValidationError(f"m missing for vertex {vid!r}")

@@ -150,9 +150,9 @@ class FaceTable(NamedTuple):
 def _f_from_h(h: tuple[int, ...], n_top: int) -> tuple[int, ...]:
     """Face counts by cardinality k = 0..N, f_{k-1} = sum_i C(N - i, k - i) h_i.
 
-    ``h`` must be padded to length N + 1.
+    Entries of ``h`` past its end count as 0.
     """
-    return tuple(sum(comb(n_top - i, k - i) * h[i] for i in range(k + 1))
+    return tuple(sum(comb(n_top - i, k - i) * h[i] for i in range(min(k + 1, len(h))))
                  for k in range(n_top + 1))
 
 
@@ -231,10 +231,9 @@ def face_counts(instance: Instance, interior: bool = False,
     """
     h = hilbert_series(instance, facet_cap=facet_cap).numerator
     n_top = instance.n_cells
-    h += (0,) * (n_top + 1 - len(h))
     f = _f_from_h(h, n_top)
     if not interior:
         return FaceTable(f)
-    inside = _f_from_h(h[::-1], n_top)
+    inside = _f_from_h((0,) * (n_top + 1 - len(h)) + h[::-1], n_top)
     return FaceTable(f, interior_by_size=inside,
                      boundary_generators=f[n_top - 1] - inside[n_top - 1])

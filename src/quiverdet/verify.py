@@ -25,13 +25,18 @@ first drawn cell; ``cvm.reflect`` of its image gives it back, and of the
 image's ``c_max`` gives its ``c_min``.  The brute check reads the face table of
 ``complex._brute_walk``, as ``f_vector`` and the oracle routes do, with its
 interior counts taken against the boundary generators; it stores no face.
+It runs within two guards: |L| at most ``max_cells``, checked first, and at
+most ``facet_cap`` faces, the total of the f-vector read off the ascending
+local h-vector (``series._f_from_h``, as ``series.face_counts`` reads it).
 One ``complex._ridge_walk`` of the ascending masks serves
 every check that pairs ridges with facets: its open ridges are the brute
 walk's boundary generators, both fold h-vectors come off it
 (``complex._ridge_fold``), and the shelling and codim-1 checks read its
 restriction faces.  One pass of per-cell addable batches
-(``bitslice._restriction_columns``) gives every facet's restriction faces
-locally, in both orders, and every ridge's addable cells.  The series check
+(``bitslice._restriction_columns``), run before the brute walk, gives every
+facet's restriction faces locally, in both orders, and every ridge's
+addable cells: one ``_local_h`` of it feeds the brute walk's face guard and
+the local routes, and the codim-1 check reads the batches.  The series check
 holds the local routes, which ``hilbert_series`` runs by default, to the
 folds, the corner routes and, within the brute guard, the transforms of the
 brute walk's face table, with the comparison ``hilbert_series`` ends with
@@ -55,7 +60,8 @@ from .cvm import _point_levels, c_max, c_min, initial_cvm, reflect
 from .errors import QuiverDetError, ValidationError
 from .moves import DEFAULT_FACET_CAP, _facet_masks
 from .quiver import BipartiteQuiver, Instance, _instance, _is_int, build_instance
-from .series import ASCENDING_FOLD, DESCENDING_FOLD, F_TRANSFORM, INTERIOR, _agreed, _local_h
+from .series import (ASCENDING_FOLD, ASCENDING_LOCAL, DESCENDING_FOLD, F_TRANSFORM, INTERIOR,
+                     _agreed, _f_from_h, _local_h)
 
 
 def brute_maximal_facet_masks(instance: Instance) -> list[int]:
@@ -188,7 +194,11 @@ class VerificationReport(NamedTuple):
 def verify_instance(instance: Instance, subset_trials: int = 1000,
                     seed: int | None = None, max_cells: int = DEFAULT_MAX_CELLS,
                     facet_cap: int = DEFAULT_FACET_CAP) -> VerificationReport:
-    """Run the full oracle suite on one instance."""
+    """Run the full oracle suite on one instance.
+
+    ``facet_cap`` bounds the facets enumerated and the faces of the brute
+    face DFS, which also needs |L| at most ``max_cells``.
+    """
     if not _is_int(subset_trials) or subset_trials < 0:
         raise ValidationError(f"subset_trials must be an int >= 0, not {subset_trials!r}")
     if not _is_int(max_cells) or max_cells < 0:  # 0: the brute face DFS never runs
@@ -213,14 +223,21 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     record("initial-closed-form", init == c_max(CellSet(instance)),
            "closed form vs greedy closure of the empty set")
 
+    # One pass of per-cell addable batches feeds the brute guard, the local
+    # routes and the codim-1 check.
+    chunks = list(_restriction_columns(instance, masks, owners=True))
+    local_h = _local_h(chunks)
+    faces = sum(_f_from_h(local_h[ASCENDING_LOCAL], n_top))
     face_table = None
-    if instance.size <= max_cells:
+    if instance.size > max_cells:
+        record("facet-closure-vs-brute", True, "skipped: |L| over the brute guard")
+    elif faces > facet_cap:
+        record("facet-closure-vs-brute", True, f"skipped: {faces} faces over the facet cap")
+    else:
         # the brute walk's face table feeds the f-vector and interior routes
         brute, face_table = _brute_walk(instance, list(walk[1]))
         record("facet-closure-vs-brute", brute == masks,
                f"{len(masks)} facets from moves vs {len(brute)} maximal admissible sets")
-    else:
-        record("facet-closure-vs-brute", True, "skipped: |L| over the brute guard")
 
     # one criteria batch: its facet bits are the facet-cardinality check
     criteria, admitted = _criteria_batch(instance, rng, subset_trials, masks)
@@ -251,15 +268,13 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
             record(name, False, "skipped: an enumerated set is not a facet")
         return VerificationReport(instance, tuple(checks))
 
-    # One pass of per-cell addable batches feeds the local routes and the
-    # codim-1 check; one corner pass feeds the corner routes and the
-    # shelling check, which is skipped if that pass rejects a facet.
-    chunks = list(_restriction_columns(instance, masks, owners=True))
+    # One corner pass feeds the corner routes and the shelling check, which
+    # is skipped if that pass rejects a facet.
     se_counts = None
     try:
         corner_h, se_counts = _corner_routes(instance, masks)
         up, down, _ = _ridge_fold(walk)
-        results = {**_local_h(chunks), ASCENDING_FOLD: up, DESCENDING_FOLD: down, **corner_h}
+        results = {**local_h, ASCENDING_FOLD: up, DESCENDING_FOLD: down, **corner_h}
         if face_table is not None:
             results[F_TRANSFORM] = _h_from_f(face_table, n_top)
             results[INTERIOR] = _h_from_interior(face_table, n_top)

@@ -92,3 +92,18 @@ DET33_ROADMAP_V = [
     [(3, 1), (2, 1), (2, 2), (1, 2)],
     [(3, 2), (3, 3), (2, 3), (1, 3)],
 ]
+
+# the 180-degree rotation -----------------------------------------------------------
+
+
+def rotation(instance):
+    """The paper's rotation of L, per cell: (i, j, k) -> (rows + 1 - i, cols + 1 - j, r + 1 - k).
+
+    The image cells lie on the instance with its arrow order reversed; ``cvm.reflect``
+    computes the same map as a reversal of the cell ranks.
+    """
+    from quiverdet.quiver import Cell
+
+    r = len(instance.arrows)
+    return {c: Cell(instance.arrow(c.k).rows + 1 - c.i, instance.arrow(c.k).cols + 1 - c.j,
+                    r + 1 - c.k) for c in instance.cells}

@@ -160,14 +160,42 @@ def test_codim1_membership_validation(double_instance):
 def _stray_error_calls():
     """Calls on malformed input, each of which once let a TypeError or AttributeError
     out, or answered for cell sets of another instance."""
-    from quiverdet import criteria_agree, hilbert_series
+    from quiverdet import (apply_inverse, apply_move, can_extend, cmp_T, cmp_T_sets, corner_stats,
+                           criteria_agree, export_cas, hilbert_series, in_initial_ideal,
+                           max_diagonal_chain, natural_generator_count, natural_generators)
+    from quiverdet.quiver import build_instance
     from quiverdet.series import ALL_ROUTES, face_counts
     from quiverdet.verify import brute_maximal_facet_masks, verify_instance
 
     inst = parse_preset("det:3,3,1")
     table = f_vector(inst, store_faces=True)
     other = enumerate_facets(parse_preset("det:3,3,2"))
+    facet, cell = initial_cvm(inst), inst.cells[0]
+    double = parse_preset("double:3,2,2,1,1")
+    # ``arrow`` counts from 1: 0 and -1 once answered pages 3 and 2, silently
+    arrows = {f"double.arrow({k!r})": lambda k=k: double.arrow(k) for k in (0, -1, 4, None)}
     return {
+        **arrows,
+        "export_cas(5)": lambda: export_cas(5),
+        "list(natural_generators(5))": lambda: list(natural_generators(5)),
+        "in_initial_ideal(inst, 5)": lambda: in_initial_ideal(inst, 5),
+        "inst.phi(None, cell)": lambda: inst.phi(None, cell),
+        "inst.phi_inv(None, 1, 1)": lambda: inst.phi_inv(None, 1, 1),
+        "inst.phi_target_inv(None, 1, 1)": lambda: inst.phi_target_inv(None, 1, 1),
+        "inst.phi_source_inv(None, 1, 1)": lambda: inst.phi_source_inv(None, 1, 1),
+        "inst.phi_inv('1', None, 1)": lambda: inst.phi_inv("1", None, 1),
+        "facet.block_points('zz')": lambda: facet.block_points("zz"),
+        "facet.stats('zz')": lambda: facet.stats("zz"),
+        "parse_preset(None)": lambda: parse_preset(None),
+        "build_instance(None, {}, {})": lambda: build_instance(None, {}, {}),
+        "cmp_T(5, 5)": lambda: cmp_T(5, 5),
+        "max_diagonal_chain(5)": lambda: max_diagonal_chain(5),
+        "cmp_T_sets(facet, 5)": lambda: cmp_T_sets(facet, 5),
+        "apply_move(facet, 5)": lambda: apply_move(facet, 5),
+        "apply_inverse(facet, 5)": lambda: apply_inverse(facet, 5),
+        "natural_generator_count(5)": lambda: natural_generator_count(5),
+        "corner_stats(5, cell)": lambda: corner_stats(5, cell),
+        "can_extend(5, cell)": lambda: can_extend(5, cell),
         "interior_faces(inst, table, facets of det:3,3,2)": lambda: interior_faces(
             inst, table, other),
         "boundary_generator_masks(facets of two instances)": lambda: boundary_generator_masks(

@@ -15,7 +15,7 @@ from quiverdet.verify import brute_maximal_facet_masks, random_instance
 from golden import (DET33_ROADMAP_H, DET33_ROADMAP_V, DOUBLE_FACETS_DESC, DOUBLE_FINAL,
                     DOUBLE_INITIAL, DOUBLE_NW_COUNTS_DESC, DOUBLE_NW_COUNTS_LAYOUT,
                     DOUBLE_PANEL_LAYOUT, DOUBLE_SE_COUNTS_DESC, DOUBLE_SE_COUNTS_LAYOUT,
-                    STAR_DRAWN_FACET, STAR_DRAWN_H, STAR_DRAWN_V, STAR_INITIAL)
+                    STAR_DRAWN_FACET, STAR_DRAWN_H, STAR_DRAWN_V, STAR_INITIAL, rotation)
 
 
 def initial_roadmap_oracle(inst):
@@ -276,6 +276,21 @@ def test_reflect_exchanges_closures(double_instance):
         assert lhs == c_min(CellSet(r_inst))
 
 
+def test_reflection_reverses_ranks():
+    # the rank reversal of ``reflect`` is the rotation's per-cell formula, and
+    # rotating the instance twice gives it back
+    from quiverdet.cvm import reflect_instance
+
+    rng = random.Random(36)
+    instances = [parse_preset(p) for p in ("det:3,4,2", "star-example", "double:3,4,3,2,2")]
+    instances += [random_instance(rng) for _ in range(200)]
+    for inst in instances:
+        for cell, image in rotation(inst).items():
+            r_inst, one = reflect(CellSet(inst, [cell]))
+            assert r_inst is reflect_instance(inst) and one.cells == (image,)
+        assert reflect_instance(reflect_instance(inst)) == inst
+
+
 def _corner_set(records, kind, cell_map=None):
     """(cell, orientation, essential) of every record of one kind, cells mapped if asked."""
     return sorted((cell_map[r.cell] if cell_map else r.cell, r.orientation, r.essential)
@@ -286,7 +301,6 @@ def test_reflect_preserves_corner_counts(double_instance, star_instance, det33, 
     # essential NW corners of the image are the essential SE corners of the original;
     # record by record, the reflection is the independent oracle of the SE rule
     from quiverdet.cli import parse_preset
-    from quiverdet.cvm import reflect_instance
 
     rng = random.Random(43)
     instances = [double_instance, star_instance, det33, single_cell, parse_preset("det:5,5,2")]
@@ -298,7 +312,7 @@ def test_reflect_preserves_corner_counts(double_instance, star_instance, det33, 
             rep_image = corners(image)
             assert rep_image.essential_nw == rep.essential_se
             assert rep_image.essential_se == rep.essential_nw
-            back = reflect_instance(r_inst)[1]
+            back = rotation(r_inst)
             assert _corner_set(rep.corners, SE) == _corner_set(rep_image.corners, NW, back)
             assert _corner_set(rep.corners, NW) == _corner_set(rep_image.corners, SE, back)
 

@@ -12,7 +12,7 @@ from quiverdet.errors import DEFAULT_FACET_CAP, QuiverDetError
 from quiverdet.quiver import TARGET
 from quiverdet.verify import brute_maximal_facet_masks, random_instance
 
-from golden import DOUBLE_FACETS_DESC
+from golden import DOUBLE_FACETS_DESC, rotation
 
 
 def test_initial_has_one_move(double_instance):
@@ -100,8 +100,6 @@ def test_moves_match_definition(star_instance):
 def test_inverse_move_symmetry(double_instance):
     # moves of the reflected facet biject with inverse moves of the facet;
     # check the actual (removed, added) pairs, not just their number
-    from quiverdet.cvm import reflect_instance
-
     facets = enumerate_facets(double_instance)
     incoming = {f.mask: set() for f in facets}
     for facet in facets:
@@ -109,7 +107,7 @@ def test_inverse_move_symmetry(double_instance):
             incoming[apply_move(facet, mv).mask].add((tuple(mv.removed), tuple(mv.added)))
     for facet in facets:
         r_inst, image = reflect(facet)
-        back = reflect_instance(r_inst)[1]
+        back = rotation(r_inst)
         mapped = {(tuple(back[mv.added]), tuple(back[mv.removed]))
                   for mv in chutable_moves(image)}
         assert mapped == incoming[facet.mask]

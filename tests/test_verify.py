@@ -7,7 +7,7 @@ from quiverdet import (CellSet, ValidationError, corner_stats, criteria_agree, e
                        is_u_compatible)
 from quiverdet.verify import random_instance
 
-from golden import STAR_MULTIPLICITY
+from golden import STAR_F_TOTAL, STAR_MULTIPLICITY
 
 
 def criteria_oracle(instance, cells):
@@ -425,6 +425,35 @@ def test_verify_instance_validates_its_arguments(single_cell):
     assert report.ok
     assert {c.name: c.detail for c in report.checks}["facet-closure-vs-brute"] == (
         "skipped: |L| over the brute guard")
+
+
+def test_brute_walk_guarded_by_its_face_count(monkeypatch):
+    # det:4,8,2 has |L| = 32, inside the cell guard, but 53018624 faces on
+    # 336 facets: the face count off h skips the DFS before it starts
+    import quiverdet.verify as verify
+    from quiverdet.cli import parse_preset
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the brute face DFS ran")
+
+    monkeypatch.setattr(verify, "_brute_walk", no_walk)
+    report = verify.verify_instance(parse_preset("det:4,8,2"), seed=1)
+    assert report.ok
+    assert {c.name: c.detail for c in report.checks}["facet-closure-vs-brute"] == (
+        "skipped: 53018624 faces over the facet cap")
+
+
+def test_face_guard_boundary_on_star(star_instance):
+    # star-example has 24768 faces: a cap one below skips the DFS, a cap equal to it runs it
+    import quiverdet.verify as verify
+
+    details = {}
+    for cap in (STAR_F_TOTAL - 1, STAR_F_TOTAL):
+        report = verify.verify_instance(star_instance, subset_trials=20, seed=1, facet_cap=cap)
+        assert report.ok
+        details[cap] = {c.name: c.detail for c in report.checks}["facet-closure-vs-brute"]
+    assert details == {24767: "skipped: 24768 faces over the facet cap",
+                       24768: "54 facets from moves vs 54 maximal admissible sets"}
 
 
 def _codim1_counts(facets):

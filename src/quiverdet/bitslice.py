@@ -95,17 +95,20 @@ def _tally(columns: list[int], every: int) -> list[int]:
     return [part.bit_count() for part in parts]
 
 
-def _chain_levels(a: int, b: int, top: int, occ, every: int) -> tuple[list, list]:
+def _chain_levels(a: int, b: int, top: int, ranks, columns, every: int) -> tuple[list, list]:
     """Bit-sliced NW and SE chain tables of one a x b block, levels 1 to ``top``.
 
-    ``occ[x][y]`` has bit i set when set i holds the block's position
-    (x, y); rows 0 and a + 1 and columns 0 and b + 1 are zero padding, and
-    ``every`` has a bit for each set.  Bit i of ``nw[j - 1][x][y]`` is set
+    Set i holds the block's position (x, y) when bit i of ``columns[r]`` is
+    set for r = ``ranks[x - 1][y - 1]`` (``Instance.block_ranks``), and
+    ``every`` has a bit for each set; rows 0 and a + 1 and columns 0 and
+    b + 1 of the tables are zero padding.  Bit i of ``nw[j - 1][x][y]`` is set
     when set i has a chain of j points in rows <= x and columns <= y, and
     of ``se[j - 1][x][y]`` when it has one in rows >= x and columns >= y.
     A j-chain ends at an occupied (x, y) exactly when a (j - 1)-chain lies
     strictly NW of it, so each level is one sweep over the one below.
     """
+    pad = [0] * (b + 2)
+    occ = [pad, *([0, *(columns[r] for r in row), 0] for row in ranks), pad]
     nw, se = [], []
     lower_nw = lower_se = [[every] * (b + 2)] * (a + 2)
     for _ in range(top):
@@ -145,9 +148,7 @@ def _addable_columns(instance: Instance, columns: list[int], every: int) -> list
     classes = {(instance.block_ranks[vid], d.u): (d.a, d.b)
                for vid, d in instance.vertex.items() if d.u < min(d.a, d.b)}
     for (ranks, u), (a, b) in classes.items():
-        pad = [0] * (b + 2)
-        occ = [pad, *([0, *(columns[r] for r in row), 0] for row in ranks), pad]
-        nw, se = _chain_levels(a, b, u, occ, every)
+        nw, se = _chain_levels(a, b, u, ranks, columns, every)
         for x, row in enumerate(ranks, start=1):
             for y, r in enumerate(row, start=1):
                 n = [every] + [level[x - 1][y - 1] for level in nw]

@@ -18,10 +18,10 @@ Three kernels compute them, each for its own callers (the second lives in
 - ``bitslice._chain_levels``: the same tables bit-sliced over a batch of
   subsets, bit i for subset i.  ``bitslice._addable_columns`` runs it on
   the per-cell ridge batches of the local h routes and ``verify``'s codim-1
-  check, and ``cvm._point_levels`` once per class of twin blocks for
-  ``verify``'s criteria check and, apart, for the corner pass
-  (``cvm._corner_counts``) of the corner routes, the shelling checks and
-  the ``corners`` command.
+  check, and ``cvm._block_levels`` once per class of twin blocks, padding
+  each block's levels, for ``verify``'s criteria check and, apart, for the
+  corner pass (``cvm._corner_counts``) of the corner routes, the shelling
+  checks and the ``corners`` command.
 - Chain levels for the face predicate: N_j holds the positions with a
   j-chain of the set strictly NW of them, S_j those with one strictly SE,
   each a cell-rank mask; a position is blocked when it lies in N_j and
@@ -56,13 +56,12 @@ def _rank_ladder(instance: Instance) -> tuple[tuple, tuple]:
     its share is one quadrant mask per point.  Every other block is a
     staircase block, held as chain levels (see ``_grow``); twin blocks, with
     identical ``block_ranks`` and rank, always hold the same levels and share
-    one kernel.  A kernel is ``(u, start, se, nw, cells)``: its 2u levels sit
-    at ``start`` in the levels list, ``se[r]`` and ``nw[r]`` are the block's
-    positions strictly SE and strictly NW of cell r (0 off the block), and
-    ``cells`` is the block's mask.  ``rungs[r]`` is ``(quadrants, kernels)``
-    for cell rank r: its quadrants in its rank-1 blocks and the kernels of
-    its staircase blocks.  Cached per instance: callers must treat the
-    result as read-only.
+    one kernel.  A kernel is ``(u, start, se, nw)``: its 2u levels sit at
+    ``start`` in the levels list, and ``se[r]`` and ``nw[r]`` are the
+    block's positions strictly SE and strictly NW of cell r (0 off the
+    block).  ``rungs[r]`` is ``(quadrants, kernels)`` for cell rank r: its
+    quadrants in its rank-1 blocks and the kernels of its staircase blocks.
+    Cached per instance: callers must treat the result as read-only.
     """
     quadrants = [0] * instance.size
     steps: list[list] = [[] for _ in range(instance.size)]
@@ -92,7 +91,7 @@ def _rank_ladder(instance: Instance) -> tuple[tuple, tuple]:
             for r in cells:
                 quadrants[r] |= nw[r] | se[r]
         else:
-            kernel = (d.u, start, se, nw, sum(1 << r for r in cells))
+            kernel = (d.u, start, se, nw)
             start += 2 * d.u
             kernels.append(kernel)
             for r in cells:
@@ -128,7 +127,7 @@ def _grow(levels: list[int], kernel, held: int, r: int) -> int:
     The S side is the mirror image.  Returns 0 when no level changed, so the
     blocked positions stay as they were.
     """
-    u, start, se, nw, _ = kernel
+    u, start, se, nw = kernel
     bit = 1 << r
     changed = False
     first = start
@@ -299,7 +298,7 @@ class CellSet:
 
     @classmethod
     def from_triples(cls, instance: Instance, triples) -> "CellSet":
-        return cls(instance, [Cell(*t) for t in triples])
+        return cls(instance, triples)
 
     def to_triples(self) -> list[list[int]]:
         return [[c.i, c.j, c.k] for c in self.cells]

@@ -44,7 +44,7 @@ from .bitslice import _columns
 from .chains import CellSet, _add, _cell_set, _load_blocks, _rank_ladder
 from .cvm import _corner_counts
 from .errors import DEFAULT_MAX_CELLS, GuardExceeded, ValidationError
-from .quiver import Instance, _instance, _is_int
+from .quiver import Instance, _instance, _is_int, _listed
 from .series import NW_CORNERS, SE_CORNERS, FaceTable, _trim
 
 
@@ -262,18 +262,9 @@ class ShellingReport(NamedTuple):
                 "failure": self.failure}
 
 
-def _listed(facets) -> list:
-    """The items of ``facets``, if it is an iterable; else a ValidationError."""
-    try:
-        items = iter(facets)
-    except TypeError:
-        raise ValidationError(f"facets must be an iterable, got {type(facets).__name__}") from None
-    return list(items)
-
-
 def _masks_of(facets, instance: Instance | None = None) -> tuple[list[int], Instance | None]:
     """The masks of the cell sets ``facets``, all of ``instance`` (default: the first set's)."""
-    sets = [_cell_set(f) for f in _listed(facets)]
+    sets = [_cell_set(f) for f in _listed(facets, "facets")]
     instance = sets[0].instance if instance is None and sets else instance
     if any(cs.instance != instance for cs in sets):
         raise ValidationError("facets must be cell sets of one instance, the one given if any")

@@ -10,9 +10,10 @@ layout that lists the positions in path order, and checks them on rank
 bitmasks; ``corners`` classifies their NW and SE turning points on that one
 road map; both run the helpers of ``definitions``.  The essential corners
 drive both the chute-move dynamics and the h-polynomial.  ``_corner_counts``
-counts them on a batch of facets, one bit each, off the bit-sliced levels of
-``_point_levels`` (``_corner_bits``), with ``corners`` as its oracle; it loads
-the road map only to replay a facet its batch rejects.  The greedy closures
+counts them on a batch of facets, one bit each, off the padded bit-sliced
+levels of ``_block_levels`` (``_corner_bits``), with ``corners`` as its
+oracle; it loads the road map only to replay a facet its batch rejects.
+``verify``'s criteria check reads the same levels.  The greedy closures
 ``c_min``/``c_max`` find the smallest and largest facet containing a face;
 like the face DFS, they add each cell to the chain levels in place with
 ``chains._add``, the one growth step of the ladder.  ``reflect`` is the
@@ -100,9 +101,9 @@ def _path_layout(instance: Instance) -> tuple[tuple, ...]:
     the raw value and its floor.  ``where`` maps a
     position to its rank and the offset that relabels this block's path p as
     the crossing family sees it (``hpath_offset`` on a target block,
-    ``vpath_offset`` on a source block).  The road maps, the corner batch and
-    ``_criteria_layout`` read it.  Cached per instance: callers must treat
-    the result as read-only.
+    ``vpath_offset`` on a source block).  The road maps and
+    ``_block_levels`` read it.  Cached per instance: callers must treat the
+    result as read-only.
     """
     layout = []
     for vid, d in instance.vertex.items():
@@ -119,48 +120,34 @@ def _path_layout(instance: Instance) -> tuple[tuple, ...]:
     return tuple(layout)
 
 
-@lru_cache(maxsize=128)
-def _criteria_layout(instance: Instance) -> tuple[tuple, ...]:
-    """Per class of twin blocks, what ``_point_levels`` reads.
+def _block_levels(instance: Instance, columns: list[int], every: int):
+    """Each ``_path_layout`` row, with ``(n, s, blocked)`` per point in the row's order, on a batch.
 
-    Twin blocks have the same ``block_ranks`` and the same rank, so the same
-    level tables on every subset; only their padding floors differ.  A row
-    is ``(a, b, u, ranks, blocks)``, one per class, in the order of the
-    class's first block in ``instance.vertex``.  ``blocks`` lists the class's
-    blocks, each as its positions ``(x, y, rank, nw_floor, se_floor)``, as
-    ``_path_layout`` lists them.
-    Cached per instance: callers must treat the result as read-only.
+    Bit i of ``n[j]`` says that subset i has a padded nw >= j at the
+    position, of ``s[j]`` that it has a padded se >= j, for the levels 0 to
+    u + 1 that the padded statistics reach; up to its padding floor, a
+    level holds every subset.  ``blocked`` holds the subsets with raw
+    nw + se >= u, to which the cell cannot be added: the longest chain
+    through it would exceed u points.  Twin blocks, with the same
+    ``block_ranks`` and rank, have the same level tables on every subset
+    and differ only in their floors, so each class runs one
+    ``_chain_levels`` (``bitslice._addable_columns`` stops at level u).
     """
-    classes: dict = {}
-    for vid, _, a, b, u, _, points, _ in _path_layout(instance):
+    tables: dict = {}
+    for row in _path_layout(instance):
+        vid, _, a, b, u, _, points, _ = row
         ranks = instance.block_ranks[vid]
-        classes.setdefault((ranks, u), (a, b, u, ranks, []))[4].append(points)
-    return tuple((a, b, u, ranks, tuple(blocks)) for a, b, u, ranks, blocks in classes.values())
-
-
-def _point_levels(instance: Instance, columns: list[int], every: int, tables: dict | None = None):
-    """``(r, u, n, s, nw_floor, se_floor, blocked)`` per position of every block, on a batch.
-
-    Each class of twin blocks runs one ``_chain_levels`` up to level u + 1,
-    which the padded statistics reach (``bitslice._addable_columns`` stops
-    at u).  Bit i of ``n[j]`` says that subset i has nw >= j at the
-    position, of ``s[j]`` that it has se >= j (level 0: every subset);
-    ``blocked`` holds the subsets with nw + se >= u, to which the cell cannot
-    be added: the longest chain through it would exceed u points.  A dict
-    ``tables`` keeps each class's level tables under ``(ranks, u)``.
-    """
-    for a, b, u, ranks, blocks in _criteria_layout(instance):
-        pad = [0] * (b + 2)
-        occ = [pad, *([0, *(columns[r] for r in row), 0] for row in ranks), pad]
-        nw, se = _chain_levels(a, b, u + 1, occ, every)
-        if tables is not None:
-            tables[ranks, u] = nw, se
-        for points in blocks:
-            for x, y, r, nw_floor, se_floor in points:
-                n = [every] + [level[x - 1][y - 1] for level in nw]
-                s = [every] + [level[x + 1][y + 1] for level in se]
-                yield r, u, n, s, nw_floor, se_floor, _at_least(n, s, u)
-        del nw, se  # before the next class's tables are built
+        if (ranks, u) not in tables:
+            tables[ranks, u] = _chain_levels(a, b, u + 1, ranks, columns, every)
+        nw, se = tables[ranks, u]
+        levels = []
+        for x, y, _, nw_floor, se_floor in points:
+            n = [every] + [level[x - 1][y - 1] for level in nw]
+            s = [every] + [level[x + 1][y + 1] for level in se]
+            levels.append((n, s, _at_least(n, s, u)))  # raw, before the floors go in
+            n[1:nw_floor + 1] = [every] * nw_floor
+            s[1:se_floor + 1] = [every] * se_floor
+        yield row, levels
 
 
 def road_map(cs: CellSet) -> RoadMap:
@@ -213,35 +200,34 @@ def corners(cs: CellSet) -> CornerReport:
                         essential_nw, essential_se)
 
 
-def _corner_bits(instance: Instance, columns: list[int], every: int, tables: dict,
-                 cvm: int) -> tuple[list[int], list[int], int]:
+def _corner_bits(instance: Instance, columns: list[int], every: int) -> tuple[list, list, int]:
     """Per cell, the subsets with an essential NW and an essential SE corner there; the bad ones.
 
-    Bit i is subset i of ``columns`` and of the ``_point_levels`` ``tables``;
-    ``cvm`` holds the concurrent vertex maps.  Path p holds the
-    positions with padded nw = p - 1 and se = u - p; a bad subset fails a
-    check of ``definitions._road_blocks``.  A corner is free when its crossing
-    path has ``definitions._classify``'s label m and no point of the path
-    beyond it is on that path.
+    Bit i is subset i of ``columns``.  A bad subset is no concurrent vertex
+    map (it has other than N cells or holds a cell it blocks, both read
+    off ``_block_levels``) or fails a check of ``definitions._road_blocks``.
+    Path p holds the positions with padded nw = p - 1 and se = u - p.  A
+    corner is free when its crossing path has ``definitions._classify``'s
+    label m and no point of the path beyond it is on that path.
     """
-    layout, size, grids, bad = _path_layout(instance), instance.size, [], every & ~cvm
+    size, grids, bad = instance.size, [], 0
     labels = ([{}] * size, [{}] * size)  # by ``target``: per cell, its path's bits by label
-    for vid, target, a, b, u, _, points, where in layout:
-        nw, se = tables[instance.block_ranks[vid], u]
+    for row, levels in _block_levels(instance, columns, every):
+        _, target, a, b, u, _, points, where = row
         grid = [[[0] * (b + 2) for _ in range(a + 2)] for _ in range(u)]
-        for x, y, r, nw_floor, se_floor in points:
-            n = [every] * (nw_floor + 1) + [level[x - 1][y - 1] for level in nw[nw_floor:u]]
-            s = [every] * (se_floor + 1) + [level[x + 1][y + 1] for level in se[se_floor:u]]
+        for (x, y, r, *_), (n, s, blocked) in zip(points, levels):
+            bad |= columns[r] & blocked
             paths = [n[p] & ~n[p + 1] & s[u - 1 - p] & ~s[u - p] for p in range(u)]
             labels[target][r] = dict(enumerate(paths, start=1 + where[x, y][1]))
             for g, on in zip(grid, paths):
                 g[x][y] = on
-        grids.append(grid)
+        grids.append((row, grid))
+    bad |= every ^ _exactly(columns, instance.n_cells, every)
     covered = [[sum(label.values()) for label in family] for family in labels]  # disjoint paths
     for held, vertical, horizontal in zip(columns, *covered):
         bad |= vertical & horizontal ^ held
     essential = {NW: [0] * size, SE: [0] * size}
-    for (_, target, a, b, u, v, points, _), grid in zip(layout, grids):
+    for (_, target, a, b, u, v, points, _), grid in grids:
         crossing, crossed = labels[not target], covered[not target]
         for p, g in enumerate(grid, start=1):
             sw, ne = ((a - u + p, 1), (p, b)) if target else ((a, p), (1, b - u + p))
@@ -268,19 +254,16 @@ def _corner_bits(instance: Instance, columns: list[int], every: int, tables: dic
 def _corner_counts(instance: Instance, masks: list[int]):
     """Yield ``corners``'s two counts, (essential NW, essential SE), of each mask in turn.
 
-    Each chunk of ``bitslice._chunks`` runs its own ``_corner_bits`` pass as it is
-    reached.  A kind's per-facet counts are its cells' binary counter
-    (``bitslice._counter``) transposed by ``_columns``: a few digit ints
-    rather than every cell's column.  The first bad mask is replayed on a copy through
-    ``definitions._road_blocks`` and ``_classify``.
+    Each chunk of ``bitslice._chunks`` runs its own ``_corner_bits`` pass,
+    one walk of its points, as it is reached.  A kind's per-facet counts are
+    its cells' binary counter (``bitslice._counter``) transposed by
+    ``_columns``: a few digit ints rather than every cell's column.  The
+    first bad mask is replayed on a copy through ``definitions._road_blocks``
+    and ``_classify``.
     """
     for start, batch in _chunks(masks):
-        every = (1 << len(batch)) - 1
-        columns, tables, blocked = _columns(batch, instance.size), {}, 0
-        for r, *_, bad in _point_levels(instance, columns, every, tables):
-            blocked |= columns[r] & bad
-        cvm = _exactly(columns, instance.n_cells, every) & ~blocked
-        *essential, bad = _corner_bits(instance, columns, every, tables, cvm)
+        *essential, bad = _corner_bits(instance, _columns(batch, instance.size),
+                                       (1 << len(batch)) - 1)
         counts = [_columns(_counter(e), len(batch)) for e in essential]
         yield from islice(zip(*counts), (bad & -bad).bit_length() - 1 if bad else None)
         if bad:

@@ -390,7 +390,7 @@ def _rectangle_ok(cs: CellSet, move: ChuteMove) -> bool:
 
 def apply_inverse(cs: CellSet, move: ChuteMove) -> CellSet:
     """Undo a chute move previously applied to reach ``cs``."""
-    if _chute_move(move).added not in cs or move.removed in cs:
+    if _chute_move(move).added not in _cell_set(cs) or move.removed in cs:
         raise ValidationError(f"inverse move not applicable: {move}")
     return CellSet(cs.instance, (*(c for c in cs.cells if c != move.added), move.removed))
 

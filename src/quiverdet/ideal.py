@@ -10,14 +10,15 @@ chain in some block (generator route), or the support is inside no facet
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations
 from math import comb
 from typing import Iterator, Mapping, NamedTuple
 
 from .chains import CellSet, is_u_compatible
-from .errors import CrossCheckError, GuardExceeded, ValidationError
-from .moves import enumerate_facets
-from .quiver import Cell, Instance, _instance, _is_int, cell_key
+from .errors import DEFAULT_FACET_CAP, CrossCheckError, GuardExceeded, ValidationError
+from .moves import _facet_masks
+from .quiver import Cell, Instance, _instance, _is_int, _listed, cell_key
 
 M2 = "m2"
 SINGULAR = "singular"
@@ -40,22 +41,22 @@ class Monomial(NamedTuple):
 
     @classmethod
     def make(cls, instance: Instance, exponents: Mapping) -> "Monomial":
+        _instance(instance)
+        if not isinstance(exponents, Mapping):
+            raise ValidationError(f"exponents must be a mapping, got {type(exponents).__name__}")
         items = []
         for cell, e in exponents.items():
             cell = instance.check_cell(cell)
-            if int(e) != e or e < 1:
+            if not _is_int(e) or e < 1:
                 raise ValidationError(f"exponent of {tuple(cell)} must be a positive integer")
-            items.append((cell, int(e)))
+            items.append((cell, e))
         items.sort(key=lambda item: cell_key(item[0]))
         return cls(tuple(items))
 
     @classmethod
     def from_cells(cls, instance: Instance, cells) -> "Monomial":
-        exps: dict[Cell, int] = {}
-        for c in cells:
-            c = instance.check_cell(c)
-            exps[c] = exps.get(c, 0) + 1
-        return cls.make(instance, exps)
+        return cls.make(instance, Counter(map(_instance(instance).check_cell,
+                                              _listed(cells, "cells"))))
 
     @property
     def support(self) -> tuple[Cell, ...]:
@@ -102,7 +103,8 @@ def in_initial_ideal(instance: Instance, monomial: Monomial, facets=None,
 
     Membership only depends on the squarefree support.  The generator route
     asks whether the support fails admissibility; the decomposition route
-    asks whether the support escapes every facet.
+    asks whether the support escapes every facet: the given cell sets of
+    ``instance``, else the masks of ``moves._facet_masks``.
     """
     if route not in ("both", "generators", "decomposition"):
         raise ValidationError(f"unknown route {route!r}")
@@ -114,8 +116,12 @@ def in_initial_ideal(instance: Instance, monomial: Monomial, facets=None,
         by_gen = not is_u_compatible(support)
     if route in ("both", "decomposition"):
         if facets is None:
-            facets = enumerate_facets(instance)
-        by_dec = all(support.mask & ~f.mask != 0 for f in facets)
+            masks = _facet_masks(instance, DEFAULT_FACET_CAP)
+        else:
+            from .complex import _masks_of
+
+            masks = _masks_of(facets, instance)[0]
+        by_dec = all(support.mask & ~mask != 0 for mask in masks)
     if route == "both":
         if by_gen != by_dec:
             raise CrossCheckError(

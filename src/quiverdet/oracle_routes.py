@@ -14,10 +14,10 @@ from __future__ import annotations
 from .bitslice import _restriction_columns
 from .chains import CellSet
 from .complex import (_brute_walk, _check_guard, _corner_routes, _h_from_f, _h_from_interior,
-                      _listed, _ridge_fold, _ridge_walk)
+                      _ridge_fold, _ridge_walk)
 from .errors import ValidationError
 from .moves import _facet_masks
-from .quiver import Instance
+from .quiver import Instance, _listed
 from .series import (ASCENDING_FOLD, CORNER_ROUTES, DESCENDING_FOLD, F_TRANSFORM, FOLD_ROUTES,
                      INTERIOR, LOCAL_ROUTES, HilbertSeries, _agreed, _local_h)
 
@@ -34,7 +34,7 @@ def _oracle_series(instance: Instance, facets, routes: frozenset, max_cells_guar
     are walked too, and the folds join the comparison.
     """
     if facets is not None:
-        facets = _listed(facets)
+        facets = _listed(facets, "facets")
         # the local routes read R(F) off the instance, not off the list: the
         # folds of the list's walk hold the list to them (a facet left out
         # changes the walk's R(F) of its neighbours across a ridge)

@@ -64,6 +64,12 @@ class BipartiteQuiver(_QuiverFields):
     __slots__ = ()
 
     def __new__(cls, sources, targets, arrows):
+        for name, field in (("sources", sources), ("targets", targets), ("arrows", arrows)):
+            if not isinstance(field, tuple):
+                raise ValidationError(f"{name} must be a tuple, got {type(field).__name__}")
+        for arrow in arrows:
+            if not (isinstance(arrow, tuple) and len(arrow) == 2):
+                raise ValidationError(f"arrow {arrow!r} is not a (source, target) pair")
         for vid in chain(sources, targets, *arrows):
             if not isinstance(vid, str):
                 raise ValidationError(f"vertex id {vid!r} is not a string")
@@ -349,6 +355,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _listed(items, name: str) -> list:
+    """The items of ``items``, if it is an iterable; else a ValidationError naming it ``name``."""
+    try:
+        iterator = iter(items)
+    except TypeError:
+        raise ValidationError(f"{name} must be an iterable, got {type(items).__name__}") from None
+    return list(iterator)
+
+
 def _instance(value) -> Instance:
     """``value``, if it is the ``Instance`` the public functions take; else a ValidationError."""
     if not isinstance(value, Instance):
@@ -373,6 +388,9 @@ def build_instance(quiver: BipartiteQuiver, m: Mapping[str, int], u: Mapping[str
         raise ValidationError(f"unknown mode {mode!r}")
     if not isinstance(quiver, BipartiteQuiver):
         raise ValidationError(f"expected a BipartiteQuiver, got {type(quiver).__name__}")
+    for name, value in (("m", m), ("u", u)):
+        if not isinstance(value, Mapping):
+            raise ValidationError(f"{name} must be a mapping, got {type(value).__name__}")
     for vid in quiver.vertices:
         if vid not in m:
             raise ValidationError(f"m missing for vertex {vid!r}")

@@ -8,13 +8,14 @@ with enough detail to reproduce it.
 ``verify`` reads the facets as the masks of ``moves._facet_masks``, which
 checks none of them, and builds no ``CellSet`` for a facet: only the
 reflection probes and the criteria check's failure detail build cell sets.
-The criteria check evaluates all its random subsets and every
-facet in one bit-sliced batch: bit i of a cell's int says whether subset i
-holds it, and each class of twin blocks runs one chain DP on those ints
+The criteria check evaluates all its random subsets and every facet in one
+bit-sliced batch: bit i of a cell's int says whether subset i holds it.  It
+reads each block's padded chain levels and blocked bits off
+``cvm._block_levels``, which runs one chain DP per class of twin blocks
 (``bitslice._chain_levels``); its facet bits are ``facet-cardinality``.
 The corner routes and the shelling check read the facets' essential corners
-off ``complex._corner_routes``, the one corner pass that ``oracle_routes``
-runs too.
+off ``complex._corner_routes``, the one corner pass, which ``oracle_routes``
+runs too and which reads the same levels on the facets alone.
 The tests hold the criteria to ``definitions.corner_stats``, which reads the
 independent DP ``definitions._chain_tables``.  The brute face DFS, the
 reflection probes and closures run on the chain levels of
@@ -56,7 +57,7 @@ from .bitslice import _addable_columns, _at_least, _columns, _exactly, _restrict
 from .chains import CellSet, _add, _addable, _load_blocks, _rank_ladder
 from .complex import (DEFAULT_MAX_CELLS, _brute_walk, _corner_routes, _h_from_f, _h_from_interior,
                       _ridge_fold, _ridge_walk, _shelling_report)
-from .cvm import _point_levels, c_max, c_min, initial_cvm, reflect
+from .cvm import _block_levels, c_max, c_min, initial_cvm, reflect
 from .errors import QuiverDetError, ValidationError
 from .moves import DEFAULT_FACET_CAP, _facet_masks
 from .quiver import BipartiteQuiver, Instance, _instance, _is_int, build_instance
@@ -86,19 +87,19 @@ def _criteria_kernel(instance: Instance, columns: list[int], every: int) -> tupl
     source block, and a condition on a cell's statistics is one on the
     levels they reach: with level 0 meaning every subset, nw + se >= k holds
     exactly in the OR over j <= k of (nw >= j) & (se >= k - j), and a padded
-    statistic is at least every level up to its padding floor.  A subset has
-    a chain of u + 1 points exactly when one of its cells is blocked.
+    statistic is at least every level up to its padding floor, which
+    ``cvm._block_levels`` puts in.  A subset has a chain of u + 1 points
+    exactly when one of its cells is blocked.
     """
     invalid = 0
     raw_bad = [0] * instance.size
     not_low = [0] * instance.size
-    for r, u, n, s, nw_floor, se_floor, blocked in _point_levels(instance, columns, every):
-        raw_bad[r] |= blocked
-        n[1:nw_floor + 1] = [every] * nw_floor
-        s[1:se_floor + 1] = [every] * se_floor
-        outside_low = every ^ _at_least(n, s, u - 1)
-        not_low[r] |= outside_low | _at_least(n, s, u)
-        invalid |= outside_low | _at_least(n, s, u + 1)
+    for (*_, u, _, points, _), levels in _block_levels(instance, columns, every):
+        for (_, _, r, *_), (n, s, blocked) in zip(points, levels):
+            raw_bad[r] |= blocked
+            outside_low = every ^ _at_least(n, s, u - 1)
+            not_low[r] |= outside_low | _at_least(n, s, u)
+            invalid |= outside_low | _at_least(n, s, u + 1)
     incompatible = reduce(or_, map(and_, columns, raw_bad), 0)
     by_card = _exactly(columns, instance.n_cells, every) & ~incompatible
     # membership must be "both raw sums below the ranks" at every cell ...

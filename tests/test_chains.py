@@ -142,7 +142,7 @@ def test_chain_levels_vs_chain_tables():
         for u in range(1, min(a, b) + 2):
             flat = rng.sample(range(size), size)
             ranks = [flat[x * b:(x + 1) * b] for x in range(a)]
-            kernel = (u, 0, *_quadrant_tables(ranks, size), (1 << size) - 1)
+            kernel = (u, 0, *_quadrant_tables(ranks, size))
             density = rng.random()
             mask = sum(1 << r for r in range(size) if rng.random() < density)
             levels = _levels_by_definition(a, b, u, ranks, mask)

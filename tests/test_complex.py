@@ -160,9 +160,10 @@ def test_codim1_membership_validation(double_instance):
 def _stray_error_calls():
     """Calls on malformed input, each of which once let a TypeError or AttributeError
     out, or answered for cell sets of another instance."""
-    from quiverdet import (apply_inverse, apply_move, can_extend, cmp_T, cmp_T_sets, corner_stats,
-                           criteria_agree, export_cas, hilbert_series, in_initial_ideal,
-                           max_diagonal_chain, natural_generator_count, natural_generators)
+    from quiverdet import (BipartiteQuiver, Monomial, apply_inverse, apply_move, can_extend,
+                           chutable_moves, cmp_T, cmp_T_sets, corner_stats, criteria_agree,
+                           export_cas, hilbert_series, in_initial_ideal, max_diagonal_chain,
+                           natural_generator_count, natural_generators)
     from quiverdet.quiver import build_instance
     from quiverdet.series import ALL_ROUTES, face_counts
     from quiverdet.verify import brute_maximal_facet_masks, verify_instance
@@ -171,6 +172,7 @@ def _stray_error_calls():
     table = f_vector(inst, store_faces=True)
     other = enumerate_facets(parse_preset("det:3,3,2"))
     facet, cell = initial_cvm(inst), inst.cells[0]
+    monomial, move = Monomial.from_cells(inst, [cell]), chutable_moves(facet)[0]
     double = parse_preset("double:3,2,2,1,1")
     # ``arrow`` counts from 1: 0 and -1 once answered pages 3 and 2, silently
     arrows = {f"double.arrow({k!r})": lambda k=k: double.arrow(k) for k in (0, -1, 4, None)}
@@ -225,6 +227,25 @@ def _stray_error_calls():
         "random_instance(Random(1), -1)": lambda: random_instance(random.Random(1), -1),
         "random_instance(None)": lambda: random_instance(None),
         "random_instance(Random(1), None)": lambda: random_instance(random.Random(1), None),
+        # each of these once answered, or let a stray error out
+        "Monomial.make(5, {})": lambda: Monomial.make(5, {}),
+        "Monomial.make(5, {(1, 1, 1): 1})": lambda: Monomial.make(5, {(1, 1, 1): 1}),
+        "Monomial.make(inst, 5)": lambda: Monomial.make(inst, 5),
+        "Monomial.make(inst, {cell: 'x'})": lambda: Monomial.make(inst, {cell: "x"}),
+        "Monomial.make(inst, {cell: True})": lambda: Monomial.make(inst, {cell: True}),
+        "Monomial.make(inst, {cell: 2.0})": lambda: Monomial.make(inst, {cell: 2.0}),
+        "Monomial.from_cells(5, [])": lambda: Monomial.from_cells(5, []),
+        "Monomial.from_cells(inst, 5)": lambda: Monomial.from_cells(inst, 5),
+        "CellSet.from_triples(inst, 5)": lambda: CellSet.from_triples(inst, 5),
+        "CellSet.from_triples(inst, [5])": lambda: CellSet.from_triples(inst, [5]),
+        "build_instance(quiver, None, None)": lambda: build_instance(inst.quiver, None, None),
+        "build_instance(quiver, 5, 5)": lambda: build_instance(inst.quiver, 5, 5),
+        "in_initial_ideal(inst, m, facets=5)": lambda: in_initial_ideal(inst, monomial, facets=5),
+        "in_initial_ideal(inst, m, facets=[5])": lambda: in_initial_ideal(inst, monomial,
+                                                                          facets=[5]),
+        "apply_inverse(5, move)": lambda: apply_inverse(5, move),
+        "BipartiteQuiver(5, ('1',), ())": lambda: BipartiteQuiver(5, ("1",), ()),
+        "BipartiteQuiver(('s',), ('t',), 'x')": lambda: BipartiteQuiver(("s",), ("t",), "x"),
     }
 
 
@@ -232,6 +253,94 @@ def _stray_error_calls():
 def test_malformed_input_raises_validation_error(call):
     with pytest.raises(ValidationError):
         _stray_error_calls()[call]()
+
+
+JUNK = (5, None, "x", [5], {}, 2.5, True, -1)
+
+
+def _public_calls():
+    """Per public callable on det:3,3,1, a name, the callable and valid positional arguments."""
+    import inspect
+
+    import quiverdet
+    from quiverdet import BipartiteQuiver, Monomial, chutable_moves
+    from quiverdet.series import ALL_ROUTES
+
+    inst = parse_preset("det:3,3,1")
+    facets = enumerate_facets(inst)
+    facet, cell = initial_cvm(inst), inst.cells[0]
+    move = chutable_moves(facet)[0]
+    ridge = CellSet.from_mask(inst, facet.mask & facet.mask - 1)
+    valid = {
+        "apply_inverse": (quiverdet.apply_move(facet, move), move),
+        "apply_move": (facet, move),
+        "brute_maximal_facet_masks": (inst,),
+        "build_instance": (inst.quiver, inst.m, inst.u, "strict"),
+        "c_max": (ridge,),
+        "c_min": (ridge,),
+        "can_extend": (ridge, cell),
+        "check_vertex_decomposition_samples": (inst, 3, 14, 1),
+        "chutable_moves": (facet,),
+        "cmp_T": (cell, inst.cells[1]),
+        "cmp_T_sets": (facet, facets[0]),
+        "codim1_membership": (ridge,),
+        "corner_stats": (facet, cell),
+        "corners": (facet,),
+        "criteria_agree": (inst, facet.cells),
+        "enumerate_facets": (inst, 1000),
+        "export_cas": (inst, "m2", 5000, "v1"),
+        "f_vector": (inst, 32, True),
+        "hilbert_series": (inst, facets, ALL_ROUTES, 32, 1000),
+        "in_initial_ideal": (inst, Monomial.from_cells(inst, [cell]), facets, "both"),
+        "initial_cvm": (inst,),
+        "initial_monomials": (inst,),
+        "interior_faces": (inst, f_vector(inst, store_faces=True), facets),
+        "is_cvm": (facet,),
+        "is_u_compatible": (facet,),
+        "load_instance": (inst.to_json_obj(), "normalize"),
+        "max_diagonal_chain": ([(1, 1), (2, 2)],),
+        "natural_generator_count": (inst,),
+        "natural_generators": (inst,),
+        "random_instance": (random.Random(1), 16),
+        "reflect": (facet,),
+        "road_map": (facet,),
+        "verify_instance": (inst, 10, 1, 32, 1000),
+        "verify_shelling": (facets, "SE"),
+    }
+    functions = {name for name in quiverdet._HOME if inspect.isfunction(getattr(quiverdet, name))}
+    assert set(valid) == functions  # a new public function needs valid arguments here
+    calls = [(name, getattr(quiverdet, name), args) for name, args in valid.items()]
+    calls += [
+        ("CellSet", CellSet, (inst, facet.cells)),
+        ("CellSet.from_mask", CellSet.from_mask, (inst, facet.mask)),
+        ("CellSet.from_triples", CellSet.from_triples, (inst, facet.to_triples())),
+        ("BipartiteQuiver", BipartiteQuiver, tuple(inst.quiver)),
+        ("Monomial.make", Monomial.make, (inst, {cell: 2})),
+        ("Monomial.from_cells", Monomial.from_cells, (inst, [cell, cell])),
+    ]
+    return calls
+
+
+def test_public_api_refuses_junk_arguments(monkeypatch, tmp_path):
+    # every argument of every public callable, replaced in turn by junk: the
+    # call returns or raises a QuiverDetError, never a stray error; the
+    # working directory is empty, so no junk names a readable file
+    from typing import Iterator
+
+    from quiverdet import QuiverDetError
+
+    monkeypatch.chdir(tmp_path)
+    for name, call, args in _public_calls():
+        for n in range(len(args)):
+            for junk in JUNK:
+                try:
+                    result = call(*args[:n], junk, *args[n + 1:])
+                    if isinstance(result, Iterator):
+                        list(result)
+                except QuiverDetError:
+                    pass
+                except Exception as exc:
+                    raise AssertionError(f"{name} with argument {n} = {junk!r}: {exc!r}") from exc
 
 
 def _ridge_owners(masks):

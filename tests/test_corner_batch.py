@@ -109,18 +109,19 @@ def test_a_non_facet_raises_what_the_per_facet_pass_raises(monkeypatch, width, s
 
 
 def test_a_tampered_on_mask_is_replayed_and_named(monkeypatch, star_instance):
-    # one facet's level-1 NW bits flipped in every table: its paths break, the
+    # one facet's level-1 NW bits flipped at every point: its paths break, the
     # replay through the road map passes, and the batch names the facet
-    real = cvm._corner_bits
+    real = cvm._block_levels
     facets = enumerate_facets(star_instance)
     target = 5
 
-    def tampered(instance, columns, every, tables, ok):
-        for nw, _ in tables.values():
-            nw[0] = [[cell ^ 1 << target for cell in row] for row in nw[0]]
-        return real(instance, columns, every, tables, ok)
+    def tampered(instance, columns, every):
+        for row, levels in real(instance, columns, every):
+            for n, _, _ in levels:
+                n[1] ^= 1 << target
+            yield row, levels
 
-    monkeypatch.setattr(cvm, "_corner_bits", tampered)
+    monkeypatch.setattr(cvm, "_block_levels", tampered)
     masks = [f.mask for f in facets]
     counts = cvm._corner_counts(star_instance, masks)
     assert [next(counts) for _ in range(target)] == _oracle(facets[:target])
@@ -130,8 +131,8 @@ def test_a_tampered_on_mask_is_replayed_and_named(monkeypatch, star_instance):
 
 def _flag_facet(real, j):
     # ``_corner_bits`` that also calls facet j bad, whose road map passes
-    def tampered(instance, columns, every, tables, ok):
-        nw, se, bad = real(instance, columns, every, tables, ok)
+    def tampered(instance, columns, every):
+        nw, se, bad = real(instance, columns, every)
         return nw, se, bad | 1 << j
     return tampered
 

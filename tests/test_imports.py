@@ -167,14 +167,15 @@ from quiverdet.errors import DEFAULT_FACET_CAP, CrossCheckError
 from quiverdet.moves import _facet_masks
 
 inst = parse_preset('star-example')
-real = cvm._corner_bits
+real = cvm._block_levels
 
-def tampered(instance, columns, every, tables, ok):
-    for nw, _ in tables.values():
-        nw[0] = [[cell ^ 1 << 5 for cell in row] for row in nw[0]]
-    return real(instance, columns, every, tables, ok)
+def tampered(instance, columns, every):
+    for row, levels in real(instance, columns, every):
+        for n, _, _ in levels:
+            n[1] ^= 1 << 5
+        yield row, levels
 
-cvm._corner_bits = tampered
+cvm._block_levels = tampered
 counts = cvm._corner_counts(inst, _facet_masks(inst, DEFAULT_FACET_CAP))
 for _ in range(5):
     next(counts)

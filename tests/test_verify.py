@@ -201,65 +201,77 @@ def test_criteria_check_draws_each_subset_once(monkeypatch, double_instance, sta
         assert trials == 0 or len(set(drawn)) < trials  # repeats are evaluated with the rest
 
 
-def test_criteria_check_runs_the_level_tables_once_per_twin_class(
-        monkeypatch, double_instance, star_instance, det33, single_cell):
-    # the batch is what makes the check fast: however many subsets it holds,
-    # each class of twin blocks (the same block_ranks and rank) runs one DP
+def _level_calls(monkeypatch):
+    """The ``top`` of every ``_chain_levels`` call from now on, in ``cvm`` and ``bitslice``."""
     import quiverdet.cvm as cvm
-    import quiverdet.verify as verify
-    from quiverdet.cli import parse_preset
 
     from quiverdet import bitslice
 
     calls = []
     real = cvm._chain_levels
 
-    def spy(a, b, top, occ, every):
+    def spy(a, b, top, ranks, columns, every):
         calls.append(top)
-        return real(a, b, top, occ, every)
+        return real(a, b, top, ranks, columns, every)
 
     # the criteria batch runs the levels in cvm, the ridge batches in bitslice
     monkeypatch.setattr(cvm, "_chain_levels", spy)
     monkeypatch.setattr(bitslice, "_chain_levels", spy)
+    return calls
+
+
+def _twin_classes(inst):
+    """Per class of twin blocks (the same block_ranks and rank), its (a, b, u)."""
+    return {(inst.block_ranks[vid], d.u): (d.a, d.b, d.u) for vid, d in inst.vertex.items()}
+
+
+def test_criteria_check_runs_the_level_tables_once_per_twin_class(
+        monkeypatch, double_instance, star_instance, det33, single_cell):
+    # the batch is what makes the check fast: however many subsets it holds,
+    # each class of twin blocks (the same block_ranks and rank) runs one DP
+    import quiverdet.verify as verify
+    from quiverdet.cli import parse_preset
+
+    calls = _level_calls(monkeypatch)
     rng = random.Random(59)
     instances = [double_instance, star_instance, det33, single_cell, parse_preset("det:6,6,1")]
     instances += [random_instance(rng) for _ in range(5)]
     for inst in instances:
-        classes = {(inst.block_ranks[vid], d.u) for vid, d in inst.vertex.items()}
-        assert len(cvm._criteria_layout(inst)) == len(classes)
+        classes = _twin_classes(inst).values()
         # the criteria batch and the one corner pass (all facets fit in one
         # chunk) read the padded route, one level past the rank; the one
         # batch of per-cell ridges (all cells fit in one) stops at the rank
         # and skips the classes that block nothing
-        layout = cvm._criteria_layout(inst)
-        tops = sorted([u + 1 for _, _, u, *_ in layout] * 2
-                      + [u for a, b, u, *_ in layout if u < min(a, b)])
+        tops = sorted([u + 1 for _, _, u in classes] * 2
+                      + [u for a, b, u in classes if u < min(a, b)])
         for trials in (0, 1, 1000):
             calls.clear()
             assert verify.verify_instance(inst, subset_trials=trials, seed=trials).ok
             assert sorted(calls) == tops, (inst, trials)
-    assert [len(cvm._criteria_layout(inst)) for inst in instances[:4]] == [2, 4, 1, 1]
+    assert [len(_twin_classes(inst)) for inst in instances[:4]] == [2, 4, 1, 1]
 
 
-def test_twin_blocks_share_chain_tables_and_nothing_else(star_instance, det33):
+def test_twin_blocks_share_chain_tables_and_nothing_else(monkeypatch, star_instance, det33):
     # twins (det presets) share one class's level tables, while each block
     # keeps its own padding floors; star-example's three 3x2 source blocks
     # must not share, and neither must blocks with the same positions and
     # different ranks (built here without normalization, both ways round)
     from quiverdet.cli import parse_preset
     from quiverdet.quiver import BipartiteQuiver, Instance
-    from quiverdet.cvm import _criteria_layout
+    from quiverdet.cvm import _path_layout
 
-    [(*_, twins)] = _criteria_layout(det33)
+    twins = [points for *_, points, _ in _path_layout(det33)]
     assert len(twins) == 2 and [p[:3] for p in twins[0]] == [p[:3] for p in twins[1]]
     assert [p[3:] for p in twins[0]] != [p[3:] for p in twins[1]]
-    assert [len(blocks) for *_, blocks in _criteria_layout(star_instance)] == [1, 1, 1, 1]
     one_arrow = BipartiteQuiver(("s",), ("t",), (("s", "t"),))
     uneven = [Instance(one_arrow, {"s": 3, "t": 3}, {"s": us, "t": ut})
               for us, ut in ((1, 2), (2, 1), (3, 1))]
+    calls = _level_calls(monkeypatch)
+    for inst, tables in [(det33, 1), (star_instance, 4), *((inst, 2) for inst in uneven)]:
+        calls.clear()
+        _batch_routes(inst, [0, (1 << inst.size) - 1])
+        assert len(calls) == tables, inst
     rng = random.Random(47)
-    for inst in uneven:
-        assert len(_criteria_layout(inst)) == 2
     for inst in [star_instance, det33, parse_preset("det:3,4,2"), *uneven]:
         masks = _drawn_masks(rng, inst, 40) + [f.mask for f in enumerate_facets(inst)][:10]
         for mask, got in zip(masks, _batch_routes(inst, masks)):
@@ -287,26 +299,25 @@ def test_criteria_batch_matches_each_subset_alone(double_instance, star_instance
                 assert got == criteria_oracle(inst, cells), (inst, mask)
 
 
-def _corrupt_floor(monkeypatch, cls, block, position, delta):
-    """Shift one NW padding floor of the criteria layout by ``delta``.
+def _corrupt_floor(monkeypatch, block, position):
+    """Raise one NW padding floor of the criteria check's levels by one.
 
-    The floor is at ``position`` of the ``block``-th block of twin class ``cls``.
+    The floor is at ``position`` of the ``block``-th row of ``cvm._path_layout``;
+    its next level is set to every subset.  The corner pass reads its own
+    ``cvm._block_levels`` and stays as it is.
     """
-    import quiverdet.cvm as cvm
+    import quiverdet.verify as verify
 
-    real = cvm._criteria_layout
+    real = verify._block_levels
 
-    def layout(instance):
-        rows = list(real(instance))
-        a, b, u, ranks, blocks = rows[cls]
-        points = blocks[block]
-        x, y, r, nw_floor, se_floor = points[position]
-        points = (*points[:position], (x, y, r, nw_floor + delta, se_floor),
-                  *points[position + 1:])
-        rows[cls] = (a, b, u, ranks, (*blocks[:block], points, *blocks[block + 1:]))
-        return tuple(rows)
+    def levels(instance, columns, every):
+        for n_block, (row, points_levels) in enumerate(real(instance, columns, every)):
+            if n_block == block:
+                nw_floor = row[6][position][3]
+                points_levels[position][0][nw_floor + 1] = every
+            yield row, points_levels
 
-    monkeypatch.setattr(cvm, "_criteria_layout", layout)
+    monkeypatch.setattr(verify, "_block_levels", levels)
 
 
 def _failed_subset(detail):
@@ -322,7 +333,7 @@ def test_criteria_check_reports_a_bad_route_on_a_twin_block(monkeypatch, det33):
     # draw is reported, and the detail replays to the same four routes
     import quiverdet.verify as verify
 
-    _corrupt_floor(monkeypatch, 0, 1, 4, 1)
+    _corrupt_floor(monkeypatch, 1, 4)
     failed = [c for c in verify.verify_instance(det33, seed=3).checks if not c.ok]
     assert [c.name for c in failed] == ["criteria-equivalence"]
     trial, cells, routes = _failed_subset(failed[0].detail)
@@ -340,7 +351,7 @@ def test_criteria_check_reports_a_bad_route(monkeypatch, single_cell):
 
     names = [c.name for c in verify.verify_instance(single_cell, seed=5).checks]
     # the cell's target-side padded sum lands on u, not u - 1
-    _corrupt_floor(monkeypatch, 0, 0, 0, 1)
+    _corrupt_floor(monkeypatch, 0, 0)
     report = verify.verify_instance(single_cell, seed=5)
     assert [c.name for c in report.checks] == names  # no check is skipped
     failed = [c for c in report.checks if not c.ok]
@@ -363,9 +374,8 @@ def test_criteria_check_reaches_the_facet_side(monkeypatch, capsys, star_instanc
 
     inst = star_instance
     facets = [f.mask for f in enumerate_facets(inst)]
-    [points] = cvm._criteria_layout(inst)[1][4]
-    _corrupt_floor(monkeypatch, 1, 0, next(n for n, p in enumerate(points)
-                                           if facets[0] >> p[2] & 1), 1)
+    points = cvm._path_layout(inst)[1][6]
+    _corrupt_floor(monkeypatch, 1, next(n for n, p in enumerate(points) if facets[0] >> p[2] & 1))
     failed = [c for c in verify.verify_instance(inst, seed=7).checks if not c.ok]
     assert [c.name for c in failed] == ["criteria-equivalence"]
     label, cells, routes = _failed_subset(failed[0].detail)
@@ -388,11 +398,11 @@ def test_criteria_check_repeats_keep_a_bad_route(monkeypatch, star_instance):
     inst = star_instance
     facets = enumerate_facets(inst)
     facet = facets[-1].mask
-    [points] = cvm._criteria_layout(inst)[1][4]
+    points = cvm._path_layout(inst)[1][6]
     block_mask = sum(1 << p[2] for p in points)
     # the first position of the class-1 block that the facet holds
     position = next(n for n, p in enumerate(points) if facet >> p[2] & 1)
-    _corrupt_floor(monkeypatch, 1, 0, position, 1)
+    _corrupt_floor(monkeypatch, 1, position)
     # a cell outside that block leaves the facet's share of the block as it is
     other = next(bit for bit in (1 << r for r in range(inst.size))
                  if not bit & block_mask and not bit & facet)

@@ -12,9 +12,10 @@ floors, the padded statistics of a raw value 0.
 Three kernels compute them, each for its own callers (the second lives in
 ``bitslice``, which the counting commands load without this module):
 
-- ``definitions._chain_tables``: both full tables of one block and one set,
-  read cell by cell by ``_addable``.  ``BlockStats`` runs it for ``can_extend``,
-  ``corner_stats``, the road maps and ``verify``'s membership oracle.
+- ``definitions._chain_tables``: both full tables of one block and one set.
+  ``BlockStats`` runs it for ``is_u_compatible``, the road maps and
+  ``corner_stats``, which ``can_extend`` and the tests' oracle for
+  ``verify``'s criteria read.
 - ``bitslice._chain_levels``: the same tables bit-sliced over a batch of
   subsets, bit i for subset i.  ``bitslice._addable_columns`` runs it on
   the per-cell ridge batches of the local h routes and ``verify``'s codim-1
@@ -30,8 +31,9 @@ Three kernels compute them, each for its own callers (the second lives in
   cell and lets twin blocks share levels.  ``_add``, the one reader of a
   rung, adds a cell in place (``_grow`` per staircase block) and returns
   what it blocks.  ``_load_blocks`` adds a set's cells to empty levels for
-  the face DFS, the greedy closures, ``verify``'s reflection probes and
-  ``codim1_membership``; the first three then add cells with ``_add``.
+  the face DFS, the greedy closures (``verify``'s reflection probes among
+  them) and ``codim1_membership``; the first two then add cells with
+  ``_add``.
 
 The tests hold the batch and the levels to ``definitions._chain_tables``.
 """
@@ -195,28 +197,6 @@ def _occupancy(ranks, mask: int) -> list:
     occupied = [()]
     occupied += [(False, *[mask >> r & 1 == 1 for r in row]) for row in ranks]
     return occupied
-
-
-def _addable(positions, tables, candidates: int) -> int:
-    """The candidate cells whose addition keeps every block's chains within its rank.
-
-    ``positions`` is ``Instance.positions``; ``tables`` maps every block to
-    its (nw, se, rank) triple.  A new over-long chain would have to pass
-    through the added cell, and the longest chain through it is nw + 1 + se
-    in each of its two blocks; so a cell is addable exactly when both sums of
-    its strictly-NW and strictly-SE statistics stay below the ranks.
-    """
-    mask = 0
-    while candidates:
-        bit = candidates & -candidates
-        candidates ^= bit
-        tv, ti, tj, sv, si, sj = positions[bit.bit_length() - 1]
-        tnw, tse, tu = tables[tv]
-        if tnw[ti - 1][tj - 1] + tse[ti + 1][tj + 1] < tu:
-            snw, sse, su = tables[sv]
-            if snw[si - 1][sj - 1] + sse[si + 1][sj + 1] < su:
-                mask |= bit
-    return mask
 
 
 class BlockStats:

@@ -239,16 +239,20 @@ def interior_faces(instance: Instance, table: FaceTable, facets) -> FaceTable:
     ``_brute_walk`` counts the interior faces as it goes, for ``verify`` and
     ``hilbert_series``'s ``interior`` route, and the tests hold the two to
     each other, while ``series.face_counts`` reads the interior counts off
-    h reversed.  The facets must be cell sets of ``instance``.
+    h reversed.  The facets must be cell sets of ``instance``, and the
+    stored faces masks of its cells.
     """
     _instance(instance)
     if not isinstance(table, FaceTable) or table.faces_by_size is None:
         raise ValidationError("interior faces need f_vector(store_faces=True)")
+    stored = [_listed(masks, "stored faces")
+              for masks in _listed(table.faces_by_size, "faces_by_size")]
+    if not all(_is_int(m) and m >= 0 and not m >> instance.size for masks in stored for m in masks):
+        raise ValidationError(f"stored faces must be masks of the {instance.size} cells")
     gens = sorted(_ridge_walk(_masks_of(facets, instance)[0])[1])
     owners = _columns(gens, instance.size)
     everything = (1 << len(gens)) - 1
-    interior = [sum(not _containing(owners, m, everything) for m in masks)
-                for masks in table.faces_by_size]
+    interior = [sum(not _containing(owners, m, everything) for m in masks) for masks in stored]
     return table._replace(interior_by_size=tuple(interior), boundary_generators=len(gens))
 
 

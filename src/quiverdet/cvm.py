@@ -46,15 +46,17 @@ def is_cvm(cs: CellSet) -> bool:
     return len(_cell_set(cs)) == cs.instance.n_cells and is_u_compatible(cs)
 
 
-def _greedy_close(seed: CellSet, descending: bool) -> CellSet:
-    """Scan all cells in one direction, adding whatever keeps the set admissible.
+def _greedy_close(seed: CellSet, descending: bool, within: int = -1) -> CellSet:
+    """Scan the cells of ``within`` in one direction, adding whatever keeps the set admissible.
 
-    The scan runs on the kernel ladder: the seed is loaded once, and each
-    step adds the highest (``descending``) or lowest addable cell with
-    ``chains._add`` and drops what that cell blocks.
-    Admissibility is hereditary, so a cell the scan passes over never becomes
-    addable again, and adding the extreme addable cell each time adds exactly
-    the cells the scan would.
+    ``within`` is a rank mask of the cells the scan may add, every cell by
+    default, as ``c_min`` and ``c_max`` scan; ``verify``'s reflection probes
+    close the empty set within a random draw.  The scan runs on the kernel
+    ladder: the seed is loaded once, and each step adds the highest
+    (``descending``) or lowest addable cell with ``chains._add`` and drops
+    what that cell blocks.  Admissibility is hereditary, so a cell the scan
+    passes over never becomes addable again, and adding the extreme addable
+    cell each time adds exactly the cells the scan would.
     """
     inst = seed.instance
     mask = seed.mask
@@ -62,7 +64,7 @@ def _greedy_close(seed: CellSet, descending: bool) -> CellSet:
     if blocked & mask:
         raise ValidationError("seed set is not u-compatible")
     rungs = _rank_ladder(inst)[1]
-    addable = ((1 << inst.size) - 1) & ~mask & ~blocked
+    addable = ((1 << inst.size) - 1) & within & ~mask & ~blocked
     while addable:
         bit = 1 << (addable.bit_length() - 1) if descending else addable & -addable
         r = bit.bit_length() - 1

@@ -17,9 +17,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
-from .chains import CellSet, _addable, _cell_set, is_u_compatible, padded_nw, padded_se
+from .chains import CellSet, _cell_set, is_u_compatible, padded_nw, padded_se
 from .errors import DEFAULT_VDC_GUARD, CrossCheckError, ValidationError
-from .quiver import HORIZONTAL, TARGET, VERTICAL, Cell, Instance, _is_int
+from .quiver import HORIZONTAL, TARGET, VERTICAL, Cell, Instance, _is_int, cell_key
 
 
 def max_diagonal_chain(points: Iterable[tuple[int, int]]) -> int:
@@ -98,20 +98,18 @@ def cmp_T_sets(left: CellSet, right: CellSet) -> int:
 def can_extend(cs: CellSet, cell) -> bool:
     """True iff adding ``cell`` keeps the set admissible.
 
-    The definition-level check collapses to two table lookups per block; see
-    ``chains._addable``.
+    A new over-long chain would have to pass through the added cell, and the
+    longest chain through it is nw + 1 + se in each of its two blocks; so the
+    cell is addable exactly when both raw sums of its ``corner_stats`` stay
+    below the ranks.
     """
     inst = _cell_set(cs).instance
     cell = inst.check_cell(cell)
-    r = inst.rank[cell]
-    if cs.mask >> r & 1:
+    if cs.mask >> inst.rank[cell] & 1:
         raise ValidationError(f"cell {tuple(cell)} already in set")
-    tgt, _, _, src, _, _ = inst.positions[r]
-    tables = {}
-    for vid in (tgt, src):
-        st = cs.stats(vid)
-        tables[vid] = (st.nw, st.se, inst.vertex[vid].u)
-    return _addable(inst.positions, tables, 1 << r) != 0
+    st = corner_stats(cs, cell)
+    arrow = inst.arrow(cell.k)
+    return st.nw + st.se < inst.u[arrow.target] and st.nw_src + st.se_src < inst.u[arrow.source]
 
 
 class ChainStats(NamedTuple):
@@ -362,14 +360,24 @@ class ChuteMove(NamedTuple):
 
 
 def _chute_move(move) -> ChuteMove:
-    """``move``, if it is the ``ChuteMove`` the move functions take; else a ValidationError."""
+    """``move``, if it is a well-formed ``ChuteMove``; else a ValidationError.
+
+    Its direction is ``HORIZONTAL`` or ``VERTICAL``, its vertex a ``str``,
+    ``removed`` and ``added`` pass ``cell_key`` and ``extent`` is a pair of
+    ints; whether they fit a set is ``_rectangle_ok``'s to say.
+    """
     if not isinstance(move, ChuteMove):
         raise ValidationError(f"expected a ChuteMove, got {type(move).__name__}")
+    extent = move.extent
+    if (move.direction not in (HORIZONTAL, VERTICAL) or not isinstance(move.vertex, str)
+            or not (isinstance(extent, tuple) and len(extent) == 2 and all(map(_is_int, extent)))):
+        raise ValidationError(f"malformed chute move {tuple(move)!r}")
+    cell_key(move.removed), cell_key(move.added)
     return move
 
 
 def _rectangle_ok(cs: CellSet, move: ChuteMove) -> bool:
-    """Whether, of the move's rectangle, exactly the NE, SE and SW corners lie in ``cs``."""
+    """Whether ``cs`` holds exactly the NE, SE and SW corners of the move's rectangle and extent."""
     from .moves import _move_layout
 
     inst = _cell_set(cs).instance
@@ -379,7 +387,9 @@ def _rectangle_ok(cs: CellSet, move: ChuteMove) -> bool:
                               for c in (move.added, move.removed))
     except ValidationError:
         return False
-    if (move.direction == HORIZONTAL) != horizontal or x2 != x1 + 1 or y2 <= y1:
+    width = y2 - y1 + 1
+    if (move.direction == HORIZONTAL) != horizontal or x2 != x1 + 1 or y2 <= y1 or (
+            move.extent != ((2, width) if horizontal else (width, 2))):
         return False
     pre, _, where = _move_layout(inst)
     n = where[inst.rank[inst.check_cell(move.added)]][0 if horizontal else 2]
@@ -389,10 +399,12 @@ def _rectangle_ok(cs: CellSet, move: ChuteMove) -> bool:
 
 
 def apply_inverse(cs: CellSet, move: ChuteMove) -> CellSet:
-    """Undo a chute move previously applied to reach ``cs``."""
-    if _chute_move(move).added not in _cell_set(cs) or move.removed in cs:
-        raise ValidationError(f"inverse move not applicable: {move}")
-    return CellSet(cs.instance, (*(c for c in cs.cells if c != move.added), move.removed))
+    """Undo a chute move previously applied to reach ``cs``: the set it was applied to."""
+    if _chute_move(move).added in _cell_set(cs) and move.removed not in cs:
+        before = CellSet(cs.instance, (*(c for c in cs.cells if c != move.added), move.removed))
+        if _rectangle_ok(before, move):
+            return before
+    raise ValidationError(f"inverse move not applicable: {move}")
 
 
 class VdcSample(NamedTuple):

@@ -41,11 +41,19 @@ class Monomial(NamedTuple):
 
     @classmethod
     def make(cls, instance: Instance, exponents: Mapping) -> "Monomial":
-        _instance(instance)
         if not isinstance(exponents, Mapping):
             raise ValidationError(f"exponents must be a mapping, got {type(exponents).__name__}")
+        return cls._checked(instance, exponents.items())
+
+    @classmethod
+    def _checked(cls, instance: Instance, pairs) -> "Monomial":
+        """The monomial of the ``(cell, exponent)`` pairs, each cell valid, each exponent >= 1."""
+        _instance(instance)
         items = []
-        for cell, e in exponents.items():
+        for pair in _listed(pairs, "exponents"):
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise ValidationError(f"exponent entry {pair!r} is not a (cell, exponent) pair")
+            cell, e = pair
             cell = instance.check_cell(cell)
             if not _is_int(e) or e < 1:
                 raise ValidationError(f"exponent of {tuple(cell)} must be a positive integer")
@@ -104,23 +112,25 @@ def in_initial_ideal(instance: Instance, monomial: Monomial, facets=None,
     Membership only depends on the squarefree support.  The generator route
     asks whether the support fails admissibility; the decomposition route
     asks whether the support escapes every facet: the given cell sets of
-    ``instance``, else the masks of ``moves._facet_masks``.
+    ``instance``, else the masks of ``moves._facet_masks``.  The monomial
+    is read by ``Monomial.make``'s rules, and given facets are checked on
+    every route.
     """
     if route not in ("both", "generators", "decomposition"):
         raise ValidationError(f"unknown route {route!r}")
     if not isinstance(monomial, Monomial):
         raise ValidationError(f"expected a Monomial, got {type(monomial).__name__}")
-    support = CellSet(instance, monomial.support)
+    support = CellSet(instance, Monomial._checked(instance, monomial.exponents).support)
+    if facets is not None:
+        from .complex import _masks_of
+
+        masks = _masks_of(facets, instance)[0]
     by_gen = by_dec = None
     if route in ("both", "generators"):
         by_gen = not is_u_compatible(support)
     if route in ("both", "decomposition"):
         if facets is None:
             masks = _facet_masks(instance, DEFAULT_FACET_CAP)
-        else:
-            from .complex import _masks_of
-
-            masks = _masks_of(facets, instance)[0]
         by_dec = all(support.mask & ~mask != 0 for mask in masks)
     if route == "both":
         if by_gen != by_dec:

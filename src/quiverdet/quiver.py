@@ -171,6 +171,7 @@ class Instance:
 
     def __init__(self, quiver: BipartiteQuiver, m: Mapping[str, int], u: Mapping[str, int],
                  normalization: NormalizationReport | None = None):
+        _check_fields(quiver, m, u)
         self.quiver = quiver
         self.m = dict(m)
         self.u = dict(u)
@@ -371,21 +372,14 @@ def _instance(value) -> Instance:
     return value
 
 
-def build_instance(quiver: BipartiteQuiver, m: Mapping[str, int], u: Mapping[str, int],
-                   mode: str = "strict") -> Instance:
-    """Validate or normalize (quiver, m, u) and build an Instance.
+def _check_fields(quiver: BipartiteQuiver, m: Mapping[str, int], u: Mapping[str, int]) -> None:
+    """Refuse fields no instance is built from, before anything reads them.
 
-    The normalized rank constraints are ``0 < u <= min(a, b, v)``.  normalize
-    mode clamps ranks down to those bounds iteratively until stable, removes
-    rank-0 vertices with their incident arrows (the dropped pages are
-    reported, their variables would turn into degree-one generators), and
-    records everything in the instance's NormalizationReport.  strict mode
-    runs the loop's first pass and raises where it would clamp or drop a
-    vertex, naming the vertex, its rank and min(a, b, v): it succeeds exactly
-    when normalization changes nothing, and then returns the same Instance.
+    The quiver must be a ``BipartiteQuiver`` and ``m`` and ``u`` mappings
+    that give every vertex an int, m at least 1 and u at least 0.
+    ``build_instance`` runs this before it normalizes and ``Instance`` when
+    it is built; the rank bounds are ``build_instance``'s alone.
     """
-    if mode not in ("strict", "normalize"):
-        raise ValidationError(f"unknown mode {mode!r}")
     if not isinstance(quiver, BipartiteQuiver):
         raise ValidationError(f"expected a BipartiteQuiver, got {type(quiver).__name__}")
     for name, value in (("m", m), ("u", u)):
@@ -402,6 +396,24 @@ def build_instance(quiver: BipartiteQuiver, m: Mapping[str, int], u: Mapping[str
             raise ValidationError(f"u[{vid!r}] must be an integer, got {u[vid]!r}")
         if u[vid] < 0:
             raise ValidationError(f"u[{vid!r}] = {u[vid]} is negative")
+
+
+def build_instance(quiver: BipartiteQuiver, m: Mapping[str, int], u: Mapping[str, int],
+                   mode: str = "strict") -> Instance:
+    """Validate or normalize (quiver, m, u) and build an Instance.
+
+    The normalized rank constraints are ``0 < u <= min(a, b, v)``.  normalize
+    mode clamps ranks down to those bounds iteratively until stable, removes
+    rank-0 vertices with their incident arrows (the dropped pages are
+    reported, their variables would turn into degree-one generators), and
+    records everything in the instance's NormalizationReport.  strict mode
+    runs the loop's first pass and raises where it would clamp or drop a
+    vertex, naming the vertex, its rank and min(a, b, v): it succeeds exactly
+    when normalization changes nothing, and then returns the same Instance.
+    """
+    if mode not in ("strict", "normalize"):
+        raise ValidationError(f"unknown mode {mode!r}")
+    _check_fields(quiver, m, u)
     work = quiver
     mm = {vid: m[vid] for vid in quiver.vertices}
     uu = {vid: u[vid] for vid in quiver.vertices}

@@ -16,16 +16,17 @@ reads each block's padded chain levels and blocked bits off
 The corner routes and the shelling check read the facets' essential corners
 off ``complex._corner_routes``, the one corner pass, which ``oracle_routes``
 runs too and which reads the same levels on the facets alone.
-The tests hold the criteria to ``definitions.corner_stats``, which reads the
-independent DP ``definitions._chain_tables``.  The brute face DFS, the
-reflection probes and closures run on the chain levels of
-``chains._rank_ladder``: each probe adds a random draw of cells in rank
-order to the empty set's levels with ``chains._add``, skipping every drawn
-cell that it already blocks, so it is admissible in one pass and holds the
-first drawn cell; ``cvm.reflect`` of its image gives it back, and of the
-image's ``c_max`` gives its ``c_min``.  The brute check reads the face table of
-``complex._brute_walk``, as ``f_vector`` and the oracle routes do, with its
-interior counts taken against the boundary generators; it stores no face.
+The tests hold all three criteria to one ``definitions.corner_stats`` call
+per cell, which reads the independent DP ``definitions._chain_tables``.
+The brute face DFS and the closures run on the chain levels of
+``chains._rank_ladder``.  Each reflection probe is ``c_min`` of the empty
+set within a random draw of cells (``cvm._greedy_close``): it takes the
+drawn cells in rank order, skipping each one it already blocks, so it is
+admissible and holds the first drawn cell; ``cvm.reflect`` of its image
+gives it back, and of the image's ``c_max`` gives its ``c_min``.
+The brute check reads the face table of ``complex._brute_walk``, as
+``f_vector`` and the oracle routes do, with its interior counts taken
+against the boundary generators; it stores no face.
 It runs within two guards: |L| at most ``max_cells``, checked first, and at
 most ``facet_cap`` faces, the total of the f-vector read off the ascending
 local h-vector (``series._f_from_h``, as ``series.face_counts`` reads it).
@@ -54,10 +55,10 @@ from operator import and_, or_
 from typing import NamedTuple
 
 from .bitslice import _addable_columns, _at_least, _columns, _exactly, _restriction_columns
-from .chains import CellSet, _add, _addable, _load_blocks, _rank_ladder
+from .chains import CellSet
 from .complex import (DEFAULT_MAX_CELLS, _brute_walk, _corner_routes, _h_from_f, _h_from_interior,
                       _ridge_fold, _ridge_walk, _shelling_report)
-from .cvm import _block_levels, c_max, c_min, initial_cvm, reflect
+from .cvm import _block_levels, _greedy_close, c_max, c_min, initial_cvm, reflect
 from .errors import QuiverDetError, ValidationError
 from .moves import DEFAULT_FACET_CAP, _facet_masks
 from .quiver import BipartiteQuiver, Instance, _instance, _is_int, build_instance
@@ -68,13 +69,6 @@ from .series import (ASCENDING_FOLD, ASCENDING_LOCAL, DESCENDING_FOLD, F_TRANSFO
 def brute_maximal_facet_masks(instance: Instance) -> list[int]:
     """All maximal admissible sets by exhaustive pruned search (no chute moves)."""
     return _brute_walk(instance)[0]
-
-
-def _membership_criterion_holds(cs: CellSet) -> bool:
-    """Cell-by-cell check: P in C iff both raw chain-stat sums stay below the ranks."""
-    inst = cs.instance
-    tables = {vid: (cs.stats(vid).nw, cs.stats(vid).se, data.u) for vid, data in inst.vertex.items()}
-    return _addable(inst.positions, tables, (1 << inst.size) - 1) == cs.mask
 
 
 def _criteria_kernel(instance: Instance, columns: list[int], every: int) -> tuple[int, int, int]:
@@ -246,17 +240,11 @@ def verify_instance(instance: Instance, subset_trials: int = 1000,
     record("facet-cardinality", all_admitted, f"all facets admissible with {n_top} cells")
     record("criteria-equivalence", *criteria)
 
-    rungs = _rank_ladder(instance)[1]
     ok = True
     for _ in range(8):
         # each drawn cell in rank order joins the probe unless the probe blocks it
-        levels, blocked = _load_blocks(instance, 0)
-        mask = 0
-        for r in range(instance.size):
-            if rng.random() < 0.4 and not blocked >> r & 1:
-                mask |= 1 << r
-                blocked |= _add(levels, rungs[r], mask, r)
-        probe = CellSet.from_mask(instance, mask)
+        drawn = sum(1 << r for r in range(instance.size) if rng.random() < 0.4)
+        probe = _greedy_close(CellSet(instance), False, drawn)
         image = reflect(probe)[1]
         # reflecting twice is the identity, and it swaps the two closures
         if reflect(image) != (instance, probe) or reflect(c_max(image))[1] != c_min(probe):

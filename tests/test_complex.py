@@ -160,10 +160,11 @@ def test_codim1_membership_validation(double_instance):
 def _stray_error_calls():
     """Calls on malformed input, each of which once let a TypeError or AttributeError
     out, or answered for cell sets of another instance."""
-    from quiverdet import (BipartiteQuiver, Monomial, apply_inverse, apply_move, can_extend,
-                           chutable_moves, cmp_T, cmp_T_sets, corner_stats, criteria_agree,
-                           export_cas, hilbert_series, in_initial_ideal, max_diagonal_chain,
-                           natural_generator_count, natural_generators)
+    from quiverdet import (BipartiteQuiver, ChuteMove, FaceTable, Instance, Monomial,
+                           apply_inverse, apply_move, can_extend, chutable_moves, cmp_T,
+                           cmp_T_sets, corner_stats, criteria_agree, export_cas, hilbert_series,
+                           in_initial_ideal, max_diagonal_chain, natural_generator_count,
+                           natural_generators)
     from quiverdet.quiver import build_instance
     from quiverdet.series import ALL_ROUTES, face_counts
     from quiverdet.verify import brute_maximal_facet_masks, verify_instance
@@ -176,8 +177,43 @@ def _stray_error_calls():
     double = parse_preset("double:3,2,2,1,1")
     # ``arrow`` counts from 1: 0 and -1 once answered pages 3 and 2, silently
     arrows = {f"double.arrow({k!r})": lambda k=k: double.arrow(k) for k in (0, -1, 4, None)}
+    # a junk field once let a stray error out of the refusal message, or was
+    # not read at all; the inverse of a move also checks its rectangle now
+    after = apply_move(facet, move)
+    moves = {}
+    for field, junk in (("removed", 5), ("removed", None), ("added", None), ("added", 2.5),
+                        ("extent", 5), ("extent", []), ("extent", (2, "x")), ("extent", (9, 9))):
+        bad = move._replace(**{field: junk})
+        moves[f"apply_move(facet, move with {field}={junk!r})"] = lambda m=bad: apply_move(facet, m)
+    for field, junk in (("added", 5), ("added", None), ("direction", "x"), ("vertex", 5),
+                        ("vertex", "x"), ("extent", 5), ("extent", []), ("extent", (2, "x")),
+                        ("extent", (9, 9))):
+        bad = move._replace(**{field: junk})
+        moves[f"apply_inverse(after, move with {field}={junk!r})"] = (
+            lambda m=bad: apply_inverse(after, m))
+    quiver = inst.quiver
     return {
         **arrows,
+        **moves,
+        "apply_move(facets[0], a move with extent [])": lambda: apply_move(
+            enumerate_facets(inst)[0], ChuteMove("horizontal", "1", (3, 3, 1), (2, 2, 1), [])),
+        "in_initial_ideal(inst, Monomial(5))": lambda: in_initial_ideal(inst, Monomial(5)),
+        "in_initial_ideal(inst, Monomial([5]))": lambda: in_initial_ideal(inst, Monomial([5])),
+        "in_initial_ideal(inst, Monomial('x'))": lambda: in_initial_ideal(inst, Monomial("x")),
+        "in_initial_ideal(inst, Monomial of exponent 0)": lambda: in_initial_ideal(
+            inst, Monomial((((1, 1, 1), 0),))),
+        "in_initial_ideal(inst, m, facets=5, route='generators')": lambda: in_initial_ideal(
+            inst, monomial, facets=5, route="generators"),
+        "Instance(5, m, u)": lambda: Instance(5, inst.m, inst.u),
+        "Instance(quiver, 5, u)": lambda: Instance(quiver, 5, inst.u),
+        "Instance(quiver, {'1': 'x', '2': 3}, u)": lambda: Instance(quiver, {"1": "x", "2": 3},
+                                                                   inst.u),
+        "Instance(quiver, {}, {})": lambda: Instance(quiver, {}, {}),
+        "interior_faces(inst, FaceTable((1,), faces_by_size=5), facets)": lambda: interior_faces(
+            inst, FaceTable((1,), faces_by_size=5), enumerate_facets(inst)),
+        "interior_faces(inst, FaceTable((1,), faces_by_size=((-1,),)), facets)": (
+            lambda: interior_faces(inst, FaceTable((1,), faces_by_size=((-1,),)),
+                                   enumerate_facets(inst))),
         "export_cas(5)": lambda: export_cas(5),
         "list(natural_generators(5))": lambda: list(natural_generators(5)),
         "in_initial_ideal(inst, 5)": lambda: in_initial_ideal(inst, 5),
@@ -263,7 +299,7 @@ def _public_calls():
     import inspect
 
     import quiverdet
-    from quiverdet import BipartiteQuiver, Monomial, chutable_moves
+    from quiverdet import BipartiteQuiver, Instance, Monomial, chutable_moves
     from quiverdet.series import ALL_ROUTES
 
     inst = parse_preset("det:3,3,1")
@@ -315,6 +351,7 @@ def _public_calls():
         ("CellSet.from_mask", CellSet.from_mask, (inst, facet.mask)),
         ("CellSet.from_triples", CellSet.from_triples, (inst, facet.to_triples())),
         ("BipartiteQuiver", BipartiteQuiver, tuple(inst.quiver)),
+        ("Instance", Instance, (inst.quiver, inst.m, inst.u)),
         ("Monomial.make", Monomial.make, (inst, {cell: 2})),
         ("Monomial.from_cells", Monomial.from_cells, (inst, [cell, cell])),
     ]
@@ -341,6 +378,37 @@ def test_public_api_refuses_junk_arguments(monkeypatch, tmp_path):
                     pass
                 except Exception as exc:
                     raise AssertionError(f"{name} with argument {n} = {junk!r}: {exc!r}") from exc
+
+
+def test_record_fields_refuse_junk():
+    # each field of a valid record, replaced in turn by junk, through the
+    # public functions that read it: a ChuteMove through apply_move and
+    # apply_inverse, a Monomial through in_initial_ideal, a FaceTable through
+    # interior_faces; the call returns or raises a QuiverDetError
+    from quiverdet import (Monomial, QuiverDetError, apply_inverse, apply_move, chutable_moves,
+                           in_initial_ideal)
+
+    inst = parse_preset("det:3,3,1")
+    facets = enumerate_facets(inst)
+    facet = initial_cvm(inst)
+    move = chutable_moves(facet)[0]
+    after = apply_move(facet, move)
+    records = [
+        (move, lambda m: apply_move(facet, m)),
+        (move, lambda m: apply_inverse(after, m)),
+        (Monomial.from_cells(inst, [inst.cells[0]]), lambda m: in_initial_ideal(inst, m)),
+        (f_vector(inst, store_faces=True), lambda t: interior_faces(inst, t, facets)),
+    ]
+    for record, call in records:
+        for field in record._fields:
+            for junk in JUNK:
+                try:
+                    call(record._replace(**{field: junk}))
+                except QuiverDetError:
+                    pass
+                except Exception as exc:
+                    raise AssertionError(
+                        f"{type(record).__name__}.{field} = {junk!r}: {exc!r}") from exc
 
 
 def _ridge_owners(masks):

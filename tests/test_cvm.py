@@ -291,6 +291,30 @@ def test_reflection_reverses_ranks():
         assert reflect_instance(reflect_instance(inst)) == inst
 
 
+def test_greedy_close_within_a_candidate_mask():
+    # the closure of the empty set within a mask, as ``verify``'s reflection
+    # probes run it, against the rank-order definition: each cell of the
+    # mask, ascending, joins when the set plus that cell is admissible; with
+    # every cell allowed, that is c_min of the empty set
+    from quiverdet.cvm import _greedy_close
+
+    rng = random.Random(38)
+    instances = [parse_preset(p) for p in ("det:3,4,2", "star-example", "double:3,4,3,2,2",
+                                           "det:6,6,1")]
+    instances += [random_instance(rng) for _ in range(200)]
+    for inst in instances:
+        empty, every = CellSet(inst), (1 << inst.size) - 1
+        draws = [sum(1 << r for r in range(inst.size) if rng.random() < density)
+                 for density in (0.2, 0.4, 0.8)]
+        for within in (every, *draws):
+            want = empty
+            for r in range(inst.size):
+                if within >> r & 1 and is_u_compatible(grown := want.add(inst.cells[r])):
+                    want = grown
+            assert _greedy_close(empty, False, within) == want, (inst, within)
+            assert within != every or want == c_min(empty)
+
+
 def _corner_set(records, kind, cell_map=None):
     """(cell, orientation, essential) of every record of one kind, cells mapped if asked."""
     return sorted((cell_map[r.cell] if cell_map else r.cell, r.orientation, r.essential)

@@ -67,7 +67,7 @@ def test_facet_check_catches_non_facet(monkeypatch, double_instance):
     facets = enumerate_facets(inst)
     fake = CellSet.from_mask(inst, (1 << inst.n_cells) - 1)
     assert len(fake) == inst.n_cells and not is_u_compatible(fake)
-    assert not verify._membership_criterion_holds(fake)
+    assert not criteria_oracle(inst, fake.cells)[1]
     names = [c.name for c in verify.verify_instance(inst, subset_trials=20, seed=3).checks]
     monkeypatch.setattr(verify, "_facet_masks",
                         lambda instance, facet_cap: [*(f.mask for f in facets[:-1]), fake.mask])
@@ -82,7 +82,7 @@ def test_criteria_batch_admits_exactly_the_facets(double_instance, star_instance
     # routes it replaces: the facets, the full set, and facets with one cell
     # swapped for another, most of them N-cell non-facets
     from quiverdet.cli import parse_preset
-    from quiverdet.verify import _criteria_batch, _membership_criterion_holds
+    from quiverdet.verify import _criteria_batch
 
     rng = random.Random(67)
     instances = [double_instance, star_instance, det33, single_cell,
@@ -100,7 +100,7 @@ def test_criteria_batch_admits_exactly_the_facets(double_instance, star_instance
         _, admitted = _criteria_batch(inst, random.Random(1), 10, [cs.mask for cs in sets])
         for j, cs in enumerate(sets):
             want = (len(cs) == inst.n_cells and is_u_compatible(cs)
-                    and _membership_criterion_holds(cs))
+                    and criteria_oracle(inst, cs.cells)[1])
             assert (admitted >> j & 1 == 1) == want, (inst, cs)
         assert admitted & (1 << len(facets)) - 1 == (1 << len(facets)) - 1
 

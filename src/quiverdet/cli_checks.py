@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import sys
 
-from . import __version__
 from .cli import _emit, _load
 from .errors import ValidationError
 
@@ -58,8 +57,7 @@ def _cmd_export(args) -> int:
     from .ideal import export_cas
 
     inst = _load(args)
-    text = export_cas(inst, flavor=args.flavor, generator_cap=args.generator_cap,
-                      version=f"quiverdet {__version__}")
+    text = export_cas(inst, flavor=args.flavor, generator_cap=args.generator_cap)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -30,8 +30,9 @@ The CLI reads h off ``series``'s local routes and the face counts off h
 of ``_brute_walk``, whose transforms ``_h_from_f`` and ``_h_from_interior``
 are here, with ``interior_faces`` as its check on stored faces; the folds of
 the walk (``_ridge_fold``); and the corner routes' tally
-(``_corner_routes``).  ``oracle_routes`` runs them for ``hilbert_series``,
-which loads both modules only when one of them runs.
+(``_corner_routes``).  ``_oracle_numerators`` runs them for
+``hilbert_series``, which loads this module only when one of them runs or
+facets are given (``_given_masks``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from .chains import CellSet, _add, _cell_set, _load_blocks, _rank_ladder
 from .cvm import _corner_counts
 from .errors import DEFAULT_MAX_CELLS, GuardExceeded, ValidationError
 from .quiver import Instance, _instance, _is_int, _listed
-from .series import NW_CORNERS, SE_CORNERS, FaceTable, _trim
+from .series import (ASCENDING_FOLD, CORNER_ROUTES, DESCENDING_FOLD, F_TRANSFORM, FOLD_ROUTES,
+                     INTERIOR, NW_CORNERS, SE_CORNERS, FaceTable, _trim)
 
 
 class _FaceSearch:
@@ -357,3 +359,41 @@ def _corner_routes(instance: Instance,
     nw, se = zip(*_corner_counts(instance, masks))
     return {route: _trim(list(map(counts.count, range(instance.n_cells + 1))))
             for route, counts in ((NW_CORNERS, nw), (SE_CORNERS, se))}, list(se)
+
+
+def _given_masks(instance: Instance, facets) -> list[int]:
+    """The sorted masks of ``hilbert_series``'s given facets: distinct cell sets of ``instance``."""
+    facets = _listed(facets, "facets")
+    if not facets:
+        raise ValidationError("facets is empty; every instance has at least one facet")
+    if not all(isinstance(f, CellSet) and f.instance == instance for f in facets):
+        raise ValidationError("facets must be cell sets of the instance the series is for")
+    masks = sorted(f.mask for f in facets)
+    if len(set(masks)) != len(masks):
+        raise ValidationError("facets lists a facet more than once")
+    return masks
+
+
+def _oracle_numerators(instance: Instance, masks: list[int] | None, routes: frozenset,
+                       max_cells_guard: int) -> dict[str, tuple[int, ...]]:
+    """The numerators of ``hilbert_series``'s routes in ``routes`` that read this module.
+
+    The folds and the corner routes read the facet masks ``masks``;
+    ``f_transform`` and ``interior`` read the face table of the DFS, under
+    ``max_cells_guard``, and ``interior`` counts its faces against the
+    walk's boundary generators.  No route builds a ``CellSet``.
+    """
+    # one walk: the folds read it both ways, and its open ridges are the boundary generators
+    walk = _ridge_walk(masks) if routes & (FOLD_ROUTES | {INTERIOR}) else None
+    found = {}
+    if routes & FOLD_ROUTES:
+        found[ASCENDING_FOLD], found[DESCENDING_FOLD], _ = _ridge_fold(walk)
+    if routes & CORNER_ROUTES:
+        found.update(_corner_routes(instance, masks)[0])
+    if routes & {F_TRANSFORM, INTERIOR}:
+        _check_guard(instance, max_cells_guard)
+        table = _brute_walk(instance, list(walk[1]) if INTERIOR in routes else None)[1]
+        for route, transform in ((F_TRANSFORM, _h_from_f), (INTERIOR, _h_from_interior)):
+            if route in routes:
+                found[route] = transform(table, instance.n_cells)
+    return found

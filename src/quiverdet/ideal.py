@@ -15,6 +15,7 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterator, Mapping, NamedTuple
 
+from . import __version__
 from .chains import CellSet, is_u_compatible
 from .errors import DEFAULT_FACET_CAP, CrossCheckError, GuardExceeded, ValidationError
 from .moves import _facet_masks
@@ -169,7 +170,7 @@ def _det_terms(spec: MinorSpec) -> str:
 
 def export_cas(instance: Instance, flavor: str = M2,
                generator_cap: int = DEFAULT_GENERATOR_CAP,
-               version: str = "quiverdet 0.1.0") -> str:
+               version: str = f"quiverdet {__version__}") -> str:
     """A script declaring the ring, the natural generators, and the check commands.
 
     Variables are listed so that the system's lex order realizes the
@@ -178,6 +179,8 @@ def export_cas(instance: Instance, flavor: str = M2,
     """
     if flavor not in (M2, SINGULAR):
         raise ValidationError(f"unknown flavor {flavor!r}")
+    if not isinstance(version, str):
+        raise ValidationError(f"version must be a str, not {version!r}")
     if not _is_int(generator_cap) or generator_cap < 0:
         raise ValidationError(f"generator_cap must be an int >= 0, not {generator_cap!r}")
     count = natural_generator_count(instance)

@@ -175,7 +175,10 @@ class Instance:
         self.quiver = quiver
         self.m = dict(m)
         self.u = dict(u)
-        self.normalization = normalization or NormalizationReport()
+        if normalization is not None and not isinstance(normalization, NormalizationReport):
+            raise ValidationError(
+                f"normalization must be a NormalizationReport, not {normalization!r}")
+        self.normalization = NormalizationReport() if normalization is None else normalization
         size = sum(self.m[t] * self.m[s] for s, t in quiver.arrows)
         if size > MAX_LATTICE_CELLS:
             raise ValidationError(

@@ -9,7 +9,9 @@ locally: a cell c lies in R(F) when F - c has an addable cell below c
 ridge of a chunk of facets in per-cell batches, and ``_local_h`` tallies
 the faces' sizes; no ridge is stored and no facet is compared with another.
 
-The oracle routes load their modules when they run.  The two folds,
+``hilbert_series`` reads the facet masks once, runs the local routes and
+takes the six oracle routes' numerators from ``complex._oracle_numerators``,
+loaded only when one of them runs or facets are given.  The two folds,
 ``ascending_fold`` and ``descending_fold``, count the ridges each facet
 shares with earlier and with later facets, off one ``complex._ridge_walk``
 of their masks; ``verify`` walks its facets once for its folds, boundary
@@ -19,7 +21,7 @@ and ``nw_corners`` count the facets by essential SE or NW corners (the
 paper's formula: the ascending and the descending restriction counts), off
 one bit-sliced corner batch, ``cvm._corner_counts``.  ``f_transform`` and
 ``interior`` transform the f-vector and the interior faces of the face DFS,
-which ``oracle_routes`` runs for them.  Multiplicity h(1) and the Gorenstein
+``complex._brute_walk``.  Multiplicity h(1) and the Gorenstein
 indicator (a palindromic h-vector) are read off the series.  The routes are
 mathematically equal, so any disagreement is reported as an internal error
 rather than a result.
@@ -186,22 +188,23 @@ def hilbert_series(instance: Instance, facets=None, routes=LOCAL_ROUTES,
                    facet_cap: int = DEFAULT_FACET_CAP) -> HilbertSeries:
     """The series h(t) / (1 - t)^N, its numerator computed by every route in ``routes``.
 
-    The default local routes count the facets by their restriction faces in
-    ascending and in descending order, each read off per-cell addable
-    batches of the masks (see ``bitslice._restriction_columns``); the fold
-    routes count the ridges each facet closes along one walk of the masks,
-    and the corner routes essential SE or NW corners.  All of them read the
-    facets, enumerated as bare masks under ``facet_cap`` unless given; only
-    the corner routes reject a non-facet.  The local routes read each facet's face off the instance,
-    not off the list, so on given facets the folds run with them and hold
-    the list to them.
-    ``f_transform`` and ``interior`` read the face table of the brute-force
-    DFS, under ``max_cells_guard``; ``interior`` counts its faces inside no
-    boundary generator of the facets.  Given facets, in any iterable, must be distinct
-    cell sets of ``instance``, at least one.  All requested routes must
-    agree, and when facets were used, h(1) must equal their number.  Only the local routes
-    on enumerated masks run here; any other call loads the oracle routes
-    (``oracle_routes._oracle_series``).
+    The default local routes, run here, count the facets by their
+    restriction faces in ascending and in descending order, each read off
+    per-cell addable batches of the masks (see
+    ``bitslice._restriction_columns``).  ``complex._oracle_numerators`` runs
+    the others: the fold routes count the ridges each facet closes along one
+    walk of the masks, and the corner routes essential SE or NW corners.
+    All of these read the facets, enumerated once as bare masks under
+    ``facet_cap`` unless given; only the corner routes reject a non-facet.
+    The local routes read each facet's face off the instance, not off the
+    list, so on given facets the folds run with them and hold the list to
+    them.  ``f_transform`` and ``interior`` read the face table of the
+    brute-force DFS, under ``max_cells_guard``; ``interior`` counts its
+    faces inside no boundary generator of the facets.  Given facets, in any
+    iterable, must be distinct cell sets of ``instance``, at least one.  All
+    requested routes must agree, and when facets were used, h(1) must equal
+    their number.  A call with only local routes on enumerated masks loads
+    no ``complex``.
     """
     try:
         names = frozenset(routes)
@@ -210,13 +213,24 @@ def hilbert_series(instance: Instance, facets=None, routes=LOCAL_ROUTES,
     if not names or not names <= ALL_ROUTES:
         raise ValidationError(
             f"routes must be a nonempty subset of {sorted(ALL_ROUTES)}, got {routes!r}")
-    if facets is None and names <= LOCAL_ROUTES:  # the mask path
-        masks = _facet_masks(instance, facet_cap)
-        h = _local_h(_restriction_columns(instance, masks))
-        return _agreed({route: h[route] for route in sorted(names)}, instance.n_cells, len(masks))
-    from .oracle_routes import _oracle_series
+    if facets is not None:
+        from .complex import _given_masks
 
-    return _oracle_series(instance, facets, names, max_cells_guard, facet_cap)
+        masks = _given_masks(instance, facets)
+        # the local routes read R(F) off the instance, not off the list: the
+        # folds of the list's walk hold the list to them (a facet left out
+        # changes the walk's R(F) of its neighbours across a ridge)
+        if names & LOCAL_ROUTES:
+            names |= FOLD_ROUTES
+    else:
+        masks = _facet_masks(instance, facet_cap) if names - {F_TRANSFORM} else None
+    found = _local_h(_restriction_columns(instance, masks)) if names & LOCAL_ROUTES else {}
+    if names - LOCAL_ROUTES:
+        from .complex import _oracle_numerators
+
+        found.update(_oracle_numerators(instance, masks, names, max_cells_guard))
+    return _agreed({route: found[route] for route in sorted(names)}, instance.n_cells,
+                   None if masks is None else len(masks))
 
 
 def face_counts(instance: Instance, interior: bool = False,

@@ -14,8 +14,9 @@ reads each block's padded chain levels and blocked bits off
 ``cvm._block_levels``, which runs one chain DP per class of twin blocks
 (``bitslice._chain_levels``); its facet bits are ``facet-cardinality``.
 The corner routes and the shelling check read the facets' essential corners
-off ``complex._corner_routes``, the one corner pass, which ``oracle_routes``
-runs too and which reads the same levels on the facets alone.
+off ``complex._corner_routes``, the one corner pass, which
+``complex._oracle_numerators`` runs for ``hilbert_series`` too and which
+reads the same levels on the facets alone.
 The tests hold all three criteria to one ``definitions.corner_stats`` call
 per cell, which reads the independent DP ``definitions._chain_tables``.
 The brute face DFS and the closures run on the chain levels of
@@ -42,9 +43,11 @@ the local routes, and the codim-1 check reads the batches.  The series check
 holds the local routes, which ``hilbert_series`` runs by default, to the
 folds, the corner routes and, within the brute guard, the transforms of the
 brute walk's face table, with the comparison ``hilbert_series`` ends with
-(``series._agreed``).  The codim-1 check holds each ridge's addable cells,
-which the tests hold to ``complex.codim1_membership``, to its owners along
-the walk, and the local restriction faces to the walk's.
+(``series._agreed``); it assembles the routes itself, not through
+``hilbert_series``, as its walk and face table serve its other checks.
+The codim-1 check holds each ridge's addable cells, which the tests hold
+to ``complex.codim1_membership``, to its owners along the walk, and the
+local restriction faces to the walk's.
 """
 
 from __future__ import annotations

@@ -312,10 +312,19 @@ def test_export_cas(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "export-cas", "--preset", "det:2,2,1",
                          "--out", str(out_path))
     assert code == 0
-    assert out_path.read_text().startswith("-- generated by quiverdet")
+    assert out_path.read_text().startswith(f"-- generated by quiverdet {quiverdet.__version__};")
     code, out, _ = run_cli(capsys, "export-cas", "--preset", "det:2,2,1",
                            "--flavor", "singular")
-    assert code == 0 and out.startswith("// generated by quiverdet")
+    assert code == 0 and out.startswith(f"// generated by quiverdet {quiverdet.__version__};")
+
+
+def test_package_version_matches_pyproject():
+    # read by regex: tomllib is missing on Python 3.10
+    import re
+
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert found and found.group(1) == quiverdet.__version__
 
 
 def test_verify_smallest_classical(capsys):

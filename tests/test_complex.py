@@ -209,12 +209,17 @@ def _stray_error_calls():
         "Instance(quiver, {'1': 'x', '2': 3}, u)": lambda: Instance(quiver, {"1": "x", "2": 3},
                                                                    inst.u),
         "Instance(quiver, {}, {})": lambda: Instance(quiver, {}, {}),
+        # a junk normalization report was once stored as given, or a falsy one emptied
+        **{f"Instance(quiver, m, u, {junk!r})": lambda junk=junk: Instance(quiver, inst.m,
+                                                                          inst.u, junk)
+           for junk in (5, "x", 0, "", [])},
         "interior_faces(inst, FaceTable((1,), faces_by_size=5), facets)": lambda: interior_faces(
             inst, FaceTable((1,), faces_by_size=5), enumerate_facets(inst)),
         "interior_faces(inst, FaceTable((1,), faces_by_size=((-1,),)), facets)": (
             lambda: interior_faces(inst, FaceTable((1,), faces_by_size=((-1,),)),
                                    enumerate_facets(inst))),
         "export_cas(5)": lambda: export_cas(5),
+        "export_cas(inst, version=5)": lambda: export_cas(inst, version=5),
         "list(natural_generators(5))": lambda: list(natural_generators(5)),
         "in_initial_ideal(inst, 5)": lambda: in_initial_ideal(inst, 5),
         "inst.phi(None, cell)": lambda: inst.phi(None, cell),
@@ -351,7 +356,7 @@ def _public_calls():
         ("CellSet.from_mask", CellSet.from_mask, (inst, facet.mask)),
         ("CellSet.from_triples", CellSet.from_triples, (inst, facet.to_triples())),
         ("BipartiteQuiver", BipartiteQuiver, tuple(inst.quiver)),
-        ("Instance", Instance, (inst.quiver, inst.m, inst.u)),
+        ("Instance", Instance, (inst.quiver, inst.m, inst.u, inst.normalization)),
         ("Monomial.make", Monomial.make, (inst, {cell: 2})),
         ("Monomial.from_cells", Monomial.from_cells, (inst, [cell, cell])),
     ]

@@ -63,16 +63,15 @@ def test_bare_package_import_loads_no_submodule():
 
 def test_check_command_handlers_load_only_with_their_commands():
     # the counting commands, info and facets compile no check command's
-    # handler, and no command runs hilbert_series's oracle routes
+    # handler, nor ``complex``, which runs hilbert_series's oracle routes
     for command in ("info", "facets", "hilbert", "fvector"):
         modules = _probe("from quiverdet.cli import main\n"
                          f"assert main([{command!r}, '--preset', 'det:2,2,1']) == 0")
-        assert not modules & {"quiverdet.cli_checks", "quiverdet.oracle_routes"}, command
+        assert not modules & {"quiverdet.cli_checks", "quiverdet.complex"}, command
     for argv in (["shelling", "--preset", "det:2,2,1"], ["vdc-sample", "--preset", "det:2,2,1"],
                  ["verify", "--preset", "det:2,2,1", "--seed", "1"]):
         modules = _probe(f"from quiverdet.cli import main\nassert main({argv!r}) == 0")
         assert "quiverdet.cli_checks" in modules, argv
-        assert "quiverdet.oracle_routes" not in modules, argv
 
 
 def test_cli_import_and_info_load_only_the_core():

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from quiverdet import (ALL_ROUTES, CrossCheckError, ValidationError, enumerate_facets, f_vector,
-                       hilbert_series, interior_faces)
+from quiverdet import (ALL_ROUTES, CORNER_ROUTES, FOLD_ROUTES, CrossCheckError, ValidationError,
+                       enumerate_facets, f_vector, hilbert_series, interior_faces)
 from quiverdet.cli import parse_preset
 from quiverdet.complex import FaceTable
-from quiverdet.series import F_TRANSFORM, NW_CORNERS, SE_CORNERS, HilbertSeries, face_counts
+from quiverdet.series import (F_TRANSFORM, INTERIOR, LOCAL_ROUTES, NW_CORNERS, SE_CORNERS,
+                              HilbertSeries, face_counts)
 from quiverdet.verify import random_instance
 
 from golden import DOUBLE_H, DOUBLE_MULTIPLICITY, STAR_H, STAR_MULTIPLICITY
@@ -69,6 +70,34 @@ def test_hilbert_series_rejects_bad_facet_lists(double_instance, det33):
     for routes in ({SE_CORNERS}, {F_TRANSFORM, SE_CORNERS}, H_ROUTES):
         assert hilbert_series(det33, facets=(f for f in facets), routes=routes) == \
             hilbert_series(det33, facets=facets, routes=routes)
+
+
+def test_hilbert_series_dispatches_every_route_union(monkeypatch, det33, double_instance,
+                                                     single_cell):
+    # every nonempty union of the five route groups, on enumerated and on given
+    # facets, gives the default series; the masks are enumerated once a call,
+    # not at all for f_transform alone, and never on given facets
+    from itertools import combinations
+
+    import quiverdet.series as series
+
+    groups = [LOCAL_ROUTES, FOLD_ROUTES, CORNER_ROUTES, {F_TRANSFORM}, {INTERIOR}]
+    unions = [frozenset().union(*union)
+              for k in range(1, len(groups) + 1) for union in combinations(groups, k)]
+    enumerations = []
+    real = series._facet_masks
+    monkeypatch.setattr(series, "_facet_masks",
+                        lambda *args: enumerations.append(args) or real(*args))
+    for inst in (det33, double_instance, parse_preset("det:2,4,1"), single_cell):
+        want = hilbert_series(inst)
+        facets = enumerate_facets(inst)
+        for routes in unions:
+            enumerations.clear()
+            assert hilbert_series(inst, routes=routes) == want, routes
+            assert len(enumerations) == (routes != {F_TRANSFORM}), routes
+            enumerations.clear()
+            assert hilbert_series(inst, facets=facets, routes=routes) == want, routes
+            assert enumerations == [], routes
 
 
 def test_triple_agreement_random():
@@ -151,7 +180,6 @@ def test_oracle_routes_read_masks_and_walk_once(monkeypatch, star_instance):
     import tracemalloc
 
     import quiverdet.complex as cx
-    import quiverdet.oracle_routes as oracle_routes
     from quiverdet.chains import CellSet
 
     inst = star_instance
@@ -172,7 +200,6 @@ def test_oracle_routes_read_masks_and_walk_once(monkeypatch, star_instance):
     monkeypatch.setattr(CellSet, "from_mask",
                         classmethod(lambda cls, *args: built.append(args) or real_from_mask(*args)))
     monkeypatch.setattr(cx, "_ridge_walk", walk)
-    monkeypatch.setattr(oracle_routes, "_ridge_walk", walk)
     tracemalloc.start()
     try:
         assert hilbert_series(inst, routes=ALL_ROUTES) == want
